@@ -114,7 +114,10 @@ enum Admission {
 /// *answers* — even with an error frame — is alive, and its counter
 /// resets. [`ClusterError::UnknownPeer`] (no route configured)
 /// neither counts nor retries; it is an address-book problem, not a
-/// link problem.
+/// link problem. What the wrapped transport absorbs itself is not seen
+/// here at all: the one redial a [`TcpTransport`](crate::TcpTransport)
+/// makes when a kept-alive socket turns out dead spends no attempt and
+/// counts no failure — only the request's final outcome does.
 ///
 /// The wrapper composes with everything that takes a [`Transport`]:
 /// gossip loops, [`ClusterClient`](crate::ClusterClient), fault

@@ -24,10 +24,14 @@
 //!   cluster exchanges near-empty frames. A rotating full pull
 //!   (anti-entropy) heals whatever individual exchanges lose.
 //! * [`Transport`] — the seam that makes all of this testable: the
-//!   same node code runs over [`TcpTransport`] sockets (every socket
-//!   under connect/read/write deadlines — [`TcpTimeouts`]), the
-//!   deterministic in-process [`MemNetwork`], or a seeded
-//!   [`FaultyTransport`] that drops, replays and partitions.
+//!   same node code runs over [`TcpTransport`] sockets (persistent and
+//!   pooled per peer, every one under connect/read/write deadlines —
+//!   [`TcpTimeouts`]; a kept-alive socket found dead is redialed once,
+//!   which idempotent insert and merge make safe), the deterministic
+//!   in-process [`MemNetwork`], or a seeded [`FaultyTransport`] that
+//!   drops, replays and partitions. [`TcpServer`] is the serving half:
+//!   a worker per live connection, capped, with stalled and idle peers
+//!   disconnected.
 //! * [`Resilient`] — a transport wrapper adding bounded retries with
 //!   jittered backoff and per-peer suspicion with half-open probes, so
 //!   gossip skips a dead peer ([`ClusterError::Suspect`]) instead of

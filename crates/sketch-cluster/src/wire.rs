@@ -152,6 +152,9 @@ pub enum ErrorCode {
     /// The node cannot serve the request *right now* (e.g. a snapshot
     /// donor with nothing to bootstrap from) — try another peer.
     Unavailable = 6,
+    /// The node already serves its maximum number of live connections
+    /// and refused this one before reading any request from it.
+    Overloaded = 7,
 }
 
 impl ErrorCode {
@@ -163,6 +166,7 @@ impl ErrorCode {
             4 => ErrorCode::BadRequest,
             5 => ErrorCode::Unsupported,
             6 => ErrorCode::Unavailable,
+            7 => ErrorCode::Overloaded,
             other => return Err(WireError::UnknownErrorCode(other)),
         })
     }
@@ -351,37 +355,46 @@ impl Message {
     /// Encodes the message payload (without the frame length prefix).
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// Appends the message payload to `buf` — the one encoder behind
+    /// both [`encode`](Self::encode) and
+    /// [`encode_frame`](Self::encode_frame), so a frame is built in
+    /// the buffer that is sent.
+    fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
             Message::DeltaRequest { after } => {
                 buf.push(TAG_DELTA_REQUEST);
-                put_u64(&mut buf, *after);
+                put_u64(buf, *after);
             }
             Message::Delta { up_to, entries } => {
                 buf.push(TAG_DELTA);
-                put_u64(&mut buf, *up_to);
-                put_u32(&mut buf, entries.len() as u32);
+                put_u64(buf, *up_to);
+                put_u32(buf, entries.len() as u32);
                 for entry in entries {
-                    put_str(&mut buf, &entry.key);
-                    put_u64(&mut buf, entry.version);
-                    put_bytes(&mut buf, &entry.payload);
+                    put_str(buf, &entry.key);
+                    put_u64(buf, entry.version);
+                    put_bytes(buf, &entry.payload);
                 }
             }
             Message::Ingest { key, elements } => {
                 buf.push(TAG_INGEST);
-                put_str(&mut buf, key);
-                put_u32(&mut buf, elements.len() as u32);
+                put_str(buf, key);
+                put_u32(buf, elements.len() as u32);
                 for &element in elements {
-                    put_u64(&mut buf, element);
+                    put_u64(buf, element);
                 }
             }
             Message::Cardinality { key } => {
                 buf.push(TAG_CARDINALITY);
-                put_str(&mut buf, key);
+                put_str(buf, key);
             }
             Message::Jaccard { left, right } => {
                 buf.push(TAG_JACCARD);
-                put_str(&mut buf, left);
-                put_str(&mut buf, right);
+                put_str(buf, left);
+                put_str(buf, right);
             }
             Message::SimilarKeys {
                 key,
@@ -389,15 +402,15 @@ impl Message {
                 threshold_bits,
             } => {
                 buf.push(TAG_SIMILAR_KEYS);
-                put_str(&mut buf, key);
-                put_u32(&mut buf, *k);
-                put_u64(&mut buf, *threshold_bits);
+                put_str(buf, key);
+                put_u32(buf, *k);
+                put_u64(buf, *threshold_bits);
             }
             Message::UnionSketch { keys } => {
                 buf.push(TAG_UNION_SKETCH);
-                put_u32(&mut buf, keys.len() as u32);
+                put_u32(buf, keys.len() as u32);
                 for key in keys {
-                    put_str(&mut buf, key);
+                    put_str(buf, key);
                 }
             }
             Message::Shutdown => buf.push(TAG_SHUTDOWN),
@@ -408,10 +421,10 @@ impl Message {
                 max_lag,
             } => {
                 buf.push(TAG_SNAPSHOT_REQUEST);
-                put_u64(&mut buf, *snapshot_id);
-                put_u32(&mut buf, *chunk);
-                put_u32(&mut buf, *chunk_bytes);
-                put_u64(&mut buf, *max_lag);
+                put_u64(buf, *snapshot_id);
+                put_u32(buf, *chunk);
+                put_u32(buf, *chunk_bytes);
+                put_u64(buf, *max_lag);
             }
             Message::SnapshotChunk {
                 snapshot_id,
@@ -423,38 +436,37 @@ impl Message {
                 data,
             } => {
                 buf.push(TAG_SNAPSHOT_CHUNK);
-                put_u64(&mut buf, *snapshot_id);
-                put_u64(&mut buf, *epoch);
-                put_u64(&mut buf, *total_bytes);
-                put_u32(&mut buf, *chunk);
-                put_u32(&mut buf, *total_chunks);
-                put_u32(&mut buf, *crc);
-                put_bytes(&mut buf, data);
+                put_u64(buf, *snapshot_id);
+                put_u64(buf, *epoch);
+                put_u64(buf, *total_bytes);
+                put_u32(buf, *chunk);
+                put_u32(buf, *total_chunks);
+                put_u32(buf, *crc);
+                put_bytes(buf, data);
             }
             Message::Ack => buf.push(TAG_ACK),
             Message::Value { bits } => {
                 buf.push(TAG_VALUE);
-                put_u64(&mut buf, *bits);
+                put_u64(buf, *bits);
             }
             Message::Neighbors { items } => {
                 buf.push(TAG_NEIGHBORS);
-                put_u32(&mut buf, items.len() as u32);
+                put_u32(buf, items.len() as u32);
                 for item in items {
-                    put_str(&mut buf, &item.key);
-                    put_u64(&mut buf, item.jaccard_bits);
+                    put_str(buf, &item.key);
+                    put_u64(buf, item.jaccard_bits);
                 }
             }
             Message::Payload { bytes } => {
                 buf.push(TAG_PAYLOAD);
-                put_bytes(&mut buf, bytes);
+                put_bytes(buf, bytes);
             }
             Message::Error { code, detail } => {
                 buf.push(TAG_ERROR);
-                put_u16(&mut buf, *code as u16);
-                put_str(&mut buf, detail);
+                put_u16(buf, *code as u16);
+                put_str(buf, detail);
             }
         }
-        buf
     }
 
     /// Decodes a message payload (the bytes after the frame length
@@ -578,15 +590,33 @@ impl Message {
         }
     }
 
+    /// Bytes of the variable-size fields that dominate a large frame —
+    /// the capacity hint that keeps [`encode_frame`](Self::encode_frame)
+    /// at one allocation (small fields fit the fixed slack).
+    fn bulk_bytes(&self) -> usize {
+        match self {
+            Message::Ingest { key, elements } => key.len() + 8 * elements.len(),
+            Message::Delta { entries, .. } => entries
+                .iter()
+                .map(|entry| MIN_ENTRY_BYTES + entry.key.len() + entry.payload.len())
+                .sum(),
+            Message::SnapshotChunk { data, .. } => data.len(),
+            Message::Payload { bytes } => bytes.len(),
+            _ => 0,
+        }
+    }
+
     /// Encodes the message as a complete frame: magic, version byte,
     /// `u32` LE payload length, then the payload.
     pub fn encode_frame(&self) -> Vec<u8> {
-        let payload = self.encode();
-        let mut frame = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
+        let mut frame = Vec::with_capacity(64 + self.bulk_bytes());
         frame.extend_from_slice(&PROTOCOL_MAGIC);
         frame.push(PROTOCOL_VERSION);
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&payload);
+        // Length placeholder, patched once the payload is in place.
+        frame.extend_from_slice(&[0; 4]);
+        self.encode_into(&mut frame);
+        let payload_len = (frame.len() - FRAME_HEADER_BYTES) as u32;
+        frame[3..FRAME_HEADER_BYTES].copy_from_slice(&payload_len.to_le_bytes());
         frame
     }
 }
