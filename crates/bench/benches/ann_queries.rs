@@ -164,9 +164,14 @@ struct Baseline {
 /// probe keys, default engine all the way.
 fn run_flat(corpus: &Corpus) -> Baseline {
     let store = &corpus.store;
-    let (cold_ms, pairs) = time_millis(|| store.all_pairs(THRESHOLD).expect("compatible"));
-    let warm_ms = warm_millis(|| store.all_pairs(THRESHOLD).expect("compatible"));
     let options = QueryOptions::default();
+    let sweep = || {
+        store
+            .all_pairs_with(THRESHOLD, &options)
+            .expect("compatible")
+    };
+    let (cold_ms, pairs) = time_millis(sweep);
+    let warm_ms = warm_millis(sweep);
     let mut topk = Vec::new();
     let (topk_ms, ()) = time_millis(|| {
         for key in &corpus.probes {

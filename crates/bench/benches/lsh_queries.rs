@@ -21,7 +21,7 @@ use bench::bench_elements;
 use criterion::{criterion_group, criterion_main, Criterion};
 use lsh::LshIndex;
 use setsketch::{SetSketch1, SetSketchConfig};
-use sketch_store::SketchStore;
+use sketch_store::{IndexStrategy, QueryOptions, SketchStore};
 use std::time::Instant;
 
 /// Jaccard threshold of the headline sweep (matches the recorded claim:
@@ -92,18 +92,22 @@ struct SweepReport {
 /// Runs the pruned-vs-exhaustive comparison once at corpus size `n`.
 fn run_sweep(n: usize) -> SweepReport {
     let store = build_store(n);
+    let flat = QueryOptions::default();
+    let reference = flat.index(IndexStrategy::Exhaustive);
+    let sweep = |options| {
+        store
+            .all_pairs_with(THRESHOLD, options)
+            .expect("compatible")
+    };
 
     // Cold pruned sweep: pays banding auto-tune + full initial indexing.
-    let (pruned_cold_ms, pruned) = time_millis(|| store.all_pairs(THRESHOLD).expect("compatible"));
+    let (pruned_cold_ms, pruned) = time_millis(|| sweep(&flat));
     // Warm: index already maintained, median of three runs.
-    let mut warm: Vec<f64> = (0..3)
-        .map(|_| time_millis(|| store.all_pairs(THRESHOLD).expect("compatible")).0)
-        .collect();
+    let mut warm: Vec<f64> = (0..3).map(|_| time_millis(|| sweep(&flat)).0).collect();
     warm.sort_by(f64::total_cmp);
     let pruned_warm_ms = warm[1];
 
-    let (exhaustive_ms, exhaustive) =
-        time_millis(|| store.all_pairs_exhaustive(THRESHOLD).expect("compatible"));
+    let (exhaustive_ms, exhaustive) = time_millis(|| sweep(&reference));
 
     // The pruned sweep must be a subset with identical quantities —
     // recall is then a plain count ratio.
@@ -129,8 +133,11 @@ fn run_sweep(n: usize) -> SweepReport {
         .expect("sweeps build the index");
     let banding = info.banding.expect("threshold 0.5 is tunable at b=1.001");
 
-    let (top_k_ms, neighbors) =
-        time_millis(|| store.similar_keys("key-00000", 10).expect("key exists"));
+    let (top_k_ms, neighbors) = time_millis(|| {
+        store
+            .similar_keys_with("key-00000", 10, THRESHOLD, &flat)
+            .expect("key exists")
+    });
     assert!(!neighbors.is_empty(), "the paired key must be found");
 
     SweepReport {

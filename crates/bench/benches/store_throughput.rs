@@ -326,7 +326,9 @@ struct VerifyReport {
 fn run_verification_comparison(n: usize) -> VerifyReport {
     let threshold = 0.5;
     let store = build_sweep_store(n);
-    store.build_similarity_index(threshold); // take tuning + banding off both timings
+    let exact_options = QueryOptions::default();
+    // Take tuning + banding off both timings.
+    store.build_similarity_index_with(threshold, &exact_options);
 
     let median3 = |op: &dyn Fn() -> Vec<sketch_store::SimilarPair>| {
         let mut times: Vec<(f64, Vec<sketch_store::SimilarPair>)> = (0..3)
@@ -340,7 +342,11 @@ fn run_verification_comparison(n: usize) -> VerifyReport {
         times.swap_remove(1)
     };
 
-    let (exact_millis, exact) = median3(&|| store.all_pairs(threshold).expect("compatible"));
+    let (exact_millis, exact) = median3(&|| {
+        store
+            .all_pairs_with(threshold, &exact_options)
+            .expect("compatible")
+    });
     let approx_options = QueryOptions::default().approximate();
     let (approx_millis, approx) = median3(&|| {
         store

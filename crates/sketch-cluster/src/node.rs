@@ -29,7 +29,7 @@ use sketch_core::{
     BatchInsert, CardinalityEstimator, CompactSketch, JointEstimator, Mergeable, Signature,
 };
 use sketch_math::crc32;
-use sketch_store::{SketchStore, StoreError};
+use sketch_store::{QueryOptions, SketchStore, StoreError};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -236,7 +236,11 @@ impl<S: ClusterSketch> ClusterNode<S> {
                         detail: format!("similarity threshold {threshold} outside [0, 1]"),
                     };
                 }
-                match self.store.similar_keys_at(&key, k as usize, threshold) {
+                let options = QueryOptions::default();
+                match self
+                    .store
+                    .similar_keys_with(&key, k as usize, threshold, &options)
+                {
                     Ok(neighbors) => Message::Neighbors {
                         items: neighbors
                             .into_iter()

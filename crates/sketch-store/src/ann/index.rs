@@ -18,7 +18,7 @@ use super::ProbeStats;
 use crate::store::SketchStore;
 use lsh::{plan_bandings, Banding, ClusterLoad, LshIndex};
 use sketch_core::centroid::signature_distance;
-use sketch_core::{JointEstimator, Signature};
+use sketch_core::{CardinalityEstimator, JointEstimator, Signature};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -139,7 +139,7 @@ fn effective_threshold(threshold: f64, member_distances: &[f64]) -> f64 {
 
 impl<S> SketchStore<S>
 where
-    S: Signature + JointEstimator + Clone + Send + Sync,
+    S: Signature + JointEstimator + CardinalityEstimator + Clone + Send + Sync,
 {
     /// Sweeps every live key's `(key, version, signature)` out of the
     /// store (peeking, never promoting), sorted by key — shard maps are

@@ -25,7 +25,7 @@
 //! 3. **Budgeted routing** ([`router`]) — queries are compared against
 //!    cluster centroids only, then probe the few metrically eligible
 //!    clusters best-first until the routed member mass reaches the
-//!    recall target. `similar_keys` therefore scales with the clusters
+//!    recall target. Top-k therefore scales with the clusters
 //!    probed, not the candidate keys stored.
 //!
 //! The user-facing knobs are `memory_budget_bytes` and `recall_target`
@@ -51,7 +51,7 @@ pub const DEFAULT_CLUSTERED_RECALL: f64 = 0.95;
 /// queries (centroid routing cannot pay for itself on tiny stores).
 pub const DEFAULT_FLAT_CUTOVER: usize = 256;
 
-/// Which candidate-generation index backs a similarity query
+/// Where a similarity query's candidates come from
 /// ([`crate::QueryOptions::index`]).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum IndexStrategy {
@@ -62,10 +62,6 @@ pub enum IndexStrategy {
     /// The clustered ANN index: k-center clusters over register
     /// signatures, per-cluster tuned bandings under a shared memory
     /// budget, and best-first centroid routing toward a recall target.
-    ///
-    /// An explicit [`QueryOptions::banding`](crate::QueryOptions)
-    /// override bypasses clustering entirely (a forced global layout
-    /// and per-cluster tuning are mutually exclusive by construction).
     Clustered {
         /// Ceiling on the modeled index memory across all clusters
         /// (`None` = unbudgeted). Under pressure the planner walks the
@@ -84,6 +80,11 @@ pub enum IndexStrategy {
         /// structure is (re)built once the store grows past it.
         flat_cutover: usize,
     },
+    /// No index: a top-k query verifies every key, a sweep every pair.
+    /// The complete reference the other strategies' recall is measured
+    /// against, and the right tool when completeness matters more than
+    /// latency. It builds, refreshes and caches no index state.
+    Exhaustive,
 }
 
 impl IndexStrategy {

@@ -19,7 +19,7 @@
 use super::index::ClusteredState;
 use crate::store::SketchStore;
 use sketch_core::centroid::signature_distance;
-use sketch_core::{JointEstimator, Signature};
+use sketch_core::{CardinalityEstimator, JointEstimator, Signature};
 
 /// Estimation-noise slack added to every triangle-inequality
 /// eligibility bound: signature distances are D₀-based estimates, not
@@ -92,7 +92,7 @@ pub(crate) fn query_candidates(
 
 impl<S> SketchStore<S>
 where
-    S: Signature + JointEstimator + Clone + Send + Sync,
+    S: Signature + JointEstimator + CardinalityEstimator + Clone + Send + Sync,
 {
     /// Candidate pairs of a clustered all-pairs sweep, sorted and
     /// deduplicated with `left < right` (the flat engine's

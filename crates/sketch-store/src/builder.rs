@@ -19,7 +19,6 @@
 
 use crate::error::StoreError;
 use crate::pipeline::{PipelineDefaults, DEFAULT_QUEUE_DEPTH, DEFAULT_WRITER_THREADS};
-use crate::query::DEFAULT_INDEX_CACHE_CAPACITY;
 use crate::store::{SketchStore, DEFAULT_SHARDS};
 use crate::tier::{TierCodec, TierPolicy};
 use crate::wal::{self, FsyncPolicy, WalApplier, DEFAULT_CHECKPOINT_AFTER_BYTES};
@@ -74,7 +73,6 @@ pub struct StoreBuilder<S> {
     durable: Option<DurableConfig<S>>,
     fsync: FsyncPolicy,
     checkpoint_after_bytes: u64,
-    index_cache_capacity: usize,
 }
 
 /// Captured when [`StoreBuilder::durable_dir`] is called — the knob's
@@ -100,7 +98,6 @@ impl<S> StoreBuilder<S> {
             durable: None,
             fsync: FsyncPolicy::Os,
             checkpoint_after_bytes: DEFAULT_CHECKPOINT_AFTER_BYTES,
-            index_cache_capacity: DEFAULT_INDEX_CACHE_CAPACITY,
         }
     }
 
@@ -170,25 +167,6 @@ impl<S> StoreBuilder<S> {
         assert!(writes > 0, "demotion period must be at least one write");
         self.tier.demote_after_writes = Some(writes);
         self.codec = Some(TierCodec::of());
-        self
-    }
-
-    /// Bound on the similarity-query engine's cached index states, one
-    /// per distinct operating point — (threshold, recall target, forced
-    /// banding, strategy) tuple (default
-    /// [`DEFAULT_INDEX_CACHE_CAPACITY`](crate::DEFAULT_INDEX_CACHE_CAPACITY)).
-    /// Raise it when a workload legitimately rotates through more
-    /// operating points than that; each cached state holds band tables
-    /// over every indexed key.
-    ///
-    /// # Panics
-    /// Panics if `capacity == 0`.
-    pub fn index_cache_capacity(mut self, capacity: usize) -> Self {
-        assert!(
-            capacity > 0,
-            "index cache needs capacity for at least one state"
-        );
-        self.index_cache_capacity = capacity;
         self
     }
 
@@ -299,14 +277,8 @@ impl<S> StoreBuilder<S> {
         // entries restore warm, and put/merge-in records decode through
         // the tier prototype.
         let codec = self.codec.or_else(|| durable.as_ref().map(|d| d.codec));
-        let mut store = SketchStore::from_parts(
-            self.shards,
-            self.factory,
-            self.pipeline,
-            self.tier,
-            codec,
-            self.index_cache_capacity,
-        );
+        let mut store =
+            SketchStore::from_parts(self.shards, self.factory, self.pipeline, self.tier, codec);
         if let Some(config) = durable {
             let (wal, report, latest_checkpoint) =
                 wal::recover(&store, &config.dir, self.fsync, &config.applier)?;
@@ -339,7 +311,6 @@ impl<S> std::fmt::Debug for StoreBuilder<S> {
             .field("writer_threads", &self.pipeline.writer_threads)
             .field("memory_budget_bytes", &self.tier.memory_budget_bytes)
             .field("demote_after_writes", &self.tier.demote_after_writes)
-            .field("index_cache_capacity", &self.index_cache_capacity)
             .finish_non_exhaustive()
     }
 }

@@ -146,9 +146,9 @@ impl<S: CompactSketch> SketchStore<S> {
                 // other way round.
                 let payload = match &slot.state {
                     TierSlot::Hot(sketch) => sketch.compress(),
-                    cold => match self.cold_payload(cold) {
-                        Some(payload) => payload,
-                        None => continue,
+                    cold => match self.cold_bytes(cold) {
+                        Ok(payload) => payload.into_owned(),
+                        Err(_) => continue,
                     },
                 };
                 entries.push(DeltaEntry {
@@ -241,22 +241,5 @@ impl<S: Mergeable + Clone + PartialEq> SketchStore<S> {
         };
         self.maybe_maintain();
         Ok(changed)
-    }
-}
-
-impl<S> SketchStore<S> {
-    /// Reads a cold slot's compressed payload without promoting it;
-    /// `None` for quarantined slots and unreadable spill records.
-    fn cold_payload(&self, state: &TierSlot<S>) -> Option<Vec<u8>> {
-        match state {
-            TierSlot::Hot(_) => unreachable!("hot slots are compressed directly"),
-            TierSlot::Warm(bytes) => Some(bytes.to_vec()),
-            TierSlot::Frozen {
-                segment,
-                offset,
-                len,
-            } => self.tier.read_frozen(*segment, *offset, *len).ok(),
-            TierSlot::Quarantined(_) => None,
-        }
     }
 }

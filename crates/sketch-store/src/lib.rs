@@ -12,8 +12,7 @@
 //!
 //! * **builder construction** — [`SketchStore::builder`] is the single
 //!   front door: shard count, pipeline queue depth and writer threads
-//!   (and future knobs) are configured fluently, with the legacy
-//!   constructors kept as deprecated wrappers;
+//!   (and future knobs) are configured fluently;
 //! * **batched ingest** — [`SketchStore::ingest`] /
 //!   [`SketchStore::ingest_bytes`] record a whole batch under one lock
 //!   acquisition, hitting the sketch's specialized [`BatchInsert`] path
@@ -68,15 +67,20 @@
 //!   and [`SketchStore::install_checkpoint`] validates a shipped image
 //!   in full before installing it all-or-nothing: the store-side
 //!   substrate of `sketch-cluster`'s node bootstrap;
-//! * **similarity queries at scale** — [`SketchStore::similar_keys`]
-//!   (top-k) and [`SketchStore::all_pairs`] (threshold sweep) prune
-//!   candidates through an incrementally maintained banding LSH index
-//!   over the sketches' own registers (paper §3.3) and verify survivors
-//!   with the exact joint estimator in parallel — sub-quadratic where
-//!   N·(N−1)/2 [`joint`](SketchStore::joint) calls are not. The
-//!   `*_with` variants take typed [`QueryOptions`]: banding recall
-//!   target or explicit layout, multi-probe policy, worker count, and
-//!   [`Verification::Approximate`] — the §3.3 D₀-based
+//! * **similarity queries at scale** — three entry points over one
+//!   engine: [`SketchStore::similar_keys_with`] (top-k),
+//!   [`SketchStore::all_pairs_with`] (threshold sweep) and
+//!   [`SketchStore::build_similarity_index_with`] (index warm-up).
+//!   [`QueryOptions::index`] picks where candidates come from —
+//!   [`IndexStrategy::Flat`], an incrementally maintained banding LSH
+//!   index over the sketches' own registers (paper §3.3),
+//!   [`IndexStrategy::Clustered`], per-cluster bandings with centroid
+//!   routing, or [`IndexStrategy::Exhaustive`], every key or pair, the
+//!   reference the other two are measured against — and survivors are
+//!   verified in parallel: sub-quadratic where N·(N−1)/2
+//!   [`joint`](SketchStore::joint) calls are not. The remaining
+//!   [`QueryOptions`] are the banding recall target, the worker count
+//!   and [`Verification::Approximate`] — the §3.3 D₀-based
 //!   approximate-quantity mode that replaces per-pair likelihood
 //!   maximization with one register comparison and a table lookup.
 //!
@@ -138,6 +142,7 @@ mod ann;
 mod builder;
 mod delta;
 mod error;
+mod frame;
 mod pipeline;
 mod query;
 mod snapshot;
@@ -156,8 +161,7 @@ pub use pipeline::{
     DEFAULT_WRITER_THREADS,
 };
 pub use query::{
-    Neighbor, Probe, QueryOptions, SimilarPair, SimilarityIndexInfo, Verification,
-    DEFAULT_INDEX_CACHE_CAPACITY, DEFAULT_RECALL_TARGET, DEFAULT_SIMILARITY_THRESHOLD,
+    Neighbor, QueryOptions, SimilarPair, SimilarityIndexInfo, Verification, DEFAULT_RECALL_TARGET,
 };
 pub use snapshot::{SnapshotEntry, StoreSnapshot};
 pub use store::{SketchStore, DEFAULT_SHARDS};

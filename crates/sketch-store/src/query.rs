@@ -1,45 +1,56 @@
-//! Batched cross-key similarity queries: LSH-pruned top-k and
-//! all-pairs sweeps over the store, with typed per-query options.
+//! Batched cross-key similarity queries: one engine behind three entry
+//! points, with typed per-query options.
 //!
 //! Answering "which of my N keys are similar?" with per-pair
 //! [`joint`](SketchStore::joint) calls costs `O(N²·m)` register
-//! comparisons plus two shard-lock acquisitions per pair. This module
-//! replaces that with a three-stage engine:
+//! comparisons plus two shard-lock acquisitions per pair. The entry
+//! points here share one three-stage engine instead:
 //!
-//! 1. **Candidate pruning** — stored sketches expose locality-sensitive
-//!    register signatures ([`sketch_core::Signature`], paper §3.3), kept
-//!    in a banding [`LshIndex`] whose band/row layout is auto-tuned from
-//!    the family's collision-probability bound at the query threshold
-//!    ([`Banding::tune`]). Only keys sharing a bucket become candidate
-//!    pairs.
+//! * [`SketchStore::similar_keys_with`] — the `k` keys most similar to
+//!   one key;
+//! * [`SketchStore::all_pairs_with`] — every pair at or above a
+//!   threshold;
+//! * [`SketchStore::build_similarity_index_with`] — stage 1 + 2 only,
+//!   to move index work off the first query's latency.
+//!
+//! 1. **Candidate generation** — picked by [`QueryOptions::index`].
+//!    [`IndexStrategy::Flat`] (the default) keeps the stored sketches'
+//!    locality-sensitive register signatures
+//!    ([`sketch_core::Signature`], paper §3.3) in one banding
+//!    [`LshIndex`] whose band/row layout is auto-tuned from the
+//!    family's collision-probability bound at the query threshold
+//!    ([`Banding::tune`]); only keys sharing a bucket become
+//!    candidates. [`IndexStrategy::Clustered`] swaps in the clustered
+//!    ANN index ([`crate::ann`]). [`IndexStrategy::Exhaustive`] skips
+//!    the index: every key (top-k) or every pair (sweep) is a
+//!    candidate — the ground-truth reference the pruned strategies'
+//!    recall is measured against.
 //! 2. **Incremental maintenance** — every store write bumps a per-key
 //!    version counter; before a query, exactly the keys whose version
 //!    moved since they were last indexed are re-banded (removed under
 //!    their stored band hashes, re-inserted under the new ones). Steady
 //!    query traffic therefore never pays a full index rebuild.
-//! 3. **Verification** — every surviving candidate pair is verified
-//!    over a point-in-time snapshot, fanned out across worker threads
-//!    with per-worker result buffers. [`Verification::Exact`] (the
-//!    default) runs the family's exact joint estimator (the
-//!    `compare_counts` register kernel feeding a likelihood
-//!    maximization), so reported quantities are identical to what an
-//!    exhaustive sweep computes for the same pair.
-//!    [`Verification::Approximate`] instead reports the paper's §3.3
-//!    D₀-based estimate: one register comparison per pair plus a table
-//!    lookup that inverts the family's collision-probability curve at
-//!    the observed equal-register fraction — the "approximate-quantity"
-//!    mode for latency-critical sweeps.
+//! 3. **Verification** — every candidate pair is verified over a
+//!    point-in-time extraction (cold slots are peeked, never promoted),
+//!    fanned out across worker threads with per-worker result buffers.
+//!    [`Verification::Exact`] (the default) runs the family's exact
+//!    joint estimator (the `compare_counts` register kernel feeding a
+//!    likelihood maximization), so a reported pair's quantities equal
+//!    [`SketchStore::joint`] on the same keys whichever strategy made
+//!    it a candidate. [`Verification::Approximate`] instead reports
+//!    the paper's §3.3 D₀-based estimate: one register comparison per
+//!    pair plus a table lookup that inverts the family's
+//!    collision-probability curve at the observed equal-register
+//!    fraction — the "approximate-quantity" mode for latency-critical
+//!    sweeps.
 //!
-//! Every query method has a `*_with` variant taking [`QueryOptions`],
-//! which also surfaces the banding recall target, an explicit
-//! [`Banding`] override, multi-probe policy and the verification worker
-//! count. The plain methods are the `QueryOptions::default()` shorthand.
-//!
-//! When the threshold carries no locality signal (e.g. `0.0`, where
-//! every pair must be reported), [`Banding::tune`] reports that no
-//! banding can reach the recall target and the engine transparently
-//! falls back to the exhaustive candidate set — same verification, same
-//! results, no pruning.
+//! The exhaustive strategy is not a second code path: it is the two
+//! fallbacks the indexed strategies already need. When the threshold
+//! carries no locality signal (e.g. `0.0`, where every pair must be
+//! reported), [`Banding::tune`] reports that no banding can reach the
+//! recall target and a sweep verifies the full pair triangle; when a
+//! top-k probe yields fewer than `k` candidates it verifies every key.
+//! `Exhaustive` takes those branches unconditionally.
 
 use crate::ann::index::{ClusteredParams, ClusteredState};
 use crate::ann::{router, ClusteredIndexInfo, IndexStrategy};
@@ -53,12 +64,6 @@ use sketch_core::{
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-/// Similarity threshold [`SketchStore::similar_keys`] tunes its index
-/// for when the caller has not chosen one explicitly: candidates with
-/// Jaccard at or above this value are found with at least the tuned
-/// recall, more dissimilar keys on a best-effort basis.
-pub const DEFAULT_SIMILARITY_THRESHOLD: f64 = 0.5;
-
 /// Default banding recall target ([`QueryOptions::recall_target`]): the
 /// banding stage is laid out so that a pair *at* the query threshold
 /// still becomes a candidate with this probability (more similar pairs
@@ -68,14 +73,12 @@ pub const DEFAULT_RECALL_TARGET: f64 = 0.98;
 /// Candidate pairs handed to one worker at a time during verification.
 const VERIFY_CHUNK: usize = 256;
 
-/// Default bound on cached index states, one per distinct (threshold,
-/// banding-options, strategy) operating point (most recently used
-/// first). Bounding the cache keeps a service that sweeps many
-/// thresholds from hoarding band tables; alternating between a few
-/// operating points never re-tunes or re-bands. Raise it through
-/// [`StoreBuilder::index_cache_capacity`](crate::StoreBuilder::index_cache_capacity)
-/// when a workload legitimately rotates through more operating points.
-pub const DEFAULT_INDEX_CACHE_CAPACITY: usize = 4;
+/// Bound on cached index states, one per distinct (threshold, recall
+/// target, strategy) operating point (most recently used first).
+/// Bounding the cache keeps a service that sweeps many thresholds from
+/// hoarding band tables; alternating between a few operating points
+/// never re-tunes or re-bands.
+const INDEX_CACHE_CAPACITY: usize = 4;
 
 /// How candidate pairs are verified before being reported.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -98,39 +101,22 @@ pub enum Verification {
     Approximate,
 }
 
-/// Multi-probe policy of the candidate stage of top-k queries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Probe {
-    /// Multi-probe (±1 register perturbations) exactly when the sketch
-    /// family reports ordinal registers
-    /// ([`Signature::ordinal_registers`]). The default.
-    #[default]
-    Auto,
-    /// Never multi-probe: one exact banding lookup per query.
-    Never,
-    /// Always multi-probe, even for folded-hash signatures (where a
-    /// perturbed register is just another random hash — usually wasted
-    /// work; useful for experiments).
-    Always,
-}
-
-/// Typed per-query options of the similarity engine, accepted by the
-/// `*_with` query variants ([`SketchStore::similar_keys_with`],
-/// [`SketchStore::all_pairs_with`],
-/// [`SketchStore::all_pairs_exhaustive_with`]).
+/// Typed per-query options of the similarity engine, accepted by
+/// [`SketchStore::similar_keys_with`], [`SketchStore::all_pairs_with`]
+/// and [`SketchStore::build_similarity_index_with`].
 ///
 /// The struct is plain data with a [`Default`]; build it with struct
 /// update syntax or the fluent helpers:
 ///
 /// ```
-/// use sketch_store::{Probe, QueryOptions, Verification};
+/// use sketch_store::{IndexStrategy, QueryOptions, Verification};
 ///
 /// let options = QueryOptions::default()
 ///     .approximate()          // §3.3 D₀-based verification
 ///     .recall_target(0.9)     // more selective banding
 ///     .threads(2);            // cap verification workers
 /// assert_eq!(options.verification, Verification::Approximate);
-/// assert_eq!(options.probe, Probe::Auto);
+/// assert_eq!(options.index, IndexStrategy::Flat);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueryOptions {
@@ -142,23 +128,13 @@ pub struct QueryOptions {
     /// allow more selective bandings — fewer false candidates, more
     /// missed true pairs.
     pub recall_target: f64,
-    /// Multi-probe policy of top-k candidate lookups (default
-    /// [`Probe::Auto`]).
-    pub probe: Probe,
     /// Verification worker threads; `None` (default) uses the machine's
     /// available parallelism.
     pub threads: Option<usize>,
-    /// Explicit banding layout, bypassing the auto-tuner — for
-    /// operating points established by offline analysis. The layout
-    /// must fit the family's signature
-    /// (`bands · rows ≤ signature_len`). `None` (default) tunes from
-    /// the family's collision bound at the query threshold. A forced
-    /// layout also forces the flat strategy (per-cluster tuning and a
-    /// fixed global layout are mutually exclusive).
-    pub banding: Option<Banding>,
-    /// Which candidate-generation index backs the query (default
-    /// [`IndexStrategy::Flat`]); see [`IndexStrategy::Clustered`] for
-    /// the clustered ANN index.
+    /// Where candidates come from (default [`IndexStrategy::Flat`]):
+    /// the flat banding index, the clustered ANN index
+    /// ([`IndexStrategy::Clustered`]) or no index at all
+    /// ([`IndexStrategy::Exhaustive`]).
     pub index: IndexStrategy,
 }
 
@@ -167,9 +143,7 @@ impl Default for QueryOptions {
         QueryOptions {
             verification: Verification::Exact,
             recall_target: DEFAULT_RECALL_TARGET,
-            probe: Probe::Auto,
             threads: None,
-            banding: None,
             index: IndexStrategy::Flat,
         }
     }
@@ -194,34 +168,15 @@ impl QueryOptions {
         self
     }
 
-    /// Sets the multi-probe policy.
-    pub fn probe(mut self, probe: Probe) -> Self {
-        self.probe = probe;
-        self
-    }
-
     /// Caps the verification worker count.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
         self
     }
 
-    /// Forces an explicit banding layout.
-    pub fn banding(mut self, banding: Banding) -> Self {
-        self.banding = Some(banding);
-        self
-    }
-
-    /// Selects the candidate-generation index strategy.
+    /// Selects the candidate-generation strategy.
     pub fn index(mut self, strategy: IndexStrategy) -> Self {
         self.index = strategy;
-        self
-    }
-
-    /// Selects the clustered ANN index with every knob at its default
-    /// ([`IndexStrategy::clustered`]).
-    pub fn clustered(mut self) -> Self {
-        self.index = IndexStrategy::clustered();
         self
     }
 }
@@ -233,8 +188,6 @@ pub(crate) struct SimilarityIndex {
     threshold: f64,
     /// Recall target the banding was tuned to.
     recall_target: f64,
-    /// Explicit layout override the state was built with, if any.
-    forced: Option<Banding>,
     /// Strategy the state was requested under (part of the cache key;
     /// the backend may lag it across the flat↔clustered cutover).
     strategy: IndexStrategy,
@@ -326,10 +279,9 @@ impl<S> SketchStore<S> {
     /// Reports the **most recently used** similarity index state — its
     /// tuned banding and coverage — or `None` if no similarity query
     /// has run yet. (The store caches one state per queried operating
-    /// point, up to [`StoreBuilder::index_cache_capacity`]; the
-    /// `cache_hits` / `cache_misses` counters cover all of them.)
-    ///
-    /// [`StoreBuilder::index_cache_capacity`]: crate::StoreBuilder::index_cache_capacity
+    /// point, four at most; the `cache_hits` / `cache_misses` counters
+    /// cover all of them. [`IndexStrategy::Exhaustive`] queries use no
+    /// index and leave the cache alone.)
     pub fn similarity_index_info(&self) -> Option<SimilarityIndexInfo> {
         self.similarity.lock().first().map(|index| {
             let (banding, indexed_keys, clustered) = match &index.backend {
@@ -361,114 +313,78 @@ impl<S> SketchStore<S> {
 
 impl<S> SketchStore<S>
 where
-    S: Signature + JointEstimator + Clone + Send + Sync,
+    S: Signature + JointEstimator + CardinalityEstimator + Clone + Send + Sync,
 {
     /// Tunes (if needed) and incrementally refreshes the similarity
-    /// index for `threshold` under the default [`QueryOptions`],
-    /// without running a query. Queries do this on demand; calling it
-    /// eagerly (e.g. after a bulk load) moves the banding work off the
-    /// first query's latency.
+    /// index for the operating point `(threshold, options)` without
+    /// running a query. Queries do this on demand; calling it eagerly
+    /// (e.g. after a bulk load) moves the banding work off the first
+    /// query's latency. A no-op under [`IndexStrategy::Exhaustive`],
+    /// which has no index.
     ///
     /// # Panics
-    /// Panics if `threshold` is outside `[0, 1]`.
-    pub fn build_similarity_index(&self, threshold: f64) {
-        self.build_similarity_index_with(threshold, &QueryOptions::default());
-    }
-
-    /// [`build_similarity_index`](Self::build_similarity_index) for an
-    /// explicit operating point (recall target or forced banding).
-    ///
-    /// # Panics
-    /// Panics if `threshold` is outside `[0, 1]`, if
-    /// `options.recall_target` is outside `(0, 1]`, or if a forced
-    /// banding does not fit the family's signature.
+    /// Panics if `threshold` is outside `[0, 1]` or
+    /// `options.recall_target` is outside `(0, 1]`.
     pub fn build_similarity_index_with(&self, threshold: f64, options: &QueryOptions) {
         check_threshold(threshold);
         check_recall_target(options.recall_target);
-        let mut guard = self.similarity.lock();
-        let index = self.ensure_index(&mut guard, threshold, options);
-        self.refresh_index(index);
+        if options.index != IndexStrategy::Exhaustive {
+            self.fresh_index(&mut self.similarity.lock(), threshold, options);
+        }
     }
 
-    /// The `k` keys most similar to `key`, with exact joint estimates.
+    /// The `k` keys most similar to `key`, with joint estimates (query
+    /// on the `U` side).
     ///
-    /// Candidates come from the similarity index (tuned for
-    /// [`DEFAULT_SIMILARITY_THRESHOLD`]; use
-    /// [`similar_keys_at`](Self::similar_keys_at) to tune for another
-    /// operating point) via a banding query — multi-probed for ordinal
-    /// register scales — then every candidate is verified with the
-    /// exact joint estimator against clones of just the query and
+    /// Candidates come from the index `options.index` selects, tuned
+    /// for `threshold` — a banding query, multi-probed (±1 register
+    /// perturbations) exactly when the family's registers are ordinal
+    /// ([`Signature::ordinal_registers`]); on folded-hash signatures a
+    /// perturbed register is just another random hash. Every candidate
+    /// is then verified against extractions of just the query and
     /// candidate sketches (the whole store is never copied). If the
-    /// index yields fewer than `k` candidates the engine falls back to
-    /// verifying every key, so a small store always produces a
-    /// complete, exact top-k.
+    /// index yields fewer than `k` candidates — always, under
+    /// [`IndexStrategy::Exhaustive`] — every key is verified, so a
+    /// small store still produces a complete top-k.
     ///
     /// Results are sorted by descending Jaccard, ties broken by
     /// ascending key; neighbors *below* the tuned threshold are
     /// returned on a best-effort basis (the recall guarantee of the
     /// banding only covers pairs at or above it).
     ///
+    /// # Panics
+    /// Panics if `threshold` is outside `[0, 1]` or
+    /// `options.recall_target` is outside `(0, 1]`.
+    ///
     /// # Errors
     /// [`StoreError::KeyNotFound`] if `key` holds no sketch,
     /// [`StoreError::Incompatible`] if verification meets a sketch
     /// injected with mismatched parameters.
-    pub fn similar_keys(&self, key: &str, k: usize) -> Result<Vec<Neighbor>, StoreError> {
-        self.similar_keys_at(key, k, DEFAULT_SIMILARITY_THRESHOLD)
-    }
-
-    /// [`similar_keys`](Self::similar_keys) with an explicit similarity
-    /// threshold to tune the candidate stage for.
-    ///
-    /// # Panics
-    /// Panics if `threshold` is outside `[0, 1]`.
-    pub fn similar_keys_at(
-        &self,
-        key: &str,
-        k: usize,
-        threshold: f64,
-    ) -> Result<Vec<Neighbor>, StoreError> {
-        let options = QueryOptions::default();
-        self.similar_keys_impl(key, k, threshold, &options, |candidates| {
-            self.exact_entries_for(key, candidates)
-        })
-    }
-
-    /// The shared top-k engine: candidate generation off the
-    /// similarity index (with exhaustive fallback), verification of
-    /// `(query, candidate)` pairs over entries supplied by
-    /// `make_entries`, ranking by descending Jaccard.
-    fn similar_keys_impl(
+    pub fn similar_keys_with(
         &self,
         key: &str,
         k: usize,
         threshold: f64,
         options: &QueryOptions,
-        make_entries: impl FnOnce(Vec<String>) -> Result<VerifyEntries<S>, StoreError>,
     ) -> Result<Vec<Neighbor>, StoreError> {
         check_threshold(threshold);
         check_recall_target(options.recall_target);
-        let candidate_keys = {
+        let not_found = || StoreError::KeyNotFound(key.to_owned());
+        // `None` means no index answered: exhaustive strategy, or no
+        // banding tunes at this threshold.
+        let probed = if options.index == IndexStrategy::Exhaustive {
+            None
+        } else {
             let mut guard = self.similarity.lock();
-            let index = self.ensure_index(&mut guard, threshold, options);
-            self.refresh_index(index);
+            let index = self.fresh_index(&mut guard, threshold, options);
             // The signature is extracted under the shard read lock — no
-            // sketch clone inside this critical section. Multi-probing
-            // (±1 register perturbations) only names plausible near
-            // misses on ordinal register scales; folded-hash signatures
-            // use the exact banding query (policy: `options.probe`).
-            let probed = self.with_sketch(key, |sketch| {
-                (sketch.signature(), sketch.ordinal_registers())
-            });
-            let Some((signature, ordinal)) = probed else {
-                return Err(StoreError::KeyNotFound(key.to_owned()));
-            };
-            let multiprobe = match options.probe {
-                Probe::Auto => ordinal,
-                Probe::Never => false,
-                Probe::Always => true,
-            };
+            // sketch clone inside this critical section.
+            let (signature, multiprobe) = self
+                .with_sketch(key, |sketch| {
+                    (sketch.signature(), sketch.ordinal_registers())
+                })
+                .ok_or_else(not_found)?;
             match &mut index.backend {
-                // `None` means no banding tuned: exhaustive fallback.
                 Backend::Flat(flat) => flat.lsh.as_ref().map(|lsh| {
                     if multiprobe {
                         lsh.query_multiprobe(&signature)
@@ -482,191 +398,198 @@ where
             }
         };
 
-        let mut candidates = match candidate_keys {
-            Some(mut keys) => {
-                keys.retain(|candidate| candidate != key);
-                keys.sort_unstable();
-                keys
-            }
-            None => Vec::new(),
-        };
+        let mut candidates = probed.unwrap_or_default();
+        candidates.retain(|candidate| candidate != key);
+        candidates.sort_unstable();
         if candidates.len() < k {
-            // Recall floor (or exhaustive mode): too few banding
-            // candidates to fill the top-k, so verify every other key —
-            // still complete, just unpruned.
+            // Too few index candidates to fill the top-k: verify every
+            // other key — still complete, just unpruned.
             candidates = self.keys();
             candidates.retain(|candidate| candidate != key);
         }
 
-        // The verification inputs cover only the query key and the
-        // candidates, never the whole store; the first entry is the
-        // query key.
-        let entries = make_entries(candidates)?;
+        // The verification inputs cover only the query key (first) and
+        // the candidates, never the whole store.
+        candidates.insert(0, key.to_owned());
+        let entries = self.verify_entries(candidates, options.verification);
+        if entries.keys.first().map(String::as_str) != Some(key) {
+            return Err(not_found());
+        }
 
-        let pairs: Vec<(u32, u32)> = (1..entries.len() as u32).map(|i| (0, i)).collect();
+        let pairs: Vec<(u32, u32)> = (1..entries.keys.len() as u32).map(|i| (0, i)).collect();
         // No threshold filter: top-k keeps its best-effort tail below
         // the tuned threshold.
         let mut hits = verify_candidates(&entries, Candidates::List(&pairs), 0.0, options)?;
         hits.sort_unstable_by(|a, b| {
             b.2.jaccard
                 .total_cmp(&a.2.jaccard)
-                .then_with(|| entries.key(a.1 as usize).cmp(entries.key(b.1 as usize)))
+                .then_with(|| entries.keys[a.1 as usize].cmp(&entries.keys[b.1 as usize]))
         });
         hits.truncate(k);
         Ok(hits
             .into_iter()
             .map(|(_, i, quantities)| Neighbor {
-                key: entries.key(i as usize).to_owned(),
+                key: entries.keys[i as usize].clone(),
                 quantities,
             })
             .collect())
     }
 
     /// Every pair of keys whose verified Jaccard similarity is at least
-    /// `threshold`, with exact joint estimates — the LSH-pruned sweep.
+    /// `threshold`, with joint estimates.
     ///
     /// Candidate pairs are keys co-located in at least one band bucket
-    /// of the (incrementally refreshed) similarity index; each
-    /// candidate is then verified with the exact joint estimator over a
-    /// point-in-time snapshot, in parallel. Reported pairs therefore
-    /// carry exactly the quantities
-    /// [`all_pairs_exhaustive`](Self::all_pairs_exhaustive) computes
-    /// for them; the LSH stage can only *miss* pairs, with probability
-    /// bounded by the tuned recall (98 % at the threshold, higher
-    /// above it). At thresholds where no banding meets the recall
-    /// target (e.g. `0.0`) the sweep transparently runs exhaustively.
+    /// of the (incrementally refreshed) index `options.index` selects;
+    /// each is then verified over a point-in-time extraction, in
+    /// parallel. An index can only *miss* pairs, with probability
+    /// bounded by the tuned recall (98 % at the threshold by default,
+    /// higher above it); what it reports is a subset of the
+    /// [`IndexStrategy::Exhaustive`] sweep with the same quantities.
+    /// At thresholds where no banding meets the recall target (e.g.
+    /// `0.0`) every strategy verifies the full pair triangle.
+    ///
+    /// With [`Verification::Approximate`]
+    /// (`QueryOptions::default().approximate()`) the sweep skips the
+    /// exact joint estimator and reports the §3.3 D₀-based estimate
+    /// from one register comparison per pair — for latency-critical
+    /// callers that can live with the §3.3 RMSE envelope.
     ///
     /// Results are sorted by `(left, right)`; each pair appears once
     /// with `left < right`.
     ///
     /// # Panics
-    /// Panics if `threshold` is outside `[0, 1]`.
+    /// Panics if `threshold` is outside `[0, 1]` or
+    /// `options.recall_target` is outside `(0, 1]`.
     ///
     /// # Errors
     /// [`StoreError::Incompatible`] if verification meets a sketch
     /// injected with mismatched parameters.
-    pub fn all_pairs(&self, threshold: f64) -> Result<Vec<SimilarPair>, StoreError> {
-        let options = QueryOptions::default();
-        self.all_pairs_impl(threshold, &options, |store| store.exact_entries())
-    }
-
-    /// The shared all-pairs engine: candidate pairs off the similarity
-    /// index (exhaustive fallback when untunable), verification over
-    /// entries supplied by `make_entries` after the index refresh.
-    fn all_pairs_impl(
+    pub fn all_pairs_with(
         &self,
         threshold: f64,
         options: &QueryOptions,
-        make_entries: impl FnOnce(&Self) -> VerifyEntries<S>,
     ) -> Result<Vec<SimilarPair>, StoreError> {
         check_threshold(threshold);
         check_recall_target(options.recall_target);
-        let candidate_keys = {
+        // `None` means no index answered (see `similar_keys_with`).
+        let candidate_keys = if options.index == IndexStrategy::Exhaustive {
+            None
+        } else {
             let mut guard = self.similarity.lock();
-            let index = self.ensure_index(&mut guard, threshold, options);
-            self.refresh_index(index);
+            let index = self.fresh_index(&mut guard, threshold, options);
             match &mut index.backend {
                 Backend::Flat(flat) => flat.lsh.as_ref().map(|lsh| lsh.candidate_pairs()),
                 Backend::Clustered(state) => Some(self.clustered_candidate_pairs(state, threshold)),
             }
         };
 
-        let entries = make_entries(self);
+        let entries = self.verify_entries(self.keys(), options.verification);
+        if options.verification == Verification::Approximate {
+            // The sweep named every live key: drop cached cardinalities
+            // of removed keys so the cache stays bounded by the store.
+            let mut cache = self.cardinality_cache.lock();
+            if cache.len() > entries.keys.len() {
+                let live: HashSet<&str> = entries.keys.iter().map(String::as_str).collect();
+                cache.retain(|key, _| live.contains(key.as_str()));
+            }
+        }
         let hits = match candidate_keys {
             Some(candidates) => {
-                let position: HashMap<&str, u32> = (0..entries.len())
-                    .map(|i| (entries.key(i), i as u32))
+                let position: HashMap<&str, u32> = (0u32..)
+                    .zip(&entries.keys)
+                    .map(|(i, key)| (key.as_str(), i))
                     .collect();
                 let pairs: Vec<(u32, u32)> = candidates
                     .iter()
                     .filter_map(|(a, b)| {
                         // Keys can vanish between index refresh and
-                        // snapshot; verification only sees live pairs.
+                        // extraction; verification only sees live pairs.
                         Some((*position.get(a.as_str())?, *position.get(b.as_str())?))
                     })
                     .collect();
                 verify_candidates(&entries, Candidates::List(&pairs), threshold, options)?
             }
             None => {
-                verify_candidates(&entries, Candidates::all(entries.len()), threshold, options)?
+                let n = u32::try_from(entries.keys.len())
+                    .expect("store sizes beyond u32 keys are unsupported in sweeps");
+                verify_candidates(&entries, Candidates::Triangle(n), threshold, options)?
             }
         };
-        Ok(pairs_from_hits(&entries, hits))
+        Ok(hits
+            .into_iter()
+            .map(|(a, b, quantities)| SimilarPair {
+                left: entries.keys[a as usize].clone(),
+                right: entries.keys[b as usize].clone(),
+                quantities,
+            })
+            .collect())
     }
 
-    /// The exhaustive reference sweep: verifies **every** pair of keys
-    /// with the exact joint estimator (no LSH stage) and reports those
-    /// at or above `threshold`. Same verification, same output format
-    /// and order as [`all_pairs`](Self::all_pairs) — this is the
-    /// ground-truth baseline the pruned sweep's recall and speedup are
-    /// measured against, and the right tool when *completeness* matters
-    /// more than latency.
+    /// Point-in-time verification inputs for `names`, in that order: a
+    /// sketch clone per key for exact verification, a signature plus
+    /// one cardinality estimate (no clone) for approximate. Each key is
+    /// peeked under its shard's read lock — cold (warm/frozen) slots
+    /// are decompressed into a temporary and **not promoted**, so a
+    /// sweep cannot blow the residency budget it runs under. Keys that
+    /// vanished since `names` was gathered, and corrupt cold slots,
+    /// contribute no entry: the query answers from what survives.
     ///
-    /// # Panics
-    /// Panics if `threshold` is outside `[0, 1]`.
-    ///
-    /// # Errors
-    /// [`StoreError::Incompatible`] if verification meets a sketch
-    /// injected with mismatched parameters.
-    pub fn all_pairs_exhaustive(&self, threshold: f64) -> Result<Vec<SimilarPair>, StoreError> {
-        check_threshold(threshold); // before the snapshot, not after
-        let options = QueryOptions::default();
-        self.all_pairs_exhaustive_impl(threshold, &options, self.exact_entries())
-    }
-
-    /// The shared exhaustive engine: verifies the full pair triangle
-    /// over the supplied entries.
-    fn all_pairs_exhaustive_impl(
-        &self,
-        threshold: f64,
-        options: &QueryOptions,
-        entries: VerifyEntries<S>,
-    ) -> Result<Vec<SimilarPair>, StoreError> {
-        check_threshold(threshold);
-        let hits = verify_candidates(&entries, Candidates::all(entries.len()), threshold, options)?;
-        Ok(pairs_from_hits(&entries, hits))
-    }
-
-    /// Exact-verification inputs over the whole store: a point-in-time
-    /// sweep of sketch clones, sorted by key. Cold (warm/frozen) slots
-    /// are decompressed into the clone **without promoting** — a
-    /// whole-store sweep must not blow the residency budget.
-    fn exact_entries(&self) -> VerifyEntries<S> {
-        let mut entries: Vec<(String, S)> = Vec::new();
-        for shard in self.shards() {
-            let guard = shard.read();
-            for (key, slot) in guard.iter() {
-                // Corrupt cold slots are skipped: the sweep answers
-                // from the keys whose registers survive.
-                if let Some(sketch) = self.peek_slot(slot, |sketch| sketch.clone()) {
-                    entries.push((key.clone(), sketch));
+    /// Cardinalities come from the per-key cache when the slot's
+    /// version stamp has not moved since they were computed (any write
+    /// moves the stamp, so a stale figure is never served). The cache
+    /// mutex is always the innermost lock — taken under at most one
+    /// shard lock, never the other way around.
+    fn verify_entries(&self, names: Vec<String>, verification: Verification) -> VerifyEntries<S> {
+        let mut keys = Vec::with_capacity(names.len());
+        let mut inputs = match verification {
+            Verification::Exact => VerifyInputs::Exact(Vec::with_capacity(names.len())),
+            Verification::Approximate => VerifyInputs::Approximate {
+                signatures: Vec::with_capacity(names.len()),
+                cardinalities: Vec::with_capacity(names.len()),
+                jaccard_by_d0: self.collision_inverse_table(),
+            },
+        };
+        for name in names {
+            let shard = self.shard(&name).read();
+            let Some(slot) = shard.get(&name) else {
+                continue;
+            };
+            let extracted = match &mut inputs {
+                VerifyInputs::Exact(sketches) => self
+                    .peek_slot(slot, |sketch| sketch.clone())
+                    .map(|sketch| sketches.push(sketch)),
+                VerifyInputs::Approximate {
+                    signatures,
+                    cardinalities,
+                    ..
+                } => {
+                    let cached = self
+                        .cardinality_cache
+                        .lock()
+                        .get(&name)
+                        .filter(|(version, _)| *version == slot.version)
+                        .map(|&(_, cardinality)| cardinality);
+                    self.peek_slot(slot, |sketch| {
+                        let cardinality = cached.unwrap_or_else(|| sketch.cardinality());
+                        (sketch.signature(), cardinality)
+                    })
+                    .map(|(signature, cardinality)| {
+                        if cached.is_none() {
+                            self.cardinality_cache
+                                .lock()
+                                .insert(name.clone(), (slot.version, cardinality));
+                        }
+                        signatures.push(signature);
+                        cardinalities.push(cardinality);
+                    })
                 }
+            };
+            drop(shard);
+            if extracted.is_some() {
+                keys.push(name);
             }
         }
-        entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        VerifyEntries::Exact(entries)
-    }
-
-    /// Exact-verification inputs for a top-k query: clones of the
-    /// query key's sketch and every candidate (never the whole store),
-    /// query first.
-    fn exact_entries_for(
-        &self,
-        key: &str,
-        candidates: Vec<String>,
-    ) -> Result<VerifyEntries<S>, StoreError> {
-        let Some(query_sketch) = self.get(key) else {
-            return Err(StoreError::KeyNotFound(key.to_owned()));
-        };
-        let mut entries: Vec<(String, S)> = Vec::with_capacity(candidates.len() + 1);
-        entries.push((key.to_owned(), query_sketch));
-        for candidate in candidates {
-            // Keys can vanish between candidate generation and cloning.
-            if let Some(sketch) = self.get(&candidate) {
-                entries.push((candidate, sketch));
-            }
-        }
-        Ok(VerifyEntries::Exact(entries))
+        VerifyEntries { keys, inputs }
     }
 
     /// Inverse of the family's register-collision-probability curve at
@@ -691,17 +614,16 @@ where
     }
 
     /// Returns the cached index state for the operating point
-    /// `(threshold, recall_target, forced banding, strategy)`, creating
-    /// and tuning it on first use. States are kept most-recently-used
-    /// first (at most the builder's
-    /// [`index_cache_capacity`](crate::StoreBuilder::index_cache_capacity)),
-    /// so callers alternating between a few operating points — e.g.
-    /// `all_pairs(0.7)` interleaved with default-threshold
-    /// `similar_keys` — never tear down and re-band the whole index on
-    /// a threshold switch. Recall targets are quantized before
-    /// matching, so values differing only past display precision (0.98
-    /// vs 0.9800001) share one state instead of thrashing the cache.
-    fn ensure_index<'a>(
+    /// `(threshold, recall_target, strategy)` — created and tuned on
+    /// first use, then brought up to date with the store's current
+    /// versions. States are kept most-recently-used first (at most
+    /// [`INDEX_CACHE_CAPACITY`]), so callers alternating between a few
+    /// operating points — e.g. a 0.7 sweep interleaved with 0.5 top-k
+    /// lookups — never tear down and re-band the whole index on a
+    /// threshold switch. Recall targets are quantized before matching,
+    /// so values differing only past display precision (0.98 vs
+    /// 0.9800001) share one state instead of thrashing the cache.
+    fn fresh_index<'a>(
         &self,
         cache: &'a mut Vec<SimilarityIndex>,
         threshold: f64,
@@ -711,7 +633,6 @@ where
         let matches = |index: &SimilarityIndex| {
             index.threshold == threshold
                 && quantize_recall(index.recall_target) == quantize_recall(options.recall_target)
-                && index.forced == options.banding
                 && strategies_match(index.strategy, options.index)
         };
         if let Some(at) = cache.iter().position(matches) {
@@ -728,47 +649,24 @@ where
                 SimilarityIndex {
                     threshold,
                     recall_target: options.recall_target,
-                    forced: options.banding,
                     strategy: options.index,
-                    backend: Backend::Flat(self.flat_backend(
-                        threshold,
-                        options.recall_target,
-                        options.banding,
-                    )),
+                    backend: Backend::Flat(self.flat_backend(threshold, options.recall_target)),
                 },
             );
-            cache.truncate(self.index_cache_capacity);
+            cache.truncate(INDEX_CACHE_CAPACITY);
         }
+        self.refresh_index(&mut cache[0]);
         &mut cache[0]
     }
 
     /// Tunes a fresh flat backend for an operating point: the banding
     /// from the family's locality bound at the threshold, probed on an
     /// empty factory sketch (the collision probability is a
-    /// configuration property, not a state one) — unless the caller
-    /// forced a layout.
-    fn flat_backend(
-        &self,
-        threshold: f64,
-        recall_target: f64,
-        forced: Option<Banding>,
-    ) -> FlatIndex {
+    /// configuration property, not a state one).
+    fn flat_backend(&self, threshold: f64, recall_target: f64) -> FlatIndex {
         let probe = self.make_sketch();
-        let banding = match forced {
-            Some(banding) => {
-                assert!(
-                    banding.registers() <= probe.signature_len(),
-                    "forced banding needs {} registers, the signature has {}",
-                    banding.registers(),
-                    probe.signature_len()
-                );
-                Some(banding)
-            }
-            None => {
-                let p = probe.register_collision_probability(threshold);
-                Banding::tune(probe.signature_len(), p, recall_target)
-            }
-        };
+        let p = probe.register_collision_probability(threshold);
+        let banding = Banding::tune(probe.signature_len(), p, recall_target);
         let lsh = banding
             .map(|b| LshIndex::new(b.bands, b.rows).expect("tuned banding has bands, rows >= 1"));
         FlatIndex {
@@ -791,39 +689,32 @@ where
             flat_cutover,
         } = index.strategy
         {
-            // A forced banding pins the flat backend: per-cluster
-            // tuning and a fixed global layout are mutually exclusive.
-            if index.forced.is_none() {
-                let params = ClusteredParams {
-                    memory_budget_bytes,
-                    routing_recall: recall_target,
-                    clusters,
-                    flat_cutover,
-                };
-                let live = self.len();
-                match &index.backend {
-                    // Promotion additionally requires a tunable global
-                    // banding: at thresholds where no layout reaches
-                    // the recall target (e.g. 0.0) the flat backend's
-                    // exhaustive fallback is already the right answer.
-                    Backend::Flat(flat) if flat.banding.is_some() && live >= flat_cutover => {
-                        index.backend = Backend::Clustered(Box::new(self.build_clustered_state(
-                            index.threshold,
-                            index.recall_target,
-                            params,
-                        )));
-                        return; // freshly built — nothing to refresh
-                    }
-                    Backend::Clustered(_) if live.saturating_mul(2) < flat_cutover => {
-                        index.backend = Backend::Flat(self.flat_backend(
-                            index.threshold,
-                            index.recall_target,
-                            None,
-                        ));
-                        // Fall through: the flat refresh below fills it.
-                    }
-                    _ => {}
+            let params = ClusteredParams {
+                memory_budget_bytes,
+                routing_recall: recall_target,
+                clusters,
+                flat_cutover,
+            };
+            let live = self.len();
+            match &index.backend {
+                // Promotion additionally requires a tunable global
+                // banding: at thresholds where no layout reaches the
+                // recall target (e.g. 0.0) the flat backend's
+                // exhaustive fallback is already the right answer.
+                Backend::Flat(flat) if flat.banding.is_some() && live >= flat_cutover => {
+                    index.backend = Backend::Clustered(Box::new(self.build_clustered_state(
+                        index.threshold,
+                        index.recall_target,
+                        params,
+                    )));
+                    return; // freshly built — nothing to refresh
                 }
+                Backend::Clustered(_) if live.saturating_mul(2) < flat_cutover => {
+                    index.backend =
+                        Backend::Flat(self.flat_backend(index.threshold, index.recall_target));
+                    // Fall through: the flat refresh below fills it.
+                }
+                _ => {}
             }
         }
         match &mut index.backend {
@@ -897,249 +788,6 @@ where
             });
         }
     }
-}
-
-// The `*_with` variants additionally accept Verification::Approximate,
-// which estimates cardinalities — hence the extra CardinalityEstimator
-// bound on this block only. The plain query methods above keep the
-// pre-options bound, so sketch types without cardinality estimation
-// continue to compile against them.
-impl<S> SketchStore<S>
-where
-    S: Signature + JointEstimator + CardinalityEstimator + Clone + Send + Sync,
-{
-    /// [`similar_keys_at`](Self::similar_keys_at) with full
-    /// [`QueryOptions`] control: approximate verification, banding
-    /// recall target or explicit layout, multi-probe policy, worker
-    /// count.
-    ///
-    /// # Panics
-    /// Panics if `threshold` is outside `[0, 1]`, if
-    /// `options.recall_target` is outside `(0, 1]`, or if a forced
-    /// banding does not fit the family's signature.
-    pub fn similar_keys_with(
-        &self,
-        key: &str,
-        k: usize,
-        threshold: f64,
-        options: &QueryOptions,
-    ) -> Result<Vec<Neighbor>, StoreError> {
-        self.similar_keys_impl(key, k, threshold, options, |candidates| {
-            match options.verification {
-                Verification::Exact => self.exact_entries_for(key, candidates),
-                Verification::Approximate => self.approx_entries_for(key, candidates),
-            }
-        })
-    }
-
-    /// [`all_pairs`](Self::all_pairs) with full [`QueryOptions`]
-    /// control. The headline option is [`Verification::Approximate`]
-    /// (`QueryOptions::default().approximate()`): the sweep then skips
-    /// the exact joint estimator and reports the §3.3 D₀-based Jaccard
-    /// estimate from one register comparison per pair — for
-    /// latency-critical callers that can live with the §3.3 RMSE
-    /// envelope.
-    ///
-    /// # Panics
-    /// Panics if `threshold` is outside `[0, 1]`, if
-    /// `options.recall_target` is outside `(0, 1]`, or if a forced
-    /// banding does not fit the family's signature.
-    ///
-    /// # Errors
-    /// [`StoreError::Incompatible`] if verification meets a sketch
-    /// injected with mismatched parameters.
-    pub fn all_pairs_with(
-        &self,
-        threshold: f64,
-        options: &QueryOptions,
-    ) -> Result<Vec<SimilarPair>, StoreError> {
-        self.all_pairs_impl(threshold, options, |store| {
-            store.entries_for_mode(options.verification)
-        })
-    }
-
-    /// [`all_pairs_exhaustive`](Self::all_pairs_exhaustive) with
-    /// [`QueryOptions`] — of which the verification mode and worker
-    /// count apply (there is no banding stage to configure here).
-    ///
-    /// # Panics
-    /// Panics if `threshold` is outside `[0, 1]`.
-    ///
-    /// # Errors
-    /// [`StoreError::Incompatible`] if verification meets a sketch
-    /// injected with mismatched parameters.
-    pub fn all_pairs_exhaustive_with(
-        &self,
-        threshold: f64,
-        options: &QueryOptions,
-    ) -> Result<Vec<SimilarPair>, StoreError> {
-        check_threshold(threshold); // before the entry extraction
-        let entries = self.entries_for_mode(options.verification);
-        self.all_pairs_exhaustive_impl(threshold, options, entries)
-    }
-
-    /// Cached per-key cardinality, valid only if the caching version
-    /// matches the slot's current version stamp (any write moves the
-    /// stamp, so stale figures can never be served). The cache mutex is
-    /// always the innermost lock — acquired under at most one shard
-    /// lock, never the other way around.
-    fn cached_cardinality(&self, key: &str, version: u64) -> Option<f64> {
-        let cache = self.cardinality_cache.lock();
-        cache
-            .get(key)
-            .filter(|(cached_version, _)| *cached_version == version)
-            .map(|(_, cardinality)| *cardinality)
-    }
-
-    /// Records a freshly computed cardinality under the version that
-    /// produced it.
-    fn remember_cardinality(&self, key: &str, version: u64, cardinality: f64) {
-        self.cardinality_cache
-            .lock()
-            .insert(key.to_owned(), (version, cardinality));
-    }
-
-    /// Point-in-time verification inputs over the whole store, sorted
-    /// by key: sketch clones for exact verification, signature +
-    /// cardinality extractions (no clones) for approximate. Cold slots
-    /// are peeked, not promoted; cardinalities come from the per-key
-    /// cache when the key's version stamp has not moved since they were
-    /// computed.
-    fn entries_for_mode(&self, verification: Verification) -> VerifyEntries<S> {
-        match verification {
-            Verification::Exact => self.exact_entries(),
-            Verification::Approximate => {
-                let mut rows: Vec<(String, Vec<u32>, f64, u64)> = Vec::new();
-                for shard in self.shards() {
-                    let guard = shard.read();
-                    for (key, slot) in guard.iter() {
-                        let cached = self.cached_cardinality(key, slot.version);
-                        let Some((signature, computed)) = self.peek_slot(slot, |sketch| {
-                            let mut signature = Vec::new();
-                            sketch.signature_into(&mut signature);
-                            (signature, cached.is_none().then(|| sketch.cardinality()))
-                        }) else {
-                            continue; // corrupt cold slot: skip
-                        };
-                        let cardinality = match (cached, computed) {
-                            (Some(cardinality), _) => cardinality,
-                            (None, computed) => {
-                                let cardinality = computed.expect("computed when not cached");
-                                self.remember_cardinality(key, slot.version, cardinality);
-                                cardinality
-                            }
-                        };
-                        rows.push((key.clone(), signature, cardinality, slot.version));
-                    }
-                }
-                // The sweep names every live key: prune cache entries
-                // for removed keys (or superseded versions) so the
-                // cache stays bounded by the live key count.
-                {
-                    let mut cache = self.cardinality_cache.lock();
-                    if cache.len() > rows.len() {
-                        let live: HashMap<&str, u64> = rows
-                            .iter()
-                            .map(|(key, _, _, version)| (key.as_str(), *version))
-                            .collect();
-                        cache.retain(|key, (version, _)| live.get(key.as_str()) == Some(version));
-                    }
-                }
-                // Hash-ordered shard maps: sort so entry order matches
-                // the exact path's (and `keys()`'s) guarantee.
-                rows.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-                let mut keys = Vec::with_capacity(rows.len());
-                let mut signatures = Vec::with_capacity(rows.len());
-                let mut cardinalities = Vec::with_capacity(rows.len());
-                for (key, signature, cardinality, _) in rows {
-                    keys.push(key);
-                    signatures.push(signature);
-                    cardinalities.push(cardinality);
-                }
-                VerifyEntries::Approximate {
-                    keys,
-                    signatures,
-                    cardinalities,
-                    jaccard_by_d0: self.collision_inverse_table(),
-                }
-            }
-        }
-    }
-
-    /// Approximate-verification inputs for a top-k query: signature +
-    /// cardinality extracted for the query key and every candidate
-    /// under the shard read locks, query first, no sketch clones.
-    fn approx_entries_for(
-        &self,
-        key: &str,
-        candidates: Vec<String>,
-    ) -> Result<VerifyEntries<S>, StoreError> {
-        let mut keys: Vec<String> = Vec::with_capacity(candidates.len() + 1);
-        let mut signatures: Vec<Vec<u32>> = Vec::with_capacity(candidates.len() + 1);
-        let mut cardinalities: Vec<f64> = Vec::with_capacity(candidates.len() + 1);
-        let mut extract = |name: String| {
-            // Peek under the shard read lock — approximate extraction
-            // never promotes cold slots — and reuse the cached
-            // cardinality when the key's version stamp hasn't moved.
-            let row = {
-                let shard = self.shards()[self.shard_index(&name)].read();
-                shard.get(&name).and_then(|slot| {
-                    let cached = self.cached_cardinality(&name, slot.version);
-                    // Corrupt cold slots contribute no row (like a
-                    // missing key).
-                    self.peek_slot(slot, |sketch| {
-                        (
-                            sketch.signature(),
-                            cached.is_none().then(|| sketch.cardinality()),
-                        )
-                    })
-                    .map(|(signature, computed)| (signature, cached, computed, slot.version))
-                })
-            };
-            if let Some((signature, cached, computed, version)) = row {
-                let cardinality = match (cached, computed) {
-                    (Some(cardinality), _) => cardinality,
-                    (None, computed) => {
-                        let cardinality = computed.expect("computed when not cached");
-                        self.remember_cardinality(&name, version, cardinality);
-                        cardinality
-                    }
-                };
-                keys.push(name);
-                signatures.push(signature);
-                cardinalities.push(cardinality);
-                true
-            } else {
-                false
-            }
-        };
-        if !extract(key.to_owned()) {
-            return Err(StoreError::KeyNotFound(key.to_owned()));
-        }
-        for candidate in candidates {
-            extract(candidate);
-        }
-        Ok(VerifyEntries::Approximate {
-            keys,
-            signatures,
-            cardinalities,
-            jaccard_by_d0: self.collision_inverse_table(),
-        })
-    }
-}
-
-/// Resolves verified index-pair hits back to keyed [`SimilarPair`]s.
-fn pairs_from_hits<S>(
-    entries: &VerifyEntries<S>,
-    hits: Vec<(u32, u32, JointQuantities)>,
-) -> Vec<SimilarPair> {
-    hits.into_iter()
-        .map(|(a, b, quantities)| SimilarPair {
-            left: entries.key(a as usize).to_owned(),
-            right: entries.key(b as usize).to_owned(),
-            quantities,
-        })
-        .collect()
 }
 
 /// Validates a similarity threshold.
@@ -1228,12 +876,6 @@ enum Candidates<'a> {
 }
 
 impl Candidates<'_> {
-    /// The exhaustive candidate set over `n` entries.
-    fn all(n: usize) -> Candidates<'static> {
-        let n = u32::try_from(n).expect("store sizes beyond u32 keys are unsupported in sweeps");
-        Candidates::Triangle(n)
-    }
-
     /// Number of work units handed out to verification workers: chunks
     /// of the list, or one triangle row (`(i, i+1..n)`) each.
     fn units(&self) -> usize {
@@ -1268,8 +910,14 @@ impl Candidates<'_> {
     }
 }
 
-/// Point-in-time verification inputs of one sweep, shaped by the
-/// verification mode.
+/// Point-in-time verification inputs of one query: the extracted keys
+/// and, index-aligned with them, what the verification mode compares.
+struct VerifyEntries<S> {
+    keys: Vec<String>,
+    inputs: VerifyInputs<S>,
+}
+
+/// Per-entry verification inputs, shaped by the verification mode.
 ///
 /// Exact verification needs the sketch states themselves (clones, so
 /// the sweep never holds shard locks). The §3.3 approximation only
@@ -1278,10 +926,9 @@ impl Candidates<'_> {
 /// single sketch, which is where most of its speedup over exact
 /// verification comes from at scale: the per-entry work happens once,
 /// not once per pair, and the snapshot clone disappears entirely.
-enum VerifyEntries<S> {
-    Exact(Vec<(String, S)>),
+enum VerifyInputs<S> {
+    Exact(Vec<S>),
     Approximate {
-        keys: Vec<String>,
         signatures: Vec<Vec<u32>>,
         cardinalities: Vec<f64>,
         /// Inverse of the family's collision-probability curve,
@@ -1313,35 +960,17 @@ impl std::fmt::Display for SignatureMismatch {
 
 impl std::error::Error for SignatureMismatch {}
 
-impl<S> VerifyEntries<S> {
-    fn len(&self) -> usize {
-        match self {
-            VerifyEntries::Exact(entries) => entries.len(),
-            VerifyEntries::Approximate { keys, .. } => keys.len(),
-        }
-    }
-
-    fn key(&self, index: usize) -> &str {
-        match self {
-            VerifyEntries::Exact(entries) => &entries[index].0,
-            VerifyEntries::Approximate { keys, .. } => &keys[index],
-        }
-    }
-}
-
 impl<S: JointEstimator> VerifyEntries<S> {
     /// The joint estimate of entry pair `(a, b)` under this mode.
     fn verify(&self, a: u32, b: u32) -> Result<JointQuantities, StoreError> {
-        match self {
-            VerifyEntries::Exact(entries) => entries[a as usize]
-                .1
-                .joint(&entries[b as usize].1)
+        match &self.inputs {
+            VerifyInputs::Exact(sketches) => sketches[a as usize]
+                .joint(&sketches[b as usize])
                 .map_err(StoreError::incompatible),
-            VerifyEntries::Approximate {
+            VerifyInputs::Approximate {
                 signatures,
                 cardinalities,
                 jaccard_by_d0,
-                ..
             } => {
                 let (sig_a, sig_b) = (&signatures[a as usize], &signatures[b as usize]);
                 let m = jaccard_by_d0.len() - 1;

@@ -138,12 +138,10 @@ pub struct SketchStore<S> {
     /// by every [`pipeline`](Self::pipeline) handle the store hands out.
     pub(crate) pipeline_defaults: PipelineDefaults,
     /// Lazily built banding LSH indexes (most recently used first, one
-    /// per queried threshold) over the stored sketches' signatures,
+    /// per queried operating point) over the stored sketches' signatures,
     /// maintained incrementally by the similarity query engine (see
     /// [`crate::query`]).
     pub(crate) similarity: Mutex<Vec<SimilarityIndex>>,
-    /// Bound on cached similarity index states ([`StoreBuilder::index_cache_capacity`]).
-    pub(crate) index_cache_capacity: usize,
     /// Operating points served from the index cache (diagnostics,
     /// reported by [`similarity_index_info`](Self::similarity_index_info)).
     pub(crate) index_cache_hits: AtomicU64,
@@ -190,25 +188,6 @@ impl<S> SketchStore<S> {
         StoreBuilder::new(factory)
     }
 
-    /// Creates a store with [`DEFAULT_SHARDS`] shards; `factory` builds
-    /// the empty sketch for every new key (fixing configuration and
-    /// seed).
-    #[deprecated(note = "use `SketchStore::builder(factory).build()` instead")]
-    pub fn new(factory: impl Fn() -> S + Send + Sync + 'static) -> Self {
-        Self::builder(factory).build()
-    }
-
-    /// Creates a store with an explicit shard count (≥ 1). More shards
-    /// reduce write contention; the key→shard mapping is stable for a
-    /// given count.
-    ///
-    /// # Panics
-    /// Panics if `shards == 0`.
-    #[deprecated(note = "use `SketchStore::builder(factory).shards(n).build()` instead")]
-    pub fn with_shards(shards: usize, factory: impl Fn() -> S + Send + Sync + 'static) -> Self {
-        Self::builder(factory).shards(shards).build()
-    }
-
     /// Assembles the store from validated [`StoreBuilder`] parts.
     pub(crate) fn from_parts(
         shards: usize,
@@ -216,13 +195,8 @@ impl<S> SketchStore<S> {
         pipeline_defaults: PipelineDefaults,
         tier_policy: TierPolicy,
         tier_codec: Option<TierCodec<S>>,
-        index_cache_capacity: usize,
     ) -> Self {
         debug_assert!(shards > 0, "builder validates the shard count");
-        debug_assert!(
-            index_cache_capacity > 0,
-            "builder validates the index cache capacity"
-        );
         let shards = (0..shards)
             .map(|_| RwLock::new(HashMap::new()))
             .collect::<Vec<_>>()
@@ -241,7 +215,6 @@ impl<S> SketchStore<S> {
             tier: TierRuntime::new(tier_policy, tier_codec, prototype),
             pipeline_defaults,
             similarity: Mutex::new(Vec::new()),
-            index_cache_capacity,
             index_cache_hits: AtomicU64::new(0),
             index_cache_misses: AtomicU64::new(0),
             cardinality_cache: Mutex::new(HashMap::new()),
@@ -594,31 +567,51 @@ impl<S: Sketch> SketchStore<S> {
     /// Records a batch of byte-string elements under `key`, creating the
     /// sketch on first use — the byte-side mirror of
     /// [`ingest`](Self::ingest): one lock acquisition (and one version
-    /// stamp) for the whole batch instead of one per element.
+    /// stamp) per log record, which is the whole batch unless it
+    /// outgrows the 64 MiB record limit.
     pub fn ingest_bytes(&self, key: &str, elements: &[&[u8]]) {
-        self.logged(
-            |_| crate::wal::encode_ingest_bytes(key, elements),
-            |store| {
-                store.with_entry(key, |sketch| {
-                    for &element in elements {
-                        sketch.insert_bytes(element);
-                    }
-                });
-            },
-        );
+        let mut rest = elements;
+        loop {
+            let (chunk, tail) = rest.split_at(crate::wal::ingest_bytes_per_record(key, rest));
+            self.logged(
+                |_| crate::wal::encode_ingest_bytes(key, chunk),
+                |store| {
+                    store.with_entry(key, |sketch| {
+                        for &element in chunk {
+                            sketch.insert_bytes(element);
+                        }
+                    });
+                },
+            );
+            rest = tail;
+            if rest.is_empty() {
+                break;
+            }
+        }
     }
 }
 
 impl<S: BatchInsert> SketchStore<S> {
     /// Records a batch of elements under `key`, creating the sketch on
-    /// first use. One lock acquisition per batch; sketches with a
-    /// specialized [`BatchInsert`] (SetSketch's sorted-batch `K_low`
-    /// early exit) get their fast path.
+    /// first use. One lock acquisition per log record — the whole batch
+    /// unless it outgrows the 64 MiB record limit (≈ 8.4 M elements),
+    /// in which case each record is applied after it is logged;
+    /// sketches with a specialized [`BatchInsert`] (SetSketch's
+    /// sorted-batch `K_low` early exit) get their fast path.
     pub fn ingest(&self, key: &str, elements: &[u64]) {
-        self.logged(
-            |_| crate::wal::encode_ingest(key, elements),
-            |store| store.with_entry(key, |sketch| sketch.insert_batch(elements)),
-        );
+        let per_record = crate::wal::ingest_elements_per_record(key);
+        let mut rest = elements;
+        loop {
+            let (chunk, tail) = rest.split_at(rest.len().min(per_record));
+            self.logged(
+                |_| crate::wal::encode_ingest(key, chunk),
+                |store| store.with_entry(key, |sketch| sketch.insert_batch(chunk)),
+            );
+            rest = tail;
+            if rest.is_empty() {
+                break;
+            }
+        }
     }
 }
 
@@ -649,16 +642,10 @@ impl<S: Clone> SketchStore<S> {
             for (key, slot) in shard.read().iter() {
                 let entry = match &slot.state {
                     TierSlot::Hot(sketch) => SnapshotEntry::Resident(sketch.clone()),
-                    TierSlot::Warm(bytes) => SnapshotEntry::Compact(bytes.to_vec()),
-                    TierSlot::Frozen {
-                        segment,
-                        offset,
-                        len,
-                    } => match self.tier.read_frozen(*segment, *offset, *len) {
-                        Ok(bytes) => SnapshotEntry::Compact(bytes),
+                    cold => match self.cold_bytes(cold) {
+                        Ok(bytes) => SnapshotEntry::Compact(bytes.into_owned()),
                         Err(_) => continue,
                     },
-                    TierSlot::Quarantined(_) => continue,
                 };
                 entries.insert(key.clone(), entry);
             }

@@ -29,10 +29,11 @@
 //! triggered from the write path — there is no background thread.
 
 use crate::error::StoreError;
+use crate::frame::{self, Frame};
 use crate::store::{SketchStore, Slot};
 use parking_lot::Mutex;
 use sketch_core::CompactSketch;
-use sketch_math::crc32::crc32;
+use std::borrow::Cow;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -278,7 +279,9 @@ impl<S> TierRuntime<S> {
         }
     }
 
-    /// A slot left the store (remove / replace).
+    /// A slot left the store (remove / replace) or was quarantined; a
+    /// frozen slot's spill record is released with it, so read the
+    /// record first if it is still wanted.
     pub(crate) fn account_remove(&self, state: &TierSlot<S>) {
         if !self.enabled() {
             return;
@@ -286,7 +289,8 @@ impl<S> TierRuntime<S> {
         match state {
             TierSlot::Hot(sketch) => self.add_hot(-(self.resident_of(sketch) as isize)),
             TierSlot::Warm(bytes) => self.add_warm(-(bytes.len() as isize)),
-            TierSlot::Frozen { .. } | TierSlot::Quarantined(_) => {}
+            TierSlot::Frozen { segment, .. } => self.release_frozen(*segment),
+            TierSlot::Quarantined(_) => {}
         }
     }
 
@@ -297,10 +301,22 @@ impl<S> TierRuntime<S> {
         }
     }
 
-    /// Warm or frozen bytes rehydrated to a hot sketch.
-    pub(crate) fn account_promote(&self, freed_warm: usize, resident: usize) {
-        self.add_warm(-(freed_warm as isize));
+    /// A cold slot rehydrated to a hot sketch: its warm bytes are
+    /// freed, or its spill record released.
+    pub(crate) fn account_promote(&self, cold: &TierSlot<S>, resident: usize) {
+        match cold {
+            TierSlot::Warm(bytes) => self.add_warm(-(bytes.len() as isize)),
+            TierSlot::Frozen { segment, .. } => self.release_frozen(*segment),
+            TierSlot::Hot(_) | TierSlot::Quarantined(_) => {}
+        }
         self.add_hot(resident as isize);
+    }
+
+    /// One record of `segment` is no longer referenced by any slot.
+    fn release_frozen(&self, segment: u32) {
+        if let Some(segments) = self.segments.lock().as_mut() {
+            segments.release(segment);
+        }
     }
 
     /// A hot sketch compressed down to warm bytes.
@@ -421,21 +437,31 @@ static SPILL_DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 /// Append-only spill segments: `seg-N.bin` files under a per-store
 /// temp directory, deleted (with the directory) on drop. Records are
-/// never rewritten; superseded records (a frozen key promoted and later
-/// re-frozen) become dead bytes until the store drops.
+/// never rewritten; a superseded record (a frozen key promoted,
+/// replaced or removed) is dead bytes in its segment. Each segment
+/// counts the records slots still reference, and a sealed segment whose
+/// count reaches zero is deleted — so disk use is bounded by the
+/// segments that still hold a frozen key, not by how often keys
+/// churned through the tier. A segment with even one live record stays
+/// whole: nothing is compacted.
 ///
-/// Each record is framed as `[u32 CRC32 LE][payload]`: the checksum is
-/// verified on every read, so bit rot in a spill file surfaces as a
-/// typed error instead of garbage registers decoded into a sketch.
+/// Records are [`crate::frame`] frames; the checksum is verified on
+/// every read, so bit rot in a spill file surfaces as a typed error
+/// instead of garbage registers decoded into a sketch.
 struct SegmentStore {
     dir: PathBuf,
-    files: Vec<File>,
+    /// Indexed by segment number; `None` once the segment is deleted.
+    /// The last entry is the segment being appended to.
+    segments: Vec<Option<Segment>>,
     current_len: u64,
     rotate_bytes: u64,
 }
 
-/// Bytes of the per-record CRC32 prefix in a spill segment.
-const SPILL_CRC_BYTES: u64 = 4;
+struct Segment {
+    file: File,
+    /// Records some frozen slot still points at.
+    live: usize,
+}
 
 impl SegmentStore {
     fn create(parent: Option<&Path>, rotate_bytes: u64) -> io::Result<Self> {
@@ -450,7 +476,7 @@ impl SegmentStore {
         fs::create_dir_all(&dir)?;
         let mut store = SegmentStore {
             dir,
-            files: Vec::new(),
+            segments: Vec::new(),
             current_len: 0,
             rotate_bytes,
         };
@@ -458,61 +484,101 @@ impl SegmentStore {
         Ok(store)
     }
 
+    fn segment_path(&self, segment: usize) -> PathBuf {
+        self.dir.join(format!("seg-{segment}.bin"))
+    }
+
+    /// Opens the next segment and seals the current one (deleting it if
+    /// every record in it was already released).
     fn rotate(&mut self) -> io::Result<()> {
-        let path = self.dir.join(format!("seg-{}.bin", self.files.len()));
         let file = OpenOptions::new()
             .create_new(true)
             .read(true)
             .write(true)
-            .open(path)?;
-        self.files.push(file);
+            .open(self.segment_path(self.segments.len()))?;
+        if let Some(sealed) = self.segments.len().checked_sub(1) {
+            self.delete_if_dead(sealed);
+        }
+        self.segments.push(Some(Segment { file, live: 0 }));
         self.current_len = 0;
         Ok(())
     }
 
-    /// Appends one CRC-framed record; the returned location's `len` is
-    /// the payload length (the checksum prefix is an internal detail).
+    /// Appends one framed record; the returned location's `len` is the
+    /// payload length (the frame header is an internal detail).
     fn append(&mut self, bytes: &[u8]) -> io::Result<(u32, u64, u32)> {
+        let mut record = Vec::new();
+        frame::push(&mut record, bytes)?;
         if self.current_len >= self.rotate_bytes {
             self.rotate()?;
         }
-        let segment = (self.files.len() - 1) as u32;
+        let index = self.segments.len() - 1;
         let offset = self.current_len;
-        let file = self.files.last_mut().expect("create() opened a segment");
-        file.seek(SeekFrom::Start(offset))?;
-        file.write_all(&crc32(bytes).to_le_bytes())?;
-        file.write_all(bytes)?;
-        self.current_len += SPILL_CRC_BYTES + bytes.len() as u64;
-        Ok((segment, offset, bytes.len() as u32))
+        let segment = self.segments[index]
+            .as_mut()
+            .expect("the current segment is never deleted");
+        segment.file.seek(SeekFrom::Start(offset))?;
+        segment.file.write_all(&record)?;
+        segment.live += 1;
+        self.current_len += record.len() as u64;
+        Ok((index as u32, offset, bytes.len() as u32))
     }
 
-    /// Reads one record back and verifies its checksum; a mismatch is
+    /// Reads one record back and verifies its frame; a mismatch is
     /// reported as [`io::ErrorKind::InvalidData`].
     fn read(&mut self, segment: u32, offset: u64, len: u32) -> io::Result<Vec<u8>> {
-        let file = self.files.get_mut(segment as usize).ok_or_else(|| {
-            io::Error::new(io::ErrorKind::NotFound, "spill segment index out of range")
-        })?;
+        let file = match self.segments.get_mut(segment as usize) {
+            Some(Some(segment)) => &mut segment.file,
+            _ => {
+                return Err(io::Error::new(
+                    io::ErrorKind::NotFound,
+                    "spill segment missing or already deleted",
+                ))
+            }
+        };
         file.seek(SeekFrom::Start(offset))?;
-        let mut stored = [0u8; SPILL_CRC_BYTES as usize];
-        file.read_exact(&mut stored)?;
-        let mut buf = vec![0u8; len as usize];
-        file.read_exact(&mut buf)?;
-        let expected = u32::from_le_bytes(stored);
-        let actual = crc32(&buf);
-        if actual != expected {
-            return Err(io::Error::new(
+        let mut record = vec![0u8; frame::HEADER_BYTES + len as usize];
+        file.read_exact(&mut record)?;
+        match frame::next(&record, 0) {
+            Frame::Good(payload, _) if payload.len() == len as usize => {
+                record.drain(..frame::HEADER_BYTES);
+                Ok(record)
+            }
+            _ => Err(io::Error::new(
                 io::ErrorKind::InvalidData,
-                format!("spill record checksum mismatch ({actual:#010x} != {expected:#010x})"),
-            ));
+                "spill record fails its length or checksum",
+            )),
         }
-        Ok(buf)
+    }
+
+    /// Drops one reference to a record of `segment`; the last one out
+    /// of a sealed segment deletes its file. (The segment still being
+    /// appended to is checked when it is sealed.)
+    fn release(&mut self, segment: u32) {
+        let index = segment as usize;
+        if let Some(Some(segment)) = self.segments.get_mut(index) {
+            segment.live = segment.live.saturating_sub(1);
+        }
+        if index + 1 < self.segments.len() {
+            self.delete_if_dead(index);
+        }
+    }
+
+    fn delete_if_dead(&mut self, index: usize) {
+        if self.segments[index]
+            .as_ref()
+            .is_some_and(|segment| segment.live == 0)
+        {
+            self.segments[index] = None; // closes the handle first
+            let _ = fs::remove_file(self.segment_path(index));
+        }
     }
 }
 
 impl Drop for SegmentStore {
     fn drop(&mut self) {
         // Close handles first, then remove everything; best-effort.
-        self.files.clear();
+        self.segments.clear();
         let _ = fs::remove_dir_all(&self.dir);
     }
 }
@@ -589,27 +655,13 @@ impl<S> SketchStore<S> {
     /// error, write paths replace the quarantined slot with a fresh
     /// factory sketch.
     pub(crate) fn ensure_hot_slot(&self, key: &str, slot: &mut Slot<S>) -> Result<(), StoreError> {
-        let rehydrated = match &slot.state {
-            TierSlot::Hot(_) => return Ok(()),
-            TierSlot::Quarantined(reason) => Err(reason.to_string()),
-            TierSlot::Warm(bytes) => self
-                .tier
-                .try_decode(bytes)
-                .map(|sketch| (sketch, bytes.len())),
-            TierSlot::Frozen {
-                segment,
-                offset,
-                len,
-            } => self
-                .tier
-                .read_frozen(*segment, *offset, *len)
-                .and_then(|bytes| self.tier.try_decode(&bytes))
-                .map(|sketch| (sketch, 0)),
-        };
-        match rehydrated {
-            Ok((sketch, freed_warm)) => {
+        if slot.state.is_hot() {
+            return Ok(());
+        }
+        match self.try_materialize_cold(&slot.state) {
+            Ok(sketch) => {
                 self.tier
-                    .account_promote(freed_warm, self.tier.resident_of(&sketch));
+                    .account_promote(&slot.state, self.tier.resident_of(&sketch));
                 slot.state = TierSlot::Hot(sketch);
                 Ok(())
             }
@@ -639,16 +691,17 @@ impl<S> SketchStore<S> {
         }
     }
 
-    /// Decompresses a warm or frozen state into an owned sketch; the
-    /// error carries the corruption detail.
+    /// A cold slot's compressed payload, read without promoting it;
+    /// the error carries the corruption detail (quarantine reason or
+    /// unreadable spill record) — bulk exports skip such slots.
     ///
     /// # Panics
     /// Panics on hot states (callers dispatch those separately).
-    pub(crate) fn try_materialize_cold(&self, state: &TierSlot<S>) -> Result<S, String> {
+    pub(crate) fn cold_bytes<'a>(&self, state: &'a TierSlot<S>) -> Result<Cow<'a, [u8]>, String> {
         match state {
-            TierSlot::Hot(_) => unreachable!("materialize_cold on a resident slot"),
+            TierSlot::Hot(_) => unreachable!("cold_bytes on a resident slot"),
             TierSlot::Quarantined(reason) => Err(reason.to_string()),
-            TierSlot::Warm(bytes) => self.tier.try_decode(bytes),
+            TierSlot::Warm(bytes) => Ok(Cow::Borrowed(bytes)),
             TierSlot::Frozen {
                 segment,
                 offset,
@@ -656,18 +709,29 @@ impl<S> SketchStore<S> {
             } => self
                 .tier
                 .read_frozen(*segment, *offset, *len)
-                .and_then(|bytes| self.tier.try_decode(&bytes)),
+                .map(Cow::Owned),
         }
+    }
+
+    /// Decompresses a warm or frozen state into an owned sketch.
+    pub(crate) fn try_materialize_cold(&self, state: &TierSlot<S>) -> Result<S, String> {
+        self.cold_bytes(state)
+            .and_then(|bytes| self.tier.try_decode(&bytes))
     }
 
     /// Converts a removed slot into its sketch, unwinding the byte
     /// accounting. `None` when the payload was corrupt — the registers
     /// are unrecoverable, and the slot has already left the map.
     pub(crate) fn take_sketch(&self, slot: Slot<S>) -> Option<S> {
+        // Read a cold payload before the accounting releases it.
+        let cold = match &slot.state {
+            TierSlot::Hot(_) => None,
+            state => self.try_materialize_cold(state).ok(),
+        };
         self.tier.account_remove(&slot.state);
         match slot.state {
             TierSlot::Hot(sketch) => Some(sketch),
-            state => self.try_materialize_cold(&state).ok(),
+            _ => cold,
         }
     }
 
@@ -784,6 +848,47 @@ mod tests {
         assert_eq!(segments.read(c.0, c.1, c.2).unwrap(), vec![3u8; 8]);
         drop(segments);
         assert!(!dir.exists(), "drop removes the spill directory");
+    }
+
+    #[test]
+    fn fully_released_segment_is_deleted() {
+        // 32-byte payloads + 8-byte headers: two records seal a segment.
+        let mut segments = SegmentStore::create(None, 64).unwrap();
+        let payload = |tag: u8| vec![tag; 32];
+        let records: Vec<_> = (0..5u8)
+            .map(|tag| segments.append(&payload(tag)).unwrap())
+            .collect();
+        assert_eq!(
+            records.iter().map(|r| r.0).collect::<Vec<_>>(),
+            [0, 0, 1, 1, 2]
+        );
+        let [seg0, seg1, seg2] = [0, 1, 2].map(|segment| segments.segment_path(segment));
+
+        // One of two records released: the segment stays whole.
+        segments.release(0);
+        assert!(seg0.is_file(), "a segment holding a live record stays");
+        assert_eq!(segments.read(0, records[1].1, 32).unwrap(), payload(1));
+
+        // Both released: the sealed segment's file goes, the others
+        // still read back through their checksums.
+        segments.release(0);
+        assert!(!seg0.exists(), "fully superseded segment is deleted");
+        assert!(segments.read(0, records[0].1, 32).is_err());
+        for (tag, record) in records.iter().enumerate().skip(2) {
+            assert_eq!(
+                segments.read(record.0, record.1, record.2).unwrap(),
+                payload(tag as u8)
+            );
+        }
+
+        // The segment being appended to is only deleted once sealed.
+        segments.release(2);
+        assert!(seg2.is_file());
+        segments.append(&payload(5)).unwrap(); // still fits segment 2
+        let sealed_by = segments.append(&payload(6)).unwrap();
+        assert_eq!(sealed_by.0, 3);
+        assert!(seg2.is_file(), "record 5 keeps segment 2 alive");
+        assert!(seg1.is_file());
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //! *before* applying itself to the in-memory shards — write-ahead
 //! order, so under [`FsyncPolicy::Always`] an acknowledged write is on
 //! disk before the caller sees it. Each record is framed as
-//! `[u32 length][u32 CRC32][payload]`; the checksum
-//! ([`sketch_math::crc32`]) is what lets recovery tell a torn write
-//! from a bit-rotted one.
+//! `[u32 length][u32 CRC32][payload]` by [`crate::frame`], which
+//! refuses a payload the scanner would not read back — so an ingest
+//! batch is split into as many records as the frame limit needs, and
+//! an oversize put/merge-in payload is a counted append failure.
 //!
 //! Replay time is bounded by **checkpoints**: once the log grows past
 //! the configured threshold, the store sweeps every slot's compact
@@ -30,11 +31,11 @@
 //! [`SketchStore::recovery_report`].
 
 use crate::error::StoreError;
+use crate::frame::{self, Frame};
 use crate::store::{SketchStore, Slot};
 use crate::tier::{TierCodec, TierSlot};
 use parking_lot::{Mutex, RwLock};
 use sketch_core::{BatchInsert, CompactSketch, Mergeable};
-use sketch_math::crc32::crc32;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -202,11 +203,6 @@ impl std::fmt::Display for CheckpointInstall {
 /// segments mean finer-grained deletion after a checkpoint.
 const WAL_SEGMENT_ROTATE_BYTES: u64 = 16 << 20;
 
-/// Upper bound on one record's payload — a length field beyond this is
-/// treated as unparseable (torn or corrupted framing), not as a request
-/// to allocate gigabytes.
-const MAX_WAL_RECORD_BYTES: u32 = 64 << 20;
-
 /// Default checkpoint threshold: log bytes appended since the last
 /// checkpoint before the next one is cut.
 pub(crate) const DEFAULT_CHECKPOINT_AFTER_BYTES: u64 = 8 << 20;
@@ -215,6 +211,8 @@ pub(crate) const DEFAULT_CHECKPOINT_AFTER_BYTES: u64 = 8 << 20;
 const CHECKPOINT_MAGIC: u32 = 0x534B_434B;
 /// Checkpoint format version.
 const CHECKPOINT_FORMAT: u8 = 1;
+/// Bytes of the magic + format + write-epoch header before the entries.
+const CHECKPOINT_HEADER_BYTES: usize = 4 + 1 + 8;
 
 /// Record tags.
 const TAG_INGEST: u8 = 1;
@@ -242,6 +240,30 @@ fn put_str(out: &mut Vec<u8>, value: &str) {
 fn put_bytes(out: &mut Vec<u8>, value: &[u8]) {
     put_u32(out, value.len() as u32);
     out.extend_from_slice(value);
+}
+
+/// Most `u64` elements one ingest record under `key` carries within
+/// the frame limit (at least one: a key too long to log fails at the
+/// append, where it is counted).
+pub(crate) fn ingest_elements_per_record(key: &str) -> usize {
+    let fixed = 1 + 4 + key.len() + 4;
+    (frame::MAX_PAYLOAD_BYTES.saturating_sub(fixed) / 8).max(1)
+}
+
+/// How many leading `elements` one byte-ingest record under `key`
+/// carries within the frame limit (at least one unless `elements` is
+/// empty, as above).
+pub(crate) fn ingest_bytes_per_record(key: &str, elements: &[&[u8]]) -> usize {
+    let mut room = frame::MAX_PAYLOAD_BYTES.saturating_sub(1 + 4 + key.len() + 4);
+    let mut count = 0;
+    for element in elements {
+        let Some(left) = room.checked_sub(4 + element.len()) else {
+            break;
+        };
+        room = left;
+        count += 1;
+    }
+    count.max(elements.len().min(1))
 }
 
 /// Encodes an ingest record (covers single inserts too).
@@ -492,19 +514,18 @@ impl Wal {
         })
     }
 
-    /// Appends one CRC-framed record and applies the fsync policy.
+    /// Appends one CRC-framed record and applies the fsync policy. A
+    /// payload over the frame limit is refused before anything is
+    /// written.
     pub(crate) fn append(&mut self, payload: &[u8]) -> io::Result<()> {
-        debug_assert!(payload.len() as u64 <= MAX_WAL_RECORD_BYTES as u64);
+        let mut record = Vec::new();
+        frame::push(&mut record, payload)?;
         if self.segment_bytes >= WAL_SEGMENT_ROTATE_BYTES {
             self.rotate()?;
         }
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        put_u32(&mut frame, payload.len() as u32);
-        put_u32(&mut frame, crc32(payload));
-        frame.extend_from_slice(payload);
-        self.file.write_all(&frame)?;
-        self.segment_bytes += frame.len() as u64;
-        self.bytes_since_checkpoint += frame.len() as u64;
+        self.file.write_all(&record)?;
+        self.segment_bytes += record.len() as u64;
+        self.bytes_since_checkpoint += record.len() as u64;
         self.appends_since_sync += 1;
         let sync = match self.fsync {
             FsyncPolicy::Always => true,
@@ -727,30 +748,7 @@ impl<S> SketchStore<S> {
         let epoch = self.write_epoch_load();
 
         let tmp_path = dir.join(format!("checkpoint-{seq:010}.tmp"));
-        let mut out = Vec::new();
-        put_u32(&mut out, CHECKPOINT_MAGIC);
-        out.push(CHECKPOINT_FORMAT);
-        put_u64(&mut out, epoch);
-        let mut entries = 0usize;
-        for shard in self.shards() {
-            for (key, slot) in shard.read().iter() {
-                let payload = match &slot.state {
-                    TierSlot::Hot(sketch) => (durability.codec.compress)(sketch),
-                    TierSlot::Warm(bytes) => bytes.to_vec(),
-                    TierSlot::Frozen {
-                        segment,
-                        offset,
-                        len,
-                    } => match self.tier.read_frozen(*segment, *offset, *len) {
-                        Ok(bytes) => bytes,
-                        Err(_) => continue, // unreadable spill: skip
-                    },
-                    TierSlot::Quarantined(_) => continue,
-                };
-                push_checkpoint_entry(&mut out, key, slot.version, &payload);
-                entries += 1;
-            }
-        }
+        let (out, entries) = self.checkpoint_image(epoch, durability.codec.compress);
         let mut file = File::create(&tmp_path)?;
         file.write_all(&out)?;
         file.sync_all()?;
@@ -787,16 +785,63 @@ impl<S> SketchStore<S> {
     }
 }
 
-/// Appends one CRC-framed checkpoint entry (`key`, `version`,
-/// `payload`) to a checkpoint image.
-fn push_checkpoint_entry(out: &mut Vec<u8>, key: &str, version: u64, payload: &[u8]) {
-    let mut entry = Vec::with_capacity(key.len() + payload.len() + 16);
-    put_str(&mut entry, key);
-    put_u64(&mut entry, version);
-    put_bytes(&mut entry, payload);
-    put_u32(out, entry.len() as u32);
-    put_u32(out, crc32(&entry));
-    out.extend_from_slice(&entry);
+impl<S> SketchStore<S> {
+    /// Sweeps the store into a checkpoint image — header, then one
+    /// framed `(key, version, compact payload)` entry per key — one
+    /// shard read lock at a time, never promoting. Quarantined slots,
+    /// unreadable spill records and entries over the frame limit are
+    /// skipped: the image carries the keys a loader can read. Returns
+    /// the image and its entry count.
+    fn checkpoint_image(&self, epoch: u64, compress: impl Fn(&S) -> Vec<u8>) -> (Vec<u8>, usize) {
+        let mut out = Vec::new();
+        put_u32(&mut out, CHECKPOINT_MAGIC);
+        out.push(CHECKPOINT_FORMAT);
+        put_u64(&mut out, epoch);
+        let mut entries = 0usize;
+        let mut entry = Vec::new();
+        for shard in self.shards() {
+            for (key, slot) in shard.read().iter() {
+                let payload = match &slot.state {
+                    TierSlot::Hot(sketch) => compress(sketch),
+                    cold => match self.cold_bytes(cold) {
+                        Ok(payload) => payload.into_owned(),
+                        Err(_) => continue,
+                    },
+                };
+                entry.clear();
+                put_str(&mut entry, key);
+                put_u64(&mut entry, slot.version);
+                put_bytes(&mut entry, &payload);
+                if frame::push(&mut out, &entry).is_ok() {
+                    entries += 1;
+                }
+            }
+        }
+        (out, entries)
+    }
+}
+
+/// Parses a checkpoint image's header, returning the write epoch it
+/// records; entries start at [`CHECKPOINT_HEADER_BYTES`].
+fn checkpoint_epoch(bytes: &[u8]) -> Result<u64, String> {
+    let mut header = Reader::new(bytes);
+    if header.u32().map_err(|_| "missing magic".to_owned())? != CHECKPOINT_MAGIC {
+        return Err("bad checkpoint magic".to_owned());
+    }
+    let format = header.u8().map_err(|_| "missing format".to_owned())?;
+    if format != CHECKPOINT_FORMAT {
+        return Err(format!("unsupported checkpoint format {format}"));
+    }
+    header.u64().map_err(|_| "missing epoch".to_owned())
+}
+
+/// Parses one verified checkpoint entry frame into
+/// `(key, version, compact payload)`.
+fn checkpoint_entry(frame: &[u8]) -> Result<(String, u64, Vec<u8>), String> {
+    let mut entry = Reader::new(frame);
+    let parsed = (entry.str()?, entry.u64()?, entry.bytes()?);
+    entry.done()?;
+    Ok(parsed)
 }
 
 // --- Checkpoint shipping (node bootstrap) ----------------------------
@@ -825,8 +870,9 @@ impl<S: CompactSketch> SketchStore<S> {
     /// [`install_checkpoint`](Self::install_checkpoint) and recovery's
     /// loader accept either source interchangeably.
     ///
-    /// Quarantined slots and unreadable spill records are skipped, as
-    /// in a checkpoint sweep: the image carries the surviving keys.
+    /// Quarantined slots, unreadable spill records and entries over
+    /// the frame limit are skipped: the image carries the keys an
+    /// installer can read.
     pub fn export_checkpoint(&self, max_lag: u64) -> ExportedCheckpoint {
         if let Some(meta) = self.latest_checkpoint_meta() {
             let lag = self.write_epoch_load().saturating_sub(meta.write_epoch);
@@ -846,35 +892,12 @@ impl<S: CompactSketch> SketchStore<S> {
         // key stamped after this load may be missed by its shard's read
         // pass, so the image must not claim to cover it.
         let epoch = self.write_epoch_load();
-        let mut out = Vec::new();
-        put_u32(&mut out, CHECKPOINT_MAGIC);
-        out.push(CHECKPOINT_FORMAT);
-        put_u64(&mut out, epoch);
-        let mut entries = 0usize;
-        for shard in self.shards() {
-            for (key, slot) in shard.read().iter() {
-                let payload = match &slot.state {
-                    TierSlot::Hot(sketch) => sketch.compress(),
-                    TierSlot::Warm(bytes) => bytes.to_vec(),
-                    TierSlot::Frozen {
-                        segment,
-                        offset,
-                        len,
-                    } => match self.tier.read_frozen(*segment, *offset, *len) {
-                        Ok(bytes) => bytes,
-                        Err(_) => continue,
-                    },
-                    TierSlot::Quarantined(_) => continue,
-                };
-                push_checkpoint_entry(&mut out, key, slot.version, &payload);
-                entries += 1;
-            }
-        }
+        let (bytes, entries) = self.checkpoint_image(epoch, S::compress);
         ExportedCheckpoint {
             write_epoch: epoch,
             entries,
             from_disk: false,
-            bytes: out,
+            bytes,
         }
     }
 }
@@ -910,38 +933,23 @@ impl<S: CompactSketch + Mergeable + Clone + PartialEq> SketchStore<S> {
     /// own epoch (the counters are independent domains).
     pub fn install_checkpoint(&self, bytes: &[u8]) -> Result<CheckpointInstall, StoreError> {
         let invalid = |detail: &str| StoreError::Durability(format!("checkpoint image: {detail}"));
-        let mut header = Reader::new(bytes);
-        if header.u32().map_err(|_| invalid("missing magic"))? != CHECKPOINT_MAGIC {
-            return Err(invalid("bad checkpoint magic"));
-        }
-        let format = header.u8().map_err(|_| invalid("missing format"))?;
-        if format != CHECKPOINT_FORMAT {
-            return Err(invalid(&format!("unsupported checkpoint format {format}")));
-        }
-        let source_epoch = header.u64().map_err(|_| invalid("missing epoch"))?;
+        let source_epoch = checkpoint_epoch(bytes).map_err(|detail| invalid(&detail))?;
 
         // Phase 1: parse every frame. Torn or corrupt frames fail the
         // whole image here, before any mutation.
         let mut entries: Vec<(String, Vec<u8>)> = Vec::new();
-        let mut at = 4 + 1 + 8;
+        let mut at = CHECKPOINT_HEADER_BYTES;
         loop {
-            match next_frame(bytes, at) {
+            match frame::next(bytes, at) {
                 Frame::End => break,
                 Frame::Torn => return Err(invalid(&format!("torn entry frame at offset {at}"))),
                 Frame::Corrupt(_) => {
                     return Err(invalid(&format!("checksum mismatch at offset {at}")))
                 }
                 Frame::Good(frame, end) => {
-                    let mut entry = Reader::new(frame);
-                    let parsed = (|| -> Result<(String, Vec<u8>), String> {
-                        let key = entry.str()?;
-                        let _version = entry.u64()?;
-                        let payload = entry.bytes()?;
-                        entry.done()?;
-                        Ok((key, payload))
-                    })()
-                    .map_err(|detail| invalid(&format!("entry at offset {at}: {detail}")))?;
-                    entries.push(parsed);
+                    let (key, _version, payload) = checkpoint_entry(frame)
+                        .map_err(|detail| invalid(&format!("entry at offset {at}: {detail}")))?;
+                    entries.push((key, payload));
                     at = end;
                 }
             }
@@ -1055,44 +1063,6 @@ fn list_dir(dir: &Path) -> Vec<(DirEntryKind, u64)> {
     found
 }
 
-/// One scan step's outcome over a CRC-framed byte stream.
-enum Frame<'a> {
-    /// A verified payload and the offset just past its frame.
-    Good(&'a [u8], usize),
-    /// A fully present frame whose checksum mismatched; skip to the
-    /// offset.
-    Corrupt(usize),
-    /// The remaining bytes cannot be a frame (torn write or corrupted
-    /// length field); scanning stops here.
-    Torn,
-    /// Clean end of data.
-    End,
-}
-
-/// Reads the frame starting at `at`.
-fn next_frame(bytes: &[u8], at: usize) -> Frame<'_> {
-    if at == bytes.len() {
-        return Frame::End;
-    }
-    if bytes.len() - at < 8 {
-        return Frame::Torn;
-    }
-    let len = u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
-    if len > MAX_WAL_RECORD_BYTES {
-        return Frame::Torn;
-    }
-    let len = len as usize;
-    let Some(end) = at.checked_add(8 + len).filter(|&end| end <= bytes.len()) else {
-        return Frame::Torn;
-    };
-    let expected = u32::from_le_bytes(bytes[at + 4..at + 8].try_into().expect("4 bytes"));
-    let payload = &bytes[at + 8..end];
-    if crc32(payload) != expected {
-        return Frame::Corrupt(end);
-    }
-    Frame::Good(payload, end)
-}
-
 /// Rebuilds `store` from the durable directory and opens a fresh WAL
 /// segment for new appends. Called by the builder before the store is
 /// shared, so direct shard access needs no coordination.
@@ -1156,7 +1126,7 @@ pub(crate) fn recover<S>(
         let last_segment = Some(seq) == segments.last().copied();
         let mut at = 0usize;
         loop {
-            match next_frame(&bytes, at) {
+            match frame::next(&bytes, at) {
                 Frame::End => break,
                 Frame::Torn => {
                     report.torn_tail = true;
@@ -1234,19 +1204,11 @@ fn load_checkpoint<S>(
     report: &mut RecoveryReport,
 ) -> Result<CheckpointMeta, String> {
     let bytes = fs::read(path).map_err(|error| error.to_string())?;
-    let mut header = Reader::new(&bytes);
-    if header.u32().map_err(|_| "missing magic".to_owned())? != CHECKPOINT_MAGIC {
-        return Err("bad checkpoint magic".to_owned());
-    }
-    let format = header.u8().map_err(|_| "missing format".to_owned())?;
-    if format != CHECKPOINT_FORMAT {
-        return Err(format!("unsupported checkpoint format {format}"));
-    }
-    let epoch = header.u64().map_err(|_| "missing epoch".to_owned())?;
-    let mut at = 4 + 1 + 8;
+    let epoch = checkpoint_epoch(&bytes)?;
+    let mut at = CHECKPOINT_HEADER_BYTES;
     let mut max_version = 0u64;
     loop {
-        match next_frame(&bytes, at) {
+        match frame::next(&bytes, at) {
             Frame::End => break,
             Frame::Torn => {
                 report.dropped_bytes += (bytes.len() - at) as u64;
@@ -1262,15 +1224,8 @@ fn load_checkpoint<S>(
                     .push(format!("checkpoint offset {at}: checksum mismatch"));
                 at = end;
             }
-            Frame::Good(payload, end) => {
-                let mut entry = Reader::new(payload);
-                match (|| -> Result<(String, u64, Vec<u8>), String> {
-                    let key = entry.str()?;
-                    let version = entry.u64()?;
-                    let payload = entry.bytes()?;
-                    entry.done()?;
-                    Ok((key, version, payload))
-                })() {
+            Frame::Good(frame, end) => {
+                match checkpoint_entry(frame) {
                     Ok((key, version, payload)) => {
                         max_version = max_version.max(version);
                         store.install_recovered_entry(key, version, payload);
@@ -1382,37 +1337,5 @@ mod tests {
         let mut trailing = encode_remove("key");
         trailing.push(0);
         assert!(decode_record(&trailing).is_err());
-    }
-
-    #[test]
-    fn frame_scan_classifies() {
-        let payload = encode_remove("key");
-        let mut bytes = Vec::new();
-        put_u32(&mut bytes, payload.len() as u32);
-        put_u32(&mut bytes, crc32(&payload));
-        bytes.extend_from_slice(&payload);
-        match next_frame(&bytes, 0) {
-            Frame::Good(found, end) => {
-                assert_eq!(found, &payload[..]);
-                assert_eq!(end, bytes.len());
-            }
-            _ => panic!("expected a good frame"),
-        }
-        // Flip a payload bit: corrupt, frame boundary preserved.
-        let mut flipped = bytes.clone();
-        let last = flipped.len() - 1;
-        flipped[last] ^= 1;
-        assert!(matches!(next_frame(&flipped, 0), Frame::Corrupt(end) if end == bytes.len()));
-        // Drop trailing bytes: torn.
-        assert!(matches!(
-            next_frame(&bytes[..bytes.len() - 1], 0),
-            Frame::Torn
-        ));
-        assert!(matches!(next_frame(&bytes[..4], 0), Frame::Torn));
-        // Implausible length field: torn, not an allocation attempt.
-        let mut huge = bytes.clone();
-        huge[0..4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(matches!(next_frame(&huge, 0), Frame::Torn));
-        assert!(matches!(next_frame(&bytes, bytes.len()), Frame::End));
     }
 }

@@ -1,14 +1,13 @@
 //! Integration tests of the clustered ANN index: equivalence against
 //! the flat engine and the exhaustive reference, cutover hysteresis,
 //! incremental maintenance, budget accounting, diagnostics, and the
-//! index-cache knobs.
+//! index cache.
 //!
 //! The central contracts:
 //!
 //! * at threshold `0.0` a clustered sweep is **bit-for-bit** equal to
-//!   [`all_pairs_exhaustive`](SketchStore::all_pairs_exhaustive) (no
-//!   banding tunes there, so both strategies fall to the identical
-//!   exhaustive path);
+//!   an [`IndexStrategy::Exhaustive`] sweep (no banding tunes there, so
+//!   both strategies fall to the identical exhaustive path);
 //! * at any threshold, every pair a clustered sweep reports also
 //!   appears in the exhaustive sweep **with identical quantities** —
 //!   pruning may only remove pairs, never change a survivor's verified
@@ -89,7 +88,12 @@ fn clustered_sweep_at_zero_is_bitwise_equal_to_exhaustive() {
     let store = grouped_store();
     let options = QueryOptions::default().index(clustered_now());
     let clustered = store.all_pairs_with(0.0, &options).unwrap();
-    let exhaustive = store.all_pairs_exhaustive(0.0).unwrap();
+    let exhaustive = store
+        .all_pairs_with(
+            0.0,
+            &QueryOptions::default().index(IndexStrategy::Exhaustive),
+        )
+        .unwrap();
     assert_eq!(clustered, exhaustive);
     assert_eq!(clustered.len(), 7 * 6 / 2);
 }
@@ -99,7 +103,12 @@ fn clustered_sweep_finds_the_similar_pairs() {
     let store = grouped_store();
     let options = QueryOptions::default().index(clustered_now());
     let clustered = store.all_pairs_with(0.4, &options).unwrap();
-    let exhaustive = store.all_pairs_exhaustive(0.4).unwrap();
+    let exhaustive = store
+        .all_pairs_with(
+            0.4,
+            &QueryOptions::default().index(IndexStrategy::Exhaustive),
+        )
+        .unwrap();
 
     let pair_keys: Vec<(&str, &str)> = clustered
         .iter()
@@ -240,7 +249,12 @@ fn clustered_index_follows_ingest_and_removals() {
     assert_eq!(store.similarity_index_info().unwrap().indexed_keys, 7);
 
     // The sweeps above stayed equivalent throughout.
-    let exhaustive = store.all_pairs_exhaustive(0.5).unwrap();
+    let exhaustive = store
+        .all_pairs_with(
+            0.5,
+            &QueryOptions::default().index(IndexStrategy::Exhaustive),
+        )
+        .unwrap();
     assert_subset_with_identical_quantities(&pairs, &exhaustive);
 }
 
@@ -285,7 +299,15 @@ fn memory_budget_shrinks_layouts_and_keeps_zero_threshold_equivalence() {
 
     // Budget pressure never touches the threshold-0 contract.
     let clustered = store.all_pairs_with(0.0, &budgeted).unwrap();
-    assert_eq!(clustered, store.all_pairs_exhaustive(0.0).unwrap());
+    assert_eq!(
+        clustered,
+        store
+            .all_pairs_with(
+                0.0,
+                &QueryOptions::default().index(IndexStrategy::Exhaustive)
+            )
+            .unwrap()
+    );
 }
 
 #[test]
@@ -308,41 +330,28 @@ fn near_identical_recall_targets_share_one_cached_state() {
 }
 
 #[test]
-fn index_cache_capacity_knob_bounds_cached_states() {
-    let cfg = config();
-    // Capacity 1: alternating thresholds evicts and re-tunes each time.
-    let store = SketchStore::builder(move || SetSketch1::new(cfg, 42))
-        .index_cache_capacity(1)
-        .build();
-    store.ingest("a", &elements(0, 1000));
-    store.ingest("b", &elements(100, 1000));
-    for _ in 0..2 {
-        let _ = store.all_pairs(0.5).unwrap();
-        let _ = store.all_pairs(0.7).unwrap();
-    }
-    let info = store.similarity_index_info().unwrap();
-    assert_eq!(info.cache_misses, 4, "{info:?}");
-
-    // Default capacity (4): the two operating points coexist.
+fn index_cache_holds_four_operating_points() {
     let store = build_store(4);
     store.ingest("a", &elements(0, 1000));
     store.ingest("b", &elements(100, 1000));
+    // Two operating points coexist: alternating never re-tunes.
     for _ in 0..2 {
-        let _ = store.all_pairs(0.5).unwrap();
-        let _ = store.all_pairs(0.7).unwrap();
+        let _ = store.all_pairs_with(0.5, &QueryOptions::default()).unwrap();
+        let _ = store.all_pairs_with(0.7, &QueryOptions::default()).unwrap();
     }
     let info = store.similarity_index_info().unwrap();
-    assert_eq!(info.cache_misses, 2, "{info:?}");
-    assert_eq!(info.cache_hits, 2, "{info:?}");
-}
+    assert_eq!((info.cache_misses, info.cache_hits), (2, 2), "{info:?}");
 
-#[test]
-#[should_panic(expected = "at least one state")]
-fn zero_index_cache_capacity_is_rejected() {
-    let cfg = config();
-    let _ = SketchStore::builder(move || SetSketch1::new(cfg, 42))
-        .index_cache_capacity(0)
-        .build();
+    // The cache is bounded: three more points push 0.5 (the least
+    // recently used) out, so coming back to it tunes afresh; 0.9 — the
+    // most recent — is still there.
+    for threshold in [0.6, 0.8, 0.9, 0.5, 0.9] {
+        let _ = store
+            .all_pairs_with(threshold, &QueryOptions::default())
+            .unwrap();
+    }
+    let info = store.similarity_index_info().unwrap();
+    assert_eq!((info.cache_misses, info.cache_hits), (6, 3), "{info:?}");
 }
 
 #[test]
@@ -420,14 +429,24 @@ fn drive(ops: &[Op], flat_cutover: usize) -> Result<(), TestCaseError> {
                 let clustered = store
                     .all_pairs_with(0.0, &clustered_options)
                     .expect("sweep");
-                let exhaustive = store.all_pairs_exhaustive(0.0).expect("sweep");
+                let exhaustive = store
+                    .all_pairs_with(
+                        0.0,
+                        &QueryOptions::default().index(IndexStrategy::Exhaustive),
+                    )
+                    .expect("sweep");
                 prop_assert_eq!(clustered, exhaustive);
             }
             Op::SweepHalf => {
                 let clustered = store
                     .all_pairs_with(0.5, &clustered_options)
                     .expect("sweep");
-                let exhaustive = store.all_pairs_exhaustive(0.5).expect("sweep");
+                let exhaustive = store
+                    .all_pairs_with(
+                        0.5,
+                        &QueryOptions::default().index(IndexStrategy::Exhaustive),
+                    )
+                    .expect("sweep");
                 for pair in &clustered {
                     let reference = exhaustive
                         .iter()
@@ -446,7 +465,12 @@ fn drive(ops: &[Op], flat_cutover: usize) -> Result<(), TestCaseError> {
     let clustered = store
         .all_pairs_with(0.0, &clustered_options)
         .expect("sweep");
-    let exhaustive = store.all_pairs_exhaustive(0.0).expect("sweep");
+    let exhaustive = store
+        .all_pairs_with(
+            0.0,
+            &QueryOptions::default().index(IndexStrategy::Exhaustive),
+        )
+        .expect("sweep");
     prop_assert_eq!(clustered, exhaustive);
     Ok(())
 }

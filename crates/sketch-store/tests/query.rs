@@ -1,7 +1,18 @@
-//! Integration tests of the LSH-pruned similarity query engine.
+//! Integration tests of the similarity query engine behind its three
+//! entry points.
 
 use setsketch::{SetSketch1, SetSketchConfig};
-use sketch_store::{SketchStore, StoreError};
+use sketch_store::{IndexStrategy, QueryOptions, SketchStore, StoreError};
+
+/// The default operating point: flat index, exact verification.
+fn flat() -> QueryOptions {
+    QueryOptions::default()
+}
+
+/// The reference sweep: every key, every pair.
+fn exhaustive() -> QueryOptions {
+    flat().index(IndexStrategy::Exhaustive)
+}
 
 /// Fine register scale (b = 1.001): register collision probability ≈ J,
 /// so banding tunes sharply (paper §3.3, Figure 3 right panel).
@@ -39,8 +50,8 @@ fn clustered_store() -> SketchStore<SetSketch1> {
 #[test]
 fn pruned_sweep_finds_similar_pairs_with_exact_quantities() {
     let store = clustered_store();
-    let pruned = store.all_pairs(0.4).unwrap();
-    let exhaustive = store.all_pairs_exhaustive(0.4).unwrap();
+    let pruned = store.all_pairs_with(0.4, &flat()).unwrap();
+    let exhaustive = store.all_pairs_with(0.4, &exhaustive()).unwrap();
 
     let pair_keys: Vec<(&str, &str)> = pruned
         .iter()
@@ -76,19 +87,24 @@ fn pruned_sweep_finds_similar_pairs_with_exact_quantities() {
 #[test]
 fn threshold_zero_falls_back_to_exhaustive_and_matches_exactly() {
     let store = clustered_store();
-    let pruned = store.all_pairs(0.0).unwrap();
-    let exhaustive = store.all_pairs_exhaustive(0.0).unwrap();
+    let pruned = store.all_pairs_with(0.0, &flat()).unwrap();
+    let exhaustive = store.all_pairs_with(0.0, &exhaustive()).unwrap();
     assert_eq!(pruned, exhaustive);
     assert_eq!(pruned.len(), 6 * 5 / 2, "threshold 0 reports every pair");
     // No banding reaches the recall target at threshold 0.
     let info = store.similarity_index_info().expect("index state exists");
     assert_eq!(info.banding, None);
+    assert_eq!(
+        (info.cache_hits, info.cache_misses),
+        (0, 1),
+        "the exhaustive strategy builds and caches no index state"
+    );
 }
 
 #[test]
 fn index_is_tuned_and_reused_across_queries() {
     let store = clustered_store();
-    store.build_similarity_index(0.5);
+    store.build_similarity_index_with(0.5, &flat());
     let info = store.similarity_index_info().expect("index built");
     assert_eq!(info.threshold, 0.5);
     let banding = info.banding.expect("threshold 0.5 is tunable at b=1.001");
@@ -97,7 +113,7 @@ fn index_is_tuned_and_reused_across_queries() {
     assert_eq!(info.indexed_keys, 6);
 
     // A same-threshold query keeps the tuned index (no rebuild).
-    let _ = store.all_pairs(0.5).unwrap();
+    let _ = store.all_pairs_with(0.5, &flat()).unwrap();
     assert_eq!(
         store.similarity_index_info().unwrap().banding,
         Some(banding)
@@ -107,12 +123,12 @@ fn index_is_tuned_and_reused_across_queries() {
 #[test]
 fn index_follows_ingest_updates_and_removals() {
     let store = clustered_store();
-    store.build_similarity_index(0.5);
+    store.build_similarity_index_with(0.5, &flat());
 
     // A new near-duplicate of alpha-1 appears after the index is built:
     // only the changed key gets re-banded, and the sweep sees it.
     store.ingest("alpha-3", &elements(100, 3000));
-    let pairs = store.all_pairs(0.5).unwrap();
+    let pairs = store.all_pairs_with(0.5, &flat()).unwrap();
     assert!(pairs
         .iter()
         .any(|p| p.left == "alpha-1" && p.right == "alpha-3"));
@@ -120,7 +136,7 @@ fn index_follows_ingest_updates_and_removals() {
 
     // Removing a key drops it from the index and from results.
     store.remove("alpha-3");
-    let pairs = store.all_pairs(0.5).unwrap();
+    let pairs = store.all_pairs_with(0.5, &flat()).unwrap();
     assert!(!pairs
         .iter()
         .any(|p| p.left == "alpha-3" || p.right == "alpha-3"));
@@ -135,11 +151,11 @@ fn reingested_key_after_remove_is_reindexed() {
     let store = store_with_shards(4);
     store.ingest("x", &elements(0, 3000));
     store.ingest("k", &elements(5_000_000, 3000)); // unrelated to x
-    assert_eq!(store.all_pairs(0.5).unwrap(), vec![]);
+    assert_eq!(store.all_pairs_with(0.5, &flat()).unwrap(), vec![]);
 
     store.remove("k");
     store.ingest("k", &elements(100, 3000)); // now a near-duplicate of x
-    let pairs = store.all_pairs(0.5).unwrap();
+    let pairs = store.all_pairs_with(0.5, &flat()).unwrap();
     assert!(
         pairs.iter().any(|p| p.left == "k" && p.right == "x"),
         "re-ingested key must be re-banded, got {pairs:?}"
@@ -155,26 +171,26 @@ fn reingested_key_after_remove_is_reindexed() {
         s
     };
     store.put("k", unrelated);
-    assert_eq!(store.all_pairs(0.5).unwrap(), vec![]);
+    assert_eq!(store.all_pairs_with(0.5, &flat()).unwrap(), vec![]);
 }
 
 #[test]
 fn alternating_thresholds_reuse_cached_indexes() {
     let store = clustered_store();
-    let first = store.all_pairs(0.5).unwrap();
-    let other = store.all_pairs(0.7).unwrap();
+    let first = store.all_pairs_with(0.5, &flat()).unwrap();
+    let other = store.all_pairs_with(0.7, &flat()).unwrap();
     // Back to the first threshold: the cached state answers (and stays
     // correct after more ingest).
-    assert_eq!(store.all_pairs(0.5).unwrap(), first);
+    assert_eq!(store.all_pairs_with(0.5, &flat()).unwrap(), first);
     assert_eq!(store.similarity_index_info().unwrap().threshold, 0.5);
     store.ingest("alpha-3", &elements(100, 3000));
     assert!(store
-        .all_pairs(0.5)
+        .all_pairs_with(0.5, &flat())
         .unwrap()
         .iter()
         .any(|p| p.right == "alpha-3"));
-    assert_eq!(store.all_pairs(0.7).unwrap().len(), {
-        let reference = store.all_pairs_exhaustive(0.7).unwrap();
+    assert_eq!(store.all_pairs_with(0.7, &flat()).unwrap().len(), {
+        let reference = store.all_pairs_with(0.7, &exhaustive()).unwrap();
         assert!(reference.len() >= other.len());
         reference.len()
     });
@@ -183,7 +199,7 @@ fn alternating_thresholds_reuse_cached_indexes() {
 #[test]
 fn similar_keys_ranks_by_jaccard() {
     let store = clustered_store();
-    let neighbors = store.similar_keys("alpha-1", 2).unwrap();
+    let neighbors = store.similar_keys_with("alpha-1", 2, 0.5, &flat()).unwrap();
     assert_eq!(neighbors.len(), 2);
     assert_eq!(neighbors[0].key, "alpha-2");
     assert!(neighbors[0].quantities.jaccard > neighbors[1].quantities.jaccard);
@@ -201,7 +217,7 @@ fn similar_keys_breaks_ties_by_key() {
     // Two identical sketches: equal Jaccard against the query.
     store.ingest("twin-b", &elements(500, 2000));
     store.ingest("twin-a", &elements(500, 2000));
-    let neighbors = store.similar_keys("query", 2).unwrap();
+    let neighbors = store.similar_keys_with("query", 2, 0.5, &flat()).unwrap();
     assert_eq!(neighbors.len(), 2);
     assert_eq!(neighbors[0].key, "twin-a", "ties break by ascending key");
     assert_eq!(neighbors[1].key, "twin-b");
@@ -213,28 +229,51 @@ fn similar_keys_edge_cases() {
     let store = store_with_shards(4);
     // Empty store: the query key does not exist.
     assert!(matches!(
-        store.similar_keys("missing", 3),
+        store.similar_keys_with("missing", 3, 0.5, &flat()),
         Err(StoreError::KeyNotFound(_))
     ));
     // Single-key store: no neighbors.
     store.ingest("only", &elements(0, 1000));
-    assert_eq!(store.similar_keys("only", 5).unwrap(), vec![]);
+    assert_eq!(
+        store.similar_keys_with("only", 5, 0.5, &flat()).unwrap(),
+        vec![]
+    );
     // k = 0: empty result.
     store.ingest("other", &elements(100, 1000));
-    assert_eq!(store.similar_keys("only", 0).unwrap(), vec![]);
+    assert_eq!(
+        store.similar_keys_with("only", 0, 0.5, &flat()).unwrap(),
+        vec![]
+    );
     // k larger than the store: every other key, ranked.
-    let neighbors = store.similar_keys("only", 10).unwrap();
+    let neighbors = store.similar_keys_with("only", 10, 0.5, &flat()).unwrap();
     assert_eq!(neighbors.len(), 1);
     assert_eq!(neighbors[0].key, "other");
+    // The exhaustive strategy answers the same edge cases.
+    assert_eq!(
+        store
+            .similar_keys_with("only", 10, 0.5, &exhaustive())
+            .unwrap(),
+        neighbors
+    );
+    assert!(matches!(
+        store.similar_keys_with("missing", 3, 0.5, &exhaustive()),
+        Err(StoreError::KeyNotFound(_))
+    ));
+    assert_eq!(
+        store
+            .similar_keys_with("only", 0, 0.5, &exhaustive())
+            .unwrap(),
+        vec![]
+    );
 }
 
 #[test]
 fn empty_store_sweeps_are_empty() {
     let store = store_with_shards(4);
-    assert_eq!(store.all_pairs(0.5).unwrap(), vec![]);
-    assert_eq!(store.all_pairs_exhaustive(0.5).unwrap(), vec![]);
+    assert_eq!(store.all_pairs_with(0.5, &flat()).unwrap(), vec![]);
+    assert_eq!(store.all_pairs_with(0.5, &exhaustive()).unwrap(), vec![]);
     store.ingest("solo", &elements(0, 100));
-    assert_eq!(store.all_pairs(0.5).unwrap(), vec![]);
+    assert_eq!(store.all_pairs_with(0.5, &flat()).unwrap(), vec![]);
 }
 
 #[test]
@@ -256,74 +295,128 @@ fn keys_and_snapshot_order_is_sorted_for_any_shard_count() {
 #[should_panic(expected = "similarity threshold")]
 fn rejects_out_of_range_threshold() {
     let store = clustered_store();
-    let _ = store.all_pairs(1.5);
+    let _ = store.all_pairs_with(1.5, &flat());
 }
 
-/// A sketch family without cardinality estimation can still use the
-/// exact-mode query surface: the `CardinalityEstimator` bound gates
-/// only the `*_with` variants (which may select approximate
-/// verification), not the original query signatures.
-#[test]
-fn exact_queries_compile_without_cardinality_estimator() {
-    #[derive(Clone, PartialEq, Debug, Default)]
-    struct NoCard(std::collections::BTreeSet<u64>);
-    impl sketch_core::Sketch for NoCard {
-        fn insert_u64(&mut self, element: u64) {
-            self.0.insert(element);
-        }
-        fn insert_bytes(&mut self, bytes: &[u8]) {
-            let mut h = 0u64;
-            for &b in bytes {
-                h = h.wrapping_mul(31).wrapping_add(b as u64);
-            }
-            self.0.insert(h | 1 << 63);
-        }
-    }
-    impl sketch_core::Mergeable for NoCard {
-        type MergeError = std::convert::Infallible;
-        fn is_compatible(&self, _other: &Self) -> bool {
-            true
-        }
-        fn merge_from(&mut self, other: &Self) -> Result<(), Self::MergeError> {
-            self.0.extend(&other.0);
-            Ok(())
-        }
-    }
-    impl sketch_core::JointEstimator for NoCard {
-        type JointError = std::convert::Infallible;
-        fn joint(&self, other: &Self) -> Result<sketch_core::JointQuantities, Self::JointError> {
-            let inter = self.0.intersection(&other.0).count() as f64;
-            let union = self.0.union(&other.0).count() as f64;
-            let jaccard = if union > 0.0 { inter / union } else { 0.0 };
-            Ok(sketch_core::JointQuantities::new(
-                self.0.len() as f64,
-                other.0.len() as f64,
-                jaccard,
-            ))
-        }
-    }
-    impl sketch_core::Signature for NoCard {
-        fn signature_len(&self) -> usize {
-            8
-        }
-        fn signature_into(&self, out: &mut Vec<u32>) {
-            out.clear();
-            out.resize(8, 0);
-            for &e in &self.0 {
-                out[(e % 8) as usize] ^= e as u32;
-            }
-        }
-    }
+// ---------------------------------------------------------------------
+// One engine: every strategy × verification × tiering combination must
+// answer from the same pair universe.
+// ---------------------------------------------------------------------
 
-    let store = SketchStore::builder(NoCard::default).build();
-    store.insert("a", 1);
-    store.insert("a", 2);
-    store.insert("b", 2);
-    store.build_similarity_index(0.5);
-    let pairs = store.all_pairs(0.0).unwrap();
-    assert_eq!(pairs.len(), 1);
-    assert!((pairs[0].quantities.jaccard - 0.5).abs() < 1e-12);
-    assert_eq!(store.all_pairs_exhaustive(0.0).unwrap(), pairs);
-    let neighbors = store.similar_keys_at("a", 1, 0.5).unwrap();
-    assert_eq!(neighbors[0].key, "b");
+/// 40 families of three keys sharing ≈ 82 % of their elements (planted
+/// pairs well above the 0.5 threshold) plus 30 unrelated singletons.
+fn plant_corpus(store: &SketchStore<SetSketch1>) {
+    for family in 0..40u64 {
+        let base = family * 1_000_000;
+        for member in 0..3u64 {
+            store.ingest(
+                &format!("fam{family:02}-{member}"),
+                &elements(base + member * 100, 2000),
+            );
+        }
+    }
+    for single in 0..30u64 {
+        store.ingest(
+            &format!("solo{single:02}"),
+            &elements(500_000_000 + single * 1_000_000, 2000),
+        );
+    }
+}
+
+#[test]
+fn every_strategy_answers_from_the_exhaustive_pair_set() {
+    const THRESHOLD: f64 = 0.5;
+    let strategies = [
+        ("flat", IndexStrategy::Flat),
+        (
+            "clustered",
+            IndexStrategy::Clustered {
+                memory_budget_bytes: None,
+                recall_target: 0.95,
+                clusters: None,
+                flat_cutover: 64, // below the 150 keys: really clustered
+            },
+        ),
+        ("exhaustive", IndexStrategy::Exhaustive),
+    ];
+    let verifications = [flat(), flat().approximate()];
+
+    for tiered in [false, true] {
+        let cfg = config();
+        let builder = SketchStore::builder(move || SetSketch1::new(cfg, 42)).shards(8);
+        let store = if tiered {
+            // Room for eight resident sketches out of 150 keys.
+            let resident = sketch_core::CompactSketch::resident_bytes(&SetSketch1::new(cfg, 42));
+            builder.memory_budget_bytes(8 * resident).build()
+        } else {
+            builder.build()
+        };
+        plant_corpus(&store);
+        let census = store.tier_stats();
+        if tiered {
+            assert!(
+                census.warm_keys + census.frozen_keys > 100,
+                "the budget must leave most keys cold: {census:?}"
+            );
+        }
+
+        for base in verifications {
+            let label = |name: &str| format!("{name}/{:?}/tiered={tiered}", base.verification);
+            let reference = store
+                .all_pairs_with(THRESHOLD, &base.index(IndexStrategy::Exhaustive))
+                .unwrap();
+            assert!(
+                reference.len() >= 3 * 40,
+                "planted pairs: {}",
+                reference.len()
+            );
+
+            for (name, strategy) in strategies {
+                let options = base.index(strategy);
+                let pairs = store.all_pairs_with(THRESHOLD, &options).unwrap();
+                if name == "clustered" {
+                    let info = store.similarity_index_info().unwrap();
+                    assert!(info.clustered.is_some(), "{}: {info:?}", label(name));
+                }
+                // Reported ⊆ exhaustive, with the same quantities.
+                for pair in &pairs {
+                    let same = reference
+                        .iter()
+                        .find(|p| p.left == pair.left && p.right == pair.right)
+                        .unwrap_or_else(|| {
+                            panic!("{}: {pair:?} not in the reference", label(name))
+                        });
+                    assert_eq!(pair.quantities, same.quantities, "{}", label(name));
+                }
+                let recall = pairs.len() as f64 / reference.len() as f64;
+                assert!(recall >= 0.95, "{}: pair recall {recall}", label(name));
+
+                // Threshold 0 has no locality signal: the flat strategy
+                // must equal the exhaustive one bit for bit.
+                if strategy == IndexStrategy::Flat {
+                    let everything = base.index(IndexStrategy::Exhaustive);
+                    assert_eq!(
+                        store.all_pairs_with(0.0, &options).unwrap(),
+                        store.all_pairs_with(0.0, &everything).unwrap(),
+                        "{}",
+                        label(name)
+                    );
+                }
+                assert_eq!(
+                    store.tier_stats(),
+                    census,
+                    "{}: a sweep must not move a slot between tiers",
+                    label(name)
+                );
+            }
+        }
+
+        // Exact quantities are what a point query computes on the same
+        // keys. Checked last: `joint` is a point read and promotes.
+        let exact = store.all_pairs_with(THRESHOLD, &exhaustive()).unwrap();
+        for pair in &exact {
+            let joint = store.joint(&pair.left, &pair.right).unwrap();
+            assert_eq!(pair.quantities, joint, "tiered={tiered}: {pair:?}");
+        }
+    }
 }

@@ -230,23 +230,3 @@ fn ingest_bytes_mirrors_insert_bytes() {
     store.ingest_bytes("empty", &[]);
     assert!(store.contains_key("empty"));
 }
-
-/// The pre-builder constructors must keep working as thin deprecated
-/// wrappers: same defaults, same behavior.
-#[test]
-#[allow(deprecated)]
-fn deprecated_constructors_still_work() {
-    let cfg = config();
-    let store = SketchStore::new(move || SetSketch2::new(cfg, 11));
-    assert_eq!(store.shard_count(), sketch_store::DEFAULT_SHARDS);
-    store.ingest("a", &(0..500).collect::<Vec<_>>());
-
-    let sharded = SketchStore::with_shards(3, move || SetSketch2::new(cfg, 11));
-    assert_eq!(sharded.shard_count(), 3);
-    sharded.ingest("a", &(0..500).collect::<Vec<_>>());
-    assert_eq!(store.get("a"), sharded.get("a"));
-
-    let built = setsketch_store(3);
-    built.ingest("a", &(0..500).collect::<Vec<_>>());
-    assert_eq!(built.get("a"), sharded.get("a"));
-}

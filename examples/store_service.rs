@@ -36,7 +36,7 @@ use sketch_cluster::{
 };
 use sketch_core::CompactSketch;
 use sketch_rand::mix64;
-use sketch_store::SketchStore;
+use sketch_store::{IndexStrategy, QueryOptions, SketchStore};
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::SocketAddr;
@@ -292,6 +292,19 @@ fn run_cluster() {
     println!(
         "top-3 neighbors of search, merged from all replicas: {}",
         ranked.join(", ")
+    );
+    // The replicas answered from their banding indexes; the reference
+    // store's exhaustive scan (every key verified) names the same keys.
+    let scan = QueryOptions::default().index(IndexStrategy::Exhaustive);
+    let exact = reference
+        .similar_keys_with("search", 3, 0.3, &scan)
+        .expect("tenant exists");
+    assert!(
+        neighbors
+            .iter()
+            .map(|n| &n.key)
+            .eq(exact.iter().map(|n| &n.key)),
+        "cluster top-3 must match the exhaustive reference"
     );
     let union = client.union_cardinality(&TENANTS).expect("union fan-out");
     let search = client.cardinality("search").expect("tenant exists");

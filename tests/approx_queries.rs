@@ -16,7 +16,7 @@
 
 use setsketch::locality::jaccard_upper_rmse;
 use setsketch::{SetSketch1, SetSketchConfig};
-use sketch_store::{Banding, Probe, QueryOptions, SketchStore, Verification};
+use sketch_store::{IndexStrategy, QueryOptions, SketchStore, Verification};
 
 const M: usize = 256;
 const B: f64 = 1.001;
@@ -110,7 +110,9 @@ fn approximate_estimates_within_section33_rmse_envelope() {
 #[test]
 fn approximate_membership_matches_exact_at_separated_threshold() {
     let store = planted_store(&[0.3, 0.75], 12);
-    let exact = store.all_pairs(0.5).expect("compatible");
+    let exact = store
+        .all_pairs_with(0.5, &QueryOptions::default())
+        .expect("compatible");
     let approx = store
         .all_pairs_with(0.5, &QueryOptions::default().approximate())
         .expect("compatible");
@@ -149,7 +151,12 @@ fn approximate_membership_matches_exact_at_separated_threshold() {
 #[test]
 fn degenerate_threshold_agrees_pair_for_pair() {
     let store = planted_store(&[0.5], 4); // 8 keys -> 28 pairs
-    let exact = store.all_pairs_exhaustive(0.0).expect("compatible");
+    let exact = store
+        .all_pairs_with(
+            0.0,
+            &QueryOptions::default().index(IndexStrategy::Exhaustive),
+        )
+        .expect("compatible");
     let approx = store
         .all_pairs_with(0.0, &QueryOptions::default().approximate())
         .expect("compatible");
@@ -158,9 +165,14 @@ fn degenerate_threshold_agrees_pair_for_pair() {
     for (e, a) in exact.iter().zip(&approx) {
         assert_eq!((&e.left, &e.right), (&a.left, &a.right));
     }
-    // The exhaustive-with-options variant agrees as well.
+    // The exhaustive strategy agrees as well.
     let approx_exhaustive = store
-        .all_pairs_exhaustive_with(0.0, &QueryOptions::default().approximate())
+        .all_pairs_with(
+            0.0,
+            &QueryOptions::default()
+                .approximate()
+                .index(IndexStrategy::Exhaustive),
+        )
         .expect("compatible");
     assert_eq!(approx, approx_exhaustive);
 }
@@ -181,41 +193,36 @@ fn approximate_top_k_finds_the_planted_partner() {
     );
 }
 
-/// The remaining QueryOptions knobs: worker cap and probe policy leave
-/// results unchanged; recall target and forced banding are reflected in
+/// The remaining QueryOptions knobs: worker cap and candidate strategy
+/// leave a complete result unchanged; the recall target is reflected in
 /// the index state diagnostics.
 #[test]
 fn query_options_knobs_behave() {
     let store = planted_store(&[0.3, 0.75], 6);
 
     // A single-threaded verification pass returns identical results.
-    let default_run = store.all_pairs(0.5).expect("compatible");
+    let default_run = store
+        .all_pairs_with(0.5, &QueryOptions::default())
+        .expect("compatible");
     let single = store
         .all_pairs_with(0.5, &QueryOptions::default().threads(1))
         .expect("compatible");
     assert_eq!(default_run, single);
 
-    // Probe policy cannot change a complete top-k (only candidate
-    // generation differs; the exhaustive floor fills the rest).
-    let auto = store.similar_keys(&key(0), 2).expect("key exists");
-    let never = store
+    // The candidate strategy cannot change a complete top-k (only
+    // candidate generation differs; the exhaustive floor fills the rest).
+    let flat = store
+        .similar_keys_with(&key(0), 2, 0.5, &QueryOptions::default())
+        .expect("key exists");
+    let exhaustive = store
         .similar_keys_with(
             &key(0),
             2,
             0.5,
-            &QueryOptions::default().probe(Probe::Never),
+            &QueryOptions::default().index(IndexStrategy::Exhaustive),
         )
         .expect("key exists");
-    let always = store
-        .similar_keys_with(
-            &key(0),
-            2,
-            0.5,
-            &QueryOptions::default().probe(Probe::Always),
-        )
-        .expect("key exists");
-    assert_eq!(auto, never);
-    assert_eq!(auto, always);
+    assert_eq!(flat, exhaustive);
 
     // A lower recall target re-tunes the banding to more rows (more
     // selective) and is recorded in the index diagnostics.
@@ -223,7 +230,7 @@ fn query_options_knobs_behave() {
     let info = store.similarity_index_info().expect("index built");
     assert_eq!(info.recall_target, 0.5);
     let loose_rows = info.banding.expect("tunable at J=0.5").rows;
-    store.build_similarity_index(0.5);
+    store.build_similarity_index_with(0.5, &QueryOptions::default());
     let tight_rows = store
         .similarity_index_info()
         .expect("index built")
@@ -234,16 +241,6 @@ fn query_options_knobs_behave() {
         loose_rows >= tight_rows,
         "recall 0.5 banding ({loose_rows} rows) must be at least as selective as 0.98 ({tight_rows} rows)"
     );
-
-    // A forced banding layout bypasses the tuner and still prunes
-    // correctly (results match the default sweep at this corpus).
-    let forced = QueryOptions::default().banding(Banding::new(64, 4));
-    let forced_pairs = store.all_pairs_with(0.5, &forced).expect("compatible");
-    assert_eq!(
-        store.similarity_index_info().expect("built").banding,
-        Some(Banding::new(64, 4))
-    );
-    assert_eq!(default_run, forced_pairs);
 
     // Verification::Exact is the default and the fluent exact() resets.
     assert_eq!(

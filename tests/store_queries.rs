@@ -1,22 +1,34 @@
 //! Property-based tests (proptest) pinning the LSH-pruned similarity
 //! query engine to its exhaustive reference.
 //!
-//! * `all_pairs(0.0)` must equal `all_pairs_exhaustive(0.0)` — same
-//!   pairs, same `JointQuantities` bit for bit: at threshold 0 every
-//!   pair must be reported, no banding can promise that recall, and the
-//!   engine is required to degrade to the exhaustive candidate set.
+//! * A flat-strategy `all_pairs_with(0.0, ..)` must equal the
+//!   `IndexStrategy::Exhaustive` one — same pairs, same
+//!   `JointQuantities` bit for bit: at threshold 0 every pair must be
+//!   reported, no banding can promise that recall, and the engine is
+//!   required to degrade to the exhaustive candidate set.
 //! * For *any* threshold, every pair the pruned sweep reports must
 //!   appear in the exhaustive sweep with identical quantities — the LSH
 //!   stage may only prune, never alter verification.
-//! * `similar_keys_at(key, k, 0.0)` must equal the brute-force top-k
-//!   computed from per-pair `joint` calls (descending Jaccard, ties by
-//!   ascending key), including tie-heavy stores with duplicated states.
+//! * `similar_keys_with(key, k, 0.0, ..)` must equal the brute-force
+//!   top-k computed from per-pair `joint` calls (descending Jaccard,
+//!   ties by ascending key), including tie-heavy stores with duplicated
+//!   states.
 
 use minhash::MinHash;
 use proptest::collection::vec;
 use proptest::prelude::*;
 use setsketch::{SetSketch1, SetSketchConfig};
-use sketch_store::SketchStore;
+use sketch_store::{IndexStrategy, QueryOptions, SketchStore};
+
+/// The default operating point: flat index, exact verification.
+fn flat() -> QueryOptions {
+    QueryOptions::default()
+}
+
+/// The reference sweep: every pair.
+fn exhaustive() -> QueryOptions {
+    flat().index(IndexStrategy::Exhaustive)
+}
 
 /// Batches of elements: one store key per batch. Small domains produce
 /// overlapping (sometimes identical) sets, so ties and high-similarity
@@ -44,9 +56,9 @@ proptest! {
         for (i, batch) in batches.iter().enumerate() {
             store.ingest(&format!("key-{i:02}"), batch);
         }
-        let pruned = store.all_pairs(0.0).expect("compatible by construction");
+        let pruned = store.all_pairs_with(0.0, &flat()).expect("compatible by construction");
         let exhaustive = store
-            .all_pairs_exhaustive(0.0)
+            .all_pairs_with(0.0, &exhaustive())
             .expect("compatible by construction");
         // Same pairs, same order, identical JointQuantities.
         prop_assert_eq!(pruned, exhaustive);
@@ -61,8 +73,8 @@ proptest! {
         for (i, batch) in batches.iter().enumerate() {
             store.ingest(&format!("key-{i:02}"), batch);
         }
-        let pruned = store.all_pairs(threshold).expect("compatible");
-        let exhaustive = store.all_pairs_exhaustive(threshold).expect("compatible");
+        let pruned = store.all_pairs_with(threshold, &flat()).expect("compatible");
+        let exhaustive = store.all_pairs_with(threshold, &exhaustive()).expect("compatible");
         for pair in &pruned {
             let reference = exhaustive
                 .iter()
@@ -87,8 +99,8 @@ proptest! {
         for (i, batch) in batches.iter().enumerate() {
             store.ingest(&format!("key-{i:02}"), batch);
         }
-        let pruned = store.all_pairs(0.0).expect("compatible");
-        let exhaustive = store.all_pairs_exhaustive(0.0).expect("compatible");
+        let pruned = store.all_pairs_with(0.0, &flat()).expect("compatible");
+        let exhaustive = store.all_pairs_with(0.0, &exhaustive()).expect("compatible");
         prop_assert_eq!(pruned, exhaustive);
     }
 
@@ -115,7 +127,7 @@ proptest! {
         // Threshold 0 forces the exhaustive candidate path, so the
         // result must be the *exact* top-k, ties included.
         let got = store
-            .similar_keys_at(&query_key, k, 0.0)
+            .similar_keys_with(&query_key, k, 0.0, &flat())
             .expect("key exists");
 
         let mut expected: Vec<(String, sketch_store::JointQuantities)> = keys
