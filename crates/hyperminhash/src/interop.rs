@@ -75,33 +75,6 @@ impl JointEstimator for HyperMinHash {
     }
 }
 
-/// Serde-snapshot fallback (`serde` feature): HyperMinHash's combined
-/// exponent+mantissa registers spread too widely for the offset codec
-/// to pay off, so the compact form is the serde JSON snapshot — no size
-/// win, but full participation in the sketch store's warm/frozen tiers.
-/// Decoding validates the decoded state against the prototype's
-/// configuration and seed.
-#[cfg(feature = "serde")]
-impl sketch_core::CompactSketch for HyperMinHash {
-    type CompactError = sketch_core::SerdeCompactError;
-
-    fn compress(&self) -> Vec<u8> {
-        sketch_core::serde_compress(self)
-    }
-
-    fn decompress(prototype: &Self, bytes: &[u8]) -> Result<Self, Self::CompactError> {
-        let decoded: Self = sketch_core::serde_decompress(bytes)?;
-        if !prototype.is_compatible(&decoded) {
-            return Err(sketch_core::SerdeCompactError::IncompatibleWithPrototype);
-        }
-        Ok(decoded)
-    }
-
-    fn resident_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + 4 * self.registers().len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

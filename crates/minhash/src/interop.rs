@@ -192,50 +192,6 @@ impl Signature for OnePermutationHashing {
     }
 }
 
-/// Serde-snapshot fallback [`CompactSketch`] impls (`serde` feature):
-/// MinHash-family component arrays have no shared-base structure to
-/// exploit, so the compact form is the serde JSON snapshot — no size
-/// win, but the sketches still participate in the sketch store's
-/// warm/frozen tiers with the same round-trip guarantees. Decoding
-/// validates the decoded state against the prototype's configuration
-/// (size and hash seed).
-#[cfg(feature = "serde")]
-mod compact_impls {
-    use super::*;
-    use sketch_core::{serde_compress, serde_decompress, CompactSketch, SerdeCompactError};
-
-    macro_rules! serde_compact {
-        ($type:ty, $heap:expr) => {
-            impl CompactSketch for $type {
-                type CompactError = SerdeCompactError;
-
-                fn compress(&self) -> Vec<u8> {
-                    serde_compress(self)
-                }
-
-                fn decompress(prototype: &Self, bytes: &[u8]) -> Result<Self, SerdeCompactError> {
-                    let decoded: Self = serde_decompress(bytes)?;
-                    if !prototype.is_compatible(&decoded) {
-                        return Err(SerdeCompactError::IncompatibleWithPrototype);
-                    }
-                    Ok(decoded)
-                }
-
-                fn resident_bytes(&self) -> usize {
-                    std::mem::size_of::<Self>() + ($heap)(self)
-                }
-            }
-        };
-    }
-
-    serde_compact!(MinHash, |s: &MinHash| 8 * s.m());
-    serde_compact!(SuperMinHash, |s: &SuperMinHash| {
-        // f64 components plus the incremental-shuffle scratch arrays.
-        16 * s.m()
-    });
-    serde_compact!(OnePermutationHashing, |s: &OnePermutationHashing| 8 * s.m());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

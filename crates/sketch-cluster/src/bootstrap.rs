@@ -1,272 +1,70 @@
-//! Node bootstrap: checkpoint shipping for total-state loss.
+//! Node bootstrap: one-donor catch-up for total-state loss.
 //!
-//! Delta sync and anti-entropy (see [`ClusterNode`]) assume the node
-//! still *has* a store to reconcile. A replaced node — wiped disk,
-//! fresh container, new machine under an old identity — has nothing,
-//! and re-filling it one gossip full-pull at a time costs a full
-//! state transfer **per peer**. Bootstrap instead ships one peer's
-//! checkpoint image once:
+//! A replaced node — wiped disk, fresh container, new machine under an
+//! old identity — has nothing, and a plain gossip round would pull a
+//! full state transfer **per peer**. Bootstrap is the same paged delta
+//! pull every sync uses ([`ClusterNode::full_sync_with`]), aimed at
+//! one peer:
 //!
 //! 1. **detect** — [`ClusterNode::needs_bootstrap`] is true when the
 //!    local store is empty (cold start, or recovery found nothing);
 //! 2. **pick a donor** — [`ClusterNode::bootstrap`] orders peers by
 //!    [`Resilient`] health ([`Resilient::healthy_first`]) so a peer
 //!    that just timed out is tried last, not first;
-//! 3. **stream** — repeated [`Message::SnapshotRequest`] →
-//!    [`Message::SnapshotChunk`] exchanges pull the donor's
-//!    checkpoint image in CRC-validated, size-bounded chunks. Each
-//!    chunk is an independent request/response, so a transport blip
-//!    retries **that chunk** ([`BootstrapConfig::max_chunk_retries`]),
-//!    not the whole stream, and a donor that re-exported mid-stream
-//!    (its id changed) restarts accumulation instead of splicing two
-//!    images;
-//! 4. **install** — the image goes through
-//!    [`install_checkpoint`](sketch_store::SketchStore::install_checkpoint),
-//!    which validates every frame and payload *before* mutating
-//!    anything: a truncated or bit-flipped image leaves the store
-//!    exactly as it was, and the next donor is tried;
-//! 5. **hand off** — the donor's write epoch becomes its high-water
-//!    mark and (by default) every other peer's current epoch is
-//!    probed and adopted, so the first sync rounds ship only writes
-//!    newer than the snapshot. Keys that *only* a non-donor peer
-//!    holds arrive through the rotating anti-entropy full pull — the
-//!    standing repair channel, now doing bounded catch-up work
-//!    instead of the whole transfer.
+//! 3. **pull** — the donor's state arrives from version 0 in bounded,
+//!    checksummed pages, each merged as it lands and each advancing
+//!    the donor's high-water mark. Nothing is staged: a donor that
+//!    dies mid-transfer is abandoned for the next one, and what it
+//!    already shipped stays merged (union merge is idempotent, so the
+//!    next donor re-shipping it changes nothing);
+//! 4. **hand off** — every other peer's current write epoch is probed
+//!    and adopted as its high-water mark, so the first sync rounds
+//!    ship only writes newer than the catch-up. Keys that *only* a
+//!    non-donor peer holds arrive through the rotating anti-entropy
+//!    full pull — the standing repair channel, now doing bounded
+//!    catch-up work instead of the whole transfer.
 //!
 //! Because sketch union merge is idempotent and commutative, none of
-//! this needs coordination: installing a stale snapshot and then
+//! this needs coordination: catching up from a stale donor and then
 //! delta-syncing converges to the same state as any other order.
 
 use crate::error::ClusterError;
 use crate::health::Resilient;
 use crate::node::{ClusterNode, ClusterSketch};
 use crate::transport::Transport;
-use crate::wire::{Message, NodeId};
-use sketch_math::crc32;
-
-/// Hard ceiling on the chunk size a donor will serve, whatever the
-/// requester asks for — keeps one snapshot frame far below the wire
-/// frame limit and bounds per-exchange memory.
-pub const MAX_SNAPSHOT_CHUNK_BYTES: usize = 4 << 20;
-
-/// Default requested chunk size: big enough to amortize the exchange
-/// round-trip, small enough that a retried chunk is cheap.
-pub const DEFAULT_SNAPSHOT_CHUNK_BYTES: u32 = 256 * 1024;
-
-/// Tuning knobs for one bootstrap attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BootstrapConfig {
-    /// Requested bytes per [`Message::SnapshotChunk`] (the donor caps
-    /// this at [`MAX_SNAPSHOT_CHUNK_BYTES`]).
-    pub chunk_bytes: u32,
-    /// How many times one chunk may fail (transport error or CRC
-    /// mismatch) before the donor is abandoned.
-    pub max_chunk_retries: u32,
-    /// Donor-side freshness bound: serve the newest on-disk
-    /// checkpoint only while the donor's write counter has advanced
-    /// at most this far past it; otherwise the donor sweeps a fresh
-    /// image. Larger values favor cheap disk serves, smaller values
-    /// favor fresher images (the delta tail covers the gap either
-    /// way).
-    pub max_lag: u64,
-    /// After installing, probe every non-donor peer's write epoch and
-    /// adopt it as that peer's high-water mark, so the first sync
-    /// rounds do not re-pull state the snapshot already covered.
-    /// Keys unique to a non-donor peer then arrive via the rotating
-    /// anti-entropy full pull. Disable to delta-pull every peer from
-    /// zero instead (more bytes, no reliance on anti-entropy).
-    pub fast_forward_peers: bool,
-}
-
-impl Default for BootstrapConfig {
-    /// 256 KiB chunks, 3 retries per chunk, 1024-write checkpoint
-    /// lag, fast-forward on.
-    fn default() -> Self {
-        BootstrapConfig {
-            chunk_bytes: DEFAULT_SNAPSHOT_CHUNK_BYTES,
-            max_chunk_retries: 3,
-            max_lag: 1024,
-            fast_forward_peers: true,
-        }
-    }
-}
+use crate::wire::{ErrorCode, Message, NodeId};
 
 /// What one completed bootstrap accomplished — the replacement-node
 /// counterpart of [`sketch_store::RecoveryReport`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BootstrapReport {
-    /// The peer whose snapshot was installed.
+    /// The peer whose state was pulled.
     pub donor: NodeId,
     /// Peers tried before `donor` that failed (unreachable, refused,
-    /// or shipped an image that did not validate), in trial order.
+    /// died mid-transfer, or had nothing to ship), in trial order.
     pub failed_donors: Vec<NodeId>,
-    /// Chunks successfully received and validated across the stream.
-    pub chunks_received: u32,
-    /// Chunks that succeeded only after at least one retry — each is
-    /// a mid-stream failure the resume logic absorbed.
-    pub chunks_resumed: u32,
-    /// Times the donor superseded the stream mid-transfer (new
-    /// snapshot id), forcing accumulation to restart from chunk 0.
-    pub restarts: u32,
-    /// Payload bytes received over the wire, including re-received
-    /// chunks after stream restarts.
-    pub bytes_received: u64,
-    /// Size of the installed snapshot image.
-    pub snapshot_bytes: u64,
-    /// Keys the image carried into the local store.
-    pub keys_installed: usize,
-    /// The donor's write-counter value the snapshot covers — adopted
-    /// as the donor's high-water mark.
+    /// Delta pages the donor shipped.
+    pub pages: usize,
+    /// Keys the donor shipped.
+    pub keys: usize,
+    /// Compact payload bytes the donor shipped.
+    pub bytes: u64,
+    /// The donor's write-counter value the pull covers — held as the
+    /// donor's high-water mark.
     pub donor_epoch: u64,
-    /// True when the image was union-merged into existing local state
-    /// rather than bulk-installed into an empty store.
-    pub merged: bool,
 }
 
 impl std::fmt::Display for BootstrapReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "bootstrapped from node {}: {} keys ({} bytes, {} chunks) {} at donor epoch {}",
-            self.donor,
-            self.keys_installed,
-            self.snapshot_bytes,
-            self.chunks_received,
-            if self.merged {
-                "merged in"
-            } else {
-                "bulk-installed"
-            },
-            self.donor_epoch,
+            "bootstrapped from node {}: {} keys ({} bytes, {} pages) at donor epoch {}",
+            self.donor, self.keys, self.bytes, self.pages, self.donor_epoch,
         )?;
-        if self.chunks_resumed > 0 {
-            write!(
-                f,
-                ", {} chunk(s) resumed after failure",
-                self.chunks_resumed
-            )?;
-        }
-        if self.restarts > 0 {
-            write!(f, ", {} stream restart(s)", self.restarts)?;
-        }
         if !self.failed_donors.is_empty() {
             write!(f, ", failed donors: {:?}", self.failed_donors)?;
         }
         Ok(())
-    }
-}
-
-/// Stream-level accounting carried out of [`pull_snapshot`].
-#[derive(Debug, Default, Clone, Copy)]
-struct StreamStats {
-    chunks_received: u32,
-    chunks_resumed: u32,
-    restarts: u32,
-    bytes_received: u64,
-}
-
-/// Pulls one complete snapshot image from `donor`, chunk by chunk,
-/// with per-chunk retry and stream-restart handling.
-fn pull_snapshot(
-    transport: &impl Transport,
-    donor: NodeId,
-    config: &BootstrapConfig,
-) -> Result<(Vec<u8>, u64, StreamStats), ClusterError> {
-    let mut buffer: Vec<u8> = Vec::new();
-    let mut snapshot_id = 0u64;
-    let mut chunk = 0u32;
-    let mut stats = StreamStats::default();
-    let mut failures_on_chunk = 0u32;
-    loop {
-        let request = Message::SnapshotRequest {
-            snapshot_id,
-            chunk,
-            chunk_bytes: config.chunk_bytes,
-            max_lag: config.max_lag,
-        };
-        let response = match transport.request(donor, &request) {
-            Ok(response) => response,
-            // Link failure: re-request the same chunk — this is the
-            // resume path, not a restart of the stream.
-            Err(ClusterError::Transport(detail)) => {
-                failures_on_chunk += 1;
-                if failures_on_chunk > config.max_chunk_retries {
-                    return Err(ClusterError::Transport(detail));
-                }
-                continue;
-            }
-            Err(other) => return Err(other),
-        };
-        match response {
-            Message::SnapshotChunk {
-                snapshot_id: id,
-                epoch,
-                total_bytes,
-                chunk: got,
-                total_chunks,
-                crc,
-                data,
-            } => {
-                if id != snapshot_id && got == 0 {
-                    // The donor started (or superseded) the stream:
-                    // a fresh export always begins at chunk 0, and
-                    // anything accumulated belongs to the old image.
-                    if snapshot_id != 0 {
-                        stats.restarts += 1;
-                    }
-                    buffer.clear();
-                    snapshot_id = id;
-                    chunk = 0;
-                }
-                if id != snapshot_id || got != chunk {
-                    // A stale frame — an old stream's chunk or a
-                    // reordered response — re-request the expected
-                    // chunk like any other per-chunk failure.
-                    failures_on_chunk += 1;
-                    if failures_on_chunk > config.max_chunk_retries {
-                        return Err(ClusterError::Protocol(format!(
-                            "snapshot stream kept answering chunk {got} of stream {id} \
-                             when chunk {chunk} of stream {snapshot_id} was requested"
-                        )));
-                    }
-                    continue;
-                }
-                if crc32(&data) != crc {
-                    // Corruption in flight: treat like a link failure
-                    // and re-request the same chunk.
-                    failures_on_chunk += 1;
-                    if failures_on_chunk > config.max_chunk_retries {
-                        return Err(ClusterError::BadPayload(format!(
-                            "snapshot chunk {chunk} failed CRC validation repeatedly"
-                        )));
-                    }
-                    continue;
-                }
-                if failures_on_chunk > 0 {
-                    stats.chunks_resumed += 1;
-                    failures_on_chunk = 0;
-                }
-                stats.chunks_received += 1;
-                stats.bytes_received += data.len() as u64;
-                buffer.extend_from_slice(&data);
-                chunk += 1;
-                if chunk >= total_chunks {
-                    if buffer.len() as u64 != total_bytes {
-                        return Err(ClusterError::BadPayload(format!(
-                            "snapshot stream ended with {} bytes, donor announced {total_bytes}",
-                            buffer.len()
-                        )));
-                    }
-                    return Ok((buffer, epoch, stats));
-                }
-            }
-            Message::Error { code, detail } => return Err(ClusterError::from_remote(code, detail)),
-            other => {
-                return Err(ClusterError::Protocol(format!(
-                    "expected SnapshotChunk, got {other:?}"
-                )))
-            }
-        }
     }
 }
 
@@ -277,7 +75,11 @@ pub(crate) fn probe_write_epoch(
     transport: &impl Transport,
     peer: NodeId,
 ) -> Result<u64, ClusterError> {
-    match transport.request(peer, &Message::DeltaRequest { after: u64::MAX })? {
+    let request = Message::DeltaRequest {
+        after: u64::MAX,
+        page_bytes: 0,
+    };
+    match transport.request(peer, &request)? {
         Message::Delta { up_to, .. } => Ok(up_to),
         Message::Error { code, detail } => Err(ClusterError::from_remote(code, detail)),
         other => Err(ClusterError::Protocol(format!(
@@ -288,9 +90,9 @@ pub(crate) fn probe_write_epoch(
 
 impl<S: ClusterSketch> ClusterNode<S> {
     /// True when this node has no state and should bootstrap from a
-    /// peer before joining gossip: a brand-new node, or one whose
-    /// durable directory was lost entirely (recovery found nothing to
-    /// replay).
+    /// peer before pulling from all of them: a brand-new node, or one
+    /// whose durable directory was lost entirely (recovery found
+    /// nothing to replay).
     pub fn needs_bootstrap(&self) -> bool {
         self.store().is_empty()
     }
@@ -298,34 +100,31 @@ impl<S: ClusterSketch> ClusterNode<S> {
     /// Bootstraps this node from the healthiest reachable peer, using
     /// `resilient`'s suspicion state to order donors
     /// ([`Resilient::healthy_first`]) and its retry budget for each
-    /// chunk exchange.
+    /// page exchange.
     pub fn bootstrap<T: Transport>(
         &self,
         resilient: &Resilient<T>,
-        config: &BootstrapConfig,
     ) -> Result<BootstrapReport, ClusterError> {
         let donors = resilient.healthy_first(self.peers());
-        self.bootstrap_via(resilient, &donors, config)
+        self.bootstrap_via(resilient, &donors)
     }
 
     /// Bootstraps this node from the first donor in `donors` that
-    /// delivers a snapshot that validates and installs; earlier
-    /// failures are recorded in
+    /// delivers its whole state; earlier failures are recorded in
     /// [`BootstrapReport::failed_donors`] and the next donor is tried
-    /// — mid-stream donor death is survived by moving on, not by
-    /// giving up.
+    /// — mid-transfer donor death is survived by moving on, not by
+    /// giving up. A donor with nothing to ship counts as failed: its
+    /// silence says nothing about what the other peers hold.
     ///
-    /// On success the donor's epoch becomes its high-water mark, the
-    /// other peers are optionally fast-forwarded
-    /// ([`BootstrapConfig::fast_forward_peers`]), and the report is
-    /// retained ([`last_bootstrap`](Self::last_bootstrap)). The store
-    /// is never left half-installed: a snapshot that fails validation
-    /// changes nothing.
+    /// On success the pull has left the donor's epoch as its
+    /// high-water mark, every other peer's current epoch is adopted as
+    /// its mark, and the report is retained
+    /// ([`last_bootstrap`](Self::last_bootstrap)). A non-empty store
+    /// is merged into, never replaced.
     pub fn bootstrap_via(
         &self,
         transport: &impl Transport,
         donors: &[NodeId],
-        config: &BootstrapConfig,
     ) -> Result<BootstrapReport, ClusterError> {
         let mut failed_donors: Vec<NodeId> = Vec::new();
         let mut last_error: Option<ClusterError> = None;
@@ -333,37 +132,30 @@ impl<S: ClusterSketch> ClusterNode<S> {
             if donor == self.id() {
                 continue;
             }
-            let (image, epoch, stats) = match pull_snapshot(transport, donor, config) {
-                Ok(parts) => parts,
+            let pull = match self.full_sync_with(transport, donor) {
+                Ok(pull) if pull.keys_received > 0 => pull,
+                Ok(_) => {
+                    failed_donors.push(donor);
+                    last_error = Some(ClusterError::Remote {
+                        code: ErrorCode::Unavailable,
+                        detail: format!("node {donor} has nothing to bootstrap from"),
+                    });
+                    continue;
+                }
                 Err(error) => {
                     failed_donors.push(donor);
                     last_error = Some(error);
                     continue;
                 }
             };
-            let install = match self.store().install_checkpoint(&image) {
-                Ok(install) => install,
-                Err(error) => {
-                    failed_donors.push(donor);
-                    last_error = Some(ClusterError::BadPayload(error.to_string()));
-                    continue;
-                }
-            };
-            self.advance_high_water(donor, epoch);
-            if config.fast_forward_peers {
-                self.fast_forward_marks(transport, donor);
-            }
+            self.fast_forward_marks(transport, donor);
             let report = BootstrapReport {
                 donor,
                 failed_donors,
-                chunks_received: stats.chunks_received,
-                chunks_resumed: stats.chunks_resumed,
-                restarts: stats.restarts,
-                bytes_received: stats.bytes_received,
-                snapshot_bytes: image.len() as u64,
-                keys_installed: install.entries,
-                donor_epoch: epoch,
-                merged: install.merged,
+                pages: pull.pages,
+                keys: pull.keys_received,
+                bytes: pull.payload_bytes,
+                donor_epoch: pull.up_to,
             };
             self.set_last_bootstrap(report.clone());
             return Ok(report);
@@ -374,9 +166,9 @@ impl<S: ClusterSketch> ClusterNode<S> {
 
     /// Adopts every non-donor peer's *current* write epoch as its
     /// high-water mark, so post-bootstrap delta sync ships only
-    /// writes newer than the snapshot. Probe failures are ignored —
-    /// an unreachable peer keeps mark 0 and is delta-pulled in full
-    /// once it returns.
+    /// writes newer than the catch-up. Probe failures are ignored —
+    /// an unreachable peer keeps its mark and is delta-pulled from
+    /// there once it returns.
     fn fast_forward_marks(&self, transport: &impl Transport, donor: NodeId) {
         for &peer in self.peers() {
             if peer == donor {

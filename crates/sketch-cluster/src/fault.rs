@@ -8,17 +8,16 @@
 //!   kind of request* for the same peer is returned instead of a
 //!   fresh one. From the caller's view this is a duplicated or
 //!   reordered frame arriving late: it must be absorbed by idempotent
-//!   merging, the monotonic high-water mark, or (for snapshot
-//!   streams) chunk-index validation;
+//!   merging, the monotonic high-water mark, or the request echo a
+//!   delta page carries;
 //! * **duplicate** — the request is delivered twice (the peer handles
 //!   it both times), modeling a retransmitted request frame;
 //! * **partition** — a peer set is unreachable until healed, modeling
 //!   a network split;
-//! * **mid-stream cut** — a one-shot, counter-armed failure of a
-//!   snapshot exchange ([`cut_snapshot_stream`]
-//!   (FaultyTransport::cut_snapshot_stream)): the first N chunk
-//!   exchanges pass, then one fails, modeling a donor connection
-//!   dying partway through a bootstrap transfer.
+//! * **mid-transfer cut** — a one-shot, counter-armed failure
+//!   ([`cut_after`](FaultyTransport::cut_after)): the next N exchanges
+//!   with a peer pass, then one fails, modeling a connection dying
+//!   partway through a paged pull.
 //!
 //! The wrapper is deterministic for a fixed seed and call sequence:
 //! every `request` consumes exactly the same number of values from
@@ -48,8 +47,8 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// A plan that never injects anything (partitions and armed
-    /// snapshot cuts still work).
+    /// A plan that never injects anything (partitions and armed cuts
+    /// still work).
     pub fn none() -> Self {
         FaultPlan {
             drop: 0.0,
@@ -73,15 +72,15 @@ struct FaultState {
     rng: WyRand,
     /// Last few responses per (peer, request kind), fodder for stale
     /// replays. Keying by request kind keeps a replay *plausible* —
-    /// a delta response is never replayed to a snapshot request —
+    /// a delta page is never replayed to a cardinality request —
     /// which models frame reordering within one exchange type rather
     /// than protocol corruption.
     recorded: HashMap<(NodeId, &'static str), Vec<Message>>,
     /// Peers currently unreachable through this transport.
     partitioned: HashSet<NodeId>,
-    /// Armed one-shot snapshot-stream cuts: peer → how many more
-    /// snapshot exchanges pass before one fails.
-    snapshot_cuts: HashMap<NodeId, u32>,
+    /// Armed one-shot cuts: peer → how many more exchanges pass
+    /// before one fails.
+    cuts: HashMap<NodeId, u32>,
     injected: u64,
 }
 
@@ -109,7 +108,7 @@ impl<T: Transport> FaultyTransport<T> {
                 rng: WyRand::new(seed),
                 recorded: HashMap::new(),
                 partitioned: HashSet::new(),
-                snapshot_cuts: HashMap::new(),
+                cuts: HashMap::new(),
                 injected: 0,
             }),
         }
@@ -130,17 +129,16 @@ impl<T: Transport> FaultyTransport<T> {
         self.state.lock().partitioned.clear();
     }
 
-    /// Arms a one-shot mid-stream cut against `peer`: the next
-    /// `after_chunks` snapshot exchanges pass through cleanly, then
-    /// exactly one fails with a transport error — the donor's
-    /// connection dying partway through a bootstrap transfer — after
-    /// which the stream flows again. Counter-based, not random, so
-    /// tests cut at an exact chunk boundary.
-    pub fn cut_snapshot_stream(&self, peer: NodeId, after_chunks: u32) {
-        self.state.lock().snapshot_cuts.insert(peer, after_chunks);
+    /// Arms a one-shot cut against `peer`: the next `exchanges`
+    /// exchanges with it pass through cleanly, then exactly one fails
+    /// with a transport error — the connection dying partway through a
+    /// paged pull — after which traffic flows again. Counter-based, not
+    /// random, so tests cut at an exact page boundary.
+    pub fn cut_after(&self, peer: NodeId, exchanges: u32) {
+        self.state.lock().cuts.insert(peer, exchanges);
     }
 
-    /// How many faults (drops, replays, duplicates, snapshot cuts)
+    /// How many faults (drops, replays, duplicates, cuts)
     /// have fired so far — lets tests assert the schedule actually
     /// injected something.
     pub fn faults_injected(&self) -> u64 {
@@ -175,16 +173,12 @@ impl<T: Transport> Transport for FaultyTransport<T> {
             let pick = state.rng.next_u64() as usize;
             if state.partitioned.contains(&peer) {
                 Verdict::Partitioned
-            } else if kind == "snapshot_request" && state.snapshot_cuts.contains_key(&peer) {
-                // An armed cut overrides the random schedule for
-                // snapshot exchanges: pass deterministically until
-                // the counter runs out, then fail exactly once.
-                let remaining = state
-                    .snapshot_cuts
-                    .get_mut(&peer)
-                    .expect("checked contains_key above");
+            } else if let Some(remaining) = state.cuts.get_mut(&peer) {
+                // An armed cut overrides the random schedule: pass
+                // deterministically until the counter runs out, then
+                // fail exactly once.
                 if *remaining == 0 {
-                    state.snapshot_cuts.remove(&peer);
+                    state.cuts.remove(&peer);
                     state.injected += 1;
                     Verdict::Cut
                 } else {
@@ -222,7 +216,7 @@ impl<T: Transport> Transport for FaultyTransport<T> {
                 "partitioned from node {peer}"
             ))),
             Verdict::Cut => Err(ClusterError::Transport(format!(
-                "snapshot stream to node {peer} cut mid-transfer"
+                "connection to node {peer} cut mid-transfer"
             ))),
             Verdict::Drop => Err(ClusterError::Transport(format!(
                 "frame to node {peer} dropped"

@@ -1,4 +1,4 @@
-//! Replicated sketch-store service: wire protocol, delta sync,
+//! Replicated sketch-store service: wire protocol, paged delta sync,
 //! anti-entropy.
 //!
 //! This crate turns a set of [`sketch_store::SketchStore`]s into one
@@ -21,8 +21,13 @@
 //!   store and *pulls* deltas from peers. Sync rides the store's
 //!   per-key version stamps: each node remembers a per-peer high-water
 //!   mark and asks only for keys that moved past it, so a quiescent
-//!   cluster exchanges near-empty frames. A rotating full pull
-//!   (anti-entropy) heals whatever individual exchanges lose.
+//!   cluster exchanges near-empty frames. Deltas travel as bounded,
+//!   checksummed pages in version order, each advancing the mark, so a
+//!   peer any number of bytes behind catches up without either side
+//!   holding more than a page, and an interrupted pull resumes where
+//!   it stopped. A rotating full pull (anti-entropy) heals whatever
+//!   individual exchanges lose. This is the only path replica state
+//!   takes between nodes.
 //! * [`Transport`] — the seam that makes all of this testable: the
 //!   same node code runs over [`TcpTransport`] sockets (persistent and
 //!   pooled per peer, every one under connect/read/write deadlines —
@@ -37,12 +42,13 @@
 //!   gossip skips a dead peer ([`ClusterError::Suspect`]) instead of
 //!   re-spending its deadline budget on it every tick.
 //! * **Bootstrap** — a node with *no* state (fresh machine, wiped
-//!   disk) ships one healthy peer's checkpoint image in CRC-validated
-//!   chunks ([`ClusterNode::bootstrap`], [`BootstrapConfig`]) instead
-//!   of re-pulling full state from every peer, resumes mid-stream
-//!   after transport failures, fails over to another donor if the
-//!   first dies, and hands off to delta sync — the
-//!   [`BootstrapReport`] says what happened.
+//!   disk) runs that same full pull against **one** healthy peer
+//!   ([`ClusterNode::bootstrap`]; a gossiping node does it on its
+//!   first tick) and adopts the other peers' current marks, instead of
+//!   re-pulling full state from every peer. There is no separate
+//!   transfer protocol: pages already applied stay applied, a donor
+//!   that dies is abandoned for the next one, and delta sync carries
+//!   on from the marks — the [`BootstrapReport`] says what happened.
 //! * [`ClusterClient`] — routes writes by the ring and fans reads out
 //!   across replicas (top-k similarity and union cardinality merge
 //!   answers from every node); the `*_detailed` variants report
@@ -98,9 +104,7 @@ mod tcp;
 mod transport;
 pub mod wire;
 
-pub use bootstrap::{
-    BootstrapConfig, BootstrapReport, DEFAULT_SNAPSHOT_CHUNK_BYTES, MAX_SNAPSHOT_CHUNK_BYTES,
-};
+pub use bootstrap::BootstrapReport;
 pub use client::{ClusterClient, FanOut};
 pub use error::ClusterError;
 pub use fault::{FaultPlan, FaultyTransport};

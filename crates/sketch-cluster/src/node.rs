@@ -5,14 +5,21 @@
 //!
 //! * each node tracks, per peer, the **high-water version** it has
 //!   applied from that peer's write counter;
-//! * a sync round asks every peer for "keys whose version moved past my
+//! * a pull asks a peer for "keys whose version moved past my
 //!   high-water mark" and union-merges the answers into the local
-//!   store — versions only advance locally when registers actually
-//!   change, so a mesh of mutually syncing replicas quiesces once
-//!   everyone holds everything;
+//!   store, one bounded page at a time until the peer says that was
+//!   all. Every page advances the mark, so the mark is also the resume
+//!   cursor: whatever a failed pull had applied stays applied, and the
+//!   next pull asks from there. Versions only advance locally when
+//!   registers actually change, so a mesh of mutually syncing replicas
+//!   quiesces once everyone holds everything;
 //! * a periodic **anti-entropy** pull re-fetches one peer's *full*
-//!   state (high-water 0), healing whatever individual delta exchanges
-//!   lost to drops, crashes or partitions.
+//!   state (from version 0), healing whatever individual delta
+//!   exchanges lost to drops, crashes or partitions;
+//! * a node with an empty store does the same full pull from **one**
+//!   peer and adopts the others' current marks
+//!   ([`ClusterNode::bootstrap`]) instead of pulling everything from
+//!   everyone.
 //!
 //! The state machine performs no I/O of its own: every exchange goes
 //! through a caller-supplied [`Transport`], so the same node code runs
@@ -20,7 +27,7 @@
 //! fault-injecting wrapper — which is what makes convergence and
 //! partition tests exact instead of timing-dependent.
 
-use crate::bootstrap::{BootstrapReport, MAX_SNAPSHOT_CHUNK_BYTES};
+use crate::bootstrap::BootstrapReport;
 use crate::error::ClusterError;
 use crate::transport::Transport;
 use crate::wire::{ErrorCode, Message, NodeId, WireEntry, WireNeighbor};
@@ -28,17 +35,17 @@ use parking_lot::Mutex;
 use sketch_core::{
     BatchInsert, CardinalityEstimator, CompactSketch, JointEstimator, Mergeable, Signature,
 };
-use sketch_math::crc32;
 use sketch_store::{QueryOptions, SketchStore, StoreError};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// The trait bundle a sketch family needs to serve in a cluster:
 /// batched recording, union merging, joint + cardinality estimation,
 /// register signatures (similarity queries), a compact wire codec, and
 /// value semantics. Implemented automatically for every type with the
-/// parts — all eight families in this workspace qualify.
+/// parts — the families with a packed register codec (SetSketch1/2,
+/// GHLL) qualify; the MinHash variants, HyperMinHash and Theta have no
+/// [`CompactSketch`] form and serve from a plain store only.
 pub trait ClusterSketch:
     BatchInsert
     + Mergeable
@@ -69,17 +76,21 @@ impl<T> ClusterSketch for T where
 {
 }
 
-/// What one delta exchange with a peer accomplished.
+/// What one delta pull from a peer accomplished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SyncReport {
     /// The peer the delta was pulled from.
     pub peer: NodeId,
-    /// Keys the peer shipped (entries in the delta frame).
+    /// Pages the pull took (request/response exchanges that shipped
+    /// state); 1 unless the peer was more than a page budget ahead.
+    pub pages: usize,
+    /// Keys the peer shipped (entries across all pages).
     pub keys_received: usize,
     /// Keys whose local registers actually changed when merged.
     pub keys_changed: usize,
-    /// The peer's write-counter value the sweep covered — the new
-    /// high-water mark.
+    /// Compact payload bytes the peer shipped.
+    pub payload_bytes: u64,
+    /// The high-water mark held for the peer after the pull.
     pub up_to: u64,
 }
 
@@ -87,20 +98,16 @@ pub struct SyncReport {
 /// anti-entropy pull (every N-th tick, rotating through peers).
 pub const DEFAULT_FULL_SYNC_EVERY: u64 = 8;
 
-/// How many snapshot exports a donor keeps alive at once. Two is
-/// enough for one in-flight bootstrap plus one straggler resuming a
-/// superseded stream; anything older re-exports on demand.
-const MAX_CACHED_EXPORTS: usize = 2;
+/// Most bytes of entries one [`Message::Delta`] page carries (it may
+/// run over by one entry). Small against the wire's frame limit and
+/// against a node's memory, large enough that a pull of a few thousand
+/// sketches is still one exchange.
+const PAGE_BUDGET_BYTES: u32 = 4 << 20;
 
-/// One cached checkpoint image being streamed to bootstrappers. The
-/// image is immutable once exported; chunks are sliced out of it on
-/// demand, so a resume after transport failure re-reads the same
-/// bytes.
-struct SnapshotExport {
-    id: u64,
-    epoch: u64,
-    image: Arc<[u8]>,
-}
+/// Consecutive replies a pull tolerates that move its cursor nowhere:
+/// answers to some other request (a duplicated or reordered frame), or
+/// pages that cover nothing yet.
+const MAX_STALLED_PAGES: u32 = 4;
 
 /// One replica of the cluster: a node id, the local store, and the
 /// per-peer replication bookkeeping.
@@ -117,12 +124,6 @@ pub struct ClusterNode<S> {
     /// Gossip tick counter; drives the anti-entropy rotation.
     ticks: AtomicU64,
     full_sync_every: u64,
-    /// Donor side of node bootstrap: cached checkpoint images being
-    /// streamed out, newest last.
-    exports: Mutex<Vec<SnapshotExport>>,
-    /// Export id allocator (ids start at 1; 0 on the wire means
-    /// "start a fresh stream").
-    export_ids: AtomicU64,
     /// The report of the last completed bootstrap of *this* node, if
     /// any — kept for operators ([`last_bootstrap`](Self::last_bootstrap)).
     last_bootstrap: Mutex<Option<BootstrapReport>>,
@@ -147,8 +148,6 @@ impl<S: ClusterSketch> ClusterNode<S> {
             high_water: Mutex::new(HashMap::new()),
             ticks: AtomicU64::new(0),
             full_sync_every: DEFAULT_FULL_SYNC_EVERY,
-            exports: Mutex::new(Vec::new()),
-            export_ids: AtomicU64::new(0),
             last_bootstrap: Mutex::new(None),
         }
     }
@@ -186,10 +185,14 @@ impl<S: ClusterSketch> ClusterNode<S> {
     /// [`Message::Error`].
     pub fn handle(&self, request: Message) -> Message {
         match request {
-            Message::DeltaRequest { after } => {
-                let delta = self.store.delta_since(after);
+            Message::DeltaRequest { after, page_bytes } => {
+                let delta = self
+                    .store
+                    .delta_since(after, page_bytes.min(PAGE_BUDGET_BYTES) as usize);
                 Message::Delta {
+                    after,
                     up_to: delta.up_to,
+                    complete: delta.complete,
                     entries: delta
                         .entries
                         .into_iter()
@@ -269,12 +272,6 @@ impl<S: ClusterSketch> ClusterNode<S> {
                     Err(error) => store_error_message(&error),
                 }
             }
-            Message::SnapshotRequest {
-                snapshot_id,
-                chunk,
-                chunk_bytes,
-                max_lag,
-            } => self.serve_snapshot_chunk(snapshot_id, chunk, chunk_bytes, max_lag),
             // Shutdown is transport-level: the serving loop intercepts
             // it; a node reached in-process just acknowledges.
             Message::Shutdown => Message::Ack,
@@ -286,8 +283,8 @@ impl<S: ClusterSketch> ClusterNode<S> {
     }
 
     /// Merges a batch of shipped entries into the local store.
-    /// Returns `(keys_received, keys_changed)`.
-    fn apply_entries(&self, entries: &[WireEntry]) -> Result<(usize, usize), ClusterError> {
+    /// Returns how many changed local registers.
+    fn apply_entries(&self, entries: &[WireEntry]) -> Result<usize, ClusterError> {
         let mut changed = 0;
         for entry in entries {
             let sketch = S::decompress(&self.prototype, &entry.payload)
@@ -296,13 +293,15 @@ impl<S: ClusterSketch> ClusterNode<S> {
                 changed += 1;
             }
         }
-        Ok((entries.len(), changed))
+        Ok(changed)
     }
 
-    /// Pulls one delta from `peer` over `transport`: asks for
-    /// everything past the current high-water mark, merges the
-    /// entries, and advances the mark (monotonically — a reordered
-    /// stale response can never regress it).
+    /// Pulls a delta from `peer` over `transport`: asks for
+    /// everything past the current high-water mark, page by page,
+    /// merges the entries, and advances the mark with every page
+    /// (monotonically — a reordered stale response can never regress
+    /// it). A pull that fails part-way keeps what it applied; the next
+    /// one resumes from the mark.
     pub fn sync_with(
         &self,
         transport: &impl Transport,
@@ -322,33 +321,79 @@ impl<S: ClusterSketch> ClusterNode<S> {
         self.pull_from(transport, peer, 0)
     }
 
+    /// The one path replica state takes between nodes: requests pages
+    /// past `after` until the peer reports the last one.
     fn pull_from(
         &self,
         transport: &impl Transport,
         peer: NodeId,
         after: u64,
     ) -> Result<SyncReport, ClusterError> {
-        let response = transport.request(peer, &Message::DeltaRequest { after })?;
-        match response {
-            Message::Delta { up_to, entries } => {
-                let (keys_received, keys_changed) = self.apply_entries(&entries)?;
-                let mut marks = self.high_water.lock();
-                let mark = marks.entry(peer).or_insert(0);
-                *mark = (*mark).max(up_to);
-                let up_to = *mark;
-                drop(marks);
-                Ok(SyncReport {
-                    peer,
-                    keys_received,
-                    keys_changed,
+        let mut cursor = after;
+        let mut stalled = 0;
+        let mut report = SyncReport {
+            peer,
+            pages: 0,
+            keys_received: 0,
+            keys_changed: 0,
+            payload_bytes: 0,
+            up_to: 0,
+        };
+        loop {
+            let request = Message::DeltaRequest {
+                after: cursor,
+                page_bytes: PAGE_BUDGET_BYTES,
+            };
+            let reached = match transport.request(peer, &request)? {
+                Message::Delta {
+                    after,
                     up_to,
-                })
+                    complete,
+                    entries,
+                } if after == cursor => {
+                    report.pages += 1;
+                    report.keys_received += entries.len();
+                    report.keys_changed += self.apply_entries(&entries)?;
+                    report.payload_bytes += entries
+                        .iter()
+                        .map(|entry| entry.payload.len() as u64)
+                        .sum::<u64>();
+                    self.advance_high_water(peer, up_to);
+                    if complete {
+                        break;
+                    }
+                    up_to
+                }
+                // The answer to some other request — a duplicated or
+                // reordered frame. Its `up_to` is relative to a cursor
+                // that is not ours, so nothing is learnt from it.
+                Message::Delta { .. } => cursor,
+                Message::Error { code, detail } => {
+                    return Err(ClusterError::from_remote(code, detail))
+                }
+                other => {
+                    return Err(ClusterError::Protocol(format!(
+                        "expected Delta, got {other:?}"
+                    )))
+                }
+            };
+            if reached > cursor {
+                cursor = reached;
+                stalled = 0;
+            } else {
+                // Ask again from the same cursor. (A genuine page can
+                // stall too: one whose keys were all stamped during the
+                // peer's sweep covers nothing until its next sweep.)
+                stalled += 1;
+                if stalled > MAX_STALLED_PAGES {
+                    return Err(ClusterError::Protocol(format!(
+                        "node {peer} sent {stalled} replies in a row that reach no further than {cursor}"
+                    )));
+                }
             }
-            Message::Error { code, detail } => Err(ClusterError::from_remote(code, detail)),
-            other => Err(ClusterError::Protocol(format!(
-                "expected Delta, got {other:?}"
-            ))),
         }
+        report.up_to = self.high_water(peer);
+        Ok(report)
     }
 
     /// One delta pull from every peer. Per-peer failures are returned,
@@ -366,6 +411,11 @@ impl<S: ClusterSketch> ClusterNode<S> {
     /// One gossip tick: a delta pull from every peer, plus — every
     /// [`full_sync_every`](Self::full_sync_every)-th tick — a full
     /// anti-entropy pull from one peer, rotating through the peer set.
+    /// A node whose store is empty first catches up from one donor
+    /// ([`bootstrap_via`](Self::bootstrap_via), peers in order), so the
+    /// pulls that follow start from fresh marks instead of shipping
+    /// every peer's whole state; if no donor delivers, they do that
+    /// anyway.
     /// This is what the TCP server's gossip thread runs on its timer;
     /// tests drive it directly for determinism.
     pub fn gossip_tick(
@@ -373,8 +423,16 @@ impl<S: ClusterSketch> ClusterNode<S> {
         transport: &impl Transport,
     ) -> Vec<(NodeId, Result<SyncReport, ClusterError>)> {
         let tick = self.ticks.fetch_add(1, Ordering::Relaxed);
+        let caught_up =
+            self.needs_bootstrap() && self.bootstrap_via(transport, &self.peers).is_ok();
         let mut reports = self.sync_round(transport);
-        if self.full_sync_every > 0 && !self.peers.is_empty() && tick % self.full_sync_every == 0 {
+        // A node that just pulled one peer's whole state has nothing
+        // for a second full pull to repair yet.
+        if !caught_up
+            && self.full_sync_every > 0
+            && !self.peers.is_empty()
+            && tick % self.full_sync_every == 0
+        {
             let peer = self.peers[(tick / self.full_sync_every) as usize % self.peers.len()];
             reports.push((peer, self.full_sync_with(transport, peer)));
         }
@@ -396,79 +454,6 @@ impl<S: ClusterSketch> ClusterNode<S> {
         let mut marks = self.high_water.lock();
         let mark = marks.entry(peer).or_insert(0);
         *mark = (*mark).max(up_to);
-    }
-
-    /// Donor side of node bootstrap: serves one CRC-framed chunk of a
-    /// checkpoint image.
-    ///
-    /// `snapshot_id == 0` (or an id this donor no longer caches)
-    /// starts a fresh export and answers with **chunk 0** of the new
-    /// stream regardless of the requested index — the requester
-    /// detects the id change and restarts accumulation, so a donor
-    /// restart mid-stream cannot splice two different images together.
-    fn serve_snapshot_chunk(
-        &self,
-        snapshot_id: u64,
-        chunk: u32,
-        chunk_bytes: u32,
-        max_lag: u64,
-    ) -> Message {
-        let chunk_len = (chunk_bytes as usize).min(MAX_SNAPSHOT_CHUNK_BYTES);
-        if chunk_len == 0 {
-            return Message::Error {
-                code: ErrorCode::BadRequest,
-                detail: "snapshot chunk_bytes must be at least 1".to_owned(),
-            };
-        }
-        let mut exports = self.exports.lock();
-        let cached = (snapshot_id != 0)
-            .then(|| exports.iter().find(|export| export.id == snapshot_id))
-            .flatten();
-        let (id, epoch, image, chunk) = match cached {
-            Some(export) => (export.id, export.epoch, Arc::clone(&export.image), chunk),
-            None => {
-                // Unknown stream: refuse if there is nothing to ship,
-                // otherwise export fresh and restart at chunk 0.
-                if self.store.is_empty() {
-                    return Message::Error {
-                        code: ErrorCode::Unavailable,
-                        detail: "nothing to bootstrap from: store is empty".to_owned(),
-                    };
-                }
-                let exported = self.store.export_checkpoint(max_lag);
-                let id = self.export_ids.fetch_add(1, Ordering::Relaxed) + 1;
-                let image: Arc<[u8]> = exported.bytes.into();
-                exports.push(SnapshotExport {
-                    id,
-                    epoch: exported.write_epoch,
-                    image: Arc::clone(&image),
-                });
-                if exports.len() > MAX_CACHED_EXPORTS {
-                    exports.remove(0);
-                }
-                (id, exported.write_epoch, image, 0)
-            }
-        };
-        drop(exports);
-        let total_chunks = image.len().div_ceil(chunk_len).max(1) as u32;
-        if chunk >= total_chunks {
-            return Message::Error {
-                code: ErrorCode::BadRequest,
-                detail: format!("snapshot chunk {chunk} out of range (total {total_chunks})"),
-            };
-        }
-        let start = chunk as usize * chunk_len;
-        let end = (start + chunk_len).min(image.len());
-        let data = image[start..end].to_vec();
-        Message::SnapshotChunk {
-            snapshot_id: id,
-            epoch,
-            total_bytes: image.len() as u64,
-            chunk,
-            total_chunks,
-            crc: crc32(&data),
-            data,
-        }
     }
 }
 

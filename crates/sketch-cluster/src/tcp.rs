@@ -26,7 +26,7 @@
 //! carries is idempotent: inserting an element twice, or merging a
 //! delta twice, leaves the registers exactly as once (SetSketch
 //! insert and merge are commutative and idempotent), and reads and
-//! snapshot chunks change nothing. A timeout, and any failure on a
+//! delta pulls change nothing. A timeout, and any failure on a
 //! fresh socket, surface to the caller unchanged.
 //!
 //! **Deadlines.** Every socket the transport opens carries
@@ -51,9 +51,7 @@
 //! [`MAX_LIVE_CONNECTIONS`]: one more gets an
 //! [`ErrorCode::Overloaded`] frame and no thread.
 
-use crate::bootstrap::BootstrapConfig;
 use crate::error::ClusterError;
-use crate::health::Resilient;
 use crate::node::{ClusterNode, ClusterSketch};
 use crate::transport::Transport;
 use crate::wire::{read_frame, write_frame, ErrorCode, FrameError, Message, NodeId};
@@ -372,7 +370,11 @@ impl TcpServer {
     /// any [`Transport`], so a [`TcpTransport`] can be wrapped in
     /// [`Resilient`](crate::Resilient) for retries and suspicion
     /// tracking. Transient per-peer failures are expected and ignored
-    /// — the next tick retries.
+    /// — the next tick retries. A node that comes up empty (a cold
+    /// replacement) spends its first ticks catching up from one donor
+    /// ([`ClusterNode::bootstrap_via`]) — peers may still be coming up
+    /// when a replaced node starts, so "no donor yet" is waited out
+    /// tick by tick, not an error.
     pub fn start_gossip<S: ClusterSketch, T: Transport + Send + Sync + 'static>(
         &mut self,
         node: Arc<ClusterNode<S>>,
@@ -383,44 +385,6 @@ impl TcpServer {
         let handle = std::thread::Builder::new()
             .name(format!("cluster-gossip-{}", node.id()))
             .spawn(move || {
-                while !shared.stop.load(Ordering::Acquire) {
-                    std::thread::sleep(interval);
-                    if shared.stop.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let _ = node.gossip_tick(&*transport);
-                }
-            })
-            .expect("spawn gossip thread");
-        self.gossip_handle = Some(handle);
-    }
-
-    /// [`start_gossip`](Self::start_gossip) for a node that may be a
-    /// cold replacement: before the tick loop starts, if the node
-    /// [`needs_bootstrap`](ClusterNode::needs_bootstrap), the gossip
-    /// thread first pulls a peer's checkpoint
-    /// ([`ClusterNode::bootstrap`]), retrying on a fresh donor
-    /// ordering every `interval` until some donor delivers — peers
-    /// may still be coming up when a replaced node starts, so "no
-    /// donor yet" is a condition to wait out, not an error. Delta
-    /// sync then starts from the snapshot instead of from nothing.
-    pub fn start_gossip_with_bootstrap<S: ClusterSketch, T: Transport + Send + Sync + 'static>(
-        &mut self,
-        node: Arc<ClusterNode<S>>,
-        transport: Arc<Resilient<T>>,
-        interval: Duration,
-        config: BootstrapConfig,
-    ) {
-        let shared = Arc::clone(&self.shared);
-        let handle = std::thread::Builder::new()
-            .name(format!("cluster-gossip-{}", node.id()))
-            .spawn(move || {
-                while node.needs_bootstrap() && !shared.stop.load(Ordering::Acquire) {
-                    if node.bootstrap(&transport, &config).is_ok() {
-                        break;
-                    }
-                    std::thread::sleep(interval);
-                }
                 while !shared.stop.load(Ordering::Acquire) {
                     std::thread::sleep(interval);
                     if shared.stop.load(Ordering::Acquire) {

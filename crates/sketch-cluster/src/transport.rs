@@ -79,7 +79,6 @@ type Handler = Arc<dyn Fn(Message) -> Message + Send + Sync>;
 pub struct MemNetwork {
     handlers: RwLock<HashMap<NodeId, Handler>>,
     stats: Mutex<TrafficStats>,
-    by_kind: Mutex<HashMap<&'static str, TrafficStats>>,
 }
 
 impl MemNetwork {
@@ -102,25 +101,9 @@ impl MemNetwork {
         *self.stats.lock()
     }
 
-    /// Traffic counters broken down by request kind
-    /// ([`Message::kind`]), ascending by kind — what lets a benchmark
-    /// attribute bytes to snapshot shipping vs delta sync vs
-    /// anti-entropy on the same run.
-    pub fn stats_by_kind(&self) -> Vec<(&'static str, TrafficStats)> {
-        let mut out: Vec<_> = self
-            .by_kind
-            .lock()
-            .iter()
-            .map(|(&kind, &stats)| (kind, stats))
-            .collect();
-        out.sort_unstable_by_key(|&(kind, _)| kind);
-        out
-    }
-
-    /// Zeroes the traffic counters (total and per-kind).
+    /// Zeroes the traffic counters.
     pub fn reset_stats(&self) {
         *self.stats.lock() = TrafficStats::default();
-        self.by_kind.lock().clear();
     }
 }
 
@@ -132,22 +115,18 @@ impl Transport for MemNetwork {
             .get(&peer)
             .cloned()
             .ok_or(ClusterError::UnknownPeer(peer))?;
-        // Round-trip the request through the real frame codec.
-        let request_frame = message.encode_frame();
+        // Round-trip the request through the real frame codec — a
+        // message a socket would refuse to send is refused here too.
+        let request_frame = message.encode_frame()?;
         let delivered = read_frame(&mut request_frame.as_slice())?;
         let response = handler(delivered);
-        let response_frame = response.encode_frame();
+        let response_frame = response.encode_frame()?;
         let returned = read_frame(&mut response_frame.as_slice())?;
         let mut stats = self.stats.lock();
         stats.exchanges += 1;
         stats.request_bytes += request_frame.len() as u64;
         stats.response_bytes += response_frame.len() as u64;
         drop(stats);
-        let mut by_kind = self.by_kind.lock();
-        let entry = by_kind.entry(message.kind()).or_default();
-        entry.exchanges += 1;
-        entry.request_bytes += request_frame.len() as u64;
-        entry.response_bytes += response_frame.len() as u64;
         Ok(returned)
     }
 }

@@ -18,23 +18,30 @@
 //! validated against the bytes actually present **before** any
 //! allocation is sized from it, so a malicious or corrupted length
 //! field can neither panic the process nor balloon memory — it fails
-//! with a typed [`WireError`]. Frame readers additionally cap the
-//! payload length at [`MAX_FRAME_BYTES`] before reading the body.
+//! with a typed [`WireError`]. [`MAX_FRAME_BYTES`] is enforced on both
+//! sides: the one frame encoder refuses a payload over it, and readers
+//! cap the declared length at it before reading the body — so a frame
+//! that was sent can always be read.
 //!
 //! Sketch registers travel as the family's
 //! [`CompactSketch`](sketch_core::CompactSketch) payloads inside
 //! [`Message::Delta`] entries — warm and frozen store tiers ship their
 //! already-compressed bytes end to end, and hot sketches are
-//! compressed once at the sending edge.
+//! compressed once at the sending edge. A delta is one bounded page
+//! and carries a CRC-32 over its body, verified before any entry is
+//! handed to the caller.
 
+use sketch_math::crc32;
 use std::io::{self, Read, Write};
 
 /// Identifier of one cluster node (also the consistent-hash ring's
 /// member key).
 pub type NodeId = u32;
 
-/// Hard ceiling on a frame's payload length. A header declaring more
-/// is rejected before the body is read or any buffer is allocated.
+/// Hard ceiling on a frame's payload length. A message that encodes
+/// to more is refused by [`Message::encode_frame`], and a header
+/// declaring more is rejected before the body is read or any buffer is
+/// allocated.
 pub const MAX_FRAME_BYTES: usize = 64 << 20;
 
 /// The two magic bytes opening every frame — `"SK"`. A connection that
@@ -44,7 +51,7 @@ pub const PROTOCOL_MAGIC: [u8; 2] = *b"SK";
 /// The protocol revision this build speaks. Bumped on any change to
 /// frame layout or message encodings; a reader refuses other versions
 /// with [`WireError::UnsupportedVersion`] rather than misparsing.
-pub const PROTOCOL_VERSION: u8 = 1;
+pub const PROTOCOL_VERSION: u8 = 2;
 
 /// Typed decoding failures. Decoding never panics and never allocates
 /// more than the input's own length.
@@ -84,6 +91,9 @@ pub enum WireError {
     },
     /// A declared element count cannot fit in the remaining bytes.
     LengthMismatch,
+    /// A [`Message::Delta`]'s checksum does not match its body: the
+    /// page was damaged in flight and none of it may be merged.
+    BadChecksum,
 }
 
 impl std::fmt::Display for WireError {
@@ -117,6 +127,9 @@ impl std::fmt::Display for WireError {
             WireError::LengthMismatch => {
                 write!(f, "declared length exceeds the bytes present")
             }
+            WireError::BadChecksum => {
+                write!(f, "delta page checksum mismatch")
+            }
         }
     }
 }
@@ -149,8 +162,8 @@ pub enum ErrorCode {
     BadRequest = 4,
     /// The node cannot serve this message type.
     Unsupported = 5,
-    /// The node cannot serve the request *right now* (e.g. a snapshot
-    /// donor with nothing to bootstrap from) — try another peer.
+    /// The node cannot serve the request *right now* (e.g. a bootstrap
+    /// donor that holds nothing yet) — try another peer.
     Unavailable = 6,
     /// The node already serves its maximum number of live connections
     /// and refused this one before reading any request from it.
@@ -214,19 +227,33 @@ impl WireNeighbor {
 /// way per exchange.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
-    /// Pull request: "ship me every key whose version exceeds `after`"
-    /// (in the answering store's write-counter domain). `after = 0`
-    /// asks for the full state — the anti-entropy path.
+    /// Pull request: "ship me the next page of keys whose version
+    /// exceeds `after`" (in the answering store's write-counter
+    /// domain). `after = 0` starts a full-state transfer — the
+    /// anti-entropy and bootstrap path.
     DeltaRequest {
         /// High-water version the requester has already applied.
         after: u64,
+        /// Most bytes of entries the requester wants in the reply; the
+        /// answering node caps it at its own page budget and may
+        /// exceed it by one entry.
+        page_bytes: u32,
     },
-    /// The delta: changed keys with compact payloads, plus the counter
-    /// value the sweep covers (the requester's next high-water mark).
+    /// One page of a delta: changed keys with compact payloads in
+    /// ascending version order, and how far the page reaches. On the
+    /// wire the body is followed by its CRC-32, which [`Message::decode`]
+    /// verifies before building any entry.
     Delta {
-        /// Write-counter value the sweep observed before starting.
+        /// The `after` of the request this page answers. A requester
+        /// that finds another value is looking at a duplicated or
+        /// reordered frame, and `up_to` says nothing about its cursor.
+        after: u64,
+        /// The highest version the page fully covers — the requester's
+        /// next high-water mark, and the `after` of its next request.
         up_to: u64,
-        /// Changed keys in ascending key order.
+        /// True when no key past `after` was left out of the page.
+        complete: bool,
+        /// The page's keys.
         entries: Vec<WireEntry>,
     },
     /// Record a batch of elements under a key.
@@ -267,46 +294,6 @@ pub enum Message {
     /// Ask the serving process to stop accepting connections and exit
     /// its serve loop.
     Shutdown,
-    /// Ask a donor for one chunk of its checkpoint image — the
-    /// bootstrap stream is a sequence of these strict request/response
-    /// exchanges, which is what makes resume-from-chunk after a
-    /// mid-stream failure natural (the requester just re-asks for the
-    /// chunk it is missing).
-    SnapshotRequest {
-        /// The export being streamed, as previously returned in a
-        /// [`Message::SnapshotChunk`]; `0` asks the donor to start (or
-        /// restart) a fresh export.
-        snapshot_id: u64,
-        /// Zero-based index of the requested chunk.
-        chunk: u32,
-        /// Requested chunk size in bytes (the donor may clamp it).
-        chunk_bytes: u32,
-        /// Maximum donor-side checkpoint lag (write-counter ticks) the
-        /// requester accepts before the donor must sweep fresh.
-        max_lag: u64,
-    },
-    /// One chunk of a donor's checkpoint image.
-    SnapshotChunk {
-        /// Identifies the export this chunk belongs to. A response
-        /// carrying a different id than requested means the donor
-        /// restarted the export — the requester resets to chunk 0.
-        snapshot_id: u64,
-        /// The donor's write counter covered by the image (the
-        /// requester's high-water mark toward the donor once
-        /// installed).
-        epoch: u64,
-        /// Total size of the full image in bytes.
-        total_bytes: u64,
-        /// Zero-based index of this chunk.
-        chunk: u32,
-        /// Number of chunks in the full image.
-        total_chunks: u32,
-        /// CRC32 of `data`, validated by the requester before the
-        /// chunk is buffered.
-        crc: u32,
-        /// This chunk's slice of the image.
-        data: Vec<u8>,
-    },
     /// Positive acknowledgement with no payload.
     Ack,
     /// A scalar response (cardinality, Jaccard), as IEEE-754 bits.
@@ -343,13 +330,11 @@ const TAG_JACCARD: u8 = 5;
 const TAG_SIMILAR_KEYS: u8 = 6;
 const TAG_UNION_SKETCH: u8 = 7;
 const TAG_SHUTDOWN: u8 = 8;
-const TAG_SNAPSHOT_REQUEST: u8 = 9;
 const TAG_ACK: u8 = 16;
 const TAG_VALUE: u8 = 17;
 const TAG_NEIGHBORS: u8 = 18;
 const TAG_PAYLOAD: u8 = 19;
 const TAG_ERROR: u8 = 20;
-const TAG_SNAPSHOT_CHUNK: u8 = 21;
 
 impl Message {
     /// Encodes the message payload (without the frame length prefix).
@@ -365,19 +350,30 @@ impl Message {
     /// the buffer that is sent.
     fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
-            Message::DeltaRequest { after } => {
+            Message::DeltaRequest { after, page_bytes } => {
                 buf.push(TAG_DELTA_REQUEST);
                 put_u64(buf, *after);
+                put_u32(buf, *page_bytes);
             }
-            Message::Delta { up_to, entries } => {
+            Message::Delta {
+                after,
+                up_to,
+                complete,
+                entries,
+            } => {
+                let body = buf.len();
                 buf.push(TAG_DELTA);
+                put_u64(buf, *after);
                 put_u64(buf, *up_to);
+                buf.push(u8::from(*complete));
                 put_u32(buf, entries.len() as u32);
                 for entry in entries {
                     put_str(buf, &entry.key);
                     put_u64(buf, entry.version);
                     put_bytes(buf, &entry.payload);
                 }
+                let crc = crc32(&buf[body..]);
+                put_u32(buf, crc);
             }
             Message::Ingest { key, elements } => {
                 buf.push(TAG_INGEST);
@@ -414,36 +410,6 @@ impl Message {
                 }
             }
             Message::Shutdown => buf.push(TAG_SHUTDOWN),
-            Message::SnapshotRequest {
-                snapshot_id,
-                chunk,
-                chunk_bytes,
-                max_lag,
-            } => {
-                buf.push(TAG_SNAPSHOT_REQUEST);
-                put_u64(buf, *snapshot_id);
-                put_u32(buf, *chunk);
-                put_u32(buf, *chunk_bytes);
-                put_u64(buf, *max_lag);
-            }
-            Message::SnapshotChunk {
-                snapshot_id,
-                epoch,
-                total_bytes,
-                chunk,
-                total_chunks,
-                crc,
-                data,
-            } => {
-                buf.push(TAG_SNAPSHOT_CHUNK);
-                put_u64(buf, *snapshot_id);
-                put_u64(buf, *epoch);
-                put_u64(buf, *total_bytes);
-                put_u32(buf, *chunk);
-                put_u32(buf, *total_chunks);
-                put_u32(buf, *crc);
-                put_bytes(buf, data);
-            }
             Message::Ack => buf.push(TAG_ACK),
             Message::Value { bits } => {
                 buf.push(TAG_VALUE);
@@ -477,9 +443,23 @@ impl Message {
         let message = match tag {
             TAG_DELTA_REQUEST => Message::DeltaRequest {
                 after: cursor.u64()?,
+                page_bytes: cursor.u32()?,
             },
             TAG_DELTA => {
+                // The checksum trails the body; check it before any
+                // field of the body is believed.
+                let fields_len = cursor
+                    .remaining()
+                    .checked_sub(4)
+                    .ok_or(WireError::Truncated)?;
+                let (body, trailer) = bytes.split_at(1 + fields_len);
+                if crc32(body) != u32::from_le_bytes(trailer.try_into().expect("4")) {
+                    return Err(WireError::BadChecksum);
+                }
+                cursor = Cursor::new(&body[1..]);
+                let after = cursor.u64()?;
                 let up_to = cursor.u64()?;
+                let complete = cursor.u8()? != 0;
                 let count = cursor.count(MIN_ENTRY_BYTES)?;
                 let mut entries = Vec::with_capacity(count);
                 for _ in 0..count {
@@ -492,7 +472,12 @@ impl Message {
                         payload,
                     });
                 }
-                Message::Delta { up_to, entries }
+                Message::Delta {
+                    after,
+                    up_to,
+                    complete,
+                    entries,
+                }
             }
             TAG_INGEST => {
                 let key = cursor.string()?;
@@ -524,21 +509,6 @@ impl Message {
                 Message::UnionSketch { keys }
             }
             TAG_SHUTDOWN => Message::Shutdown,
-            TAG_SNAPSHOT_REQUEST => Message::SnapshotRequest {
-                snapshot_id: cursor.u64()?,
-                chunk: cursor.u32()?,
-                chunk_bytes: cursor.u32()?,
-                max_lag: cursor.u64()?,
-            },
-            TAG_SNAPSHOT_CHUNK => Message::SnapshotChunk {
-                snapshot_id: cursor.u64()?,
-                epoch: cursor.u64()?,
-                total_bytes: cursor.u64()?,
-                chunk: cursor.u32()?,
-                total_chunks: cursor.u32()?,
-                crc: cursor.u32()?,
-                data: cursor.bytes()?,
-            },
             TAG_ACK => Message::Ack,
             TAG_VALUE => Message::Value {
                 bits: cursor.u64()?,
@@ -580,8 +550,6 @@ impl Message {
             Message::SimilarKeys { .. } => "similar_keys",
             Message::UnionSketch { .. } => "union_sketch",
             Message::Shutdown => "shutdown",
-            Message::SnapshotRequest { .. } => "snapshot_request",
-            Message::SnapshotChunk { .. } => "snapshot_chunk",
             Message::Ack => "ack",
             Message::Value { .. } => "value",
             Message::Neighbors { .. } => "neighbors",
@@ -600,24 +568,39 @@ impl Message {
                 .iter()
                 .map(|entry| MIN_ENTRY_BYTES + entry.key.len() + entry.payload.len())
                 .sum(),
-            Message::SnapshotChunk { data, .. } => data.len(),
             Message::Payload { bytes } => bytes.len(),
             _ => 0,
         }
     }
 
     /// Encodes the message as a complete frame: magic, version byte,
-    /// `u32` LE payload length, then the payload.
-    pub fn encode_frame(&self) -> Vec<u8> {
+    /// `u32` LE payload length, then the payload. Every frame that is
+    /// sent — over a socket or through the in-process network — is
+    /// built here, so the limit is enforced in one place.
+    ///
+    /// # Errors
+    /// [`io::ErrorKind::InvalidInput`] when the payload exceeds
+    /// [`MAX_FRAME_BYTES`] — a frame no reader would accept (and whose
+    /// length could wrap the `u32` field) is never produced.
+    pub fn encode_frame(&self) -> io::Result<Vec<u8>> {
         let mut frame = Vec::with_capacity(64 + self.bulk_bytes());
         frame.extend_from_slice(&PROTOCOL_MAGIC);
         frame.push(PROTOCOL_VERSION);
         // Length placeholder, patched once the payload is in place.
         frame.extend_from_slice(&[0; 4]);
         self.encode_into(&mut frame);
-        let payload_len = (frame.len() - FRAME_HEADER_BYTES) as u32;
-        frame[3..FRAME_HEADER_BYTES].copy_from_slice(&payload_len.to_le_bytes());
-        frame
+        let payload_len = frame.len() - FRAME_HEADER_BYTES;
+        if payload_len > MAX_FRAME_BYTES {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "{} message of {payload_len} bytes exceeds the {MAX_FRAME_BYTES}-byte frame limit",
+                    self.kind()
+                ),
+            ));
+        }
+        frame[3..FRAME_HEADER_BYTES].copy_from_slice(&(payload_len as u32).to_le_bytes());
+        Ok(frame)
     }
 }
 
@@ -628,9 +611,10 @@ const MIN_ENTRY_BYTES: usize = 16;
 /// Bytes before the payload: magic (2) + version (1) + length (4).
 const FRAME_HEADER_BYTES: usize = 7;
 
-/// Writes one framed message.
+/// Writes one framed message — or nothing at all, when the message is
+/// over the frame limit (see [`Message::encode_frame`]).
 pub fn write_frame(writer: &mut impl Write, message: &Message) -> io::Result<()> {
-    writer.write_all(&message.encode_frame())?;
+    writer.write_all(&message.encode_frame()?)?;
     writer.flush()
 }
 
@@ -811,16 +795,76 @@ mod tests {
     #[test]
     fn frame_roundtrip() {
         let message = Message::Delta {
+            after: 3,
             up_to: 42,
+            complete: false,
             entries: vec![WireEntry {
                 key: "k1".into(),
                 version: 7,
                 payload: vec![1, 2, 3],
             }],
         };
-        let frame = message.encode_frame();
+        let frame = message.encode_frame().unwrap();
         let mut reader = frame.as_slice();
         assert_eq!(read_frame(&mut reader).unwrap(), message);
+    }
+
+    #[test]
+    fn damaged_delta_page_is_refused_whole() {
+        let message = Message::Delta {
+            after: 0,
+            up_to: 9,
+            complete: true,
+            entries: vec![WireEntry {
+                key: "k".into(),
+                version: 9,
+                payload: vec![0xAB; 32],
+            }],
+        };
+        let clean = message.encode();
+        // Header fields, entry bytes and the checksum itself are all
+        // covered: no single flipped bit decodes.
+        for bit in 0..clean.len() * 8 {
+            let mut damaged = clean.clone();
+            damaged[bit / 8] ^= 1 << (bit % 8);
+            assert!(
+                Message::decode(&damaged).is_err(),
+                "bit {bit} went unnoticed"
+            );
+        }
+        assert_eq!(
+            Message::decode(&clean[..clean.len() - 1]).map_err(|_| ()),
+            Err(())
+        );
+        assert_eq!(
+            Message::decode(&[TAG_DELTA, 0, 0]),
+            Err(WireError::Truncated)
+        );
+    }
+
+    #[test]
+    fn writer_and_reader_share_one_limit() {
+        // Fixed fields of an Ingest payload: tag, key length, count.
+        let fixed = 1 + 4 + 4;
+        let at_limit = Message::Ingest {
+            key: String::new(),
+            elements: vec![0; (MAX_FRAME_BYTES - fixed) / 8],
+        };
+        let mut sent = Vec::new();
+        write_frame(&mut sent, &at_limit).unwrap();
+        assert!(matches!(
+            read_frame(&mut sent.as_slice()),
+            Ok(Message::Ingest { .. })
+        ));
+
+        let over_limit = Message::Ingest {
+            key: String::new(),
+            elements: vec![0; (MAX_FRAME_BYTES - fixed) / 8 + 1],
+        };
+        let mut sent = vec![7u8];
+        let error = write_frame(&mut sent, &over_limit).unwrap_err();
+        assert_eq!(error.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(sent, [7u8], "a refused frame writes nothing");
     }
 
     #[test]
@@ -858,7 +902,7 @@ mod tests {
 
     #[test]
     fn future_version_rejected_as_unsupported() {
-        let mut frame = Message::Ack.encode_frame();
+        let mut frame = Message::Ack.encode_frame().unwrap();
         frame[2] = PROTOCOL_VERSION + 1;
         match read_frame(&mut frame.as_slice()) {
             Err(FrameError::Wire(error @ WireError::UnsupportedVersion { found })) => {
@@ -873,33 +917,15 @@ mod tests {
     fn hostile_count_is_bounded_by_input_length() {
         // A Delta claiming u32::MAX entries but carrying none: the
         // count validation must fail before any capacity is reserved.
+        // (The checksum is valid — a hostile sender computes it too.)
         let mut payload = vec![TAG_DELTA];
         put_u64(&mut payload, 0);
+        put_u64(&mut payload, 0);
+        payload.push(1);
         put_u32(&mut payload, u32::MAX);
+        let crc = crc32(&payload);
+        put_u32(&mut payload, crc);
         assert_eq!(Message::decode(&payload), Err(WireError::LengthMismatch));
-    }
-
-    #[test]
-    fn snapshot_messages_roundtrip() {
-        let request = Message::SnapshotRequest {
-            snapshot_id: 7,
-            chunk: 3,
-            chunk_bytes: 65536,
-            max_lag: 1000,
-        };
-        let chunk = Message::SnapshotChunk {
-            snapshot_id: 7,
-            epoch: 99,
-            total_bytes: 10,
-            chunk: 3,
-            total_chunks: 4,
-            crc: 0xDEAD_BEEF,
-            data: vec![1, 2, 3],
-        };
-        for message in [request, chunk] {
-            let frame = message.encode_frame();
-            assert_eq!(read_frame(&mut frame.as_slice()).unwrap(), message);
-        }
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //! mid-ingest, restarted from its write-ahead log, and the three-node
 //! cluster reconverges bit-for-bit. The disk-loss variants go further:
 //! the durable directory itself is destroyed between kill and restart,
-//! so the WAL has nothing to say and the node must rebuild through
-//! checkpoint-shipping bootstrap — including surviving its donor being
-//! SIGKILLed mid-stream.
+//! so the WAL has nothing to say and the node must rebuild by pulling a
+//! peer's whole state in delta pages — including surviving its donor
+//! being SIGKILLed mid-transfer.
 //!
 //! The victim runs as a real OS process (this test binary re-executes
 //! itself — see [`crash_child_serve`]) so the kill is a genuine
@@ -17,9 +17,7 @@
 //! merging absorbs.
 
 use setsketch::{SetSketch2, SetSketchConfig};
-use sketch_cluster::{
-    BootstrapConfig, ClusterNode, Message, NodeId, Resilient, TcpServer, TcpTransport, Transport,
-};
+use sketch_cluster::{ClusterNode, Message, NodeId, Resilient, TcpServer, TcpTransport, Transport};
 use sketch_core::CompactSketch;
 use sketch_rand::mix64;
 use sketch_store::{FsyncPolicy, SketchStore};
@@ -95,9 +93,9 @@ impl Drop for Scratch {
 /// directory, serve on an ephemeral port, print `PORT <n>` and
 /// `RECOVERED <records>` lines, learn peers from one `PEERS` stdin
 /// line, gossip until a Shutdown frame (or a SIGKILL) arrives. With
-/// `CRASH_CHILD_BOOTSTRAP` also set, the gossip thread first
-/// bootstraps from a peer's checkpoint when the store came up empty,
-/// and a `BOOTSTRAP <keys>` line reports the installed key count.
+/// `CRASH_CHILD_BOOTSTRAP` also set, it waits for the gossip thread's
+/// first tick — which catches an empty store up from one peer — and
+/// reports the shipped key count on a `BOOTSTRAP <keys>` line.
 /// With the variables unset — the normal test run — it does nothing.
 #[test]
 fn crash_child_serve() {
@@ -131,25 +129,22 @@ fn crash_child_serve() {
             format!("127.0.0.1:{port}").parse().expect("addr"),
         );
     }
+    server.start_gossip(
+        Arc::clone(&node),
+        Arc::new(Resilient::new(transport)),
+        GOSSIP_EVERY,
+    );
     if std::env::var("CRASH_CHILD_BOOTSTRAP").is_ok() {
-        server.start_gossip_with_bootstrap(
-            Arc::clone(&node),
-            Arc::new(Resilient::new(transport)),
-            GOSSIP_EVERY,
-            BootstrapConfig::default(),
-        );
-        // Report once the gossip thread's bootstrap lands (the store
-        // recovered empty, so it always runs one).
+        // Report once the gossip thread's catch-up lands (the store
+        // recovered empty, so its first ticks attempt one).
         let report = loop {
             match node.last_bootstrap() {
                 Some(report) => break report,
                 None => std::thread::sleep(Duration::from_millis(10)),
             }
         };
-        println!("BOOTSTRAP {}", report.keys_installed);
+        println!("BOOTSTRAP {}", report.keys);
         std::io::stdout().flush().expect("flush bootstrap line");
-    } else {
-        server.start_gossip(Arc::clone(&node), transport, GOSSIP_EVERY);
     }
     server.wait();
 }
@@ -161,8 +156,8 @@ fn spawn_victim(dir: &Path) -> (Child, u16, u64) {
 }
 
 /// [`spawn_victim`], optionally in bootstrap mode
-/// (`CRASH_CHILD_BOOTSTRAP`): the child will pull a peer's checkpoint
-/// before gossiping and print a `BOOTSTRAP <keys>` line (read it with
+/// (`CRASH_CHILD_BOOTSTRAP`): the child will print a `BOOTSTRAP <keys>`
+/// line once its one-donor catch-up lands (read it with
 /// [`read_bootstrap_keys`] after sending the peer map).
 fn spawn_victim_with(dir: &Path, bootstrap: bool) -> (Child, u16, u64) {
     let exe = std::env::current_exe().expect("own path");
@@ -203,7 +198,7 @@ fn handshake_value(reader: &mut BufReader<&mut ChildStdout>, marker: &str) -> St
 }
 
 /// Reads the `BOOTSTRAP <keys>` line a bootstrap-mode child prints
-/// after its checkpoint pull lands. Safe to call with a fresh reader:
+/// after its catch-up pull lands. Safe to call with a fresh reader:
 /// the line is only emitted after the peer map is sent, so the spawn
 /// handshake's reader cannot have buffered past it.
 fn read_bootstrap_keys(child: &mut Child) -> u64 {
@@ -227,16 +222,31 @@ fn send_peer_map(child: &mut Child, ports: &BTreeMap<NodeId, u16>) {
         .expect("send peer map");
 }
 
-/// One node's full state as key → compact payload, pulled over TCP.
+/// One node's full state as key → compact payload, pulled over TCP
+/// page by page.
 fn full_state(transport: &TcpTransport, node: NodeId) -> Option<BTreeMap<String, Vec<u8>>> {
-    match transport.request(node, &Message::DeltaRequest { after: 0 }) {
-        Ok(Message::Delta { entries, .. }) => Some(
-            entries
-                .into_iter()
-                .map(|entry| (entry.key, entry.payload))
-                .collect(),
-        ),
-        _ => None,
+    let mut state = BTreeMap::new();
+    let mut after = 0;
+    loop {
+        let request = Message::DeltaRequest {
+            after,
+            page_bytes: u32::MAX,
+        };
+        match transport.request(node, &request) {
+            Ok(Message::Delta {
+                up_to,
+                complete,
+                entries,
+                ..
+            }) => {
+                state.extend(entries.into_iter().map(|entry| (entry.key, entry.payload)));
+                if complete {
+                    return Some(state);
+                }
+                after = after.max(up_to);
+            }
+            _ => return None,
+        }
     }
 }
 
@@ -394,7 +404,7 @@ fn await_convergence(
 /// Total node loss, not just a crash: the victim is SIGKILLed **and
 /// its durable directory destroyed**, so restart recovers nothing and
 /// the WAL cannot help. The replacement node must rebuild itself by
-/// pulling a survivor's checkpoint (bootstrap), then catch the tail
+/// pulling one survivor's whole state (bootstrap), then catch the tail
 /// through delta sync — no client replays anything.
 #[test]
 fn disk_loss_then_bootstrap_reconverges_bit_for_bit() {
@@ -488,15 +498,16 @@ fn disk_loss_then_bootstrap_reconverges_bit_for_bit() {
     }
 }
 
-/// A transport wrapper that SIGKILLs the donor process after a fixed
-/// number of snapshot chunks have streamed from it — a genuinely dead
-/// donor mid-transfer, not a simulated error.
+/// A transport wrapper that asks for small pages and SIGKILLs the donor
+/// process after a fixed number of them have arrived — a genuinely
+/// dead donor mid-transfer, not a simulated error.
 struct KillSwitch {
     inner: Arc<TcpTransport>,
     donor: NodeId,
     child: Mutex<Child>,
+    page_bytes: u32,
     kill_after: u32,
-    chunks_seen: AtomicU32,
+    pages_seen: AtomicU32,
 }
 
 impl Transport for KillSwitch {
@@ -505,15 +516,24 @@ impl Transport for KillSwitch {
         peer: NodeId,
         message: &Message,
     ) -> Result<Message, sketch_cluster::ClusterError> {
-        let response = self.inner.request(peer, message)?;
-        if peer == self.donor && matches!(response, Message::SnapshotChunk { .. }) {
-            let seen = self.chunks_seen.fetch_add(1, Ordering::SeqCst) + 1;
+        let response = match message {
+            Message::DeltaRequest { after, .. } => self.inner.request(
+                peer,
+                &Message::DeltaRequest {
+                    after: *after,
+                    page_bytes: self.page_bytes,
+                },
+            )?,
+            other => self.inner.request(peer, other)?,
+        };
+        if peer == self.donor && matches!(response, Message::Delta { .. }) {
+            let seen = self.pages_seen.fetch_add(1, Ordering::SeqCst) + 1;
             if seen == self.kill_after {
-                self.child
-                    .lock()
-                    .expect("kill switch lock")
-                    .kill()
-                    .expect("SIGKILL donor mid-stream");
+                let mut child = self.child.lock().expect("kill switch lock");
+                child.kill().expect("SIGKILL donor mid-transfer");
+                // Reaped here, so the next request meets a closed
+                // socket rather than racing the kernel's teardown.
+                child.wait().expect("reap killed donor");
             }
         }
         Ok(response)
@@ -522,7 +542,8 @@ impl Transport for KillSwitch {
 
 /// Donor failover under real process death: a wiped node starts
 /// bootstrapping from the durable child, the child is SIGKILLed
-/// mid-stream, and the bootstrap completes from the second donor —
+/// after its second page, and the bootstrap completes from the second
+/// donor —
 /// ending bit-for-bit on the surviving replica's state.
 #[test]
 fn donor_sigkill_mid_stream_fails_over() {
@@ -572,28 +593,29 @@ fn donor_sigkill_mid_stream_fails_over() {
     }
 
     // The replacement node bootstraps in-process, donors ordered so
-    // the doomed child streams first.
+    // the doomed child ships first, in pages of about one key each.
     let replacement = ClusterNode::new(1, IDS, plain_store());
     let kill_switch = KillSwitch {
         inner: Arc::clone(&transport),
         donor: VICTIM,
         child: Mutex::new(victim),
+        page_bytes: 4096,
         kill_after: 2,
-        chunks_seen: AtomicU32::new(0),
-    };
-    let config = BootstrapConfig {
-        chunk_bytes: 4096,
-        ..BootstrapConfig::default()
+        pages_seen: AtomicU32::new(0),
     };
     let report = replacement
-        .bootstrap_via(&kill_switch, &[VICTIM, 0], &config)
+        .bootstrap_via(&kill_switch, &[VICTIM, 0])
         .unwrap();
     assert_eq!(report.donor, 0, "bootstrap must fail over to the survivor");
     assert_eq!(report.failed_donors, vec![VICTIM]);
     assert_eq!(
-        kill_switch.chunks_seen.load(Ordering::SeqCst),
+        kill_switch.pages_seen.load(Ordering::SeqCst),
         2,
-        "the donor died before streaming the expected chunks"
+        "the donor died before shipping the expected pages"
+    );
+    assert!(
+        replacement.high_water(VICTIM) > 0,
+        "the dead donor's pages stay applied and its mark keeps their progress"
     );
 
     // The installed state matches the reference bit-for-bit.
@@ -612,11 +634,5 @@ fn donor_sigkill_mid_stream_fails_over() {
         .collect();
     assert_eq!(installed, expected);
 
-    kill_switch
-        .child
-        .into_inner()
-        .expect("reap lock")
-        .wait()
-        .expect("reap killed donor");
     server.shutdown();
 }

@@ -332,7 +332,7 @@ fn version_mismatch_gets_a_typed_refusal_over_tcp() {
     }
 
     // A same-magic, future-version client.
-    let mut future = Message::Ack.encode_frame();
+    let mut future = Message::Ack.encode_frame().unwrap();
     assert_eq!(&future[..2], &PROTOCOL_MAGIC[..]);
     future[2] = PROTOCOL_VERSION + 1;
     let mut stream = TcpStream::connect(addr).unwrap();
@@ -373,7 +373,7 @@ fn refusal_frames_are_current_version() {
     stream
         .set_read_timeout(Some(Duration::from_secs(5)))
         .unwrap();
-    let mut bad = Message::Ack.encode_frame();
+    let mut bad = Message::Ack.encode_frame().unwrap();
     bad[0] = b'X';
     stream.write_all(&bad).unwrap();
     // Also prove it at the byte level: first three reply bytes are the
@@ -390,10 +390,13 @@ fn refusal_frames_are_current_version() {
 /// paths cannot drift apart on the handshake prologue.
 #[test]
 fn write_frame_emits_the_handshake_prologue() {
-    let message = Message::DeltaRequest { after: 17 };
+    let message = Message::DeltaRequest {
+        after: 17,
+        page_bytes: 4096,
+    };
     let mut sent = Vec::new();
     write_frame(&mut sent, &message).unwrap();
-    assert_eq!(sent, message.encode_frame());
+    assert_eq!(sent, message.encode_frame().unwrap());
     assert_eq!(&sent[..2], &PROTOCOL_MAGIC[..]);
     assert_eq!(sent[2], PROTOCOL_VERSION);
 }

@@ -235,13 +235,13 @@ fn undecodable_reply_poisons_the_socket() {
     garbage.push(PROTOCOL_VERSION);
     garbage.extend_from_slice(&1u32.to_le_bytes());
     garbage.push(0xFF); // no such message tag
-    let mut truncated = Message::Ack.encode_frame();
+    let mut truncated = Message::Ack.encode_frame().unwrap();
     truncated[3..7].copy_from_slice(&100u32.to_le_bytes());
     // (reply bytes, keep the connection open afterwards)
     let replies = [
         (garbage, true),
         (truncated, false),
-        (Message::Ack.encode_frame(), true),
+        (Message::Ack.encode_frame().unwrap(), true),
     ];
     let fake = std::thread::spawn(move || {
         let mut held = Vec::new();
@@ -279,7 +279,7 @@ fn undecodable_reply_poisons_the_socket() {
 #[test]
 fn mid_frame_stall_is_disconnected_within_the_read_deadline() {
     let server = serve(18);
-    let frame = probe().encode_frame();
+    let frame = probe().encode_frame().unwrap();
     // Once with the header cut short, once with the body cut short.
     let mut stalled: Vec<TcpStream> = [5, frame.len() - 2]
         .into_iter()

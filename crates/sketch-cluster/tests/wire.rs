@@ -25,9 +25,14 @@ fn key_from(bytes: &[u8]) -> String {
 fn message_from((kind, words, bytes, extra): (u8, Vec<u64>, Vec<u8>, u64)) -> Message {
     let key = key_from(&bytes);
     match kind % 13 {
-        0 => Message::DeltaRequest { after: extra },
+        0 => Message::DeltaRequest {
+            after: extra,
+            page_bytes: extra.rotate_left(9) as u32,
+        },
         1 => Message::Delta {
+            after: extra.rotate_left(31),
             up_to: extra,
+            complete: extra % 2 == 0,
             entries: words
                 .iter()
                 .enumerate()
@@ -106,7 +111,7 @@ proptest! {
         // exact byte string, f64 payloads included.
         prop_assert_eq!(decoded.encode(), encoded);
 
-        let frame = message.encode_frame();
+        let frame = message.encode_frame().unwrap();
         let framed = read_frame(&mut frame.as_slice()).expect("framed form must decode");
         prop_assert_eq!(&framed, &message);
     }
@@ -127,7 +132,7 @@ proptest! {
     /// or panicking.
     #[test]
     fn truncated_frames_fail_cleanly(message in message_strategy(), cut in 1usize..10_000) {
-        let frame = message.encode_frame();
+        let frame = message.encode_frame().unwrap();
         let cut = cut % frame.len();
         let short = &frame[..frame.len() - cut.max(1)];
         match read_frame(&mut &short[..]) {
@@ -163,6 +168,7 @@ proptest! {
                 | WireError::BadUtf8
                 | WireError::TrailingBytes { .. }
                 | WireError::LengthMismatch
+                | WireError::BadChecksum
                 | WireError::OversizedFrame { .. },
             ) => {}
         }
@@ -200,7 +206,7 @@ proptest! {
     /// field is even consulted.
     #[test]
     fn handshake_version_is_enforced(message in message_strategy(), wrong in any::<u8>()) {
-        let mut frame = message.encode_frame();
+        let mut frame = message.encode_frame().unwrap();
         prop_assert_eq!(&frame[..2], &PROTOCOL_MAGIC[..]);
         prop_assert_eq!(frame[2], PROTOCOL_VERSION);
 
@@ -221,7 +227,7 @@ proptest! {
     #[test]
     fn handshake_magic_is_enforced(message in message_strategy(), a in any::<u8>(), b in any::<u8>()) {
         prop_assume!([a, b] != PROTOCOL_MAGIC);
-        let mut frame = message.encode_frame();
+        let mut frame = message.encode_frame().unwrap();
         frame[0] = a;
         frame[1] = b;
         match read_frame(&mut frame.as_slice()) {

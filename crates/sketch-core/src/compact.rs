@@ -11,9 +11,11 @@
 //! natively — SetSketch and GHLL pack registers as small offsets from
 //! their shared `K_low` lower bound with a sparse exception list
 //! (`sketch_math::pack_offsets`), compressing 4–10× for concentrated
-//! configurations. Families without a natural packed form fall back to
-//! their serde snapshot via [`serde_compress`] / [`serde_decompress`]
-//! (`serde` feature): no size win, but the same tiering semantics.
+//! configurations. Families without a packed register form (the
+//! MinHash variants, HyperMinHash, Theta) do not implement the trait:
+//! a JSON snapshot of a MinHash is about twice its resident size, so
+//! "demoting" one would raise memory. They serve from plain,
+//! non-tiered, non-durable stores.
 
 /// A sketch state with a lossless compressed byte representation.
 ///
@@ -48,63 +50,6 @@ pub trait CompactSketch: Sized {
     fn resident_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
     }
-}
-
-/// Error of the serde-snapshot fallback codec ([`serde_compress`] /
-/// [`serde_decompress`]).
-#[cfg(feature = "serde")]
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SerdeCompactError {
-    /// The buffer is not the UTF-8 JSON the fallback codec produces.
-    NotUtf8,
-    /// The JSON payload does not decode to the sketch type.
-    Malformed(String),
-    /// The decoded sketch's configuration or seed does not match the
-    /// decoding prototype.
-    IncompatibleWithPrototype,
-}
-
-#[cfg(feature = "serde")]
-impl std::fmt::Display for SerdeCompactError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SerdeCompactError::NotUtf8 => {
-                write!(f, "compact sketch buffer is not UTF-8 JSON")
-            }
-            SerdeCompactError::Malformed(detail) => {
-                write!(f, "compact sketch JSON is malformed: {detail}")
-            }
-            SerdeCompactError::IncompatibleWithPrototype => {
-                write!(
-                    f,
-                    "compact sketch configuration does not match the decoding prototype"
-                )
-            }
-        }
-    }
-}
-
-#[cfg(feature = "serde")]
-impl std::error::Error for SerdeCompactError {}
-
-/// Serde-snapshot fallback encoder: the sketch's serde representation
-/// as JSON bytes. No size win over the resident state — the point is
-/// uniform tiering semantics for families without a packed register
-/// codec.
-#[cfg(feature = "serde")]
-pub fn serde_compress<T: serde::Serialize>(value: &T) -> Vec<u8> {
-    serde_json::to_string(value)
-        .expect("sketch serde representations serialize infallibly")
-        .into_bytes()
-}
-
-/// Serde-snapshot fallback decoder, inverse of [`serde_compress`].
-#[cfg(feature = "serde")]
-pub fn serde_decompress<T: for<'de> serde::Deserialize<'de>>(
-    bytes: &[u8],
-) -> Result<T, SerdeCompactError> {
-    let text = std::str::from_utf8(bytes).map_err(|_| SerdeCompactError::NotUtf8)?;
-    serde_json::from_str(text).map_err(|e| SerdeCompactError::Malformed(e.to_string()))
 }
 
 #[cfg(test)]
@@ -168,21 +113,5 @@ mod tests {
         assert_eq!(restored, sketch);
         assert!(Grid::decompress(&prototype, &[1, 2, 3]).is_err());
         assert_eq!(sketch.resident_bytes(), std::mem::size_of::<Grid>() + 16);
-    }
-
-    #[cfg(feature = "serde")]
-    #[test]
-    fn serde_fallback_roundtrips() {
-        let values: Vec<u64> = vec![3, 1, u64::MAX];
-        let bytes = serde_compress(&values);
-        assert_eq!(serde_decompress::<Vec<u64>>(&bytes).unwrap(), values);
-        assert_eq!(
-            serde_decompress::<Vec<u64>>(&[0xff, 0xfe]),
-            Err(SerdeCompactError::NotUtf8)
-        );
-        assert!(matches!(
-            serde_decompress::<Vec<u64>>(b"{nonsense"),
-            Err(SerdeCompactError::Malformed(_))
-        ));
     }
 }

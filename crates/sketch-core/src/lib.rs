@@ -107,8 +107,6 @@ pub mod compact;
 
 pub use centroid::{collision_fraction, estimated_jaccard, signature_distance};
 pub use compact::CompactSketch;
-#[cfg(feature = "serde")]
-pub use compact::{serde_compress, serde_decompress, SerdeCompactError};
 // Re-exported so downstream code can name the joint-estimation result
 // and register-comparison types without depending on sketch-math
 // directly.

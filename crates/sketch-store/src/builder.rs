@@ -280,12 +280,10 @@ impl<S> StoreBuilder<S> {
         let mut store =
             SketchStore::from_parts(self.shards, self.factory, self.pipeline, self.tier, codec);
         if let Some(config) = durable {
-            let (wal, report, latest_checkpoint) =
-                wal::recover(&store, &config.dir, self.fsync, &config.applier)?;
+            let (wal, report) = wal::recover(&store, &config.dir, self.fsync, &config.applier)?;
             store.durability = Some(wal::durability_runtime(
                 wal,
                 report,
-                latest_checkpoint,
                 config.codec,
                 self.checkpoint_after_bytes,
             ));

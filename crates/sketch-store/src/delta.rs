@@ -1,23 +1,28 @@
 //! Version-based delta extraction and CRDT-style merge application —
-//! the store-side substrate of multi-node replication.
+//! the store-side substrate of multi-node replication, and the only
+//! way state moves between stores.
 //!
 //! Every slot carries a version stamped from the store's monotonic
 //! write counter (see [`crate::store`]). A replica that has applied
-//! everything up to counter value `v` can therefore ask for "all keys
-//! whose version exceeds `v`" and receive exactly the keys that moved —
-//! [`SketchStore::delta_since`] — with each key's registers as the
-//! family's [`CompactSketch`] payload, so cold (warm/frozen) entries
-//! ship their already-compressed bytes without rehydration and hot
-//! entries are compressed on the way out.
+//! everything up to counter value `v` can therefore ask for "the keys
+//! whose version exceeds `v`" and receive the keys that moved —
+//! [`SketchStore::delta_since`] — one bounded **page** at a time, in
+//! ascending version order, with each key's registers as the family's
+//! [`CompactSketch`] payload: cold (warm/frozen) entries ship their
+//! already-compressed bytes without rehydration and hot entries are
+//! compressed on the way out. A page says how far it reaches
+//! ([`StoreDelta::up_to`]), so the receiver's high-water mark is also
+//! its resume cursor: whatever was lost, it asks again from the mark.
 //!
 //! On the receiving side, [`SketchStore::merge_in`] applies a shipped
 //! state with union-merge semantics (create on first sight, merge
 //! otherwise). Merging is idempotent, commutative and associative, so
-//! deltas may be duplicated, reordered or re-sent wholesale without
-//! corrupting anything. The version stamp only moves when the merge
-//! **changed** the local registers — an echo of state a replica already
-//! holds does not re-mark the key as dirty, which is what lets a mesh
-//! of replicas pulling deltas from each other quiesce instead of
+//! pages may be duplicated, reordered or re-sent wholesale without
+//! corrupting anything — which is also why a replica never needs an
+//! atomic image of a whole store. The version stamp only moves when the
+//! merge **changed** the local registers — an echo of state a replica
+//! already holds does not re-mark the key as dirty, which is what lets
+//! a mesh of replicas pulling deltas from each other quiesce instead of
 //! ping-ponging unchanged keys forever.
 
 use crate::error::StoreError;
@@ -40,29 +45,37 @@ pub struct DeltaEntry {
     pub payload: Vec<u8>,
 }
 
-/// The keys of one store whose version moved past a floor, with their
+/// Bytes a [`DeltaEntry`] costs a page beyond its key and payload:
+/// the version and the two length prefixes of its wire form.
+const ENTRY_FIXED_BYTES: usize = 16;
+
+/// One page of the keys whose version moved past a floor, with their
 /// compact payloads — what one replica ships to another during delta
 /// sync (see [`SketchStore::delta_since`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoreDelta {
-    /// Write-counter value observed **before** the sweep: every key
-    /// stamped at or below this value is included (given it exceeds the
-    /// requested floor), so a receiver that applies the delta may
-    /// advance its high-water mark for this source to `up_to`. Keys
-    /// stamped concurrently above `up_to` ship in the *next* delta —
-    /// at-least-once, which idempotent merging makes harmless.
+    /// The highest version this page fully covers: every key stamped
+    /// above the requested floor and at or below `up_to` is in
+    /// `entries`, so a receiver that applies the page may advance its
+    /// high-water mark for this source to `up_to` and ask for the next
+    /// page from there. Never above the write-counter value observed
+    /// **before** the sweep: keys stamped concurrently ship in a later
+    /// delta — at-least-once, which idempotent merging makes harmless.
     pub up_to: u64,
-    /// Changed keys in ascending key order.
+    /// True when no key past the floor was left out: the receiver is
+    /// caught up to `up_to` and need not ask again until the next round.
+    pub complete: bool,
+    /// The page's keys in ascending version order.
     pub entries: Vec<DeltaEntry>,
 }
 
 impl StoreDelta {
-    /// Number of keys the delta carries.
+    /// Number of keys the page carries.
     pub fn len(&self) -> usize {
         self.entries.len()
     }
 
-    /// True when no key's version moved.
+    /// True when the page carries no key.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
@@ -116,50 +129,82 @@ impl<S> SketchStore<S> {
 }
 
 impl<S: CompactSketch> SketchStore<S> {
-    /// Extracts every key whose version exceeds `after`, with its
-    /// registers as a [`CompactSketch`] payload — the shipping side of
-    /// delta sync.
+    /// Extracts one page of the keys whose version exceeds `after`,
+    /// lowest versions first, each with its registers as a
+    /// [`CompactSketch`] payload — the shipping side of delta sync.
     ///
-    /// The sweep **peeks**: hot sketches are compressed on the way out,
-    /// warm entries clone their already-compressed bytes, frozen
-    /// entries read theirs from the spill segment — nothing is promoted
-    /// or demoted, so shipping a delta never perturbs the memory tiers
-    /// (tier moves do not bump versions, so they never appear in a
-    /// delta either). `delta_since(0)` is a full-state transfer.
+    /// The page closes once its entries (key, payload and 16 bytes of
+    /// fixed fields each) reach `page_bytes`, so it exceeds the budget
+    /// by at most one entry and always carries at least one when any
+    /// key moved. [`StoreDelta::complete`] says whether that
+    /// was all of them; if not, ask again with `after` =
+    /// [`StoreDelta::up_to`]. `delta_since(0, _)` starts a full-state
+    /// transfer.
     ///
-    /// Entries come back in ascending key order; see
-    /// [`StoreDelta::up_to`] for the high-water-mark contract.
-    pub fn delta_since(&self, after: u64) -> StoreDelta {
+    /// The sweep **peeks**: a first pass under each shard's read lock
+    /// only notes which keys moved; then the keys the page has room for
+    /// are compressed (hot), cloned (warm) or read from the spill
+    /// segment (frozen) — nothing is promoted or demoted, so shipping a
+    /// delta never perturbs the memory tiers (tier moves do not bump
+    /// versions, so they never appear in a delta either), and a key
+    /// that does not ship is not compressed.
+    pub fn delta_since(&self, after: u64, page_bytes: usize) -> StoreDelta {
         // Read the counter *before* sweeping: a key stamped after this
         // load may be missed by its shard's read pass, so `up_to` must
         // not claim to cover it.
-        let up_to = self.write_epoch_load();
-        let mut entries = Vec::new();
-        for shard in self.shards() {
+        let epoch = self.write_epoch_load();
+        let mut moved: Vec<(u64, usize, String)> = Vec::new();
+        for (index, shard) in self.shards().iter().enumerate() {
             for (key, slot) in shard.read().iter() {
-                if slot.version <= after {
-                    continue;
+                if slot.version > after {
+                    moved.push((slot.version, index, key.clone()));
                 }
-                // Quarantined/corrupt slots ship nothing: their
-                // registers are unrecoverable, and it is the *peers'*
-                // healthy copies that will heal this store, not the
-                // other way round.
-                let payload = match &slot.state {
-                    TierSlot::Hot(sketch) => sketch.compress(),
-                    cold => match self.cold_bytes(cold) {
-                        Ok(payload) => payload.into_owned(),
-                        Err(_) => continue,
-                    },
-                };
-                entries.push(DeltaEntry {
-                    key: key.clone(),
-                    version: slot.version,
-                    payload,
-                });
             }
         }
-        entries.sort_unstable_by(|a, b| a.key.cmp(&b.key));
-        StoreDelta { up_to, entries }
+        moved.sort_unstable();
+
+        let mut entries = Vec::new();
+        let mut room = page_bytes;
+        let mut moved = moved.into_iter();
+        for (_, index, key) in moved.by_ref() {
+            let shard = self.shards()[index].read();
+            // A key removed since the first pass ships nothing. One
+            // written since ships its newer state — a superset of the
+            // one the first pass saw, so the page still covers it.
+            let Some(slot) = shard.get(&key) else {
+                continue;
+            };
+            // Quarantined/corrupt slots ship nothing: their registers
+            // are unrecoverable, and it is the *peers'* healthy copies
+            // that will heal this store, not the other way round.
+            let payload = match &slot.state {
+                TierSlot::Hot(sketch) => sketch.compress(),
+                cold => match self.cold_bytes(cold) {
+                    Ok(payload) => payload.into_owned(),
+                    Err(_) => continue,
+                },
+            };
+            let version = slot.version;
+            drop(shard);
+            let cost = key.len() + payload.len() + ENTRY_FIXED_BYTES;
+            entries.push(DeltaEntry {
+                key,
+                version,
+                payload,
+            });
+            if cost >= room {
+                break;
+            }
+            room -= cost;
+        }
+        // Everything the first pass saw below the first key left out
+        // is in the page.
+        let left_out = moved.next().map(|(version, ..)| version);
+        StoreDelta {
+            up_to: left_out.map_or(epoch, |version| epoch.min(version - 1)),
+            complete: left_out.is_none(),
+            entries,
+        }
     }
 }
 

@@ -36,12 +36,15 @@
 //!   default-on) and restores with [`SketchStore::from_snapshot`];
 //!   tiered entries travel compressed ([`SnapshotEntry::Compact`])
 //!   without being rehydrated;
-//! * **delta sync** — [`SketchStore::delta_since`] sweeps out the keys
-//!   whose version stamp moved past a floor as compact payloads
-//!   ([`StoreDelta`]), and [`SketchStore::merge_in`] applies shipped
-//!   states with idempotent union-merge semantics, bumping the version
-//!   only when the registers actually changed — the replication
-//!   substrate the `sketch-cluster` crate builds on;
+//! * **delta sync** — [`SketchStore::delta_since`] ships the keys whose
+//!   version stamp moved past a floor as compact payloads, one bounded
+//!   page at a time in version order ([`StoreDelta`]), and
+//!   [`SketchStore::merge_in`] applies shipped states with idempotent
+//!   union-merge semantics, bumping the version only when the registers
+//!   actually changed. This is the one way state moves between stores:
+//!   a pull from version 0 is a whole-store transfer, and because the
+//!   merge is idempotent no replica ever needs an atomic image — the
+//!   replication substrate the `sketch-cluster` crate builds on;
 //! * **memory tiers** — with the builder knobs
 //!   [`StoreBuilder::memory_budget_bytes`] and
 //!   [`StoreBuilder::demote_after_writes`], a second-chance clock scan
@@ -60,13 +63,6 @@
 //!   back bit-for-bit — truncating torn tails and quarantining
 //!   bit-rotted records into a typed [`RecoveryReport`] instead of
 //!   panicking;
-//! * **checkpoint shipping** — [`SketchStore::export_checkpoint`]
-//!   images the whole store in the checkpoint file format (served from
-//!   the newest on-disk checkpoint when it is fresh enough — see
-//!   [`SketchStore::latest_checkpoint_meta`] — swept live otherwise)
-//!   and [`SketchStore::install_checkpoint`] validates a shipped image
-//!   in full before installing it all-or-nothing: the store-side
-//!   substrate of `sketch-cluster`'s node bootstrap;
 //! * **similarity queries at scale** — three entry points over one
 //!   engine: [`SketchStore::similar_keys_with`] (top-k),
 //!   [`SketchStore::all_pairs_with`] (threshold sweep) and
@@ -166,7 +162,7 @@ pub use query::{
 pub use snapshot::{SnapshotEntry, StoreSnapshot};
 pub use store::{SketchStore, DEFAULT_SHARDS};
 pub use tier::TierStats;
-pub use wal::{CheckpointInstall, CheckpointMeta, ExportedCheckpoint, FsyncPolicy, RecoveryReport};
+pub use wal::{FsyncPolicy, RecoveryReport};
 
 // Downstream convenience: the traits a store-bound sketch implements,
 // the joint-estimation result type, and the banding layout the

@@ -3,13 +3,12 @@
 //! A [`StoreSnapshot`] is the *in-process* snapshot shape: typed
 //! entries, serde round-trips, rebuilt with
 //! [`SketchStore::from_snapshot`](crate::SketchStore::from_snapshot).
-//! For shipping a whole store **between processes** — node bootstrap —
-//! use the byte-level checkpoint image instead
-//! ([`SketchStore::export_checkpoint`](crate::SketchStore::export_checkpoint)
-//! /
-//! [`SketchStore::install_checkpoint`](crate::SketchStore::install_checkpoint)):
-//! it shares the durable checkpoint file format, CRC-frames every
-//! entry, and installs all-or-nothing into an existing store.
+//! State moves **between processes** as paged deltas instead
+//! ([`SketchStore::delta_since`](crate::SketchStore::delta_since) from
+//! version 0, applied with
+//! [`SketchStore::merge_in`](crate::SketchStore::merge_in)): bounded
+//! pages, resumable from the last one applied, merged into whatever
+//! the receiving store already holds.
 
 use std::collections::BTreeMap;
 

@@ -377,12 +377,15 @@ impl<S> SketchStore<S> {
     }
 
     pub(crate) fn put_unlogged(&self, key: &str, sketch: S) -> Option<S> {
-        let version = self.next_version();
         self.tier.account_insert_hot(&sketch);
-        let previous = self
-            .shard(key)
-            .write()
-            .insert(key.to_owned(), Slot::hot(sketch, version));
+        let previous = {
+            // Stamped under the shard lock, like every other write: a
+            // delta sweep that read the counter past this version must
+            // find the slot.
+            let mut shard = self.shard(key).write();
+            let version = self.next_version();
+            shard.insert(key.to_owned(), Slot::hot(sketch, version))
+        };
         let previous = previous.and_then(|slot| self.take_sketch(slot));
         self.maybe_maintain();
         previous

@@ -35,7 +35,7 @@ use crate::frame::{self, Frame};
 use crate::store::{SketchStore, Slot};
 use crate::tier::{TierCodec, TierSlot};
 use parking_lot::{Mutex, RwLock};
-use sketch_core::{BatchInsert, CompactSketch, Mergeable};
+use sketch_core::{BatchInsert, Mergeable};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -119,83 +119,6 @@ impl std::fmt::Display for RecoveryReport {
                 self.records_quarantined, self.torn_tail, self.dropped_bytes
             )
         }
-    }
-}
-
-/// Identity and freshness of the newest on-disk checkpoint — returned
-/// by [`SketchStore::latest_checkpoint_meta`] so a replication donor
-/// can refuse to serve a checkpoint that lags the live store by more
-/// than a configured amount, and a bootstrapping node can pick the
-/// freshest donor.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CheckpointMeta {
-    /// Path of the checkpoint file.
-    pub path: PathBuf,
-    /// Size of the checkpoint file in bytes.
-    pub bytes: u64,
-    /// Number of key entries the checkpoint carries.
-    pub entries: usize,
-    /// The store's write counter observed when the checkpoint was cut
-    /// (or recorded inside it, for a checkpoint found during recovery).
-    /// `store.write_epoch() - write_epoch` is the checkpoint's lag.
-    pub write_epoch: u64,
-}
-
-/// What a checkpoint export produced — the byte image a replication
-/// donor streams to a bootstrapping peer (see
-/// [`SketchStore::export_checkpoint`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExportedCheckpoint {
-    /// The write counter the image covers: every key stamped at or
-    /// below this value is included. The installer may adopt it as its
-    /// high-water mark for the donor.
-    pub write_epoch: u64,
-    /// Number of key entries in the image.
-    pub entries: usize,
-    /// True when the image was read from the newest on-disk checkpoint
-    /// file; false when it was swept fresh from the in-memory shards.
-    pub from_disk: bool,
-    /// The image itself, in the checkpoint file format.
-    pub bytes: Vec<u8>,
-}
-
-/// What installing a shipped checkpoint did to the local store —
-/// returned by [`SketchStore::install_checkpoint`], mirroring
-/// [`RecoveryReport`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CheckpointInstall {
-    /// Key entries applied to the store.
-    pub entries: usize,
-    /// Size of the installed image in bytes.
-    pub bytes: u64,
-    /// The donor's write counter recorded in the image (the donor's
-    /// domain, **not** this store's — use it as a high-water mark for
-    /// the donor, never as a local epoch).
-    pub source_epoch: u64,
-    /// False when the store was empty and the image was bulk-installed;
-    /// true when it was folded in entry by entry with CRDT merges
-    /// (local keys absent from the image survive).
-    pub merged: bool,
-    /// True when the installed state was immediately persisted with a
-    /// local checkpoint (durable stores only).
-    pub persisted: bool,
-}
-
-impl std::fmt::Display for CheckpointInstall {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} entries ({} bytes) {} at donor epoch {}{}",
-            self.entries,
-            self.bytes,
-            if self.merged {
-                "merged in"
-            } else {
-                "bulk-installed"
-            },
-            self.source_epoch,
-            if self.persisted { ", persisted" } else { "" }
-        )
     }
 }
 
@@ -638,9 +561,6 @@ pub(crate) struct Durability<S> {
     pub(crate) report: RecoveryReport,
     /// Cut a checkpoint once this many log bytes accumulate.
     pub(crate) checkpoint_after_bytes: u64,
-    /// Newest on-disk checkpoint (from recovery or the last sweep);
-    /// `None` until the first checkpoint exists.
-    pub(crate) latest_checkpoint: Mutex<Option<CheckpointMeta>>,
     /// Single-flight latch for checkpointing.
     checkpointing: AtomicBool,
     /// Appends that failed (the write went ahead un-logged; see
@@ -748,20 +668,13 @@ impl<S> SketchStore<S> {
         let epoch = self.write_epoch_load();
 
         let tmp_path = dir.join(format!("checkpoint-{seq:010}.tmp"));
-        let (out, entries) = self.checkpoint_image(epoch, durability.codec.compress);
+        let out = self.checkpoint_image(epoch, durability.codec.compress);
         let mut file = File::create(&tmp_path)?;
         file.write_all(&out)?;
         file.sync_all()?;
         drop(file);
-        let final_path = checkpoint_path(&dir, seq);
-        fs::rename(&tmp_path, &final_path)?;
+        fs::rename(&tmp_path, checkpoint_path(&dir, seq))?;
         sync_dir(&dir);
-        *durability.latest_checkpoint.lock() = Some(CheckpointMeta {
-            path: final_path,
-            bytes: out.len() as u64,
-            entries,
-            write_epoch: epoch,
-        });
         wal.note_checkpointed();
         drop(wal);
 
@@ -790,14 +703,12 @@ impl<S> SketchStore<S> {
     /// framed `(key, version, compact payload)` entry per key — one
     /// shard read lock at a time, never promoting. Quarantined slots,
     /// unreadable spill records and entries over the frame limit are
-    /// skipped: the image carries the keys a loader can read. Returns
-    /// the image and its entry count.
-    fn checkpoint_image(&self, epoch: u64, compress: impl Fn(&S) -> Vec<u8>) -> (Vec<u8>, usize) {
+    /// skipped: the image carries the keys a loader can read.
+    fn checkpoint_image(&self, epoch: u64, compress: impl Fn(&S) -> Vec<u8>) -> Vec<u8> {
         let mut out = Vec::new();
         put_u32(&mut out, CHECKPOINT_MAGIC);
         out.push(CHECKPOINT_FORMAT);
         put_u64(&mut out, epoch);
-        let mut entries = 0usize;
         let mut entry = Vec::new();
         for shard in self.shards() {
             for (key, slot) in shard.read().iter() {
@@ -812,12 +723,11 @@ impl<S> SketchStore<S> {
                 put_str(&mut entry, key);
                 put_u64(&mut entry, slot.version);
                 put_bytes(&mut entry, &payload);
-                if frame::push(&mut out, &entry).is_ok() {
-                    entries += 1;
-                }
+                // An entry over the frame limit is left out.
+                let _ = frame::push(&mut out, &entry);
             }
         }
-        (out, entries)
+        out
     }
 }
 
@@ -842,191 +752,6 @@ fn checkpoint_entry(frame: &[u8]) -> Result<(String, u64, Vec<u8>), String> {
     let parsed = (entry.str()?, entry.u64()?, entry.bytes()?);
     entry.done()?;
     Ok(parsed)
-}
-
-// --- Checkpoint shipping (node bootstrap) ----------------------------
-
-impl<S> SketchStore<S> {
-    /// Identity and freshness of the newest on-disk checkpoint — from
-    /// recovery or the last sweep. `None` for non-durable stores and
-    /// before the first checkpoint exists.
-    pub fn latest_checkpoint_meta(&self) -> Option<CheckpointMeta> {
-        self.durability
-            .as_ref()
-            .and_then(|d| d.latest_checkpoint.lock().clone())
-    }
-}
-
-impl<S: CompactSketch> SketchStore<S> {
-    /// Exports the store's state as one checkpoint image — the donor
-    /// side of node bootstrap.
-    ///
-    /// When a durable store's newest on-disk checkpoint lags the live
-    /// write counter by at most `max_lag`, that file is served verbatim
-    /// (no sweep, no shard locks). Otherwise — including always for
-    /// non-durable stores — the image is swept fresh from the shards,
-    /// one read lock at a time, so exporting never blocks ingest. A
-    /// swept image uses the exact on-disk checkpoint format, so
-    /// [`install_checkpoint`](Self::install_checkpoint) and recovery's
-    /// loader accept either source interchangeably.
-    ///
-    /// Quarantined slots, unreadable spill records and entries over
-    /// the frame limit are skipped: the image carries the keys an
-    /// installer can read.
-    pub fn export_checkpoint(&self, max_lag: u64) -> ExportedCheckpoint {
-        if let Some(meta) = self.latest_checkpoint_meta() {
-            let lag = self.write_epoch_load().saturating_sub(meta.write_epoch);
-            if lag <= max_lag {
-                // An unreadable file falls through to a fresh sweep.
-                if let Ok(bytes) = fs::read(&meta.path) {
-                    return ExportedCheckpoint {
-                        write_epoch: meta.write_epoch,
-                        entries: meta.entries,
-                        from_disk: true,
-                        bytes,
-                    };
-                }
-            }
-        }
-        // Read the counter *before* sweeping (as `delta_since` does): a
-        // key stamped after this load may be missed by its shard's read
-        // pass, so the image must not claim to cover it.
-        let epoch = self.write_epoch_load();
-        let (bytes, entries) = self.checkpoint_image(epoch, S::compress);
-        ExportedCheckpoint {
-            write_epoch: epoch,
-            entries,
-            from_disk: false,
-            bytes,
-        }
-    }
-}
-
-impl<S: CompactSketch + Mergeable + Clone + PartialEq> SketchStore<S> {
-    /// Installs a checkpoint image shipped from a compatible peer — the
-    /// receiving side of node bootstrap.
-    ///
-    /// The image is validated **in full before the store is touched**:
-    /// the header must parse, every entry frame must be fully present
-    /// with a matching checksum, and every payload must decompress
-    /// against this store's configuration. Any failure returns
-    /// [`StoreError::Durability`] and leaves the store exactly as it
-    /// was — a half-shipped or corrupted snapshot is never partially
-    /// visible to queries.
-    ///
-    /// An **empty** store takes the bulk path: every shard is locked
-    /// (ascending order) and the entries are installed directly —
-    /// compressed (warm) on tiered stores, resident otherwise; on a durable
-    /// store a local checkpoint is cut immediately afterwards so the
-    /// installed state is on disk (a crash before that completes simply
-    /// recovers the pre-install state and bootstrap reruns). A
-    /// non-empty store folds the image in entry by entry with the same
-    /// idempotent CRDT merges delta sync uses — local keys absent from
-    /// the image survive, and each merge is individually atomic and
-    /// WAL-logged, so a failure part-way is no worse than a partially
-    /// applied delta and heals the same way.
-    ///
-    /// Versions are stamped fresh from the local write counter. The
-    /// donor's epoch is returned in
-    /// [`CheckpointInstall::source_epoch`] for use as a high-water
-    /// mark toward the donor — it is **never** adopted as this store's
-    /// own epoch (the counters are independent domains).
-    pub fn install_checkpoint(&self, bytes: &[u8]) -> Result<CheckpointInstall, StoreError> {
-        let invalid = |detail: &str| StoreError::Durability(format!("checkpoint image: {detail}"));
-        let source_epoch = checkpoint_epoch(bytes).map_err(|detail| invalid(&detail))?;
-
-        // Phase 1: parse every frame. Torn or corrupt frames fail the
-        // whole image here, before any mutation.
-        let mut entries: Vec<(String, Vec<u8>)> = Vec::new();
-        let mut at = CHECKPOINT_HEADER_BYTES;
-        loop {
-            match frame::next(bytes, at) {
-                Frame::End => break,
-                Frame::Torn => return Err(invalid(&format!("torn entry frame at offset {at}"))),
-                Frame::Corrupt(_) => {
-                    return Err(invalid(&format!("checksum mismatch at offset {at}")))
-                }
-                Frame::Good(frame, end) => {
-                    let (key, _version, payload) = checkpoint_entry(frame)
-                        .map_err(|detail| invalid(&format!("entry at offset {at}: {detail}")))?;
-                    entries.push((key, payload));
-                    at = end;
-                }
-            }
-        }
-
-        // Phase 2: decode-validate every payload against this store's
-        // configuration — a donor with mismatched parameters is refused
-        // wholesale, not discovered half-way through an install.
-        let prototype = self.make_sketch();
-        let mut decoded: Vec<S> = entries
-            .iter()
-            .map(|(key, payload)| {
-                S::decompress(&prototype, payload)
-                    .map_err(|error| invalid(&format!("key {key:?}: {error}")))
-            })
-            .collect::<Result<_, _>>()?;
-
-        let image_bytes = bytes.len() as u64;
-        let count = entries.len();
-
-        // Phase 3: apply. Bulk path when the store is empty — checked
-        // under *all* shard write locks, taken in ascending order (the
-        // same nesting discipline `with_pair` uses), so no write can
-        // slip in between the check and the install.
-        // Without a tier codec nothing can rehydrate a warm slot, so
-        // entries land hot (already decoded in phase 2); with one they
-        // install compressed, exactly as recovery installs a checkpoint.
-        let install_warm = self.tier.enabled();
-        let bulk_installed = {
-            let mut guards: Vec<_> = self.shards().iter().map(|shard| shard.write()).collect();
-            if guards.iter().all(|guard| guard.is_empty()) {
-                for ((key, payload), sketch) in entries.drain(..).zip(decoded.drain(..)) {
-                    let version = self.next_version();
-                    let index = self.shard_index(&key);
-                    let slot = if install_warm {
-                        self.tier.account_insert_warm(payload.len());
-                        Slot {
-                            state: TierSlot::Warm(payload.into_boxed_slice()),
-                            version,
-                            touched: AtomicBool::new(false),
-                        }
-                    } else {
-                        self.tier.account_insert_hot(&sketch);
-                        Slot::hot(sketch, version)
-                    };
-                    guards[index].insert(key, slot);
-                }
-                true
-            } else {
-                false
-            }
-        };
-        if bulk_installed {
-            drop(decoded);
-            let persisted = self.durability.is_some() && self.checkpoint().is_ok();
-            return Ok(CheckpointInstall {
-                entries: count,
-                bytes: image_bytes,
-                source_epoch,
-                merged: false,
-                persisted,
-            });
-        }
-
-        // Non-empty store: CRDT-merge each entry through the logged
-        // path (WAL-covered on durable stores).
-        for ((key, _payload), sketch) in entries.iter().zip(decoded.iter()) {
-            self.merge_in(key, sketch)?;
-        }
-        Ok(CheckpointInstall {
-            entries: count,
-            bytes: image_bytes,
-            source_epoch,
-            merged: true,
-            persisted: self.durability.is_some(),
-        })
-    }
 }
 
 // --- Recovery --------------------------------------------------------
@@ -1071,7 +796,7 @@ pub(crate) fn recover<S>(
     dir: &Path,
     fsync: FsyncPolicy,
     applier: &WalApplier<S>,
-) -> Result<(Wal, RecoveryReport, Option<CheckpointMeta>), StoreError> {
+) -> Result<(Wal, RecoveryReport), StoreError> {
     let durability_error = |error: io::Error| StoreError::Durability(error.to_string());
     fs::create_dir_all(dir).map_err(durability_error)?;
     let mut report = RecoveryReport::default();
@@ -1087,13 +812,11 @@ pub(crate) fn recover<S>(
     // Load the newest checkpoint whose header parses; fall back to
     // older ones rather than losing everything to one bad file.
     let mut floor = 0u64;
-    let mut loaded_meta = None;
     for &seq in checkpoints.iter().rev() {
         match load_checkpoint(store, &checkpoint_path(dir, seq), &mut report) {
-            Ok(meta) => {
+            Ok(()) => {
                 report.checkpoint_loaded = true;
                 floor = seq;
-                loaded_meta = Some(meta);
                 break;
             }
             Err(detail) => {
@@ -1164,7 +887,7 @@ pub(crate) fn recover<S>(
     }
 
     let wal = Wal::create(dir, next_seq, fsync).map_err(durability_error)?;
-    Ok((wal, report, loaded_meta))
+    Ok((wal, report))
 }
 
 /// Applies one replayed record through the unlogged entry points.
@@ -1202,7 +925,7 @@ fn load_checkpoint<S>(
     store: &SketchStore<S>,
     path: &Path,
     report: &mut RecoveryReport,
-) -> Result<CheckpointMeta, String> {
+) -> Result<(), String> {
     let bytes = fs::read(path).map_err(|error| error.to_string())?;
     let epoch = checkpoint_epoch(&bytes)?;
     let mut at = CHECKPOINT_HEADER_BYTES;
@@ -1246,12 +969,7 @@ fn load_checkpoint<S>(
     // meaningful across the restart; versions in the file never exceed
     // the swept epoch, but guard anyway.
     store.set_write_epoch(epoch.max(max_version));
-    Ok(CheckpointMeta {
-        path: path.to_path_buf(),
-        bytes: bytes.len() as u64,
-        entries: report.checkpoint_entries,
-        write_epoch: epoch,
-    })
+    Ok(())
 }
 
 impl<S> SketchStore<S> {
@@ -1274,7 +992,6 @@ impl<S> SketchStore<S> {
 pub(crate) fn durability_runtime<S>(
     wal: Wal,
     report: RecoveryReport,
-    latest_checkpoint: Option<CheckpointMeta>,
     codec: TierCodec<S>,
     checkpoint_after_bytes: u64,
 ) -> Durability<S> {
@@ -1284,7 +1001,6 @@ pub(crate) fn durability_runtime<S>(
         codec,
         report,
         checkpoint_after_bytes,
-        latest_checkpoint: Mutex::new(latest_checkpoint),
         checkpointing: AtomicBool::new(false),
         wal_failures: AtomicUsize::new(0),
         last_wal_error: Mutex::new(None),

@@ -254,33 +254,6 @@ impl sketch_core::JointEstimator for ThetaSketch {
     }
 }
 
-/// Serde-snapshot fallback (`serde` feature): the retained-sample set
-/// has no register structure for the offset codec, so the compact form
-/// is the serde JSON snapshot — no size win, but full participation in
-/// the sketch store's warm/frozen tiers. Decoding validates the decoded
-/// state against the prototype's `k` and seed.
-#[cfg(feature = "serde")]
-impl sketch_core::CompactSketch for ThetaSketch {
-    type CompactError = sketch_core::SerdeCompactError;
-
-    fn compress(&self) -> Vec<u8> {
-        sketch_core::serde_compress(self)
-    }
-
-    fn decompress(prototype: &Self, bytes: &[u8]) -> Result<Self, Self::CompactError> {
-        let decoded: Self = sketch_core::serde_decompress(bytes)?;
-        if !prototype.is_compatible(&decoded) || prototype.k() != decoded.k() {
-            return Err(sketch_core::SerdeCompactError::IncompatibleWithPrototype);
-        }
-        Ok(decoded)
-    }
-
-    fn resident_bytes(&self) -> usize {
-        // BTreeSet node overhead runs ~3 words per retained u64 sample.
-        std::mem::size_of::<Self>() + 24 * self.retained()
-    }
-}
-
 #[cfg(test)]
 mod interop_tests {
     use super::*;

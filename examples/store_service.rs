@@ -7,17 +7,18 @@
 //! startup), binds a TCP server on an ephemeral loopback port, prints
 //! `PORT <n>`, learns its peers' addresses over stdin, and gossips:
 //! version-pruned delta pulls plus a rotating full anti-entropy pull,
-//! every 50 ms. A node that comes up *empty* first pulls a peer's
-//! checkpoint image (checkpoint-shipping bootstrap) and logs the
-//! resulting [`sketch_cluster::BootstrapReport`] — the same path a
-//! wiped replacement node takes in production. The parent then acts
+//! every 50 ms. A node that comes up *empty* spends its first tick
+//! pulling one peer's whole state (the same paged delta pull, from
+//! version 0) and logs the resulting
+//! [`sketch_cluster::BootstrapReport`] — the same path a wiped
+//! replacement node takes in production. The parent then acts
 //! as the client:
 //!
 //! 1. **Routed writes** — each tenant's events go to the tenant's
 //!    consistent-hash owner only, as length-prefixed `Ingest` frames.
 //!    A local reference store is fed the identical stream.
 //! 2. **Convergence check, bit-for-bit** — the parent polls each node
-//!    with a full `DeltaRequest` and compares every key's compact
+//!    with `DeltaRequest`s from version 0 and compares every key's compact
 //!    register payload against the reference store's. Replication is
 //!    done when all three replicas ship byte-identical registers.
 //! 3. **Cluster queries** — cardinality and Jaccard answered by single
@@ -31,8 +32,8 @@
 
 use setsketch::{SetSketch2, SetSketchConfig};
 use sketch_cluster::{
-    BootstrapConfig, ClusterClient, ClusterNode, HashRing, Message, NodeId, Resilient, TcpServer,
-    TcpTransport, Transport,
+    ClusterClient, ClusterNode, HashRing, Message, NodeId, Resilient, TcpServer, TcpTransport,
+    Transport,
 };
 use sketch_core::CompactSketch;
 use sketch_rand::mix64;
@@ -127,17 +128,11 @@ fn run_node(id: NodeId) {
         transport.add_peer(peer, addr);
     }
 
-    // Gossip in the background — with the bootstrap preamble, so an
-    // empty store first ships a peer's checkpoint — and park until a
-    // Shutdown frame arrives. A watcher logs the bootstrap report the
-    // moment the preamble completes.
+    // Gossip in the background — an empty store spends its first tick
+    // catching up from one peer — and park until a Shutdown frame
+    // arrives. A watcher logs the bootstrap report once there is one.
     let resilient = Arc::new(Resilient::new(transport));
-    server.start_gossip_with_bootstrap(
-        Arc::clone(&node),
-        Arc::clone(&resilient),
-        GOSSIP_EVERY,
-        BootstrapConfig::default(),
-    );
+    server.start_gossip(Arc::clone(&node), resilient, GOSSIP_EVERY);
     let watched = Arc::clone(&node);
     std::thread::spawn(move || loop {
         if let Some(report) = watched.last_bootstrap() {
@@ -193,28 +188,37 @@ fn spawn_nodes() -> (Vec<Child>, Vec<u16>) {
     (children, ports)
 }
 
-/// Pulls every node's full state and compares each key's compact
-/// payload against the reference — returns true when all three
-/// replicas are byte-identical to it.
-fn replicas_match(transport: &TcpTransport, reference: &BTreeMap<String, Vec<u8>>) -> bool {
-    for node in 0..NODES {
-        let response = match transport.request(node, &Message::DeltaRequest { after: 0 }) {
-            Ok(response) => response,
-            Err(_) => return false,
+/// One node's full state as key → compact payload, pulled page by
+/// page from version 0.
+fn full_state(transport: &TcpTransport, node: NodeId) -> Option<BTreeMap<String, Vec<u8>>> {
+    let mut state = BTreeMap::new();
+    let mut after = 0;
+    loop {
+        let request = Message::DeltaRequest {
+            after,
+            page_bytes: u32::MAX,
         };
-        let Message::Delta { entries, .. } = response else {
-            return false;
+        let Ok(Message::Delta {
+            up_to,
+            complete,
+            entries,
+            ..
+        }) = transport.request(node, &request)
+        else {
+            return None;
         };
-        if entries.len() != reference.len() {
-            return false;
+        state.extend(entries.into_iter().map(|entry| (entry.key, entry.payload)));
+        if complete {
+            return Some(state);
         }
-        for entry in &entries {
-            if reference.get(&entry.key) != Some(&entry.payload) {
-                return false;
-            }
-        }
+        after = after.max(up_to);
     }
-    true
+}
+
+/// True when all three replicas hold exactly the reference's keys,
+/// each with a byte-identical compact payload.
+fn replicas_match(transport: &TcpTransport, reference: &BTreeMap<String, Vec<u8>>) -> bool {
+    (0..NODES).all(|node| full_state(transport, node).as_ref() == Some(reference))
 }
 
 fn run_cluster() {
