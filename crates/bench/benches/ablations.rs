@@ -32,7 +32,7 @@ fn bench_lower_bound_tracking(c: &mut Criterion) {
                 bencher.iter(|| {
                     let mut sketch = GhllSketch::new(cfg, 1);
                     sketch.extend(bench_elements(1, n));
-                    sketch.registers()[0]
+                    sketch.registers().get(0)
                 });
             },
         );
@@ -43,7 +43,7 @@ fn bench_lower_bound_tracking(c: &mut Criterion) {
                 bencher.iter(|| {
                     let mut sketch = GhllSketch::with_lower_bound_tracking(cfg, 1);
                     sketch.extend(bench_elements(1, n));
-                    sketch.registers()[0]
+                    sketch.registers().get(0)
                 });
             },
         );
@@ -93,14 +93,14 @@ fn bench_sequence_variants(c: &mut Criterion) {
         bencher.iter(|| {
             let mut sketch = SetSketch1::new(cfg, 1);
             sketch.extend(bench_elements(1, n));
-            sketch.registers()[0]
+            sketch.registers().get(0)
         });
     });
     group.bench_function("setsketch2_intervals", |bencher| {
         bencher.iter(|| {
             let mut sketch = SetSketch2::new(cfg, 1);
             sketch.extend(bench_elements(1, n));
-            sketch.registers()[0]
+            sketch.registers().get(0)
         });
     });
     group.finish();

@@ -247,14 +247,16 @@ fn corpus(count: u64) -> Vec<SetSketch1> {
 
 fn bench_lsh_index(c: &mut Criterion) {
     let sketches = corpus(if smoke_mode() { 64 } else { 256 });
+    // The index takes `u32` signatures; widen each register array once.
+    let signatures: Vec<Vec<u32>> = sketches.iter().map(|s| s.registers().to_vec()).collect();
     let mut group = c.benchmark_group("lsh");
     group.sample_size(20);
 
     group.bench_function("insert_docs", |bencher| {
         bencher.iter(|| {
             let index: LshIndex<u64> = LshIndex::new(32, 8).expect("valid");
-            for (doc, sketch) in sketches.iter().enumerate() {
-                index.insert(doc as u64, sketch.registers());
+            for (doc, signature) in signatures.iter().enumerate() {
+                index.insert(doc as u64, signature);
             }
             index.len()
         });
@@ -262,19 +264,19 @@ fn bench_lsh_index(c: &mut Criterion) {
 
     let index: LshIndex<u64> = LshIndex::new(32, 8).expect("valid");
     let mut band_hashes = Vec::new();
-    for (doc, sketch) in sketches.iter().enumerate() {
-        index.band_hashes_into(sketch.registers(), &mut band_hashes);
+    for (doc, signature) in signatures.iter().enumerate() {
+        index.band_hashes_into(signature, &mut band_hashes);
         index.insert_hashed(doc as u64, &band_hashes);
     }
     group.bench_function("query", |bencher| {
-        bencher.iter(|| index.query(sketches[17].registers()));
+        bencher.iter(|| index.query(&signatures[17]));
     });
     group.bench_function("query_multiprobe", |bencher| {
-        bencher.iter(|| index.query_multiprobe(sketches[17].registers()));
+        bencher.iter(|| index.query_multiprobe(&signatures[17]));
     });
-    let signatures: Vec<&[u32]> = sketches.iter().take(32).map(|s| s.registers()).collect();
+    let batch: Vec<&[u32]> = signatures.iter().take(32).map(Vec::as_slice).collect();
     group.bench_function("query_batch_32", |bencher| {
-        bencher.iter(|| index.query_batch(&signatures));
+        bencher.iter(|| index.query_batch(&batch));
     });
     group.bench_function("candidate_pairs", |bencher| {
         bencher.iter(|| index.candidate_pairs().len());
@@ -282,7 +284,7 @@ fn bench_lsh_index(c: &mut Criterion) {
 
     group.bench_function("query_with_precise_filter", |bencher| {
         bencher.iter(|| {
-            let candidates = index.query(sketches[17].registers());
+            let candidates = index.query(&signatures[17]);
             let mut best = (u64::MAX, -1.0f64);
             for id in candidates {
                 let joint = sketches[17]

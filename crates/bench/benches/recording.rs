@@ -40,7 +40,7 @@ fn bench_recording(c: &mut Criterion) {
                         for e in bench_elements(1, n) {
                             sketch.insert_u64(e);
                         }
-                        sketch.registers()[0]
+                        sketch.registers().get(0)
                     });
                 },
             );
@@ -53,7 +53,7 @@ fn bench_recording(c: &mut Criterion) {
                     bencher.iter(|| {
                         let mut sketch = SetSketch1::new(cfg, 1);
                         sketch.insert_batch(&elements);
-                        sketch.registers()[0]
+                        sketch.registers().get(0)
                     });
                 },
             );
@@ -67,7 +67,7 @@ fn bench_recording(c: &mut Criterion) {
                         for e in bench_elements(1, n) {
                             sketch.insert_u64(e);
                         }
-                        sketch.registers()[0]
+                        sketch.registers().get(0)
                     });
                 },
             );
@@ -80,7 +80,7 @@ fn bench_recording(c: &mut Criterion) {
                     bencher.iter(|| {
                         let mut sketch = GhllSketch::new(cfg, 1);
                         sketch.extend(bench_elements(1, n));
-                        sketch.registers()[0]
+                        sketch.registers().get(0)
                     });
                 },
             );

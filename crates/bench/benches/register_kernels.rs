@@ -1,29 +1,33 @@
 //! Register-kernel microbenchmarks and end-to-end hot-path timings.
 //!
-//! Compares the scalar reference kernels against the dispatched
-//! (chunked, auto-vectorized) implementations at the register counts
-//! used across the suite, and times the sketch-level operations built
-//! on them: merge, warm-sketch cardinality estimation (which must *not*
-//! scale with m thanks to the maintained histogram), and joint
+//! Times the scalar `u32` reference kernels against the dispatched
+//! (chunked, auto-vectorized) implementations at every lane width —
+//! `u8`, `u16` and `u32`, one 32-byte chunk of 32 / 16 / 8 registers per
+//! iteration — and the sketch-level operations built on them at the
+//! configuration each width serves: clone, merge, compress, decompress,
+//! warm-sketch cardinality estimation (which must *not* scale with m on
+//! dense scales thanks to the maintained histogram) and joint
 //! estimation.
 //!
 //! Every routine is timed exactly once, by this file's [`measure`]
 //! (same scheme as the vendored criterion shim: ~1 ms batches, median
 //! of the samples). Each measurement is both printed in the shim's
 //! output format and recorded into `BENCH_kernels.json` at the
-//! workspace root, so the chunked-vs-scalar speedups are checked into
-//! the repository next to the claims README makes about them. (The
-//! shim's `Bencher` does not expose its result, so reusing it would
-//! force every routine to run under two independent harnesses.)
+//! workspace root, so the speedups are checked into the repository next
+//! to the claims README makes about them. (The shim's `Bencher` does
+//! not expose its result, so reusing it would force every routine to
+//! run under two independent harnesses.)
 
 use bench::bench_elements;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use setsketch::{SetSketch1, SetSketchConfig};
-use sketch_math::kernels::{chunked, scalar};
+use setsketch::{SetSketch2, SetSketchConfig};
+use sketch_core::CompactSketch;
+use sketch_math::kernels::{self, scalar, Lane};
 use std::time::Instant;
 
-/// Register counts probed by every kernel benchmark.
-const SIZES: [usize; 4] = [256, 1024, 4096, 16384];
+/// Register counts probed by every benchmark: the ledger's two sketch
+/// sizes.
+const SIZES: [usize; 2] = [256, 4096];
 
 /// Register histogram buckets (q = 62 as in the paper's experiments).
 const BUCKETS: usize = 64;
@@ -31,10 +35,26 @@ const BUCKETS: usize = 64;
 /// Timing samples per measurement.
 const SAMPLES: usize = 40;
 
+/// `(row suffix, b, q)` of the sketch configuration each lane width
+/// serves: the paper's b = 2 scale on byte lanes, its two-byte
+/// b = 1.001 example, and a 17-bit scale past both.
+const WIDTHS: [(&str, f64, u32); 3] = [
+    ("u8", 2.0, 62),
+    ("u16", 1.001, 65_534),
+    ("u32", 1.0005, 131_070),
+];
+
 /// Deterministic register-like contents (values in `0..BUCKETS`).
 fn registers(stream: u64, len: usize) -> Vec<u32> {
     bench_elements(stream, len as u64)
         .map(|x| (x % BUCKETS as u64) as u32)
+        .collect()
+}
+
+fn narrowed<L: Lane>(values: &[u32]) -> Vec<L> {
+    values
+        .iter()
+        .map(|&v| L::narrow(v).expect("bucket values fit every lane"))
         .collect()
 }
 
@@ -81,115 +101,150 @@ fn record(records: &mut Vec<Record>, group: &str, name: &str, m: usize, nanos: f
     });
 }
 
-fn warm_sketch(m: usize) -> SetSketch1 {
-    let cfg = SetSketchConfig::new(m, 2.0, 20.0, 62).expect("valid");
-    let mut sketch = SetSketch1::new(cfg, 1);
-    sketch.extend(bench_elements(9, 100_000));
-    sketch
+/// `(D⁺, D⁻, D₀)`.
+type CompareCounts = (u32, u32, u32);
+
+/// One implementation of the five kernels over lanes of type `L`.
+struct KernelSet<L: 'static> {
+    max_merge_min: fn(&mut [L], &[L]) -> u32,
+    max_merge: fn(&mut [L], &[L]),
+    min_scan: fn(&[L]) -> u32,
+    histogram: fn(&[L], &mut [u32]),
+    compare: fn(&[L], &[L]) -> CompareCounts,
+}
+
+/// The scalar `u32` reference.
+const SCALAR: KernelSet<u32> = KernelSet {
+    max_merge_min: scalar::max_merge_min,
+    max_merge: scalar::max_merge,
+    min_scan: scalar::min_scan,
+    histogram: scalar::histogram_counts,
+    compare: scalar::compare_counts,
+};
+
+/// The chunked kernels the sketches call, at lane width `L`.
+fn chunked<L: Lane>() -> KernelSet<L> {
+    KernelSet {
+        max_merge_min: kernels::max_merge_min,
+        max_merge: kernels::max_merge,
+        min_scan: kernels::min_scan,
+        histogram: kernels::histogram_counts,
+        compare: kernels::compare_counts,
+    }
+}
+
+/// Times one kernel set at one size; rows are `{kernel}_{suffix}`.
+fn bench_set<L: Lane>(records: &mut Vec<Record>, set: &KernelSet<L>, suffix: &str, m: usize) {
+    const GROUP: &str = "register_kernels";
+    let u = narrowed::<L>(&registers(1, m));
+    let v = narrowed::<L>(&registers(2, m));
+    let mut row = |kernel: &str, nanos: f64| {
+        record(records, GROUP, &format!("{kernel}_{suffix}"), m, nanos);
+    };
+    // The merge kernels write their destination; the copy that resets it
+    // is timed alone and subtracted.
+    let copy_nanos = measure(|| black_box(u.clone()));
+    let nanos = measure(|| {
+        let mut dst = black_box(u.clone());
+        (set.max_merge_min)(&mut dst, black_box(&v))
+    });
+    row("max_merge_min", (nanos - copy_nanos).max(0.1));
+    let nanos = measure(|| {
+        let mut dst = black_box(u.clone());
+        (set.max_merge)(&mut dst, black_box(&v));
+        dst
+    });
+    row("max_merge", (nanos - copy_nanos).max(0.1));
+    row("min_scan", measure(|| (set.min_scan)(black_box(&u))));
+    let mut counts = vec![0u32; BUCKETS];
+    row(
+        "histogram",
+        measure(|| (set.histogram)(black_box(&u), &mut counts)),
+    );
+    row(
+        "compare",
+        measure(|| (set.compare)(black_box(&u), black_box(&v))),
+    );
 }
 
 fn bench_kernels(records: &mut Vec<Record>) {
-    const GROUP: &str = "register_kernels";
     for &m in &SIZES {
-        let u = registers(1, m);
-        let v = registers(2, m);
-
-        // Subtract the clone baseline so the merge kernels themselves
-        // are compared.
-        let clone_nanos = measure(|| black_box(u.clone()));
-        for (name, f) in [
-            (
-                "max_merge_scalar",
-                scalar::max_merge_min as fn(&mut [u32], &[u32]) -> u32,
-            ),
-            ("max_merge_chunked", chunked::max_merge_min),
-        ] {
-            let nanos = measure(|| {
-                let mut dst = black_box(u.clone());
-                f(&mut dst, black_box(&v))
-            });
-            record(records, GROUP, name, m, (nanos - clone_nanos).max(0.1));
-        }
-
-        for (name, f) in [
-            ("min_scan_scalar", scalar::min_scan as fn(&[u32]) -> u32),
-            ("min_scan_chunked", chunked::min_scan),
-        ] {
-            record(records, GROUP, name, m, measure(|| f(black_box(&u))));
-        }
-
-        for (name, f) in [
-            (
-                "histogram_scalar",
-                scalar::histogram_counts as fn(&[u32], &mut [u32]),
-            ),
-            ("histogram_chunked", chunked::histogram_counts),
-        ] {
-            let mut counts = vec![0u32; BUCKETS];
-            let nanos = measure(|| f(black_box(&u), &mut counts));
-            record(records, GROUP, name, m, nanos);
-        }
-
-        for (name, f) in [
-            (
-                "compare_scalar",
-                scalar::compare_counts as fn(&[u32], &[u32]) -> (u32, u32, u32),
-            ),
-            ("compare_chunked", chunked::compare_counts),
-        ] {
-            let nanos = measure(|| f(black_box(&u), black_box(&v)));
-            record(records, GROUP, name, m, nanos);
-        }
+        bench_set(records, &SCALAR, "scalar", m);
+        bench_set(records, &chunked::<u8>(), "u8", m);
+        bench_set(records, &chunked::<u16>(), "u16", m);
+        bench_set(records, &chunked::<u32>(), "u32", m);
     }
+}
+
+/// A sketch of `stream` (100 000 elements) sharing `prototype`'s
+/// configuration-level state.
+fn warm_sketch(prototype: &SetSketch2, stream: u64) -> SetSketch2 {
+    let mut sketch = prototype.clone();
+    sketch.extend(bench_elements(stream, 100_000));
+    sketch
 }
 
 fn bench_end_to_end(records: &mut Vec<Record>) {
     const GROUP: &str = "register_kernels_e2e";
     for &m in &SIZES {
-        let left = warm_sketch(m);
-        let right = {
-            let cfg = *left.config();
-            let mut sketch = SetSketch1::new(cfg, 1);
-            sketch.extend(bench_elements(11, 100_000));
-            sketch
-        };
+        for (suffix, b, q) in WIDTHS {
+            let cfg = SetSketchConfig::new(m, b, 20.0, q).expect("valid");
+            let prototype = SetSketch2::new(cfg, 1);
+            let left = warm_sketch(&prototype, 9);
+            let right = warm_sketch(&prototype, 11);
+            let mut row = |name: &str, nanos: f64| {
+                record(records, GROUP, &format!("{name}_{suffix}"), m, nanos);
+            };
 
-        let clone_nanos = measure(|| black_box(left.clone()));
-        let nanos = measure(|| {
-            let mut dst = black_box(left.clone());
-            dst.merge(black_box(&right)).expect("compatible");
-            dst
-        });
-        record(records, GROUP, "merge", m, (nanos - clone_nanos).max(0.1));
+            let clone_nanos = measure(|| black_box(&left).clone());
+            row("clone", clone_nanos);
+            let nanos = measure(|| {
+                let mut dst = black_box(&left).clone();
+                dst.merge(black_box(&right)).expect("compatible");
+                dst
+            });
+            row("merge", (nanos - clone_nanos).max(0.1));
 
-        // Warm-sketch estimation: O(q) from the maintained histogram,
-        // flat across all m.
-        let nanos = measure(|| black_box(&left).estimate_cardinality());
-        record(records, GROUP, "estimate_cardinality", m, nanos);
+            let packed = left.compress();
+            row("compress", measure(|| black_box(&left).compress()));
+            row(
+                "decompress",
+                measure(|| SetSketch2::decompress(&prototype, black_box(&packed)).expect("valid")),
+            );
 
-        let nanos = measure(|| {
-            black_box(&left)
-                .estimate_joint(black_box(&right))
-                .expect("compatible")
-        });
-        record(records, GROUP, "estimate_joint", m, nanos);
+            // Warm-sketch estimation: O(q) from the maintained histogram
+            // on the dense b = 2 scale, so flat across m there.
+            row(
+                "estimate_cardinality",
+                measure(|| black_box(&left).estimate_cardinality()),
+            );
+            row(
+                "estimate_joint",
+                measure(|| {
+                    black_box(&left)
+                        .estimate_joint(black_box(&right))
+                        .expect("compatible")
+                }),
+            );
+        }
 
-        // Batched ingest through the sorted-dedup fast path (the extend
-        // delegation satellite), into a cold sketch each iteration so
-        // the K_low early exit does not trivialize repeated runs; the
-        // construction baseline is subtracted.
+        // Batched ingest through the sorted-dedup fast path, into a cold
+        // sketch each iteration so the K_low early exit does not
+        // trivialize repeated runs; the construction baseline is
+        // subtracted.
+        let cfg = SetSketchConfig::new(m, 2.0, 20.0, 62).expect("valid");
+        let prototype = SetSketch2::new(cfg, 1);
         let elements: Vec<u64> = bench_elements(13, 10_000).collect();
-        let cfg = *left.config();
         let batch_nanos = measure(|| {
-            let mut sketch = SetSketch1::new(cfg, 1);
+            let mut sketch = prototype.clone();
             sketch.insert_batch(black_box(&elements));
             sketch
         });
-        let new_nanos = measure(|| SetSketch1::new(cfg, 1));
+        let new_nanos = measure(|| prototype.clone());
         record(
             records,
             GROUP,
-            "insert_batch_10k",
+            "insert_batch_10k_u8",
             m,
             (batch_nanos - new_nanos).max(0.1),
         );
@@ -204,16 +259,10 @@ fn write_json(records: &[Record]) {
         records
             .iter()
             .find(|r| r.name == name && r.m == m)
-            .map(|r| r.nanos)
+            .map_or(0.0, |r| r.nanos)
     };
-    let speedup = |scalar_name: &str, chunked_name: &str, m: usize| match (
-        lookup(scalar_name, m),
-        lookup(chunked_name, m),
-    ) {
-        (Some(s), Some(c)) if c > 0.0 => s / c,
-        _ => 0.0,
-    };
-    let mut out = String::from("{\n  \"note\": \"median ns per op; speedup = scalar/chunked at the same m; estimate_cardinality is O(q) via the maintained histogram, so its time must stay flat in m\",\n  \"measurements\": [\n");
+    let ratio = |over: f64, under: f64| if under > 0.0 { over / under } else { 0.0 };
+    let mut out = String::from("{\n  \"note\": \"median ns per op; kernel rows: scalar = u32 reference, u8/u16/u32 = dispatched chunked kernel at that lane width (32 B per chunk); e2e rows: SetSketch2 at b=2 q=62 (u8), b=1.001 q=65534 (u16), b=1.0005 q=131070 (u32); estimate_cardinality_u8 is O(q) via the maintained histogram, so its time must stay flat in m\",\n  \"measurements\": [\n");
     for (i, r) in records.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"name\": \"{}\", \"m\": {}, \"ns\": {:.1}}}{}\n",
@@ -224,20 +273,27 @@ fn write_json(records: &[Record]) {
         ));
     }
     out.push_str("  ],\n  \"speedups_at_m4096\": {\n");
+    let kernels = [
+        "max_merge_min",
+        "max_merge",
+        "min_scan",
+        "histogram",
+        "compare",
+    ];
+    for (i, kernel) in kernels.iter().enumerate() {
+        let at = |suffix: &str| lookup(&format!("{kernel}_{suffix}"), 4096);
+        out.push_str(&format!(
+            "    \"{kernel}\": {{\"scalar_over_u32\": {:.2}, \"u32_over_u16\": {:.2}, \"u32_over_u8\": {:.2}}}{}\n",
+            ratio(at("scalar"), at("u32")),
+            ratio(at("u32"), at("u16")),
+            ratio(at("u32"), at("u8")),
+            if i + 1 < kernels.len() { "," } else { "" }
+        ));
+    }
     out.push_str(&format!(
-        "    \"max_merge\": {:.2},\n    \"min_scan\": {:.2},\n    \"histogram\": {:.2},\n    \"compare\": {:.2}\n  }},\n",
-        speedup("max_merge_scalar", "max_merge_chunked", 4096),
-        speedup("min_scan_scalar", "min_scan_chunked", 4096),
-        speedup("histogram_scalar", "histogram_chunked", 4096),
-        speedup("compare_scalar", "compare_chunked", 4096),
-    ));
-    let est = |m: usize| lookup("estimate_cardinality", m).unwrap_or(0.0);
-    out.push_str(&format!(
-        "  \"estimate_cardinality_ns_by_m\": {{\"256\": {:.1}, \"1024\": {:.1}, \"4096\": {:.1}, \"16384\": {:.1}}}\n}}\n",
-        est(256),
-        est(1024),
-        est(4096),
-        est(16384),
+        "  }},\n  \"estimate_cardinality_u8_ns_by_m\": {{\"256\": {:.1}, \"4096\": {:.1}}}\n}}\n",
+        lookup("estimate_cardinality_u8", 256),
+        lookup("estimate_cardinality_u8", 4096),
     ));
     if let Err(e) = std::fs::write(path, out) {
         eprintln!("could not write {path}: {e}");

@@ -16,7 +16,7 @@
 
 #[cfg(feature = "serde")]
 use serde::{Deserialize, Serialize};
-use sketch_math::{brent, kernels, sigma_b, tau_b, PowerTable};
+use sketch_math::{brent, kernels, sigma_b, tau_b, PowerTable, Registers};
 use sketch_rand::{hash_of, hash_u64, mix64};
 use std::sync::Arc;
 
@@ -112,11 +112,15 @@ impl std::fmt::Display for IncompatibleGhll {
 impl std::error::Error for IncompatibleGhll {}
 
 /// A GHLL sketch with stochastic averaging.
+///
+/// The register array — held at its natural lane width
+/// ([`Registers`]: one byte per register for classic HLL's q = 62) — is
+/// the sketch's only heap state.
 #[derive(Debug, Clone)]
 pub struct GhllSketch {
     config: GhllConfig,
     seed: u64,
-    registers: Vec<u32>,
+    registers: Registers,
     table: Arc<PowerTable>,
     /// Lower-bound tracking switch (paper §5.4 optimization).
     lower_bound_tracking: bool,
@@ -127,13 +131,43 @@ pub struct GhllSketch {
 impl GhllSketch {
     /// Creates an empty sketch (lower-bound tracking disabled).
     pub fn new(config: GhllConfig, seed: u64) -> Self {
+        let registers = Registers::zeroed(config.m(), config.q() + 1);
+        Self::from_registers(config, seed, false, registers)
+    }
+
+    /// A sketch holding `registers` (m values in `0..=q+1`) under a
+    /// fresh power table for `config`.
+    fn from_registers(
+        config: GhllConfig,
+        seed: u64,
+        lower_bound_tracking: bool,
+        registers: Registers,
+    ) -> Self {
+        let table = Arc::new(PowerTable::new(config.b(), config.q()));
+        Self::assemble(config, seed, table, lower_bound_tracking, registers)
+    }
+
+    /// Builds the sketch around its register array, the one allocation;
+    /// with tracking on, the lower bound is the array's minimum.
+    fn assemble(
+        config: GhllConfig,
+        seed: u64,
+        table: Arc<PowerTable>,
+        lower_bound_tracking: bool,
+        registers: Registers,
+    ) -> Self {
+        debug_assert_eq!(registers.len(), config.m());
         Self {
-            registers: vec![0; config.m()],
-            table: Arc::new(PowerTable::new(config.b(), config.q())),
+            k_low: if lower_bound_tracking {
+                registers.min()
+            } else {
+                0
+            },
+            registers,
+            table,
             config,
             seed,
-            lower_bound_tracking: false,
-            k_low: 0,
+            lower_bound_tracking,
             modifications: 0,
         }
     }
@@ -158,15 +192,17 @@ impl GhllSketch {
         self.seed
     }
 
-    /// Read-only view of the registers.
+    /// Read-only, width-erased view of the registers: `len`, `get`,
+    /// `iter` and `to_vec` yield the values as `u32` whatever lane width
+    /// the array is held at.
     #[inline]
-    pub fn registers(&self) -> &[u32] {
+    pub fn registers(&self) -> &Registers {
         &self.registers
     }
 
     /// True if no register was ever updated.
     pub fn is_unused(&self) -> bool {
-        self.registers.iter().all(|&k| k == 0)
+        self.registers.iter().all(|k| k == 0)
     }
 
     /// Inserts any hashable element.
@@ -202,20 +238,17 @@ impl GhllSketch {
         } else {
             self.table.update_value(u)
         };
-        if k > self.registers[index] {
-            self.registers[index] = k;
-            if self.lower_bound_tracking {
-                self.modifications += 1;
-                if self.modifications >= self.config.m() as u32 {
-                    self.rescan_lower_bound();
-                }
+        if self.registers.raise(index, k) && self.lower_bound_tracking {
+            self.modifications += 1;
+            if self.modifications >= self.config.m() as u32 {
+                self.rescan_lower_bound();
             }
         }
     }
 
     #[cold]
     fn rescan_lower_bound(&mut self) {
-        self.k_low = kernels::min_scan(&self.registers);
+        self.k_low = self.registers.min();
         self.modifications = 0;
     }
 
@@ -226,34 +259,25 @@ impl GhllSketch {
     }
 
     /// Bytes this sketch keeps resident in memory: the inline struct
-    /// plus the register array. The `Arc`'d power table is excluded
-    /// (shared across every sketch of a configuration).
+    /// plus the register array at its lane width (m, 2 m or 4 m bytes).
+    /// The `Arc`'d power table is excluded (shared across every sketch
+    /// of a configuration).
     pub fn memory_footprint(&self) -> usize {
-        std::mem::size_of::<Self>() + 4 * self.registers.capacity()
+        std::mem::size_of::<Self>() + self.registers.heap_bytes()
     }
 
-    /// An empty sketch sharing this sketch's configuration, seed, power
-    /// table and tracking mode (tiered-storage rehydration scaffold).
-    pub(crate) fn empty_like(&self) -> Self {
-        Self {
-            registers: vec![0; self.config.m()],
-            table: self.table.clone(),
-            config: self.config,
-            seed: self.seed,
-            lower_bound_tracking: self.lower_bound_tracking,
-            k_low: 0,
-            modifications: 0,
-        }
-    }
-
-    /// Replaces the register contents (tiered-storage rehydration);
-    /// recomputes the tracked lower bound when tracking is enabled.
-    pub(crate) fn load_registers(&mut self, values: Vec<u32>) {
-        debug_assert_eq!(values.len(), self.registers.len());
-        self.registers = values;
-        if self.lower_bound_tracking {
-            self.rescan_lower_bound();
-        }
+    /// A sketch holding decoded `registers` — m values in `0..=q+1`,
+    /// which the decoders validate while narrowing — that shares this
+    /// sketch's configuration, seed, power table and tracking mode; the
+    /// tracked lower bound is the decoded minimum.
+    pub(crate) fn with_registers(&self, registers: Registers) -> Self {
+        Self::assemble(
+            self.config,
+            self.seed,
+            Arc::clone(&self.table),
+            self.lower_bound_tracking,
+            registers,
+        )
     }
 
     /// Checks configuration and seed compatibility.
@@ -269,10 +293,10 @@ impl GhllSketch {
             return Err(IncompatibleGhll);
         }
         if self.lower_bound_tracking {
-            self.k_low = kernels::max_merge_min(&mut self.registers, &other.registers);
+            self.k_low = self.registers.max_merge_min(&other.registers);
             self.modifications = 0;
         } else {
-            kernels::max_merge(&mut self.registers, &other.registers);
+            self.registers.max_merge(&other.registers);
         }
         Ok(())
     }
@@ -300,19 +324,19 @@ impl GhllSketch {
         if limit < STACK_BUCKETS {
             let mut counts = [0u32; STACK_BUCKETS];
             let counts = &mut counts[..limit + 1];
-            kernels::scalar::histogram_counts(&self.registers, counts);
+            self.registers.histogram_into(counts);
             return kernels::fold_histogram(counts, &self.table);
         }
         if limit <= self.registers.len() {
             let mut counts = vec![0u32; limit + 1];
-            kernels::histogram_counts(&self.registers, &mut counts);
+            self.registers.histogram_into(&mut counts);
             return kernels::fold_histogram(&counts, &self.table);
         }
         let limit = limit as u32;
         let mut c0 = 0usize;
         let mut c_limit = 0usize;
         let mut sum = 0.0f64;
-        for &k in &self.registers {
+        for k in &self.registers {
             if k == 0 {
                 c0 += 1;
             } else if k == limit {
@@ -348,7 +372,7 @@ impl GhllSketch {
     pub fn estimate_cardinality_simple(&self) -> f64 {
         let m = self.config.m() as f64;
         let b = self.config.b();
-        let sum: f64 = self.registers.iter().map(|&k| self.table.pow_neg(k)).sum();
+        let sum: f64 = self.registers.iter().map(|k| self.table.pow_neg(k)).sum();
         m * m * (1.0 - 1.0 / b) / (b.ln() * sum)
     }
 
@@ -367,7 +391,7 @@ impl GhllSketch {
         let log_likelihood = |ln_n: f64| {
             let lambda = ln_n.exp() / m; // per-register Poisson rate factor
             let mut ll = 0.0f64;
-            for &k in registers {
+            for k in registers {
                 if k == 0 {
                     ll += -lambda;
                 } else if k == q_limit {
@@ -418,7 +442,7 @@ impl GhllSketch {
     /// to `config.register_bits()` bits each (e.g. 6 bits for HLL).
     pub fn to_bytes(&self) -> Vec<u8> {
         let cfg = &self.config;
-        let packed = sketch_math::pack_bits(&self.registers, cfg.register_bits());
+        let packed = self.registers.pack_bits(cfg.register_bits());
         let mut out = Vec::with_capacity(33 + packed.len());
         out.extend_from_slice(&GHLL_MAGIC.to_be_bytes());
         out.extend_from_slice(&(cfg.m() as u64).to_be_bytes());
@@ -445,18 +469,9 @@ impl GhllSketch {
         let seed = u64::from_be_bytes(bytes[24..32].try_into().expect("length checked"));
         let tracking = bytes[32] != 0;
         let config = GhllConfig::new(m, b, q).map_err(GhllDecodeError::Config)?;
-        let registers = sketch_math::unpack_bits(&bytes[33..], m, config.register_bits(), q + 1)
+        let registers = Registers::unpack_bits(&bytes[33..], m, config.register_bits(), q + 1)
             .map_err(GhllDecodeError::Registers)?;
-        let mut sketch = if tracking {
-            GhllSketch::with_lower_bound_tracking(config, seed)
-        } else {
-            GhllSketch::new(config, seed)
-        };
-        sketch.registers.copy_from_slice(&registers);
-        if sketch.lower_bound_tracking {
-            sketch.rescan_lower_bound();
-        }
-        Ok(sketch)
+        Ok(Self::from_registers(config, seed, tracking, registers))
     }
 }
 
@@ -482,7 +497,7 @@ impl Serialize for GhllSketch {
         GhllState {
             config: self.config,
             seed: self.seed,
-            registers: self.registers.clone(),
+            registers: self.registers.to_vec(),
             lower_bound_tracking: self.lower_bound_tracking,
         }
         .serialize(serializer)
@@ -499,19 +514,14 @@ impl<'de> Deserialize<'de> for GhllSketch {
         if state.registers.len() != config.m() {
             return Err(D::Error::custom("register count does not match m"));
         }
-        if state.registers.iter().any(|&k| k > config.q() + 1) {
-            return Err(D::Error::custom("register value exceeds q + 1"));
-        }
-        let mut sketch = if state.lower_bound_tracking {
-            GhllSketch::with_lower_bound_tracking(config, state.seed)
-        } else {
-            GhllSketch::new(config, state.seed)
-        };
-        sketch.registers.copy_from_slice(&state.registers);
-        if sketch.lower_bound_tracking {
-            sketch.rescan_lower_bound();
-        }
-        Ok(sketch)
+        let registers = Registers::narrowed(&state.registers, config.q() + 1)
+            .ok_or_else(|| D::Error::custom("register value exceeds q + 1"))?;
+        Ok(GhllSketch::from_registers(
+            config,
+            state.seed,
+            state.lower_bound_tracking,
+            registers,
+        ))
     }
 }
 
@@ -632,7 +642,7 @@ mod tests {
         let cfg = GhllConfig::hyperloglog(256).unwrap();
         let mut s = GhllSketch::new(cfg, 6);
         s.extend(0..10_000);
-        let untouched = s.registers().iter().filter(|&&k| k == 0).count();
+        let untouched = s.registers().iter().filter(|&k| k == 0).count();
         assert_eq!(untouched, 0, "all registers should be touched at n=10k");
     }
 
@@ -647,7 +657,7 @@ mod tests {
         assert_eq!(s, back);
         // The restored bound is the exact minimum, which may exceed the
         // original's amortized (stale) bound — both are valid lower bounds.
-        let min = back.registers().iter().copied().min().unwrap();
+        let min = back.registers().iter().min().unwrap();
         assert!(back.k_low() >= s.k_low());
         assert!(back.k_low() <= min);
     }

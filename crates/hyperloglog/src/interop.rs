@@ -11,29 +11,31 @@ use sketch_core::{
     BatchInsert, CardinalityEstimator, CompactSketch, JointEstimator, JointQuantities, Mergeable,
     Signature, Sketch,
 };
-use sketch_math::bitpack::{pack_offsets, unpack_offsets, BitPackError};
+use sketch_math::{BitPackError, Registers};
 use sketch_rand::hash_bytes;
 
 impl CompactSketch for GhllSketch {
     type CompactError = BitPackError;
 
     /// Registers as offsets from their minimum plus a sparse exception
-    /// list ([`sketch_math::bitpack::pack_offsets`]) — for classic HLL
-    /// configurations (b = 2, q = 62) registers concentrate in a narrow
-    /// band, compressing 4–8× against the resident `u32` array.
+    /// list ([`sketch_math::bitpack::pack_offsets`]), packed straight
+    /// from the resident lanes — for classic HLL configurations (b = 2,
+    /// q = 62) registers concentrate in a narrow band, 2–3 bits each
+    /// against the resident byte.
     fn compress(&self) -> Vec<u8> {
-        pack_offsets(self.registers())
+        self.registers().pack_offsets()
     }
 
-    /// Rebuilds the sketch around the prototype's configuration, seed,
-    /// shared power table and lower-bound-tracking mode; the tracked
-    /// bound is rescanned from the decoded registers.
+    /// Decodes straight into a register array of the prototype's lane
+    /// width — validating each value against `q + 1` while narrowing —
+    /// and builds the sketch around it with the prototype's
+    /// configuration, seed, shared power table and
+    /// lower-bound-tracking mode; the tracked bound is the decoded
+    /// minimum.
     fn decompress(prototype: &Self, bytes: &[u8]) -> Result<Self, BitPackError> {
         let config = prototype.config();
-        let registers = unpack_offsets(bytes, config.m(), config.q() + 1)?;
-        let mut sketch = prototype.empty_like();
-        sketch.load_registers(registers);
-        Ok(sketch)
+        let registers = Registers::unpack_offsets(bytes, config.m(), config.q() + 1)?;
+        Ok(prototype.with_registers(registers))
     }
 
     fn resident_bytes(&self) -> usize {
@@ -77,10 +79,10 @@ impl Signature for GhllSketch {
         self.config().m()
     }
 
-    /// GHLL registers are used directly as the LSH signature.
+    /// GHLL registers are used directly as the LSH signature, widened
+    /// to `u32`.
     fn signature_into(&self, out: &mut Vec<u32>) {
-        out.clear();
-        out.extend_from_slice(self.registers());
+        self.registers().widen_into(out);
     }
 
     /// The SetSketch §3.3 lower collision-probability bound

@@ -52,7 +52,8 @@ impl GhllSketch {
         if !self.is_compatible(other) {
             return Err(IncompatibleGhll);
         }
-        Ok(JointCounts::from_u32(self.registers(), other.registers()))
+        let (d_plus, d_minus, d0) = self.registers().compare_counts(other.registers());
+        Ok(JointCounts::new(d_plus, d_minus, d0))
     }
 
     /// Checks the §4.2 applicability condition: no register may be 0 or
@@ -66,7 +67,7 @@ impl GhllSketch {
             .registers()
             .iter()
             .zip(other.registers())
-            .all(|(&a, &b)| !((a == 0 && b == 0) || (a == limit && b == limit))))
+            .all(|(a, b)| !((a == 0 && b == 0) || (a == limit && b == limit))))
     }
 
     /// Union cardinality below which zero registers are expected in both

@@ -71,8 +71,8 @@ mod tests {
         for seed in 0..seeds {
             let mut s = GhllSketch::new(cfg, seed);
             s.extend(0..m as u64);
-            zeros += s.registers().iter().filter(|&&k| k == 0).count();
-            ones += s.registers().iter().filter(|&&k| k == 1).count();
+            zeros += s.registers().iter().filter(|&k| k == 0).count();
+            ones += s.registers().iter().filter(|&k| k == 1).count();
         }
         let total = (m as f64) * seeds as f64;
         let p0 = zeros as f64 / total;

@@ -419,11 +419,12 @@ mod tests {
     use super::*;
     use setsketch::{SetSketch1, SetSketchConfig};
 
-    fn sketch_of(range: std::ops::Range<u64>) -> SetSketch1 {
+    /// The register signature of a SetSketch of `range`.
+    fn signature_of(range: std::ops::Range<u64>) -> Vec<u32> {
         let cfg = SetSketchConfig::new(256, 1.001, 20.0, (1 << 16) - 2).unwrap();
         let mut s = SetSketch1::new(cfg, 77);
         s.extend(range);
-        s
+        s.registers().to_vec()
     }
 
     #[test]
@@ -447,10 +448,10 @@ mod tests {
     #[test]
     fn near_duplicates_are_found() {
         let index: LshIndex<&str> = LshIndex::new(32, 8).unwrap();
-        index.insert("original", sketch_of(0..10_000).registers());
-        index.insert("unrelated", sketch_of(1_000_000..1_010_000).registers());
+        index.insert("original", &signature_of(0..10_000));
+        index.insert("unrelated", &signature_of(1_000_000..1_010_000));
         // 95 % overlapping query.
-        let candidates = index.query(sketch_of(500..10_500).registers());
+        let candidates = index.query(&signature_of(500..10_500));
         assert!(candidates.contains(&"original"));
         assert!(!candidates.contains(&"unrelated"));
     }
@@ -460,9 +461,9 @@ mod tests {
         let index: LshIndex<u64> = LshIndex::new(16, 16).unwrap();
         for doc in 0..50u64 {
             let base = 10_000_000 + doc * 1_000_000;
-            index.insert(doc, sketch_of(base..base + 5000).registers());
+            index.insert(doc, &signature_of(base..base + 5000));
         }
-        let candidates = index.query(sketch_of(0..5000).registers());
+        let candidates = index.query(&signature_of(0..5000));
         assert!(
             candidates.len() <= 2,
             "unrelated candidates: {candidates:?}"
@@ -472,42 +473,42 @@ mod tests {
     #[test]
     fn insert_is_idempotent() {
         let index: LshIndex<u32> = LshIndex::new(8, 4).unwrap();
-        let s = sketch_of(0..100);
-        index.insert(1, s.registers());
-        index.insert(1, s.registers());
-        assert_eq!(index.query(s.registers()), vec![1]);
+        let s = signature_of(0..100);
+        index.insert(1, &s);
+        index.insert(1, &s);
+        assert_eq!(index.query(&s), vec![1]);
         assert_eq!(index.len(), 8);
     }
 
     #[test]
     fn remove_works() {
         let index: LshIndex<u32> = LshIndex::new(8, 4).unwrap();
-        let s = sketch_of(0..100);
-        index.insert(1, s.registers());
-        assert!(index.remove(&1, s.registers()));
-        assert!(index.query(s.registers()).is_empty());
+        let s = signature_of(0..100);
+        index.insert(1, &s);
+        assert!(index.remove(&1, &s));
+        assert!(index.query(&s).is_empty());
         assert!(index.is_empty());
-        assert!(!index.remove(&1, s.registers()));
+        assert!(!index.remove(&1, &s));
     }
 
     #[test]
     fn concurrent_inserts_and_queries() {
         let index: LshIndex<u64> = LshIndex::new(16, 8).unwrap();
         let sketches: Vec<_> = (0..32u64)
-            .map(|i| sketch_of(i * 1000..i * 1000 + 2000))
+            .map(|i| signature_of(i * 1000..i * 1000 + 2000))
             .collect();
         std::thread::scope(|scope| {
             for (i, sketch) in sketches.iter().enumerate() {
                 let index = &index;
                 scope.spawn(move || {
-                    index.insert(i as u64, sketch.registers());
+                    index.insert(i as u64, sketch);
                     // Interleave queries with inserts.
-                    let _ = index.query(sketch.registers());
+                    let _ = index.query(sketch);
                 });
             }
         });
         for (i, sketch) in sketches.iter().enumerate() {
-            let candidates = index.query(sketch.registers());
+            let candidates = index.query(sketch);
             assert!(candidates.contains(&(i as u64)), "doc {i} lost");
         }
     }
@@ -518,14 +519,14 @@ mod tests {
         // so without source-level dedup each key would be reported once
         // per band. Every query path must return it exactly once.
         let index: LshIndex<u32> = LshIndex::new(16, 4).unwrap();
-        let s = sketch_of(0..500);
-        index.insert(7, s.registers());
+        let s = signature_of(0..500);
+        index.insert(7, &s);
         assert_eq!(index.len(), 16, "stored in all 16 bands");
-        assert_eq!(index.query(s.registers()), vec![7]);
-        assert_eq!(index.query_multiprobe(s.registers()), vec![7]);
-        assert_eq!(index.query_batch(&[s.registers()]), vec![vec![7]]);
+        assert_eq!(index.query(&s), vec![7]);
+        assert_eq!(index.query_multiprobe(&s), vec![7]);
+        assert_eq!(index.query_batch(&[&s]), vec![vec![7]]);
         let mut hashes = Vec::new();
-        index.band_hashes_into(s.registers(), &mut hashes);
+        index.band_hashes_into(&s, &mut hashes);
         let mut out = vec![99]; // stale contents must be cleared
         index.query_hashed_into(&hashes, &mut out);
         assert_eq!(out, vec![7]);
@@ -534,20 +535,20 @@ mod tests {
     #[test]
     fn hashed_paths_match_signature_paths() {
         let index: LshIndex<u32> = LshIndex::new(8, 8).unwrap();
-        let a = sketch_of(0..1000);
-        let b = sketch_of(100..1100);
+        let a = signature_of(0..1000);
+        let b = signature_of(100..1100);
         let mut hashes = Vec::new();
-        index.band_hashes_into(a.registers(), &mut hashes);
+        index.band_hashes_into(&a, &mut hashes);
         index.insert_hashed(1, &hashes);
-        index.insert(2, b.registers());
+        index.insert(2, &b);
         // A hashed insert is indistinguishable from a signature insert.
         let mut hashed_result = Vec::new();
         index.query_hashed_into(&hashes, &mut hashed_result);
-        assert_eq!(index.query(a.registers()), hashed_result);
-        assert!(index.query(a.registers()).contains(&1));
+        assert_eq!(index.query(&a), hashed_result);
+        assert!(index.query(&a).contains(&1));
         // Hashed removal under the same bucket ids.
         assert!(index.remove_hashed(&1, &hashes));
-        assert!(!index.query(a.registers()).contains(&1));
+        assert!(!index.query(&a).contains(&1));
         assert!(!index.remove_hashed(&1, &hashes));
     }
 
@@ -555,15 +556,15 @@ mod tests {
     fn query_batch_matches_individual_queries() {
         let index: LshIndex<u64> = LshIndex::new(16, 8).unwrap();
         let sketches: Vec<_> = (0..20u64)
-            .map(|i| sketch_of(i * 400..i * 400 + 3000))
+            .map(|i| signature_of(i * 400..i * 400 + 3000))
             .collect();
         for (i, s) in sketches.iter().enumerate() {
-            index.insert(i as u64, s.registers());
+            index.insert(i as u64, s);
         }
-        let signatures: Vec<&[u32]> = sketches.iter().map(|s| s.registers()).collect();
+        let signatures: Vec<&[u32]> = sketches.iter().map(Vec::as_slice).collect();
         let batched = index.query_batch(&signatures);
         for (s, batch) in sketches.iter().zip(&batched) {
-            assert_eq!(&index.query(s.registers()), batch);
+            assert_eq!(&index.query(s), batch);
         }
     }
 
@@ -573,14 +574,14 @@ mod tests {
         // exact query, but a single ±1 register difference is exactly
         // what one multi-probe perturbation reaches.
         let index: LshIndex<&str> = LshIndex::new(1, 256).unwrap();
-        let stored = sketch_of(0..10_000);
-        index.insert("doc", stored.registers());
-        let mut probe_sig = stored.registers().to_vec();
+        let stored = signature_of(0..10_000);
+        index.insert("doc", &stored);
+        let mut probe_sig = stored.clone();
         probe_sig[17] += 1;
         assert!(index.query(&probe_sig).is_empty(), "exact match must miss");
         assert_eq!(index.query_multiprobe(&probe_sig), vec!["doc"]);
         // And the unperturbed signature still matches via the base probe.
-        assert_eq!(index.query_multiprobe(stored.registers()), vec!["doc"]);
+        assert_eq!(index.query_multiprobe(&stored), vec!["doc"]);
     }
 
     #[test]
@@ -594,7 +595,7 @@ mod tests {
             (11, 5_000_500..5_010_500),
             (99, 900_000_000..900_010_000),
         ] {
-            index.insert(key, sketch_of(range).registers());
+            index.insert(key, &signature_of(range));
         }
         let pairs = index.candidate_pairs();
         assert!(pairs.contains(&(0, 1)), "pairs: {pairs:?}");
@@ -618,6 +619,6 @@ mod tests {
     #[should_panic(expected = "signature has")]
     fn rejects_short_signatures() {
         let index: LshIndex<u32> = LshIndex::new(64, 8).unwrap(); // needs 512
-        index.insert(1, sketch_of(0..10).registers()); // only 256
+        index.insert(1, &signature_of(0..10)); // only 256
     }
 }

@@ -20,9 +20,9 @@
 //! for doc in 0..20u64 {
 //!     let mut sketch = SetSketch1::new(config, 1);
 //!     sketch.extend(doc * 50..doc * 50 + 1000); // increasingly dissimilar
-//!     index.insert(doc, sketch.registers());
+//!     index.insert(doc, &sketch.registers().to_vec());
 //! }
-//! let candidates = index.query(query.registers());
+//! let candidates = index.query(&query.registers().to_vec());
 //! assert!(candidates.contains(&0)); // the near-duplicate is found
 //! ```
 

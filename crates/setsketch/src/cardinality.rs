@@ -33,7 +33,7 @@ impl<S: ValueSequence> SetSketch<S> {
                 .filter(|&(_, &count)| count > 0)
                 .map(|(k, &count)| count as f64 * table.pow_neg(k as u32))
                 .sum(),
-            None => self.registers().iter().map(|&k| table.pow_neg(k)).sum(),
+            None => self.registers().iter().map(|k| table.pow_neg(k)).sum(),
         };
         let cfg = self.config();
         cfg.m() as f64 * (1.0 - 1.0 / cfg.b()) / (cfg.a() * cfg.b().ln() * sum)
@@ -215,7 +215,7 @@ mod tests {
         let cfg = SetSketchConfig::new(64, 2.0, 20.0, 3).unwrap();
         let mut sketch = SetSketch1::new(cfg, 1);
         sketch.extend(0..100_000);
-        assert!(sketch.registers().iter().all(|&k| k == 4));
+        assert!(sketch.registers().iter().all(|k| k == 4));
         assert!(sketch.estimate_cardinality().is_infinite());
     }
 

@@ -5,7 +5,7 @@
 //! benchmarks, cross-family experiments) without giving up any of the
 //! inherent API.
 
-use crate::codec::{compress_registers, decompress_registers, CodecError};
+use crate::codec::CodecError;
 use crate::locality::collision_probability_bounds;
 use crate::sequence::ValueSequence;
 use crate::sketch::{IncompatibleSketches, SetSketch};
@@ -13,6 +13,7 @@ use sketch_core::{
     BatchInsert, CardinalityEstimator, CompactSketch, JointEstimator, JointQuantities, Mergeable,
     Signature, Sketch,
 };
+use sketch_math::Registers;
 use sketch_rand::hash_bytes;
 
 impl<S: ValueSequence> Sketch for SetSketch<S> {
@@ -73,10 +74,9 @@ impl<S: ValueSequence> Signature for SetSketch<S> {
     }
 
     /// SetSketch registers *are* the LSH signature (paper §3.3): no
-    /// reduction step, the m registers are copied as-is.
+    /// reduction step, the m registers are widened to `u32` as-is.
     fn signature_into(&self, out: &mut Vec<u32>) {
-        out.clear();
-        out.extend_from_slice(self.registers());
+        self.registers().widen_into(out);
     }
 
     /// The §3.3 *lower* collision-probability bound
@@ -107,27 +107,26 @@ impl<S: ValueSequence> CompactSketch for SetSketch<S> {
 
     /// Registers as offsets from the tight minimum (the `K_low` bound
     /// the sketch already maintains incrementally, §2.2) plus a sparse
-    /// exception list — [`crate::codec::compress_registers`]. For base-2
+    /// exception list — the [`crate::codec::compress_registers`] layout,
+    /// packed straight from the resident lanes. For base-2
     /// configurations registers concentrate within a few values of
-    /// `K_low`, so this runs 4–10× smaller than the resident `u32`
-    /// array.
+    /// `K_low`, so this runs 2–3 bits per register: about half the
+    /// paper's 6-bit packing and a third of the resident byte lanes.
     fn compress(&self) -> Vec<u8> {
-        compress_registers(self.registers()).to_vec()
+        self.registers().pack_offsets()
     }
 
-    /// Rebuilds the sketch around the prototype's configuration, seed
-    /// and shared power table; the estimator histogram and `K_low` are
-    /// recomputed from the decoded registers, so the result is
-    /// indistinguishable from the never-compressed state.
+    /// Decodes straight into a register array of the prototype's lane
+    /// width — validating each value against `q + 1` while narrowing —
+    /// and builds the sketch around it with the prototype's
+    /// configuration, seed, power table and value sequence (shared, not
+    /// rebuilt); the estimator histogram and `K_low` are recomputed from
+    /// the decoded registers, so the result is indistinguishable from
+    /// the never-compressed state.
     fn decompress(prototype: &Self, bytes: &[u8]) -> Result<Self, CodecError> {
-        let registers = decompress_registers(bytes, prototype.m(), prototype.config().q() + 1)?;
-        let mut sketch = SetSketch::with_shared_table(
-            *prototype.config(),
-            prototype.seed(),
-            prototype.power_table().clone(),
-        );
-        sketch.load_registers(&registers);
-        Ok(sketch)
+        let registers =
+            Registers::unpack_offsets(bytes, prototype.m(), prototype.config().q() + 1)?;
+        Ok(prototype.with_registers(registers))
     }
 
     fn resident_bytes(&self) -> usize {
@@ -164,12 +163,14 @@ mod tests {
             );
             assert!(SetSketch2::decompress(&prototype, &bytes[..bytes.len() - 1]).is_err());
         }
-        // The dense base-2 configuration must clear the ≥ 2.5× warm-tier
-        // compression bar by a wide margin.
+        // On the dense base-2 configuration the offset codec must beat
+        // both the resident byte lanes (by 2×) and the paper's fixed
+        // 6-bit packing, or the warm tier has nothing to offer.
         let mut dense = SetSketch1::new(SetSketchConfig::new(4096, 2.0, 20.0, 62).unwrap(), 11);
         dense.insert_batch(&(0..100_000u64).collect::<Vec<_>>());
         let packed = dense.compress();
-        assert!(packed.len() * 4 < dense.memory_footprint());
+        assert!(packed.len() * 2 < dense.memory_footprint());
+        assert!(packed.len() < dense.config().packed_bytes());
     }
 
     #[test]

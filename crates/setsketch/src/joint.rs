@@ -37,7 +37,8 @@ impl<S: ValueSequence> SetSketch<S> {
     /// of the vectorized three-way comparison kernel).
     pub fn joint_counts(&self, other: &Self) -> Result<JointCounts, IncompatibleSketches> {
         self.check_compatible(other)?;
-        Ok(JointCounts::from_u32(self.registers(), other.registers()))
+        let (d_plus, d_minus, d0) = self.registers().compare_counts(other.registers());
+        Ok(JointCounts::new(d_plus, d_minus, d0))
     }
 
     /// Joint estimation with cardinalities estimated from the sketches

@@ -66,7 +66,6 @@ mod tests {
     use super::*;
     use crate::config::SetSketchConfig;
     use crate::sketch::SetSketch1;
-    use sketch_math::JointCounts;
 
     #[test]
     fn bounds_bracket_exact_probability() {
@@ -167,7 +166,7 @@ mod tests {
         // J = 0.5: U = 0..20k, V = 10k..30k.
         u.extend(0..20_000);
         v.extend(10_000..30_000);
-        let counts = JointCounts::from_registers(u.registers(), v.registers());
+        let counts = u.joint_counts(&v).unwrap();
         let d0 = counts.d0 as usize;
         let j_up = jaccard_upper_estimate(cfg.b(), d0, cfg.m());
         let j_true = 10_000.0 / 30_000.0;

@@ -13,8 +13,9 @@
 
 use crate::config::SetSketchConfig;
 use crate::sequence::{ExponentialSpacings, IntervalSampling, ValueSequence};
-use sketch_math::{kernels, PowerTable};
+use sketch_math::{kernels, Lane, LanesMut, PowerTable, Registers};
 use sketch_rand::{hash_of, hash_u64, IncrementalShuffle, WyRand};
+use std::cell::RefCell;
 use std::sync::Arc;
 
 /// SetSketch1: independent register values via exponential spacings.
@@ -89,14 +90,21 @@ impl std::error::Error for IncompatibleSketches {}
 ///
 /// The type parameter selects the register-value construction; use the
 /// aliases [`SetSketch1`] and [`SetSketch2`].
+///
+/// The only per-sketch heap state is the register array, held at its
+/// natural lane width ([`Registers`]: one byte per register when
+/// `q + 1 ≤ 255`, two when `≤ 65 535`), and — on dense scales — the
+/// `q + 2`-bucket histogram. What an insert needs beyond that (the index
+/// shuffle, the batch hash buffer) carries no state between calls and
+/// lives in one thread-local scratch, so `clone`, `merge`, decoding and
+/// [`memory_footprint`](Self::memory_footprint) pay for registers only.
 #[derive(Debug, Clone)]
 pub struct SetSketch<S: ValueSequence> {
     config: SetSketchConfig,
     seed: u64,
-    registers: Vec<u32>,
+    registers: Registers,
     table: Arc<PowerTable>,
     sequence: S,
-    shuffle: IncrementalShuffle,
     /// Lower bound K_low <= min(K_1..K_m) (paper §2.2).
     k_low: u32,
     /// Register modifications since the last K_low rescan (w in Alg. 1).
@@ -113,13 +121,77 @@ pub struct SetSketch<S: ValueSequence> {
     /// the O(m) register scan is the cheaper estimator, so the vector
     /// stays empty and estimation falls back to scanning.
     histogram: Vec<u32>,
-    /// Reusable hash buffer of the batched insert paths
-    /// ([`insert_batch`](Self::insert_batch) / [`extend`](Self::extend)):
-    /// the batch is hashed, sorted and deduplicated in here, so steady
-    /// ingest (e.g. through a sketch store) allocates once per sketch
-    /// instead of once per batch. Always left empty between calls, so
-    /// clones stay cheap and state comparisons are unaffected.
-    batch_scratch: Vec<u64>,
+}
+
+/// What Algorithm 1 needs per insert besides the sketch: the lazily
+/// reset index permutation (re-domained to the inserting sketch's m,
+/// growing only) and the hash buffer of the batched paths (at most
+/// [`SetSketch::EXTEND_CHUNK`] elements). Neither carries state from one
+/// insert to the next, so one instance per thread serves every sketch.
+struct InsertScratch {
+    shuffle: IncrementalShuffle,
+    hashes: Vec<u64>,
+}
+
+thread_local! {
+    static INSERT_SCRATCH: RefCell<InsertScratch> = RefCell::new(InsertScratch {
+        shuffle: IncrementalShuffle::new(1),
+        hashes: Vec::new(),
+    });
+}
+
+/// Algorithm 1 for a run of hashed elements, written once over the lane
+/// type and dispatched on the register width once per run — outside the
+/// per-element and per-register loops.
+struct InsertHashes<'a, S> {
+    hashes: &'a [u64],
+    table: &'a PowerTable,
+    sequence: &'a mut S,
+    shuffle: &'a mut IncrementalShuffle,
+    histogram: &'a mut [u32],
+    k_low: &'a mut u32,
+    modifications: &'a mut u32,
+}
+
+impl<S: ValueSequence> LanesMut for InsertHashes<'_, S> {
+    type Output = ();
+
+    fn run<L: Lane>(self, registers: &mut [L]) {
+        let m = registers.len();
+        let mut k_low = *self.k_low;
+        let mut modifications = *self.modifications;
+        for &hash in self.hashes {
+            let mut rng = WyRand::new(hash);
+            self.sequence.start();
+            self.shuffle.reset_with_domain(m);
+            for _ in 0..m {
+                let x = self.sequence.next(&mut rng);
+                // Combined check of Algorithm 1: stop when x > b^{-K_low}
+                // or the clamped update value k would satisfy k <= K_low.
+                let Some(k) = self.table.update_value_above(x, k_low) else {
+                    break;
+                };
+                let i = self.shuffle.next(&mut rng) as usize;
+                let old = registers[i].widen();
+                if k > old {
+                    registers[i] = L::narrow(k).expect("update values are at most q + 1");
+                    if !self.histogram.is_empty() {
+                        self.histogram[old as usize] -= 1;
+                        self.histogram[k as usize] += 1;
+                    }
+                    modifications += 1;
+                    if modifications >= m as u32 {
+                        // Rescan to raise K_low (amortized O(1) per
+                        // register increment, §2.2).
+                        k_low = kernels::min_scan(registers);
+                        modifications = 0;
+                    }
+                }
+            }
+        }
+        *self.k_low = k_low;
+        *self.modifications = modifications;
+    }
 }
 
 /// True when a configuration's register scale is dense enough that the
@@ -135,8 +207,7 @@ impl<S: ValueSequence> SetSketch<S> {
     /// Two sketches can only be merged or jointly estimated when both their
     /// configuration and their seed match.
     pub fn new(config: SetSketchConfig, seed: u64) -> Self {
-        let table = Arc::new(PowerTable::new(config.b(), config.q()));
-        Self::with_shared_table(config, seed, table)
+        Self::from_registers(config, seed, Self::empty_registers(&config))
     }
 
     /// Creates an empty sketch reusing a prepared power table (avoids
@@ -147,25 +218,69 @@ impl<S: ValueSequence> SetSketch<S> {
     pub fn with_shared_table(config: SetSketchConfig, seed: u64, table: Arc<PowerTable>) -> Self {
         assert_eq!(table.b(), config.b(), "power table base mismatch");
         assert_eq!(table.q(), config.q(), "power table limit mismatch");
+        let sequence = S::create(config.m(), config.a());
+        Self::assemble(
+            config,
+            seed,
+            table,
+            sequence,
+            Self::empty_registers(&config),
+        )
+    }
+
+    fn empty_registers(config: &SetSketchConfig) -> Registers {
+        Registers::zeroed(config.m(), config.q() + 1)
+    }
+
+    /// A sketch holding decoded `registers` — m values in `0..=q+1`, which
+    /// the decoders validate while narrowing — under a fresh power table
+    /// and value sequence for `config`.
+    pub(crate) fn from_registers(config: SetSketchConfig, seed: u64, registers: Registers) -> Self {
+        let table = Arc::new(PowerTable::new(config.b(), config.q()));
+        let sequence = S::create(config.m(), config.a());
+        Self::assemble(config, seed, table, sequence, registers)
+    }
+
+    /// A sketch holding decoded `registers` that shares this sketch's
+    /// configuration, seed, power table and value sequence.
+    pub(crate) fn with_registers(&self, registers: Registers) -> Self {
+        Self::assemble(
+            self.config,
+            self.seed,
+            Arc::clone(&self.table),
+            self.sequence.clone(),
+            registers,
+        )
+    }
+
+    /// Builds the sketch around its register array — the one
+    /// allocation besides the histogram: one histogram pass, and the
+    /// tight `K_low` from one minimum scan.
+    fn assemble(
+        config: SetSketchConfig,
+        seed: u64,
+        table: Arc<PowerTable>,
+        sequence: S,
+        registers: Registers,
+    ) -> Self {
+        debug_assert_eq!(registers.len(), config.m());
         let histogram = if maintains_histogram(&config) {
-            let mut histogram = vec![0u32; config.q() as usize + 2];
-            histogram[0] = config.m() as u32;
-            histogram
+            vec![0u32; config.q() as usize + 2]
         } else {
             Vec::new()
         };
-        Self {
-            registers: vec![0; config.m()],
-            sequence: S::create(config.m(), config.a()),
-            shuffle: IncrementalShuffle::new(config.m()),
-            table,
+        let mut sketch = Self {
             config,
             seed,
-            k_low: 0,
+            k_low: registers.min(),
+            registers,
+            table,
+            sequence,
             modifications: 0,
             histogram,
-            batch_scratch: Vec::new(),
-        }
+        };
+        sketch.rebuild_histogram();
+        sketch
     }
 
     /// The configuration of this sketch.
@@ -186,9 +301,11 @@ impl<S: ValueSequence> SetSketch<S> {
         self.config.m()
     }
 
-    /// Read-only view of the register values.
+    /// Read-only, width-erased view of the register values: `len`,
+    /// `get`, `iter` and `to_vec` yield them as `u32` whatever lane width
+    /// the array is held at.
     #[inline]
-    pub fn registers(&self) -> &[u32] {
+    pub fn registers(&self) -> &Registers {
         &self.registers
     }
 
@@ -219,18 +336,17 @@ impl<S: ValueSequence> SetSketch<S> {
     }
 
     /// Bytes this sketch keeps resident in memory: the inline struct
-    /// plus its per-sketch heap allocations (registers, estimator
-    /// histogram, shuffle scratch, batch scratch). Configuration-level
-    /// state shared across sketches — the `Arc`'d power table and
-    /// interval boundaries — is excluded, so demoting a sketch to a
-    /// compressed tier reclaims (at least) this many bytes.
+    /// plus its two per-sketch heap allocations — the registers at their
+    /// lane width (m, 2 m or 4 m bytes against the paper's
+    /// `m · ⌈log₂(q+2)⌉` bits) and, on dense scales, the `q + 2`-bucket
+    /// estimator histogram. Configuration-level state shared across
+    /// sketches — the `Arc`'d power table and interval boundaries — and
+    /// the per-thread insert scratch are excluded, so demoting a sketch
+    /// to a compressed tier reclaims exactly this many bytes.
     pub fn memory_footprint(&self) -> usize {
         std::mem::size_of::<Self>()
-            + 4 * self.registers.capacity()
-            + 4 * self.histogram.capacity()
-            + 8 * self.batch_scratch.capacity()
-            // IncrementalShuffle keeps two m-length u32 arrays.
-            + 8 * self.config.m()
+            + self.registers.heap_bytes()
+            + std::mem::size_of::<u32>() * self.histogram.capacity()
     }
 
     /// True if no register has ever been modified (O(1) when the
@@ -238,7 +354,7 @@ impl<S: ValueSequence> SetSketch<S> {
     pub fn is_unused(&self) -> bool {
         match self.register_histogram() {
             Some(histogram) => histogram[0] as usize == self.config.m(),
-            None => self.registers.iter().all(|&k| k == 0),
+            None => self.registers.iter().all(|k| k == 0),
         }
     }
 
@@ -254,23 +370,25 @@ impl<S: ValueSequence> SetSketch<S> {
         self.insert_hash(hash_u64(element, self.seed));
     }
 
-    /// Inserts all elements of an iterator through the batched fast path
-    /// ([`insert_batch`](Self::insert_batch)): elements are hashed,
-    /// sorted and deduplicated in bounded chunks, so within each chunk
-    /// duplicates never reach Algorithm 1 and the `K_low` early exit
-    /// tightens as the chunk proceeds.
+    /// Inserts all elements of an iterator through the batched fast
+    /// path: elements are hashed, sorted and deduplicated in bounded
+    /// chunks, so within each chunk duplicates never reach Algorithm 1
+    /// and the `K_low` early exit tightens as the chunk proceeds.
     ///
     /// The stream is consumed in fixed-size chunks
     /// ([`EXTEND_CHUNK`](Self::EXTEND_CHUNK) elements), keeping peak
     /// memory constant for arbitrarily large iterators while retaining
     /// almost all of the batch speedup (chunks are much larger than m).
+    /// The chunk buffer is the thread's reusable scratch allocation, so
+    /// steady batched ingest does not allocate per call.
     pub fn extend<I: IntoIterator<Item = u64>>(&mut self, elements: I) {
         let seed = self.seed;
         let mut elements = elements.into_iter();
-        // The scratch buffer is taken out of `self` for the duration so
-        // the chunk loop can borrow `self` mutably; it goes back (empty,
-        // capacity retained) when the stream is drained.
-        let mut hashes = std::mem::take(&mut self.batch_scratch);
+        // The buffer is taken out of the scratch while the caller's
+        // iterator runs (it may itself insert into a sketch) and goes
+        // back — empty, capacity retained — when the stream is drained.
+        let mut hashes =
+            INSERT_SCRATCH.with(|scratch| std::mem::take(&mut scratch.borrow_mut().hashes));
         loop {
             hashes.clear();
             hashes.extend(
@@ -282,44 +400,33 @@ impl<S: ValueSequence> SetSketch<S> {
             if hashes.is_empty() {
                 break;
             }
-            self.insert_hashes(&mut hashes);
+            hashes.sort_unstable();
+            hashes.dedup();
+            self.insert_hashes(&hashes);
         }
         hashes.clear();
-        self.batch_scratch = hashes;
+        // Amortized growth may have overshot the chunk size; the
+        // retained buffer never exceeds one chunk.
+        hashes.shrink_to(Self::EXTEND_CHUNK);
+        INSERT_SCRATCH.with(|scratch| scratch.borrow_mut().hashes = hashes);
     }
 
-    /// Chunk size of [`extend`](Self::extend)'s streaming batch
-    /// processing (elements buffered, hashed, and sorted at a time).
+    /// Chunk size of the batched insert paths (elements buffered,
+    /// hashed, and sorted at a time) — and the bound on the hash buffer
+    /// a thread retains between calls.
     pub const EXTEND_CHUNK: usize = 1 << 16;
 
     /// Inserts a batch of 64-bit elements (batched Algorithm 1).
     ///
     /// Semantically identical to inserting each element individually,
-    /// but the batch is hashed up front, sorted and deduplicated, so
-    /// repeated elements are dropped before touching the register scan
-    /// and the `K_low` lower-bound early exit (paper §2.2) — which only
-    /// tightens as earlier batch elements raise the registers — discards
-    /// most remaining elements after a single comparison.
-    ///
-    /// The hash buffer is the sketch's own reusable scratch
-    /// allocation, so steady batched ingest does not allocate per call.
+    /// but each [`EXTEND_CHUNK`](Self::EXTEND_CHUNK)-element chunk of the
+    /// batch is hashed up front, sorted and deduplicated, so repeated
+    /// elements are dropped before touching the register scan and the
+    /// `K_low` lower-bound early exit (paper §2.2) — which only tightens
+    /// as earlier batch elements raise the registers — discards most
+    /// remaining elements after a single comparison.
     pub fn insert_batch(&mut self, elements: &[u64]) {
-        let seed = self.seed;
-        let mut hashes = std::mem::take(&mut self.batch_scratch);
-        hashes.clear();
-        hashes.extend(elements.iter().map(|&e| hash_u64(e, seed)));
-        self.insert_hashes(&mut hashes);
-        hashes.clear();
-        self.batch_scratch = hashes;
-    }
-
-    /// Sorts, deduplicates and inserts pre-hashed elements.
-    fn insert_hashes(&mut self, hashes: &mut Vec<u64>) {
-        hashes.sort_unstable();
-        hashes.dedup();
-        for &hash in hashes.iter() {
-            self.insert_hash(hash);
-        }
+        self.extend(elements.iter().copied());
     }
 
     /// Inserts an already fully hashed element (Algorithm 1).
@@ -327,56 +434,31 @@ impl<S: ValueSequence> SetSketch<S> {
     /// The 64-bit value seeds the per-element pseudorandom generator; equal
     /// values leave the state unchanged (idempotency).
     pub fn insert_hash(&mut self, hash: u64) {
-        let mut rng = WyRand::new(hash);
-        self.sequence.start();
-        self.shuffle.reset();
-        let m = self.config.m();
-        for _ in 0..m {
-            let x = self.sequence.next(&mut rng);
-            // Combined check of Algorithm 1: stop when x > b^{-K_low} or the
-            // clamped update value k would satisfy k <= K_low.
-            let Some(k) = self.table.update_value_above(x, self.k_low) else {
-                break;
-            };
-            let i = self.shuffle.next(&mut rng) as usize;
-            let old = self.registers[i];
-            if k > old {
-                self.registers[i] = k;
-                if !self.histogram.is_empty() {
-                    self.histogram[old as usize] -= 1;
-                    self.histogram[k as usize] += 1;
-                }
-                self.modifications += 1;
-                if self.modifications >= m as u32 {
-                    self.rescan_lower_bound();
-                }
-            }
-        }
+        self.insert_hashes(&[hash]);
     }
 
-    /// Replaces the register contents (used when restoring serialized
-    /// state); recomputes the lower bound and the estimator histogram.
-    pub(crate) fn load_registers(&mut self, values: &[u32]) {
-        debug_assert_eq!(values.len(), self.registers.len());
-        self.registers.copy_from_slice(values);
-        self.rebuild_histogram();
-        self.rescan_lower_bound();
+    /// Algorithm 1 for each hash in order, under one borrow of the
+    /// thread's insert scratch and one dispatch on the register width.
+    fn insert_hashes(&mut self, hashes: &[u64]) {
+        INSERT_SCRATCH.with(|scratch| {
+            self.registers.with_lanes_mut(InsertHashes {
+                hashes,
+                table: &self.table,
+                sequence: &mut self.sequence,
+                shuffle: &mut scratch.borrow_mut().shuffle,
+                histogram: &mut self.histogram,
+                k_low: &mut self.k_low,
+                modifications: &mut self.modifications,
+            })
+        });
     }
 
     /// Recomputes the maintained histogram (if any) from the registers
     /// in one kernel pass.
     fn rebuild_histogram(&mut self) {
         if !self.histogram.is_empty() {
-            kernels::histogram_counts(&self.registers, &mut self.histogram);
+            self.registers.histogram_into(&mut self.histogram);
         }
-    }
-
-    /// Rescans all registers to raise K_low (amortized O(1) per register
-    /// increment, §2.2).
-    #[cold]
-    fn rescan_lower_bound(&mut self) {
-        self.k_low = kernels::min_scan(&self.registers);
-        self.modifications = 0;
     }
 
     /// Checks configuration and seed compatibility with another sketch.
@@ -398,7 +480,7 @@ impl<S: ValueSequence> SetSketch<S> {
     /// is needed — and rebuilds the estimator histogram once at the end.
     pub fn merge(&mut self, other: &Self) -> Result<(), IncompatibleSketches> {
         self.check_compatible(other)?;
-        self.k_low = kernels::max_merge_min(&mut self.registers, &other.registers);
+        self.k_low = self.registers.max_merge_min(&other.registers);
         self.modifications = 0;
         self.rebuild_histogram();
         Ok(())
@@ -420,7 +502,7 @@ impl<S: ValueSequence> SetSketch<S> {
         let mut merged_any = false;
         let result = others.into_iter().try_for_each(|other| {
             self.check_compatible(other)?;
-            self.k_low = kernels::max_merge_min(&mut self.registers, &other.registers);
+            self.k_low = self.registers.max_merge_min(&other.registers);
             self.modifications = 0;
             merged_any = true;
             Ok(())
@@ -461,19 +543,18 @@ impl<S: ValueSequence> SetSketch<S> {
         let limit = self.config.q() as usize + 1;
         let Some(histogram) = self.register_histogram() else {
             let limit = limit as u32;
-            let mut c0 = 0usize;
-            let mut c_limit = 0usize;
-            let mut sum = 0.0f64;
-            for &k in &self.registers {
-                if k == 0 {
-                    c0 += 1;
-                } else if k == limit {
-                    c_limit += 1;
-                } else {
-                    sum += self.table.pow_neg(k);
-                }
-            }
-            return (c0, sum, c_limit);
+            return self
+                .registers
+                .iter()
+                .fold((0, 0.0, 0), |(c0, sum, c_limit), k| {
+                    if k == 0 {
+                        (c0 + 1, sum, c_limit)
+                    } else if k == limit {
+                        (c0, sum, c_limit + 1)
+                    } else {
+                        (c0, sum + self.table.pow_neg(k), c_limit)
+                    }
+                });
         };
         kernels::fold_histogram(histogram, &self.table)
     }
@@ -587,23 +668,74 @@ mod tests {
     }
 
     #[test]
-    fn batch_scratch_is_reused_and_left_empty() {
-        let mut sketch = SetSketch1::new(config_small(), 1);
-        sketch.insert_batch(&(0..1000).collect::<Vec<_>>());
-        assert!(sketch.batch_scratch.is_empty());
-        let cap = sketch.batch_scratch.capacity();
-        assert!(cap >= 1000, "first batch should size the scratch buffer");
-        sketch.insert_batch(&(1000..1500).collect::<Vec<_>>());
+    fn large_batch_leaves_a_bounded_scratch_and_equals_per_element_inserts() {
+        // One huge batch must not pin a batch-sized buffer on the thread:
+        // it goes through the same chunk loop as `extend`, and what the
+        // thread retains afterwards is at most one chunk.
+        let elements: Vec<u64> = (0..1_000_000).collect();
+        let mut batched = SetSketch1::new(config_small(), 1);
+        batched.insert_batch(&elements);
+        let retained = INSERT_SCRATCH.with(|scratch| {
+            let scratch = scratch.borrow();
+            assert!(scratch.hashes.is_empty());
+            scratch.hashes.capacity()
+        });
+        assert!(retained > 0, "the buffer is kept for the next batch");
         assert!(
-            sketch.batch_scratch.capacity() >= cap,
-            "smaller follow-up batches must reuse, not shrink, the buffer"
+            retained <= SetSketch1::EXTEND_CHUNK,
+            "retained {retained} hashes after a {}-element batch",
+            elements.len()
         );
-        assert!(sketch.batch_scratch.is_empty());
-        // The scratch is empty at rest, so clones don't copy batch data
-        // and state equality is unaffected.
-        let clone = sketch.clone();
-        assert_eq!(clone, sketch);
-        assert_eq!(clone.batch_scratch.capacity(), 0);
+        // A stream without a size hint grows the buffer by doubling from
+        // whatever an earlier, smaller batch left; it is trimmed back.
+        let mut streamed = SetSketch1::new(config_small(), 1);
+        streamed.insert_batch(&elements[..1000]);
+        streamed.extend(elements[1000..].iter().copied().filter(|_| true));
+        let retained = INSERT_SCRATCH.with(|scratch| scratch.borrow().hashes.capacity());
+        assert!(retained <= SetSketch1::EXTEND_CHUNK, "retained {retained}");
+
+        let mut looped = SetSketch1::new(config_small(), 1);
+        for &e in &elements {
+            looped.insert_u64(e);
+        }
+        assert_eq!(batched, looped);
+        assert_eq!(streamed, looped);
+        assert_eq!(batched.register_histogram(), looped.register_histogram());
+    }
+
+    #[test]
+    fn one_scratch_serves_sketches_of_different_sizes() {
+        // Interleaved inserts into sketches with different m re-domain
+        // the thread's shuffle back and forth; each must end up exactly
+        // where a sketch inserting alone does.
+        let sizes = [64usize, 7, 300, 64];
+        let fresh = |m: usize| SetSketch2::new(SetSketchConfig::new(m, 2.0, 20.0, 62).unwrap(), 3);
+        let mut interleaved: Vec<SetSketch2> = sizes.iter().map(|&m| fresh(m)).collect();
+        for e in 0..2_000u64 {
+            for sketch in &mut interleaved {
+                sketch.insert_u64(e);
+            }
+        }
+        for (sketch, &m) in interleaved.iter().zip(&sizes) {
+            let mut alone = fresh(m);
+            alone.extend(0..2_000);
+            assert_eq!(sketch, &alone, "m = {m}");
+        }
+    }
+
+    #[test]
+    fn inserting_from_inside_an_extend_iterator_is_allowed() {
+        // The caller's iterator runs while `extend` fills its chunk; it
+        // may itself insert into another sketch on the same thread.
+        let mut inner = SetSketch1::new(config_small(), 1);
+        let mut outer = SetSketch1::new(config_small(), 1);
+        outer.extend((0..500u64).inspect(|&e| inner.extend([e, e + 1_000])));
+        let mut expect_outer = SetSketch1::new(config_small(), 1);
+        expect_outer.extend(0..500);
+        let mut expect_inner = SetSketch1::new(config_small(), 1);
+        expect_inner.extend((0..500).chain(1_000..1_500));
+        assert_eq!(outer, expect_outer);
+        assert_eq!(inner, expect_inner);
     }
 
     #[test]
@@ -611,7 +743,7 @@ mod tests {
         let mut sketch = SetSketch1::new(config_small(), 5);
         sketch.extend(0..50_000);
         assert!(sketch.k_low() > 0, "K_low should have risen");
-        let min = sketch.registers().iter().copied().min().unwrap();
+        let min = sketch.registers().iter().min().unwrap();
         assert!(sketch.k_low() <= min, "K_low must be a lower bound");
     }
 
@@ -635,8 +767,8 @@ mod tests {
         let cfg = SetSketchConfig::new(16, 2.0, 20.0, 3).unwrap();
         let mut sketch = SetSketch1::new(cfg, 1);
         sketch.extend(0..10_000);
-        assert!(sketch.registers().iter().all(|&k| k <= 4));
-        assert!(sketch.registers().contains(&4));
+        assert!(sketch.registers().iter().all(|k| k <= 4));
+        assert!(sketch.registers().iter().any(|k| k == 4));
         // Saturated sketch: further inserts are no-ops.
         let snapshot = sketch.clone();
         sketch.extend(10_000..11_000);
@@ -674,7 +806,7 @@ mod tests {
         let mut expect_c0 = 0;
         let mut expect_climit = 0;
         let mut expect_sum = 0.0;
-        for &k in sketch.registers() {
+        for k in sketch.registers() {
             match k {
                 0 => expect_c0 += 1,
                 6 => expect_climit += 1,

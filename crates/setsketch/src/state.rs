@@ -8,13 +8,14 @@
 //! on the sketch types delegate to it. [`SetSketch::to_bytes`] additionally
 //! provides the compact bit-packed binary representation.
 
-use crate::codec::{pack_registers, unpack_registers, CodecError};
+use crate::codec::CodecError;
 use crate::config::{ConfigError, SetSketchConfig};
 use crate::sequence::ValueSequence;
 use crate::sketch::SetSketch;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 #[cfg(feature = "serde")]
 use serde::{Deserialize, Serialize};
+use sketch_math::Registers;
 
 /// Portable SetSketch state.
 #[derive(Debug, Clone, PartialEq)]
@@ -113,13 +114,9 @@ impl<S: ValueSequence> SetSketch<S> {
         if state.registers.len() != config.m() {
             return Err(StateError::WrongRegisterCount);
         }
-        let limit = config.q() + 1;
-        if state.registers.iter().any(|&k| k > limit) {
-            return Err(StateError::RegisterOutOfRange);
-        }
-        let mut sketch = Self::new(config, state.seed);
-        sketch.load_registers(&state.registers);
-        Ok(sketch)
+        let registers = Registers::narrowed(&state.registers, config.q() + 1)
+            .ok_or(StateError::RegisterOutOfRange)?;
+        Ok(Self::from_registers(config, state.seed, registers))
     }
 
     /// Compact binary representation: fixed header plus bit-packed
@@ -134,7 +131,7 @@ impl<S: ValueSequence> SetSketch<S> {
         out.put_f64(cfg.a());
         out.put_u32(cfg.q());
         out.put_u64(self.seed());
-        out.extend_from_slice(&pack_registers(self.registers(), cfg.register_bits()));
+        out.extend_from_slice(&self.registers().pack_bits(cfg.register_bits()));
         out.freeze()
     }
 
@@ -160,10 +157,8 @@ impl<S: ValueSequence> SetSketch<S> {
         let q = bytes.get_u32();
         let seed = bytes.get_u64();
         let config = SetSketchConfig::new(m, b, a, q)?;
-        let registers = unpack_registers(bytes, m, config.register_bits(), q + 1)?;
-        let mut sketch = Self::new(config, seed);
-        sketch.load_registers(&registers);
-        Ok(sketch)
+        let registers = Registers::unpack_bits(bytes, m, config.register_bits(), q + 1)?;
+        Ok(Self::from_registers(config, seed, registers))
     }
 }
 
@@ -287,9 +282,6 @@ mod tests {
         s.extend(0..100_000);
         let restored = SetSketch1::from_state(s.to_state()).unwrap();
         assert!(restored.k_low() > 0);
-        assert_eq!(
-            restored.k_low(),
-            restored.registers().iter().copied().min().unwrap()
-        );
+        assert_eq!(restored.k_low(), restored.registers().iter().min().unwrap());
     }
 }

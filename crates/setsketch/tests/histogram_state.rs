@@ -5,8 +5,9 @@
 //! These tests drive sketches through arbitrary interleavings of the
 //! operations that touch registers — single inserts, batched inserts,
 //! merges, and serialization round trips — and verify after every step
-//! that the maintained histogram equals a fresh
-//! [`kernels::histogram_counts`] scan of the registers, that the tracked
+//! that the maintained histogram equals a fresh scalar
+//! [`kernels::scalar::histogram_counts`] scan of the widened registers
+//! (independent of the lane width they are held at), that the tracked
 //! `K_low` stays a valid lower bound, and that the O(q) estimator agrees
 //! with the full register-scan formula.
 
@@ -50,15 +51,16 @@ fn check_state<S: setsketch::ValueSequence>(
 ) -> Result<(), TestCaseError> {
     // A histogram is maintained exactly for dense scales, and when
     // maintained it equals a fresh kernel scan of the registers.
+    let registers = sketch.registers().to_vec();
     let dense = sketch.config().q() as usize + 2 <= 4 * sketch.config().m();
     prop_assert_eq!(sketch.register_histogram().is_some(), dense);
     if let Some(histogram) = sketch.register_histogram() {
         let mut fresh = vec![0u32; sketch.config().q() as usize + 2];
-        kernels::histogram_counts(sketch.registers(), &mut fresh);
+        kernels::scalar::histogram_counts(&registers, &mut fresh);
         prop_assert_eq!(histogram, fresh.as_slice());
     }
     // K_low is a lower bound.
-    let min = kernels::min_scan(sketch.registers());
+    let min = kernels::scalar::min_scan(&registers);
     prop_assert!(
         sketch.k_low() <= min,
         "k_low {} > min {}",
@@ -68,7 +70,7 @@ fn check_state<S: setsketch::ValueSequence>(
     // O(q) estimator == full-scan estimator (same inputs, reordered
     // floating-point sums).
     let table = sketch.power_table().clone();
-    let reference = full_scan_estimate(sketch.registers(), sketch.config(), |k| table.pow_neg(k));
+    let reference = full_scan_estimate(&registers, sketch.config(), |k| table.pow_neg(k));
     let estimate = sketch.estimate_cardinality();
     if reference.is_finite() && reference > 0.0 {
         prop_assert!(

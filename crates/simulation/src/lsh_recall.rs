@@ -76,8 +76,8 @@ impl LshRecallExperiment {
                     v.extend(pair.v_elements(stream));
                     let index_structure: LshIndex<u8> =
                         LshIndex::new(self.bands, self.rows).expect("valid banding");
-                    index_structure.insert(1, u.registers());
-                    if index_structure.query(v.registers()).contains(&1) {
+                    index_structure.insert(1, &u.registers().to_vec());
+                    if index_structure.query(&v.registers().to_vec()).contains(&1) {
                         retrieved += 1;
                     }
                     let equal = u

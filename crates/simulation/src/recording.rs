@@ -127,7 +127,7 @@ impl RecordingExperiment {
                 for i in 0..n {
                     sketch.insert_hash(mix64(base.wrapping_add(i)));
                 }
-                std::hint::black_box(sketch.registers().first().copied());
+                std::hint::black_box(sketch.registers().get(0));
             }
             RecordingStructure::SetSketch2 => {
                 let cfg = SetSketchConfig::new(self.m, self.b, self.a, self.q)
@@ -136,7 +136,7 @@ impl RecordingExperiment {
                 for i in 0..n {
                     sketch.insert_hash(mix64(base.wrapping_add(i)));
                 }
-                std::hint::black_box(sketch.registers().first().copied());
+                std::hint::black_box(sketch.registers().get(0));
             }
             RecordingStructure::Ghll { tracking } => {
                 let cfg = GhllConfig::new(self.m, self.b, self.q).expect("invalid configuration");
@@ -148,7 +148,7 @@ impl RecordingExperiment {
                 for i in 0..n {
                     sketch.insert_hash(mix64(base.wrapping_add(i)));
                 }
-                std::hint::black_box(sketch.registers().first().copied());
+                std::hint::black_box(sketch.registers().get(0));
             }
             RecordingStructure::MinHash => {
                 let mut sketch = MinHash::new(self.m, run);

@@ -10,12 +10,12 @@
 //! Families with structured register arrays implement the trait
 //! natively — SetSketch and GHLL pack registers as small offsets from
 //! their shared `K_low` lower bound with a sparse exception list
-//! (`sketch_math::pack_offsets`), compressing 4–10× for concentrated
-//! configurations. Families without a packed register form (the
-//! MinHash variants, HyperMinHash, Theta) do not implement the trait:
-//! a JSON snapshot of a MinHash is about twice its resident size, so
-//! "demoting" one would raise memory. They serve from plain,
-//! non-tiered, non-durable stores.
+//! (`sketch_math::pack_offsets`): 2–3 bits per register for concentrated
+//! configurations, against one resident byte. Families without a packed
+//! register form (the MinHash variants, HyperMinHash, Theta) do not
+//! implement the trait: a JSON snapshot of a MinHash is about twice its
+//! resident size, so "demoting" one would raise memory. They serve from
+//! plain, non-tiered, non-durable stores.
 
 /// A sketch state with a lossless compressed byte representation.
 ///

@@ -3,7 +3,11 @@
 //! Sketch memory-footprint claims (paper §2.3) assume registers stored in
 //! `⌈log₂(q+2)⌉` bits each. This module is the shared packing substrate
 //! used by the SetSketch and GHLL binary codecs: little-endian bit order,
-//! widths 1..=32.
+//! widths 1..=32. Every function is generic over the [`Lane`] type of the
+//! register array, so a narrow resident array is packed from and unpacked
+//! into directly, without a widened temporary.
+
+use crate::kernels::{self, Lane};
 
 /// Errors raised when unpacking.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,72 +45,143 @@ impl std::fmt::Display for BitPackError {
 
 impl std::error::Error for BitPackError {}
 
+/// Mask of the low `bits` bits (`bits ≤ 32`).
+fn low_mask(bits: u32) -> u32 {
+    if bits == 32 {
+        u32::MAX
+    } else {
+        (1u32 << bits) - 1
+    }
+}
+
+/// Little-endian bit stream writer (values of up to 32 bits each),
+/// flushing whole 32-bit words.
+struct BitWriter {
+    out: Vec<u8>,
+    buffer: u64,
+    filled: u32,
+}
+
+impl BitWriter {
+    /// Appends to `out`, reserving room for `count` values of `bits` bits.
+    fn appending(mut out: Vec<u8>, count: usize, bits: u32) -> Self {
+        out.reserve((count * bits as usize).div_ceil(8));
+        Self {
+            out,
+            buffer: 0,
+            filled: 0,
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, value: u32, bits: u32) {
+        // `filled < 32` on entry, so the shifted value fits the buffer.
+        self.buffer |= (value as u64) << self.filled;
+        self.filled += bits;
+        if self.filled >= 32 {
+            self.out
+                .extend_from_slice(&(self.buffer as u32).to_le_bytes());
+            self.buffer >>= 32;
+            self.filled -= 32;
+        }
+    }
+
+    fn finish(mut self) -> Vec<u8> {
+        let tail = self.buffer.to_le_bytes();
+        self.out
+            .extend_from_slice(&tail[..(self.filled as usize).div_ceil(8)]);
+        self.out
+    }
+}
+
+/// Little-endian bit stream reader over a buffer already checked to
+/// hold every value that will be read, refilling whole 32-bit words
+/// (zero-extended at the end of the buffer, which the length check
+/// keeps out of every value).
+struct BitReader<'a> {
+    bytes: &'a [u8],
+    buffer: u64,
+    filled: u32,
+    bits: u32,
+    mask: u64,
+}
+
+impl<'a> BitReader<'a> {
+    /// A reader of `m` values of `bits` bits each.
+    fn new(bytes: &'a [u8], m: usize, bits: u32) -> Result<Self, BitPackError> {
+        if !(1..=32).contains(&bits) {
+            return Err(BitPackError::InvalidBitWidth);
+        }
+        if bytes.len() < (m * bits as usize).div_ceil(8) {
+            return Err(BitPackError::Truncated);
+        }
+        Ok(Self {
+            bytes,
+            buffer: 0,
+            filled: 0,
+            bits,
+            mask: low_mask(bits) as u64,
+        })
+    }
+
+    #[inline]
+    fn next(&mut self) -> u32 {
+        if self.filled < self.bits {
+            let taken = self.bytes.len().min(4);
+            let (head, rest) = self.bytes.split_at(taken);
+            let mut word = [0u8; 4];
+            word[..taken].copy_from_slice(head);
+            self.bytes = rest;
+            // `filled < bits ≤ 32`, so the word fits above the buffer.
+            self.buffer |= (u32::from_le_bytes(word) as u64) << self.filled;
+            self.filled += 32;
+        }
+        let value = (self.buffer & self.mask) as u32;
+        self.buffer >>= self.bits;
+        self.filled -= self.bits;
+        value
+    }
+}
+
+/// Narrows a decoded value to the lane type, after checking it against
+/// the caller's maximum — so a value is never validated *after* a
+/// truncating cast.
+#[inline]
+fn checked_lane<L: Lane>(value: u64, max_value: u32) -> Result<L, BitPackError> {
+    if value > max_value as u64 {
+        return Err(BitPackError::ValueOutOfRange);
+    }
+    L::narrow(value as u32).ok_or(BitPackError::ValueOutOfRange)
+}
+
 /// Packs `values` into `bits` bits each.
 ///
 /// # Panics
 /// Panics if `bits` is outside `1..=32` or any value does not fit.
-pub fn pack_bits(values: &[u32], bits: u32) -> Vec<u8> {
+pub fn pack_bits<L: Lane>(values: &[L], bits: u32) -> Vec<u8> {
     assert!((1..=32).contains(&bits), "bit width must be 1..=32");
-    let mask = if bits == 32 {
-        u32::MAX
-    } else {
-        (1u32 << bits) - 1
-    };
-    let mut out = Vec::with_capacity((values.len() * bits as usize).div_ceil(8));
-    let mut buffer: u64 = 0;
-    let mut filled: u32 = 0;
+    let mask = low_mask(bits);
+    let mut writer = BitWriter::appending(Vec::new(), values.len(), bits);
     for &v in values {
+        let v = v.widen();
         assert!(v <= mask, "value {v} exceeds {bits} bits");
-        buffer |= (v as u64) << filled;
-        filled += bits;
-        while filled >= 8 {
-            out.push((buffer & 0xff) as u8);
-            buffer >>= 8;
-            filled -= 8;
-        }
+        writer.push(v, bits);
     }
-    if filled > 0 {
-        out.push((buffer & 0xff) as u8);
-    }
-    out
+    writer.finish()
 }
 
-/// Unpacks `m` values of `bits` bits each, validating against `max_value`.
-pub fn unpack_bits(
+/// Unpacks `m` values of `bits` bits each into lanes of type `L`,
+/// validating each against `max_value` (and the lane range).
+pub fn unpack_bits<L: Lane>(
     bytes: &[u8],
     m: usize,
     bits: u32,
     max_value: u32,
-) -> Result<Vec<u32>, BitPackError> {
-    if !(1..=32).contains(&bits) {
-        return Err(BitPackError::InvalidBitWidth);
-    }
-    let needed = (m * bits as usize).div_ceil(8);
-    if bytes.len() < needed {
-        return Err(BitPackError::Truncated);
-    }
-    let mask = if bits == 32 {
-        u32::MAX as u64
-    } else {
-        (1u64 << bits) - 1
-    };
-    let mut values = Vec::with_capacity(m);
-    let mut buffer: u64 = 0;
-    let mut filled: u32 = 0;
-    let mut iter = bytes.iter();
-    for _ in 0..m {
-        while filled < bits {
-            let byte = *iter.next().ok_or(BitPackError::Truncated)?;
-            buffer |= (byte as u64) << filled;
-            filled += 8;
-        }
-        let v = (buffer & mask) as u32;
-        if v > max_value {
-            return Err(BitPackError::ValueOutOfRange);
-        }
-        values.push(v);
-        buffer >>= bits;
-        filled -= bits;
+) -> Result<Vec<L>, BitPackError> {
+    let mut reader = BitReader::new(bytes, m, bits)?;
+    let mut values = vec![L::ZERO; m];
+    for slot in &mut values {
+        *slot = checked_lane(reader.next() as u64, max_value)?;
     }
     Ok(values)
 }
@@ -128,7 +203,7 @@ const EXCEPTION_BYTES: usize = 8;
 /// at `w` bits each; the rest become `(position, value)` exception
 /// entries. For concentrated register distributions (base-2 SetSketch,
 /// HyperLogLog) offsets span a handful of bits, so the packed form runs
-/// 4–10× smaller than resident `u32` registers.
+/// 2–3 bits per register against the 8 of a resident byte lane.
 ///
 /// Layout: `base: u32 LE | w: u8 | exceptions: u32 LE |`
 /// `exceptions × (position: u32 LE, value: u32 LE) | inline offsets`
@@ -136,16 +211,17 @@ const EXCEPTION_BYTES: usize = 8;
 /// Exception positions hold the placeholder `2^w − 1` inline.
 ///
 /// Round-trips bit-for-bit through [`unpack_offsets`] for any input.
-pub fn pack_offsets(values: &[u32]) -> Vec<u8> {
-    let base = values.iter().copied().min().unwrap_or(0);
+pub fn pack_offsets<L: Lane>(values: &[L]) -> Vec<u8> {
+    let base = kernels::min_scan(values);
     // Histogram of offset bit lengths; cumulative counts give the
     // exception count at every candidate width in one pass.
     let mut by_bits = [0usize; 33];
     for &v in values {
-        by_bits[(32 - (v - base).leading_zeros()) as usize] += 1;
+        by_bits[(32 - (v.widen() - base).leading_zeros()) as usize] += 1;
     }
     let mut width = 0u32;
     let mut best_cost = usize::MAX;
+    let mut exception_count = 0usize;
     let mut inline = 0usize;
     for (w, &bucket) in by_bits.iter().enumerate() {
         inline += bucket;
@@ -154,44 +230,44 @@ pub fn pack_offsets(values: &[u32]) -> Vec<u8> {
         if cost < best_cost {
             best_cost = cost;
             width = w as u32;
+            exception_count = exceptions;
         }
         if exceptions == 0 {
             break; // wider widths only grow the inline section
         }
     }
-    let mask = if width == 32 {
-        u32::MAX
-    } else {
-        (1u32 << width) - 1
-    };
-    let mut exceptions: Vec<(u32, u32)> = Vec::new();
-    let mut inline_values: Vec<u32> = Vec::with_capacity(values.len());
-    for (i, &v) in values.iter().enumerate() {
-        let offset = v - base;
-        if offset > mask {
-            exceptions.push((i as u32, v));
-            inline_values.push(mask);
-        } else {
-            inline_values.push(offset);
-        }
-    }
-    let mut out = Vec::with_capacity(OFFSET_HEADER + EXCEPTION_BYTES * exceptions.len());
+    let mask = low_mask(width);
+    let mut out = Vec::with_capacity(OFFSET_HEADER + best_cost);
     out.extend_from_slice(&base.to_le_bytes());
     out.push(width as u8);
-    out.extend_from_slice(&(exceptions.len() as u32).to_le_bytes());
-    for (position, value) in exceptions {
-        out.extend_from_slice(&position.to_le_bytes());
-        out.extend_from_slice(&value.to_le_bytes());
+    out.extend_from_slice(&(exception_count as u32).to_le_bytes());
+    if exception_count > 0 {
+        for (i, &v) in values.iter().enumerate() {
+            let v = v.widen();
+            if v - base > mask {
+                out.extend_from_slice(&(i as u32).to_le_bytes());
+                out.extend_from_slice(&v.to_le_bytes());
+            }
+        }
     }
-    if width > 0 {
-        out.extend_from_slice(&pack_bits(&inline_values, width));
+    if width == 0 {
+        return out;
     }
-    out
+    let mut writer = BitWriter::appending(out, values.len(), width);
+    for &v in values {
+        writer.push((v.widen() - base).min(mask), width);
+    }
+    writer.finish()
 }
 
-/// Decompresses a [`pack_offsets`] buffer back into `m` values,
-/// validating every reconstructed value against `max_value`.
-pub fn unpack_offsets(bytes: &[u8], m: usize, max_value: u32) -> Result<Vec<u32>, BitPackError> {
+/// Decompresses a [`pack_offsets`] buffer back into `m` lanes of type
+/// `L`, validating every reconstructed value against `max_value` (and
+/// the lane range) before it is narrowed.
+pub fn unpack_offsets<L: Lane>(
+    bytes: &[u8],
+    m: usize,
+    max_value: u32,
+) -> Result<Vec<L>, BitPackError> {
     let header = bytes.get(..OFFSET_HEADER).ok_or(BitPackError::Truncated)?;
     let base = u32::from_le_bytes(header[0..4].try_into().expect("4-byte slice"));
     let width = header[4] as u32;
@@ -203,22 +279,16 @@ pub fn unpack_offsets(bytes: &[u8], m: usize, max_value: u32) -> Result<Vec<u32>
     let exception_bytes = bytes
         .get(OFFSET_HEADER..exception_end)
         .ok_or(BitPackError::Truncated)?;
-    let mut values = if width == 0 {
-        vec![base; m]
+    let mut values: Vec<L> = if width == 0 {
+        vec![checked_lane(base as u64, max_value)?; m]
     } else {
-        let mut offsets = unpack_bits(&bytes[exception_end..], m, width, u32::MAX)?;
-        for offset in &mut offsets {
-            let value = (base as u64) + (*offset as u64);
-            if value > max_value as u64 {
-                return Err(BitPackError::ValueOutOfRange);
-            }
-            *offset = value as u32;
+        let mut reader = BitReader::new(&bytes[exception_end..], m, width)?;
+        let mut values = vec![L::ZERO; m];
+        for slot in &mut values {
+            *slot = checked_lane(base as u64 + reader.next() as u64, max_value)?;
         }
-        offsets
+        values
     };
-    if base > max_value {
-        return Err(BitPackError::ValueOutOfRange);
-    }
     let mut last_position: Option<u32> = None;
     for entry in exception_bytes.chunks_exact(EXCEPTION_BYTES) {
         let position = u32::from_le_bytes(entry[0..4].try_into().expect("4-byte slice"));
@@ -228,10 +298,7 @@ pub fn unpack_offsets(bytes: &[u8], m: usize, max_value: u32) -> Result<Vec<u32>
         if position as usize >= m || last_position.is_some_and(|p| position <= p) {
             return Err(BitPackError::IndexOutOfRange);
         }
-        if value > max_value {
-            return Err(BitPackError::ValueOutOfRange);
-        }
-        values[position as usize] = value;
+        values[position as usize] = checked_lane(value as u64, max_value)?;
         last_position = Some(position);
     }
     Ok(values)
@@ -253,15 +320,18 @@ mod tests {
                 .map(|i| i.wrapping_mul(2_654_435_761) & mask)
                 .collect();
             let packed = pack_bits(&values, bits);
-            assert_eq!(unpack_bits(&packed, 100, bits, mask).unwrap(), values);
+            assert_eq!(
+                unpack_bits::<u32>(&packed, 100, bits, mask).unwrap(),
+                values
+            );
         }
     }
 
     #[test]
     fn size_formula() {
-        assert_eq!(pack_bits(&[0; 4096], 6).len(), 3072);
-        assert_eq!(pack_bits(&[0; 5], 3).len(), 2);
-        assert!(pack_bits(&[], 7).is_empty());
+        assert_eq!(pack_bits(&[0u8; 4096], 6).len(), 3072);
+        assert_eq!(pack_bits(&[0u16; 5], 3).len(), 2);
+        assert!(pack_bits::<u32>(&[], 7).is_empty());
     }
 
     #[test]
@@ -281,7 +351,7 @@ mod tests {
         ];
         for values in cases {
             let packed = pack_offsets(&values);
-            let unpacked = unpack_offsets(&packed, values.len(), u32::MAX).unwrap();
+            let unpacked = unpack_offsets::<u32>(&packed, values.len(), u32::MAX).unwrap();
             assert_eq!(values, unpacked);
         }
     }
@@ -289,15 +359,15 @@ mod tests {
     #[test]
     fn offsets_compress_concentrated_registers() {
         // Base-2 SetSketch-like registers: m = 4096 values within a
-        // ~6-value band around K_low. Packed form must beat the 2.5×
-        // target against 4-byte resident registers by a wide margin.
-        let values: Vec<u32> = (0..4096u32).map(|i| 30 + (i % 6)).collect();
+        // ~6-value band around K_low pack to 3 bits each — under half of
+        // the one byte per register a resident sketch holds.
+        let values: Vec<u8> = (0..4096u32).map(|i| 30 + (i % 6) as u8).collect();
         let packed = pack_offsets(&values);
         assert!(
-            packed.len() * 8 < 4096 * 4,
-            "{} bytes is not ≥ 8× smaller than {}",
+            packed.len() * 2 < 4096,
+            "{} bytes is not under half of {}",
             packed.len(),
-            4096 * 4
+            4096
         );
     }
 
@@ -306,58 +376,58 @@ mod tests {
         let values: Vec<u32> = (0..64u32).map(|i| 10 + i % 4).collect();
         let packed = pack_offsets(&values);
         assert_eq!(
-            unpack_offsets(&packed[..OFFSET_HEADER - 1], 64, u32::MAX),
+            unpack_offsets::<u32>(&packed[..OFFSET_HEADER - 1], 64, u32::MAX),
             Err(BitPackError::Truncated)
         );
         assert_eq!(
-            unpack_offsets(&packed[..packed.len() - 1], 64, u32::MAX),
+            unpack_offsets::<u32>(&packed[..packed.len() - 1], 64, u32::MAX),
             Err(BitPackError::Truncated)
         );
         assert_eq!(
-            unpack_offsets(&packed, 64, 11),
+            unpack_offsets::<u32>(&packed, 64, 11),
             Err(BitPackError::ValueOutOfRange)
         );
         let mut bad_width = packed.clone();
         bad_width[4] = 33;
         assert_eq!(
-            unpack_offsets(&bad_width, 64, u32::MAX),
+            unpack_offsets::<u32>(&bad_width, 64, u32::MAX),
             Err(BitPackError::MalformedHeader)
         );
         let mut bad_count = packed.clone();
         bad_count[5..9].copy_from_slice(&65u32.to_le_bytes());
         assert_eq!(
-            unpack_offsets(&bad_count, 64, u32::MAX),
+            unpack_offsets::<u32>(&bad_count, 64, u32::MAX),
             Err(BitPackError::MalformedHeader)
         );
         // An exception whose position is out of range.
-        let with_exception = pack_offsets(&[0, 0, 0, 1 << 20]);
+        let with_exception = pack_offsets(&[0u32, 0, 0, 1 << 20]);
         let mut bad_index = with_exception.clone();
         bad_index[OFFSET_HEADER..OFFSET_HEADER + 4].copy_from_slice(&9u32.to_le_bytes());
         assert_eq!(
-            unpack_offsets(&bad_index, 4, u32::MAX),
+            unpack_offsets::<u32>(&bad_index, 4, u32::MAX),
             Err(BitPackError::IndexOutOfRange)
         );
         let mut bad_value = with_exception;
         bad_value[OFFSET_HEADER + 4..OFFSET_HEADER + 8].copy_from_slice(&u32::MAX.to_le_bytes());
         assert_eq!(
-            unpack_offsets(&bad_value, 4, 1 << 21),
+            unpack_offsets::<u32>(&bad_value, 4, 1 << 21),
             Err(BitPackError::ValueOutOfRange)
         );
     }
 
     #[test]
     fn error_cases() {
-        let packed = pack_bits(&[3; 10], 6);
+        let packed = pack_bits(&[3u32; 10], 6);
         assert_eq!(
-            unpack_bits(&packed[..packed.len() - 1], 10, 6, 63),
+            unpack_bits::<u32>(&packed[..packed.len() - 1], 10, 6, 63),
             Err(BitPackError::Truncated)
         );
         assert_eq!(
-            unpack_bits(&packed, 10, 6, 2),
+            unpack_bits::<u32>(&packed, 10, 6, 2),
             Err(BitPackError::ValueOutOfRange)
         );
         assert_eq!(
-            unpack_bits(&packed, 10, 0, 63),
+            unpack_bits::<u32>(&packed, 10, 0, 63),
             Err(BitPackError::InvalidBitWidth)
         );
     }

@@ -1,11 +1,17 @@
 //! Auto-vectorization-friendly chunked implementations.
 //!
-//! Each primitive processes [`LANES`] registers per loop
-//! iteration over independent per-lane accumulators and handles the
-//! remainder with the scalar code. The lane loops are branch-free
-//! (`max`/`min`/bool-to-int arithmetic instead of compares-and-jumps), so
-//! LLVM lowers them to packed SIMD instructions on x86-64 and AArch64
-//! without any target-feature or `unsafe` code.
+//! Each primitive processes one 32-byte chunk — [`Lane::LANES`]
+//! registers — per loop iteration over independent per-lane accumulators
+//! and handles the remainder with a scalar loop. The lane loops are
+//! branch-free (`max`/`min`/bool-to-int arithmetic instead of
+//! compares-and-jumps), so LLVM lowers them to packed SIMD instructions
+//! on x86-64 and AArch64 without any target-feature or `unsafe` code.
+//!
+//! The accumulators are arrays of the *lane* type: a `u32` accumulator
+//! over `u8` lanes would force a widening in every iteration and
+//! de-vectorize the loop. The minimum/maximum kernels need nothing more;
+//! [`compare_counts`] counts in lane-width counters and flushes them into
+//! `u32` totals before they can wrap (every [`Lane::MAX`] chunks).
 //!
 //! The histogram kernel is the exception: its scatter increment is
 //! inherently serial, so the chunked form "only" splits the counting
@@ -16,7 +22,11 @@
 //! `counts` length, so the optimization is applied exactly when the
 //! bucket range is small (the `q + 2` buckets of real sketch configs).
 
-use super::{scalar, LANES};
+use super::Lane;
+
+/// Lane count of the narrowest lane type; accumulator arrays are this
+/// long and a kernel uses their first [`Lane::LANES`] entries.
+const MAX_LANES: usize = 32;
 
 /// Threshold (in buckets) below which the histogram kernel uses
 /// interleaved accumulator stripes; larger ranges fall back to the
@@ -26,80 +36,112 @@ const HISTOGRAM_STRIPE_LIMIT: usize = 1 << 10;
 /// Number of interleaved histogram accumulator stripes.
 const STRIPES: usize = 4;
 
-/// Element-wise maximum of `src` into `dst` fused with a minimum scan of
-/// the result. See [`super::max_merge_min`].
-pub fn max_merge_min(dst: &mut [u32], src: &[u32]) -> u32 {
-    assert_eq!(
-        dst.len(),
-        src.len(),
-        "register arrays must have equal length"
-    );
+fn assert_equal_length<L>(u: &[L], v: &[L]) {
+    assert_eq!(u.len(), v.len(), "register arrays must have equal length");
+}
+
+/// Minimum over the first [`Lane::LANES`] accumulators.
+fn fold_min<L: Lane>(mins: &[L; MAX_LANES]) -> L {
+    mins[..L::LANES].iter().copied().fold(L::MAX, L::min)
+}
+
+/// Merges `src` into `dst` by element-wise maximum and returns the
+/// minimum register value of the merged result (0 for empty arrays).
+///
+/// The fused minimum makes the separate `K_low` rescan after a merge
+/// unnecessary: the returned value *is* the exact new lower bound.
+///
+/// # Panics
+/// Panics if the slices differ in length.
+pub fn max_merge_min<L: Lane>(dst: &mut [L], src: &[L]) -> u32 {
+    assert_equal_length(dst, src);
     if dst.is_empty() {
         return 0;
     }
-    let mut mins = [u32::MAX; LANES];
-    let mut dst_chunks = dst.chunks_exact_mut(LANES);
-    let mut src_chunks = src.chunks_exact(LANES);
+    let mut mins = [L::MAX; MAX_LANES];
+    let mut dst_chunks = dst.chunks_exact_mut(L::LANES);
+    let mut src_chunks = src.chunks_exact(L::LANES);
     for (d, s) in (&mut dst_chunks).zip(&mut src_chunks) {
-        for lane in 0..LANES {
+        for lane in 0..L::LANES {
             let merged = d[lane].max(s[lane]);
             d[lane] = merged;
             mins[lane] = mins[lane].min(merged);
         }
     }
-    let mut min = mins.into_iter().fold(u32::MAX, u32::min);
-    let tail = dst_chunks.into_remainder();
-    if !tail.is_empty() {
-        min = min.min(scalar::max_merge_min(tail, src_chunks.remainder()));
+    let mut min = fold_min(&mins);
+    for (d, &s) in dst_chunks
+        .into_remainder()
+        .iter_mut()
+        .zip(src_chunks.remainder())
+    {
+        *d = (*d).max(s);
+        min = min.min(*d);
     }
-    min
+    min.widen()
 }
 
-/// Element-wise maximum of `src` into `dst` without the minimum scan.
-/// See [`super::max_merge`].
-pub fn max_merge(dst: &mut [u32], src: &[u32]) {
-    assert_eq!(
-        dst.len(),
-        src.len(),
-        "register arrays must have equal length"
-    );
-    let mut dst_chunks = dst.chunks_exact_mut(LANES);
-    let mut src_chunks = src.chunks_exact(LANES);
+/// Merges `src` into `dst` by element-wise maximum, without the fused
+/// minimum of [`max_merge_min`] — for consumers with no lower bound to
+/// maintain (HyperMinHash, GHLL without `K_low` tracking).
+///
+/// # Panics
+/// Panics if the slices differ in length.
+pub fn max_merge<L: Lane>(dst: &mut [L], src: &[L]) {
+    assert_equal_length(dst, src);
+    let mut dst_chunks = dst.chunks_exact_mut(L::LANES);
+    let mut src_chunks = src.chunks_exact(L::LANES);
     for (d, s) in (&mut dst_chunks).zip(&mut src_chunks) {
-        for lane in 0..LANES {
+        for lane in 0..L::LANES {
             d[lane] = d[lane].max(s[lane]);
         }
     }
-    scalar::max_merge(dst_chunks.into_remainder(), src_chunks.remainder());
+    for (d, &s) in dst_chunks
+        .into_remainder()
+        .iter_mut()
+        .zip(src_chunks.remainder())
+    {
+        *d = (*d).max(s);
+    }
 }
 
-/// Minimum register value. See [`super::min_scan`].
-pub fn min_scan(values: &[u32]) -> u32 {
+/// Minimum register value of `values` (0 for an empty slice).
+pub fn min_scan<L: Lane>(values: &[L]) -> u32 {
     if values.is_empty() {
         return 0;
     }
-    let mut mins = [u32::MAX; LANES];
-    let mut chunks = values.chunks_exact(LANES);
+    let mut mins = [L::MAX; MAX_LANES];
+    let mut chunks = values.chunks_exact(L::LANES);
     for chunk in &mut chunks {
-        for lane in 0..LANES {
+        for lane in 0..L::LANES {
             mins[lane] = mins[lane].min(chunk[lane]);
         }
     }
-    let mut min = mins.into_iter().fold(u32::MAX, u32::min);
+    let mut min = fold_min(&mins);
     for &v in chunks.remainder() {
         min = min.min(v);
     }
-    min
+    min.widen()
 }
 
 /// Bucket capacity of the stack-allocated stripe buffer; ranges between
 /// this and [`HISTOGRAM_STRIPE_LIMIT`] fall back to a heap buffer.
 const STACK_STRIPE_BUCKETS: usize = 256;
 
-/// Register value histogram. See [`super::histogram_counts`].
-pub fn histogram_counts(values: &[u32], counts: &mut [u32]) {
+/// Counts register values into `counts`: afterwards `counts[k]` is the
+/// number of entries of `values` equal to `k`. The buffer is zeroed
+/// first; its length must cover every occurring value (`q + 2` buckets
+/// for a sketch with registers in `0..=q+1`, so `counts[0] = C_0` and
+/// `counts[q + 1] = C_{q+1}`).
+///
+/// # Panics
+/// Panics if a value of `values` is out of range for `counts`.
+pub fn histogram_counts<L: Lane>(values: &[L], counts: &mut [u32]) {
     if counts.len() > HISTOGRAM_STRIPE_LIMIT || values.len() < 4 * STRIPES {
-        return scalar::histogram_counts(values, counts);
+        counts.fill(0);
+        for &v in values {
+            counts[v.widen() as usize] += 1;
+        }
+        return;
     }
     if counts.len() <= STACK_STRIPE_BUCKETS {
         // The common case (q = 62 → 64 buckets) stays allocation-free:
@@ -114,7 +156,7 @@ pub fn histogram_counts(values: &[u32], counts: &mut [u32]) {
 
 /// Counts `values` into `counts` using four interleaved accumulator
 /// stripes (`stripes.len() == 4 * counts.len()`, zeroed).
-fn striped_counts(values: &[u32], counts: &mut [u32], stripes: &mut [u32]) {
+fn striped_counts<L: Lane>(values: &[L], counts: &mut [u32], stripes: &mut [u32]) {
     let buckets = counts.len();
     let (s0, rest) = stripes.split_at_mut(buckets);
     let (s1, rest) = rest.split_at_mut(buckets);
@@ -124,38 +166,49 @@ fn striped_counts(values: &[u32], counts: &mut [u32], stripes: &mut [u32]) {
         // Four independent counter arrays: equal adjacent register values
         // hit different cache lines' counters, so the increments pipeline
         // instead of serializing on store-to-load forwarding.
-        s0[chunk[0] as usize] += 1;
-        s1[chunk[1] as usize] += 1;
-        s2[chunk[2] as usize] += 1;
-        s3[chunk[3] as usize] += 1;
+        s0[chunk[0].widen() as usize] += 1;
+        s1[chunk[1].widen() as usize] += 1;
+        s2[chunk[2].widen() as usize] += 1;
+        s3[chunk[3].widen() as usize] += 1;
     }
     for &v in chunks.remainder() {
-        s0[v as usize] += 1;
+        s0[v.widen() as usize] += 1;
     }
     for (k, count) in counts.iter_mut().enumerate() {
         *count = s0[k] + s1[k] + s2[k] + s3[k];
     }
 }
 
-/// Three-way comparison counts `(D⁺, D⁻, D₀)`. See
-/// [`super::compare_counts`].
-pub fn compare_counts(u: &[u32], v: &[u32]) -> (u32, u32, u32) {
-    assert_eq!(u.len(), v.len(), "register arrays must have equal length");
-    let mut plus = [0u32; LANES];
-    let mut minus = [0u32; LANES];
-    let mut u_chunks = u.chunks_exact(LANES);
-    let mut v_chunks = v.chunks_exact(LANES);
-    for (a, b) in (&mut u_chunks).zip(&mut v_chunks) {
-        for lane in 0..LANES {
-            plus[lane] += (a[lane] > b[lane]) as u32;
-            minus[lane] += (a[lane] < b[lane]) as u32;
+/// Three-way register comparison `(D⁺, D⁻, D₀)`: the number of positions
+/// where `u` exceeds, trails, or equals `v` (paper §3.2/§4.1).
+///
+/// # Panics
+/// Panics if the slices differ in length.
+pub fn compare_counts<L: Lane>(u: &[L], v: &[L]) -> (u32, u32, u32) {
+    assert_equal_length(u, v);
+    // A lane-width counter takes at most `L::MAX` increments before it
+    // would wrap, so the arrays are walked in blocks of that many chunks
+    // and the counters flushed into the `u32` totals after each block.
+    let block = L::LANES.saturating_mul(L::MAX.widen() as usize);
+    let mut d_plus = 0u32;
+    let mut d_minus = 0u32;
+    for (u_block, v_block) in u.chunks(block).zip(v.chunks(block)) {
+        let mut plus = [L::ZERO; MAX_LANES];
+        let mut minus = [L::ZERO; MAX_LANES];
+        let mut u_chunks = u_block.chunks_exact(L::LANES);
+        let mut v_chunks = v_block.chunks_exact(L::LANES);
+        for (a, b) in (&mut u_chunks).zip(&mut v_chunks) {
+            for lane in 0..L::LANES {
+                plus[lane] = plus[lane].wrapping_count(a[lane] > b[lane]);
+                minus[lane] = minus[lane].wrapping_count(a[lane] < b[lane]);
+            }
         }
-    }
-    let mut d_plus: u32 = plus.iter().sum();
-    let mut d_minus: u32 = minus.iter().sum();
-    for (&a, &b) in u_chunks.remainder().iter().zip(v_chunks.remainder()) {
-        d_plus += (a > b) as u32;
-        d_minus += (a < b) as u32;
+        d_plus += plus[..L::LANES].iter().map(|c| c.widen()).sum::<u32>();
+        d_minus += minus[..L::LANES].iter().map(|c| c.widen()).sum::<u32>();
+        for (&a, &b) in u_chunks.remainder().iter().zip(v_chunks.remainder()) {
+            d_plus += (a > b) as u32;
+            d_minus += (a < b) as u32;
+        }
     }
     (d_plus, d_minus, u.len() as u32 - d_plus - d_minus)
 }

@@ -1,13 +1,16 @@
 //! Vectorization-friendly register-plane kernels.
 //!
 //! Every scan-heavy hot path of the workspace's sketches reduces to one of
-//! four primitives over `u32` register arrays:
+//! five primitives over register arrays of any [`Lane`] width — `u8`,
+//! `u16` or `u32`, whichever the sketch's value range `0..=q+1` needs
+//! (see [`Registers`](crate::Registers)):
 //!
 //! * [`max_merge_min`] — element-wise maximum of two register arrays (the
 //!   union merge of every max-based sketch), fused with a minimum scan of
 //!   the result so the merged sketch's `K_low` lower bound comes out of
-//!   the same pass instead of a separate rescan (plain [`max_merge`]
-//!   exists for consumers with no lower bound to maintain);
+//!   the same pass instead of a separate rescan;
+//! * [`max_merge`] — the same merge for consumers with no lower bound to
+//!   maintain;
 //! * [`min_scan`] — minimum register value (the `K_low` rescan of paper
 //!   §2.2);
 //! * [`histogram_counts`] — the full register value histogram
@@ -18,84 +21,73 @@
 //!   comparison of the joint estimator (paper §3.2).
 //!
 //! Each primitive exists in two semantically identical implementations:
-//! a plain [`scalar`] reference, and a [`chunked`] variant that processes
-//! eight lanes per loop iteration with a scalar tail. The chunked form is
-//! written so LLVM's auto-vectorizer turns the lane loop into SIMD on
-//! every target with 128/256-bit vectors — no target features, no
-//! `unsafe`. With the non-default `nightly-simd` feature (nightly
-//! toolchain only) an explicit [`std::simd`] implementation is used
-//! instead.
-//!
-//! The free functions at this level are the dispatchers used by the
-//! sketch crates; the per-implementation modules stay public so tests and
-//! benchmarks can compare them directly.
+//! a plain [`scalar`] reference over `u32`, and the [`chunked`] variant
+//! re-exported at this level, which processes one 32-byte chunk —
+//! [`Lane::LANES`] registers: 32 `u8`s, 16 `u16`s or 8 `u32`s — per loop
+//! iteration with a scalar tail. The chunked form is written so LLVM's
+//! auto-vectorizer turns the lane loop into SIMD on every target with
+//! 128/256-bit vectors — no target features, no `unsafe` — and a narrow
+//! lane puts 4× (2×) the registers into every vector.
 
 pub mod chunked;
 pub mod scalar;
-#[cfg(feature = "nightly-simd")]
-pub mod simd;
 
-/// Lane width of the [`chunked`] implementations (eight `u32`s — one
-/// AVX2 vector, two NEON/SSE vectors).
-pub const LANES: usize = 8;
+pub use chunked::{compare_counts, histogram_counts, max_merge, max_merge_min, min_scan};
 
-#[cfg(not(feature = "nightly-simd"))]
-use chunked as fastest;
-#[cfg(feature = "nightly-simd")]
-use simd as fastest;
-
-/// Merges `src` into `dst` by element-wise maximum and returns the
-/// minimum register value of the merged result (0 for empty arrays).
-///
-/// The fused minimum makes the separate `K_low` rescan after a merge
-/// unnecessary: the returned value *is* the exact new lower bound.
-///
-/// # Panics
-/// Panics if the slices differ in length.
-#[inline]
-pub fn max_merge_min(dst: &mut [u32], src: &[u32]) -> u32 {
-    fastest::max_merge_min(dst, src)
+mod sealed {
+    pub trait Sealed {}
 }
 
-/// Merges `src` into `dst` by element-wise maximum, without the fused
-/// minimum of [`max_merge_min`] — for consumers with no lower bound to
-/// maintain (HyperMinHash, GHLL without `K_low` tracking).
-///
-/// # Panics
-/// Panics if the slices differ in length.
-#[inline]
-pub fn max_merge(dst: &mut [u32], src: &[u32]) {
-    fastest::max_merge(dst, src)
+/// An unsigned register integer the kernels run on: `u8`, `u16` or
+/// `u32`. Sealed — the lane widths are a closed set chosen by
+/// [`Registers`](crate::Registers) from a sketch's value range.
+pub trait Lane: Copy + Ord + std::fmt::Debug + sealed::Sealed + 'static {
+    /// Registers per 32-byte chunk of the [`chunked`] kernels (one AVX2
+    /// vector, two NEON/SSE vectors).
+    const LANES: usize = 32 / std::mem::size_of::<Self>();
+    /// The largest lane value.
+    const MAX: Self;
+    /// The zero lane value.
+    const ZERO: Self;
+
+    /// The value as a `u32` (lossless).
+    fn widen(self) -> u32;
+
+    /// The `u32` as a lane value, `None` when it does not fit.
+    fn narrow(value: u32) -> Option<Self>;
+
+    /// `self + 1` when `condition` holds, wrapping at [`MAX`](Self::MAX) —
+    /// the branch-free counter step of [`compare_counts`].
+    fn wrapping_count(self, condition: bool) -> Self;
 }
 
-/// Minimum register value of `values` (0 for an empty slice).
-#[inline]
-pub fn min_scan(values: &[u32]) -> u32 {
-    fastest::min_scan(values)
+macro_rules! impl_lane {
+    ($($lane:ty),*) => {$(
+        impl sealed::Sealed for $lane {}
+
+        impl Lane for $lane {
+            const MAX: Self = <$lane>::MAX;
+            const ZERO: Self = 0;
+
+            #[inline]
+            fn widen(self) -> u32 {
+                u32::from(self)
+            }
+
+            #[inline]
+            fn narrow(value: u32) -> Option<Self> {
+                <$lane>::try_from(value).ok()
+            }
+
+            #[inline]
+            fn wrapping_count(self, condition: bool) -> Self {
+                self.wrapping_add(condition as $lane)
+            }
+        }
+    )*};
 }
 
-/// Counts register values into `counts`: afterwards `counts[k]` is the
-/// number of entries of `values` equal to `k`. The buffer is zeroed
-/// first; its length must cover every occurring value (`q + 2` buckets
-/// for a sketch with registers in `0..=q+1`, so `counts[0] = C_0` and
-/// `counts[q + 1] = C_{q+1}`).
-///
-/// # Panics
-/// Panics if a value of `values` is out of range for `counts`.
-#[inline]
-pub fn histogram_counts(values: &[u32], counts: &mut [u32]) {
-    fastest::histogram_counts(values, counts)
-}
-
-/// Three-way register comparison `(D⁺, D⁻, D₀)`: the number of positions
-/// where `u` exceeds, trails, or equals `v` (paper §3.2/§4.1).
-///
-/// # Panics
-/// Panics if the slices differ in length.
-#[inline]
-pub fn compare_counts(u: &[u32], v: &[u32]) -> (u32, u32, u32) {
-    fastest::compare_counts(u, v)
-}
+impl_lane!(u8, u16, u32);
 
 /// Folds a `q + 2`-bucket register value histogram (as produced by
 /// [`histogram_counts`]) into the corrected estimator's inputs
@@ -136,11 +128,23 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn implementations_agree_on_representative_lengths() {
+    fn narrowed<L: Lane>(values: &[u32]) -> Vec<L> {
+        values
+            .iter()
+            .map(|&v| L::narrow(v).expect("sample fits every lane"))
+            .collect()
+    }
+
+    fn widened<L: Lane>(values: &[L]) -> Vec<u32> {
+        values.iter().map(|v| v.widen()).collect()
+    }
+
+    /// Every chunked kernel at lane width `L` against the scalar `u32`
+    /// reference.
+    fn agree_at_width<L: Lane>() {
         // Cover the empty slice, sub-lane lengths, exact multiples of the
-        // lane width, and lengths with every possible tail size.
-        for len in (0..=2 * LANES + 1).chain([64, 255, 256, 1000]) {
+        // lane count, and lengths with every possible tail size.
+        for len in (0..=2 * L::LANES + 1).chain([64, 255, 256, 1000]) {
             let u = sample(len, 23);
             let v = sample(len.wrapping_mul(7) % 1001, 23);
             let v = {
@@ -148,35 +152,47 @@ mod tests {
                 v.resize(len, 3);
                 v
             };
+            let (lanes_u, lanes_v) = (narrowed::<L>(&u), narrowed::<L>(&v));
 
-            assert_eq!(scalar::min_scan(&u), chunked::min_scan(&u), "len {len}");
+            assert_eq!(
+                scalar::min_scan(&u),
+                chunked::min_scan(&lanes_u),
+                "len {len}"
+            );
 
             let mut dst_scalar = u.clone();
-            let mut dst_chunked = u.clone();
+            let mut dst_chunked = lanes_u.clone();
             let min_scalar = scalar::max_merge_min(&mut dst_scalar, &v);
-            let min_chunked = chunked::max_merge_min(&mut dst_chunked, &v);
-            assert_eq!(dst_scalar, dst_chunked, "len {len}");
+            let min_chunked = chunked::max_merge_min(&mut dst_chunked, &lanes_v);
+            assert_eq!(dst_scalar, widened(&dst_chunked), "len {len}");
             assert_eq!(min_scalar, min_chunked, "len {len}");
 
             let mut plain_scalar = u.clone();
-            let mut plain_chunked = u.clone();
+            let mut plain_chunked = lanes_u.clone();
             scalar::max_merge(&mut plain_scalar, &v);
-            chunked::max_merge(&mut plain_chunked, &v);
+            chunked::max_merge(&mut plain_chunked, &lanes_v);
             assert_eq!(plain_scalar, dst_scalar, "len {len}");
-            assert_eq!(plain_chunked, dst_scalar, "len {len}");
+            assert_eq!(widened(&plain_chunked), dst_scalar, "len {len}");
 
             assert_eq!(
                 scalar::compare_counts(&u, &v),
-                chunked::compare_counts(&u, &v),
+                chunked::compare_counts(&lanes_u, &lanes_v),
                 "len {len}"
             );
 
             let mut counts_scalar = vec![0u32; 23];
             let mut counts_chunked = vec![u32::MAX; 23]; // must be zeroed
             scalar::histogram_counts(&u, &mut counts_scalar);
-            chunked::histogram_counts(&u, &mut counts_chunked);
+            chunked::histogram_counts(&lanes_u, &mut counts_chunked);
             assert_eq!(counts_scalar, counts_chunked, "len {len}");
         }
+    }
+
+    #[test]
+    fn implementations_agree_on_representative_lengths() {
+        agree_at_width::<u8>();
+        agree_at_width::<u16>();
+        agree_at_width::<u32>();
     }
 
     #[test]
@@ -190,11 +206,11 @@ mod tests {
 
     #[test]
     fn empty_slices_are_handled() {
-        assert_eq!(max_merge_min(&mut [], &[]), 0);
-        assert_eq!(min_scan(&[]), 0);
-        assert_eq!(compare_counts(&[], &[]), (0, 0, 0));
+        assert_eq!(max_merge_min::<u8>(&mut [], &[]), 0);
+        assert_eq!(min_scan::<u16>(&[]), 0);
+        assert_eq!(compare_counts::<u32>(&[], &[]), (0, 0, 0));
         let mut counts = [7u32; 4];
-        histogram_counts(&[], &mut counts);
+        histogram_counts::<u8>(&[], &mut counts);
         assert_eq!(counts, [0; 4]);
     }
 
@@ -220,12 +236,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "equal length")]
     fn max_merge_min_rejects_length_mismatch() {
-        max_merge_min(&mut [1, 2], &[1]);
+        max_merge_min(&mut [1u8, 2], &[1]);
     }
 
     #[test]
     #[should_panic(expected = "equal length")]
     fn compare_counts_rejects_length_mismatch() {
-        compare_counts(&[1], &[1, 2]);
+        compare_counts(&[1u16], &[1, 2]);
     }
 }

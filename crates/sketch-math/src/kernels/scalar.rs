@@ -1,8 +1,8 @@
 //! Scalar reference implementations of the register kernels.
 //!
 //! These are the semantics ground truth: one plain loop per primitive,
-//! written for clarity rather than speed. Property tests pin the
-//! [`chunked`](super::chunked) (and, on nightly, `simd`) variants against
+//! over `u32`, written for clarity rather than speed. Property tests pin
+//! the [`chunked`](super::chunked) kernels at every lane width against
 //! these, and the `register_kernels` benchmark reports the speedup of the
 //! vectorized forms relative to them.
 

@@ -17,13 +17,12 @@
 //!   closed form for b → 1, inclusion–exclusion) shared by SetSketch,
 //!   MinHash, GHLL and HyperMinHash,
 //! * base-b register scale tables ([`power_table::PowerTable`]),
-//! * the vectorization-friendly register-plane kernels ([`kernels`]) all
+//! * the register array at its natural lane width ([`Registers`]) and the
+//!   vectorization-friendly register-plane kernels ([`kernels`]) all
 //!   scan-heavy sketch hot paths (merge, `K_low` rescans, histogram
 //!   builds, joint comparison counts) are built on,
 //! * exact binomial error analysis and running moment statistics used by
 //!   the experiment harness.
-
-#![cfg_attr(feature = "nightly-simd", feature(portable_simd))]
 
 pub mod binomial;
 pub mod bitpack;
@@ -34,6 +33,7 @@ pub mod joint;
 pub mod kernels;
 pub mod pb;
 pub mod power_table;
+pub mod registers;
 pub mod sigma_tau;
 pub mod stats;
 pub mod xi;
@@ -48,8 +48,10 @@ pub use joint::{
     inclusion_exclusion_jaccard, invert_collision_probability, ml_jaccard, ml_jaccard_b1,
     JointCounts, JointQuantities,
 };
+pub use kernels::Lane;
 pub use pb::{log_b, p_b, p_b_derivative};
 pub use power_table::PowerTable;
+pub use registers::{LanesMut, Registers};
 pub use sigma_tau::{sigma_b, tau_b};
 pub use stats::{ErrorStats, RunningMoments};
 pub use xi::{xi, xi_max_deviation};

@@ -78,6 +78,27 @@ impl IncrementalShuffle {
         }
     }
 
+    /// Starts a new permutation over `0..m`, where `m` may differ from
+    /// the previous domain: the slot arrays grow to the largest domain
+    /// seen and never shrink, so one sampler can serve sketches of
+    /// different sizes. Stale slots need no clearing — the generation
+    /// bump of [`reset`](Self::reset) invalidates them all.
+    ///
+    /// # Panics
+    /// Panics if `m == 0` or `m > u32::MAX as usize`.
+    #[inline]
+    pub fn reset_with_domain(&mut self, m: usize) {
+        if m != self.m as usize {
+            assert!(m > 0, "shuffle domain must be non-empty");
+            self.m = u32::try_from(m).expect("shuffle domain too large");
+            if m > self.slots.len() {
+                self.slots.resize(m, 0);
+                self.stamp.resize(m, 0);
+            }
+        }
+        self.reset();
+    }
+
     #[inline]
     fn slot(&self, i: u32) -> u32 {
         if self.stamp[i as usize] == self.generation {
@@ -201,6 +222,28 @@ mod tests {
         let mut rng = WyRand::new(7);
         for _ in 0..4 {
             shuffle.next(&mut rng);
+        }
+    }
+
+    #[test]
+    fn redomained_sampler_draws_like_a_fresh_one() {
+        // One sampler walked through growing and shrinking domains must
+        // produce, for each, exactly what a sampler built for that
+        // domain produces from the same random stream.
+        let mut shared = IncrementalShuffle::new(1);
+        for (round, m) in [7usize, 64, 3, 64, 1, 200].into_iter().enumerate() {
+            let mut fresh = IncrementalShuffle::new(m);
+            fresh.reset();
+            shared.reset_with_domain(m);
+            assert_eq!(shared.len(), m);
+            let mut rng_shared = WyRand::new(round as u64);
+            let mut rng_fresh = WyRand::new(round as u64);
+            let drawn: Vec<u32> = (0..m).map(|_| shared.next(&mut rng_shared)).collect();
+            let expect: Vec<u32> = (0..m).map(|_| fresh.next(&mut rng_fresh)).collect();
+            assert_eq!(drawn, expect, "domain {m}");
+            let mut sorted = drawn;
+            sorted.sort_unstable();
+            assert_eq!(sorted, (0..m as u32).collect::<Vec<_>>());
         }
     }
 

@@ -622,3 +622,65 @@ fn oversize_ingest_survives_restart() {
     assert_eq!(store.get("big"), Some(reference));
     assert!(store.contains_key("before") && store.contains_key("after"));
 }
+
+/// A directory written by the binary that kept `u32` resident registers
+/// (checkpoint + log tail holding ingest, merge-in, put and remove
+/// records — every payload a durable directory can contain) recovers
+/// under natural-width registers to exactly the sketches a replay of the
+/// same operations builds. The fixture was generated by the op sequence
+/// below with `checkpoint_after_bytes(1500)`.
+#[test]
+fn directory_written_with_u32_registers_recovers_bit_for_bit() {
+    let fixture =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/durable-dir-u32-registers");
+    let scratch = Scratch::new("fixture");
+    std::fs::create_dir_all(scratch.path()).unwrap();
+    for entry in std::fs::read_dir(&fixture)
+        .expect("fixture directory")
+        .flatten()
+    {
+        std::fs::copy(entry.path(), scratch.path().join(entry.file_name())).unwrap();
+    }
+
+    let cfg = SetSketchConfig::new(64, 2.0, 20.0, 62).unwrap();
+    let factory = move || SetSketch2::new(cfg, 2);
+    let sketch_of = |start: u64, len: u64| {
+        let mut sketch = factory();
+        sketch.insert_batch(&(start..start + len).collect::<Vec<u64>>());
+        sketch
+    };
+    let reference = SketchStore::builder(factory).shards(4).build();
+    for step in 0..12u64 {
+        let key = format!("k{}", step % 5);
+        match step % 4 {
+            0 | 1 => {
+                reference.ingest(&key, &(step * 100..step * 100 + 30).collect::<Vec<u64>>());
+            }
+            2 => {
+                reference
+                    .merge_in(&key, &sketch_of(step * 1_000, 50_000))
+                    .unwrap();
+            }
+            _ => {
+                reference.put(&key, sketch_of(step * 7, 40));
+            }
+        }
+    }
+    reference.remove("k4");
+    reference.ingest("k4", &[1, 2, 3]);
+
+    let recovered = SketchStore::builder(factory)
+        .shards(4)
+        .durable_dir(scratch.path())
+        .build();
+    let report = recovered.recovery_report().expect("durable store");
+    assert!(report.is_clean(), "{report}");
+    assert!(
+        report.checkpoint_entries > 0 && report.records_replayed > 0,
+        "the fixture exercises checkpoint load and tail replay: {report}"
+    );
+    assert_eq!(recovered.keys(), reference.keys());
+    for key in reference.keys() {
+        assert_eq!(recovered.get(&key), reference.get(&key), "key {key}");
+    }
+}

@@ -52,7 +52,7 @@ fn main() {
             for shingle in document(family, member, SHINGLES, 0.15) {
                 sketch.insert_u64(shingle);
             }
-            index.insert((family, member), sketch.registers());
+            index.insert((family, member), &sketch.registers().to_vec());
             sketches.insert((family, member), sketch);
         }
     }
@@ -64,7 +64,7 @@ fn main() {
         query.insert_u64(shingle);
     }
 
-    let candidates = index.query(query.registers());
+    let candidates = index.query(&query.registers().to_vec());
     println!("LSH returned {} candidates", candidates.len());
 
     // Filter candidates with the precise joint estimator (paper §3.3:

@@ -68,8 +68,8 @@ fn ghll_matches_setsketch_with_a_one_over_m() {
             ghll.insert_u64(e);
             ss.insert_u64(e);
         }
-        mean_ghll += ghll.registers().iter().map(|&k| k as f64).sum::<f64>();
-        mean_ss += ss.registers().iter().map(|&k| k as f64).sum::<f64>();
+        mean_ghll += ghll.registers().iter().map(|k| k as f64).sum::<f64>();
+        mean_ss += ss.registers().iter().map(|k| k as f64).sum::<f64>();
     }
     mean_ghll /= (runs as usize * m) as f64;
     mean_ss /= (runs as usize * m) as f64;

@@ -113,7 +113,7 @@ fn union_estimates_are_monotone() {
         .registers()
         .iter()
         .zip(union.registers())
-        .map(|(&x, &y)| y as f64 - x as f64)
+        .map(|(x, y)| y as f64 - x as f64)
         .sum();
     assert!(sum_a >= 0.0, "union registers must dominate");
     assert!(union.estimate_cardinality() >= a.estimate_cardinality() * 0.999);
