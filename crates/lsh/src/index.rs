@@ -245,13 +245,8 @@ impl<K: Clone + Eq + Hash> LshIndex<K> {
 
     /// Appends the distinct unseen keys of one bucket to `out`.
     fn probe_bucket(&self, band: usize, bucket: u64, seen: &mut HashSet<K>, out: &mut Vec<K>) {
-        let table = self.tables[band].read();
-        if let Some(entries) = table.get(&bucket) {
-            for key in entries {
-                if seen.insert(key.clone()) {
-                    out.push(key.clone());
-                }
-            }
+        if let Some(entries) = self.tables[band].read().get(&bucket) {
+            push_unseen(entries, seen, out);
         }
     }
 
@@ -278,11 +273,7 @@ impl<K: Clone + Eq + Hash> LshIndex<K> {
             let table = self.tables[band].read();
             let mut probe = |bucket: u64| {
                 if let Some(entries) = table.get(&bucket) {
-                    for key in entries {
-                        if seen.insert(key.clone()) {
-                            out.push(key.clone());
-                        }
-                    }
+                    push_unseen(entries, &mut seen, &mut out);
                 }
             };
             probe(prefixes[self.rows]);
@@ -319,11 +310,7 @@ impl<K: Clone + Eq + Hash> LshIndex<K> {
             for ((signature, out), seen) in signatures.iter().zip(&mut results).zip(&mut seen) {
                 let bucket = self.band_hash(band, signature);
                 if let Some(entries) = table.get(&bucket) {
-                    for key in entries {
-                        if seen.insert(key.clone()) {
-                            out.push(key.clone());
-                        }
-                    }
+                    push_unseen(entries, seen, out);
                 }
             }
         }
@@ -379,6 +366,18 @@ impl<K: Clone + Eq + Hash> LshIndex<K> {
             band_hashes.len(),
             self.bands
         );
+    }
+}
+
+/// Appends the keys of one bucket not yet in `seen` to `out`, cloning
+/// each key only on first sight (a key met again in a later band costs
+/// one hash lookup, no allocation).
+fn push_unseen<K: Clone + Eq + Hash>(entries: &[K], seen: &mut HashSet<K>, out: &mut Vec<K>) {
+    for key in entries {
+        if !seen.contains(key) {
+            seen.insert(key.clone());
+            out.push(key.clone());
+        }
     }
 }
 

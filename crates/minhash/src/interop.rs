@@ -71,6 +71,15 @@ impl JointEstimator for MinHash {
     fn joint(&self, other: &Self) -> Result<JointQuantities, IncompatibleMinHash> {
         self.estimate_joint(other)
     }
+
+    fn joint_with_cardinalities(
+        &self,
+        other: &Self,
+        n_u: f64,
+        n_v: f64,
+    ) -> Result<JointQuantities, IncompatibleMinHash> {
+        self.estimate_joint_with_cardinalities(other, n_u, n_v)
+    }
 }
 
 impl Signature for MinHash {

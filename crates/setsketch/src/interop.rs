@@ -100,6 +100,17 @@ impl<S: ValueSequence> JointEstimator for SetSketch<S> {
     fn joint(&self, other: &Self) -> Result<JointQuantities, IncompatibleSketches> {
         Ok(self.estimate_joint(other)?.quantities)
     }
+
+    fn joint_with_cardinalities(
+        &self,
+        other: &Self,
+        n_u: f64,
+        n_v: f64,
+    ) -> Result<JointQuantities, IncompatibleSketches> {
+        Ok(self
+            .estimate_joint_with_cardinalities(other, n_u, n_v)?
+            .quantities)
+    }
 }
 
 impl<S: ValueSequence> CompactSketch for SetSketch<S> {

@@ -335,6 +335,26 @@ pub trait JointEstimator: Mergeable {
     /// applicability condition fails (GHLL, §4.2).
     fn joint(&self, other: &Self) -> Result<JointQuantities, Self::JointError>;
 
+    /// [`joint`](Self::joint) with the pair's cardinality estimates
+    /// supplied by the caller: `n_u` and `n_v` must be the family's
+    /// [`CardinalityEstimator::cardinality`] of `self` and `other`, and
+    /// the result is then `joint`'s bit for bit. Callers that estimate
+    /// many pairs over few sketches (a store's similarity verification)
+    /// compute each sketch's cardinality once instead of once per pair.
+    ///
+    /// The default ignores the supplied values and calls `joint`;
+    /// families whose joint estimator begins by estimating both
+    /// cardinalities (SetSketch, MinHash) override it.
+    fn joint_with_cardinalities(
+        &self,
+        other: &Self,
+        n_u: f64,
+        n_v: f64,
+    ) -> Result<JointQuantities, Self::JointError> {
+        let _ = (n_u, n_v);
+        self.joint(other)
+    }
+
     /// Estimated Jaccard similarity `|A ∩ B| / |A ∪ B|`.
     fn jaccard(&self, other: &Self) -> Result<f64, Self::JointError> {
         Ok(self.joint(other)?.jaccard)

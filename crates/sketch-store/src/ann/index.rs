@@ -7,9 +7,10 @@
 //! member density implies (members within distance `d` of the centroid
 //! pair up within `2d` by the triangle inequality, so dense clusters
 //! afford far more selective layouts than the global tuning would
-//! dare). Maintenance mirrors the flat index: a version sweep re-bands
-//! exactly the moved keys, assigning each to its nearest centroid and
-//! widening that cluster's radius; a rebuild (fresh k-center pass) is
+//! dare). Maintenance is a version sweep of every shard (the flat index
+//! sweeps only shards whose mutation mark moved): it re-bands exactly
+//! the moved keys, assigning each to its nearest centroid and widening
+//! that cluster's radius; a rebuild (fresh k-center pass) is
 //! triggered only when radii drift past their built values or the
 //! population doubles/halves, so steady traffic never re-clusters.
 
@@ -332,8 +333,8 @@ where
             }
         }
         // Counts only disagree when keys were removed (or never indexed
-        // because no centroid existed) — same warm-path economy as the
-        // flat refresh.
+        // because no centroid existed), so the warm path clones no key
+        // string for removal detection.
         if keys.len() != live_count {
             let mut live: HashSet<String> = HashSet::with_capacity(live_count);
             for shard in self.shards() {

@@ -235,8 +235,9 @@ impl<S: Mergeable + Clone + PartialEq> SketchStore<S> {
 
     pub(crate) fn merge_in_unlogged(&self, key: &str, incoming: &S) -> Result<bool, StoreError> {
         let changed = {
-            let mut shard = self.shard(key).write();
-            match shard.get_mut(key) {
+            let index = self.shard_index(key);
+            let mut shard = self.shards()[index].write();
+            let changed = match shard.get_mut(key) {
                 None => {
                     // Merge into a factory-built empty sketch rather
                     // than installing `incoming` verbatim: union with
@@ -282,7 +283,13 @@ impl<S: Mergeable + Clone + PartialEq> SketchStore<S> {
                         changed
                     }
                 }
+            };
+            // Every changing branch stamped a version; a no-op merge
+            // leaves the shard's mark where the index last saw it.
+            if changed {
+                self.mark_dirty(index);
             }
+            changed
         };
         self.maybe_maintain();
         Ok(changed)

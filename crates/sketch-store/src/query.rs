@@ -25,21 +25,32 @@
 //!    the index: every key (top-k) or every pair (sweep) is a
 //!    candidate — the ground-truth reference the pruned strategies'
 //!    recall is measured against.
-//! 2. **Incremental maintenance** — every store write bumps a per-key
-//!    version counter; before a query, exactly the keys whose version
-//!    moved since they were last indexed are re-banded (removed under
-//!    their stored band hashes, re-inserted under the new ones). Steady
-//!    query traffic therefore never pays a full index rebuild.
+//! 2. **Incremental maintenance** — every store write stamps the key's
+//!    slot with a fresh version and raises its shard's mutation mark;
+//!    each cached index state records the mark it last swept every
+//!    shard at. Before a query only the shards whose mark moved are
+//!    swept: their keys whose version moved are re-banded (removed
+//!    under their stored band hashes, re-inserted under the new ones)
+//!    and their removed keys dropped — so a quiet query does no refresh
+//!    work, and the first query after a write trickle pays for the
+//!    shards it touched, not for the store. A flat state current for
+//!    every shard is probed under the shared read lock, so concurrent
+//!    top-k queries do not serialize; only a missing or stale state (and
+//!    the clustered strategy, whose probes update routing counters)
+//!    takes the write lock. Steady query traffic never pays a full index
+//!    rebuild.
 //! 3. **Verification** — every candidate pair is verified over a
 //!    point-in-time extraction (cold slots are peeked, never promoted),
 //!    fanned out across worker threads with per-worker result buffers.
-//!    [`Verification::Exact`] (the default) runs the family's exact
-//!    joint estimator (the `compare_counts` register kernel feeding a
-//!    likelihood maximization), so a reported pair's quantities equal
-//!    [`SketchStore::joint`] on the same keys whichever strategy made
-//!    it a candidate. [`Verification::Approximate`] instead reports
-//!    the paper's §3.3 D₀-based estimate: one register comparison per
-//!    pair plus a table lookup that inverts the family's
+//!    Each key's cardinality estimate is computed once per version and
+//!    cached, not once per pair. [`Verification::Exact`] (the default)
+//!    runs the family's exact joint estimator (the `compare_counts`
+//!    register kernel feeding a likelihood maximization) through
+//!    [`JointEstimator::joint_with_cardinalities`], so a reported pair's
+//!    quantities equal [`SketchStore::joint`] on the same keys whichever
+//!    strategy made it a candidate. [`Verification::Approximate`]
+//!    instead reports the paper's §3.3 D₀-based estimate: one register
+//!    comparison per pair plus a table lookup that inverts the family's
 //!    collision-probability curve at the observed equal-register
 //!    fraction — the "approximate-quantity" mode for latency-critical
 //!    sweeps.
@@ -61,8 +72,8 @@ use sketch_core::{
     invert_collision_probability, CardinalityEstimator, JointCounts, JointEstimator,
     JointQuantities, Signature,
 };
-use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 /// Default banding recall target ([`QueryOptions::recall_target`]): the
 /// banding stage is laid out so that a pair *at* the query threshold
@@ -74,10 +85,10 @@ pub const DEFAULT_RECALL_TARGET: f64 = 0.98;
 const VERIFY_CHUNK: usize = 256;
 
 /// Bound on cached index states, one per distinct (threshold, recall
-/// target, strategy) operating point (most recently used first).
-/// Bounding the cache keeps a service that sweeps many thresholds from
-/// hoarding band tables; alternating between a few operating points
-/// never re-tunes or re-bands.
+/// target, strategy) operating point (the least recently used is
+/// evicted first). Bounding the cache keeps a service that sweeps many
+/// thresholds from hoarding band tables; alternating between a few
+/// operating points never re-tunes or re-bands.
 const INDEX_CACHE_CAPACITY: usize = 4;
 
 /// How candidate pairs are verified before being reported.
@@ -191,8 +202,24 @@ pub(crate) struct SimilarityIndex {
     /// Strategy the state was requested under (part of the cache key;
     /// the backend may lag it across the flat↔clustered cutover).
     strategy: IndexStrategy,
+    /// Index-cache lookup count of the state's latest use: the eviction
+    /// order and the state [`SketchStore::similarity_index_info`]
+    /// reports. Atomic so the shared read path can stamp it.
+    last_used: AtomicU64,
     /// The candidate-generation machinery behind this operating point.
     backend: Backend,
+}
+
+impl SimilarityIndex {
+    /// True when this state answers the operating point
+    /// `(threshold, options)`. Recall targets are quantized before
+    /// matching, so values differing only past display precision (0.98
+    /// vs 0.9800001) share one state instead of thrashing the cache.
+    fn serves(&self, threshold: f64, options: &QueryOptions) -> bool {
+        self.threshold == threshold
+            && quantize_recall(self.recall_target) == quantize_recall(options.recall_target)
+            && strategies_match(self.strategy, options.index)
+    }
 }
 
 /// The candidate-generation backend of one cached index state. Under
@@ -205,21 +232,102 @@ enum Backend {
     Clustered(Box<ClusteredState>),
 }
 
-/// The original single-banding index over the whole store.
+/// The single-banding index over the whole store. Keys are banded under
+/// dense `u32` ids, so a probe deduplicates integers and a sweep builds
+/// integer pairs; names are resolved once per candidate.
 struct FlatIndex {
     /// The effective layout; `None` when no banding reaches the recall
     /// target at the threshold (queries then run exhaustively).
     banding: Option<Banding>,
     /// The banding index itself (`None` exactly when `banding` is).
-    lsh: Option<LshIndex<String>>,
-    /// Per-key bookkeeping: the store version that was banded and the
-    /// band bucket ids it was inserted under (for O(bands) removal).
-    entries: HashMap<String, IndexedKey>,
+    lsh: Option<LshIndex<u32>>,
+    /// Per store shard, index-aligned with the store's shards: the mark
+    /// it was last swept at and the keys banded from it.
+    shards: Vec<IndexedShard>,
+    /// The key name of every id in use; `None` for free ids.
+    names: Vec<Option<String>>,
+    /// Ids released by removed keys, reused before `names` grows.
+    free: Vec<u32>,
 }
 
+/// The flat index's view of one store shard.
+#[derive(Default)]
+struct IndexedShard {
+    /// The shard's mutation mark when it was last swept. A fresh state
+    /// starts at 0, the mark of a never-written shard, so its first
+    /// refresh sweeps exactly the shards that ever held a key.
+    mark: u64,
+    /// Per-key bookkeeping of the shard's banded keys.
+    keys: HashMap<String, IndexedKey>,
+}
+
+/// One banded key: its id, the store version that was banded and the
+/// band bucket ids it was inserted under (for O(bands) removal).
 struct IndexedKey {
+    id: u32,
     version: u64,
     band_hashes: Box<[u64]>,
+}
+
+impl FlatIndex {
+    /// Number of keys currently banded.
+    fn indexed_keys(&self) -> usize {
+        self.shards.iter().map(|shard| shard.keys.len()).sum()
+    }
+
+    /// Top-k candidates of a query signature by name — multi-probed on
+    /// ordinal registers — or `None` when the state has no banding (the
+    /// caller then verifies every key).
+    fn probe(&self, signature: &[u32], multiprobe: bool) -> Option<Vec<String>> {
+        let lsh = self.lsh.as_ref()?;
+        let ids = if multiprobe {
+            lsh.query_multiprobe(signature)
+        } else {
+            lsh.query(signature)
+        };
+        Some(
+            ids.into_iter()
+                .filter_map(|id| self.names[id as usize].clone())
+                .collect(),
+        )
+    }
+
+    /// The sweep's candidate pairs, or `None` when the state has no
+    /// banding (the caller then verifies the full triangle).
+    fn candidate_pairs(&self) -> Option<SweepCandidates> {
+        let lsh = self.lsh.as_ref()?;
+        Some(SweepCandidates {
+            names: self.names.clone(),
+            pairs: lsh.candidate_pairs(),
+        })
+    }
+}
+
+/// Candidate pairs of a sweep as index pairs into a name table, so
+/// generating them never clones a key per bucket hit. A pair's order is
+/// arbitrary; the sweep normalises it by name.
+struct SweepCandidates {
+    names: Vec<Option<String>>,
+    pairs: Vec<(u32, u32)>,
+}
+
+impl SweepCandidates {
+    /// Interns named pairs (the clustered backend's output).
+    fn from_named(named: Vec<(String, String)>) -> Self {
+        let mut ids: HashMap<String, u32> = HashMap::new();
+        let mut names = Vec::new();
+        let mut id_of = |name: String| {
+            *ids.entry(name).or_insert_with_key(|name| {
+                names.push(Some(name.clone()));
+                u32::try_from(names.len() - 1).expect("sweeps beyond u32 keys are unsupported")
+            })
+        };
+        let pairs = named
+            .into_iter()
+            .map(|(a, b)| (id_of(a), id_of(b)))
+            .collect();
+        SweepCandidates { names, pairs }
+    }
 }
 
 /// A pair of store keys whose verified similarity cleared the sweep
@@ -276,16 +384,21 @@ pub struct SimilarityIndexInfo {
 }
 
 impl<S> SketchStore<S> {
-    /// Reports the **most recently used** similarity index state — its
-    /// tuned banding and coverage — or `None` if no similarity query
-    /// has run yet. (The store caches one state per queried operating
-    /// point, four at most; the `cache_hits` / `cache_misses` counters
-    /// cover all of them. [`IndexStrategy::Exhaustive`] queries use no
-    /// index and leave the cache alone.)
+    /// Reports the similarity index state with the **latest last-used
+    /// stamp** — the one the most recent index-using query landed on —
+    /// with its tuned banding and coverage, or `None` if no similarity
+    /// query has run yet. (The store caches one state per queried
+    /// operating point, four at most; the `cache_hits` / `cache_misses`
+    /// counters cover all of them. [`IndexStrategy::Exhaustive`] queries
+    /// use no index and leave the cache alone.)
     pub fn similarity_index_info(&self) -> Option<SimilarityIndexInfo> {
-        self.similarity.lock().first().map(|index| {
+        let cache = self.similarity.read();
+        let latest = cache
+            .iter()
+            .max_by_key(|index| index.last_used.load(Ordering::Relaxed));
+        latest.map(|index| {
             let (banding, indexed_keys, clustered) = match &index.backend {
-                Backend::Flat(flat) => (flat.banding, flat.entries.len(), None),
+                Backend::Flat(flat) => (flat.banding, flat.indexed_keys(), None),
                 Backend::Clustered(state) => (
                     None,
                     state.keys.len(),
@@ -298,13 +411,17 @@ impl<S> SketchStore<S> {
                     }),
                 ),
             };
+            let cache_misses = self.index_cache_misses.load(Ordering::Relaxed);
             SimilarityIndexInfo {
                 threshold: index.threshold,
                 recall_target: index.recall_target,
                 banding,
                 indexed_keys,
-                cache_hits: self.index_cache_hits.load(Ordering::Relaxed),
-                cache_misses: self.index_cache_misses.load(Ordering::Relaxed),
+                cache_hits: self
+                    .index_lookups
+                    .load(Ordering::Relaxed)
+                    .saturating_sub(cache_misses),
+                cache_misses,
                 clustered,
             }
         })
@@ -329,7 +446,7 @@ where
         check_threshold(threshold);
         check_recall_target(options.recall_target);
         if options.index != IndexStrategy::Exhaustive {
-            self.fresh_index(&mut self.similarity.lock(), threshold, options);
+            self.fresh_index(&mut self.similarity.write(), threshold, options);
         }
     }
 
@@ -375,27 +492,23 @@ where
         let probed = if options.index == IndexStrategy::Exhaustive {
             None
         } else {
-            let mut guard = self.similarity.lock();
-            let index = self.fresh_index(&mut guard, threshold, options);
-            // The signature is extracted under the shard read lock — no
-            // sketch clone inside this critical section.
+            // Extracted before either index lock, so no query waits on
+            // another's shard lock while holding the index.
             let (signature, multiprobe) = self
                 .with_sketch(key, |sketch| {
                     (sketch.signature(), sketch.ordinal_registers())
                 })
                 .ok_or_else(not_found)?;
-            match &mut index.backend {
-                Backend::Flat(flat) => flat.lsh.as_ref().map(|lsh| {
-                    if multiprobe {
-                        lsh.query_multiprobe(&signature)
-                    } else {
-                        lsh.query(&signature)
-                    }
-                }),
-                Backend::Clustered(state) => Some(router::query_candidates(
-                    state, &signature, threshold, multiprobe,
-                )),
-            }
+            self.with_index(
+                threshold,
+                options,
+                |flat| flat.probe(&signature, multiprobe),
+                |state| {
+                    Some(router::query_candidates(
+                        state, &signature, threshold, multiprobe,
+                    ))
+                },
+            )
         };
 
         let mut candidates = probed.unwrap_or_default();
@@ -472,39 +585,38 @@ where
         check_threshold(threshold);
         check_recall_target(options.recall_target);
         // `None` means no index answered (see `similar_keys_with`).
-        let candidate_keys = if options.index == IndexStrategy::Exhaustive {
+        let candidates = if options.index == IndexStrategy::Exhaustive {
             None
         } else {
-            let mut guard = self.similarity.lock();
-            let index = self.fresh_index(&mut guard, threshold, options);
-            match &mut index.backend {
-                Backend::Flat(flat) => flat.lsh.as_ref().map(|lsh| lsh.candidate_pairs()),
-                Backend::Clustered(state) => Some(self.clustered_candidate_pairs(state, threshold)),
-            }
+            self.with_index(threshold, options, FlatIndex::candidate_pairs, |state| {
+                Some(SweepCandidates::from_named(
+                    self.clustered_candidate_pairs(state, threshold),
+                ))
+            })
         };
 
         let entries = self.verify_entries(self.keys(), options.verification);
-        if options.verification == Verification::Approximate {
-            // The sweep named every live key: drop cached cardinalities
-            // of removed keys so the cache stays bounded by the store.
-            let mut cache = self.cardinality_cache.lock();
-            if cache.len() > entries.keys.len() {
-                let live: HashSet<&str> = entries.keys.iter().map(String::as_str).collect();
-                cache.retain(|key, _| live.contains(key.as_str()));
-            }
-        }
-        let hits = match candidate_keys {
+        let hits = match candidates {
             Some(candidates) => {
                 let position: HashMap<&str, u32> = (0u32..)
                     .zip(&entries.keys)
                     .map(|(i, key)| (key.as_str(), i))
                     .collect();
-                let pairs: Vec<(u32, u32)> = candidates
+                // Keys can vanish between index refresh and extraction;
+                // verification only sees live pairs.
+                let entry_of: Vec<Option<u32>> = candidates
+                    .names
                     .iter()
-                    .filter_map(|(a, b)| {
-                        // Keys can vanish between index refresh and
-                        // extraction; verification only sees live pairs.
-                        Some((*position.get(a.as_str())?, *position.get(b.as_str())?))
+                    .map(|name| position.get(name.as_deref()?).copied())
+                    .collect();
+                // Entries are in key order, so the smaller entry index
+                // is the smaller name — the pair's `U` side.
+                let pairs: Vec<(u32, u32)> = candidates
+                    .pairs
+                    .iter()
+                    .filter_map(|&(a, b)| {
+                        let (a, b) = (entry_of[a as usize]?, entry_of[b as usize]?);
+                        Some((a.min(b), a.max(b)))
                     })
                     .collect();
                 verify_candidates(&entries, Candidates::List(&pairs), threshold, options)?
@@ -525,10 +637,10 @@ where
             .collect())
     }
 
-    /// Point-in-time verification inputs for `names`, in that order: a
-    /// sketch clone per key for exact verification, a signature plus
-    /// one cardinality estimate (no clone) for approximate. Each key is
-    /// peeked under its shard's read lock — cold (warm/frozen) slots
+    /// Point-in-time verification inputs for `names`, in that order: one
+    /// cardinality estimate per key, plus a sketch clone for exact
+    /// verification or a signature (no clone) for approximate. Each key
+    /// is peeked under its shard's read lock — cold (warm/frozen) slots
     /// are decompressed into a temporary and **not promoted**, so a
     /// sweep cannot blow the residency budget it runs under. Keys that
     /// vanished since `names` was gathered, and corrupt cold slots,
@@ -538,14 +650,16 @@ where
     /// version stamp has not moved since they were computed (any write
     /// moves the stamp, so a stale figure is never served). The cache
     /// mutex is always the innermost lock — taken under at most one
-    /// shard lock, never the other way around.
+    /// shard lock, never the other way around — and entries are only
+    /// added under the key's shard read lock, so the removal that drops
+    /// an entry under the write lock cannot be overtaken.
     fn verify_entries(&self, names: Vec<String>, verification: Verification) -> VerifyEntries<S> {
         let mut keys = Vec::with_capacity(names.len());
+        let mut cardinalities = Vec::with_capacity(names.len());
         let mut inputs = match verification {
             Verification::Exact => VerifyInputs::Exact(Vec::with_capacity(names.len())),
             Verification::Approximate => VerifyInputs::Approximate {
                 signatures: Vec::with_capacity(names.len()),
-                cardinalities: Vec::with_capacity(names.len()),
                 jaccard_by_d0: self.collision_inverse_table(),
             },
         };
@@ -554,42 +668,38 @@ where
             let Some(slot) = shard.get(&name) else {
                 continue;
             };
-            let extracted = match &mut inputs {
-                VerifyInputs::Exact(sketches) => self
-                    .peek_slot(slot, |sketch| sketch.clone())
-                    .map(|sketch| sketches.push(sketch)),
-                VerifyInputs::Approximate {
-                    signatures,
-                    cardinalities,
-                    ..
-                } => {
-                    let cached = self
-                        .cardinality_cache
-                        .lock()
-                        .get(&name)
-                        .filter(|(version, _)| *version == slot.version)
-                        .map(|&(_, cardinality)| cardinality);
-                    self.peek_slot(slot, |sketch| {
-                        let cardinality = cached.unwrap_or_else(|| sketch.cardinality());
-                        (sketch.signature(), cardinality)
-                    })
-                    .map(|(signature, cardinality)| {
-                        if cached.is_none() {
-                            self.cardinality_cache
-                                .lock()
-                                .insert(name.clone(), (slot.version, cardinality));
-                        }
-                        signatures.push(signature);
-                        cardinalities.push(cardinality);
-                    })
+            let cached = self
+                .cardinality_cache
+                .lock()
+                .get(&name)
+                .filter(|(version, _)| *version == slot.version)
+                .map(|&(_, cardinality)| cardinality);
+            let extracted = self.peek_slot(slot, |sketch| {
+                match &mut inputs {
+                    VerifyInputs::Exact(sketches) => sketches.push(sketch.clone()),
+                    VerifyInputs::Approximate { signatures, .. } => {
+                        signatures.push(sketch.signature())
+                    }
                 }
+                cached.unwrap_or_else(|| sketch.cardinality())
+            });
+            let Some(cardinality) = extracted else {
+                continue;
             };
-            drop(shard);
-            if extracted.is_some() {
-                keys.push(name);
+            if cached.is_none() {
+                self.cardinality_cache
+                    .lock()
+                    .insert(name.clone(), (slot.version, cardinality));
             }
+            drop(shard);
+            cardinalities.push(cardinality);
+            keys.push(name);
         }
-        VerifyEntries { keys, inputs }
+        VerifyEntries {
+            keys,
+            cardinalities,
+            inputs,
+        }
     }
 
     /// Inverse of the family's register-collision-probability curve at
@@ -613,16 +723,60 @@ where
             .clone()
     }
 
+    /// Runs one probe against the up-to-date index state of the
+    /// operating point `(threshold, options)`: `flat` on a flat backend,
+    /// `clustered` on a clustered one.
+    ///
+    /// A flat-strategy state that is current for every shard is probed
+    /// under the shared read lock, so concurrent queries on a quiet
+    /// store run in parallel and touch nothing but the state's last-used
+    /// stamp. A missing or stale state — and every clustered-strategy
+    /// state, whose probes update routing counters — is tuned or
+    /// refreshed and probed under the write lock.
+    fn with_index<R>(
+        &self,
+        threshold: f64,
+        options: &QueryOptions,
+        flat: impl FnOnce(&FlatIndex) -> R,
+        clustered: impl FnOnce(&mut ClusteredState) -> R,
+    ) -> R {
+        if options.index == IndexStrategy::Flat {
+            let cache = self.similarity.read();
+            let current = cache
+                .iter()
+                .find(|index| index.serves(threshold, options))
+                .and_then(|index| match &index.backend {
+                    Backend::Flat(state) if self.is_current(state) => Some((index, state)),
+                    _ => None,
+                });
+            if let Some((index, state)) = current {
+                let stamp = self.index_lookups.fetch_add(1, Ordering::Relaxed) + 1;
+                index.last_used.fetch_max(stamp, Ordering::Relaxed);
+                return flat(state);
+            }
+        }
+        let mut cache = self.similarity.write();
+        match &mut self.fresh_index(&mut cache, threshold, options).backend {
+            Backend::Flat(state) => flat(state),
+            Backend::Clustered(state) => clustered(state),
+        }
+    }
+
+    /// True when no shard moved since `flat` last swept it (always, for
+    /// a state without banding: it has nothing to maintain).
+    fn is_current(&self, flat: &FlatIndex) -> bool {
+        flat.lsh.is_none()
+            || (flat.shards.iter().enumerate()).all(|(at, shard)| shard.mark == self.shard_mark(at))
+    }
+
     /// Returns the cached index state for the operating point
     /// `(threshold, recall_target, strategy)` — created and tuned on
-    /// first use, then brought up to date with the store's current
-    /// versions. States are kept most-recently-used first (at most
-    /// [`INDEX_CACHE_CAPACITY`]), so callers alternating between a few
+    /// first use, then brought up to date with the store. At most
+    /// [`INDEX_CACHE_CAPACITY`] states are kept, the least recently
+    /// used evicted first, so callers alternating between a few
     /// operating points — e.g. a 0.7 sweep interleaved with 0.5 top-k
     /// lookups — never tear down and re-band the whole index on a
-    /// threshold switch. Recall targets are quantized before matching,
-    /// so values differing only past display precision (0.98 vs
-    /// 0.9800001) share one state instead of thrashing the cache.
+    /// threshold switch.
     fn fresh_index<'a>(
         &self,
         cache: &'a mut Vec<SimilarityIndex>,
@@ -630,33 +784,38 @@ where
         options: &QueryOptions,
     ) -> &'a mut SimilarityIndex {
         check_strategy(&options.index);
-        let matches = |index: &SimilarityIndex| {
-            index.threshold == threshold
-                && quantize_recall(index.recall_target) == quantize_recall(options.recall_target)
-                && strategies_match(index.strategy, options.index)
-        };
-        if let Some(at) = cache.iter().position(matches) {
-            self.index_cache_hits.fetch_add(1, Ordering::Relaxed);
-            let index = cache.remove(at);
-            cache.insert(0, index);
-        } else {
-            self.index_cache_misses.fetch_add(1, Ordering::Relaxed);
-            // Every state starts on the flat backend; the refresh step
-            // promotes clustered-strategy states once the store clears
-            // their cutover (so tiny stores never pay for centroids).
-            cache.insert(
-                0,
-                SimilarityIndex {
+        let stamp = self.index_lookups.fetch_add(1, Ordering::Relaxed) + 1;
+        let at = match cache
+            .iter()
+            .position(|index| index.serves(threshold, options))
+        {
+            Some(at) => at,
+            None => {
+                self.index_cache_misses.fetch_add(1, Ordering::Relaxed);
+                if cache.len() == INDEX_CACHE_CAPACITY {
+                    let oldest = (0..cache.len())
+                        .min_by_key(|&at| cache[at].last_used.load(Ordering::Relaxed))
+                        .expect("the cache is full");
+                    cache.swap_remove(oldest);
+                }
+                // Every state starts on the flat backend; the refresh
+                // step promotes clustered-strategy states once the store
+                // clears their cutover (so tiny stores never pay for
+                // centroids).
+                cache.push(SimilarityIndex {
                     threshold,
                     recall_target: options.recall_target,
                     strategy: options.index,
+                    last_used: AtomicU64::new(stamp),
                     backend: Backend::Flat(self.flat_backend(threshold, options.recall_target)),
-                },
-            );
-            cache.truncate(INDEX_CACHE_CAPACITY);
-        }
-        self.refresh_index(&mut cache[0]);
-        &mut cache[0]
+                });
+                cache.len() - 1
+            }
+        };
+        let index = &mut cache[at];
+        *index.last_used.get_mut() = stamp;
+        self.refresh_index(index);
+        index
     }
 
     /// Tunes a fresh flat backend for an operating point: the banding
@@ -672,7 +831,11 @@ where
         FlatIndex {
             banding,
             lsh,
-            entries: HashMap::new(),
+            shards: (0..self.shard_count())
+                .map(|_| IndexedShard::default())
+                .collect(),
+            names: Vec::new(),
+            free: Vec::new(),
         }
     }
 
@@ -731,61 +894,94 @@ where
         }
     }
 
-    /// Re-bands exactly the keys whose version stamp moved since they
-    /// were last indexed, and drops index entries for removed keys.
+    /// Sweeps the shards whose mutation mark moved since the state last
+    /// looked: re-bands exactly their keys whose version stamp moved and
+    /// drops their removed keys. Quiet shards cost one atomic load.
     fn refresh_flat(&self, flat: &mut FlatIndex) {
-        let FlatIndex { lsh, entries, .. } = flat;
+        let FlatIndex {
+            lsh,
+            shards: indexed_shards,
+            names,
+            free,
+            ..
+        } = flat;
         let Some(lsh) = lsh.as_ref() else {
             return; // exhaustive mode: nothing to maintain
         };
-        let mut live_count = 0usize;
         let mut signature: Vec<u32> = Vec::new();
         let mut band_hashes: Vec<u64> = Vec::new();
-        for shard in self.shards() {
+        for (at, (shard, indexed)) in self.shards().iter().zip(indexed_shards).enumerate() {
+            if indexed.mark == self.shard_mark(at) {
+                continue;
+            }
             let guard = shard.read();
-            live_count += guard.len();
+            // Loaded under the read lock: every change the mark counts
+            // is in `guard`, and any later one raises it past this.
+            indexed.mark = self.shard_mark(at);
+            let keys = &mut indexed.keys;
+            // Live keys of the shard that end the sweep indexed; fewer
+            // than `keys` holds means some indexed keys were removed.
+            let mut live_indexed = 0usize;
             for (key, slot) in guard.iter() {
-                if entries.get(key).is_some_and(|e| e.version == slot.version) {
+                let entry = keys.get_mut(key);
+                if entry.as_ref().is_some_and(|e| e.version == slot.version) {
+                    live_indexed += 1;
                     continue;
                 }
-                // Peek, don't promote: index refresh sweeps the whole
-                // store and must leave cold slots in their tier.
-                // Corrupt slots stay unindexed until a write heals them
-                // (which bumps their version and re-enters this sweep).
+                // Peek, don't promote: index refresh sweeps whole shards
+                // and must leave cold slots in their tier. Corrupt slots
+                // stay unindexed until a write heals them (which bumps
+                // their version and re-enters this sweep).
                 if self
                     .peek_slot(slot, |sketch| sketch.signature_into(&mut signature))
                     .is_none()
                 {
+                    live_indexed += usize::from(entry.is_some());
                     continue;
                 }
                 lsh.band_hashes_into(&signature, &mut band_hashes);
-                if let Some(old) = entries.get(key) {
-                    lsh.remove_hashed(key, &old.band_hashes);
+                live_indexed += 1;
+                match entry {
+                    Some(entry) => {
+                        lsh.remove_hashed(&entry.id, &entry.band_hashes);
+                        lsh.insert_hashed(entry.id, &band_hashes);
+                        entry.version = slot.version;
+                        entry.band_hashes = band_hashes.as_slice().into();
+                    }
+                    None => {
+                        let id = match free.pop() {
+                            Some(id) => {
+                                names[id as usize] = Some(key.clone());
+                                id
+                            }
+                            None => {
+                                names.push(Some(key.clone()));
+                                u32::try_from(names.len() - 1)
+                                    .expect("flat indexes beyond u32 keys are unsupported")
+                            }
+                        };
+                        lsh.insert_hashed(id, &band_hashes);
+                        keys.insert(
+                            key.clone(),
+                            IndexedKey {
+                                id,
+                                version: slot.version,
+                                band_hashes: band_hashes.as_slice().into(),
+                            },
+                        );
+                    }
                 }
-                lsh.insert_hashed(key.clone(), &band_hashes);
-                entries.insert(
-                    key.clone(),
-                    IndexedKey {
-                        version: slot.version,
-                        band_hashes: band_hashes.clone().into_boxed_slice(),
-                    },
-                );
             }
-        }
-        // After the sweep `entries` covers every live key, so the counts
-        // only disagree when keys were removed — the warm path (nothing
-        // removed) never clones a key string for removal detection.
-        if entries.len() != live_count {
-            let mut live: HashSet<String> = HashSet::with_capacity(live_count);
-            for shard in self.shards() {
-                live.extend(shard.read().keys().cloned());
+            if keys.len() != live_indexed {
+                keys.retain(|key, entry| {
+                    guard.contains_key(key) || {
+                        lsh.remove_hashed(&entry.id, &entry.band_hashes);
+                        names[entry.id as usize] = None;
+                        free.push(entry.id);
+                        false
+                    }
+                });
             }
-            entries.retain(|key, entry| {
-                live.contains(key) || {
-                    lsh.remove_hashed(key, &entry.band_hashes);
-                    false
-                }
-            });
         }
     }
 }
@@ -911,9 +1107,11 @@ impl Candidates<'_> {
 }
 
 /// Point-in-time verification inputs of one query: the extracted keys
-/// and, index-aligned with them, what the verification mode compares.
+/// and, index-aligned with them, each key's cardinality estimate and
+/// what the verification mode compares.
 struct VerifyEntries<S> {
     keys: Vec<String>,
+    cardinalities: Vec<f64>,
     inputs: VerifyInputs<S>,
 }
 
@@ -921,16 +1119,15 @@ struct VerifyEntries<S> {
 ///
 /// Exact verification needs the sketch states themselves (clones, so
 /// the sweep never holds shard locks). The §3.3 approximation only
-/// needs each entry's register signature and one cardinality estimate
-/// — both extracted under the shard read locks without cloning a
-/// single sketch, which is where most of its speedup over exact
-/// verification comes from at scale: the per-entry work happens once,
-/// not once per pair, and the snapshot clone disappears entirely.
+/// needs each entry's register signature — extracted under the shard
+/// read locks without cloning a single sketch, which is where most of
+/// its speedup over exact verification comes from at scale: the
+/// per-entry work happens once, not once per pair, and the snapshot
+/// clone disappears entirely.
 enum VerifyInputs<S> {
     Exact(Vec<S>),
     Approximate {
         signatures: Vec<Vec<u32>>,
-        cardinalities: Vec<f64>,
         /// Inverse of the family's collision-probability curve,
         /// tabulated over all `m + 1` possible D₀ values — a pair then
         /// costs one vectorized register comparison and a table
@@ -963,13 +1160,16 @@ impl std::error::Error for SignatureMismatch {}
 impl<S: JointEstimator> VerifyEntries<S> {
     /// The joint estimate of entry pair `(a, b)` under this mode.
     fn verify(&self, a: u32, b: u32) -> Result<JointQuantities, StoreError> {
+        let (n_u, n_v) = (
+            self.cardinalities[a as usize],
+            self.cardinalities[b as usize],
+        );
         match &self.inputs {
             VerifyInputs::Exact(sketches) => sketches[a as usize]
-                .joint(&sketches[b as usize])
+                .joint_with_cardinalities(&sketches[b as usize], n_u, n_v)
                 .map_err(StoreError::incompatible),
             VerifyInputs::Approximate {
                 signatures,
-                cardinalities,
                 jaccard_by_d0,
             } => {
                 let (sig_a, sig_b) = (&signatures[a as usize], &signatures[b as usize]);
@@ -981,7 +1181,6 @@ impl<S: JointEstimator> VerifyEntries<S> {
                         expected: m,
                     }));
                 }
-                let (n_u, n_v) = (cardinalities[a as usize], cardinalities[b as usize]);
                 if m == 0 {
                     return Ok(JointQuantities::from_estimated_jaccard(n_u, n_v, 0.0));
                 }
@@ -1087,4 +1286,51 @@ fn verify_candidates<S: JointEstimator + Sync>(
     };
     hits.sort_unstable_by_key(|&(a, b, _)| (a, b));
     Ok(hits)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use setsketch::{SetSketch1, SetSketchConfig};
+
+    /// The verification cardinality cache holds live keys only: removing
+    /// every key (or clearing the store) empties it, whichever mode
+    /// filled it.
+    #[test]
+    fn cardinality_cache_forgets_removed_keys() {
+        let cfg = SetSketchConfig::new(256, 1.001, 20.0, (1 << 16) - 2).unwrap();
+        let store = SketchStore::builder(move || SetSketch1::new(cfg, 42)).build();
+        let fill = || {
+            for key in 0..500u64 {
+                let start = key * 1_000_000;
+                store.ingest(
+                    &format!("k{key}"),
+                    &(start..start + 100).collect::<Vec<_>>(),
+                );
+            }
+        };
+        let top_k = |options: QueryOptions| {
+            // Unrelated keys leave the index no candidates, so top-k
+            // verifies every key.
+            store.similar_keys_with("k0", 3, 0.5, &options).unwrap();
+        };
+        fill();
+        for options in [
+            QueryOptions::default(),
+            QueryOptions::default().approximate(),
+        ] {
+            top_k(options);
+            assert_eq!(store.cardinality_cache.lock().len(), 500);
+        }
+        for key in 0..500u64 {
+            store.remove(&format!("k{key}"));
+        }
+        assert!(store.cardinality_cache.lock().is_empty());
+
+        fill();
+        top_k(QueryOptions::default());
+        assert_eq!(store.cardinality_cache.lock().len(), 500);
+        store.clear();
+        assert!(store.cardinality_cache.lock().is_empty());
+    }
 }

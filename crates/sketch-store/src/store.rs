@@ -20,11 +20,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 ///
 /// Every mutating access to the key (ingest, insert, put, restore)
 /// stamps the slot with a fresh value of the store's monotonic write
-/// counter, which is all the bookkeeping ingest pays for
-/// similarity-index maintenance: the query engine re-bands exactly the
-/// keys whose version moved since they were last indexed. The counter
-/// is store-global, so a key removed and later re-created never repeats
-/// an old version (the index relies on inequality to detect staleness).
+/// counter and raises its shard's mutation mark
+/// ([`SketchStore::mark_dirty`]) — together all the bookkeeping ingest
+/// pays for similarity-index maintenance: the query engine sweeps only
+/// the shards whose mark moved since it last looked, and re-bands
+/// exactly the keys of those shards whose version moved. The counter is
+/// store-global, so a key removed and later re-created never repeats an
+/// old version (the index relies on inequality to detect staleness).
 ///
 /// Tier moves (hot ↔ warm ↔ frozen) do **not** bump the version — the
 /// registers are unchanged, so index entries stay valid. The `touched`
@@ -128,6 +130,13 @@ pub const DEFAULT_SHARDS: usize = 16;
 /// ```
 pub struct SketchStore<S> {
     shards: Box<[Shard<S>]>,
+    /// One mutation mark per shard, index-aligned with `shards`: raised
+    /// under the shard's write lock by every insert, removal, clear and
+    /// version re-stamp ([`mark_dirty`](Self::mark_dirty)), never by a
+    /// tier move or a no-op merge. A similarity index state that swept a
+    /// shard at mark `x` is current for it while the mark still reads
+    /// `x`.
+    marks: Box<[AtomicU64]>,
     factory: Box<dyn Fn() -> S + Send + Sync>,
     /// Monotonic write counter feeding the slots' version stamps.
     write_epoch: AtomicU64,
@@ -137,20 +146,24 @@ pub struct SketchStore<S> {
     /// Pipeline knobs fixed at construction ([`StoreBuilder`]); applied
     /// by every [`pipeline`](Self::pipeline) handle the store hands out.
     pub(crate) pipeline_defaults: PipelineDefaults,
-    /// Lazily built banding LSH indexes (most recently used first, one
-    /// per queried operating point) over the stored sketches' signatures,
-    /// maintained incrementally by the similarity query engine (see
-    /// [`crate::query`]).
-    pub(crate) similarity: Mutex<Vec<SimilarityIndex>>,
-    /// Operating points served from the index cache (diagnostics,
-    /// reported by [`similarity_index_info`](Self::similarity_index_info)).
-    pub(crate) index_cache_hits: AtomicU64,
-    /// Operating points that tuned a fresh index state.
+    /// Lazily built banding LSH indexes (one per queried operating
+    /// point, each with a last-used stamp) over the stored sketches'
+    /// signatures, maintained incrementally by the similarity query
+    /// engine (see [`crate::query`]). Queries on a current flat state
+    /// share the read lock; only tuning, refreshing a state whose shards
+    /// moved, and the clustered strategy take the write lock.
+    pub(crate) similarity: RwLock<Vec<SimilarityIndex>>,
+    /// Index-cache lookups so far (diagnostics, reported by
+    /// [`similarity_index_info`](Self::similarity_index_info)); each
+    /// lookup's count is the last-used stamp of the state it lands on.
+    pub(crate) index_lookups: AtomicU64,
+    /// Lookups that tuned a fresh index state (the rest were hits).
     pub(crate) index_cache_misses: AtomicU64,
-    /// Per-key cardinality cache for approximate-mode queries, keyed by
-    /// the slot version that produced each figure — a stale version
-    /// invalidates the entry, so the cache never needs explicit
-    /// flushing on writes (see [`crate::query`]).
+    /// Per-key cardinality cache of the similarity verification stage
+    /// (both modes), keyed by the slot version that produced each figure
+    /// — a write moves the version and so invalidates the entry;
+    /// [`remove`](Self::remove) and [`clear`](Self::clear) drop entries,
+    /// so the cache never outgrows the live keys (see [`crate::query`]).
     pub(crate) cardinality_cache: Mutex<HashMap<String, (u64, f64)>>,
     /// Lazily computed inverse of the factory configuration's
     /// register-collision-probability curve, tabulated over all
@@ -197,6 +210,7 @@ impl<S> SketchStore<S> {
         tier_codec: Option<TierCodec<S>>,
     ) -> Self {
         debug_assert!(shards > 0, "builder validates the shard count");
+        let marks = (0..shards).map(|_| AtomicU64::new(0)).collect();
         let shards = (0..shards)
             .map(|_| RwLock::new(HashMap::new()))
             .collect::<Vec<_>>()
@@ -210,12 +224,13 @@ impl<S> SketchStore<S> {
         };
         Self {
             shards,
+            marks,
             factory,
             write_epoch: AtomicU64::new(0),
             tier: TierRuntime::new(tier_policy, tier_codec, prototype),
             pipeline_defaults,
-            similarity: Mutex::new(Vec::new()),
-            index_cache_hits: AtomicU64::new(0),
+            similarity: RwLock::new(Vec::new()),
+            index_lookups: AtomicU64::new(0),
             index_cache_misses: AtomicU64::new(0),
             cardinality_cache: Mutex::new(HashMap::new()),
             collision_inverse: std::sync::OnceLock::new(),
@@ -227,6 +242,26 @@ impl<S> SketchStore<S> {
     #[inline]
     pub(crate) fn next_version(&self) -> u64 {
         self.write_epoch.fetch_add(1, Ordering::Relaxed) + 1
+    }
+
+    /// Raises shard `index`'s mutation mark. The one place the marks
+    /// move: every path that inserts, removes, clears or re-stamps a
+    /// slot calls it while holding that shard's write lock, so a reader
+    /// that loads the mark under the shard's read lock has seen every
+    /// change the mark counts. `Relaxed` suffices: the mark publishes no
+    /// data (sweeps read slots under the shard lock, which orders them),
+    /// and a query ordered after a write — by program order or any
+    /// synchronization — reads the raised mark by coherence.
+    #[inline]
+    pub(crate) fn mark_dirty(&self, index: usize) {
+        self.marks[index].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Shard `index`'s current mutation mark (see
+    /// [`mark_dirty`](Self::mark_dirty)).
+    #[inline]
+    pub(crate) fn shard_mark(&self, index: usize) -> u64 {
+        self.marks[index].load(Ordering::Relaxed)
     }
 
     /// Current write-counter value, for the delta module's sweeps.
@@ -382,8 +417,10 @@ impl<S> SketchStore<S> {
             // Stamped under the shard lock, like every other write: a
             // delta sweep that read the counter past this version must
             // find the slot.
-            let mut shard = self.shard(key).write();
+            let index = self.shard_index(key);
+            let mut shard = self.shards[index].write();
             let version = self.next_version();
+            self.mark_dirty(index);
             shard.insert(key.to_owned(), Slot::hot(sketch, version))
         };
         let previous = previous.and_then(|slot| self.take_sketch(slot));
@@ -403,7 +440,16 @@ impl<S> SketchStore<S> {
     }
 
     pub(crate) fn remove_unlogged(&self, key: &str) -> Option<S> {
-        let slot = self.shard(key).write().remove(key)?;
+        let index = self.shard_index(key);
+        let slot = {
+            let mut shard = self.shards[index].write();
+            let slot = shard.remove(key)?;
+            self.mark_dirty(index);
+            // Innermost lock: verification caches a cardinality under
+            // the shard's read lock, so none can land after this.
+            self.cardinality_cache.lock().remove(key);
+            slot
+        };
         self.take_sketch(slot)
     }
 
@@ -416,9 +462,14 @@ impl<S> SketchStore<S> {
     }
 
     pub(crate) fn clear_unlogged(&self) {
-        for shard in self.shards.iter() {
-            shard.write().clear();
+        for (index, shard) in self.shards.iter().enumerate() {
+            let mut shard = shard.write();
+            shard.clear();
+            self.mark_dirty(index);
         }
+        // Entries cached after their shard was cleared belong to keys
+        // created since; dropping them too only costs a recomputation.
+        self.cardinality_cache.lock().clear();
         self.tier.reset();
     }
 
@@ -519,7 +570,8 @@ impl<S> SketchStore<S> {
     /// in [`logged`](Self::logged), and WAL replay calls it directly.
     pub(crate) fn with_entry(&self, key: &str, op: impl FnOnce(&mut S)) {
         {
-            let mut shard = self.shard(key).write();
+            let index = self.shard_index(key);
+            let mut shard = self.shards[index].write();
             if !shard.contains_key(key) {
                 let sketch = (self.factory)();
                 self.tier.account_insert_hot(&sketch);
@@ -535,6 +587,7 @@ impl<S> SketchStore<S> {
                 slot.state = TierSlot::Hot(sketch);
             }
             slot.version = self.next_version();
+            self.mark_dirty(index);
             slot.touch();
             if self.tier.enabled() {
                 let before = self.tier.resident_of(slot.hot_ref());
@@ -693,7 +746,10 @@ impl<S: CompactSketch> SketchStore<S> {
                     }
                 }
             };
-            store.shard(&key).write().insert(key, slot);
+            let index = store.shard_index(&key);
+            let mut shard = store.shards[index].write();
+            shard.insert(key, slot);
+            store.mark_dirty(index);
         }
         store
     }

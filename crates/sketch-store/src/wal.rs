@@ -977,7 +977,9 @@ impl<S> SketchStore<S> {
     /// version stamp (recovery only — the store is not shared yet).
     pub(crate) fn install_recovered_entry(&self, key: String, version: u64, payload: Vec<u8>) {
         self.tier.account_insert_warm(payload.len());
-        self.shard(&key).write().insert(
+        let index = self.shard_index(&key);
+        let mut shard = self.shards()[index].write();
+        shard.insert(
             key,
             Slot {
                 state: TierSlot::Warm(payload.into_boxed_slice()),
@@ -985,6 +987,7 @@ impl<S> SketchStore<S> {
                 touched: AtomicBool::new(false),
             },
         );
+        self.mark_dirty(index);
     }
 }
 

@@ -3,6 +3,8 @@
 
 use setsketch::{SetSketch1, SetSketchConfig};
 use sketch_store::{IndexStrategy, QueryOptions, SketchStore, StoreError};
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// The default operating point: flat index, exact verification.
 fn flat() -> QueryOptions {
@@ -419,4 +421,275 @@ fn every_strategy_answers_from_the_exhaustive_pair_set() {
             assert_eq!(pair.quantities, joint, "tiered={tiered}: {pair:?}");
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Index freshness: every mutator moves its shard's mark, so the first
+// flat query after it answers exactly what the exhaustive strategy does.
+// ---------------------------------------------------------------------
+
+type Store = SketchStore<SetSketch1>;
+
+/// The top-k query key of the freshness tests (a member of `fam00`).
+const QUERY: &str = "fam00-0";
+const K: usize = 2;
+const THRESHOLD: f64 = 0.5;
+
+fn sketch_of(elements: &[u64]) -> SetSketch1 {
+    let mut sketch = SetSketch1::new(config(), 42);
+    sketch.extend(elements.iter().copied());
+    sketch
+}
+
+/// A near-duplicate of [`QUERY`] (Jaccard ≈ 0.95): it must enter the
+/// query's top-k and the sweep the moment it lands in the store.
+fn near_query() -> Vec<u64> {
+    elements(50, 2000)
+}
+
+/// A scratch directory removed on drop.
+struct Scratch(PathBuf);
+
+impl Scratch {
+    fn new(tag: &str) -> Self {
+        Scratch(std::env::temp_dir().join(format!("sketch-query-{tag}-{}", std::process::id())))
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// A store over eight shards, durable in `dir` when given, holding 20
+/// families of three keys (Jaccard ≥ 0.82 within a family), 15
+/// unrelated singletons and `grow`, a tenth of [`QUERY`]'s elements.
+fn freshness_store(dir: Option<&Path>) -> Arc<Store> {
+    let cfg = config();
+    let builder = SketchStore::builder(move || SetSketch1::new(cfg, 42)).shards(8);
+    let store = match dir {
+        Some(dir) => builder.durable_dir(dir).build_shared(),
+        None => builder.build_shared(),
+    };
+    for family in 0..20u64 {
+        for member in 0..3u64 {
+            store.ingest(
+                &format!("fam{family:02}-{member}"),
+                &elements(family * 1_000_000 + member * 100, 2000),
+            );
+        }
+    }
+    for single in 0..15u64 {
+        store.ingest(
+            &format!("solo{single:02}"),
+            &elements(500_000_000 + single * 1_000_000, 2000),
+        );
+    }
+    store.ingest("grow", &elements(0, 200));
+    store
+}
+
+/// The flat strategy's top-k and 0.5 sweep equal the exhaustive ones,
+/// keys and quantities, and the index bands exactly the live keys.
+fn assert_fresh(label: &str, store: &Store) {
+    let top_k = store
+        .similar_keys_with(QUERY, K, THRESHOLD, &flat())
+        .unwrap();
+    let pairs = store.all_pairs_with(THRESHOLD, &flat()).unwrap();
+    assert_eq!(
+        top_k,
+        store
+            .similar_keys_with(QUERY, K, THRESHOLD, &exhaustive())
+            .unwrap(),
+        "{label}: top-k"
+    );
+    assert_eq!(
+        pairs,
+        store.all_pairs_with(THRESHOLD, &exhaustive()).unwrap(),
+        "{label}: sweep"
+    );
+    let info = store.similarity_index_info().unwrap();
+    assert_eq!(info.indexed_keys, store.len(), "{label}: indexed keys");
+}
+
+/// One mutator under test: what it does to a warm store, returning the
+/// store the queries then run on (a rebuilt one for the restore rows).
+struct Mutation {
+    name: &'static str,
+    durable: bool,
+    apply: fn(Arc<Store>, &Path) -> Arc<Store>,
+}
+
+#[test]
+fn index_freshness_after_every_mutator() {
+    let rows = [
+        Mutation {
+            name: "ingest",
+            durable: false,
+            apply: |store, _| {
+                store.ingest("dup", &near_query());
+                store
+            },
+        },
+        Mutation {
+            name: "ingest_bytes",
+            durable: false,
+            apply: |store, _| {
+                let items: Vec<Vec<u8>> = (0..2000u32).map(|i| i.to_le_bytes().to_vec()).collect();
+                let items: Vec<&[u8]> = items.iter().map(Vec::as_slice).collect();
+                store.ingest_bytes("bytes-a", &items);
+                store.ingest_bytes("bytes-b", &items);
+                store
+            },
+        },
+        Mutation {
+            name: "put over an unrelated key",
+            durable: false,
+            apply: |store, _| {
+                store.put("solo00", sketch_of(&near_query()));
+                store
+            },
+        },
+        Mutation {
+            name: "merge_in, changing",
+            durable: false,
+            apply: |store, _| {
+                assert!(store
+                    .merge_in("grow", &sketch_of(&elements(0, 2000)))
+                    .unwrap());
+                assert!(store.merge_in("merged", &sketch_of(&near_query())).unwrap());
+                store
+            },
+        },
+        Mutation {
+            name: "merge_in, no-op",
+            durable: false,
+            apply: |store, _| {
+                let version = store.version_of("fam00-1");
+                let same = store.get("fam00-1").unwrap();
+                assert!(!store.merge_in("fam00-1", &same).unwrap());
+                assert_eq!(store.version_of("fam00-1"), version);
+                store
+            },
+        },
+        Mutation {
+            name: "remove",
+            durable: false,
+            apply: |store, _| {
+                assert!(store.remove("fam00-1").is_some());
+                store
+            },
+        },
+        Mutation {
+            name: "clear",
+            durable: false,
+            apply: |store, _| {
+                store.clear();
+                store.ingest(QUERY, &elements(0, 2000));
+                for single in 0..3u64 {
+                    store.ingest(
+                        &format!("after{single}"),
+                        &elements(single * 7_000_000, 2000),
+                    );
+                }
+                store
+            },
+        },
+        Mutation {
+            name: "pipeline ingest + flush",
+            durable: false,
+            apply: |store, _| {
+                let pipeline = store.clone().pipeline();
+                pipeline.ingest("piped", &near_query());
+                pipeline.flush();
+                store
+            },
+        },
+        Mutation {
+            name: "rebuild from durable_dir",
+            durable: true,
+            apply: |store, dir| {
+                // Most keys come back from the checkpoint, `dup` from the
+                // log tail.
+                store.checkpoint().unwrap();
+                store.ingest("dup", &near_query());
+                drop(store);
+                let cfg = config();
+                SketchStore::builder(move || SetSketch1::new(cfg, 42))
+                    .shards(8)
+                    .durable_dir(dir)
+                    .build_shared()
+            },
+        },
+        Mutation {
+            name: "from_snapshot",
+            durable: false,
+            apply: |store, _| {
+                let cfg = config();
+                Arc::new(SketchStore::from_snapshot(store.snapshot(), move || {
+                    SetSketch1::new(cfg, 42)
+                }))
+            },
+        },
+    ];
+    for row in rows {
+        let scratch = Scratch::new("freshness");
+        let store = freshness_store(row.durable.then_some(scratch.0.as_path()));
+        // Warm: the flat state exists and is current before the write.
+        assert_fresh(&format!("{} (before)", row.name), &store);
+        let store = (row.apply)(store, &scratch.0);
+        assert_fresh(row.name, &store);
+    }
+}
+
+/// Two query threads and two writer threads (seeded ingest/remove
+/// scripts, released together by a barrier) run at once; once they are
+/// joined, the next flat top-k and sweep equal the exhaustive ones.
+#[test]
+fn index_freshness_after_concurrent_readers_and_writers() {
+    let store = freshness_store(None);
+    let start = std::sync::Barrier::new(4);
+    std::thread::scope(|scope| {
+        for reader in 0..2 {
+            let (store, start) = (&store, &start);
+            scope.spawn(move || {
+                start.wait();
+                for round in 0..40 {
+                    if (round + reader) % 4 == 0 {
+                        store.all_pairs_with(THRESHOLD, &flat()).unwrap();
+                    } else {
+                        store
+                            .similar_keys_with(QUERY, K, THRESHOLD, &flat())
+                            .unwrap();
+                    }
+                }
+            });
+        }
+        for writer in 0..2u64 {
+            let (store, start) = (&store, &start);
+            scope.spawn(move || {
+                start.wait();
+                let mut state = 0x9e37_79b9_7f4a_7c15 ^ writer;
+                let mut next = move || {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    state
+                };
+                for _ in 0..150 {
+                    let key = format!("w{}", next() % 24);
+                    match next() % 3 {
+                        0 => store.ingest(&key, &elements(next() % 200, 2000)),
+                        1 => store
+                            .ingest(&key, &elements(900_000_000 + next() % 5 * 10_000_000, 2000)),
+                        _ => {
+                            store.remove(&key);
+                        }
+                    }
+                }
+            });
+        }
+    });
+    assert_fresh("after the concurrent phase", &store);
 }

@@ -3,9 +3,11 @@
 
 use hyperloglog::{GhllConfig, GhllSketch};
 use hyperminhash::{HyperMinHash, HyperMinHashConfig};
-use minhash::MinHash;
-use setsketch::{SetSketch1, SetSketchConfig};
+use minhash::{MinHash, SuperMinHash};
+use setsketch::{SetSketch1, SetSketch2, SetSketchConfig};
+use sketch_core::{CardinalityEstimator, JointEstimator, Sketch};
 use sketch_rand::mix64;
+use thetasketch::ThetaSketch;
 
 fn elements(stream: u64, n: u64) -> impl Iterator<Item = u64> {
     (0..n).map(move |i| mix64((stream << 40) | i))
@@ -160,4 +162,71 @@ fn collision_rate_respects_bounds() {
             "j={j_exact}: equal fraction {equal} outside [{lo}, {hi}]"
         );
     }
+}
+
+/// One family's `joint_with_cardinalities`, fed the sketches' own
+/// cardinality estimates, is `joint` bit for bit — the same quantities
+/// or the same error — on seeded fills, empty sketches, mismatched
+/// sizes and mismatched seeds. `make(size, seed)` builds an empty sketch.
+fn assert_supplied_cardinalities_are_joint<S>(family: &str, make: impl Fn(usize, u64) -> S)
+where
+    S: Sketch + JointEstimator + CardinalityEstimator,
+    S::JointError: std::fmt::Debug,
+{
+    let filled = |size: usize, seed: u64, streams: &[(u64, u64)]| {
+        let mut sketch = make(size, seed);
+        for &(stream, n) in streams {
+            elements(stream, n).for_each(|e| sketch.insert_u64(e));
+        }
+        sketch
+    };
+    let u = filled(256, 5, &[(80, 3_000), (82, 2_000)]);
+    let v = filled(256, 5, &[(81, 6_000), (82, 2_000)]);
+    let small = filled(256, 5, &[(83, 40)]);
+    let empty = make(256, 5);
+    let other_size = filled(512, 5, &[(80, 3_000)]);
+    let other_seed = filled(256, 6, &[(80, 3_000)]);
+    let pairs = [
+        ("filled", &u, &v),
+        ("filled, swapped", &v, &u),
+        ("small", &small, &u),
+        ("empty left", &empty, &u),
+        ("empty right", &u, &empty),
+        ("both empty", &empty, &empty),
+        ("mismatched size", &u, &other_size),
+        ("mismatched seed", &u, &other_seed),
+    ];
+    for (case, a, b) in pairs {
+        let joint = a.joint(b);
+        let supplied = a.joint_with_cardinalities(b, a.cardinality(), b.cardinality());
+        // Debug renders every f64 in round-trip form and names the
+        // error variant, so equal strings are equal results.
+        assert_eq!(
+            format!("{joint:?}"),
+            format!("{supplied:?}"),
+            "{family}, {case}"
+        );
+    }
+}
+
+#[test]
+fn supplied_cardinalities_reproduce_joint_for_every_family() {
+    assert_supplied_cardinalities_are_joint("SetSketch1", |m, seed| {
+        SetSketch1::new(SetSketchConfig::new(m, 2.0, 20.0, 62).unwrap(), seed)
+    });
+    assert_supplied_cardinalities_are_joint("SetSketch2", |m, seed| {
+        SetSketch2::new(
+            SetSketchConfig::new(m, 1.001, 20.0, (1 << 16) - 2).unwrap(),
+            seed,
+        )
+    });
+    assert_supplied_cardinalities_are_joint("GHLL", |m, seed| {
+        GhllSketch::new(GhllConfig::hyperloglog(m).unwrap(), seed)
+    });
+    assert_supplied_cardinalities_are_joint("HyperMinHash", |m, seed| {
+        HyperMinHash::new(HyperMinHashConfig::new(m, 10).unwrap(), seed)
+    });
+    assert_supplied_cardinalities_are_joint("MinHash", MinHash::new);
+    assert_supplied_cardinalities_are_joint("SuperMinHash", SuperMinHash::new);
+    assert_supplied_cardinalities_are_joint("Theta", ThetaSketch::new);
 }
