@@ -152,9 +152,6 @@ fn bench_queries(c: &mut Criterion) {
                 .expect("present")
         })
     });
-    group.bench_function("snapshot/8keys", |bencher| {
-        bencher.iter(|| store.snapshot().len())
-    });
     group.finish();
 }
 

@@ -44,7 +44,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// register signatures (similarity queries), a compact wire codec, and
 /// value semantics. Implemented automatically for every type with the
 /// parts — the families with a packed register codec (SetSketch1/2,
-/// GHLL) qualify; the MinHash variants, HyperMinHash and Theta have no
+/// GHLL) qualify; the MinHash variants and HyperMinHash have no
 /// [`CompactSketch`] form and serve from a plain store only.
 pub trait ClusterSketch:
     BatchInsert

@@ -12,10 +12,10 @@
 //! their shared `K_low` lower bound with a sparse exception list
 //! (`sketch_math::pack_offsets`): 2–3 bits per register for concentrated
 //! configurations, against one resident byte. Families without a packed
-//! register form (the MinHash variants, HyperMinHash, Theta) do not
-//! implement the trait: a JSON snapshot of a MinHash is about twice its
-//! resident size, so "demoting" one would raise memory. They serve from
-//! plain, non-tiered, non-durable stores.
+//! register form (the MinHash variants, HyperMinHash) do not implement
+//! the trait: a JSON encoding of a MinHash is about twice its resident
+//! size, so "demoting" one would raise memory. They serve from plain,
+//! non-tiered, non-durable stores.
 
 /// A sketch state with a lossless compressed byte representation.
 ///

@@ -30,8 +30,8 @@
 //!
 //! The traits are implemented by `SetSketch1`/`SetSketch2`, the GHLL
 //! sketch (HyperLogLog), the MinHash family (`MinHash`, `SuperMinHash`,
-//! `OnePermutationHashing`), `HyperMinHash`, and `ThetaSketch` in their
-//! respective crates.
+//! `OnePermutationHashing`) and `HyperMinHash` in their respective
+//! crates.
 //!
 //! ## Example
 //!

@@ -177,13 +177,10 @@ impl<S: CompactSketch> SketchStore<S> {
             // Quarantined/corrupt slots ship nothing: their registers
             // are unrecoverable, and it is the *peers'* healthy copies
             // that will heal this store, not the other way round.
-            let payload = match &slot.state {
-                TierSlot::Hot(sketch) => sketch.compress(),
-                cold => match self.cold_bytes(cold) {
-                    Ok(payload) => payload.into_owned(),
-                    Err(_) => continue,
-                },
+            let Some(payload) = self.slot_payload(&slot.state, S::compress) else {
+                continue;
             };
+            let payload = payload.into_owned();
             let version = slot.version;
             drop(shard);
             let cost = key.len() + payload.len() + ENTRY_FIXED_BYTES;

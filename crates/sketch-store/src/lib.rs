@@ -7,8 +7,8 @@
 //! segment, page, shard, …) behind an `N`-way shard map of
 //! `parking_lot::RwLock`-guarded hash tables. It is generic over any
 //! sketch implementing the [`sketch_core`] traits, so the same store
-//! serves SetSketch, HyperLogLog/GHLL, the MinHash family, HyperMinHash
-//! or Theta sketches:
+//! serves SetSketch, HyperLogLog/GHLL, the MinHash family or
+//! HyperMinHash:
 //!
 //! * **builder construction** — [`SketchStore::builder`] is the single
 //!   front door: shard count, pipeline queue depth and writer threads
@@ -31,11 +31,6 @@
 //! * **merge-down** — [`SketchStore::merge_keys`] /
 //!   [`SketchStore::merge_down`] fold selections (or everything) into
 //!   one union sketch;
-//! * **snapshots** — [`SketchStore::snapshot`] produces a plain-data
-//!   [`StoreSnapshot`] that serializes with serde (feature `serde`,
-//!   default-on) and restores with [`SketchStore::from_snapshot`];
-//!   tiered entries travel compressed ([`SnapshotEntry::Compact`])
-//!   without being rehydrated;
 //! * **delta sync** — [`SketchStore::delta_since`] ships the keys whose
 //!   version stamp moved past a floor as compact payloads, one bounded
 //!   page at a time in version order ([`StoreDelta`]), and
@@ -44,7 +39,10 @@
 //!   actually changed. This is the one way state moves between stores:
 //!   a pull from version 0 is a whole-store transfer, and because the
 //!   merge is idempotent no replica ever needs an atomic image — the
-//!   replication substrate the `sketch-cluster` crate builds on;
+//!   replication substrate the `sketch-cluster` crate builds on. Apart
+//!   from the on-disk checkpoint (below), pages are the only way state
+//!   leaves a store; cold keys ship their compressed bytes without
+//!   being rehydrated;
 //! * **memory tiers** — with the builder knobs
 //!   [`StoreBuilder::memory_budget_bytes`] and
 //!   [`StoreBuilder::demote_after_writes`], a second-chance clock scan
@@ -53,8 +51,9 @@
 //!   [`CompactSketch`](sketch_core::CompactSketch) codec) to **frozen**
 //!   (compressed bytes spilled to temp segment files, removed when the
 //!   store drops). Point reads and writes transparently rehydrate; bulk
-//!   sweeps (similarity queries, snapshots, merge-down) peek without
-//!   promoting. [`SketchStore::tier_stats`] reports the census;
+//!   sweeps (similarity queries, merge-down, delta pages, checkpoints)
+//!   peek without promoting. [`SketchStore::tier_stats`] reports the
+//!   census;
 //! * **crash-safe durability** — with [`StoreBuilder::durable_dir`],
 //!   every mutation appends a CRC-framed record to a segment-rotated
 //!   write-ahead log *before* applying ([`FsyncPolicy`] picks the
@@ -141,7 +140,6 @@ mod error;
 mod frame;
 mod pipeline;
 mod query;
-mod snapshot;
 mod store;
 mod tier;
 mod wal;
@@ -159,7 +157,6 @@ pub use pipeline::{
 pub use query::{
     Neighbor, QueryOptions, SimilarPair, SimilarityIndexInfo, Verification, DEFAULT_RECALL_TARGET,
 };
-pub use snapshot::{SnapshotEntry, StoreSnapshot};
 pub use store::{SketchStore, DEFAULT_SHARDS};
 pub use tier::TierStats;
 pub use wal::{FsyncPolicy, RecoveryReport};

@@ -4,13 +4,11 @@ use crate::builder::StoreBuilder;
 use crate::error::StoreError;
 use crate::pipeline::PipelineDefaults;
 use crate::query::SimilarityIndex;
-use crate::snapshot::{SnapshotEntry, StoreSnapshot};
 use crate::tier::{TierCodec, TierPolicy, TierRuntime, TierSlot};
 use crate::wal::Durability;
 use parking_lot::{Mutex, RwLock};
 use sketch_core::{
-    BatchInsert, CardinalityEstimator, CompactSketch, JointEstimator, JointQuantities, Mergeable,
-    Sketch,
+    BatchInsert, CardinalityEstimator, JointEstimator, JointQuantities, Mergeable, Sketch,
 };
 use sketch_rand::hash_bytes;
 use std::collections::HashMap;
@@ -18,7 +16,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// A stored sketch together with its write version and tier state.
 ///
-/// Every mutating access to the key (ingest, insert, put, restore)
+/// Every mutating access to the key (ingest, insert, put, merge-in)
 /// stamps the slot with a fresh value of the store's monotonic write
 /// counter and raises its shard's mutation mark
 /// ([`SketchStore::mark_dirty`]) — together all the bookkeeping ingest
@@ -332,9 +330,7 @@ impl<S> SketchStore<S> {
     /// Internally keys live in hash-ordered shard maps, so the raw
     /// iteration order would vary with the shard count and hasher; this
     /// method sorts before returning, and the order is guaranteed —
-    /// callers may rely on it for deterministic sweeps and diffs. The
-    /// same guarantee holds for [`snapshot`](Self::snapshot), whose
-    /// entries are an ordered map keyed the same way.
+    /// callers may rely on it for deterministic sweeps and diffs.
     pub fn keys(&self) -> Vec<String> {
         let mut keys: Vec<String> = self
             .shards
@@ -676,82 +672,6 @@ impl<S: Clone> SketchStore<S> {
     /// hot if it was compressed or spilled — a point read).
     pub fn get(&self, key: &str) -> Option<S> {
         self.with_sketch(key, |sketch| sketch.clone())
-    }
-
-    /// Takes a point-in-time snapshot of the whole store: each shard is
-    /// copied under its read lock, so every *key* is internally
-    /// consistent (writers may interleave between shards). Snapshot
-    /// entries are an ordered map, so iteration yields keys in the same
-    /// ascending order [`keys`](Self::keys) guarantees.
-    ///
-    /// Tiered entries are snapshotted **without rehydration**: hot keys
-    /// clone their sketch ([`SnapshotEntry::Resident`]), warm and
-    /// frozen keys carry their compressed bytes
-    /// ([`SnapshotEntry::Compact`]) — so snapshotting a mostly-cold
-    /// store neither blows the memory budget nor perturbs the tiers.
-    /// Quarantined slots (and frozen slots whose spill record fails its
-    /// checksum) are skipped: their registers are unrecoverable, and a
-    /// snapshot of the surviving keys beats no snapshot at all.
-    pub fn snapshot(&self) -> StoreSnapshot<S> {
-        let mut entries = std::collections::BTreeMap::new();
-        for shard in self.shards.iter() {
-            for (key, slot) in shard.read().iter() {
-                let entry = match &slot.state {
-                    TierSlot::Hot(sketch) => SnapshotEntry::Resident(sketch.clone()),
-                    cold => match self.cold_bytes(cold) {
-                        Ok(bytes) => SnapshotEntry::Compact(bytes.into_owned()),
-                        Err(_) => continue,
-                    },
-                };
-                entries.insert(key.clone(), entry);
-            }
-        }
-        StoreSnapshot {
-            shard_count: self.shards.len(),
-            entries,
-        }
-    }
-}
-
-impl<S: CompactSketch> SketchStore<S> {
-    /// Rebuilds a store from a snapshot. The factory serves keys created
-    /// *after* the restore; snapshotted sketches are installed verbatim.
-    ///
-    /// [`SnapshotEntry::Resident`] entries restore hot;
-    /// [`SnapshotEntry::Compact`] entries restore **warm** — they stay
-    /// compressed until first touched, so restoring a snapshot of a
-    /// mostly-cold store does not inflate it. The restored store has the
-    /// family's codec installed but no demotion policy; rebuild with
-    /// [`StoreBuilder`] knobs and [`put`](Self::put) to re-tier.
-    pub fn from_snapshot(
-        snapshot: StoreSnapshot<S>,
-        factory: impl Fn() -> S + Send + Sync + 'static,
-    ) -> Self {
-        let mut store = Self::builder(factory).shards(snapshot.shard_count).build();
-        let prototype = store.make_sketch();
-        store.tier.install_codec(TierCodec::of(), prototype);
-        for (key, entry) in snapshot.entries {
-            let version = store.next_version();
-            let slot = match entry {
-                SnapshotEntry::Resident(sketch) => {
-                    store.tier.account_insert_hot(&sketch);
-                    Slot::hot(sketch, version)
-                }
-                SnapshotEntry::Compact(bytes) => {
-                    store.tier.account_insert_warm(bytes.len());
-                    Slot {
-                        state: TierSlot::Warm(bytes.into_boxed_slice()),
-                        version,
-                        touched: AtomicBool::new(false),
-                    }
-                }
-            };
-            let index = store.shard_index(&key);
-            let mut shard = store.shards[index].write();
-            shard.insert(key, slot);
-            store.mark_dirty(index);
-        }
-        store
     }
 }
 

@@ -9,17 +9,19 @@
 //! * **Hot** — the sketch struct itself, the unchanged fast path;
 //! * **Warm** — the registers compressed through the family's
 //!   [`CompactSketch`] codec (SetSketch/GHLL pack offsets from a shared
-//!   base plus a sparse exception list; the other families fall back to
-//!   their serde snapshot), held in memory;
+//!   base plus a sparse exception list; families without that codec do
+//!   not tier), held in memory;
 //! * **Frozen** — the same compressed bytes appended to a spill segment
 //!   file on disk, with only the `(segment, offset, len)` location kept
 //!   in the shard map.
 //!
 //! Point reads and writes *promote*: touching a warm or frozen key
 //! rehydrates it to hot under the shard's write lock. Bulk extractions
-//! (similarity sweeps, snapshots, merge-down) *peek*: they decompress
-//! into temporaries and leave the slot in its tier, so a full-store
-//! query cannot blow the residency budget it was meant to respect.
+//! (similarity sweeps, merge-down) *peek*: they decompress into
+//! temporaries and leave the slot in its tier, so a full-store query
+//! cannot blow the residency budget it was meant to respect. Exports
+//! (delta pages, checkpoints) ship cold payloads as stored, without
+//! decompressing them at all.
 //!
 //! Demotion runs on a second-chance clock: every slot carries a
 //! `touched` bit set by reads and writes; the scan clears the bit on
@@ -218,14 +220,6 @@ impl<S> TierRuntime<S> {
         }
     }
 
-    /// Installs a codec (and its prototype) after construction — used
-    /// by `from_snapshot`, which needs warm restores without any
-    /// demotion policy.
-    pub(crate) fn install_codec(&mut self, codec: TierCodec<S>, prototype: S) {
-        self.codec = Some(codec);
-        self.prototype = Some(prototype);
-    }
-
     pub(crate) fn enabled(&self) -> bool {
         self.codec.is_some()
     }
@@ -272,7 +266,7 @@ impl<S> TierRuntime<S> {
         }
     }
 
-    /// A new warm slot entered the store (snapshot restore).
+    /// A new warm slot entered the store (checkpoint recovery).
     pub(crate) fn account_insert_warm(&self, len: usize) {
         if self.enabled() {
             self.add_warm(len as isize);
@@ -678,9 +672,9 @@ impl<S> SketchStore<S> {
 
     /// Runs `op` against the slot's sketch **without promoting**: hot
     /// slots are borrowed, cold slots are decompressed into a temporary
-    /// that is dropped afterwards. This is the bulk-extraction path
-    /// (similarity sweeps, snapshots, merge-down) — a full-store query
-    /// must not blow the residency budget it runs under. Returns `None`
+    /// that is dropped afterwards. This is the bulk-extraction path of
+    /// similarity sweeps — a full-store query must not blow the
+    /// residency budget it runs under. Returns `None`
     /// for quarantined or corrupt slots: bulk sweeps skip them (the
     /// slot is formally quarantined the next time a promoting path
     /// touches it — a peek holds only the shard's read lock).
@@ -693,11 +687,11 @@ impl<S> SketchStore<S> {
 
     /// A cold slot's compressed payload, read without promoting it;
     /// the error carries the corruption detail (quarantine reason or
-    /// unreadable spill record) — bulk exports skip such slots.
+    /// unreadable spill record).
     ///
     /// # Panics
     /// Panics on hot states (callers dispatch those separately).
-    pub(crate) fn cold_bytes<'a>(&self, state: &'a TierSlot<S>) -> Result<Cow<'a, [u8]>, String> {
+    fn cold_bytes<'a>(&self, state: &'a TierSlot<S>) -> Result<Cow<'a, [u8]>, String> {
         match state {
             TierSlot::Hot(_) => unreachable!("cold_bytes on a resident slot"),
             TierSlot::Quarantined(reason) => Err(reason.to_string()),
@@ -710,6 +704,23 @@ impl<S> SketchStore<S> {
                 .tier
                 .read_frozen(*segment, *offset, *len)
                 .map(Cow::Owned),
+        }
+    }
+
+    /// Any slot's registers as a compact payload, read without
+    /// promoting — what checkpoints and delta pages carry: a hot sketch
+    /// is compressed through `compress`, a warm payload is borrowed as
+    /// stored and a frozen one read back from its spill segment. `None`
+    /// for quarantined slots and unreadable spill records: their
+    /// registers are unrecoverable, so exports skip them.
+    pub(crate) fn slot_payload<'a>(
+        &self,
+        state: &'a TierSlot<S>,
+        compress: impl FnOnce(&S) -> Vec<u8>,
+    ) -> Option<Cow<'a, [u8]>> {
+        match state {
+            TierSlot::Hot(sketch) => Some(Cow::Owned(compress(sketch))),
+            cold => self.cold_bytes(cold).ok(),
         }
     }
 

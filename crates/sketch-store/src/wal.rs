@@ -712,12 +712,8 @@ impl<S> SketchStore<S> {
         let mut entry = Vec::new();
         for shard in self.shards() {
             for (key, slot) in shard.read().iter() {
-                let payload = match &slot.state {
-                    TierSlot::Hot(sketch) => compress(sketch),
-                    cold => match self.cold_bytes(cold) {
-                        Ok(payload) => payload.into_owned(),
-                        Err(_) => continue,
-                    },
+                let Some(payload) = self.slot_payload(&slot.state, &compress) else {
+                    continue;
                 };
                 entry.clear();
                 put_str(&mut entry, key);
@@ -918,9 +914,10 @@ fn apply<S>(
     }
 }
 
-/// Loads one checkpoint file into the store (entries restore warm, as
-/// in a snapshot restore). Entry-level corruption is quarantined; a bad
-/// header fails the whole file so the caller can fall back.
+/// Loads one checkpoint file into the store (entries restore warm and
+/// stay compressed until first touched). Entry-level corruption is
+/// quarantined; a bad header fails the whole file so the caller can
+/// fall back.
 fn load_checkpoint<S>(
     store: &SketchStore<S>,
     path: &Path,

@@ -119,36 +119,6 @@ fn incompatible_put_surfaces_detailed_error() {
 }
 
 #[test]
-fn snapshot_roundtrip_restores_state() {
-    let store = setsketch_store(4);
-    store.ingest("x", &(0..3_000).collect::<Vec<_>>());
-    store.ingest("y", &(1_000..4_000).collect::<Vec<_>>());
-    let snapshot = store.snapshot();
-    assert_eq!(snapshot.len(), 2);
-    assert_eq!(snapshot.shard_count, 4);
-    let cfg = config();
-    let restored = SketchStore::from_snapshot(snapshot.clone(), move || SetSketch2::new(cfg, 11));
-    assert_eq!(restored.get("x").unwrap(), store.get("x").unwrap());
-    assert_eq!(restored.snapshot(), snapshot);
-    // The restored store keeps working: new keys come from the factory
-    // and are compatible with restored ones.
-    restored.ingest("z", &(0..500).collect::<Vec<_>>());
-    assert!(restored.jaccard("x", "z").is_ok());
-}
-
-#[cfg(feature = "serde")]
-#[test]
-fn snapshot_serde_roundtrip() {
-    let store = setsketch_store(3);
-    store.ingest("alpha", &(0..2_000).collect::<Vec<_>>());
-    store.ingest("beta", &(500..2_500).collect::<Vec<_>>());
-    let snapshot = store.snapshot();
-    let json = serde_json::to_string(&snapshot).unwrap();
-    let back: sketch_store::StoreSnapshot<SetSketch2> = serde_json::from_str(&json).unwrap();
-    assert_eq!(back, snapshot);
-}
-
-#[test]
 fn remove_and_clear() {
     let store = setsketch_store(4);
     store.ingest("a", &[1, 2, 3]);

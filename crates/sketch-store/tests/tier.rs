@@ -2,9 +2,10 @@
 //!
 //! * A tiered store under maximal demotion pressure must be
 //!   indistinguishable from a plain store across interleaved inserts,
-//!   merges, point queries and snapshot/restore cycles — for every
+//!   merges, point queries and whole-store transfers — for every
 //!   sketch family with a compact codec (demote → promote is
-//!   bit-for-bit).
+//!   bit-for-bit), and paging a transfer out of it must not move a
+//!   single key between tiers.
 //! * A budget-capped store must ingest 10× more keys than its budget
 //!   holds without errors or data loss.
 //! * A warm SetSketch (m = 4096) must occupy under half of its resident
@@ -12,15 +13,13 @@
 //!   packing, and rehydrate with a bit-identical estimate.
 //! * Frozen segment files must never leak: they vanish when the store
 //!   drops (or is cleared).
-//! * Snapshots carrying compact (cold) entries must round-trip through
-//!   serde and restore without rehydration.
 
 use hyperloglog::{GhllConfig, GhllSketch};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use setsketch::{SetSketch1, SetSketch2, SetSketchConfig};
 use sketch_core::{BatchInsert, CardinalityEstimator, CompactSketch, Mergeable};
-use sketch_store::{SketchStore, StoreSnapshot};
+use sketch_store::SketchStore;
 
 /// One step of an interleaved tier workload over a small key space.
 #[derive(Debug, Clone)]
@@ -32,8 +31,9 @@ enum Op {
     Merge { dst: usize, src: usize },
     /// Compare the tiered store's view of `key` against the reference.
     Query { key: usize },
-    /// Snapshot the tiered store and replace it with the restore.
-    SnapshotRestore,
+    /// Page the tiered store from version 0 into a freshly built one
+    /// and carry on with the copy.
+    TransferRestore,
 }
 
 fn key_name(key: usize) -> String {
@@ -49,7 +49,7 @@ fn decode_op((kind, pair, start, len): (u8, usize, u64, u64)) -> Op {
         0..=2 => Op::Ingest { key: a, start, len },
         3 | 4 => Op::Merge { dst: a, src: b },
         5 | 6 => Op::Query { key: a },
-        _ => Op::SnapshotRestore,
+        _ => Op::TransferRestore,
     }
 }
 
@@ -68,11 +68,14 @@ fn drive<S>(
 where
     S: BatchInsert + Mergeable + CompactSketch + Clone + PartialEq + std::fmt::Debug,
 {
-    let mut tiered = SketchStore::builder(factory.clone())
-        .shards(4)
-        .memory_budget_bytes(1)
-        .demote_after_writes(1)
-        .build();
+    let build_tiered = || {
+        SketchStore::builder(factory.clone())
+            .shards(4)
+            .memory_budget_bytes(1)
+            .demote_after_writes(1)
+            .build()
+    };
+    let mut tiered = build_tiered();
     let plain = SketchStore::builder(factory.clone()).shards(4).build();
 
     for op in ops {
@@ -101,9 +104,30 @@ where
                     &name
                 );
             }
-            Op::SnapshotRestore => {
-                let snapshot = tiered.snapshot();
-                tiered = SketchStore::from_snapshot(snapshot, factory.clone());
+            Op::TransferRestore => {
+                let census = tiered.tier_stats();
+                let copy = build_tiered();
+                let prototype = copy.empty_sketch();
+                let mut after = 0;
+                loop {
+                    // A small budget: most transfers take several pages.
+                    let page = tiered.delta_since(after, 256);
+                    for entry in &page.entries {
+                        let sketch =
+                            S::decompress(&prototype, &entry.payload).expect("payload decodes");
+                        copy.merge_in(&entry.key, &sketch).expect("same factory");
+                    }
+                    after = page.up_to;
+                    if page.complete {
+                        break;
+                    }
+                }
+                prop_assert_eq!(
+                    tiered.tier_stats(),
+                    census,
+                    "a transfer reads the source, it never promotes"
+                );
+                tiered = copy;
             }
         }
     }
@@ -142,7 +166,7 @@ proptest! {
 
 /// A fixed op script exercising every transition at least once: insert,
 /// re-insert after demotion, merge of cold keys, queries, and two
-/// snapshot/restore cycles.
+/// whole-store transfers.
 fn fixed_script() -> Vec<Op> {
     use Op::*;
     vec![
@@ -163,7 +187,7 @@ fn fixed_script() -> Vec<Op> {
             len: 5,
         },
         Merge { dst: 0, src: 1 },
-        SnapshotRestore,
+        TransferRestore,
         Query { key: 1 },
         Ingest {
             key: 0,
@@ -177,7 +201,7 @@ fn fixed_script() -> Vec<Op> {
             len: 64,
         },
         Merge { dst: 2, src: 3 },
-        SnapshotRestore,
+        TransferRestore,
         Query { key: 2 },
         Ingest {
             key: 4,
@@ -191,8 +215,8 @@ fn fixed_script() -> Vec<Op> {
 
 /// Demote → promote must be bit-for-bit for every family that tiers —
 /// the ones with a native compact codec (SetSketch1/2, GHLL). The
-/// MinHash variants, HyperMinHash and Theta have none: their only
-/// compact form would be larger than the resident one.
+/// MinHash variants and HyperMinHash have none: their only compact
+/// form would be larger than the resident one.
 #[test]
 fn all_families_roundtrip_through_tiers() {
     let ops = fixed_script();
@@ -274,14 +298,21 @@ fn warm_slot_is_under_half_of_resident() {
     store.ingest("other-a", &[1, 2, 3]);
     store.ingest("other-b", &[4, 5, 6]);
 
-    // A snapshot exposes the exact warm payload without promoting.
-    let snapshot = store.snapshot();
-    let compact = snapshot
-        .get("dense")
+    // Only the last write's key is still resident.
+    let stats = store.tier_stats();
+    assert_eq!(stats.hot_keys, 1, "dense must have been demoted: {stats:?}");
+
+    // A full-store delta page carries the warm payload as stored,
+    // without promoting.
+    let compact = store
+        .delta_since(0, usize::MAX)
+        .entries
+        .iter()
+        .find(|entry| entry.key == "dense")
         .expect("key present")
-        .as_compact()
-        .expect("dense must have been demoted to warm")
+        .payload
         .len();
+    assert_eq!(store.tier_stats(), stats, "the page must not promote");
     let resident = reference.resident_bytes();
     assert!(
         compact * 2 < resident,
@@ -353,45 +384,6 @@ fn frozen_segments_never_leak() {
     std::fs::remove_dir_all(&parent).unwrap();
 }
 
-/// Snapshots of a tiered store carry cold entries compressed; they
-/// survive JSON serde bit for bit and restore as warm slots that are
-/// not rehydrated until touched.
-#[test]
-fn snapshot_with_compact_entries_roundtrips_through_json() {
-    let config = SetSketchConfig::new(128, 2.0, 20.0, 62).unwrap();
-    let factory = move || SetSketch2::new(config, 5);
-    let store = SketchStore::builder(factory)
-        .shards(2)
-        .memory_budget_bytes(1)
-        .build();
-    for i in 0..8u64 {
-        store.ingest(&format!("k{i}"), &[i * 10, i * 10 + 1, i * 10 + 2]);
-    }
-
-    let snapshot = store.snapshot();
-    assert!(
-        snapshot.entries.values().any(|e| e.as_compact().is_some()),
-        "a 1-byte budget must leave cold entries in the snapshot"
-    );
-
-    let json = serde_json::to_string(&snapshot).unwrap();
-    let back: StoreSnapshot<SetSketch2> = serde_json::from_str(&json).unwrap();
-    assert_eq!(back, snapshot);
-
-    // Restoring keeps compact entries compressed: re-snapshotting the
-    // untouched restore reproduces the original snapshot exactly.
-    let restored = SketchStore::from_snapshot(back, factory);
-    assert_eq!(restored.snapshot(), snapshot);
-    for i in 0..8u64 {
-        let key = format!("k{i}");
-        assert_eq!(
-            restored.get(&key),
-            store.get(&key),
-            "{key} diverged after restore"
-        );
-    }
-}
-
 /// Bit rot in a spill segment must surface as a typed
 /// [`StoreError::CorruptSlot`] — the slot is quarantined, bulk sweeps
 /// skip it, and the next write heals the key with a fresh sketch.
@@ -446,9 +438,11 @@ fn corrupt_spill_record_quarantines_and_heals() {
 
     // `with_sketch` folds corruption into None; `get` likewise.
     assert!(store.get(&corrupt[0]).is_none());
-    // Quarantined slots are skipped by snapshots instead of aborting
+    // Quarantined slots are skipped by delta pages instead of aborting
     // them.
-    assert!(!store.snapshot().entries.contains_key(&corrupt[0]));
+    let page = store.delta_since(0, usize::MAX);
+    assert!(page.complete);
+    assert!(page.entries.iter().all(|entry| entry.key != corrupt[0]));
 
     // A write heals the key: fresh sketch, usable again.
     store.ingest(&corrupt[0], &[1, 2, 3]);

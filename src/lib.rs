@@ -5,8 +5,8 @@
 //! users should depend on the individual crates directly:
 //!
 //! * [`setsketch`] — the paper's contribution;
-//! * [`minhash`], [`hyperloglog`], [`hyperminhash`], [`thetasketch`] —
-//!   the baselines;
+//! * [`minhash`], [`hyperloglog`], [`hyperminhash`] — the baselines
+//!   the paper evaluates against;
 //! * [`sketch_core`] — the unifying trait layer over all sketch families;
 //! * [`sketch_store`] — the concurrent sharded registry of named sketches;
 //! * [`lsh`] — similarity search on sketch signatures;
@@ -27,4 +27,3 @@ pub use sketch_core;
 pub use sketch_math;
 pub use sketch_rand;
 pub use sketch_store;
-pub use thetasketch;

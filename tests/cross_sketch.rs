@@ -7,7 +7,6 @@ use minhash::{MinHash, SuperMinHash};
 use setsketch::{SetSketch1, SetSketch2, SetSketchConfig};
 use sketch_core::{CardinalityEstimator, JointEstimator, Sketch};
 use sketch_rand::mix64;
-use thetasketch::ThetaSketch;
 
 fn elements(stream: u64, n: u64) -> impl Iterator<Item = u64> {
     (0..n).map(move |i| mix64((stream << 40) | i))
@@ -228,5 +227,4 @@ fn supplied_cardinalities_reproduce_joint_for_every_family() {
     });
     assert_supplied_cardinalities_are_joint("MinHash", MinHash::new);
     assert_supplied_cardinalities_are_joint("SuperMinHash", SuperMinHash::new);
-    assert_supplied_cardinalities_are_joint("Theta", ThetaSketch::new);
 }

@@ -13,7 +13,6 @@ use minhash::{MinHash, OnePermutationHashing, SuperMinHash};
 use setsketch::{SetSketch1, SetSketch2, SetSketchConfig};
 use sketch_core::{BatchInsert, CardinalityEstimator, JointEstimator, Mergeable, Sketch};
 use sketch_store::{SketchStore, StoreError};
-use thetasketch::ThetaSketch;
 
 const THREADS: u64 = 6;
 const KEYS: [&str; 3] = ["alpha", "beta", "gamma"];
@@ -108,11 +107,6 @@ fn concurrent_ingest_hyperminhash() {
     assert_concurrent_matches_sequential(move || HyperMinHash::new(cfg, 7));
 }
 
-#[test]
-fn concurrent_ingest_thetasketch() {
-    assert_concurrent_matches_sequential(|| ThetaSketch::new(512, 8));
-}
-
 /// The acceptance-criteria scenario in one test: ≥ 4 threads, overlapping
 /// keys, and the *estimates* (not just states) checked against the
 /// single-threaded reference within estimator tolerance.
@@ -176,7 +170,6 @@ fn dyn_sketch_recording() {
         Box::new(SetSketch1::new(cfg, 1)),
         Box::new(GhllSketch::new(ghll, 1)),
         Box::new(MinHash::new(64, 1)),
-        Box::new(ThetaSketch::new(64, 1)),
     ];
     for sketch in &mut sketches {
         sketch.insert_u64(42);
@@ -208,7 +201,6 @@ fn generic_pipeline_over_families() {
     assert!((jaccard_of_ranges(|| MinHash::new(1024, 2)) - truth).abs() < 0.1);
     assert!((jaccard_of_ranges(|| SuperMinHash::new(1024, 3)) - truth).abs() < 0.1);
     assert!((jaccard_of_ranges(move || HyperMinHash::new(hmh, 4)) - truth).abs() < 0.1);
-    assert!((jaccard_of_ranges(|| ThetaSketch::new(1024, 5)) - truth).abs() < 0.1);
 }
 
 /// The store surfaces the detailed SetSketch incompatibility through its

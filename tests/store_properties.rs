@@ -1,11 +1,8 @@
-//! Property-based tests (proptest) of the store's concurrency and
-//! persistence invariants.
-//!
-//! * Shard-parallel `ingest` followed by merge-down must equal
-//!   single-threaded insertion — for every sketch family implementing
-//!   the `sketch-core` traits (the inserts are idempotent and
-//!   commutative, so thread interleaving must be invisible).
-//! * Snapshots of populated stores must round-trip through serde.
+//! Property-based tests (proptest) of the store's concurrency
+//! invariant: shard-parallel `ingest` followed by merge-down must equal
+//! single-threaded insertion — for every sketch family implementing the
+//! `sketch-core` traits (the inserts are idempotent and commutative, so
+//! thread interleaving must be invisible).
 
 use hyperloglog::{GhllConfig, GhllSketch};
 use hyperminhash::{HyperMinHash, HyperMinHashConfig};
@@ -14,8 +11,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use setsketch::{SetSketch1, SetSketch2, SetSketchConfig};
 use sketch_core::{BatchInsert, Mergeable};
-use sketch_store::{SketchStore, StoreSnapshot};
-use thetasketch::ThetaSketch;
+use sketch_store::SketchStore;
 
 /// One generated workload: four "threads" worth of element batches.
 type Batches = Vec<Vec<u64>>;
@@ -109,43 +105,5 @@ proptest! {
     fn parallel_ingest_hyperminhash(batches in batches_strategy()) {
         let cfg = HyperMinHashConfig::new(64, 10).unwrap();
         parallel_matches_sequential(move || HyperMinHash::new(cfg, 7), &batches)?;
-    }
-
-    #[test]
-    fn parallel_ingest_thetasketch(batches in batches_strategy()) {
-        parallel_matches_sequential(|| ThetaSketch::new(128, 8), &batches)?;
-    }
-
-    /// A populated store's snapshot survives serde round-tripping bit
-    /// for bit, for representative register-array and min-value sketches.
-    #[test]
-    fn snapshot_serde_roundtrip(
-        batches in vec(vec(0u64..5_000, 1..60), 1..6),
-        shards in 1usize..6,
-    ) {
-        let cfg = SetSketchConfig::new(64, 2.0, 20.0, 62).unwrap();
-        let store = SketchStore::builder(move || SetSketch2::new(cfg, 9)).shards(shards).build();
-        for (i, batch) in batches.iter().enumerate() {
-            store.ingest(&format!("key-{i}"), batch);
-        }
-        let snapshot = store.snapshot();
-        let json = serde_json::to_string(&snapshot).expect("serializes");
-        let back: StoreSnapshot<SetSketch2> = serde_json::from_str(&json).expect("deserializes");
-        prop_assert_eq!(&back, &snapshot);
-        // And the restored store answers queries identically.
-        let restored = SketchStore::from_snapshot(back, move || SetSketch2::new(cfg, 9));
-        for (i, _) in batches.iter().enumerate() {
-            let key = format!("key-{i}");
-            prop_assert_eq!(restored.get(&key), store.get(&key));
-        }
-
-        let mh_store = SketchStore::builder(|| MinHash::new(64, 3)).shards(shards).build();
-        for (i, batch) in batches.iter().enumerate() {
-            mh_store.ingest(&format!("key-{i}"), batch);
-        }
-        let snapshot = mh_store.snapshot();
-        let json = serde_json::to_string(&snapshot).expect("serializes");
-        let back: StoreSnapshot<MinHash> = serde_json::from_str(&json).expect("deserializes");
-        prop_assert_eq!(back, snapshot);
     }
 }
