@@ -100,25 +100,6 @@ impl<S> SketchStore<S> {
         self.shard(key).read().get(key).map(|slot| slot.version)
     }
 
-    /// Every key with its version stamp, in ascending key order —
-    /// point-in-time per shard, no promotion. The sweep a replication
-    /// peer diffs against its high-water marks.
-    pub fn key_versions(&self) -> Vec<(String, u64)> {
-        let mut versions: Vec<(String, u64)> = self
-            .shards()
-            .iter()
-            .flat_map(|shard| {
-                shard
-                    .read()
-                    .iter()
-                    .map(|(key, slot)| (key.clone(), slot.version))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        versions.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        versions
-    }
-
     /// Builds an empty sketch through the store's factory — the
     /// configuration and seed every stored sketch shares. Replication
     /// peers use it as the [`CompactSketch`] decoding prototype for

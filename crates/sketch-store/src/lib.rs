@@ -18,11 +18,10 @@
 //!   acquisition, hitting the sketch's specialized [`BatchInsert`] path
 //!   (SetSketch's sorted-batch `K_low` early exit);
 //! * **pipelined ingest** — [`SketchStore::pipeline`] returns an
-//!   [`IngestPipeline`] routing operations into bounded per-writer
-//!   queues drained by dedicated threads, with blocking backpressure,
-//!   non-blocking `try_*` variants and executor-agnostic futures
-//!   ([`SendOp`], [`Flush`]) so the store can sit behind any async
-//!   server without blocking executor threads;
+//!   [`IngestPipeline`] routing batches into bounded per-writer
+//!   channels drained by dedicated threads that coalesce each burst
+//!   per key; `ingest` blocks while its channel is full and `flush`
+//!   waits for everything submitted before it;
 //! * **cross-key queries** — [`SketchStore::joint`],
 //!   [`SketchStore::jaccard`],
 //!   [`SketchStore::intersection_cardinality`] and
@@ -108,8 +107,7 @@
 //! ```
 //!
 //! The same workload through the pipelined front — callers only enqueue;
-//! dedicated writer threads apply the updates (see [`IngestPipeline`]
-//! for the async variants):
+//! dedicated writer threads apply the updates (see [`IngestPipeline`]):
 //!
 //! ```
 //! use setsketch::{SetSketch2, SetSketchConfig};
@@ -150,10 +148,7 @@ pub use ann::{
 pub use builder::StoreBuilder;
 pub use delta::{DeltaEntry, StoreDelta};
 pub use error::StoreError;
-pub use pipeline::{
-    block_on, Flush, IngestPipeline, PipelineFull, SendOp, DEFAULT_QUEUE_DEPTH,
-    DEFAULT_WRITER_THREADS,
-};
+pub use pipeline::{IngestPipeline, DEFAULT_QUEUE_DEPTH, DEFAULT_WRITER_THREADS};
 pub use query::{
     Neighbor, QueryOptions, SimilarPair, SimilarityIndexInfo, Verification, DEFAULT_RECALL_TARGET,
 };

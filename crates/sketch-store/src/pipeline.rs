@@ -1,53 +1,40 @@
-//! Pipelined ingest: bounded per-writer queues, dedicated writer
-//! threads, blocking backpressure, and executor-agnostic futures.
+//! Pipelined ingest: bounded per-writer channels drained by dedicated
+//! writer threads, with blocking backpressure.
 //!
 //! The store's synchronous [`ingest`](SketchStore::ingest) blocks the
 //! caller on a shard lock for the duration of the sketch update. That
 //! is the right shape for batch jobs, but a server's request threads
-//! (or async executor workers) should not pay sketch-update latency per
-//! request. [`SketchStore::pipeline`] returns an [`IngestPipeline`]
-//! that decouples the two sides:
+//! should not pay sketch-update latency per request.
+//! [`SketchStore::pipeline`] returns an [`IngestPipeline`] that
+//! decouples the two sides:
 //!
-//! * **Routing and coalescing** — every operation is routed by the
-//!   store's key→shard function to one of `writer_threads` bounded
-//!   queues, each drained by a dedicated writer thread. A shard's
-//!   traffic always lands on the same writer, so writers never contend
-//!   on a shard lock. Writers drain their queue in bursts and coalesce
-//!   each burst **per key**: thousands of single-element inserts
-//!   submitted between two wake-ups become one batched sketch update
-//!   (one lock acquisition, one version stamp, one sorted-batch pass
-//!   that also deduplicates across producers). Inserts are idempotent
-//!   and commutative, so coalescing cannot change the final state.
-//! * **Backpressure** — queues are bounded at `queue_depth` operations
-//!   ([`StoreBuilder::queue_depth`](crate::StoreBuilder::queue_depth)).
-//!   The blocking API waits for space; the `try_*` variants return
-//!   [`PipelineFull`] instead; the `*_async` variants return
-//!   [`SendOp`] futures that register a waker and yield. Memory stays
-//!   bounded no matter how far producers outrun the writers: at most
-//!   `queue_depth` queued operations plus one in-flight burst of up to
-//!   `queue_depth` more per writer. Writers drain the whole queue per
-//!   wake-up and apply the burst unlocked, so producers refill in
-//!   parallel and the wait/notify ping-pong is paid once per burst,
-//!   not per operation.
-//! * **Flush** — [`flush`](IngestPipeline::flush) (or the
-//!   [`Flush`] future from [`flush_async`](IngestPipeline::flush_async))
-//!   waits until every operation submitted *before the call* has been
-//!   applied to the store. Dropping the pipeline drains all queues and
-//!   joins the writers, so no accepted operation is ever lost.
+//! * **Routing and coalescing** — every batch is routed by the store's
+//!   key→shard function to one of `writer_threads` bounded channels,
+//!   each drained by a dedicated writer thread. A shard's traffic always
+//!   lands on the same writer, so writers never contend on a shard
+//!   lock. Writers drain their channel in bursts and coalesce each burst
+//!   **per key**: many small batches submitted between two wake-ups
+//!   become one batched sketch update (one lock acquisition, one version
+//!   stamp, one sorted-batch pass that also deduplicates across
+//!   producers). Inserts are idempotent and commutative, so coalescing
+//!   cannot change the final state.
+//! * **Backpressure** — each channel holds at most `queue_depth`
+//!   batches ([`StoreBuilder::queue_depth`](crate::StoreBuilder::queue_depth));
+//!   [`ingest`](IngestPipeline::ingest) blocks while its channel is
+//!   full. Memory stays bounded no matter how far producers outrun the
+//!   writers: per writer, `queue_depth` queued batches plus one
+//!   in-flight burst of at most `queue_depth + 1`.
+//! * **Flush** — [`flush`](IngestPipeline::flush) waits until every
+//!   batch submitted *before the call* has been applied to the store.
+//!   Dropping the pipeline drains all channels and joins the writers,
+//!   so no accepted batch is ever lost.
 //! * **Tiering** — writers apply updates through the store's ordinary
-//!   entry path, so a pipelined write to a warm or frozen key promotes
-//!   it back to hot exactly like a direct
-//!   [`ingest`](SketchStore::ingest), and pipelined traffic drives the
-//!   tier manager's demotion scans (see the crate-level *memory tiers*
-//!   overview).
-//!
-//! The futures are hand-rolled `std::future` implementations — no
-//! executor dependency — so the pipeline can sit behind tokio,
-//! async-std, or the bundled single-future [`block_on`]:
+//!   [`ingest`](SketchStore::ingest), so pipelined writes promote warm
+//!   or frozen keys and drive demotion scans exactly like direct ones.
 //!
 //! ```
 //! use setsketch::{SetSketch2, SetSketchConfig};
-//! use sketch_store::{block_on, SketchStore};
+//! use sketch_store::SketchStore;
 //!
 //! let config = SetSketchConfig::example_16bit();
 //! let store = SketchStore::builder(move || SetSketch2::new(config, 42))
@@ -56,25 +43,22 @@
 //!     .build_shared();
 //!
 //! let pipeline = store.clone().pipeline();
-//! block_on(async {
-//!     pipeline.ingest_async("paris", &(0..1000).collect::<Vec<u64>>()).await;
-//!     pipeline.insert_async("paris", 1000).await;
-//!     pipeline.flush_async().await;
-//! });
+//! pipeline.ingest("paris", &(0..1000).collect::<Vec<u64>>());
+//! pipeline.ingest("paris", &[1000]);
+//! pipeline.flush();
 //! assert!((store.cardinality("paris").unwrap() - 1001.0).abs() / 1001.0 < 0.15);
 //! ```
 
 use crate::store::SketchStore;
 use sketch_core::BatchInsert;
-use std::collections::{HashMap, VecDeque};
-use std::future::Future;
-use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::task::{Context, Poll, Waker};
+use std::any::Any;
+use std::collections::HashMap;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// Default bound on queued operations per pipeline writer
+/// Default bound on queued batches per pipeline writer
 /// ([`StoreBuilder::queue_depth`](crate::StoreBuilder::queue_depth)).
 pub const DEFAULT_QUEUE_DEPTH: usize = 1024;
 
@@ -90,278 +74,86 @@ pub(crate) struct PipelineDefaults {
     pub(crate) writer_threads: usize,
 }
 
-/// The error of the non-blocking `try_*` submission methods: the
-/// operation's queue is at `queue_depth` and accepting it would either
-/// block or grow memory without bound. Nothing was recorded; retry
-/// later, fall back to the blocking variants, or await the `*_async`
-/// future.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PipelineFull;
+/// A caught panic payload.
+type Panic = Box<dyn Any + Send>;
 
-impl std::fmt::Display for PipelineFull {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "ingest pipeline queue is full")
-    }
-}
-
-impl std::error::Error for PipelineFull {}
-
-/// One queued ingest operation (owned: the pipeline outlives the
+/// One message on a writer's channel (owned: the pipeline outlives the
 /// caller's borrows).
 enum Op {
-    Insert { key: String, element: u64 },
-    InsertBytes { key: String, element: Vec<u8> },
-    Ingest { key: String, elements: Vec<u64> },
-    IngestBytes { key: String, elements: Vec<Vec<u8>> },
+    Ingest(String, Vec<u64>),
+    /// Acknowledged once the burst carrying it has been applied.
+    Flush(Sender<()>),
 }
 
-/// Mutable state of one writer's queue.
-struct QueueState {
-    ops: VecDeque<Op>,
-    /// Operations accepted into this queue, ever.
-    submitted: u64,
-    /// Operations applied to the store, ever. `completed == submitted`
-    /// means the queue is drained.
-    completed: u64,
-    /// Set once by the pipeline's `Drop`; the writer exits when the
-    /// queue is empty and closed.
-    closed: bool,
-    /// First panic payload caught from a sketch update, if any — the
-    /// writer catches it so flushes and blocked producers still wake
-    /// (the burst is accounted as completed), and the pipeline's
-    /// `Drop` resurfaces it.
-    panic: Option<Box<dyn std::any::Any + Send>>,
-    /// Parked [`SendOp`] futures waiting for space.
-    send_wakers: Vec<Waker>,
-    /// Parked [`Flush`] futures, each with the completion count it
-    /// waits for.
-    flush_wakers: Vec<(u64, Waker)>,
-}
-
-/// One bounded work queue and its wait/notify machinery.
-struct Queue {
-    state: Mutex<QueueState>,
-    /// Producers (blocking submissions) waiting for space.
-    not_full: Condvar,
-    /// The writer thread waiting for work.
-    not_empty: Condvar,
-    /// Blocking flushes waiting for completions.
-    progress: Condvar,
-}
-
-impl Queue {
-    fn new() -> Self {
-        Queue {
-            state: Mutex::new(QueueState {
-                ops: VecDeque::new(),
-                submitted: 0,
-                completed: 0,
-                closed: false,
-                panic: None,
-                send_wakers: Vec::new(),
-                flush_wakers: Vec::new(),
-            }),
-            not_full: Condvar::new(),
-            not_empty: Condvar::new(),
-            progress: Condvar::new(),
-        }
-    }
-
-    /// Locks the queue state, recovering from poisoning (a panicking
-    /// sketch update must not wedge unrelated producers or the drain in
-    /// `Drop`).
-    fn lock(&self) -> MutexGuard<'_, QueueState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-/// What the writer threads share with the pipeline handle.
-struct Shared<S> {
-    store: Arc<SketchStore<S>>,
-    queues: Box<[Queue]>,
+/// The writer thread of one channel: block for a message, take whatever
+/// else is queued (at most `depth` more), coalesce the burst per key
+/// into one [`ingest`](SketchStore::ingest) per key, acknowledge the
+/// burst's flush markers, repeat — until every sender has hung up and
+/// the channel is drained.
+///
+/// The sketch update is user code (`S` is any [`BatchInsert`]), so it
+/// runs under `catch_unwind`: a panic must not kill the writer, which
+/// would turn every later `ingest` and `flush` into an error. The first
+/// payload is returned as the thread's result and resurfaced by the
+/// pipeline's `Drop`.
+fn writer_loop<S: BatchInsert>(
+    store: &SketchStore<S>,
+    queue: Receiver<Op>,
     depth: usize,
-}
-
-impl<S> Shared<S> {
-    /// Queue an operation on `key` routes to: the key's shard, folded
-    /// onto the writer set — one writer per shard, so writers never
-    /// contend on a shard lock.
-    fn queue_index(&self, key: &str) -> usize {
-        self.store.shard_index(key) % self.queues.len()
-    }
-
-    /// Enqueues `op`, blocking while the target queue is full.
-    fn push(&self, index: usize, op: Op) {
-        let queue = &self.queues[index];
-        let mut state = queue.lock();
-        while state.ops.len() >= self.depth {
-            state = queue
-                .not_full
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        let was_empty = state.ops.is_empty();
-        state.ops.push_back(op);
-        state.submitted += 1;
-        drop(state);
-        // Only the empty→non-empty transition can find the writer
-        // asleep (it drains the whole queue per wake-up); skipping the
-        // other notifies keeps steady-state pushes syscall-free.
-        if was_empty {
-            queue.not_empty.notify_one();
-        }
-    }
-
-    /// Enqueues `op` only if the target queue has space.
-    fn try_push(&self, index: usize, op: Op) -> Result<(), PipelineFull> {
-        let queue = &self.queues[index];
-        let mut state = queue.lock();
-        if state.ops.len() >= self.depth {
-            return Err(PipelineFull);
-        }
-        let was_empty = state.ops.is_empty();
-        state.ops.push_back(op);
-        state.submitted += 1;
-        drop(state);
-        if was_empty {
-            queue.not_empty.notify_one();
-        }
-        Ok(())
-    }
-}
-
-/// The writer thread of queue `index`: drain a burst, coalesce it per
-/// key, apply it unlocked, account for it, repeat — until the queue is
-/// both closed and empty.
-///
-/// Draining the *whole* queue per wake-up is what makes the pipeline
-/// pipeline: producers refill the (now empty) queue while the writer
-/// applies the burst, and the wait/notify ping-pong happens once per
-/// burst instead of once per operation. In steady state under
-/// backpressure each side pays one context switch per `queue_depth`
-/// operations, not per op.
-///
-/// Within a burst, operations are **coalesced per key**: all `u64`
-/// elements for one key become a single batched
-/// [`ingest`](SketchStore::ingest) (one shard-lock acquisition, one
-/// version stamp, one pass of the sketch's sorted-batch fast path —
-/// which also deduplicates elements repeated across producers), and
-/// likewise all byte elements become one
-/// [`ingest_bytes`](SketchStore::ingest_bytes). Inserts are idempotent
-/// and commutative, so the coalesced application is state-identical to
-/// applying each operation individually.
-fn writer_loop<S: BatchInsert>(shared: &Shared<S>, index: usize) {
-    let queue = &shared.queues[index];
-    let mut burst: Vec<Op> = Vec::new();
-    // Reused coalescing scratch: per-key element groups of the burst.
-    let mut u64_groups: HashMap<String, Vec<u64>> = HashMap::new();
-    let mut byte_groups: HashMap<String, Vec<Vec<u8>>> = HashMap::new();
-    loop {
-        let done = {
-            let mut state = queue.lock();
-            loop {
-                if !state.ops.is_empty() {
-                    burst.extend(state.ops.drain(..));
-                    // The queue is empty again: unblock every waiting
-                    // producer and parked SendOp.
-                    queue.not_full.notify_all();
-                    for waker in state.send_wakers.drain(..) {
-                        waker.wake();
-                    }
-                    break false;
-                }
-                if state.closed {
-                    break true;
-                }
-                state = queue
-                    .not_empty
-                    .wait(state)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-        };
-        if done {
-            return;
-        }
-
-        let applied = burst.len() as u64;
-        for op in burst.drain(..) {
+) -> Option<Panic> {
+    let mut first_panic = None;
+    let mut groups: HashMap<String, Vec<u64>> = HashMap::new();
+    let mut acks = Vec::new();
+    while let Ok(first) = queue.recv() {
+        for op in std::iter::once(first).chain(queue.try_iter().take(depth)) {
             match op {
-                Op::Insert { key, element } => {
-                    u64_groups.entry(key).or_default().push(element);
-                }
-                Op::Ingest { key, mut elements } => {
-                    let group = u64_groups.entry(key).or_default();
+                Op::Ingest(key, mut elements) => {
+                    let group = groups.entry(key).or_default();
                     if group.is_empty() {
                         std::mem::swap(group, &mut elements);
                     } else {
                         group.append(&mut elements);
                     }
                 }
-                Op::InsertBytes { key, element } => {
-                    byte_groups.entry(key).or_default().push(element);
-                }
-                Op::IngestBytes { key, mut elements } => {
-                    byte_groups.entry(key).or_default().append(&mut elements);
-                }
+                Op::Flush(ack) => acks.push(ack),
             }
         }
-        // The sketch update is user code (S is any BatchInsert impl);
-        // a panic must not leave the burst unaccounted — that would
-        // permanently wedge flushes and backpressured producers. The
-        // payload is kept and resurfaced by the pipeline's Drop.
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            for (key, elements) in u64_groups.drain() {
-                shared.store.ingest(&key, &elements);
-            }
-            for (key, elements) in byte_groups.drain() {
-                let slices: Vec<&[u8]> = elements.iter().map(Vec::as_slice).collect();
-                shared.store.ingest_bytes(&key, &slices);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            for (key, elements) in groups.drain() {
+                store.ingest(&key, &elements);
             }
         }));
-        if outcome.is_err() {
-            // The burst is accounted as completed below even though the
-            // panic cut it short; scrap its unapplied remainder so it
-            // cannot leak into (and misattribute) a later burst.
-            u64_groups.clear();
-            byte_groups.clear();
-        }
-
-        let mut state = queue.lock();
         if let Err(payload) = outcome {
-            state.panic.get_or_insert(payload);
+            // Scrap the burst's unapplied remainder so it cannot leak
+            // into a later burst.
+            groups.clear();
+            first_panic.get_or_insert(payload);
         }
-        state.completed += applied;
-        let completed = state.completed;
-        let mut i = 0;
-        while i < state.flush_wakers.len() {
-            if state.flush_wakers[i].0 <= completed {
-                state.flush_wakers.swap_remove(i).1.wake();
-            } else {
-                i += 1;
-            }
+        for ack in acks.drain(..) {
+            // The flushing caller may have unwound already.
+            let _ = ack.send(());
         }
-        drop(state);
-        queue.progress.notify_all();
     }
+    first_panic
 }
 
 /// A pipelined, backpressured front door for store ingest: bounded
-/// per-writer queues routed by the store's key→shard function, drained
-/// by dedicated writer threads that coalesce each burst per key, with
-/// blocking, non-blocking (`try_*`) and future-based (`*_async`)
-/// submission variants.
+/// per-writer channels routed by the store's key→shard function,
+/// drained by dedicated writer threads that coalesce each burst per key.
 ///
-/// Obtained from [`SketchStore::pipeline`]. All submission methods take
-/// `&self`; share one pipeline across request threads, or create
-/// several handles over the same store — writes land in the same shard
-/// maps either way, and inserts are idempotent and commutative, so any
+/// Obtained from [`SketchStore::pipeline`]. Both methods take `&self`;
+/// share one pipeline across request threads, or create several
+/// handles over the same store — writes land in the same shard maps
+/// either way, and inserts are idempotent and commutative, so any
 /// interleaving of handles produces the state sequential ingest would.
 ///
-/// Dropping the pipeline closes its queues, drains every accepted
-/// operation, and joins the writer threads.
+/// Dropping the pipeline drains every accepted batch into the store,
+/// joins the writer threads, and resurfaces the first panic a sketch
+/// update raised on a writer.
 pub struct IngestPipeline<S: BatchInsert + Send + Sync + 'static> {
-    shared: Arc<Shared<S>>,
-    writers: Vec<JoinHandle<()>>,
+    store: Arc<SketchStore<S>>,
+    queues: Vec<SyncSender<Op>>,
+    writers: Vec<JoinHandle<Option<Panic>>>,
 }
 
 impl<S: BatchInsert + Send + Sync + 'static> SketchStore<S> {
@@ -387,386 +179,68 @@ impl<S: BatchInsert + Send + Sync + 'static> SketchStore<S> {
     /// assert!(store.contains_key("events"));
     /// ```
     pub fn pipeline(self: Arc<Self>) -> IngestPipeline<S> {
-        IngestPipeline::new(self)
+        let depth = self.pipeline_defaults.queue_depth;
+        let (queues, writers) = (0..self.pipeline_defaults.writer_threads)
+            .map(|_| {
+                let (sender, queue) = mpsc::sync_channel(depth);
+                let store = Arc::clone(&self);
+                (
+                    sender,
+                    std::thread::spawn(move || writer_loop(&store, queue, depth)),
+                )
+            })
+            .unzip();
+        IngestPipeline {
+            store: self,
+            queues,
+            writers,
+        }
     }
 }
 
 impl<S: BatchInsert + Send + Sync + 'static> IngestPipeline<S> {
-    /// Opens a pipeline over `store` with the store's configured
-    /// pipeline defaults ([`SketchStore::pipeline`] is the ergonomic
-    /// form of this constructor).
-    pub fn new(store: Arc<SketchStore<S>>) -> Self {
-        let defaults = store.pipeline_defaults;
-        let queues = (0..defaults.writer_threads)
-            .map(|_| Queue::new())
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        let shared = Arc::new(Shared {
-            store,
-            queues,
-            depth: defaults.queue_depth,
-        });
-        let writers = (0..defaults.writer_threads)
-            .map(|index| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || writer_loop(&shared, index))
-            })
-            .collect();
-        IngestPipeline { shared, writers }
-    }
-
-    /// The store this pipeline writes into.
-    pub fn store(&self) -> &Arc<SketchStore<S>> {
-        &self.shared.store
-    }
-
-    /// Number of dedicated writer threads.
-    pub fn writer_threads(&self) -> usize {
-        self.writers.len()
-    }
-
-    /// Per-writer bound on queued operations.
-    pub fn queue_depth(&self) -> usize {
-        self.shared.depth
-    }
-
-    /// Operations accepted but not yet applied to the store — queued
-    /// ops plus each writer's in-flight burst — summed over all queues
-    /// (a point-in-time diagnostic; writers drain concurrently, so the
-    /// value can be stale by the time it is read). `0` after a
-    /// [`flush`](Self::flush) means every prior submission is visible
-    /// in the store.
-    pub fn pending(&self) -> usize {
-        self.shared
-            .queues
-            .iter()
-            .map(|queue| {
-                let state = queue.lock();
-                (state.submitted - state.completed) as usize
-            })
-            .sum()
-    }
-
-    /// Queues one element for `key`, blocking while the key's queue is
-    /// full (backpressure).
-    pub fn insert(&self, key: &str, element: u64) {
-        let op = Op::Insert {
-            key: key.to_owned(),
-            element,
-        };
-        self.shared.push(self.shared.queue_index(key), op);
-    }
-
-    /// Queues one byte-string element for `key`, blocking while the
-    /// key's queue is full.
-    pub fn insert_bytes(&self, key: &str, element: &[u8]) {
-        let op = Op::InsertBytes {
-            key: key.to_owned(),
-            element: element.to_vec(),
-        };
-        self.shared.push(self.shared.queue_index(key), op);
-    }
-
     /// Queues a batch for `key` (applied through the store's batched
     /// [`ingest`](SketchStore::ingest), hitting the sketch's
-    /// [`BatchInsert`] fast path), blocking while the key's queue is
+    /// [`BatchInsert`] fast path), blocking while the key's channel is
     /// full.
     pub fn ingest(&self, key: &str, elements: &[u64]) {
-        let op = Op::Ingest {
-            key: key.to_owned(),
-            elements: elements.to_vec(),
-        };
-        self.shared.push(self.shared.queue_index(key), op);
+        let queue = &self.queues[self.store.shard_index(key) % self.queues.len()];
+        queue
+            .send(Op::Ingest(key.to_owned(), elements.to_vec()))
+            .expect("pipeline writers outlive the pipeline");
     }
 
-    /// Queues a batch of byte-string elements for `key` (applied
-    /// through [`ingest_bytes`](SketchStore::ingest_bytes)), blocking
-    /// while the key's queue is full.
-    pub fn ingest_bytes(&self, key: &str, elements: &[&[u8]]) {
-        let op = Op::IngestBytes {
-            key: key.to_owned(),
-            elements: elements.iter().map(|bytes| bytes.to_vec()).collect(),
-        };
-        self.shared.push(self.shared.queue_index(key), op);
-    }
-
-    /// Non-blocking [`insert`](Self::insert): fails with
-    /// [`PipelineFull`] instead of waiting (nothing is recorded on
-    /// failure).
-    pub fn try_insert(&self, key: &str, element: u64) -> Result<(), PipelineFull> {
-        let op = Op::Insert {
-            key: key.to_owned(),
-            element,
-        };
-        self.shared.try_push(self.shared.queue_index(key), op)
-    }
-
-    /// Non-blocking [`insert_bytes`](Self::insert_bytes).
-    pub fn try_insert_bytes(&self, key: &str, element: &[u8]) -> Result<(), PipelineFull> {
-        let op = Op::InsertBytes {
-            key: key.to_owned(),
-            element: element.to_vec(),
-        };
-        self.shared.try_push(self.shared.queue_index(key), op)
-    }
-
-    /// Non-blocking [`ingest`](Self::ingest).
-    pub fn try_ingest(&self, key: &str, elements: &[u64]) -> Result<(), PipelineFull> {
-        let op = Op::Ingest {
-            key: key.to_owned(),
-            elements: elements.to_vec(),
-        };
-        self.shared.try_push(self.shared.queue_index(key), op)
-    }
-
-    /// Non-blocking [`ingest_bytes`](Self::ingest_bytes).
-    pub fn try_ingest_bytes(&self, key: &str, elements: &[&[u8]]) -> Result<(), PipelineFull> {
-        let op = Op::IngestBytes {
-            key: key.to_owned(),
-            elements: elements.iter().map(|bytes| bytes.to_vec()).collect(),
-        };
-        self.shared.try_push(self.shared.queue_index(key), op)
-    }
-
-    /// Async [`insert`](Self::insert): the returned [`SendOp`] resolves
-    /// once the operation is accepted, yielding (never blocking the
-    /// executor thread) while the queue is full.
-    pub fn insert_async(&self, key: &str, element: u64) -> SendOp<'_, S> {
-        self.send_op(
-            key,
-            Op::Insert {
-                key: key.to_owned(),
-                element,
-            },
-        )
-    }
-
-    /// Async [`insert_bytes`](Self::insert_bytes).
-    pub fn insert_bytes_async(&self, key: &str, element: &[u8]) -> SendOp<'_, S> {
-        self.send_op(
-            key,
-            Op::InsertBytes {
-                key: key.to_owned(),
-                element: element.to_vec(),
-            },
-        )
-    }
-
-    /// Async [`ingest`](Self::ingest).
-    pub fn ingest_async(&self, key: &str, elements: &[u64]) -> SendOp<'_, S> {
-        self.send_op(
-            key,
-            Op::Ingest {
-                key: key.to_owned(),
-                elements: elements.to_vec(),
-            },
-        )
-    }
-
-    /// Async [`ingest_bytes`](Self::ingest_bytes).
-    pub fn ingest_bytes_async(&self, key: &str, elements: &[&[u8]]) -> SendOp<'_, S> {
-        self.send_op(
-            key,
-            Op::IngestBytes {
-                key: key.to_owned(),
-                elements: elements.iter().map(|bytes| bytes.to_vec()).collect(),
-            },
-        )
-    }
-
-    fn send_op(&self, key: &str, op: Op) -> SendOp<'_, S> {
-        SendOp {
-            shared: &self.shared,
-            queue: self.shared.queue_index(key),
-            op: Some(op),
-        }
-    }
-
-    /// Blocks until every operation submitted before this call has been
-    /// applied to the store. Operations submitted concurrently with the
+    /// Blocks until every batch submitted before this call has been
+    /// applied to the store. Batches submitted concurrently with the
     /// flush (by other threads) may or may not be covered.
     pub fn flush(&self) {
-        for queue in self.shared.queues.iter() {
-            let mut state = queue.lock();
-            let target = state.submitted;
-            while state.completed < target {
-                state = queue
-                    .progress
-                    .wait(state)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
+        let (ack, acked) = mpsc::channel();
+        for queue in &self.queues {
+            queue
+                .send(Op::Flush(ack.clone()))
+                .expect("pipeline writers outlive the pipeline");
         }
-    }
-
-    /// Async [`flush`](Self::flush): the returned [`Flush`] future
-    /// resolves once every operation submitted before this *call* (not
-    /// before the first poll) has been applied.
-    pub fn flush_async(&self) -> Flush<'_, S> {
-        let targets = self
-            .shared
-            .queues
-            .iter()
-            .map(|queue| queue.lock().submitted)
-            .collect();
-        Flush {
-            shared: &self.shared,
-            targets,
+        drop(ack);
+        for _ in &self.queues {
+            acked.recv().expect("every writer acknowledges its marker");
         }
     }
 }
 
 impl<S: BatchInsert + Send + Sync + 'static> Drop for IngestPipeline<S> {
-    /// Closes the queues, drains every accepted operation into the
-    /// store, joins the writer threads, and resurfaces the first panic
-    /// a sketch update raised on a writer (panics never wedge the
-    /// pipeline — the writer catches them, accounts the burst so
-    /// flushes and backpressured producers still wake, and parks the
-    /// payload here).
+    /// Hangs up the channels (each writer drains what it accepted and
+    /// exits), joins the writers, and resurfaces the first panic a
+    /// sketch update raised on one of them.
     fn drop(&mut self) {
-        for queue in self.shared.queues.iter() {
-            queue.lock().closed = true;
-            queue.not_empty.notify_all();
-        }
-        for writer in self.writers.drain(..) {
-            if writer.join().is_err() && !std::thread::panicking() {
-                panic!("pipeline writer thread panicked");
+        self.queues.clear();
+        // `or` takes its argument eagerly: every writer is joined.
+        let first_panic = self.writers.drain(..).fold(None, |first, writer| {
+            first.or(writer.join().unwrap_or_else(Some))
+        });
+        if let Some(payload) = first_panic {
+            if !std::thread::panicking() {
+                resume_unwind(payload);
             }
-        }
-        if !std::thread::panicking() {
-            for queue in self.shared.queues.iter() {
-                if let Some(payload) = queue.lock().panic.take() {
-                    std::panic::resume_unwind(payload);
-                }
-            }
-        }
-    }
-}
-
-impl<S: BatchInsert + Send + Sync + 'static> std::fmt::Debug for IngestPipeline<S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("IngestPipeline")
-            .field("writer_threads", &self.writers.len())
-            .field("queue_depth", &self.shared.depth)
-            .field("pending", &self.pending())
-            .finish_non_exhaustive()
-    }
-}
-
-/// Future of an async submission (`insert_async`, `ingest_async`, …):
-/// resolves with `()` once the operation has been accepted into its
-/// queue, registering the task's waker and yielding while the queue is
-/// full. Executor-agnostic — it only uses `std::task` wakers.
-///
-/// The operation is owned by the future; dropping it before completion
-/// abandons the submission (nothing was recorded).
-#[must_use = "futures do nothing unless polled; the operation is not submitted yet"]
-pub struct SendOp<'a, S> {
-    shared: &'a Shared<S>,
-    queue: usize,
-    op: Option<Op>,
-}
-
-impl<S> Future for SendOp<'_, S> {
-    type Output = ();
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let this = self.get_mut();
-        if this.op.is_none() {
-            return Poll::Ready(()); // already accepted on an earlier poll
-        }
-        let queue = &this.shared.queues[this.queue];
-        let mut state = queue.lock();
-        if state.ops.len() < this.shared.depth {
-            let was_empty = state.ops.is_empty();
-            state.ops.push_back(this.op.take().expect("checked above"));
-            state.submitted += 1;
-            drop(state);
-            if was_empty {
-                queue.not_empty.notify_one();
-            }
-            Poll::Ready(())
-        } else {
-            let waker = cx.waker();
-            if !state.send_wakers.iter().any(|w| w.will_wake(waker)) {
-                state.send_wakers.push(waker.clone());
-            }
-            Poll::Pending
-        }
-    }
-}
-
-/// Future of [`IngestPipeline::flush_async`]: resolves with `()` once
-/// every operation submitted before the `flush_async` call has been
-/// applied to the store. Executor-agnostic.
-#[must_use = "futures do nothing unless polled"]
-pub struct Flush<'a, S> {
-    shared: &'a Shared<S>,
-    /// Per-queue submission counts captured at creation; the flush is
-    /// done when every queue's completion count reaches its target.
-    targets: Box<[u64]>,
-}
-
-impl<S> Future for Flush<'_, S> {
-    type Output = ();
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let this = self.get_mut();
-        for (queue, &target) in this.shared.queues.iter().zip(this.targets.iter()) {
-            let mut state = queue.lock();
-            if state.completed < target {
-                let waker = cx.waker();
-                if !state
-                    .flush_wakers
-                    .iter()
-                    .any(|(t, w)| *t == target && w.will_wake(waker))
-                {
-                    state.flush_wakers.push((target, waker.clone()));
-                }
-                return Poll::Pending;
-            }
-        }
-        Poll::Ready(())
-    }
-}
-
-/// Drives one future to completion on the current thread, parking
-/// between polls — a minimal, dependency-free executor for tests,
-/// examples and synchronous call sites that want to reuse the pipeline's
-/// async API. Any real executor (tokio, async-std, …) works just as
-/// well; the pipeline's futures only rely on `std::task` wakers.
-pub fn block_on<F: Future>(future: F) -> F::Output {
-    /// Unparks the blocked thread on wake; the flag swallows spurious
-    /// unparks and coalesces repeated wakes.
-    struct ThreadWaker {
-        thread: std::thread::Thread,
-        notified: AtomicBool,
-    }
-
-    impl std::task::Wake for ThreadWaker {
-        fn wake(self: Arc<Self>) {
-            self.wake_by_ref();
-        }
-
-        fn wake_by_ref(self: &Arc<Self>) {
-            if !self.notified.swap(true, Ordering::Release) {
-                self.thread.unpark();
-            }
-        }
-    }
-
-    let state = Arc::new(ThreadWaker {
-        thread: std::thread::current(),
-        notified: AtomicBool::new(false),
-    });
-    let waker = Waker::from(Arc::clone(&state));
-    let mut context = Context::from_waker(&waker);
-    let mut future = std::pin::pin!(future);
-    loop {
-        if let Poll::Ready(output) = future.as_mut().poll(&mut context) {
-            return output;
-        }
-        while !state.notified.swap(false, Ordering::Acquire) {
-            std::thread::park();
         }
     }
 }

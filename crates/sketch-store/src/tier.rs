@@ -109,9 +109,10 @@ pub struct TierStats {
 }
 
 impl TierStats {
-    /// Total number of keys across all tiers.
+    /// Total number of keys across all tiers, quarantined ones included
+    /// (they still count in [`SketchStore::len`]).
     pub fn total_keys(&self) -> usize {
-        self.hot_keys + self.warm_keys + self.frozen_keys
+        self.hot_keys + self.warm_keys + self.frozen_keys + self.quarantined_keys
     }
 
     /// Bytes counted against the store's memory budget (hot + warm;

@@ -1,12 +1,12 @@
 //! Integration tests of the pipelined ingest front: equivalence with
 //! synchronous ingest under arbitrary interleavings, bounded-memory
-//! backpressure, flush/drop semantics, and the executor-agnostic
-//! futures.
+//! backpressure, and flush/drop semantics.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use setsketch::{SetSketch2, SetSketchConfig};
-use sketch_store::{block_on, PipelineFull, SketchStore};
+use sketch_store::SketchStore;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
@@ -24,82 +24,23 @@ fn shared_store(shards: usize, depth: usize, writers: usize) -> Arc<SketchStore<
         .build_shared()
 }
 
-/// One generated pipeline operation, fanned across four keys.
-#[derive(Debug, Clone)]
-enum PlannedOp {
-    Insert(u8, u64),
-    InsertBytes(u8, u64),
-    Ingest(u8, Vec<u64>),
-    IngestBytes(u8, Vec<u64>),
-}
-
-impl PlannedOp {
-    fn key(index: u8) -> String {
-        format!("key-{}", index % 4)
-    }
-
-    /// Applies the op synchronously through the store's blocking API
-    /// (the reference semantics the pipeline must reproduce).
-    fn apply_sync(&self, store: &SketchStore<SetSketch2>) {
-        match self {
-            PlannedOp::Insert(k, e) => store.insert(&Self::key(*k), *e),
-            PlannedOp::InsertBytes(k, e) => store.insert_bytes(&Self::key(*k), &e.to_le_bytes()),
-            PlannedOp::Ingest(k, batch) => store.ingest(&Self::key(*k), batch),
-            PlannedOp::IngestBytes(k, batch) => {
-                let owned: Vec<Vec<u8>> = batch.iter().map(|e| e.to_le_bytes().to_vec()).collect();
-                let slices: Vec<&[u8]> = owned.iter().map(Vec::as_slice).collect();
-                store.ingest_bytes(&Self::key(*k), &slices);
-            }
-        }
-    }
-
-    /// Submits the op through a pipeline handle, alternating blocking
-    /// and non-blocking entry points (a failed `try_*` falls back to
-    /// the blocking form, exercising both).
-    fn apply_pipelined(&self, pipeline: &sketch_store::IngestPipeline<SetSketch2>) {
-        match self {
-            PlannedOp::Insert(k, e) => {
-                if pipeline.try_insert(&Self::key(*k), *e) == Err(PipelineFull) {
-                    pipeline.insert(&Self::key(*k), *e);
-                }
-            }
-            PlannedOp::InsertBytes(k, e) => pipeline.insert_bytes(&Self::key(*k), &e.to_le_bytes()),
-            PlannedOp::Ingest(k, batch) => {
-                if pipeline.try_ingest(&Self::key(*k), batch) == Err(PipelineFull) {
-                    pipeline.ingest(&Self::key(*k), batch);
-                }
-            }
-            PlannedOp::IngestBytes(k, batch) => {
-                let owned: Vec<Vec<u8>> = batch.iter().map(|e| e.to_le_bytes().to_vec()).collect();
-                let slices: Vec<&[u8]> = owned.iter().map(Vec::as_slice).collect();
-                if pipeline.try_ingest_bytes(&Self::key(*k), &slices) == Err(PipelineFull) {
-                    pipeline.ingest_bytes(&Self::key(*k), &slices);
-                }
-            }
-        }
-    }
-}
-
-fn op_strategy() -> impl Strategy<Value = PlannedOp> {
-    (0u8..4, 0u8..4, 0u64..1_000, vec(0u64..1_000, 0..12)).prop_map(
-        |(kind, key, element, batch)| match kind {
-            0 => PlannedOp::Insert(key, element),
-            1 => PlannedOp::InsertBytes(key, element),
-            2 => PlannedOp::Ingest(key, batch),
-            _ => PlannedOp::IngestBytes(key, batch),
-        },
-    )
+/// One generated ingest: a key out of four and a batch of 0, 1 or up
+/// to 12 elements.
+fn op_strategy() -> impl Strategy<Value = (String, Vec<u64>)> {
+    (0u8..4, 0u8..3, vec(0u64..1_000, 2..=12)).prop_map(|(key, size, mut batch)| {
+        batch.truncate(if size < 2 { size as usize } else { batch.len() });
+        (format!("key-{key}"), batch)
+    })
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Four pipeline handles over one store, driven concurrently from
-    /// four threads with arbitrary operation interleavings (tiny queues
-    /// force backpressure), must produce a final store state identical
-    /// to sequential synchronous ingest of the same operations —
-    /// exactly, not within tolerance: inserts are idempotent and
-    /// commutative.
+    /// four threads with arbitrary interleavings (tiny queues force
+    /// backpressure), must produce a final store state identical to
+    /// sequential synchronous ingest of the same batches — exactly, not
+    /// within tolerance: inserts are idempotent and commutative.
     #[test]
     fn interleaved_pipelines_match_sequential(
         plans in vec(vec(op_strategy(), 0..24), 4),
@@ -110,8 +51,8 @@ proptest! {
             std::thread::scope(|scope| {
                 for (plan, pipeline) in plans.iter().zip(&pipelines) {
                     scope.spawn(move || {
-                        for op in plan {
-                            op.apply_pipelined(pipeline);
+                        for (key, batch) in plan {
+                            pipeline.ingest(key, batch);
                         }
                     });
                 }
@@ -119,16 +60,13 @@ proptest! {
             for pipeline in &pipelines {
                 pipeline.flush();
             }
-            prop_assert_eq!(pipelines.iter().map(|p| p.pending()).sum::<usize>(), 0);
         } // handles dropped: queues drained, writers joined
 
         let reference = SketchStore::builder(move || SetSketch2::new(config(), 11))
             .shards(4)
             .build();
-        for plan in &plans {
-            for op in plan {
-                op.apply_sync(&reference);
-            }
+        for (key, batch) in plans.iter().flatten() {
+            reference.ingest(key, batch);
         }
 
         prop_assert_eq!(store.keys(), reference.keys());
@@ -139,9 +77,9 @@ proptest! {
 }
 
 /// A full queue must make producers block (bounded memory), not grow:
-/// with the single writer wedged behind a held shard lock, `try_*`
-/// fails once the queue holds `queue_depth` operations, a blocking
-/// insert parks, and everything applies after the lock is released.
+/// with the single writer wedged behind a held shard lock, exactly
+/// `queue_depth` further batches are accepted, the next one parks, and
+/// everything applies after the lock is released.
 #[test]
 fn full_queue_blocks_instead_of_growing() {
     let depth = 4;
@@ -164,54 +102,57 @@ fn full_queue_blocks_instead_of_growing() {
     };
     locked_rx.recv().unwrap();
 
-    // Submit one op; once the idle writer drains it (single-op burst)
-    // it wedges mid-apply on the held shard lock, so nothing else can
-    // drain and the fill below is deterministic. The writer's wake-up
-    // latency is microseconds; the sleep makes the ordering safe.
-    pipeline.insert("k", 1);
+    // Submit one batch; once the idle writer takes it (single-batch
+    // burst) it wedges mid-apply on the held shard lock, so nothing else
+    // can drain and the fill below is deterministic. The writer's
+    // wake-up latency is microseconds; the sleep makes the ordering
+    // safe.
+    pipeline.ingest("k", &[1]);
     std::thread::sleep(Duration::from_millis(200));
 
-    // Exactly `depth` more operations are accepted before the queue
-    // refuses; the in-flight op keeps `pending` one higher.
-    for e in 0..depth as u64 {
-        assert!(pipeline.try_insert("k", e + 2).is_ok(), "op {e} refused");
-    }
-    assert_eq!(pipeline.try_insert("k", 999_999), Err(PipelineFull));
-    assert_eq!(pipeline.pending(), depth + 1);
-
-    // A blocking insert must park rather than return...
-    let (parked_tx, parked_rx) = mpsc::channel::<()>();
+    let (accepted_tx, accepted_rx) = mpsc::channel::<u64>();
     std::thread::scope(|scope| {
-        scope.spawn(|| {
-            pipeline.insert("k", depth as u64 + 2);
-            parked_tx.send(()).unwrap();
+        let pipeline = &pipeline;
+        scope.spawn(move || {
+            for e in 2..=depth as u64 + 2 {
+                pipeline.ingest("k", &[e]);
+                accepted_tx.send(e).unwrap();
+            }
         });
+        // Exactly `depth` more batches are accepted promptly...
+        for e in 2..depth as u64 + 2 {
+            let accepted = accepted_rx
+                .recv_timeout(Duration::from_secs(10))
+                .unwrap_or_else(|_| panic!("batch {e} refused while the queue had room"));
+            assert_eq!(accepted, e);
+        }
+        // ...and the next one parks rather than returning...
         assert_eq!(
-            parked_rx.recv_timeout(Duration::from_millis(200)),
+            accepted_rx.recv_timeout(Duration::from_millis(200)),
             Err(mpsc::RecvTimeoutError::Timeout),
-            "blocking insert returned while the queue was full"
+            "ingest returned while the queue was full"
         );
         // ...until the writer unwedges and drains the queue.
         release_tx.send(()).unwrap();
-        parked_rx
-            .recv_timeout(Duration::from_secs(10))
-            .expect("parked insert completed after release");
+        assert_eq!(
+            accepted_rx.recv_timeout(Duration::from_secs(10)),
+            Ok(depth as u64 + 2),
+            "parked ingest completed after release"
+        );
     });
     holder.join().unwrap();
     pipeline.flush();
 
     // Every accepted element (0..=depth+2) reached the store.
-    let reference = {
-        let mut sketch = SetSketch2::new(config(), 11);
-        for e in 0..=depth as u64 + 2 {
-            sketch_core::Sketch::insert_u64(&mut sketch, e);
-        }
-        sketch
-    };
+    let mut reference = SetSketch2::new(config(), 11);
+    sketch_core::BatchInsert::insert_batch(
+        &mut reference,
+        &(0..=depth as u64 + 2).collect::<Vec<_>>(),
+    );
     assert_eq!(store.get("k").unwrap(), reference);
 }
 
-/// Dropping the pipeline drains accepted operations without an explicit
+/// Dropping the pipeline drains accepted batches without an explicit
 /// flush.
 #[test]
 fn drop_drains_accepted_operations() {
@@ -219,7 +160,7 @@ fn drop_drains_accepted_operations() {
     {
         let pipeline = store.clone().pipeline();
         for e in 0..500u64 {
-            pipeline.insert("events", e);
+            pipeline.ingest("events", &[e]);
         }
         pipeline.ingest("events", &(500..600).collect::<Vec<_>>());
     } // no flush: Drop must drain
@@ -228,56 +169,50 @@ fn drop_drains_accepted_operations() {
     assert_eq!(store.get("events").unwrap(), reference);
 }
 
-/// The async entry points (SendOp + Flush futures under the bundled
-/// block_on) reach the same state as the blocking API, including when
-/// sends outnumber the queue depth.
-#[test]
-fn async_sends_and_flush_reach_the_same_state() {
-    let store = shared_store(2, 2, 2);
-    let pipeline = store.clone().pipeline();
-    block_on(async {
-        for e in 0..200u64 {
-            pipeline.insert_async("a", e).await;
-        }
-        pipeline
-            .ingest_async("b", &(0..100).collect::<Vec<_>>())
-            .await;
-        pipeline
-            .ingest_bytes_async("b", &[b"x".as_slice(), b"y".as_slice()])
-            .await;
-        pipeline.insert_bytes_async("a", b"z").await;
-        pipeline.flush_async().await;
-    });
-    // flush_async covered everything submitted before it.
-    assert_eq!(pipeline.pending(), 0);
-
-    let reference = SketchStore::builder(move || SetSketch2::new(config(), 11)).build();
-    for e in 0..200u64 {
-        reference.insert("a", e);
-    }
-    reference.ingest("b", &(0..100).collect::<Vec<_>>());
-    reference.ingest_bytes("b", &[b"x".as_slice(), b"y".as_slice()]);
-    reference.insert_bytes("a", b"z");
-    assert_eq!(store.get("a"), reference.get("a"));
-    assert_eq!(store.get("b"), reference.get("b"));
-}
-
-/// An immediately-awaited flush on an idle pipeline resolves at once,
-/// and a flush captured before later submissions does not wait for
-/// them.
+/// A flush on an idle pipeline returns at once, and a flush after a
+/// submission makes it visible.
 #[test]
 fn flush_covers_only_prior_submissions() {
     let store = shared_store(2, 8, 1);
     let pipeline = store.clone().pipeline();
-    block_on(pipeline.flush_async()); // idle: resolves immediately
-    pipeline.insert("k", 1);
+    pipeline.flush(); // idle: returns immediately
+    pipeline.ingest("k", &[1]);
     pipeline.flush();
     assert!(store.contains_key("k"));
 }
 
+/// A flush waits only for what was submitted before it: producers that
+/// never stop ingesting cannot starve it.
+#[test]
+fn flush_returns_while_producers_keep_ingesting() {
+    let store = shared_store(4, 8, 2);
+    let pipeline = store.clone().pipeline();
+    let done = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        for producer in 0..2u64 {
+            let (pipeline, done) = (&pipeline, &done);
+            scope.spawn(move || {
+                let mut e = 0;
+                while !done.load(Ordering::Relaxed) {
+                    pipeline.ingest(&format!("p{producer}-{}", e % 8), &[e]);
+                    e += 1;
+                }
+            });
+        }
+        scope.spawn(|| {
+            for _ in 0..100 {
+                pipeline.flush();
+            }
+            done.store(true, Ordering::Relaxed);
+        });
+    });
+    pipeline.flush();
+    assert!(store.contains_key("p0-0") && store.contains_key("p1-0"));
+}
+
 /// A sketch update that panics on a writer thread must not wedge the
-/// pipeline: flushes and producers still complete (the burst is
-/// accounted), and the panic resurfaces when the pipeline is dropped.
+/// pipeline: flushes and producers still complete, and the panic
+/// resurfaces when the pipeline is dropped.
 #[test]
 fn writer_panic_wakes_flush_and_resurfaces_on_drop() {
     #[derive(Clone, Default)]
@@ -296,23 +231,10 @@ fn writer_panic_wakes_flush_and_resurfaces_on_drop() {
         .writer_threads(1)
         .build_shared();
     let pipeline = store.clone().pipeline();
-    pipeline.insert("k", 42);
+    pipeline.ingest("k", &[42]);
     pipeline.flush(); // must not hang on the dead burst
-    assert_eq!(pipeline.pending(), 0);
-    pipeline.insert("k", 1); // the writer survives and keeps applying
+    pipeline.ingest("k", &[1]); // the writer survives and keeps applying
     pipeline.flush();
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || drop(pipeline)));
     assert!(outcome.is_err(), "drop must resurface the sketch panic");
-}
-
-/// Accessors and error formatting.
-#[test]
-fn pipeline_reports_configuration() {
-    let store = shared_store(4, 32, 3);
-    let pipeline = store.clone().pipeline();
-    assert_eq!(pipeline.writer_threads(), 3);
-    assert_eq!(pipeline.queue_depth(), 32);
-    assert_eq!(pipeline.pending(), 0);
-    assert!(Arc::ptr_eq(pipeline.store(), &store));
-    assert_eq!(PipelineFull.to_string(), "ingest pipeline queue is full");
 }

@@ -435,6 +435,8 @@ fn corrupt_spill_record_quarantines_and_heals() {
         stats.quarantined_keys >= corrupt.len(),
         "every corrupt read quarantines: {stats:?}"
     );
+    // A quarantined key is still a key of the store.
+    assert_eq!(stats.total_keys(), store.len(), "{stats:?}");
 
     // `with_sketch` folds corruption into None; `get` likewise.
     assert!(store.get(&corrupt[0]).is_none());
