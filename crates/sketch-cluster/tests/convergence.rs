@@ -213,7 +213,6 @@ fn tier_churn_ships_nothing() {
     let store0 = SketchStore::builder(factory.clone())
         .shards(4)
         .memory_budget_bytes(1)
-        .demote_after_writes(1)
         .build();
     let store1 = SketchStore::builder(factory).shards(4).build();
     let node0 = Arc::new(ClusterNode::new(0, ids, store0));

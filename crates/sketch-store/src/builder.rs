@@ -7,14 +7,13 @@
 //! knobs here keeps the store's constructor surface stable as new ones
 //! arrive: they become builder methods instead of constructor variants.
 //!
-//! The memory-tier knobs ([`memory_budget_bytes`], [`demote_after_writes`],
-//! [`spill_dir`]) require the sketch type to implement
-//! [`CompactSketch`] — setting either of the first two installs the
-//! family's compression codec and turns the tier manager on; a store
-//! built without them keeps every sketch resident and pays nothing.
+//! The memory budget ([`memory_budget_bytes`]) is the tier manager's
+//! only input: it requires the sketch type to implement
+//! [`CompactSketch`], installs the family's compression codec and turns
+//! demotion on ([`spill_dir`] says where frozen keys go). A store built
+//! without a budget keeps every sketch resident and pays nothing.
 //!
 //! [`memory_budget_bytes`]: StoreBuilder::memory_budget_bytes
-//! [`demote_after_writes`]: StoreBuilder::demote_after_writes
 //! [`spill_dir`]: StoreBuilder::spill_dir
 
 use crate::error::StoreError;
@@ -45,8 +44,8 @@ use std::sync::Arc;
 /// assert_eq!(store.len(), 1);
 /// ```
 ///
-/// With tiering — cold keys compress in place, and spill to disk when
-/// the budget is still exceeded:
+/// With a memory budget — cold keys compress in place, and spill to
+/// disk when the budget is still exceeded:
 ///
 /// ```
 /// use setsketch::{SetSketch2, SetSketchConfig};
@@ -55,7 +54,6 @@ use std::sync::Arc;
 /// let config = SetSketchConfig::new(4096, 2.0, 20.0, 62).unwrap();
 /// let store = SketchStore::builder(move || SetSketch2::new(config, 42))
 ///     .memory_budget_bytes(256 * 1024) // hot + warm ceiling
-///     .demote_after_writes(64)         // periodic cold-key compression
 ///     .build();
 /// for key in 0..100 {
 ///     store.ingest(&format!("key-{key}"), &(0..50).collect::<Vec<u64>>());
@@ -150,30 +148,10 @@ impl<S> StoreBuilder<S> {
         self
     }
 
-    /// Runs a demotion scan every `writes` mutations even without
-    /// budget pressure, compressing keys untouched since the previous
-    /// scan. Use this to keep a long-tail keyspace compact when no hard
-    /// budget is set (with a budget, scans also fire on pressure).
-    ///
-    /// Enables the memory-tier manager (hence the [`CompactSketch`]
-    /// bound).
-    ///
-    /// # Panics
-    /// Panics if `writes == 0`.
-    pub fn demote_after_writes(mut self, writes: u64) -> Self
-    where
-        S: CompactSketch,
-    {
-        assert!(writes > 0, "demotion period must be at least one write");
-        self.tier.demote_after_writes = Some(writes);
-        self.codec = Some(TierCodec::of());
-        self
-    }
-
     /// Parent directory for the store's spill segments (default: the OS
     /// temp directory). The store creates a uniquely named subdirectory
     /// on first spill and removes it — with every segment file — when
-    /// dropped. Only consulted when tiering is enabled.
+    /// dropped. Only consulted when a memory budget is set.
     pub fn spill_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.tier.spill_dir = Some(dir.into());
         self
@@ -308,7 +286,6 @@ impl<S> std::fmt::Debug for StoreBuilder<S> {
             .field("queue_depth", &self.pipeline.queue_depth)
             .field("writer_threads", &self.pipeline.writer_threads)
             .field("memory_budget_bytes", &self.tier.memory_budget_bytes)
-            .field("demote_after_writes", &self.tier.demote_after_writes)
             .finish_non_exhaustive()
     }
 }

@@ -246,18 +246,16 @@ impl<S: Mergeable + Clone + PartialEq> SketchStore<S> {
                         true
                     } else {
                         slot.touch();
-                        let before_bytes = self.tier.resident_of(slot.hot_ref());
-                        let current = slot.hot_mut();
-                        let merged = current
+                        let merged = slot
+                            .hot_ref()
                             .merged_with(incoming)
                             .map_err(StoreError::incompatible)?;
-                        let changed = merged != *current;
+                        let changed = merged != *slot.hot_ref();
                         if changed {
-                            *current = merged;
+                            self.tier
+                                .account_write(slot.hot_mut(), |current| *current = merged);
                             slot.version = self.next_version();
                         }
-                        let after_bytes = self.tier.resident_of(slot.hot_ref());
-                        self.tier.account_growth(before_bytes, after_bytes);
                         changed
                     }
                 }
@@ -269,7 +267,7 @@ impl<S: Mergeable + Clone + PartialEq> SketchStore<S> {
             }
             changed
         };
-        self.maybe_maintain();
+        self.maintain();
         Ok(changed)
     }
 }

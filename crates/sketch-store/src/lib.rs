@@ -42,9 +42,8 @@
 //!   from the on-disk checkpoint (below), pages are the only way state
 //!   leaves a store; cold keys ship their compressed bytes without
 //!   being rehydrated;
-//! * **memory tiers** — with the builder knobs
-//!   [`StoreBuilder::memory_budget_bytes`] and
-//!   [`StoreBuilder::demote_after_writes`], a second-chance clock scan
+//! * **memory tiers** — with [`StoreBuilder::memory_budget_bytes`],
+//!   whenever residency exceeds the budget a second-chance clock scan
 //!   demotes cold keys from **hot** (resident sketch) to **warm**
 //!   (registers compressed in memory through the family's
 //!   [`CompactSketch`](sketch_core::CompactSketch) codec) to **frozen**

@@ -97,11 +97,9 @@ pub const DEFAULT_SHARDS: usize = 16;
 /// family's detailed incompatibility error through
 /// [`StoreError::Incompatible`].
 ///
-/// With the builder's tiering knobs
-/// ([`memory_budget_bytes`](StoreBuilder::memory_budget_bytes),
-/// [`demote_after_writes`](StoreBuilder::demote_after_writes)) the
-/// store additionally manages *where* each key's registers live: cold
-/// keys are compressed in place (warm) and, under memory pressure,
+/// With a [`memory_budget_bytes`](StoreBuilder::memory_budget_bytes)
+/// the store additionally manages *where* each key's registers live:
+/// while over budget, cold keys are compressed in place (warm) and then
 /// spilled to disk (frozen), while reads and writes transparently
 /// rehydrate them — see [`tier_stats`](Self::tier_stats) and the
 /// memory-tiers section of the crate overview.
@@ -385,7 +383,7 @@ impl<S> SketchStore<S> {
             slot.touch();
             Some(op(slot.hot_ref()))
         };
-        self.maintain_if_over_budget();
+        self.maintain();
         Ok(result)
     }
 
@@ -420,7 +418,7 @@ impl<S> SketchStore<S> {
             shard.insert(key.to_owned(), Slot::hot(sketch, version))
         };
         let previous = previous.and_then(|slot| self.take_sketch(slot));
-        self.maybe_maintain();
+        self.maintain();
         previous
     }
 
@@ -548,7 +546,7 @@ impl<S> SketchStore<S> {
                 shard_b.get(key_b).expect("just promoted").hot_ref(),
             )
         };
-        self.maintain_if_over_budget();
+        self.maintain();
         Ok(result)
     }
 }
@@ -559,8 +557,7 @@ impl<S> SketchStore<S> {
     /// was compressed or spilled. The existing-key fast path avoids
     /// allocating an owned key string. Every call restamps the slot's
     /// version so the similarity index can re-band exactly the keys that
-    /// changed, and feeds the tier manager's write counter and byte
-    /// accounting.
+    /// changed, and feeds the tier manager's byte accounting.
     ///
     /// This is the **unlogged** write path — the public mutators wrap it
     /// in [`logged`](Self::logged), and WAL replay calls it directly.
@@ -585,16 +582,9 @@ impl<S> SketchStore<S> {
             slot.version = self.next_version();
             self.mark_dirty(index);
             slot.touch();
-            if self.tier.enabled() {
-                let before = self.tier.resident_of(slot.hot_ref());
-                op(slot.hot_mut());
-                let after = self.tier.resident_of(slot.hot_ref());
-                self.tier.account_growth(before, after);
-            } else {
-                op(slot.hot_mut());
-            }
+            self.tier.account_write(slot.hot_mut(), op);
         }
-        self.maybe_maintain();
+        self.maintain();
     }
 }
 

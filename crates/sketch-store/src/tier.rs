@@ -26,9 +26,10 @@
 //! Demotion runs on a second-chance clock: every slot carries a
 //! `touched` bit set by reads and writes; the scan clears the bit on
 //! first encounter and demotes on second, so the working set survives
-//! while cold keys sink. The scan piggybacks on the existing shard
-//! write locks (one shard per step, hand advancing round-robin) and is
-//! triggered from the write path — there is no background thread.
+//! while cold keys sink. The memory budget is the only trigger: a write
+//! or promoting read that leaves residency over budget runs the scan,
+//! which piggybacks on the existing shard write locks (one shard per
+//! step, hand advancing round-robin) — there is no background thread.
 
 use crate::error::StoreError;
 use crate::frame::{self, Frame};
@@ -127,9 +128,6 @@ impl TierStats {
 pub(crate) struct TierPolicy {
     /// Ceiling on hot + warm bytes; exceeding it triggers demotion.
     pub(crate) memory_budget_bytes: Option<usize>,
-    /// Run a demotion scan every this-many writes even without budget
-    /// pressure.
-    pub(crate) demote_after_writes: Option<u64>,
     /// Parent directory for spill segments (default: the OS temp dir).
     pub(crate) spill_dir: Option<PathBuf>,
 }
@@ -173,17 +171,17 @@ impl<S: CompactSketch> TierCodec<S> {
 /// Per-store tiering state: codec, policy, byte accounting, the clock
 /// hand and the lazily created spill segments.
 pub(crate) struct TierRuntime<S> {
-    /// `None` when tiering is disabled — every slot stays hot and the
-    /// accounting below is skipped.
+    /// Present when a memory budget is set (demotion compresses through
+    /// it) or the store is durable (recovered warm slots and put/merge
+    /// records decode through it); `None` keeps every slot hot.
     pub(crate) codec: Option<TierCodec<S>>,
     /// Empty factory sketch the codec decompresses against (fixes
     /// configuration and seed). Present iff `codec` is.
     pub(crate) prototype: Option<S>,
     pub(crate) policy: TierPolicy,
-    /// Write counter driving the periodic (`demote_after_writes`) scan.
-    writes: AtomicU64,
-    /// Budget accounting (signed: concurrent deltas may transiently
-    /// cross zero). Exact figures come from [`SketchStore::tier_stats`].
+    /// Budget accounting, kept only when a budget is set — nothing else
+    /// reads it (signed: concurrent deltas may transiently cross zero).
+    /// Exact figures come from [`SketchStore::tier_stats`].
     hot_bytes: AtomicIsize,
     warm_bytes: AtomicIsize,
     /// Guards the clock scan: at most one maintainer runs (set by
@@ -210,7 +208,6 @@ impl<S> TierRuntime<S> {
             codec,
             prototype,
             policy,
-            writes: AtomicU64::new(0),
             hot_bytes: AtomicIsize::new(0),
             warm_bytes: AtomicIsize::new(0),
             scanning: AtomicBool::new(false),
@@ -221,22 +218,20 @@ impl<S> TierRuntime<S> {
         }
     }
 
-    pub(crate) fn enabled(&self) -> bool {
-        self.codec.is_some()
+    /// True when a memory budget is set: the byte accounting exists for
+    /// [`over_budget`](Self::over_budget) alone, so without a budget
+    /// every `account_*` call is a no-op.
+    fn budgeted(&self) -> bool {
+        self.policy.memory_budget_bytes.is_some()
     }
 
     /// Resident-byte estimate of one sketch (codec-provided, or the
-    /// struct size when tiering is off).
+    /// struct size without a codec).
     pub(crate) fn resident_of(&self, sketch: &S) -> usize {
         match self.codec {
             Some(codec) => (codec.resident)(sketch),
             None => std::mem::size_of::<S>(),
         }
-    }
-
-    /// Bumps the write counter, returning the new count.
-    pub(crate) fn note_write(&self) -> u64 {
-        self.writes.fetch_add(1, Ordering::Relaxed) + 1
     }
 
     /// Bytes currently counted against the budget (hot + warm).
@@ -262,23 +257,24 @@ impl<S> TierRuntime<S> {
 
     /// A new hot slot entered the store.
     pub(crate) fn account_insert_hot(&self, sketch: &S) {
-        if self.enabled() {
+        if self.budgeted() {
             self.add_hot(self.resident_of(sketch) as isize);
         }
     }
 
     /// A new warm slot entered the store (checkpoint recovery).
     pub(crate) fn account_insert_warm(&self, len: usize) {
-        if self.enabled() {
+        if self.budgeted() {
             self.add_warm(len as isize);
         }
     }
 
     /// A slot left the store (remove / replace) or was quarantined; a
     /// frozen slot's spill record is released with it, so read the
-    /// record first if it is still wanted.
+    /// record first if it is still wanted. (Only a budget's scan
+    /// freezes, so an unbudgeted store has no records to release.)
     pub(crate) fn account_remove(&self, state: &TierSlot<S>) {
-        if !self.enabled() {
+        if !self.budgeted() {
             return;
         }
         match state {
@@ -289,22 +285,29 @@ impl<S> TierRuntime<S> {
         }
     }
 
-    /// A write grew (or shrank) a hot sketch in place.
-    pub(crate) fn account_growth(&self, before: usize, after: usize) {
-        if self.enabled() {
-            self.add_hot(after as isize - before as isize);
+    /// Runs a write against a hot sketch in place, accounting how much
+    /// it grew (or shrank) when a budget is set.
+    pub(crate) fn account_write(&self, sketch: &mut S, op: impl FnOnce(&mut S)) {
+        if !self.budgeted() {
+            return op(sketch);
         }
+        let before = self.resident_of(sketch);
+        op(sketch);
+        self.add_hot(self.resident_of(sketch) as isize - before as isize);
     }
 
-    /// A cold slot rehydrated to a hot sketch: its warm bytes are
-    /// freed, or its spill record released.
-    pub(crate) fn account_promote(&self, cold: &TierSlot<S>, resident: usize) {
+    /// A cold slot rehydrated to `hot`: its warm bytes are freed, or
+    /// its spill record released.
+    pub(crate) fn account_promote(&self, cold: &TierSlot<S>, hot: &S) {
+        if !self.budgeted() {
+            return;
+        }
         match cold {
             TierSlot::Warm(bytes) => self.add_warm(-(bytes.len() as isize)),
             TierSlot::Frozen { segment, .. } => self.release_frozen(*segment),
             TierSlot::Hot(_) | TierSlot::Quarantined(_) => {}
         }
-        self.add_hot(resident as isize);
+        self.add_hot(self.resident_of(hot) as isize);
     }
 
     /// One record of `segment` is no longer referenced by any slot.
@@ -588,14 +591,14 @@ impl<S> SketchStore<S> {
     ///
     /// let config = SetSketchConfig::new(4096, 2.0, 20.0, 62).unwrap();
     /// let store = SketchStore::builder(move || SetSketch2::new(config, 1))
-    ///     .demote_after_writes(8)
+    ///     .memory_budget_bytes(16 * 1024)
     ///     .build();
     /// for key in 0..32 {
     ///     store.ingest(&format!("k{key}"), &[1, 2, 3]);
     /// }
     /// let stats = store.tier_stats();
     /// assert_eq!(stats.total_keys(), 32);
-    /// assert!(stats.warm_keys > 0, "periodic scan demoted cold keys");
+    /// assert!(stats.warm_keys + stats.frozen_keys > 0, "the budget demoted cold keys");
     /// ```
     pub fn tier_stats(&self) -> TierStats {
         let mut stats = TierStats {
@@ -655,8 +658,7 @@ impl<S> SketchStore<S> {
         }
         match self.try_materialize_cold(&slot.state) {
             Ok(sketch) => {
-                self.tier
-                    .account_promote(&slot.state, self.tier.resident_of(&sketch));
+                self.tier.account_promote(&slot.state, &sketch);
                 slot.state = TierSlot::Hot(sketch);
                 Ok(())
             }
@@ -747,55 +749,31 @@ impl<S> SketchStore<S> {
         }
     }
 
-    /// Write-path maintenance hook: counts the write and runs a clock
-    /// scan when the periodic knob fires or the budget is exceeded.
-    /// Call with no shard lock held.
-    pub(crate) fn maybe_maintain(&self) {
+    /// The tier manager's one maintenance hook, run after every write
+    /// and every promoting read (promotions grow residency too): when
+    /// residency is over the memory budget, runs a clock scan unless
+    /// another thread already is. Call with no shard lock held.
+    pub(crate) fn maintain(&self) {
         let Some(codec) = self.tier.codec else { return };
-        let writes = self.tier.note_write();
-        let periodic = self
-            .tier
-            .policy
-            .demote_after_writes
-            .is_some_and(|every| writes % every == 0);
-        let pressure = self.tier.over_budget();
-        if !periodic && !pressure {
-            return;
+        if self.tier.over_budget() && self.tier.begin_scan() {
+            self.clock_scan(codec);
+            self.tier.end_scan();
         }
-        if !self.tier.begin_scan() {
-            return; // another thread is already scanning
-        }
-        self.clock_scan(codec, pressure);
-        self.tier.end_scan();
-    }
-
-    /// Read-path maintenance hook: promotions grow residency too, so
-    /// point reads check the budget after rehydrating. Call with no
-    /// shard lock held.
-    pub(crate) fn maintain_if_over_budget(&self) {
-        let Some(codec) = self.tier.codec else { return };
-        if !self.tier.over_budget() {
-            return;
-        }
-        if !self.tier.begin_scan() {
-            return;
-        }
-        self.clock_scan(codec, true);
-        self.tier.end_scan();
     }
 
     /// The second-chance clock scan. One shard per step, hand advancing
     /// round-robin; slots touched since the last encounter get their
-    /// bit cleared and survive, untouched hot slots compress to warm,
-    /// and — under budget pressure only — untouched warm slots spill to
-    /// frozen. A periodic scan makes one revolution; a budget scan runs
-    /// up to two (the first revolution may only clear bits) and stops
-    /// as soon as residency is back under budget.
-    fn clock_scan(&self, codec: TierCodec<S>, budget_pressure: bool) {
+    /// bit cleared and survive, untouched hot slots compress to warm and
+    /// untouched warm slots spill to frozen. It runs up to two
+    /// revolutions (the first may only clear bits) and stops as soon as
+    /// residency is back under budget. After the first failed spill
+    /// append it stops spilling for the rest of the scan — a broken
+    /// spill directory fails every append alike — but keeps compressing.
+    fn clock_scan(&self, codec: TierCodec<S>) {
         let shard_count = self.shards().len();
-        let revolutions = if budget_pressure { 2 } else { 1 };
-        for _ in 0..shard_count * revolutions {
-            if budget_pressure && !self.tier.over_budget() {
+        let mut spill = true;
+        for _ in 0..shard_count * 2 {
+            if !self.tier.over_budget() {
                 return;
             }
             let index = self.tier.hand.load(Ordering::Relaxed) % shard_count;
@@ -804,7 +782,7 @@ impl<S> SketchStore<S> {
                 .store((index + 1) % shard_count, Ordering::Relaxed);
             let mut shard = self.shards()[index].write();
             for slot in shard.values_mut() {
-                if budget_pressure && !self.tier.over_budget() {
+                if !self.tier.over_budget() {
                     return;
                 }
                 if slot.touched.swap(false, Ordering::Relaxed) {
@@ -817,17 +795,17 @@ impl<S> SketchStore<S> {
                         self.tier.account_demote_to_warm(resident, bytes.len());
                         Some(TierSlot::Warm(bytes))
                     }
-                    TierSlot::Warm(bytes) if budget_pressure => {
-                        self.tier
-                            .append_frozen(bytes)
-                            .map(|(segment, offset, len)| {
-                                self.tier.account_demote_to_frozen(bytes.len());
-                                TierSlot::Frozen {
-                                    segment,
-                                    offset,
-                                    len,
-                                }
-                            })
+                    TierSlot::Warm(bytes) if spill => {
+                        let frozen = self.tier.append_frozen(bytes);
+                        spill = frozen.is_some();
+                        frozen.map(|(segment, offset, len)| {
+                            self.tier.account_demote_to_frozen(bytes.len());
+                            TierSlot::Frozen {
+                                segment,
+                                offset,
+                                len,
+                            }
+                        })
                     }
                     _ => None,
                 };

@@ -569,7 +569,6 @@ fn durable_tiered_store_recovers() {
         let store = SketchStore::builder(move || SetSketch2::new(cfg, 2))
             .shards(4)
             .memory_budget_bytes(1)
-            .demote_after_writes(1)
             .durable_dir(scratch.path())
             .checkpoint_after_bytes(256)
             .build();

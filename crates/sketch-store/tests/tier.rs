@@ -58,9 +58,9 @@ fn ops_strategy() -> impl Strategy<Value = Vec<Op>> {
         .prop_map(|raw| raw.into_iter().map(decode_op).collect())
 }
 
-/// Runs `ops` against a maximally tiered store (1-byte budget, demotion
-/// scan on every write) and a plain store side by side, asserting they
-/// agree at every query and at the end.
+/// Runs `ops` against a maximally tiered store (a 1-byte budget, so
+/// every write runs a demotion scan) and a plain store side by side,
+/// asserting they agree at every query and at the end.
 fn drive<S>(
     factory: impl Fn() -> S + Clone + Send + Sync + 'static,
     ops: &[Op],
@@ -72,7 +72,6 @@ where
         SketchStore::builder(factory.clone())
             .shards(4)
             .memory_budget_bytes(1)
-            .demote_after_writes(1)
             .build()
     };
     let mut tiered = build_tiered();
@@ -283,24 +282,25 @@ fn budget_capped_store_ingests_ten_times_budget() {
 fn warm_slot_is_under_half_of_resident() {
     let config = SetSketchConfig::new(4096, 2.0, 20.0, 62).unwrap();
     let factory = move || SetSketch2::new(config, 11);
-    let store = SketchStore::builder(factory)
-        .shards(1)
-        .demote_after_writes(1)
-        .build();
-
     let batch: Vec<u64> = (0..20_000).collect();
-    store.ingest("dense", &batch);
     let mut reference = factory();
     reference.insert_batch(&batch);
+    let resident = reference.resident_bytes();
 
-    // Each write runs one clock revolution; the first clears "dense"'s
-    // second-chance bit, the second demotes it to warm.
-    store.ingest("other-a", &[1, 2, 3]);
-    store.ingest("other-b", &[4, 5, 6]);
+    // One byte short of the key's resident footprint: the write's scan
+    // clears "dense"'s second-chance bit, then compresses it, which
+    // brings the store back under budget.
+    let store = SketchStore::builder(factory)
+        .shards(1)
+        .memory_budget_bytes(resident - 1)
+        .build();
+    store.ingest("dense", &batch);
 
-    // Only the last write's key is still resident.
     let stats = store.tier_stats();
-    assert_eq!(stats.hot_keys, 1, "dense must have been demoted: {stats:?}");
+    assert_eq!(
+        stats.warm_keys, 1,
+        "dense must have been demoted: {stats:?}"
+    );
 
     // A full-store delta page carries the warm payload as stored,
     // without promoting.
@@ -313,7 +313,6 @@ fn warm_slot_is_under_half_of_resident() {
         .payload
         .len();
     assert_eq!(store.tier_stats(), stats, "the page must not promote");
-    let resident = reference.resident_bytes();
     assert!(
         compact * 2 < resident,
         "warm payload {compact} B is not under half of resident {resident} B"
@@ -477,6 +476,12 @@ fn failed_spill_appends_are_counted_and_surfaced() {
     assert!(
         stats.spill_append_failures > 0,
         "blocked spills must be counted: {stats:?}"
+    );
+    // One scan per write, and a scan stops spilling after its first
+    // failed append instead of retrying every warm key.
+    assert!(
+        stats.spill_append_failures <= 20,
+        "a scan must not retry a broken spill dir per key: {stats:?}"
     );
     assert_eq!(stats.frozen_keys, 0, "nothing can freeze: {stats:?}");
     assert_eq!(
