@@ -9,16 +9,15 @@
 //! * multi-threaded ingest scaling across shards;
 //! * cross-key joint queries (lock + estimator).
 //!
-//! Two custom-timed comparisons are recorded into
-//! `BENCH_pipeline.json` at the workspace root:
+//! Two custom-timed series follow:
 //!
 //! * **sync vs pipelined ingest** — one caller streaming 256-element
 //!   batches synchronously, against the same caller enqueueing into an
-//!   `IngestPipeline` drained by 1 / 2 / 4 dedicated writer threads;
-//! * **exact vs approximate all-pairs** — the warm LSH-pruned
-//!   similarity sweep at N keys with exact joint verification against
-//!   `Verification::Approximate` (the §3.3 D₀-based estimate), with
-//!   the pair-membership agreement at the threshold.
+//!   `IngestPipeline` drained by 1 / 2 / 4 dedicated writer threads,
+//!   recorded into `BENCH_pipeline.json` at the workspace root;
+//! * **warm all-pairs** — the LSH-pruned similarity sweep at N keys
+//!   over an index a first query already tuned and filled (printed
+//!   only).
 //!
 //! Passing `--test` (i.e. `cargo bench --bench store_throughput --
 //! --test`) or setting `STORE_THROUGHPUT_SMOKE=1` runs small smoke
@@ -273,7 +272,7 @@ fn run_pipeline_comparison(smoke: bool) -> PipelineReport {
     }
 }
 
-// --- Exact vs approximate all-pairs sweep ---------------------------
+// --- Warm all-pairs sweep --------------------------------------------
 
 fn sweep_config() -> SetSketchConfig {
     // m = 256 at b = 1.001: register collision probability ≈ J, the
@@ -306,95 +305,45 @@ fn build_sweep_store(n: usize) -> SketchStore<SetSketch1> {
     store
 }
 
-struct VerifyReport {
+struct SweepReport {
     n: usize,
     threshold: f64,
-    exact_millis: f64,
-    exact_pairs: usize,
-    approx_millis: f64,
-    approx_pairs: usize,
-    speedup: f64,
-    membership_overlap: f64,
-    max_jaccard_delta: f64,
+    millis: f64,
+    pairs: usize,
 }
 
-/// Warm (index maintained) all-pairs sweeps at `threshold`, exact vs
-/// approximate verification over the identical candidate set.
-fn run_verification_comparison(n: usize) -> VerifyReport {
+/// The median of three warm all-pairs sweeps at `threshold`: an
+/// untimed first query takes tuning and banding off the timings.
+fn run_warm_sweep(n: usize) -> SweepReport {
     let threshold = 0.5;
     let store = build_sweep_store(n);
-    let exact_options = QueryOptions::default();
-    // Take tuning + banding off both timings.
-    store.build_similarity_index_with(threshold, &exact_options);
-
-    let median3 = |op: &dyn Fn() -> Vec<sketch_store::SimilarPair>| {
-        let mut times: Vec<(f64, Vec<sketch_store::SimilarPair>)> = (0..3)
-            .map(|_| {
-                let start = Instant::now();
-                let result = op();
-                (start.elapsed().as_secs_f64() * 1e3, result)
-            })
-            .collect();
-        times.sort_by(|a, b| a.0.total_cmp(&b.0));
-        times.swap_remove(1)
-    };
-
-    let (exact_millis, exact) = median3(&|| {
+    let sweep = || {
         store
-            .all_pairs_with(threshold, &exact_options)
+            .all_pairs_with(threshold, &QueryOptions::default())
             .expect("compatible")
-    });
-    let approx_options = QueryOptions::default().approximate();
-    let (approx_millis, approx) = median3(&|| {
-        store
-            .all_pairs_with(threshold, &approx_options)
-            .expect("compatible")
-    });
-
-    // Membership agreement at the threshold: fraction of exact-mode
-    // pairs the approximate sweep also reports (both sweeps see the
-    // same candidates; disagreement is pure estimator noise at the
-    // threshold boundary). Also track the largest Jaccard disagreement
-    // on common pairs.
-    let mut overlap = 0usize;
-    let mut max_delta = 0.0f64;
-    let mut approx_iter = approx.iter().peekable();
-    for pair in &exact {
-        while approx_iter
-            .peek()
-            .is_some_and(|a| (&a.left, &a.right) < (&pair.left, &pair.right))
-        {
-            approx_iter.next();
-        }
-        if let Some(a) = approx_iter.peek() {
-            if (&a.left, &a.right) == (&pair.left, &pair.right) {
-                overlap += 1;
-                max_delta = max_delta.max((a.quantities.jaccard - pair.quantities.jaccard).abs());
-            }
-        }
-    }
-    let membership_overlap = if exact.is_empty() {
-        1.0
-    } else {
-        overlap as f64 / exact.len() as f64
     };
-
-    VerifyReport {
+    let pairs = sweep().len();
+    let mut times: Vec<f64> = (0..3)
+        .map(|_| {
+            let start = Instant::now();
+            let repeat = sweep();
+            let millis = start.elapsed().as_secs_f64() * 1e3;
+            assert_eq!(repeat.len(), pairs, "a warm sweep must repeat its answer");
+            millis
+        })
+        .collect();
+    times.sort_by(f64::total_cmp);
+    SweepReport {
         n,
         threshold,
-        exact_millis,
-        exact_pairs: exact.len(),
-        approx_millis,
-        approx_pairs: approx.len(),
-        speedup: exact_millis / approx_millis,
-        membership_overlap,
-        max_jaccard_delta: max_delta,
+        millis: times[1],
+        pairs,
     }
 }
 
 // --- Reporting ------------------------------------------------------
 
-fn print_reports(pipeline: &PipelineReport, verify: &VerifyReport) {
+fn print_reports(pipeline: &PipelineReport, sweep: &SweepReport) {
     let line = |name: &str, value: String| println!("{name:<60} {value}");
     line(
         &format!("pipeline/sync_insert_per_event/{}keys", PIPE_KEYS),
@@ -432,26 +381,15 @@ fn print_reports(pipeline: &PipelineReport, verify: &VerifyReport) {
         pipeline.cpus
     );
     line(
-        &format!("queries/all_pairs_exact_warm/{}", verify.n),
+        &format!("queries/all_pairs_warm/{}", sweep.n),
         format!(
-            "time: [{:.1} ms]  ({} pairs)",
-            verify.exact_millis, verify.exact_pairs
+            "time: [{:.1} ms]  ({} pairs at J >= {})",
+            sweep.millis, sweep.pairs, sweep.threshold
         ),
-    );
-    line(
-        &format!("queries/all_pairs_approximate_warm/{}", verify.n),
-        format!(
-            "time: [{:.1} ms]  ({} pairs)",
-            verify.approx_millis, verify.approx_pairs
-        ),
-    );
-    println!(
-        "verification: approximate {:.2}x faster, membership overlap {:.4} at J >= {}, max |ΔJ| {:.4}",
-        verify.speedup, verify.membership_overlap, verify.threshold, verify.max_jaccard_delta
     );
 }
 
-fn write_json(pipeline: &PipelineReport, verify: &VerifyReport) {
+fn write_json(pipeline: &PipelineReport) {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pipeline.json");
     let series: Vec<String> = pipeline
         .series
@@ -465,28 +403,19 @@ fn write_json(pipeline: &PipelineReport, verify: &VerifyReport) {
         })
         .collect();
     let json = format!(
-        "{{\n  \"note\": \"(1) one caller streaming one event stream over {keys} keys: \
+        "{{\n  \"note\": \"one caller streaming one event stream over {keys} keys: \
          synchronous per-event insert (the request-thread pattern) and synchronous \
          {batch}-element ingest, vs enqueueing {batch}-element batches into the bounded \
          pipeline drained by dedicated writer threads that coalesce each burst per key \
          (flush included in the timing); speedup_vs_sync_per_event is the serving-pattern \
          claim, speedup_vs_sync_batched isolates queue overhead and multi-core writer \
-         scaling (needs cpus > 1); (2) warm LSH-pruned all-pairs sweep: exact joint \
-         verification vs Verification::Approximate (section 3.3 D0-based estimate) over the \
-         identical candidate set\",\n  \
+         scaling (needs cpus > 1)\",\n  \
          \"pipeline\": {{\n    \"config\": {{\"keys\": {keys}, \"batch\": {batch}, \
          \"events\": {events}, \"shards\": 16, \"queue_depth\": 1024, \"m\": 256, \
          \"b\": 2.0, \"cpus\": {cpus}}},\n    \
          \"sync_per_event_millis\": {sync_pe:.1},\n    \
          \"sync_batched_millis\": {sync_b:.1},\n    \
-         \"pipelined\": [{series}]\n  }},\n  \
-         \"verification\": {{\n    \"config\": {{\"n_keys\": {n}, \"m\": 256, \"b\": 1.001, \
-         \"threshold\": {threshold}, \"elements_per_key\": 2000, \"seed\": 42}},\n    \
-         \"exact_warm\": {{\"millis\": {ex:.1}, \"pairs\": {exp}}},\n    \
-         \"approximate_warm\": {{\"millis\": {ap:.1}, \"pairs\": {app}}},\n    \
-         \"speedup\": {speedup:.2},\n    \
-         \"membership_overlap_at_threshold\": {overlap:.4},\n    \
-         \"max_jaccard_delta\": {delta:.4}\n  }}\n}}\n",
+         \"pipelined\": [{series}]\n  }}\n}}\n",
         keys = PIPE_KEYS,
         batch = PIPE_BATCH,
         events = pipeline.events,
@@ -494,30 +423,21 @@ fn write_json(pipeline: &PipelineReport, verify: &VerifyReport) {
         sync_pe = pipeline.sync_per_event_millis,
         sync_b = pipeline.sync_batched_millis,
         series = series.join(", "),
-        n = verify.n,
-        threshold = verify.threshold,
-        ex = verify.exact_millis,
-        exp = verify.exact_pairs,
-        ap = verify.approx_millis,
-        app = verify.approx_pairs,
-        speedup = verify.speedup,
-        overlap = verify.membership_overlap,
-        delta = verify.max_jaccard_delta,
     );
     if let Err(error) = std::fs::write(path, json) {
         eprintln!("warning: could not write {path}: {error}");
     } else {
-        println!("recorded pipeline + verification measurements into {path}");
+        println!("recorded pipeline measurements into {path}");
     }
 }
 
-fn bench_pipeline_and_verification(_c: &mut Criterion) {
+fn bench_pipeline_and_sweep(_c: &mut Criterion) {
     let smoke = smoke_mode();
     let pipeline = run_pipeline_comparison(smoke);
-    let verify = run_verification_comparison(if smoke { 400 } else { 10_000 });
-    print_reports(&pipeline, &verify);
+    let sweep = run_warm_sweep(if smoke { 400 } else { 10_000 });
+    print_reports(&pipeline, &sweep);
     if !smoke {
-        write_json(&pipeline, &verify);
+        write_json(&pipeline);
     }
 }
 
@@ -526,6 +446,6 @@ criterion_group!(
     bench_ingest,
     bench_parallel_ingest,
     bench_queries,
-    bench_pipeline_and_verification
+    bench_pipeline_and_sweep
 );
 criterion_main!(benches);

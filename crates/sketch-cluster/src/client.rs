@@ -58,11 +58,6 @@ where
         }
     }
 
-    /// The ring used for routing.
-    pub fn ring(&self) -> &HashRing {
-        &self.ring
-    }
-
     /// The transport the client routes through — handy for inspecting
     /// wrapper state ([`Resilient`](crate::Resilient) suspicion, fault
     /// injection in tests).

@@ -114,14 +114,9 @@ impl<T: Transport> FaultyTransport<T> {
         }
     }
 
-    /// Makes `peer` unreachable until [`heal`](Self::heal)ed.
+    /// Makes `peer` unreachable until [`heal_all`](Self::heal_all).
     pub fn partition(&self, peer: NodeId) {
         self.state.lock().partitioned.insert(peer);
-    }
-
-    /// Restores reachability of `peer`.
-    pub fn heal(&self, peer: NodeId) {
-        self.state.lock().partitioned.remove(&peer);
     }
 
     /// Restores reachability of every peer.

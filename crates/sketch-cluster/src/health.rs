@@ -183,13 +183,6 @@ impl<T: Transport> Resilient<T> {
             .unwrap_or(0)
     }
 
-    /// Clears all recorded state for `peer` — call when a node is
-    /// known to have restarted and re-advertised, so the first
-    /// exchange is not burned as a half-open probe.
-    pub fn forget(&self, peer: NodeId) {
-        self.peers.lock().remove(&peer);
-    }
-
     /// Orders `peers` healthiest first: non-suspect before suspect,
     /// then by fewest consecutive failures, ties broken by id for
     /// determinism. This is how bootstrap picks its donor — the peer

@@ -109,7 +109,7 @@ pub use client::{ClusterClient, FanOut};
 pub use error::ClusterError;
 pub use fault::{FaultPlan, FaultyTransport};
 pub use health::{HealthPolicy, Resilient, RetryPolicy};
-pub use node::{ClusterNode, ClusterSketch, SyncReport, DEFAULT_FULL_SYNC_EVERY};
+pub use node::{ClusterNode, ClusterSketch, SyncReport};
 pub use ring::{HashRing, DEFAULT_VNODES};
 pub use tcp::{TcpServer, TcpTimeouts, TcpTransport};
 pub use transport::{MemNetwork, TrafficStats, Transport};

@@ -96,7 +96,7 @@ pub struct SyncReport {
 
 /// How often a gossip tick upgrades one peer's delta pull to a full
 /// anti-entropy pull (every N-th tick, rotating through peers).
-pub const DEFAULT_FULL_SYNC_EVERY: u64 = 8;
+const FULL_SYNC_EVERY: u64 = 8;
 
 /// Most bytes of entries one [`Message::Delta`] page carries (it may
 /// run over by one entry). Small against the wire's frame limit and
@@ -123,7 +123,6 @@ pub struct ClusterNode<S> {
     high_water: Mutex<HashMap<NodeId, u64>>,
     /// Gossip tick counter; drives the anti-entropy rotation.
     ticks: AtomicU64,
-    full_sync_every: u64,
     /// The report of the last completed bootstrap of *this* node, if
     /// any — kept for operators ([`last_bootstrap`](Self::last_bootstrap)).
     last_bootstrap: Mutex<Option<BootstrapReport>>,
@@ -147,16 +146,8 @@ impl<S: ClusterSketch> ClusterNode<S> {
             prototype,
             high_water: Mutex::new(HashMap::new()),
             ticks: AtomicU64::new(0),
-            full_sync_every: DEFAULT_FULL_SYNC_EVERY,
             last_bootstrap: Mutex::new(None),
         }
-    }
-
-    /// Overrides how often a gossip tick runs a full anti-entropy pull
-    /// (default [`DEFAULT_FULL_SYNC_EVERY`]; `0` disables them).
-    pub fn full_sync_every(mut self, every: u64) -> Self {
-        self.full_sync_every = every;
-        self
     }
 
     /// This node's id.
@@ -409,8 +400,8 @@ impl<S: ClusterSketch> ClusterNode<S> {
     }
 
     /// One gossip tick: a delta pull from every peer, plus — every
-    /// [`full_sync_every`](Self::full_sync_every)-th tick — a full
-    /// anti-entropy pull from one peer, rotating through the peer set.
+    /// eighth tick — a full anti-entropy pull from one peer, rotating
+    /// through the peer set.
     /// A node whose store is empty first catches up from one donor
     /// ([`bootstrap_via`](Self::bootstrap_via), peers in order), so the
     /// pulls that follow start from fresh marks instead of shipping
@@ -428,12 +419,8 @@ impl<S: ClusterSketch> ClusterNode<S> {
         let mut reports = self.sync_round(transport);
         // A node that just pulled one peer's whole state has nothing
         // for a second full pull to repair yet.
-        if !caught_up
-            && self.full_sync_every > 0
-            && !self.peers.is_empty()
-            && tick % self.full_sync_every == 0
-        {
-            let peer = self.peers[(tick / self.full_sync_every) as usize % self.peers.len()];
+        if !caught_up && !self.peers.is_empty() && tick % FULL_SYNC_EVERY == 0 {
+            let peer = self.peers[(tick / FULL_SYNC_EVERY) as usize % self.peers.len()];
             reports.push((peer, self.full_sync_with(transport, peer)));
         }
         reports

@@ -170,11 +170,6 @@ impl TcpTransport {
         }
     }
 
-    /// The deadlines applied to every socket.
-    pub fn timeouts(&self) -> TcpTimeouts {
-        self.timeouts
-    }
-
     /// Adds (or replaces) the address of `peer` — replacement is how a
     /// restarted node re-advertises itself under a new port, and it
     /// closes the idle sockets connected to the old address.

@@ -270,35 +270,6 @@ pub trait Signature {
         jaccard
     }
 
-    /// Approximate joint estimate from register collisions alone (paper
-    /// §3.3): compares the two signatures with the vectorized
-    /// three-way kernel and inverts
-    /// [`register_collision_probability`](Self::register_collision_probability)
-    /// at the observed equal-register fraction `D₀/m`
-    /// ([`JointQuantities::from_collision_counts`]).
-    ///
-    /// Callers supply the cardinalities `n_u`, `n_v` (estimated or
-    /// known); the result carries the full derived quantities, like the
-    /// exact [`JointEstimator`] path, but costs one register comparison
-    /// pass plus one curve inversion instead of a likelihood
-    /// maximization — the latency-critical "approximate-quantity" mode
-    /// of bulk similarity sweeps. When the family's curve is a
-    /// conservative *lower* collision bound (SetSketch, GHLL,
-    /// HyperMinHash), the estimate is the paper's Ĵ_up of eq. (15).
-    ///
-    /// # Panics
-    /// Panics if the two signatures differ in length (incompatible
-    /// configurations).
-    fn approx_joint(&self, other: &Self, n_u: f64, n_v: f64) -> JointQuantities
-    where
-        Self: Sized,
-    {
-        let counts = JointCounts::from_u32(&self.signature(), &other.signature());
-        JointQuantities::from_collision_counts(n_u, n_v, counts, |jaccard| {
-            self.register_collision_probability(jaccard)
-        })
-    }
-
     /// True when signature registers are small *ordinal* scale values —
     /// SetSketch/GHLL-style `⌊1 − log_b h⌋` registers — where a ±1
     /// perturbation names a plausible near-miss register state.
@@ -440,24 +411,6 @@ mod tests {
         assert_eq!(toy.signature(), scratch);
         // MinHash-style default collision probability: identity in J.
         assert_eq!(toy.register_collision_probability(0.37), 0.37);
-    }
-
-    #[test]
-    fn approx_joint_inverts_the_collision_curve() {
-        // Toy signatures are 4 XOR-folded registers with the identity
-        // (MinHash) collision curve, so approx_joint reduces to D0/m.
-        let mut a = Toy::default();
-        let mut b = Toy::default();
-        a.insert_batch(&[4, 8]); // registers 0: 4^8, others 0
-        b.insert_batch(&[4, 8]);
-        let q = a.approx_joint(&b, 2.0, 2.0);
-        assert_eq!(q.jaccard, 1.0, "identical signatures");
-        b.insert_u64(5); // perturb register 1: D0 = 3 of 4
-        let q = a.approx_joint(&b, 2.0, 3.0);
-        assert!((q.jaccard - (2.0f64 / 3.0)).abs() < 1e-12, "{}", q.jaccard);
-        // D0/m = 0.75 clamped to the feasible range min(u/v, v/u) = 2/3.
-        assert_eq!(q.n_u, 2.0);
-        assert_eq!(q.n_v, 3.0);
     }
 
     #[test]

@@ -280,52 +280,6 @@ impl JointQuantities {
             overlap,
         }
     }
-
-    /// Joint quantities from the *approximate* D₀-based Jaccard estimate
-    /// of paper §3.3: the observed equal-register fraction `d0 / m` is
-    /// pushed through the inverse of the family's (monotone)
-    /// register-collision-probability curve, and the resulting Jaccard —
-    /// clamped to the feasible range `[0, min(n_u/n_v, n_v/n_u)]` — is
-    /// expanded into all quantities via [`new`](Self::new).
-    ///
-    /// Unlike the maximum-likelihood estimator ([`ml_jaccard`]) this
-    /// never iterates a likelihood: one curve inversion per call, which
-    /// latency-critical bulk sweeps amortize further by tabulating the
-    /// inverse over all `m + 1` possible `d0` values. The price is the
-    /// §3.3 RMSE envelope (Figure 4) instead of the tighter ML error,
-    /// and a conservative (downward-biased) estimate whenever the curve
-    /// is the family's lower collision bound.
-    pub fn from_collision_counts(
-        n_u: f64,
-        n_v: f64,
-        counts: JointCounts,
-        collision_probability: impl Fn(f64) -> f64,
-    ) -> Self {
-        let m = counts.m();
-        if m == 0 {
-            return Self::from_estimated_jaccard(n_u, n_v, 0.0);
-        }
-        let p = counts.d0 as f64 / m as f64;
-        Self::from_estimated_jaccard(
-            n_u,
-            n_v,
-            invert_collision_probability(p, collision_probability),
-        )
-    }
-
-    /// Joint quantities from a Jaccard estimate produced elsewhere —
-    /// e.g. a tabulated §3.3 collision-curve inversion — applying the
-    /// same degenerate-cardinality handling and feasible-range clamp
-    /// (`J ≤ min(n_u/n_v, n_v/n_u)`) as
-    /// [`from_collision_counts`](Self::from_collision_counts), so bulk
-    /// callers that precompute the inversion share one set of clamp
-    /// semantics with the per-pair path.
-    pub fn from_estimated_jaccard(n_u: f64, n_v: f64, jaccard: f64) -> Self {
-        if n_u <= 0.0 || n_v <= 0.0 {
-            return Self::new(n_u.max(0.0), n_v.max(0.0), 0.0);
-        }
-        Self::new(n_u, n_v, jaccard.clamp(0.0, jaccard_upper_limit(n_u, n_v)))
-    }
 }
 
 #[cfg(test)]
@@ -485,28 +439,6 @@ mod tests {
         assert_eq!(invert_collision_probability(-0.5, |j| j), 0.0);
         assert_eq!(invert_collision_probability(1.5, |j| j), 1.0);
         assert_eq!(invert_collision_probability(f64::NAN, |j| j), 0.0);
-    }
-
-    #[test]
-    fn from_collision_counts_recovers_jaccard() {
-        // 3 of 4 registers equal under the identity curve: J = 0.75.
-        let counts = JointCounts::new(1, 0, 3);
-        let q = JointQuantities::from_collision_counts(100.0, 100.0, counts, |j| j);
-        assert!((q.jaccard - 0.75).abs() < 1e-12);
-        assert!((q.intersection - 200.0 * 0.75 / 1.75).abs() < 1e-6);
-        // Asymmetric cardinalities clamp to the feasible range.
-        let q = JointQuantities::from_collision_counts(10.0, 100.0, counts, |j| j);
-        assert!((q.jaccard - 0.1).abs() < 1e-12, "jaccard {}", q.jaccard);
-    }
-
-    #[test]
-    fn from_collision_counts_handles_degenerate_inputs() {
-        let q = JointQuantities::from_collision_counts(0.0, 50.0, JointCounts::new(0, 0, 8), |j| j);
-        assert_eq!(q.jaccard, 0.0);
-        assert_eq!(q.n_v, 50.0);
-        let q =
-            JointQuantities::from_collision_counts(10.0, 10.0, JointCounts::new(0, 0, 0), |j| j);
-        assert_eq!(q.jaccard, 0.0);
     }
 
     #[test]

@@ -16,10 +16,11 @@
 
 use super::cluster::k_center;
 use super::ProbeStats;
+use crate::query::BANDING_RECALL;
 use crate::store::SketchStore;
 use lsh::{plan_bandings, Banding, ClusterLoad, LshIndex};
 use sketch_core::centroid::signature_distance;
-use sketch_core::{CardinalityEstimator, JointEstimator, Signature};
+use sketch_core::{invert_collision_probability, CardinalityEstimator, JointEstimator, Signature};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -142,6 +143,28 @@ impl<S> SketchStore<S>
 where
     S: Signature + JointEstimator + CardinalityEstimator + Clone + Send + Sync,
 {
+    /// Inverse of the family's register-collision-probability curve at
+    /// every possible equal-register count `d0 ∈ 0..=m`, probed on an
+    /// empty factory sketch — the table centroid distances are looked
+    /// up in. The curve is a configuration property, so the table is
+    /// computed once per store and shared (by `Arc`) with every
+    /// clustered state.
+    fn collision_inverse_table(&self) -> Arc<[f64]> {
+        self.collision_inverse
+            .get_or_init(|| {
+                let probe = self.make_sketch();
+                let m = probe.signature_len();
+                (0..=m)
+                    .map(|d0| {
+                        invert_collision_probability(d0 as f64 / m.max(1) as f64, |jaccard| {
+                            probe.register_collision_probability(jaccard)
+                        })
+                    })
+                    .collect()
+            })
+            .clone()
+    }
+
     /// Sweeps every live key's `(key, version, signature)` out of the
     /// store (peeking, never promoting), sorted by key — shard maps are
     /// hash-ordered, and the k-center seeding must see a deterministic
@@ -186,7 +209,6 @@ where
     pub(crate) fn build_clustered_state(
         &self,
         threshold: f64,
-        banding_recall: f64,
         params: ClusteredParams,
     ) -> ClusteredState {
         let jaccard_by_d0 = self.collision_inverse_table();
@@ -225,12 +247,12 @@ where
                     .register_collision_probability(effective_threshold(threshold, distances)),
             })
             .collect();
-        let plans = plan_bandings(m, banding_recall, params.memory_budget_bytes, &loads);
+        let plans = plan_bandings(m, BANDING_RECALL, params.memory_budget_bytes, &loads);
 
         let global = Banding::tune(
             m,
             probe.register_collision_probability(threshold),
-            banding_recall,
+            BANDING_RECALL,
         )
         .expect("clustered states are only built at tunable operating points");
         state.clusters = clustering

@@ -241,7 +241,7 @@ impl<S: Mergeable + Clone + PartialEq> SketchStore<S> {
                             .map_err(StoreError::incompatible)?;
                         self.tier.account_insert_hot(&fresh);
                         slot.state = TierSlot::Hot(fresh);
-                        slot.version = self.next_version();
+                        slot.restamp(self.next_version());
                         slot.touch();
                         true
                     } else {
@@ -254,7 +254,7 @@ impl<S: Mergeable + Clone + PartialEq> SketchStore<S> {
                         if changed {
                             self.tier
                                 .account_write(slot.hot_mut(), |current| *current = merged);
-                            slot.version = self.next_version();
+                            slot.restamp(self.next_version());
                         }
                         changed
                     }

@@ -60,22 +60,19 @@
 //!   back bit-for-bit — truncating torn tails and quarantining
 //!   bit-rotted records into a typed [`RecoveryReport`] instead of
 //!   panicking;
-//! * **similarity queries at scale** — three entry points over one
-//!   engine: [`SketchStore::similar_keys_with`] (top-k),
-//!   [`SketchStore::all_pairs_with`] (threshold sweep) and
-//!   [`SketchStore::build_similarity_index_with`] (index warm-up).
+//! * **similarity queries at scale** — two entry points over one
+//!   engine: [`SketchStore::similar_keys_with`] (top-k) and
+//!   [`SketchStore::all_pairs_with`] (threshold sweep).
 //!   [`QueryOptions::index`] picks where candidates come from —
 //!   [`IndexStrategy::Flat`], an incrementally maintained banding LSH
 //!   index over the sketches' own registers (paper §3.3),
 //!   [`IndexStrategy::Clustered`], per-cluster bandings with centroid
 //!   routing, or [`IndexStrategy::Exhaustive`], every key or pair, the
 //!   reference the other two are measured against — and survivors are
-//!   verified in parallel: sub-quadratic where N·(N−1)/2
-//!   [`joint`](SketchStore::joint) calls are not. The remaining
-//!   [`QueryOptions`] are the banding recall target, the worker count
-//!   and [`Verification::Approximate`] — the §3.3 D₀-based
-//!   approximate-quantity mode that replaces per-pair likelihood
-//!   maximization with one register comparison and a table lookup.
+//!   verified in parallel by the family's exact joint estimator:
+//!   sub-quadratic where N·(N−1)/2 [`joint`](SketchStore::joint) calls
+//!   are not, with the same quantities. The other option,
+//!   [`QueryOptions::threads`], caps the verification workers.
 //!
 //! ## Concurrent ingest
 //!
@@ -148,9 +145,7 @@ pub use builder::StoreBuilder;
 pub use delta::{DeltaEntry, StoreDelta};
 pub use error::StoreError;
 pub use pipeline::{IngestPipeline, DEFAULT_QUEUE_DEPTH, DEFAULT_WRITER_THREADS};
-pub use query::{
-    Neighbor, QueryOptions, SimilarPair, SimilarityIndexInfo, Verification, DEFAULT_RECALL_TARGET,
-};
+pub use query::{Neighbor, QueryOptions, SimilarPair, SimilarityIndexInfo};
 pub use store::{SketchStore, DEFAULT_SHARDS};
 pub use tier::TierStats;
 pub use wal::{FsyncPolicy, RecoveryReport};

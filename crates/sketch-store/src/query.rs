@@ -1,4 +1,4 @@
-//! Batched cross-key similarity queries: one engine behind three entry
+//! Batched cross-key similarity queries: one engine behind two entry
 //! points, with typed per-query options.
 //!
 //! Answering "which of my N keys are similar?" with per-pair
@@ -9,9 +9,7 @@
 //! * [`SketchStore::similar_keys_with`] — the `k` keys most similar to
 //!   one key;
 //! * [`SketchStore::all_pairs_with`] — every pair at or above a
-//!   threshold;
-//! * [`SketchStore::build_similarity_index_with`] — stage 1 + 2 only,
-//!   to move index work off the first query's latency.
+//!   threshold.
 //!
 //! 1. **Candidate generation** — picked by [`QueryOptions::index`].
 //!    [`IndexStrategy::Flat`] (the default) keeps the stored sketches'
@@ -19,12 +17,12 @@
 //!    ([`sketch_core::Signature`], paper §3.3) in one banding
 //!    [`LshIndex`] whose band/row layout is auto-tuned from the
 //!    family's collision-probability bound at the query threshold
-//!    ([`Banding::tune`]); only keys sharing a bucket become
-//!    candidates. [`IndexStrategy::Clustered`] swaps in the clustered
-//!    ANN index ([`crate::ann`]). [`IndexStrategy::Exhaustive`] skips
-//!    the index: every key (top-k) or every pair (sweep) is a
-//!    candidate — the ground-truth reference the pruned strategies'
-//!    recall is measured against.
+//!    ([`Banding::tune`], at [`BANDING_RECALL`]); only keys sharing a
+//!    bucket become candidates. [`IndexStrategy::Clustered`] swaps in
+//!    the clustered ANN index ([`crate::ann`]).
+//!    [`IndexStrategy::Exhaustive`] skips the index: every key (top-k)
+//!    or every pair (sweep) is a candidate — the ground-truth reference
+//!    the pruned strategies' recall is measured against.
 //! 2. **Incremental maintenance** — every store write stamps the key's
 //!    slot with a fresh version and raises its shard's mutation mark;
 //!    each cached index state records the mark it last swept every
@@ -39,21 +37,16 @@
 //!    the clustered strategy, whose probes update routing counters)
 //!    takes the write lock. Steady query traffic never pays a full index
 //!    rebuild.
-//! 3. **Verification** — every candidate pair is verified over a
+//! 3. **Exact verification** — every candidate pair is verified over a
 //!    point-in-time extraction (cold slots are peeked, never promoted),
 //!    fanned out across worker threads with per-worker result buffers.
 //!    Each key's cardinality estimate is computed once per version and
-//!    cached, not once per pair. [`Verification::Exact`] (the default)
-//!    runs the family's exact joint estimator (the `compare_counts`
-//!    register kernel feeding a likelihood maximization) through
+//!    cached in its slot, not once per pair. The verifier is the
+//!    family's exact joint estimator (the `compare_counts` register
+//!    kernel feeding the paper's §3.2 likelihood maximization) through
 //!    [`JointEstimator::joint_with_cardinalities`], so a reported pair's
 //!    quantities equal [`SketchStore::joint`] on the same keys whichever
-//!    strategy made it a candidate. [`Verification::Approximate`]
-//!    instead reports the paper's §3.3 D₀-based estimate: one register
-//!    comparison per pair plus a table lookup that inverts the family's
-//!    collision-probability curve at the observed equal-register
-//!    fraction — the "approximate-quantity" mode for latency-critical
-//!    sweeps.
+//!    strategy made it a candidate.
 //!
 //! The exhaustive strategy is not a second code path: it is the two
 //! fallbacks the indexed strategies already need. When the threshold
@@ -68,79 +61,45 @@ use crate::ann::{router, ClusteredIndexInfo, IndexStrategy};
 use crate::error::StoreError;
 use crate::store::SketchStore;
 use lsh::{Banding, LshIndex};
-use sketch_core::{
-    invert_collision_probability, CardinalityEstimator, JointCounts, JointEstimator,
-    JointQuantities, Signature,
-};
+use sketch_core::{CardinalityEstimator, JointEstimator, JointQuantities, Signature};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
-/// Default banding recall target ([`QueryOptions::recall_target`]): the
-/// banding stage is laid out so that a pair *at* the query threshold
-/// still becomes a candidate with this probability (more similar pairs
-/// exceed it).
-pub const DEFAULT_RECALL_TARGET: f64 = 0.98;
+/// Banding recall: every banding (the flat index's, and each cluster's
+/// of the clustered index) is laid out so that a pair *at* the query
+/// threshold still becomes a candidate with this probability (more
+/// similar pairs exceed it).
+pub(crate) const BANDING_RECALL: f64 = 0.98;
 
 /// Candidate pairs handed to one worker at a time during verification.
 const VERIFY_CHUNK: usize = 256;
 
-/// Bound on cached index states, one per distinct (threshold, recall
-/// target, strategy) operating point (the least recently used is
-/// evicted first). Bounding the cache keeps a service that sweeps many
-/// thresholds from hoarding band tables; alternating between a few
-/// operating points never re-tunes or re-bands.
+/// Bound on cached index states, one per distinct (threshold, strategy)
+/// operating point (the least recently used is evicted first). Bounding
+/// the cache keeps a service that sweeps many thresholds from hoarding
+/// band tables; alternating between a few operating points never
+/// re-tunes or re-bands.
 const INDEX_CACHE_CAPACITY: usize = 4;
 
-/// How candidate pairs are verified before being reported.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Verification {
-    /// The family's exact joint estimator — the same code path as
-    /// [`SketchStore::joint`], so a reported pair's quantities are
-    /// independent of how it became a candidate. The default.
-    #[default]
-    Exact,
-    /// The paper's §3.3 D₀-based estimate: per-entry signatures and
-    /// cardinalities are extracted once, then each pair costs one
-    /// vectorized register comparison and a lookup in a precomputed
-    /// inversion table of the family's collision-probability curve
-    /// ([`JointQuantities::from_collision_counts`] semantics). Orders
-    /// of magnitude cheaper per pair than a likelihood maximization;
-    /// accuracy is the §3.3 RMSE envelope (paper Figure 4) instead of
-    /// the tighter maximum-likelihood error, and the estimate is
-    /// conservative (downward-biased) for families whose curve is a
-    /// lower collision bound (SetSketch, GHLL, HyperMinHash).
-    Approximate,
-}
-
 /// Typed per-query options of the similarity engine, accepted by
-/// [`SketchStore::similar_keys_with`], [`SketchStore::all_pairs_with`]
-/// and [`SketchStore::build_similarity_index_with`].
+/// [`SketchStore::similar_keys_with`] and [`SketchStore::all_pairs_with`].
 ///
 /// The struct is plain data with a [`Default`]; build it with struct
 /// update syntax or the fluent helpers:
 ///
 /// ```
-/// use sketch_store::{IndexStrategy, QueryOptions, Verification};
+/// use sketch_store::{IndexStrategy, QueryOptions};
 ///
 /// let options = QueryOptions::default()
-///     .approximate()          // §3.3 D₀-based verification
-///     .recall_target(0.9)     // more selective banding
-///     .threads(2);            // cap verification workers
-/// assert_eq!(options.verification, Verification::Approximate);
-/// assert_eq!(options.index, IndexStrategy::Flat);
+///     .index(IndexStrategy::Exhaustive) // verify every pair
+///     .threads(2);                      // cap verification workers
+/// assert_eq!(options.index, IndexStrategy::Exhaustive);
+/// assert_eq!(options.threads, Some(2));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct QueryOptions {
-    /// How candidate pairs are verified (default
-    /// [`Verification::Exact`]).
-    pub verification: Verification,
-    /// Recall the banding stage must retain for pairs at the query
-    /// threshold (default [`DEFAULT_RECALL_TARGET`]). Lower targets
-    /// allow more selective bandings — fewer false candidates, more
-    /// missed true pairs.
-    pub recall_target: f64,
-    /// Verification worker threads; `None` (default) uses the machine's
-    /// available parallelism.
+    /// Worker threads that verify candidates; `None` (default) uses the
+    /// machine's available parallelism.
     pub threads: Option<usize>,
     /// Where candidates come from (default [`IndexStrategy::Flat`]):
     /// the flat banding index, the clustered ANN index
@@ -149,36 +108,7 @@ pub struct QueryOptions {
     pub index: IndexStrategy,
 }
 
-impl Default for QueryOptions {
-    fn default() -> Self {
-        QueryOptions {
-            verification: Verification::Exact,
-            recall_target: DEFAULT_RECALL_TARGET,
-            threads: None,
-            index: IndexStrategy::Flat,
-        }
-    }
-}
-
 impl QueryOptions {
-    /// Selects [`Verification::Approximate`].
-    pub fn approximate(mut self) -> Self {
-        self.verification = Verification::Approximate;
-        self
-    }
-
-    /// Selects [`Verification::Exact`] (the default).
-    pub fn exact(mut self) -> Self {
-        self.verification = Verification::Exact;
-        self
-    }
-
-    /// Sets the banding recall target.
-    pub fn recall_target(mut self, target: f64) -> Self {
-        self.recall_target = target;
-        self
-    }
-
     /// Caps the verification worker count.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
@@ -197,8 +127,6 @@ impl QueryOptions {
 pub(crate) struct SimilarityIndex {
     /// Jaccard threshold the banding was tuned for.
     threshold: f64,
-    /// Recall target the banding was tuned to.
-    recall_target: f64,
     /// Strategy the state was requested under (part of the cache key;
     /// the backend may lag it across the flat↔clustered cutover).
     strategy: IndexStrategy,
@@ -212,13 +140,9 @@ pub(crate) struct SimilarityIndex {
 
 impl SimilarityIndex {
     /// True when this state answers the operating point
-    /// `(threshold, options)`. Recall targets are quantized before
-    /// matching, so values differing only past display precision (0.98
-    /// vs 0.9800001) share one state instead of thrashing the cache.
-    fn serves(&self, threshold: f64, options: &QueryOptions) -> bool {
-        self.threshold == threshold
-            && quantize_recall(self.recall_target) == quantize_recall(options.recall_target)
-            && strategies_match(self.strategy, options.index)
+    /// `(threshold, strategy)`.
+    fn serves(&self, threshold: f64, strategy: IndexStrategy) -> bool {
+        self.threshold == threshold && strategies_match(self.strategy, strategy)
     }
 }
 
@@ -331,24 +255,20 @@ impl SweepCandidates {
 }
 
 /// A pair of store keys whose verified similarity cleared the sweep
-/// threshold, with the joint estimate the sweep's
-/// [`Verification`] mode produced (exact by default).
+/// threshold, with its joint estimate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimilarPair {
     /// Lexicographically smaller key (the `U` side of `quantities`).
     pub left: String,
     /// Lexicographically larger key (the `V` side of `quantities`).
     pub right: String,
-    /// Joint estimate of the pair. Under [`Verification::Exact`] this
-    /// is identical to [`SketchStore::joint`] on the same states; under
-    /// [`Verification::Approximate`] it carries the §3.3 D₀-based
-    /// estimate.
+    /// Joint estimate of the pair, identical to [`SketchStore::joint`]
+    /// on the same states.
     pub quantities: JointQuantities,
 }
 
 /// One result of a top-k query: a neighboring key and the joint
-/// estimate against the query key (query on the `U` side; exact under
-/// the default options).
+/// estimate against the query key (query on the `U` side).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Neighbor {
     /// The neighboring key.
@@ -362,8 +282,6 @@ pub struct Neighbor {
 pub struct SimilarityIndexInfo {
     /// Threshold the index is tuned for.
     pub threshold: f64,
-    /// Recall target the banding was tuned to.
-    pub recall_target: f64,
     /// Effective global banding, or `None` when queries at this
     /// threshold run exhaustively — and also `None` for clustered
     /// states, whose per-cluster layouts are summarized by `clustered`
@@ -414,7 +332,6 @@ impl<S> SketchStore<S> {
             let cache_misses = self.index_cache_misses.load(Ordering::Relaxed);
             SimilarityIndexInfo {
                 threshold: index.threshold,
-                recall_target: index.recall_target,
                 banding,
                 indexed_keys,
                 cache_hits: self
@@ -432,24 +349,6 @@ impl<S> SketchStore<S>
 where
     S: Signature + JointEstimator + CardinalityEstimator + Clone + Send + Sync,
 {
-    /// Tunes (if needed) and incrementally refreshes the similarity
-    /// index for the operating point `(threshold, options)` without
-    /// running a query. Queries do this on demand; calling it eagerly
-    /// (e.g. after a bulk load) moves the banding work off the first
-    /// query's latency. A no-op under [`IndexStrategy::Exhaustive`],
-    /// which has no index.
-    ///
-    /// # Panics
-    /// Panics if `threshold` is outside `[0, 1]` or
-    /// `options.recall_target` is outside `(0, 1]`.
-    pub fn build_similarity_index_with(&self, threshold: f64, options: &QueryOptions) {
-        check_threshold(threshold);
-        check_recall_target(options.recall_target);
-        if options.index != IndexStrategy::Exhaustive {
-            self.fresh_index(&mut self.similarity.write(), threshold, options);
-        }
-    }
-
     /// The `k` keys most similar to `key`, with joint estimates (query
     /// on the `U` side).
     ///
@@ -470,8 +369,7 @@ where
     /// banding only covers pairs at or above it).
     ///
     /// # Panics
-    /// Panics if `threshold` is outside `[0, 1]` or
-    /// `options.recall_target` is outside `(0, 1]`.
+    /// Panics if `threshold` is outside `[0, 1]`.
     ///
     /// # Errors
     /// [`StoreError::KeyNotFound`] if `key` holds no sketch,
@@ -485,7 +383,6 @@ where
         options: &QueryOptions,
     ) -> Result<Vec<Neighbor>, StoreError> {
         check_threshold(threshold);
-        check_recall_target(options.recall_target);
         let not_found = || StoreError::KeyNotFound(key.to_owned());
         // `None` means no index answered: exhaustive strategy, or no
         // banding tunes at this threshold.
@@ -524,7 +421,7 @@ where
         // The verification inputs cover only the query key (first) and
         // the candidates, never the whole store.
         candidates.insert(0, key.to_owned());
-        let entries = self.verify_entries(candidates, options.verification);
+        let entries = self.verify_entries(candidates);
         if entries.keys.first().map(String::as_str) != Some(key) {
             return Err(not_found());
         }
@@ -555,24 +452,17 @@ where
     /// of the (incrementally refreshed) index `options.index` selects;
     /// each is then verified over a point-in-time extraction, in
     /// parallel. An index can only *miss* pairs, with probability
-    /// bounded by the tuned recall (98 % at the threshold by default,
-    /// higher above it); what it reports is a subset of the
+    /// bounded by the tuned recall (98 % at the threshold, higher above
+    /// it); what it reports is a subset of the
     /// [`IndexStrategy::Exhaustive`] sweep with the same quantities.
     /// At thresholds where no banding meets the recall target (e.g.
     /// `0.0`) every strategy verifies the full pair triangle.
-    ///
-    /// With [`Verification::Approximate`]
-    /// (`QueryOptions::default().approximate()`) the sweep skips the
-    /// exact joint estimator and reports the §3.3 D₀-based estimate
-    /// from one register comparison per pair — for latency-critical
-    /// callers that can live with the §3.3 RMSE envelope.
     ///
     /// Results are sorted by `(left, right)`; each pair appears once
     /// with `left < right`.
     ///
     /// # Panics
-    /// Panics if `threshold` is outside `[0, 1]` or
-    /// `options.recall_target` is outside `(0, 1]`.
+    /// Panics if `threshold` is outside `[0, 1]`.
     ///
     /// # Errors
     /// [`StoreError::Incompatible`] if verification meets a sketch
@@ -583,7 +473,6 @@ where
         options: &QueryOptions,
     ) -> Result<Vec<SimilarPair>, StoreError> {
         check_threshold(threshold);
-        check_recall_target(options.recall_target);
         // `None` means no index answered (see `similar_keys_with`).
         let candidates = if options.index == IndexStrategy::Exhaustive {
             None
@@ -595,7 +484,7 @@ where
             })
         };
 
-        let entries = self.verify_entries(self.keys(), options.verification);
+        let entries = self.verify_entries(self.keys());
         let hits = match candidates {
             Some(candidates) => {
                 let position: HashMap<&str, u32> = (0u32..)
@@ -637,60 +526,34 @@ where
             .collect())
     }
 
-    /// Point-in-time verification inputs for `names`, in that order: one
-    /// cardinality estimate per key, plus a sketch clone for exact
-    /// verification or a signature (no clone) for approximate. Each key
-    /// is peeked under its shard's read lock — cold (warm/frozen) slots
-    /// are decompressed into a temporary and **not promoted**, so a
-    /// sweep cannot blow the residency budget it runs under. Keys that
+    /// Point-in-time verification inputs for `names`, in that order: a
+    /// sketch clone and a cardinality estimate per key. Each key is
+    /// peeked under its shard's read lock — cold (warm/frozen) slots are
+    /// decompressed into a temporary and **not promoted**, so a sweep
+    /// cannot blow the residency budget it runs under. Keys that
     /// vanished since `names` was gathered, and corrupt cold slots,
     /// contribute no entry: the query answers from what survives.
     ///
-    /// Cardinalities come from the per-key cache when the slot's
-    /// version stamp has not moved since they were computed (any write
-    /// moves the stamp, so a stale figure is never served). The cache
-    /// mutex is always the innermost lock — taken under at most one
-    /// shard lock, never the other way around — and entries are only
-    /// added under the key's shard read lock, so the removal that drops
-    /// an entry under the write lock cannot be overtaken.
-    fn verify_entries(&self, names: Vec<String>, verification: Verification) -> VerifyEntries<S> {
+    /// Cardinalities come from the slot's cache, which every version
+    /// bump clears under the shard's write lock
+    /// ([`Slot::restamp`](crate::store::Slot::restamp)), so a stale
+    /// figure is never served.
+    fn verify_entries(&self, names: Vec<String>) -> VerifyEntries<S> {
         let mut keys = Vec::with_capacity(names.len());
         let mut cardinalities = Vec::with_capacity(names.len());
-        let mut inputs = match verification {
-            Verification::Exact => VerifyInputs::Exact(Vec::with_capacity(names.len())),
-            Verification::Approximate => VerifyInputs::Approximate {
-                signatures: Vec::with_capacity(names.len()),
-                jaccard_by_d0: self.collision_inverse_table(),
-            },
-        };
+        let mut sketches = Vec::with_capacity(names.len());
         for name in names {
             let shard = self.shard(&name).read();
             let Some(slot) = shard.get(&name) else {
                 continue;
             };
-            let cached = self
-                .cardinality_cache
-                .lock()
-                .get(&name)
-                .filter(|(version, _)| *version == slot.version)
-                .map(|&(_, cardinality)| cardinality);
             let extracted = self.peek_slot(slot, |sketch| {
-                match &mut inputs {
-                    VerifyInputs::Exact(sketches) => sketches.push(sketch.clone()),
-                    VerifyInputs::Approximate { signatures, .. } => {
-                        signatures.push(sketch.signature())
-                    }
-                }
-                cached.unwrap_or_else(|| sketch.cardinality())
+                sketches.push(sketch.clone());
+                slot.cardinality_or(|| sketch.cardinality())
             });
             let Some(cardinality) = extracted else {
                 continue;
             };
-            if cached.is_none() {
-                self.cardinality_cache
-                    .lock()
-                    .insert(name.clone(), (slot.version, cardinality));
-            }
             drop(shard);
             cardinalities.push(cardinality);
             keys.push(name);
@@ -698,34 +561,13 @@ where
         VerifyEntries {
             keys,
             cardinalities,
-            inputs,
+            sketches,
         }
     }
 
-    /// Inverse of the family's register-collision-probability curve at
-    /// every possible equal-register count `d0 ∈ 0..=m`, probed on an
-    /// empty factory sketch. The curve is a configuration property, so
-    /// the table is computed once per store and shared (by `Arc`) with
-    /// every approximate-mode query.
-    pub(crate) fn collision_inverse_table(&self) -> std::sync::Arc<[f64]> {
-        self.collision_inverse
-            .get_or_init(|| {
-                let probe = self.make_sketch();
-                let m = probe.signature_len();
-                (0..=m)
-                    .map(|d0| {
-                        invert_collision_probability(d0 as f64 / m.max(1) as f64, |jaccard| {
-                            probe.register_collision_probability(jaccard)
-                        })
-                    })
-                    .collect()
-            })
-            .clone()
-    }
-
     /// Runs one probe against the up-to-date index state of the
-    /// operating point `(threshold, options)`: `flat` on a flat backend,
-    /// `clustered` on a clustered one.
+    /// operating point `(threshold, options.index)`: `flat` on a flat
+    /// backend, `clustered` on a clustered one.
     ///
     /// A flat-strategy state that is current for every shard is probed
     /// under the shared read lock, so concurrent queries on a quiet
@@ -744,7 +586,7 @@ where
             let cache = self.similarity.read();
             let current = cache
                 .iter()
-                .find(|index| index.serves(threshold, options))
+                .find(|index| index.serves(threshold, options.index))
                 .and_then(|index| match &index.backend {
                     Backend::Flat(state) if self.is_current(state) => Some((index, state)),
                     _ => None,
@@ -770,8 +612,8 @@ where
     }
 
     /// Returns the cached index state for the operating point
-    /// `(threshold, recall_target, strategy)` — created and tuned on
-    /// first use, then brought up to date with the store. At most
+    /// `(threshold, options.index)` — created and tuned on first use, then
+    /// brought up to date with the store. At most
     /// [`INDEX_CACHE_CAPACITY`] states are kept, the least recently
     /// used evicted first, so callers alternating between a few
     /// operating points — e.g. a 0.7 sweep interleaved with 0.5 top-k
@@ -787,7 +629,7 @@ where
         let stamp = self.index_lookups.fetch_add(1, Ordering::Relaxed) + 1;
         let at = match cache
             .iter()
-            .position(|index| index.serves(threshold, options))
+            .position(|index| index.serves(threshold, options.index))
         {
             Some(at) => at,
             None => {
@@ -804,10 +646,9 @@ where
                 // centroids).
                 cache.push(SimilarityIndex {
                     threshold,
-                    recall_target: options.recall_target,
                     strategy: options.index,
                     last_used: AtomicU64::new(stamp),
-                    backend: Backend::Flat(self.flat_backend(threshold, options.recall_target)),
+                    backend: Backend::Flat(self.flat_backend(threshold)),
                 });
                 cache.len() - 1
             }
@@ -822,10 +663,10 @@ where
     /// from the family's locality bound at the threshold, probed on an
     /// empty factory sketch (the collision probability is a
     /// configuration property, not a state one).
-    fn flat_backend(&self, threshold: f64, recall_target: f64) -> FlatIndex {
+    fn flat_backend(&self, threshold: f64) -> FlatIndex {
         let probe = self.make_sketch();
         let p = probe.register_collision_probability(threshold);
-        let banding = Banding::tune(probe.signature_len(), p, recall_target);
+        let banding = Banding::tune(probe.signature_len(), p, BANDING_RECALL);
         let lsh = banding
             .map(|b| LshIndex::new(b.bands, b.rows).expect("tuned banding has bands, rows >= 1"));
         FlatIndex {
@@ -865,16 +706,13 @@ where
                 // recall target (e.g. 0.0) the flat backend's
                 // exhaustive fallback is already the right answer.
                 Backend::Flat(flat) if flat.banding.is_some() && live >= flat_cutover => {
-                    index.backend = Backend::Clustered(Box::new(self.build_clustered_state(
-                        index.threshold,
-                        index.recall_target,
-                        params,
-                    )));
+                    index.backend = Backend::Clustered(Box::new(
+                        self.build_clustered_state(index.threshold, params),
+                    ));
                     return; // freshly built — nothing to refresh
                 }
                 Backend::Clustered(_) if live.saturating_mul(2) < flat_cutover => {
-                    index.backend =
-                        Backend::Flat(self.flat_backend(index.threshold, index.recall_target));
+                    index.backend = Backend::Flat(self.flat_backend(index.threshold));
                     // Fall through: the flat refresh below fills it.
                 }
                 _ => {}
@@ -886,8 +724,7 @@ where
                 if self.refresh_clustered(state) {
                     let stats = state.probe_stats;
                     let params = state.params;
-                    **state =
-                        self.build_clustered_state(index.threshold, index.recall_target, params);
+                    **state = self.build_clustered_state(index.threshold, params);
                     state.probe_stats = stats;
                 }
             }
@@ -994,17 +831,6 @@ fn check_threshold(threshold: f64) {
     );
 }
 
-/// Validates a banding recall target (checked wherever an index is
-/// tuned; an out-of-range or NaN value would otherwise silently defeat
-/// the index cache's operating-point match and re-band the store on
-/// every query).
-fn check_recall_target(target: f64) {
-    assert!(
-        target > 0.0 && target <= 1.0,
-        "banding recall target must be within (0, 1], got {target}"
-    );
-}
-
 /// Validates the knobs of a clustered strategy request.
 fn check_strategy(strategy: &IndexStrategy) {
     if let IndexStrategy::Clustered {
@@ -1107,108 +933,38 @@ impl Candidates<'_> {
 }
 
 /// Point-in-time verification inputs of one query: the extracted keys
-/// and, index-aligned with them, each key's cardinality estimate and
-/// what the verification mode compares.
+/// and, index-aligned with them, each key's cardinality estimate and a
+/// clone of its sketch (so the sweep never holds shard locks).
 struct VerifyEntries<S> {
     keys: Vec<String>,
     cardinalities: Vec<f64>,
-    inputs: VerifyInputs<S>,
+    sketches: Vec<S>,
 }
-
-/// Per-entry verification inputs, shaped by the verification mode.
-///
-/// Exact verification needs the sketch states themselves (clones, so
-/// the sweep never holds shard locks). The §3.3 approximation only
-/// needs each entry's register signature — extracted under the shard
-/// read locks without cloning a single sketch, which is where most of
-/// its speedup over exact verification comes from at scale: the
-/// per-entry work happens once, not once per pair, and the snapshot
-/// clone disappears entirely.
-enum VerifyInputs<S> {
-    Exact(Vec<S>),
-    Approximate {
-        signatures: Vec<Vec<u32>>,
-        /// Inverse of the family's collision-probability curve,
-        /// tabulated over all `m + 1` possible D₀ values — a pair then
-        /// costs one vectorized register comparison and a table
-        /// lookup. Shared (`Arc`) with the store's once-computed cache.
-        jaccard_by_d0: std::sync::Arc<[f64]>,
-    },
-}
-
-/// Approximate verification met signatures of different lengths —
-/// sketches injected with mismatched configurations.
-#[derive(Debug)]
-struct SignatureMismatch {
-    left: usize,
-    right: usize,
-    expected: usize,
-}
-
-impl std::fmt::Display for SignatureMismatch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "approximate verification needs {}-register signatures, got {} and {}",
-            self.expected, self.left, self.right
-        )
-    }
-}
-
-impl std::error::Error for SignatureMismatch {}
 
 impl<S: JointEstimator> VerifyEntries<S> {
-    /// The joint estimate of entry pair `(a, b)` under this mode.
+    /// The joint estimate of entry pair `(a, b)`.
     fn verify(&self, a: u32, b: u32) -> Result<JointQuantities, StoreError> {
-        let (n_u, n_v) = (
-            self.cardinalities[a as usize],
-            self.cardinalities[b as usize],
-        );
-        match &self.inputs {
-            VerifyInputs::Exact(sketches) => sketches[a as usize]
-                .joint_with_cardinalities(&sketches[b as usize], n_u, n_v)
-                .map_err(StoreError::incompatible),
-            VerifyInputs::Approximate {
-                signatures,
-                jaccard_by_d0,
-            } => {
-                let (sig_a, sig_b) = (&signatures[a as usize], &signatures[b as usize]);
-                let m = jaccard_by_d0.len() - 1;
-                if sig_a.len() != m || sig_b.len() != m {
-                    return Err(StoreError::incompatible(SignatureMismatch {
-                        left: sig_a.len(),
-                        right: sig_b.len(),
-                        expected: m,
-                    }));
-                }
-                if m == 0 {
-                    return Ok(JointQuantities::from_estimated_jaccard(n_u, n_v, 0.0));
-                }
-                let counts = JointCounts::from_u32(sig_a, sig_b);
-                // from_estimated_jaccard applies the same degenerate
-                // and feasible-range handling as the per-pair
-                // from_collision_counts path.
-                Ok(JointQuantities::from_estimated_jaccard(
-                    n_u,
-                    n_v,
-                    jaccard_by_d0[counts.d0 as usize],
-                ))
-            }
-        }
+        let (a, b) = (a as usize, b as usize);
+        self.sketches[a]
+            .joint_with_cardinalities(
+                &self.sketches[b],
+                self.cardinalities[a],
+                self.cardinalities[b],
+            )
+            .map_err(StoreError::incompatible)
     }
 }
 
-/// Verifies candidate pairs under the entries' [`Verification`] mode
-/// and keeps those at or above `threshold`, fanned out across worker
-/// threads.
+/// Verifies candidate pairs and keeps those at or above `threshold`,
+/// fanned out across worker threads.
 ///
 /// Workers claim work units from an atomic cursor and collect hits into
 /// per-worker buffers, so there is no shared mutable state on the hot
 /// path; results are merged and sorted by index pair afterwards, making
-/// the output deterministic regardless of scheduling. Under
-/// [`Verification::Exact`] the estimator is the family's exact one —
-/// the same code path as [`SketchStore::joint`] — so a pair's reported
-/// quantities are independent of how it became a candidate.
+/// the output deterministic regardless of scheduling. The estimator is
+/// the family's exact one — the same code path as
+/// [`SketchStore::joint`] — so a pair's reported quantities are
+/// independent of how it became a candidate.
 fn verify_candidates<S: JointEstimator + Sync>(
     entries: &VerifyEntries<S>,
     candidates: Candidates<'_>,
@@ -1286,51 +1042,4 @@ fn verify_candidates<S: JointEstimator + Sync>(
     };
     hits.sort_unstable_by_key(|&(a, b, _)| (a, b));
     Ok(hits)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use setsketch::{SetSketch1, SetSketchConfig};
-
-    /// The verification cardinality cache holds live keys only: removing
-    /// every key (or clearing the store) empties it, whichever mode
-    /// filled it.
-    #[test]
-    fn cardinality_cache_forgets_removed_keys() {
-        let cfg = SetSketchConfig::new(256, 1.001, 20.0, (1 << 16) - 2).unwrap();
-        let store = SketchStore::builder(move || SetSketch1::new(cfg, 42)).build();
-        let fill = || {
-            for key in 0..500u64 {
-                let start = key * 1_000_000;
-                store.ingest(
-                    &format!("k{key}"),
-                    &(start..start + 100).collect::<Vec<_>>(),
-                );
-            }
-        };
-        let top_k = |options: QueryOptions| {
-            // Unrelated keys leave the index no candidates, so top-k
-            // verifies every key.
-            store.similar_keys_with("k0", 3, 0.5, &options).unwrap();
-        };
-        fill();
-        for options in [
-            QueryOptions::default(),
-            QueryOptions::default().approximate(),
-        ] {
-            top_k(options);
-            assert_eq!(store.cardinality_cache.lock().len(), 500);
-        }
-        for key in 0..500u64 {
-            store.remove(&format!("k{key}"));
-        }
-        assert!(store.cardinality_cache.lock().is_empty());
-
-        fill();
-        top_k(QueryOptions::default());
-        assert_eq!(store.cardinality_cache.lock().len(), 500);
-        store.clear();
-        assert!(store.cardinality_cache.lock().is_empty());
-    }
 }

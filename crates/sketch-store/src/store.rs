@@ -6,7 +6,7 @@ use crate::pipeline::PipelineDefaults;
 use crate::query::SimilarityIndex;
 use crate::tier::{TierCodec, TierPolicy, TierRuntime, TierSlot};
 use crate::wal::Durability;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use sketch_core::{
     BatchInsert, CardinalityEstimator, JointEstimator, JointQuantities, Mergeable, Sketch,
 };
@@ -27,25 +27,68 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 /// old version (the index relies on inequality to detect staleness).
 ///
 /// Tier moves (hot ↔ warm ↔ frozen) do **not** bump the version — the
-/// registers are unchanged, so index entries stay valid. The `touched`
-/// bit is the clock scan's second chance: set by every read and write,
-/// cleared on the scan's first encounter, demoted on its second.
+/// registers are unchanged, so index entries and the cached cardinality
+/// stay valid. The `touched` bit is the clock scan's second chance: set
+/// by every read and write, cleared on the scan's first encounter,
+/// demoted on its second.
 #[derive(Debug)]
 pub(crate) struct Slot<S> {
     pub(crate) state: TierSlot<S>,
     pub(crate) version: u64,
     pub(crate) touched: AtomicBool,
+    /// Cardinality estimate of the registers at `version` as `f64`
+    /// bits, or [`NO_CARDINALITY`]. Filled by similarity verification
+    /// under the shard's read lock; [`restamp`](Self::restamp) empties
+    /// it under the write lock, so a stale figure is never served.
+    cardinality: AtomicU64,
 }
 
+/// Bit pattern of an empty slot cardinality cache. It is a NaN, which
+/// no estimator reports; if one ever did, the figure would merely be
+/// recomputed on every use.
+const NO_CARDINALITY: u64 = u64::MAX;
+
 impl<S> Slot<S> {
+    /// A slot in tier `state` at `version`, with an empty cardinality
+    /// cache.
+    pub(crate) fn new(state: TierSlot<S>, version: u64, touched: bool) -> Self {
+        Slot {
+            state,
+            version,
+            touched: AtomicBool::new(touched),
+            cardinality: AtomicU64::new(NO_CARDINALITY),
+        }
+    }
+
     /// A freshly resident slot (touched, so the next clock pass spares
     /// it).
     pub(crate) fn hot(sketch: S, version: u64) -> Self {
-        Slot {
-            state: TierSlot::Hot(sketch),
-            version,
-            touched: AtomicBool::new(true),
+        Self::new(TierSlot::Hot(sketch), version, true)
+    }
+
+    /// Stamps a write of the slot's registers: the new version, and an
+    /// empty cardinality cache. Every version bump of a live slot goes
+    /// through here.
+    pub(crate) fn restamp(&mut self, version: u64) {
+        self.version = version;
+        *self.cardinality.get_mut() = NO_CARDINALITY;
+    }
+
+    /// The cached cardinality of the current registers, computed by
+    /// `estimate` and cached on a miss. Callers hold the shard's lock.
+    /// `Relaxed` suffices: the value publishes no other data, and the
+    /// shard lock orders every fill and read (read lock) against the
+    /// reset in [`restamp`](Self::restamp) (write lock); two readers
+    /// racing on a miss store the same figure.
+    pub(crate) fn cardinality_or(&self, estimate: impl FnOnce() -> f64) -> f64 {
+        let bits = self.cardinality.load(Ordering::Relaxed);
+        if bits != NO_CARDINALITY {
+            return f64::from_bits(bits);
         }
+        let cardinality = estimate();
+        self.cardinality
+            .store(cardinality.to_bits(), Ordering::Relaxed);
+        cardinality
     }
 
     /// Marks the slot recently used (second-chance bit).
@@ -155,17 +198,11 @@ pub struct SketchStore<S> {
     pub(crate) index_lookups: AtomicU64,
     /// Lookups that tuned a fresh index state (the rest were hits).
     pub(crate) index_cache_misses: AtomicU64,
-    /// Per-key cardinality cache of the similarity verification stage
-    /// (both modes), keyed by the slot version that produced each figure
-    /// — a write moves the version and so invalidates the entry;
-    /// [`remove`](Self::remove) and [`clear`](Self::clear) drop entries,
-    /// so the cache never outgrows the live keys (see [`crate::query`]).
-    pub(crate) cardinality_cache: Mutex<HashMap<String, (u64, f64)>>,
     /// Lazily computed inverse of the factory configuration's
     /// register-collision-probability curve, tabulated over all
-    /// `m + 1` possible D₀ values — shared by every approximate-mode
-    /// query (the curve is a configuration property, so the table
-    /// never changes for the store's lifetime).
+    /// `m + 1` possible D₀ values — shared by every clustered index
+    /// state's distance lookups (the curve is a configuration property,
+    /// so the table never changes for the store's lifetime).
     pub(crate) collision_inverse: std::sync::OnceLock<std::sync::Arc<[f64]>>,
     /// Write-ahead log and checkpoint runtime, present when the builder
     /// set a [`durable_dir`](StoreBuilder::durable_dir) (see
@@ -228,7 +265,6 @@ impl<S> SketchStore<S> {
             similarity: RwLock::new(Vec::new()),
             index_lookups: AtomicU64::new(0),
             index_cache_misses: AtomicU64::new(0),
-            cardinality_cache: Mutex::new(HashMap::new()),
             collision_inverse: std::sync::OnceLock::new(),
             durability: None,
         }
@@ -439,9 +475,6 @@ impl<S> SketchStore<S> {
             let mut shard = self.shards[index].write();
             let slot = shard.remove(key)?;
             self.mark_dirty(index);
-            // Innermost lock: verification caches a cardinality under
-            // the shard's read lock, so none can land after this.
-            self.cardinality_cache.lock().remove(key);
             slot
         };
         self.take_sketch(slot)
@@ -461,9 +494,6 @@ impl<S> SketchStore<S> {
             shard.clear();
             self.mark_dirty(index);
         }
-        // Entries cached after their shard was cleared belong to keys
-        // created since; dropping them too only costs a recomputation.
-        self.cardinality_cache.lock().clear();
         self.tier.reset();
     }
 
@@ -579,7 +609,7 @@ impl<S> SketchStore<S> {
                 self.tier.account_insert_hot(&sketch);
                 slot.state = TierSlot::Hot(sketch);
             }
-            slot.version = self.next_version();
+            slot.restamp(self.next_version());
             self.mark_dirty(index);
             slot.touch();
             self.tier.account_write(slot.hot_mut(), op);

@@ -978,11 +978,7 @@ impl<S> SketchStore<S> {
         let mut shard = self.shards()[index].write();
         shard.insert(
             key,
-            Slot {
-                state: TierSlot::Warm(payload.into_boxed_slice()),
-                version,
-                touched: AtomicBool::new(false),
-            },
+            Slot::new(TierSlot::Warm(payload.into_boxed_slice()), version, false),
         );
         self.mark_dirty(index);
     }

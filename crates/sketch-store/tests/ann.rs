@@ -18,7 +18,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use setsketch::{SetSketch1, SetSketchConfig};
-use sketch_store::{IndexStrategy, QueryOptions, SimilarPair, SketchStore};
+use sketch_store::{IndexStrategy, QueryOptions, SimilarPair, SketchStore, DEFAULT_FLAT_CUTOVER};
 
 /// Fine register scale (b = 1.001): register collision probability ≈ J,
 /// so banding tunes sharply (paper §3.3, Figure 3 right panel).
@@ -313,16 +313,20 @@ fn memory_budget_shrinks_layouts_and_keeps_zero_threshold_equivalence() {
 #[test]
 fn near_identical_recall_targets_share_one_cached_state() {
     let store = grouped_store();
-    // Alternating recall targets that differ only past display
+    // Alternating routing recall targets that differ only past display
     // precision must hit one cached state, not re-tune per query
     // (regression: the cache used exact f64 equality).
+    let routed = |recall_target| {
+        QueryOptions::default().index(IndexStrategy::Clustered {
+            memory_budget_bytes: None,
+            recall_target,
+            clusters: None,
+            flat_cutover: DEFAULT_FLAT_CUTOVER,
+        })
+    };
     for _ in 0..3 {
-        let _ = store
-            .all_pairs_with(0.5, &QueryOptions::default().recall_target(0.98))
-            .unwrap();
-        let _ = store
-            .all_pairs_with(0.5, &QueryOptions::default().recall_target(0.980_000_1))
-            .unwrap();
+        let _ = store.all_pairs_with(0.5, &routed(0.95)).unwrap();
+        let _ = store.all_pairs_with(0.5, &routed(0.950_000_1)).unwrap();
     }
     let info = store.similarity_index_info().unwrap();
     assert_eq!(info.cache_misses, 1, "{info:?}");

@@ -1,4 +1,4 @@
-//! Integration tests of the similarity query engine behind its three
+//! Integration tests of the similarity query engine behind its two
 //! entry points.
 
 use setsketch::{SetSketch1, SetSketchConfig};
@@ -6,7 +6,7 @@ use sketch_store::{IndexStrategy, QueryOptions, SketchStore, StoreError};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// The default operating point: flat index, exact verification.
+/// The default operating point: the flat index.
 fn flat() -> QueryOptions {
     QueryOptions::default()
 }
@@ -106,7 +106,7 @@ fn threshold_zero_falls_back_to_exhaustive_and_matches_exactly() {
 #[test]
 fn index_is_tuned_and_reused_across_queries() {
     let store = clustered_store();
-    store.build_similarity_index_with(0.5, &flat());
+    let first = store.all_pairs_with(0.5, &flat()).unwrap();
     let info = store.similarity_index_info().expect("index built");
     assert_eq!(info.threshold, 0.5);
     let banding = info.banding.expect("threshold 0.5 is tunable at b=1.001");
@@ -115,17 +115,16 @@ fn index_is_tuned_and_reused_across_queries() {
     assert_eq!(info.indexed_keys, 6);
 
     // A same-threshold query keeps the tuned index (no rebuild).
-    let _ = store.all_pairs_with(0.5, &flat()).unwrap();
-    assert_eq!(
-        store.similarity_index_info().unwrap().banding,
-        Some(banding)
-    );
+    assert_eq!(store.all_pairs_with(0.5, &flat()).unwrap(), first);
+    let info = store.similarity_index_info().unwrap();
+    assert_eq!(info.banding, Some(banding));
+    assert_eq!((info.cache_hits, info.cache_misses), (1, 1));
 }
 
 #[test]
 fn index_follows_ingest_updates_and_removals() {
     let store = clustered_store();
-    store.build_similarity_index_with(0.5, &flat());
+    let _ = store.all_pairs_with(0.5, &flat()).unwrap();
 
     // A new near-duplicate of alpha-1 appears after the index is built:
     // only the changed key gets re-banded, and the sweep sees it.
@@ -298,7 +297,7 @@ fn rejects_out_of_range_threshold() {
 }
 
 // ---------------------------------------------------------------------
-// One engine: every strategy × verification × tiering combination must
+// One engine: every strategy × worker count × tiering combination must
 // answer from the same pair universe.
 // ---------------------------------------------------------------------
 
@@ -338,7 +337,7 @@ fn every_strategy_answers_from_the_exhaustive_pair_set() {
         ),
         ("exhaustive", IndexStrategy::Exhaustive),
     ];
-    let verifications = [flat(), flat().approximate()];
+    let worker_counts = [flat(), flat().threads(1)];
 
     for tiered in [false, true] {
         let cfg = config();
@@ -359,8 +358,8 @@ fn every_strategy_answers_from_the_exhaustive_pair_set() {
             );
         }
 
-        for base in verifications {
-            let label = |name: &str| format!("{name}/{:?}/tiered={tiered}", base.verification);
+        for base in worker_counts {
+            let label = |name: &str| format!("{name}/{:?}/tiered={tiered}", base.threads);
             let reference = store
                 .all_pairs_with(THRESHOLD, &base.index(IndexStrategy::Exhaustive))
                 .unwrap();
@@ -410,7 +409,7 @@ fn every_strategy_answers_from_the_exhaustive_pair_set() {
             }
         }
 
-        // Exact quantities are what a point query computes on the same
+        // The quantities are what a point query computes on the same
         // keys. Checked last: `joint` is a point read and promotes.
         let exact = store.all_pairs_with(THRESHOLD, &exhaustive()).unwrap();
         for pair in &exact {
@@ -488,7 +487,9 @@ fn freshness_store(dir: Option<&Path>) -> Arc<Store> {
 }
 
 /// The flat strategy's top-k and 0.5 sweep equal the exhaustive ones,
-/// keys and quantities, and the index bands exactly the live keys.
+/// keys and quantities, the index bands exactly the live keys, and
+/// every reported quantity is what a point query computes on the same
+/// keys — so no cached cardinality outlives a write.
 fn assert_fresh(label: &str, store: &Store) {
     let top_k = store
         .similar_keys_with(QUERY, K, THRESHOLD, &flat())
@@ -508,6 +509,14 @@ fn assert_fresh(label: &str, store: &Store) {
     );
     let info = store.similarity_index_info().unwrap();
     assert_eq!(info.indexed_keys, store.len(), "{label}: indexed keys");
+    for neighbor in &top_k {
+        let joint = store.joint(QUERY, &neighbor.key).unwrap();
+        assert_eq!(neighbor.quantities, joint, "{label}: {}", neighbor.key);
+    }
+    for pair in &pairs {
+        let joint = store.joint(&pair.left, &pair.right).unwrap();
+        assert_eq!(pair.quantities, joint, "{label}: {pair:?}");
+    }
 }
 
 /// One mutator under test: what it does to a warm store, returning the
@@ -526,6 +535,16 @@ fn index_freshness_after_every_mutator() {
             durable: false,
             apply: |store, _| {
                 store.ingest("dup", &near_query());
+                store
+            },
+        },
+        Mutation {
+            // The "before" queries cached fam00-1's cardinality; the
+            // write must drop it.
+            name: "ingest into a verified key",
+            durable: false,
+            apply: |store, _| {
+                store.ingest("fam00-1", &elements(2100, 500));
                 store
             },
         },
