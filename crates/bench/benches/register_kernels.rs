@@ -251,7 +251,7 @@ fn bench_end_to_end(records: &mut Vec<Record>) {
     }
 }
 
-/// Serializes the records as JSON by hand (flat schema, no dependencies)
+/// Writes the records as JSON by hand (flat schema, no dependencies)
 /// and derives the headline speedups the acceptance criteria track.
 fn write_json(records: &[Record]) {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernels.json");

@@ -14,9 +14,7 @@
 //! the current minimum register value, which speeds up recording of large
 //! sets without changing the state.
 
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
-use sketch_math::{brent, kernels, sigma_b, tau_b, PowerTable, Registers};
+use sketch_math::{brent, kernels, sigma_b, tau_b, PowerTable, Registers, MAX_DECODED_Q};
 use sketch_rand::{hash_of, hash_u64, mix64};
 use std::sync::Arc;
 
@@ -45,7 +43,6 @@ impl std::error::Error for GhllConfigError {}
 
 /// Validated GHLL parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct GhllConfig {
     m: usize,
     b: f64,
@@ -418,6 +415,8 @@ pub enum GhllDecodeError {
     MalformedHeader,
     /// The embedded configuration is invalid.
     Config(GhllConfigError),
+    /// The header's q exceeds [`MAX_DECODED_Q`].
+    UnsupportedLimit(u32),
     /// The packed register payload is invalid.
     Registers(sketch_math::BitPackError),
 }
@@ -427,6 +426,9 @@ impl std::fmt::Display for GhllDecodeError {
         match self {
             GhllDecodeError::MalformedHeader => write!(f, "malformed binary header"),
             GhllDecodeError::Config(e) => write!(f, "invalid configuration: {e}"),
+            GhllDecodeError::UnsupportedLimit(q) => {
+                write!(f, "q = {q} exceeds the decoder limit {MAX_DECODED_Q}")
+            }
             GhllDecodeError::Registers(e) => write!(f, "invalid register payload: {e}"),
         }
     }
@@ -455,6 +457,10 @@ impl GhllSketch {
     }
 
     /// Restores a sketch from the binary representation.
+    ///
+    /// A header whose q exceeds [`MAX_DECODED_Q`] is rejected with
+    /// [`GhllDecodeError::UnsupportedLimit`] before anything is built:
+    /// the sketch's power table grows with q, not with the input length.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, GhllDecodeError> {
         if bytes.len() < 33 {
             return Err(GhllDecodeError::MalformedHeader);
@@ -468,6 +474,9 @@ impl GhllSketch {
         let q = u32::from_be_bytes(bytes[20..24].try_into().expect("length checked"));
         let seed = u64::from_be_bytes(bytes[24..32].try_into().expect("length checked"));
         let tracking = bytes[32] != 0;
+        if q > MAX_DECODED_Q {
+            return Err(GhllDecodeError::UnsupportedLimit(q));
+        }
         let config = GhllConfig::new(m, b, q).map_err(GhllDecodeError::Config)?;
         let registers = Registers::unpack_bits(&bytes[33..], m, config.register_bits(), q + 1)
             .map_err(GhllDecodeError::Registers)?;
@@ -478,50 +487,6 @@ impl GhllSketch {
 impl PartialEq for GhllSketch {
     fn eq(&self, other: &Self) -> bool {
         self.config == other.config && self.seed == other.seed && self.registers == other.registers
-    }
-}
-
-/// Serializable GHLL state.
-#[cfg(feature = "serde")]
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct GhllState {
-    config: GhllConfig,
-    seed: u64,
-    registers: Vec<u32>,
-    lower_bound_tracking: bool,
-}
-
-#[cfg(feature = "serde")]
-impl Serialize for GhllSketch {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        GhllState {
-            config: self.config,
-            seed: self.seed,
-            registers: self.registers.to_vec(),
-            lower_bound_tracking: self.lower_bound_tracking,
-        }
-        .serialize(serializer)
-    }
-}
-
-#[cfg(feature = "serde")]
-impl<'de> Deserialize<'de> for GhllSketch {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        use serde::de::Error;
-        let state = GhllState::deserialize(deserializer)?;
-        let config = GhllConfig::new(state.config.m(), state.config.b(), state.config.q())
-            .map_err(D::Error::custom)?;
-        if state.registers.len() != config.m() {
-            return Err(D::Error::custom("register count does not match m"));
-        }
-        let registers = Registers::narrowed(&state.registers, config.q() + 1)
-            .ok_or_else(|| D::Error::custom("register value exceeds q + 1"))?;
-        Ok(GhllSketch::from_registers(
-            config,
-            state.seed,
-            state.lower_bound_tracking,
-            registers,
-        ))
     }
 }
 
@@ -646,34 +611,6 @@ mod tests {
         assert_eq!(untouched, 0, "all registers should be touched at n=10k");
     }
 
-    #[cfg(feature = "serde")]
-    #[test]
-    fn serde_roundtrip() {
-        let cfg = GhllConfig::hyperloglog(64).unwrap();
-        let mut s = GhllSketch::with_lower_bound_tracking(cfg, 7);
-        s.extend(0..50_000);
-        let json = serde_json::to_string(&s).unwrap();
-        let back: GhllSketch = serde_json::from_str(&json).unwrap();
-        assert_eq!(s, back);
-        // The restored bound is the exact minimum, which may exceed the
-        // original's amortized (stale) bound — both are valid lower bounds.
-        let min = back.registers().iter().min().unwrap();
-        assert!(back.k_low() >= s.k_low());
-        assert!(back.k_low() <= min);
-    }
-
-    #[cfg(feature = "serde")]
-    #[test]
-    fn serde_rejects_invalid_registers() {
-        let cfg = GhllConfig::hyperloglog(4).unwrap();
-        let s = GhllSketch::new(cfg, 1);
-        let mut json: serde_json::Value =
-            serde_json::from_str(&serde_json::to_string(&s).unwrap()).unwrap();
-        json["registers"][0] = serde_json::json!(64); // q + 1 = 63 max
-        let result: Result<GhllSketch, _> = serde_json::from_value(json);
-        assert!(result.is_err());
-    }
-
     #[test]
     fn config_validation() {
         assert!(GhllConfig::new(0, 2.0, 62).is_err());
@@ -693,6 +630,10 @@ mod tests {
         let restored = GhllSketch::from_bytes(&bytes).unwrap();
         assert_eq!(s, restored);
         assert!(restored.k_low() > 0, "tracking bound restored");
+        // The restored bound is the exact minimum, which may exceed the
+        // original's amortized (stale) bound — both are valid lower bounds.
+        assert!(restored.k_low() >= s.k_low());
+        assert!(restored.k_low() <= restored.registers().iter().min().unwrap());
     }
 
     #[test]
@@ -710,5 +651,14 @@ mod tests {
             GhllSketch::from_bytes(truncated),
             Err(super::GhllDecodeError::Registers(_))
         ));
+        // q = 60 packs into 6 bits, so a packed 63 exceeds q + 1 = 61.
+        let mut out_of_range = GhllSketch::new(GhllConfig::new(4, 2.0, 60).unwrap(), 1).to_bytes();
+        out_of_range[33] |= 0x3f;
+        assert_eq!(
+            GhllSketch::from_bytes(&out_of_range),
+            Err(super::GhllDecodeError::Registers(
+                sketch_math::BitPackError::ValueOutOfRange
+            ))
+        );
     }
 }

@@ -13,8 +13,6 @@
 //! the original HyperMinHash collision estimator (equal registers with an
 //! expected-random-collision correction), and inclusion–exclusion.
 
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 use sketch_math::{
     inclusion_exclusion_jaccard, ml_jaccard, sigma_b, tau_b, JointCounts, JointQuantities,
 };
@@ -47,7 +45,6 @@ const P_MAX: u32 = 63;
 
 /// Validated HyperMinHash parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct HyperMinHashConfig {
     m: usize,
     r: u32,
@@ -109,7 +106,6 @@ impl std::error::Error for IncompatibleHyperMinHash {}
 
 /// A HyperMinHash sketch with stochastic averaging.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct HyperMinHash {
     config: HyperMinHashConfig,
     seed: u64,
@@ -522,14 +518,5 @@ mod tests {
         assert!(HyperMinHashConfig::new(16, 17).is_err());
         let cfg = HyperMinHashConfig::new(16, 10).unwrap();
         assert_eq!(cfg.register_bits(), 16);
-    }
-
-    #[cfg(feature = "serde")]
-    #[test]
-    fn serde_roundtrip() {
-        let (u, _) = pair(64, 6, 7, 1000, 0, 500);
-        let json = serde_json::to_string(&u).unwrap();
-        let back: HyperMinHash = serde_json::from_str(&json).unwrap();
-        assert_eq!(u, back);
     }
 }

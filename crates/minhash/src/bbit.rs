@@ -8,13 +8,10 @@
 //! at the price of losing mergeability, exactly as the paper describes.
 
 use crate::classic::MinHash;
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 
 /// A finalized b-bit signature. It can be compared but no longer updated
 /// or merged.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct BBitSignature {
     bits: u32,
     seed: u64,

@@ -9,8 +9,6 @@
 //! (eq. (17)), which dominates the classic one, and the MinHash
 //! cardinality estimator (eq. (16)).
 
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 use sketch_math::{inclusion_exclusion_jaccard, ml_jaccard_b1, JointCounts, JointQuantities};
 use sketch_rand::{hash_of, hash_u64, Rng64, WyRand};
 
@@ -28,7 +26,6 @@ impl std::error::Error for IncompatibleMinHash {}
 
 /// Classic m-component MinHash signature over 64-bit hash values.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct MinHash {
     seed: u64,
     /// Components; `u64::MAX` marks a never-updated component.
@@ -362,14 +359,5 @@ mod tests {
         let (u, v) = pair(4096, 9, 3000, 3000, 4000);
         let q = u.estimate_joint_inclusion_exclusion(&v).unwrap();
         assert!((q.jaccard - 0.4).abs() < 0.1, "jaccard {}", q.jaccard);
-    }
-
-    #[cfg(feature = "serde")]
-    #[test]
-    fn serde_roundtrip() {
-        let (u, _) = pair(64, 10, 100, 0, 50);
-        let json = serde_json::to_string(&u).unwrap();
-        let back: MinHash = serde_json::from_str(&json).unwrap();
-        assert_eq!(u, back);
     }
 }

@@ -10,8 +10,6 @@
 //! mergeable sketch and the densified signature are implemented here so
 //! the trade-off SetSketch eliminates can be measured directly.
 
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 use sketch_rand::{hash_u64, mix64};
 
 /// Error raised when incompatible sketches are combined.
@@ -29,7 +27,6 @@ impl std::error::Error for IncompatibleOph {}
 /// One-permutation hashing sketch: m bins, each holding the minimum value
 /// hash routed into it; `u64::MAX` marks an empty bin.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct OnePermutationHashing {
     seed: u64,
     values: Vec<u64>,
@@ -180,7 +177,6 @@ impl OnePermutationHashing {
 
 /// A densified OPH signature: complete, comparable, no longer updatable.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct DensifiedOph {
     seed: u64,
     signature: Vec<u64>,
@@ -324,14 +320,5 @@ mod tests {
         let c = OnePermutationHashing::new(32, 1);
         assert!(a.merged(&b).is_err());
         assert!(a.jaccard_raw(&c).is_err());
-    }
-
-    #[cfg(feature = "serde")]
-    #[test]
-    fn serde_roundtrip() {
-        let (u, _) = pair(64, 11, 500, 0, 0);
-        let json = serde_json::to_string(&u).unwrap();
-        let back: OnePermutationHashing = serde_json::from_str(&json).unwrap();
-        assert_eq!(u, back);
     }
 }

@@ -7,8 +7,6 @@
 //! logically equivalent to SuperMinHash as b → 1*, which motivates having
 //! it in the baseline suite.
 
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
 use sketch_math::JointCounts;
 use sketch_rand::{hash_u64, IncrementalShuffle, Rng64, WyRand};
 
@@ -27,7 +25,6 @@ impl std::error::Error for IncompatibleSuperMinHash {}
 /// SuperMinHash signature: m components in `[0, m)`, `f64::INFINITY` when
 /// untouched.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct SuperMinHash {
     seed: u64,
     values: Vec<f64>,
@@ -35,13 +32,7 @@ pub struct SuperMinHash {
     upper: f64,
     /// Updates since the last recomputation of `upper`.
     modifications: u32,
-    #[cfg_attr(feature = "serde", serde(skip, default = "new_shuffle_placeholder"))]
     shuffle: Option<IncrementalShuffle>,
-}
-
-#[cfg(feature = "serde")]
-fn new_shuffle_placeholder() -> Option<IncrementalShuffle> {
-    None
 }
 
 impl PartialEq for SuperMinHash {

@@ -221,20 +221,15 @@ mod tests {
 
     #[test]
     fn partially_saturated_registers_use_high_range_correction() {
-        use crate::state::SketchState;
-        // Hand-craft a state with a mix of interior and clipped registers:
-        // the corrected estimator must exceed the naive (12), which treats
+        use sketch_math::Registers;
+        // Hand-craft a mix of interior and clipped registers: the
+        // corrected estimator must exceed the naive (12), which treats
         // clipped registers as ordinary values.
         let cfg = SetSketchConfig::new(64, 2.0, 20.0, 3).unwrap();
         let mut registers = vec![4u32; 32];
         registers.extend(vec![3u32; 32]);
-        let state = SketchState {
-            variant: "setsketch1".to_owned(),
-            config: cfg,
-            seed: 1,
-            registers,
-        };
-        let sketch = SetSketch1::from_state(state).unwrap();
+        let registers = Registers::narrowed(&registers, cfg.q() + 1).unwrap();
+        let sketch = SetSketch1::from_registers(cfg, 1, registers);
         let corrected = sketch.estimate_cardinality();
         let simple = sketch.estimate_cardinality_simple();
         assert!(corrected.is_finite() && corrected > 0.0);

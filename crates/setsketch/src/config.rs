@@ -8,9 +8,6 @@
 //! clipping at 0 or q+1 is ever observed; [`SetSketchConfig::recommended`]
 //! picks `a` and `q` from those bounds.
 
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
-
 /// Errors raised by invalid sketch configurations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConfigError {
@@ -42,7 +39,6 @@ impl std::error::Error for ConfigError {}
 
 /// Validated SetSketch parameters (paper §2.3).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
 pub struct SetSketchConfig {
     m: usize,
     b: f64,
@@ -265,14 +261,5 @@ mod tests {
     fn errors_display() {
         let e = SetSketchConfig::new(0, 2.0, 20.0, 62).unwrap_err();
         assert!(e.to_string().contains("m must be"));
-    }
-
-    #[cfg(feature = "serde")]
-    #[test]
-    fn config_serde_roundtrip() {
-        let cfg = SetSketchConfig::example_16bit();
-        let json = serde_json::to_string(&cfg).unwrap();
-        let back: SetSketchConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(cfg, back);
     }
 }

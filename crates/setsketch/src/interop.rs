@@ -5,7 +5,6 @@
 //! benchmarks, cross-family experiments) without giving up any of the
 //! inherent API.
 
-use crate::codec::CodecError;
 use crate::locality::collision_probability_bounds;
 use crate::sequence::ValueSequence;
 use crate::sketch::{IncompatibleSketches, SetSketch};
@@ -13,7 +12,7 @@ use sketch_core::{
     BatchInsert, CardinalityEstimator, CompactSketch, JointEstimator, JointQuantities, Mergeable,
     Signature, Sketch,
 };
-use sketch_math::Registers;
+use sketch_math::{BitPackError, Registers};
 use sketch_rand::hash_bytes;
 
 impl<S: ValueSequence> Sketch for SetSketch<S> {
@@ -114,11 +113,11 @@ impl<S: ValueSequence> JointEstimator for SetSketch<S> {
 }
 
 impl<S: ValueSequence> CompactSketch for SetSketch<S> {
-    type CompactError = CodecError;
+    type CompactError = BitPackError;
 
     /// Registers as offsets from the tight minimum (the `K_low` bound
     /// the sketch already maintains incrementally, §2.2) plus a sparse
-    /// exception list — the [`crate::codec::compress_registers`] layout,
+    /// exception list — the [`sketch_math::bitpack::pack_offsets`] layout,
     /// packed straight from the resident lanes. For base-2
     /// configurations registers concentrate within a few values of
     /// `K_low`, so this runs 2–3 bits per register: about half the
@@ -134,7 +133,7 @@ impl<S: ValueSequence> CompactSketch for SetSketch<S> {
     /// rebuilt); the estimator histogram and `K_low` are recomputed from
     /// the decoded registers, so the result is indistinguishable from
     /// the never-compressed state.
-    fn decompress(prototype: &Self, bytes: &[u8]) -> Result<Self, CodecError> {
+    fn decompress(prototype: &Self, bytes: &[u8]) -> Result<Self, BitPackError> {
         let registers =
             Registers::unpack_offsets(bytes, prototype.m(), prototype.config().q() + 1)?;
         Ok(prototype.with_registers(registers))

@@ -59,14 +59,13 @@
 //! * [`joint`] — joint estimation (Jaccard, intersection, differences,
 //!   cosine, inclusion coefficients);
 //! * [`locality`] — collision probabilities and the LSH estimators (15);
-//! * [`codec`] / [`state`] — packed binary representation and serde;
+//! * [`state`] — the self-describing binary representation;
 //! * [`interop`] — implementations of the workspace-wide [`sketch_core`]
 //!   traits (`Sketch`, `BatchInsert`, `Mergeable`, estimators).
 
 #![warn(missing_docs)]
 
 pub mod cardinality;
-pub mod codec;
 pub mod config;
 pub mod interop;
 pub mod joint;
@@ -83,7 +82,7 @@ pub use locality::{
 };
 pub use sequence::{ExponentialSpacings, IntervalSampling, ValueSequence};
 pub use sketch::{IncompatibleSketches, SetSketch, SetSketch1, SetSketch2};
-pub use state::{SketchState, StateError};
+pub use state::StateError;
 
 // Re-exported for downstream convenience: joint estimation results embed
 // these types.

@@ -1,37 +1,19 @@
-//! Serializable sketch state.
+//! Self-describing binary sketch state.
 //!
 //! Distributed aggregation (the paper's headline use case) requires moving
-//! sketch states between processes. [`SketchState`] is the portable
-//! representation: it carries the configuration, the hash seed, a variant
-//! tag, and the raw register values; [`SetSketch::to_state`] and
-//! [`SetSketch::from_state`] convert losslessly, and serde implementations
-//! on the sketch types delegate to it. [`SetSketch::to_bytes`] additionally
-//! provides the compact bit-packed binary representation.
+//! sketch states between processes. [`SetSketch::to_bytes`] is the
+//! self-describing form: a fixed header with the variant, configuration
+//! and hash seed, followed by the registers bit-packed to
+//! `config.register_bits()` bits each. The prototype-relative form for
+//! sketches that share a configuration is
+//! [`CompactSketch::compress`](sketch_core::CompactSketch::compress).
 
-use crate::codec::CodecError;
 use crate::config::{ConfigError, SetSketchConfig};
 use crate::sequence::ValueSequence;
 use crate::sketch::SetSketch;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-#[cfg(feature = "serde")]
-use serde::{Deserialize, Serialize};
-use sketch_math::Registers;
+use sketch_math::{BitPackError, Registers, MAX_DECODED_Q};
 
-/// Portable SetSketch state.
-#[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(Serialize, Deserialize))]
-pub struct SketchState {
-    /// Variant tag: `"setsketch1"` or `"setsketch2"`.
-    pub variant: String,
-    /// Configuration parameters.
-    pub config: SetSketchConfig,
-    /// Hash seed.
-    pub seed: u64,
-    /// Raw register values (length `config.m()`, values `0..=q+1`).
-    pub registers: Vec<u32>,
-}
-
-/// Errors raised when restoring a sketch from external state.
+/// Errors raised when restoring a sketch from its binary representation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StateError {
     /// The state's variant tag does not match the requested sketch type.
@@ -41,14 +23,12 @@ pub enum StateError {
         /// Tag expected by the target type.
         expected: &'static str,
     },
-    /// The register array length differs from the configured m.
-    WrongRegisterCount,
-    /// A register value exceeds q + 1.
-    RegisterOutOfRange,
     /// The embedded configuration is invalid.
     Config(ConfigError),
+    /// The header's q exceeds [`MAX_DECODED_Q`].
+    UnsupportedLimit(u32),
     /// Binary decoding failed.
-    Codec(CodecError),
+    Codec(BitPackError),
     /// The binary header is malformed.
     MalformedHeader,
 }
@@ -59,9 +39,10 @@ impl std::fmt::Display for StateError {
             StateError::VariantMismatch { found, expected } => {
                 write!(f, "state is for variant {found:?}, expected {expected:?}")
             }
-            StateError::WrongRegisterCount => write!(f, "register count does not match m"),
-            StateError::RegisterOutOfRange => write!(f, "register value exceeds q + 1"),
             StateError::Config(e) => write!(f, "invalid configuration: {e}"),
+            StateError::UnsupportedLimit(q) => {
+                write!(f, "q = {q} exceeds the decoder limit {MAX_DECODED_Q}")
+            }
             StateError::Codec(e) => write!(f, "binary decoding failed: {e}"),
             StateError::MalformedHeader => write!(f, "malformed binary header"),
         }
@@ -76,8 +57,8 @@ impl From<ConfigError> for StateError {
     }
 }
 
-impl From<CodecError> for StateError {
-    fn from(e: CodecError) -> Self {
+impl From<BitPackError> for StateError {
+    fn from(e: BitPackError) -> Self {
         StateError::Codec(e)
     }
 }
@@ -85,95 +66,67 @@ impl From<CodecError> for StateError {
 /// Magic bytes of the binary representation ("SSK1").
 const MAGIC: u32 = 0x5353_4b31;
 
+/// Header bytes: magic, variant, m, b, a, q, seed.
+const HEADER: usize = 41;
+
 impl<S: ValueSequence> SetSketch<S> {
-    /// Extracts the portable state of this sketch.
-    pub fn to_state(&self) -> SketchState {
-        SketchState {
-            variant: S::NAME.to_owned(),
-            config: *self.config(),
-            seed: self.seed(),
-            registers: self.registers().to_vec(),
-        }
-    }
-
-    /// Restores a sketch from portable state, validating variant,
-    /// configuration and register range.
-    pub fn from_state(state: SketchState) -> Result<Self, StateError> {
-        if state.variant != S::NAME {
-            return Err(StateError::VariantMismatch {
-                found: state.variant,
-                expected: S::NAME,
-            });
-        }
-        let config = SetSketchConfig::new(
-            state.config.m(),
-            state.config.b(),
-            state.config.a(),
-            state.config.q(),
-        )?;
-        if state.registers.len() != config.m() {
-            return Err(StateError::WrongRegisterCount);
-        }
-        let registers = Registers::narrowed(&state.registers, config.q() + 1)
-            .ok_or(StateError::RegisterOutOfRange)?;
-        Ok(Self::from_registers(config, state.seed, registers))
-    }
-
     /// Compact binary representation: fixed header plus bit-packed
     /// registers (`config.register_bits()` bits each).
-    pub fn to_bytes(&self) -> Bytes {
+    pub fn to_bytes(&self) -> Vec<u8> {
         let cfg = self.config();
-        let mut out = BytesMut::with_capacity(48 + cfg.packed_bytes());
-        out.put_u32(MAGIC);
-        out.put_u8(if S::NAME == "setsketch1" { 1 } else { 2 });
-        out.put_u64(cfg.m() as u64);
-        out.put_f64(cfg.b());
-        out.put_f64(cfg.a());
-        out.put_u32(cfg.q());
-        out.put_u64(self.seed());
-        out.extend_from_slice(&self.registers().pack_bits(cfg.register_bits()));
-        out.freeze()
+        let packed = self.registers().pack_bits(cfg.register_bits());
+        let mut out = Vec::with_capacity(HEADER + packed.len());
+        out.extend_from_slice(&MAGIC.to_be_bytes());
+        out.push(Self::variant_tag());
+        out.extend_from_slice(&(cfg.m() as u64).to_be_bytes());
+        out.extend_from_slice(&cfg.b().to_be_bytes());
+        out.extend_from_slice(&cfg.a().to_be_bytes());
+        out.extend_from_slice(&cfg.q().to_be_bytes());
+        out.extend_from_slice(&self.seed().to_be_bytes());
+        out.extend_from_slice(&packed);
+        out
     }
 
     /// Restores a sketch from the binary representation.
-    pub fn from_bytes(mut bytes: &[u8]) -> Result<Self, StateError> {
-        if bytes.len() < 41 {
+    ///
+    /// A header whose q exceeds [`MAX_DECODED_Q`] is rejected with
+    /// [`StateError::UnsupportedLimit`] before anything is built: the
+    /// sketch's power table grows with q, not with the input length.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, StateError> {
+        if bytes.len() < HEADER {
             return Err(StateError::MalformedHeader);
         }
-        if bytes.get_u32() != MAGIC {
+        let magic = u32::from_be_bytes(bytes[0..4].try_into().expect("length checked"));
+        if magic != MAGIC {
             return Err(StateError::MalformedHeader);
         }
-        let variant = bytes.get_u8();
-        let expected = if S::NAME == "setsketch1" { 1 } else { 2 };
-        if variant != expected {
+        let variant = bytes[4];
+        if variant != Self::variant_tag() {
             return Err(StateError::VariantMismatch {
                 found: format!("setsketch{variant}"),
                 expected: S::NAME,
             });
         }
-        let m = bytes.get_u64() as usize;
-        let b = bytes.get_f64();
-        let a = bytes.get_f64();
-        let q = bytes.get_u32();
-        let seed = bytes.get_u64();
+        let m = u64::from_be_bytes(bytes[5..13].try_into().expect("length checked")) as usize;
+        let b = f64::from_be_bytes(bytes[13..21].try_into().expect("length checked"));
+        let a = f64::from_be_bytes(bytes[21..29].try_into().expect("length checked"));
+        let q = u32::from_be_bytes(bytes[29..33].try_into().expect("length checked"));
+        let seed = u64::from_be_bytes(bytes[33..41].try_into().expect("length checked"));
+        if q > MAX_DECODED_Q {
+            return Err(StateError::UnsupportedLimit(q));
+        }
         let config = SetSketchConfig::new(m, b, a, q)?;
-        let registers = Registers::unpack_bits(bytes, m, config.register_bits(), q + 1)?;
+        let registers = Registers::unpack_bits(&bytes[HEADER..], m, config.register_bits(), q + 1)?;
         Ok(Self::from_registers(config, seed, registers))
     }
-}
 
-#[cfg(feature = "serde")]
-impl<S: ValueSequence> Serialize for SetSketch<S> {
-    fn serialize<Ser: serde::Serializer>(&self, serializer: Ser) -> Result<Ser::Ok, Ser::Error> {
-        self.to_state().serialize(serializer)
-    }
-}
-
-#[cfg(feature = "serde")]
-impl<'de, S: ValueSequence> Deserialize<'de> for SetSketch<S> {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let state = SketchState::deserialize(deserializer)?;
-        SetSketch::from_state(state).map_err(serde::de::Error::custom)
+    /// The header's variant byte.
+    fn variant_tag() -> u8 {
+        if S::NAME == "setsketch1" {
+            1
+        } else {
+            2
+        }
     }
 }
 
@@ -192,7 +145,7 @@ mod tests {
     #[test]
     fn state_roundtrip_preserves_equality_and_behavior() {
         let original = populated_sketch();
-        let restored = SetSketch1::from_state(original.to_state()).unwrap();
+        let restored = SetSketch1::from_bytes(&original.to_bytes()).unwrap();
         assert_eq!(original, restored);
         // The restored sketch continues to work identically.
         let mut a = original.clone();
@@ -205,45 +158,27 @@ mod tests {
 
     #[test]
     fn state_variant_is_checked() {
-        let original = populated_sketch();
-        let state = original.to_state();
-        let err = SetSketch2::from_state(state).unwrap_err();
+        let bytes = populated_sketch().to_bytes();
+        let err = SetSketch2::from_bytes(&bytes).unwrap_err();
         assert!(matches!(err, StateError::VariantMismatch { .. }));
     }
 
     #[test]
     fn state_register_validation() {
-        let original = populated_sketch();
-        let mut state = original.to_state();
-        state.registers[0] = 64; // q + 1 = 63 is the maximum
+        // q = 60 packs into 6 bits, so a packed 63 exceeds q + 1 = 61.
+        let cfg = SetSketchConfig::new(128, 2.0, 20.0, 60).unwrap();
+        let mut bytes = SetSketch1::new(cfg, 42).to_bytes();
+        bytes[HEADER] |= 0x3f;
         assert_eq!(
-            SetSketch1::from_state(state),
-            Err(StateError::RegisterOutOfRange)
+            SetSketch1::from_bytes(&bytes),
+            Err(StateError::Codec(BitPackError::ValueOutOfRange))
         );
-        let mut state = original.to_state();
-        state.registers.pop();
+        // One register short of m.
+        let bytes = populated_sketch().to_bytes();
         assert_eq!(
-            SetSketch1::from_state(state),
-            Err(StateError::WrongRegisterCount)
+            SetSketch1::from_bytes(&bytes[..bytes.len() - 1]),
+            Err(StateError::Codec(BitPackError::Truncated))
         );
-    }
-
-    #[cfg(feature = "serde")]
-    #[test]
-    fn json_roundtrip() {
-        let original = populated_sketch();
-        let json = serde_json::to_string(&original).unwrap();
-        let restored: SetSketch1 = serde_json::from_str(&json).unwrap();
-        assert_eq!(original, restored);
-    }
-
-    #[cfg(feature = "serde")]
-    #[test]
-    fn json_rejects_wrong_variant() {
-        let original = populated_sketch();
-        let json = serde_json::to_string(&original).unwrap();
-        let result: Result<SetSketch2, _> = serde_json::from_str(&json);
-        assert!(result.is_err());
     }
 
     #[test]
@@ -267,7 +202,7 @@ mod tests {
         let original = populated_sketch();
         let bytes = original.to_bytes();
         assert!(SetSketch1::from_bytes(&bytes[..10]).is_err());
-        let mut corrupted = bytes.to_vec();
+        let mut corrupted = bytes.clone();
         corrupted[0] ^= 0xff;
         assert!(SetSketch1::from_bytes(&corrupted).is_err());
         assert!(SetSketch2::from_bytes(&bytes).is_err());
@@ -275,12 +210,12 @@ mod tests {
 
     #[test]
     fn restored_sketch_tracks_lower_bound() {
-        // from_state must recompute K_low so inserts stay efficient and
+        // from_bytes must recompute K_low so inserts stay efficient and
         // correct.
         let cfg = SetSketchConfig::new(64, 2.0, 20.0, 62).unwrap();
         let mut s = SetSketch1::new(cfg, 7);
         s.extend(0..100_000);
-        let restored = SetSketch1::from_state(s.to_state()).unwrap();
+        let restored = SetSketch1::from_bytes(&s.to_bytes()).unwrap();
         assert!(restored.k_low() > 0);
         assert_eq!(restored.k_low(), restored.registers().iter().min().unwrap());
     }

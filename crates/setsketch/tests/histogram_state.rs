@@ -4,7 +4,7 @@
 //! register write so cardinality estimation is O(q) instead of O(m).
 //! These tests drive sketches through arbitrary interleavings of the
 //! operations that touch registers — single inserts, batched inserts,
-//! merges, and serialization round trips — and verify after every step
+//! merges, and compact and binary round trips — and verify after every step
 //! that the maintained histogram equals a fresh scalar
 //! [`kernels::scalar::histogram_counts`] scan of the widened registers
 //! (independent of the lane width they are held at), that the tracked
@@ -13,6 +13,7 @@
 
 use proptest::prelude::*;
 use setsketch::{SetSketch1, SetSketch2, SetSketchConfig};
+use sketch_core::CompactSketch;
 use sketch_math::{kernels, sigma_b, tau_b};
 
 /// The corrected estimator (18) computed the pre-kernel way: a full
@@ -116,9 +117,11 @@ fn apply_ops<S: setsketch::ValueSequence>(
                 sketch.merge(&other).expect("compatible by construction");
             }
             3 => {
-                // Portable-state round trip rebuilds the histogram.
-                *sketch =
-                    setsketch::SetSketch::<S>::from_state(sketch.to_state()).expect("own state");
+                // Compact round trip against an empty prototype rebuilds
+                // the histogram.
+                let prototype = setsketch::SetSketch::<S>::new(config, seed);
+                *sketch = setsketch::SetSketch::<S>::decompress(&prototype, &sketch.compress())
+                    .expect("own payload");
             }
             _ => {
                 // Binary round trip (bit-packed registers).

@@ -426,9 +426,13 @@ mod tests {
             unpack_bits::<u32>(&packed, 10, 6, 2),
             Err(BitPackError::ValueOutOfRange)
         );
-        assert_eq!(
-            unpack_bits::<u32>(&packed, 10, 0, 63),
-            Err(BitPackError::InvalidBitWidth)
-        );
+        for bits in [0, 33] {
+            assert_eq!(
+                unpack_bits::<u32>(&packed, 10, bits, 63),
+                Err(BitPackError::InvalidBitWidth)
+            );
+        }
+        // A value wider than the bit width is a caller bug, not input.
+        assert!(std::panic::catch_unwind(|| pack_bits(&[64u32], 6)).is_err());
     }
 }

@@ -50,7 +50,7 @@ pub use joint::{
 };
 pub use kernels::Lane;
 pub use pb::{log_b, p_b, p_b_derivative};
-pub use power_table::PowerTable;
+pub use power_table::{PowerTable, MAX_DECODED_Q};
 pub use registers::{LanesMut, Registers};
 pub use sigma_tau::{sigma_b, tau_b};
 pub use stats::{ErrorStats, RunningMoments};

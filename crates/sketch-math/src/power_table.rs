@@ -14,6 +14,14 @@
 //! 65 536-entry table does not stay in cache between inserts. For b = 2 a
 //! floating-point exponent fast path avoids the table entirely.
 
+/// Largest `q` the binary decoders (`SetSketch::from_bytes`,
+/// `GhllSketch::from_bytes`) accept from a header. The table a sketch
+/// builds holds `q + 2` eight-byte powers, so a header naming
+/// `q = u32::MAX − 1` would otherwise demand 32 GiB before a register is
+/// read; at this limit the table is 8 MiB. The finest configuration in
+/// the workspace (b = 1.0005, q = 2¹⁷ − 2) is well inside it.
+pub const MAX_DECODED_Q: u32 = 1 << 20;
+
 /// Precomputed powers `b^{-k}` for `k ∈ {0, ..., q+1}` with search helpers.
 #[derive(Debug, Clone)]
 pub struct PowerTable {

@@ -33,7 +33,7 @@ impl Shard {
             self.sketch.insert_u64(event);
             self.recorded += 1;
         }
-        self.sketch.to_bytes().to_vec()
+        self.sketch.to_bytes()
     }
 }
 

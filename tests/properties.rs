@@ -9,9 +9,9 @@ use hyperloglog::{GhllConfig, GhllSketch};
 use hyperminhash::{HyperMinHash, HyperMinHashConfig};
 use proptest::collection::vec;
 use proptest::prelude::*;
-use setsketch::codec::{pack_registers, unpack_registers};
 use setsketch::{SetSketch1, SetSketch2, SetSketchConfig};
 use simulation::workload::SetPair;
+use sketch_math::bitpack::{pack_bits, unpack_bits};
 use sketch_math::{inclusion_exclusion_jaccard, ml_jaccard, ml_jaccard_b1, JointCounts};
 
 fn small_config() -> SetSketchConfig {
@@ -159,8 +159,8 @@ proptest! {
         extra_bits in 0u32..10,
     ) {
         let bits = 6 + extra_bits;
-        let packed = pack_registers(&values, bits);
-        let unpacked = unpack_registers(&packed, values.len(), bits, 63).unwrap();
+        let packed = pack_bits(&values, bits);
+        let unpacked = unpack_bits::<u32>(&packed, values.len(), bits, 63).unwrap();
         prop_assert_eq!(values, unpacked);
     }
 

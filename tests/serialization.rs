@@ -1,11 +1,9 @@
-//! Serialization integration tests: every sketch family roundtrips
-//! through serde (JSON) and — where provided — the compact binary codec,
-//! and restored sketches keep working (insert, merge, estimate).
+//! Serialization integration tests: the self-describing binary form
+//! (`to_bytes` / `from_bytes`) roundtrips, stays compact, enforces its
+//! variant tag and validates registers, and restored sketches keep
+//! working (insert, merge, estimate).
 
-use hyperloglog::{GhllConfig, GhllSketch};
-use hyperminhash::{HyperMinHash, HyperMinHashConfig};
-use minhash::{MinHash, SuperMinHash};
-use setsketch::{SetSketch1, SetSketch2, SetSketchConfig};
+use setsketch::{SetSketch1, SetSketch2, SetSketchConfig, StateError};
 use sketch_rand::mix64;
 
 fn elements(stream: u64, n: u64) -> impl Iterator<Item = u64> {
@@ -13,13 +11,12 @@ fn elements(stream: u64, n: u64) -> impl Iterator<Item = u64> {
 }
 
 #[test]
-fn setsketch_json_roundtrip_continues_working() {
+fn setsketch_binary_roundtrip_continues_working() {
     let cfg = SetSketchConfig::example_16bit();
     let mut original = SetSketch1::new(cfg, 1);
     original.extend(elements(1, 10_000));
 
-    let json = serde_json::to_string(&original).unwrap();
-    let mut restored: SetSketch1 = serde_json::from_str(&json).unwrap();
+    let mut restored = SetSketch1::from_bytes(&original.to_bytes()).unwrap();
     assert_eq!(original, restored);
 
     // The restored sketch accepts further inserts identically.
@@ -51,61 +48,12 @@ fn setsketch_binary_roundtrip_is_compact() {
 }
 
 #[test]
-fn setsketch_binary_is_much_smaller_than_json() {
+fn setsketch_binary_is_header_plus_packed_registers() {
     let cfg = SetSketchConfig::new(1024, 2.0, 20.0, 62).unwrap();
     let mut sketch = SetSketch1::new(cfg, 3);
     sketch.extend(elements(4, 5000));
-    let json = serde_json::to_string(&sketch).unwrap();
-    let bytes = sketch.to_bytes();
-    assert!(
-        bytes.len() * 3 < json.len(),
-        "binary {} vs json {}",
-        bytes.len(),
-        json.len()
-    );
-}
-
-#[test]
-fn ghll_json_roundtrip() {
-    let cfg = GhllConfig::hyperloglog(512).unwrap();
-    let mut sketch = GhllSketch::with_lower_bound_tracking(cfg, 4);
-    sketch.extend(elements(5, 100_000));
-    let json = serde_json::to_string(&sketch).unwrap();
-    let restored: GhllSketch = serde_json::from_str(&json).unwrap();
-    assert_eq!(sketch, restored);
-    assert!((restored.estimate_cardinality() - sketch.estimate_cardinality()).abs() < 1e-9);
-}
-
-#[test]
-fn minhash_and_superminhash_json_roundtrip() {
-    let mut minhash = MinHash::new(256, 5);
-    minhash.extend(elements(6, 3000));
-    let restored: MinHash =
-        serde_json::from_str(&serde_json::to_string(&minhash).unwrap()).unwrap();
-    assert_eq!(minhash, restored);
-
-    let mut smh = SuperMinHash::new(256, 5);
-    smh.extend(elements(6, 3000));
-    let mut restored: SuperMinHash =
-        serde_json::from_str(&serde_json::to_string(&smh).unwrap()).unwrap();
-    assert_eq!(smh, restored);
-    // The deserialized SuperMinHash must keep accepting inserts (its
-    // scratch shuffle state is rebuilt lazily).
-    for e in elements(7, 100) {
-        smh.insert_u64(e);
-        restored.insert_u64(e);
-    }
-    assert_eq!(smh, restored);
-}
-
-#[test]
-fn hyperminhash_json_roundtrip() {
-    let cfg = HyperMinHashConfig::new(256, 10).unwrap();
-    let mut sketch = HyperMinHash::new(cfg, 6);
-    sketch.extend(elements(8, 50_000));
-    let restored: HyperMinHash =
-        serde_json::from_str(&serde_json::to_string(&sketch).unwrap()).unwrap();
-    assert_eq!(sketch, restored);
+    // 41-byte header + 1024 registers x 6 bits.
+    assert_eq!(sketch.to_bytes().len(), 41 + 768);
 }
 
 #[test]
@@ -113,22 +61,27 @@ fn cross_variant_deserialization_fails_loudly() {
     let cfg = SetSketchConfig::new(64, 2.0, 20.0, 62).unwrap();
     let mut s1 = SetSketch1::new(cfg, 7);
     s1.extend(elements(9, 100));
-    let json = serde_json::to_string(&s1).unwrap();
-    let as_s2: Result<SetSketch2, _> = serde_json::from_str(&json);
-    assert!(as_s2.is_err(), "variant tags must be enforced");
+    let as_s2 = SetSketch2::from_bytes(&s1.to_bytes());
+    assert!(
+        matches!(as_s2, Err(StateError::VariantMismatch { .. })),
+        "variant tags must be enforced"
+    );
 }
 
 #[test]
 fn tampered_payloads_are_rejected() {
-    let cfg = SetSketchConfig::new(64, 2.0, 20.0, 62).unwrap();
+    // q = 60 packs into 6 bits, so a register can be tampered above
+    // q + 1 = 61.
+    let cfg = SetSketchConfig::new(64, 2.0, 20.0, 60).unwrap();
     let mut sketch = SetSketch1::new(cfg, 8);
     sketch.extend(elements(10, 1000));
-    let mut value: serde_json::Value =
-        serde_json::from_str(&serde_json::to_string(&sketch).unwrap()).unwrap();
-    // Register value above q + 1 = 63.
-    value["registers"][0] = serde_json::json!(64);
-    assert!(serde_json::from_value::<SetSketch1>(value.clone()).is_err());
-    // Wrong register count.
-    value["registers"] = serde_json::json!([1, 2, 3]);
-    assert!(serde_json::from_value::<SetSketch1>(value).is_err());
+    let bytes = sketch.to_bytes();
+    // Register value above q + 1.
+    let mut out_of_range = bytes.clone();
+    out_of_range[41] |= 0x3f;
+    assert!(SetSketch1::from_bytes(&out_of_range).is_err());
+    // Wrong register count: the header claims more than the payload holds.
+    let mut wrong_count = bytes;
+    wrong_count[5..13].copy_from_slice(&65u64.to_be_bytes());
+    assert!(SetSketch1::from_bytes(&wrong_count).is_err());
 }
