@@ -8,9 +8,17 @@
 //!
 //! The SetSketch figures use an explicit per-element `insert_u64` loop
 //! so they measure *streaming* Algorithm 1 — comparable with the
-//! GHLL/MinHash curves — now that `extend` routes through the sorted
-//! batch fast path; that path is benchmarked separately as
-//! `setsketch1_batched`.
+//! GHLL/MinHash curves. `insert_batch` and `extend` apply a batch in
+//! value order instead (passes under a doubling bound), which fills a
+//! sketch below n ≈ m a few register steps per element instead of most
+//! of its m values; that path is benchmarked separately as
+//! `setsketch{1,2}_batched`.
+//!
+//! The `small_batch` group checks the other side of that trade: batches
+//! of 1, 2, 8 and 64 elements into an empty and into an n = 2 048
+//! sketch, `insert_batch` (`batched`) against the `insert_u64` loop
+//! (`looped`). Each iteration starts from a clone of the prior sketch,
+//! so both columns include one clone.
 
 use bench::{bench_elements, BENCH_CARDINALITIES, BENCH_M};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -58,6 +66,19 @@ fn bench_recording(c: &mut Criterion) {
                 },
             );
             group.bench_with_input(
+                BenchmarkId::new(format!("setsketch2_batched/b{b}"), n),
+                &n,
+                |bencher, &n| {
+                    let cfg = setsketch_config(b);
+                    let elements: Vec<u64> = bench_elements(1, n).collect();
+                    bencher.iter(|| {
+                        let mut sketch = SetSketch2::new(cfg, 1);
+                        sketch.insert_batch(&elements);
+                        sketch.registers().get(0)
+                    });
+                },
+            );
+            group.bench_with_input(
                 BenchmarkId::new(format!("setsketch2/b{b}"), n),
                 &n,
                 |bencher, &n| {
@@ -99,5 +120,41 @@ fn bench_recording(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_recording);
+/// Batch sizes of the small-batch series.
+const SMALL_BATCHES: [usize; 4] = [1, 2, 8, 64];
+
+fn bench_small_batches(c: &mut Criterion) {
+    let mut group = c.benchmark_group("small_batch");
+    group.sample_size(10);
+    for &b in &[2.0f64, 1.001] {
+        for prior_n in [0u64, 2_048] {
+            let mut prior = SetSketch1::new(setsketch_config(b), 1);
+            prior.insert_batch(&bench_elements(2, prior_n).collect::<Vec<_>>());
+            for &size in &SMALL_BATCHES {
+                let batch: Vec<u64> = bench_elements(3, size as u64).collect();
+                group.throughput(Throughput::Elements(size as u64));
+                let id = |path: &str| BenchmarkId::new(format!("n{prior_n}/b{b}/{path}"), size);
+                group.bench_with_input(id("batched"), &batch, |bencher, batch| {
+                    bencher.iter(|| {
+                        let mut sketch = prior.clone();
+                        sketch.insert_batch(batch);
+                        sketch.registers().get(0)
+                    });
+                });
+                group.bench_with_input(id("looped"), &batch, |bencher, batch| {
+                    bencher.iter(|| {
+                        let mut sketch = prior.clone();
+                        for &e in batch {
+                            sketch.insert_u64(e);
+                        }
+                        sketch.registers().get(0)
+                    });
+                });
+            }
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_recording, bench_small_batches);
 criterion_main!(benches);

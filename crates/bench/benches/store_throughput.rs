@@ -5,7 +5,7 @@
 //! adds on top of the raw sketches:
 //!
 //! * batched ingest vs per-element insert (one lock acquisition per
-//!   batch, plus SetSketch's sorted-batch `K_low` early exit);
+//!   batch, plus SetSketch's deduplicated value-order fill);
 //! * multi-threaded ingest scaling across shards;
 //! * cross-key joint queries (lock + estimator).
 //!

@@ -27,12 +27,13 @@ impl<S: ValueSequence> Sketch for SetSketch<S> {
 }
 
 impl<S: ValueSequence> BatchInsert for SetSketch<S> {
-    /// Batched Algorithm 1 (the inherent
-    /// [`SetSketch::insert_batch`] sorted-dedup fast path): repeated
-    /// elements never touch the register scan, and the `K_low`
-    /// lower-bound early exit (paper §2.2) tightens as the batch
-    /// proceeds — for batches much larger than m most elements
-    /// terminate after a single comparison.
+    /// Batched Algorithm 1 (the inherent [`SetSketch::insert_batch`]):
+    /// the batch is sorted and deduplicated, so repeated elements never
+    /// touch the registers, and applied in value order — passes that
+    /// apply only hash values below a bound doubling up to `b^{−K_low}`
+    /// (paper §2.2) — so filling an empty sketch costs a few register
+    /// steps per element, and a batch into a filled sketch is one pass
+    /// with the per-element early exit.
     fn insert_batch(&mut self, elements: &[u64]) {
         SetSketch::insert_batch(self, elements);
     }
@@ -194,6 +195,7 @@ mod tests {
             looped.insert_u64(e);
         }
         assert_eq!(batched, looped);
+        assert_eq!(batched.register_histogram(), looped.register_histogram());
 
         let mut batched2 = SetSketch2::new(config(), 3);
         let mut looped2 = SetSketch2::new(config(), 3);
@@ -202,6 +204,7 @@ mod tests {
             looped2.insert_u64(e);
         }
         assert_eq!(batched2, looped2);
+        assert_eq!(batched2.register_histogram(), looped2.register_histogram());
     }
 
     #[test]

@@ -10,6 +10,16 @@
 //! hash values and stops as soon as a value can no longer affect any
 //! register — tracked through the lower bound `K_low` (§2.2) — giving an
 //! amortized O(1) insert for sets much larger than m.
+//!
+//! Below n ≈ m that bound has not risen yet and every element walks most
+//! of its m values, so batches are applied in *value order* instead (the
+//! whole-batch form of the early exit, after Dahlgaard, Knudsen & Thorup's
+//! fast similarity sketching): passes over the deduplicated batch apply
+//! only values `x ≤ τ`, doubling τ until `τ ≥ b^{−K_low}`. This is exact:
+//! a value `x > b^{−K_low}` has update value `k ≤ K_low`, and `K_low` is at
+//! most every register, so the values the last pass skips change nothing.
+//! A single element is the same loop started at `τ = b^{−K_low}`: one
+//! pass, Algorithm 1 itself.
 
 use crate::config::SetSketchConfig;
 use crate::sequence::{ExponentialSpacings, IntervalSampling, ValueSequence};
@@ -140,11 +150,18 @@ thread_local! {
     });
 }
 
-/// Algorithm 1 for a run of hashed elements, written once over the lane
-/// type and dispatched on the register width once per run — outside the
+/// Algorithm 1 for a run of distinct hashed elements, applied in value
+/// order: each pass regenerates every element's ascending sequence and
+/// applies only the values `x ≤ τ`, then rescans `K_low` and doubles τ
+/// until `τ ≥ b^{−K_low}`. Written once over the lane type and
+/// dispatched on the register width once per run — outside the pass,
 /// per-element and per-register loops.
 struct InsertHashes<'a, S> {
     hashes: &'a [u64],
+    /// The first pass's bound before it is capped at `b^{−K_low}`;
+    /// infinite for a single streamed element, whose one pass is
+    /// Algorithm 1 exactly.
+    start: f64,
     table: &'a PowerTable,
     sequence: &'a mut S,
     shuffle: &'a mut IncrementalShuffle,
@@ -160,34 +177,62 @@ impl<S: ValueSequence> LanesMut for InsertHashes<'_, S> {
         let m = registers.len();
         let mut k_low = *self.k_low;
         let mut modifications = *self.modifications;
-        for &hash in self.hashes {
-            let mut rng = WyRand::new(hash);
-            self.sequence.start();
-            self.shuffle.reset_with_domain(m);
-            for _ in 0..m {
-                let x = self.sequence.next(&mut rng);
-                // Combined check of Algorithm 1: stop when x > b^{-K_low}
-                // or the clamped update value k would satisfy k <= K_low.
-                let Some(k) = self.table.update_value_above(x, k_low) else {
-                    break;
-                };
-                let i = self.shuffle.next(&mut rng) as usize;
-                let old = registers[i].widen();
-                if k > old {
-                    registers[i] = L::narrow(k).expect("update values are at most q + 1");
-                    if !self.histogram.is_empty() {
-                        self.histogram[old as usize] -= 1;
-                        self.histogram[k as usize] += 1;
+        let mut bound = self.start.min(self.table.pow_neg(k_low));
+        loop {
+            // A pass at b^{-K_low} skips only values that cannot raise a
+            // register: it is Algorithm 1 itself and the last pass.
+            let exact = bound >= self.table.pow_neg(k_low);
+            for &hash in self.hashes {
+                let mut rng = WyRand::new(hash);
+                self.sequence.start();
+                self.shuffle.reset_with_domain(m);
+                for _ in 0..m {
+                    let x = self.sequence.next(&mut rng);
+                    // Combined check of Algorithm 1: stop when x exceeds
+                    // the pass bound or b^{-K_low}, or the clamped update
+                    // value k would satisfy k <= K_low. The shuffle index
+                    // is drawn only for values that pass, so every pass
+                    // replays the same random stream.
+                    if x > bound {
+                        break;
                     }
-                    modifications += 1;
-                    if modifications >= m as u32 {
-                        // Rescan to raise K_low (amortized O(1) per
-                        // register increment, §2.2).
-                        k_low = kernels::min_scan(registers);
-                        modifications = 0;
+                    let Some(k) = self.table.update_value_above(x, k_low) else {
+                        break;
+                    };
+                    let i = self.shuffle.next(&mut rng) as usize;
+                    let old = registers[i].widen();
+                    if k > old {
+                        registers[i] = L::narrow(k).expect("update values are at most q + 1");
+                        if !self.histogram.is_empty() {
+                            self.histogram[old as usize] -= 1;
+                            self.histogram[k as usize] += 1;
+                        }
+                        modifications += 1;
+                        if modifications >= m as u32 {
+                            // Rescan to raise K_low (amortized O(1) per
+                            // register increment, §2.2).
+                            k_low = kernels::min_scan(registers);
+                            modifications = 0;
+                        }
                     }
                 }
             }
+            if exact {
+                break;
+            }
+            k_low = match self.histogram.iter().position(|&count| count != 0) {
+                Some(k) => k as u32,
+                None => kernels::min_scan(registers),
+            };
+            modifications = 0;
+            let limit = self.table.pow_neg(k_low);
+            if bound >= limit {
+                break;
+            }
+            // Doubling, never a jump to the limit: K_low stays 0 until
+            // the last register is covered, so b^{-K_low} is far too
+            // loose a bound until the fill is nearly done.
+            bound = (2.0 * bound).min(limit);
         }
         *self.k_low = k_low;
         *self.modifications = modifications;
@@ -309,7 +354,11 @@ impl<S: ValueSequence> SetSketch<S> {
         &self.registers
     }
 
-    /// The tracked lower bound K_low (for tests and diagnostics).
+    /// The tracked lower bound K_low (for tests and diagnostics): at most
+    /// every register, and possibly below their minimum. Only a rescan
+    /// raises it, so its value depends on the insert path — a batch
+    /// rescans at the end of each pass and may leave it tighter than
+    /// the same elements inserted one by one.
     #[inline]
     pub fn k_low(&self) -> u32 {
         self.k_low
@@ -372,8 +421,11 @@ impl<S: ValueSequence> SetSketch<S> {
 
     /// Inserts all elements of an iterator through the batched fast
     /// path: elements are hashed, sorted and deduplicated in bounded
-    /// chunks, so within each chunk duplicates never reach Algorithm 1
-    /// and the `K_low` early exit tightens as the chunk proceeds.
+    /// chunks, so within each chunk duplicates never reach Algorithm 1,
+    /// and each chunk is applied in value order — passes that apply only
+    /// hash values below a doubling bound, stopping once the bound
+    /// reaches `b^{−K_low}` — so filling an empty sketch costs a few
+    /// register steps per element instead of most of its m values.
     ///
     /// The stream is consumed in fixed-size chunks
     /// ([`EXTEND_CHUNK`](Self::EXTEND_CHUNK) elements), keeping peak
@@ -402,7 +454,7 @@ impl<S: ValueSequence> SetSketch<S> {
             }
             hashes.sort_unstable();
             hashes.dedup();
-            self.insert_hashes(&hashes);
+            self.insert_hashes(&hashes, self.first_bound(hashes.len()));
         }
         hashes.clear();
         // Amortized growth may have overshot the chunk size; the
@@ -418,13 +470,16 @@ impl<S: ValueSequence> SetSketch<S> {
 
     /// Inserts a batch of 64-bit elements (batched Algorithm 1).
     ///
-    /// Semantically identical to inserting each element individually,
-    /// but each [`EXTEND_CHUNK`](Self::EXTEND_CHUNK)-element chunk of the
-    /// batch is hashed up front, sorted and deduplicated, so repeated
-    /// elements are dropped before touching the register scan and the
-    /// `K_low` lower-bound early exit (paper §2.2) — which only tightens
-    /// as earlier batch elements raise the registers — discards most
-    /// remaining elements after a single comparison.
+    /// Leaves registers bit-identical to inserting each element
+    /// individually, but each [`EXTEND_CHUNK`](Self::EXTEND_CHUNK)-element
+    /// chunk of the batch is hashed up front, sorted and deduplicated, so
+    /// repeated elements never reach the registers, and then applied in
+    /// value order: each pass regenerates every element's sequence and
+    /// applies only values below a bound that doubles, from an upper
+    /// quantile of where the chunk's fill should end, until it reaches
+    /// `b^{−K_low}` (the module docs give the exactness argument). A
+    /// batch into a filled sketch is one pass at `b^{−K_low}` — the
+    /// paper §2.2 early exit, element by element.
     pub fn insert_batch(&mut self, elements: &[u64]) {
         self.extend(elements.iter().copied());
     }
@@ -434,15 +489,34 @@ impl<S: ValueSequence> SetSketch<S> {
     /// The 64-bit value seeds the per-element pseudorandom generator; equal
     /// values leave the state unchanged (idempotency).
     pub fn insert_hash(&mut self, hash: u64) {
-        self.insert_hashes(&[hash]);
+        self.insert_hashes(&[hash], f64::INFINITY);
     }
 
-    /// Algorithm 1 for each hash in order, under one borrow of the
-    /// thread's insert scratch and one dispatch on the register width.
-    fn insert_hashes(&mut self, hashes: &[u64]) {
+    /// Where the first pass over `n` distinct hashes stops (before the
+    /// cap at `b^{−K_low}`): an upper quantile of where the batch's
+    /// bound ends. Each register's smallest value among n elements is
+    /// Exp(n·a), so the last register is covered near
+    /// `(ln m + G)/(n·a)` with G Gumbel-distributed; `3 ≈ −ln(−ln 0.95)`
+    /// is G's 95 % point, and the factor b adds one register step of
+    /// headroom. A lower start costs tiny batches extra passes; a higher
+    /// one walks values no register needs.
+    ///
+    /// Never zero (n·a overflows for extreme rates a): doubling could
+    /// not lift a zero bound.
+    fn first_bound(&self, n: usize) -> f64 {
+        let (b, a) = (self.config.b(), self.config.a());
+        (b * ((self.m() as f64).ln() + 3.0) / (n as f64 * a)).max(f64::MIN_POSITIVE)
+    }
+
+    /// Algorithm 1 for distinct hashes in value order (see
+    /// [`InsertHashes`]), its first pass bounded by `start`, under one
+    /// borrow of the thread's insert scratch and one dispatch on the
+    /// register width.
+    fn insert_hashes(&mut self, hashes: &[u64], start: f64) {
         INSERT_SCRATCH.with(|scratch| {
             self.registers.with_lanes_mut(InsertHashes {
                 hashes,
+                start,
                 table: &self.table,
                 sequence: &mut self.sequence,
                 shuffle: &mut scratch.borrow_mut().shuffle,
@@ -701,6 +775,53 @@ mod tests {
         assert_eq!(batched, looped);
         assert_eq!(streamed, looped);
         assert_eq!(batched.register_histogram(), looped.register_histogram());
+    }
+
+    #[test]
+    fn value_order_is_exact_from_any_start_bound() {
+        // The start bound decides only how many passes a batch takes:
+        // from far too low (dozens of doublings, each closed by a
+        // rescan) to unbounded (one pass), into an empty and into a
+        // partly filled sketch, the registers are the element loop's.
+        fn check<S: ValueSequence>(b: f64, q: u32) {
+            let config = SetSketchConfig::new(64, b, 20.0, q).unwrap();
+            let hashes: Vec<u64> = (0..150).map(|e| hash_u64(e, 1)).collect();
+            for prior in [0, 40] {
+                let mut base = SetSketch::<S>::new(config, 1);
+                base.extend(1_000..1_000 + prior);
+                let mut looped = base.clone();
+                for &hash in &hashes {
+                    looped.insert_hash(hash);
+                }
+                for start in [1e-12, 1e-5, 1e-3, 0.1, f64::INFINITY] {
+                    let mut batched = base.clone();
+                    batched.insert_hashes(&hashes, start);
+                    let label = format!("{} b={b} prior={prior} start={start}", S::NAME);
+                    assert!(batched == looped, "{label}");
+                    assert_eq!(batched.histogram, looped.histogram, "{label}");
+                    let min = batched.registers().iter().min().unwrap();
+                    assert!(batched.k_low() <= min, "{label}");
+                }
+            }
+        }
+        for (b, q) in [(2.0, 62), (1.001, 65_534)] {
+            check::<ExponentialSpacings>(b, q);
+            check::<IntervalSampling>(b, q);
+        }
+    }
+
+    #[test]
+    fn batch_with_an_overflowing_rate_terminates() {
+        // 20 · 1e307 overflows, so the start bound's denominator is
+        // infinite; a zero bound would double forever.
+        let config = SetSketchConfig::new(8, 2.0, 1e307, 62).unwrap();
+        let mut batched = SetSketch1::new(config, 1);
+        batched.extend(0..20);
+        let mut looped = SetSketch1::new(config, 1);
+        for e in 0..20 {
+            looped.insert_u64(e);
+        }
+        assert_eq!(batched, looped);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! * **batched ingest** — [`SketchStore::ingest`] /
 //!   [`SketchStore::ingest_bytes`] record a whole batch under one lock
 //!   acquisition, hitting the sketch's specialized [`BatchInsert`] path
-//!   (SetSketch's sorted-batch `K_low` early exit);
+//!   (SetSketch's deduplicated value-order fill);
 //! * **pipelined ingest** — [`SketchStore::pipeline`] returns an
 //!   [`IngestPipeline`] routing batches into bounded per-writer
 //!   channels drained by dedicated threads that coalesce each burst

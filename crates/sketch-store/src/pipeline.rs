@@ -15,7 +15,7 @@
 //!   lock. Writers drain their channel in bursts and coalesce each burst
 //!   **per key**: many small batches submitted between two wake-ups
 //!   become one batched sketch update (one lock acquisition, one version
-//!   stamp, one sorted-batch pass that also deduplicates across
+//!   stamp, one sorted batch that also deduplicates across
 //!   producers). Inserts are idempotent and commutative, so coalescing
 //!   cannot change the final state.
 //! * **Backpressure** — each channel holds at most `queue_depth`

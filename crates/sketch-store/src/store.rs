@@ -669,7 +669,7 @@ impl<S: BatchInsert> SketchStore<S> {
     /// unless it outgrows the 64 MiB record limit (≈ 8.4 M elements),
     /// in which case each record is applied after it is logged;
     /// sketches with a specialized [`BatchInsert`] (SetSketch's
-    /// sorted-batch `K_low` early exit) get their fast path.
+    /// deduplicated value-order fill) get their fast path.
     pub fn ingest(&self, key: &str, elements: &[u64]) {
         let per_record = crate::wal::ingest_elements_per_record(key);
         let mut rest = elements;

@@ -9,13 +9,71 @@ use hyperloglog::{GhllConfig, GhllSketch};
 use hyperminhash::{HyperMinHash, HyperMinHashConfig};
 use proptest::collection::vec;
 use proptest::prelude::*;
-use setsketch::{SetSketch1, SetSketch2, SetSketchConfig};
+use setsketch::{
+    ExponentialSpacings, IntervalSampling, SetSketch, SetSketch1, SetSketch2, SetSketchConfig,
+    ValueSequence,
+};
 use simulation::workload::SetPair;
+use sketch_core::CompactSketch;
 use sketch_math::bitpack::{pack_bits, unpack_bits};
 use sketch_math::{inclusion_exclusion_jaccard, ml_jaccard, ml_jaccard_b1, JointCounts};
 
 fn small_config() -> SetSketchConfig {
     SetSketchConfig::new(32, 2.0, 20.0, 62).unwrap()
+}
+
+/// Register scales covering the three lane widths: `u8` (b = 2,
+/// q = 62), `u16` (b = 1.001, q = 65 534) and `u32` (b = 1.0001,
+/// q = 200 000).
+const LANE_SCALES: [(f64, u32); 3] = [(2.0, 62), (1.001, 65_534), (1.0001, 200_000)];
+
+/// A sketch of `config` holding `fill` distinct elements, inserted one
+/// by one.
+fn primed<S: ValueSequence>(config: SetSketchConfig, seed: u64, fill: u64) -> SetSketch<S> {
+    let mut sketch = SetSketch::new(config, seed);
+    for e in 0..fill {
+        sketch.insert_u64(e | 1 << 40);
+    }
+    sketch
+}
+
+/// Inserts `batch` into three copies of `prior` — element by element,
+/// through `insert_batch` and through `extend` — and checks that the two
+/// batch paths leave exactly the loop's registers, histogram and bytes.
+/// Only `K_low` may differ (a batch may leave it tighter), so it is
+/// checked as a bound.
+fn batch_paths_agree<S: ValueSequence>(
+    prior: &SetSketch<S>,
+    batch: &[u64],
+) -> Result<(), TestCaseError> {
+    let mut looped = prior.clone();
+    for &e in batch {
+        looped.insert_u64(e);
+    }
+    let mut batched = prior.clone();
+    batched.insert_batch(batch);
+    let mut extended = prior.clone();
+    extended.extend(batch.iter().copied());
+    for (path, sketch) in [("insert_batch", &batched), ("extend", &extended)] {
+        let context = format!("{path}, {}, {} elements", S::NAME, batch.len());
+        prop_assert!(sketch == &looped, "{context}: registers differ");
+        prop_assert_eq!(
+            sketch.register_histogram(),
+            looped.register_histogram(),
+            "{context}: histograms differ"
+        );
+        prop_assert!(
+            sketch.compress() == looped.compress(),
+            "{context}: compressed bytes differ"
+        );
+        let min = sketch.registers().iter().min().unwrap();
+        prop_assert!(
+            sketch.k_low() <= min,
+            "{context}: K_low {} above the minimum register {min}",
+            sketch.k_low()
+        );
+    }
+    Ok(())
 }
 
 proptest! {
@@ -70,19 +128,53 @@ proptest! {
     fn registers_grow_and_bound_stays_valid(
         batches in vec(vec(0u64..10_000, 1..50), 1..6),
     ) {
-        let mut sketch = SetSketch1::new(small_config(), 3);
-        let mut previous = sketch.registers().to_vec();
+        // The element loop and the value-order batch path, side by side.
+        let mut looped = SetSketch1::new(small_config(), 3);
+        let mut batched = looped.clone();
+        let mut previous = looped.registers().to_vec();
         for batch in &batches {
             for &e in batch {
-                sketch.insert_u64(e);
+                looped.insert_u64(e);
             }
-            let current = sketch.registers().to_vec();
-            for (p, c) in previous.iter().zip(&current) {
-                prop_assert!(c >= p);
+            batched.insert_batch(batch);
+            for sketch in [&looped, &batched] {
+                let current = sketch.registers().to_vec();
+                for (p, c) in previous.iter().zip(&current) {
+                    prop_assert!(c >= p);
+                }
+                let min = current.iter().copied().min().unwrap();
+                prop_assert!(sketch.k_low() <= min);
             }
-            let min = current.iter().copied().min().unwrap();
-            prop_assert!(sketch.k_low() <= min);
-            previous = current;
+            previous = looped.registers().to_vec();
+        }
+    }
+
+    /// `insert_batch` and `extend` apply a chunk in value order — passes
+    /// under a doubling bound — yet leave exactly what inserting each
+    /// element does: for both families, all three lane widths, an empty,
+    /// a partly filled and a saturated (q = 2) prior state, and batches
+    /// of 1 to 3 m elements with duplicates.
+    #[test]
+    fn batch_insert_equals_the_element_loop(
+        m in 8usize..97,
+        size in 0usize..288,
+        pool in vec(0u64..192, 288),
+        seed in 0u64..4,
+    ) {
+        let batch = &pool[..1 + size % (3 * m)];
+        let m64 = m as u64;
+        for (b, q) in LANE_SCALES {
+            for (q, fill) in [(q, 0), (q, 2 * m64), (2, 8 * m64)] {
+                let config = SetSketchConfig::new(m, b, 20.0, q).unwrap();
+                let spacings = primed::<ExponentialSpacings>(config, seed, fill);
+                let intervals = primed::<IntervalSampling>(config, seed, fill);
+                if q == 2 {
+                    prop_assert!(spacings.registers().iter().all(|k| k == 3));
+                    prop_assert!(intervals.registers().iter().all(|k| k == 3));
+                }
+                batch_paths_agree(&spacings, batch)?;
+                batch_paths_agree(&intervals, batch)?;
+            }
         }
     }
 
