@@ -5,6 +5,7 @@
 //! `u8`, `u16` and `u32`, one 32-byte chunk of 32 / 16 / 8 registers per
 //! iteration — and the sketch-level operations built on them at the
 //! configuration each width serves: clone, merge, compress, decompress,
+//! the 6-bit `pack_bits`/`unpack_bits` form of `to_bytes`,
 //! warm-sketch cardinality estimation (which must *not* scale with m on
 //! dense scales thanks to the maintained histogram) and joint
 //! estimation.
@@ -22,6 +23,7 @@ use bench::bench_elements;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use setsketch::{SetSketch2, SetSketchConfig};
 use sketch_core::CompactSketch;
+use sketch_math::bitpack;
 use sketch_math::kernels::{self, scalar, Lane};
 use std::time::Instant;
 
@@ -249,6 +251,26 @@ fn bench_end_to_end(records: &mut Vec<Record>) {
             (batch_nanos - new_nanos).max(0.1),
         );
     }
+
+    // The `to_bytes` register form: 6 bits per register (q = 62) from and
+    // into byte lanes.
+    const M: usize = 4096;
+    let values = narrowed::<u8>(&registers(17, M));
+    let packed = bitpack::pack_bits(&values, 6);
+    record(
+        records,
+        GROUP,
+        "pack_bits_u8",
+        M,
+        measure(|| bitpack::pack_bits(black_box(&values), 6)),
+    );
+    record(
+        records,
+        GROUP,
+        "unpack_bits_u8",
+        M,
+        measure(|| bitpack::unpack_bits::<u8>(black_box(&packed), M, 6, 63).expect("valid")),
+    );
 }
 
 /// Writes the records as JSON by hand (flat schema, no dependencies)

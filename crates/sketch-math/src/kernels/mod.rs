@@ -56,6 +56,10 @@ pub trait Lane: Copy + Ord + std::fmt::Debug + sealed::Sealed + 'static {
     /// The `u32` as a lane value, `None` when it does not fit.
     fn narrow(value: u32) -> Option<Self>;
 
+    /// The low bits of `value` as a lane value — the branch-free
+    /// narrowing of a value already known to fit.
+    fn truncate(value: u32) -> Self;
+
     /// `self + 1` when `condition` holds, wrapping at [`MAX`](Self::MAX) —
     /// the branch-free counter step of [`compare_counts`].
     fn wrapping_count(self, condition: bool) -> Self;
@@ -77,6 +81,11 @@ macro_rules! impl_lane {
             #[inline]
             fn narrow(value: u32) -> Option<Self> {
                 <$lane>::try_from(value).ok()
+            }
+
+            #[inline]
+            fn truncate(value: u32) -> Self {
+                value as $lane
             }
 
             #[inline]

@@ -244,15 +244,18 @@ proptest! {
         prop_assert!(j <= 1.0 + 1e-12);
     }
 
-    /// Bit-packing roundtrips for arbitrary register contents and widths.
+    /// Bit-packing roundtrips for arbitrary register contents at every
+    /// width, with values across the whole width.
     #[test]
     fn codec_roundtrips(
-        values in vec(0u32..64, 0..200),
-        extra_bits in 0u32..10,
+        raw in vec(any::<u32>(), 0..200),
+        bits in 1u32..=32,
     ) {
-        let bits = 6 + extra_bits;
+        let mask = u32::MAX >> (32 - bits);
+        let values: Vec<u32> = raw.iter().map(|&v| v & mask).collect();
         let packed = pack_bits(&values, bits);
-        let unpacked = unpack_bits::<u32>(&packed, values.len(), bits, 63).unwrap();
+        prop_assert_eq!(packed.len(), (values.len() * bits as usize).div_ceil(8));
+        let unpacked = unpack_bits::<u32>(&packed, values.len(), bits, mask).unwrap();
         prop_assert_eq!(values, unpacked);
     }
 
