@@ -108,8 +108,8 @@ type CompareCounts = (u32, u32, u32);
 
 /// One implementation of the five kernels over lanes of type `L`.
 struct KernelSet<L: 'static> {
-    max_merge_min: fn(&mut [L], &[L]) -> u32,
-    max_merge: fn(&mut [L], &[L]),
+    max_merge_min: fn(&mut [L], &[L]) -> (u32, bool),
+    max_merge: fn(&mut [L], &[L]) -> bool,
     min_scan: fn(&[L]) -> u32,
     histogram: fn(&[L], &mut [u32]),
     compare: fn(&[L], &[L]) -> CompareCounts,

@@ -284,18 +284,21 @@ impl GhllSketch {
 
     /// Merges `other` into `self` (element-wise maximum through the
     /// fused [`kernels::max_merge_min`] register kernel; the merged
-    /// lower bound falls out of the same pass).
-    pub fn merge(&mut self, other: &Self) -> Result<(), IncompatibleGhll> {
+    /// lower bound falls out of the same pass) and returns whether any
+    /// register rose.
+    pub fn merge(&mut self, other: &Self) -> Result<bool, IncompatibleGhll> {
         if !self.is_compatible(other) {
             return Err(IncompatibleGhll);
         }
-        if self.lower_bound_tracking {
-            self.k_low = self.registers.max_merge_min(&other.registers);
+        let raised = if self.lower_bound_tracking {
+            let (k_low, raised) = self.registers.max_merge_min(&other.registers);
+            self.k_low = k_low;
             self.modifications = 0;
+            raised
         } else {
-            self.registers.max_merge(&other.registers);
-        }
-        Ok(())
+            self.registers.max_merge(&other.registers)
+        };
+        Ok(raised)
     }
 
     /// Returns the union sketch.

@@ -64,7 +64,7 @@ impl Mergeable for GhllSketch {
         GhllSketch::is_compatible(self, other)
     }
 
-    fn merge_from(&mut self, other: &Self) -> Result<(), IncompatibleGhll> {
+    fn merge_from(&mut self, other: &Self) -> Result<bool, IncompatibleGhll> {
         self.merge(other)
     }
 }

@@ -27,7 +27,7 @@ impl Mergeable for HyperMinHash {
         HyperMinHash::is_compatible(self, other)
     }
 
-    fn merge_from(&mut self, other: &Self) -> Result<(), IncompatibleHyperMinHash> {
+    fn merge_from(&mut self, other: &Self) -> Result<bool, IncompatibleHyperMinHash> {
         self.merge(other)
     }
 }

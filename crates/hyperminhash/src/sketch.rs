@@ -195,13 +195,16 @@ impl HyperMinHash {
 
     /// Merges `other` into `self` (element-wise maximum of the combined
     /// values through the vectorized merge kernel, equivalent to
-    /// HyperMinHash's minwise merge).
-    pub fn merge(&mut self, other: &Self) -> Result<(), IncompatibleHyperMinHash> {
+    /// HyperMinHash's minwise merge) and returns whether any register
+    /// rose.
+    pub fn merge(&mut self, other: &Self) -> Result<bool, IncompatibleHyperMinHash> {
         if !self.is_compatible(other) {
             return Err(IncompatibleHyperMinHash);
         }
-        sketch_math::kernels::max_merge(&mut self.registers, &other.registers);
-        Ok(())
+        Ok(sketch_math::kernels::max_merge(
+            &mut self.registers,
+            &other.registers,
+        ))
     }
 
     /// Returns the union sketch.

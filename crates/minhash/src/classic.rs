@@ -103,17 +103,20 @@ impl MinHash {
         self.seed == other.seed && self.values.len() == other.values.len()
     }
 
-    /// Merges `other` into `self` (component-wise minimum = set union).
-    pub fn merge(&mut self, other: &Self) -> Result<(), IncompatibleMinHash> {
+    /// Merges `other` into `self` (component-wise minimum = set union)
+    /// and returns whether any component fell.
+    pub fn merge(&mut self, other: &Self) -> Result<bool, IncompatibleMinHash> {
         if !self.is_compatible(other) {
             return Err(IncompatibleMinHash);
         }
+        let mut changed = false;
         for (a, &b) in self.values.iter_mut().zip(&other.values) {
             if b < *a {
                 *a = b;
+                changed = true;
             }
         }
-        Ok(())
+        Ok(changed)
     }
 
     /// Returns the union sketch.

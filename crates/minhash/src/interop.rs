@@ -52,7 +52,7 @@ impl Mergeable for MinHash {
         MinHash::is_compatible(self, other)
     }
 
-    fn merge_from(&mut self, other: &Self) -> Result<(), IncompatibleMinHash> {
+    fn merge_from(&mut self, other: &Self) -> Result<bool, IncompatibleMinHash> {
         self.merge(other)
     }
 }
@@ -119,7 +119,7 @@ impl Mergeable for SuperMinHash {
         SuperMinHash::is_compatible(self, other)
     }
 
-    fn merge_from(&mut self, other: &Self) -> Result<(), IncompatibleSuperMinHash> {
+    fn merge_from(&mut self, other: &Self) -> Result<bool, IncompatibleSuperMinHash> {
         self.merge(other)
     }
 }
@@ -181,7 +181,7 @@ impl Mergeable for OnePermutationHashing {
         OnePermutationHashing::is_compatible(self, other)
     }
 
-    fn merge_from(&mut self, other: &Self) -> Result<(), IncompatibleOph> {
+    fn merge_from(&mut self, other: &Self) -> Result<bool, IncompatibleOph> {
         self.merge(other)
     }
 }

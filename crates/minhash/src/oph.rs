@@ -93,18 +93,21 @@ impl OnePermutationHashing {
         self.seed == other.seed && self.values.len() == other.values.len()
     }
 
-    /// Merges `other` into `self` (bin-wise minimum). Only the *raw*
-    /// sketch merges; densified signatures do not.
-    pub fn merge(&mut self, other: &Self) -> Result<(), IncompatibleOph> {
+    /// Merges `other` into `self` (bin-wise minimum) and returns whether
+    /// any bin fell. Only the *raw* sketch merges; densified signatures
+    /// do not.
+    pub fn merge(&mut self, other: &Self) -> Result<bool, IncompatibleOph> {
         if !self.is_compatible(other) {
             return Err(IncompatibleOph);
         }
+        let mut changed = false;
         for (a, &b) in self.values.iter_mut().zip(&other.values) {
             if b < *a {
                 *a = b;
+                changed = true;
             }
         }
-        Ok(())
+        Ok(changed)
     }
 
     /// Returns the union sketch.

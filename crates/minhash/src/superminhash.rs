@@ -139,18 +139,23 @@ impl SuperMinHash {
         self.seed == other.seed && self.values.len() == other.values.len()
     }
 
-    /// Merges `other` into `self` (component-wise minimum).
-    pub fn merge(&mut self, other: &Self) -> Result<(), IncompatibleSuperMinHash> {
+    /// Merges `other` into `self` (component-wise minimum) and returns
+    /// whether any component fell.
+    pub fn merge(&mut self, other: &Self) -> Result<bool, IncompatibleSuperMinHash> {
         if !self.is_compatible(other) {
             return Err(IncompatibleSuperMinHash);
         }
+        let mut changed = false;
         for (a, &b) in self.values.iter_mut().zip(&other.values) {
             if b < *a {
                 *a = b;
+                changed = true;
             }
         }
-        self.rescan_upper_bound();
-        Ok(())
+        if changed {
+            self.rescan_upper_bound();
+        }
+        Ok(changed)
     }
 
     /// Returns the union sketch.

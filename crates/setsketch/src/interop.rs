@@ -33,9 +33,10 @@ impl<S: ValueSequence> BatchInsert for SetSketch<S> {
     /// apply only hash values below a bound doubling up to `b^{−K_low}`
     /// (paper §2.2) — so filling an empty sketch costs a few register
     /// steps per element, and a batch into a filled sketch is one pass
-    /// with the per-element early exit.
-    fn insert_batch(&mut self, elements: &[u64]) {
-        SetSketch::insert_batch(self, elements);
+    /// with the per-element early exit. The answer is exact: `true`
+    /// exactly when a register rose.
+    fn insert_batch_changed(&mut self, elements: &[u64]) -> bool {
+        SetSketch::insert_batch(self, elements)
     }
 }
 
@@ -46,7 +47,7 @@ impl<S: ValueSequence> Mergeable for SetSketch<S> {
         SetSketch::is_compatible(self, other)
     }
 
-    fn merge_from(&mut self, other: &Self) -> Result<(), IncompatibleSketches> {
+    fn merge_from(&mut self, other: &Self) -> Result<bool, IncompatibleSketches> {
         self.merge(other)
     }
 

@@ -155,7 +155,8 @@ thread_local! {
 /// applies only the values `x ≤ τ`, then rescans `K_low` and doubles τ
 /// until `τ ≥ b^{−K_low}`. Written once over the lane type and
 /// dispatched on the register width once per run — outside the pass,
-/// per-element and per-register loops.
+/// per-element and per-register loops. Returns whether any register
+/// rose: a run that raised none left the sketch exactly as it was.
 struct InsertHashes<'a, S> {
     hashes: &'a [u64],
     /// The first pass's bound before it is capped at `b^{−K_low}`;
@@ -171,12 +172,13 @@ struct InsertHashes<'a, S> {
 }
 
 impl<S: ValueSequence> LanesMut for InsertHashes<'_, S> {
-    type Output = ();
+    type Output = bool;
 
-    fn run<L: Lane>(self, registers: &mut [L]) {
+    fn run<L: Lane>(self, registers: &mut [L]) -> bool {
         let m = registers.len();
         let mut k_low = *self.k_low;
         let mut modifications = *self.modifications;
+        let mut raised = false;
         let mut bound = self.start.min(self.table.pow_neg(k_low));
         loop {
             // A pass at b^{-K_low} skips only values that cannot raise a
@@ -202,6 +204,7 @@ impl<S: ValueSequence> LanesMut for InsertHashes<'_, S> {
                     let i = self.shuffle.next(&mut rng) as usize;
                     let old = registers[i].widen();
                     if k > old {
+                        raised = true;
                         registers[i] = L::narrow(k).expect("update values are at most q + 1");
                         if !self.histogram.is_empty() {
                             self.histogram[old as usize] -= 1;
@@ -236,6 +239,7 @@ impl<S: ValueSequence> LanesMut for InsertHashes<'_, S> {
         }
         *self.k_low = k_low;
         *self.modifications = modifications;
+        raised
     }
 }
 
@@ -434,7 +438,13 @@ impl<S: ValueSequence> SetSketch<S> {
     /// The chunk buffer is the thread's reusable scratch allocation, so
     /// steady batched ingest does not allocate per call.
     pub fn extend<I: IntoIterator<Item = u64>>(&mut self, elements: I) {
+        self.extend_raising(elements);
+    }
+
+    /// [`extend`](Self::extend), returning whether any register rose.
+    fn extend_raising<I: IntoIterator<Item = u64>>(&mut self, elements: I) -> bool {
         let seed = self.seed;
+        let mut raised = false;
         let mut elements = elements.into_iter();
         // The buffer is taken out of the scratch while the caller's
         // iterator runs (it may itself insert into a sketch) and goes
@@ -454,13 +464,14 @@ impl<S: ValueSequence> SetSketch<S> {
             }
             hashes.sort_unstable();
             hashes.dedup();
-            self.insert_hashes(&hashes, self.first_bound(hashes.len()));
+            raised |= self.insert_hashes(&hashes, self.first_bound(hashes.len()));
         }
         hashes.clear();
         // Amortized growth may have overshot the chunk size; the
         // retained buffer never exceeds one chunk.
         hashes.shrink_to(Self::EXTEND_CHUNK);
         INSERT_SCRATCH.with(|scratch| scratch.borrow_mut().hashes = hashes);
+        raised
     }
 
     /// Chunk size of the batched insert paths (elements buffered,
@@ -480,8 +491,12 @@ impl<S: ValueSequence> SetSketch<S> {
     /// `b^{−K_low}` (the module docs give the exactness argument). A
     /// batch into a filled sketch is one pass at `b^{−K_low}` — the
     /// paper §2.2 early exit, element by element.
-    pub fn insert_batch(&mut self, elements: &[u64]) {
-        self.extend(elements.iter().copied());
+    ///
+    /// Returns whether any register rose. Once n ≫ m almost no batch
+    /// raises one, and a batch that raised none left the sketch exactly
+    /// as it was — what lets a store treat such a write as a read.
+    pub fn insert_batch(&mut self, elements: &[u64]) -> bool {
+        self.extend_raising(elements.iter().copied())
     }
 
     /// Inserts an already fully hashed element (Algorithm 1).
@@ -511,8 +526,8 @@ impl<S: ValueSequence> SetSketch<S> {
     /// Algorithm 1 for distinct hashes in value order (see
     /// [`InsertHashes`]), its first pass bounded by `start`, under one
     /// borrow of the thread's insert scratch and one dispatch on the
-    /// register width.
-    fn insert_hashes(&mut self, hashes: &[u64], start: f64) {
+    /// register width. Returns whether any register rose.
+    fn insert_hashes(&mut self, hashes: &[u64], start: f64) -> bool {
         INSERT_SCRATCH.with(|scratch| {
             self.registers.with_lanes_mut(InsertHashes {
                 hashes,
@@ -524,7 +539,7 @@ impl<S: ValueSequence> SetSketch<S> {
                 k_low: &mut self.k_low,
                 modifications: &mut self.modifications,
             })
-        });
+        })
     }
 
     /// Recomputes the maintained histogram (if any) from the registers
@@ -550,20 +565,33 @@ impl<S: ValueSequence> SetSketch<S> {
     /// maximum, which is idempotent, associative and commutative.
     ///
     /// Runs the fused [`kernels::max_merge_min`] register kernel — the
-    /// merged `K_low` falls out of the same pass, so no separate rescan
-    /// is needed — and rebuilds the estimator histogram once at the end.
-    pub fn merge(&mut self, other: &Self) -> Result<(), IncompatibleSketches> {
+    /// merged `K_low` and whether any register rose fall out of the same
+    /// pass, so no separate rescan is needed — and rebuilds the
+    /// estimator histogram only when a register rose. Returns whether
+    /// one did: `Ok(false)` means `other` held nothing `self` lacked.
+    pub fn merge(&mut self, other: &Self) -> Result<bool, IncompatibleSketches> {
         self.check_compatible(other)?;
-        self.k_low = self.registers.max_merge_min(&other.registers);
+        let raised = self.absorb(other);
+        if raised {
+            self.rebuild_histogram();
+        }
+        Ok(raised)
+    }
+
+    /// The register half of a merge: the fused kernel, the exact new
+    /// `K_low`, and whether any register rose (the histogram is the
+    /// caller's to rebuild).
+    fn absorb(&mut self, other: &Self) -> bool {
+        let (k_low, raised) = self.registers.max_merge_min(&other.registers);
+        self.k_low = k_low;
         self.modifications = 0;
-        self.rebuild_histogram();
-        Ok(())
+        raised
     }
 
     /// Merges every sketch of the iterator into `self`, running the
     /// register kernel per operand but rebuilding the estimator
-    /// histogram only once at the end (the batched form behind
-    /// `Mergeable::merge_many`).
+    /// histogram only once at the end, and only if a register rose (the
+    /// batched form behind `Mergeable::merge_many`).
     ///
     /// On an incompatibility error the registers already absorbed stay
     /// merged (union semantics make partial application harmless) and
@@ -573,18 +601,16 @@ impl<S: ValueSequence> SetSketch<S> {
         I: IntoIterator<Item = &'a Self>,
         S: 'a,
     {
-        let mut merged_any = false;
+        let mut raised = false;
         let result = others.into_iter().try_for_each(|other| {
             self.check_compatible(other)?;
-            self.k_low = self.registers.max_merge_min(&other.registers);
-            self.modifications = 0;
-            merged_any = true;
+            raised |= self.absorb(other);
             Ok(())
         });
-        if merged_any {
-            // One histogram rebuild covers every absorbed operand — also
-            // on the error path, so the sketch stays internally
-            // consistent even when a later operand is incompatible.
+        if raised {
+            // One histogram rebuild covers every operand that raised a
+            // register — also on the error path, so the sketch stays
+            // internally consistent when a later operand is incompatible.
             self.rebuild_histogram();
         }
         result

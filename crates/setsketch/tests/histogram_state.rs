@@ -108,7 +108,9 @@ fn apply_ops<S: setsketch::ValueSequence>(
                     sketch.insert_u64(e);
                 }
             }
-            1 => sketch.insert_batch(payload),
+            1 => {
+                sketch.insert_batch(payload);
+            }
             2 => {
                 // Merge with an independently built sketch of the same
                 // configuration and seed.

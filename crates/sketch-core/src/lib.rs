@@ -64,9 +64,10 @@
 //!     fn is_compatible(&self, _other: &Self) -> bool {
 //!         true
 //!     }
-//!     fn merge_from(&mut self, other: &Self) -> Result<(), Self::MergeError> {
+//!     fn merge_from(&mut self, other: &Self) -> Result<bool, Self::MergeError> {
+//!         let before = self.0.len();
 //!         self.0.extend(&other.0);
-//!         Ok(())
+//!         Ok(self.0.len() > before)
 //!     }
 //! }
 //!
@@ -154,20 +155,36 @@ pub trait Sketch {
 /// Batched element recording.
 ///
 /// The default implementation loops [`Sketch::insert_u64`]. Sketches
-/// with sub-linear per-element behavior override it: `SetSketch` hashes
-/// the whole batch up front, sorts and deduplicates the hashes (repeated
-/// elements are dropped before touching Algorithm 1), and then relies on
-/// its `K_low` lower-bound early exit — which only tightens as the batch
-/// proceeds — to discard most remaining elements after one comparison.
+/// with sub-linear per-element behavior override
+/// [`insert_batch_changed`](Self::insert_batch_changed): `SetSketch`
+/// hashes the whole batch up front, sorts and deduplicates the hashes
+/// (repeated elements are dropped before touching Algorithm 1), and then
+/// relies on its `K_low` lower-bound early exit — which only tightens as
+/// the batch proceeds — to discard most remaining elements after one
+/// comparison.
 pub trait BatchInsert: Sketch {
     /// Records every element of the batch.
     ///
     /// Semantically identical to inserting each element individually —
     /// overrides may only change the cost, never the resulting state.
+    /// The default runs [`insert_batch_changed`](Self::insert_batch_changed)
+    /// and drops its answer.
     fn insert_batch(&mut self, elements: &[u64]) {
+        self.insert_batch_changed(elements);
+    }
+
+    /// Records every element of the batch, like
+    /// [`insert_batch`](Self::insert_batch), and returns whether the
+    /// state changed. `false` must be exact — the batch left the sketch
+    /// as it was, so a store may treat the write as a read (no log
+    /// record, no version bump); `true` is always safe. The default
+    /// loops [`Sketch::insert_u64`] and answers `true`; SetSketch answers
+    /// exactly, from the register raises Algorithm 1 already branches on.
+    fn insert_batch_changed(&mut self, elements: &[u64]) -> bool {
         for &element in elements {
             self.insert_u64(element);
         }
+        true
     }
 }
 
@@ -186,8 +203,12 @@ pub trait Mergeable: Sized {
     /// True if `self` and `other` can be merged or jointly estimated.
     fn is_compatible(&self, other: &Self) -> bool;
 
-    /// Merges `other` into `self` (union semantics).
-    fn merge_from(&mut self, other: &Self) -> Result<(), Self::MergeError>;
+    /// Merges `other` into `self` (union semantics) and returns whether
+    /// `self` changed. The answer must be exact both ways: a store keeps
+    /// a key's version when a merge changed nothing, and a replication
+    /// mesh quiesces only because echoes of state a node already holds
+    /// answer `false`.
+    fn merge_from(&mut self, other: &Self) -> Result<bool, Self::MergeError>;
 
     /// Returns the union sketch of `self` and `other`, leaving both
     /// operands untouched.
@@ -362,9 +383,10 @@ mod tests {
         fn is_compatible(&self, _other: &Self) -> bool {
             true
         }
-        fn merge_from(&mut self, other: &Self) -> Result<(), Self::MergeError> {
+        fn merge_from(&mut self, other: &Self) -> Result<bool, Self::MergeError> {
+            let before = self.elements.len();
             self.elements.extend(&other.elements);
-            Ok(())
+            Ok(self.elements.len() > before)
         }
     }
 
@@ -422,6 +444,9 @@ mod tests {
             looped.insert_u64(e);
         }
         assert_eq!(batched, looped);
+        // Without an override the change signal is conservative.
+        assert!(batched.insert_batch_changed(&[3]));
+        assert_eq!(batched, looped);
     }
 
     #[test]
@@ -442,6 +467,10 @@ mod tests {
         let (a0, b0) = (a.clone(), b.clone());
         let merged = a.merged_with(&b).unwrap();
         assert_eq!(merged.cardinality(), 2.0);
+        assert!(
+            !a.clone().merge_from(&a0).unwrap(),
+            "self-merge changes nothing"
+        );
         assert_eq!(a, a0);
         assert_eq!(b, b0);
     }

@@ -45,63 +45,58 @@ fn fold_min<L: Lane>(mins: &[L; MAX_LANES]) -> L {
     mins[..L::LANES].iter().copied().fold(L::MAX, L::min)
 }
 
-/// Merges `src` into `dst` by element-wise maximum and returns the
-/// minimum register value of the merged result (0 for empty arrays).
+/// Merges `src` into `dst` by element-wise maximum and returns
+/// `(min, raised)`: the minimum register value of the merged result (0
+/// for empty arrays) and whether the merge raised any register.
 ///
 /// The fused minimum makes the separate `K_low` rescan after a merge
-/// unnecessary: the returned value *is* the exact new lower bound.
+/// unnecessary: the returned value *is* the exact new lower bound. The
+/// raise answer tells a store whether the merge changed anything at
+/// all; it ORs each lane's `merged ^ old` into a lane-width
+/// accumulator, two branch-free vector operations per chunk.
 ///
 /// # Panics
 /// Panics if the slices differ in length.
-pub fn max_merge_min<L: Lane>(dst: &mut [L], src: &[L]) -> u32 {
+pub fn max_merge_min<L: Lane>(dst: &mut [L], src: &[L]) -> (u32, bool) {
     assert_equal_length(dst, src);
     if dst.is_empty() {
-        return 0;
+        return (0, false);
     }
     let mut mins = [L::MAX; MAX_LANES];
+    let mut changed = [L::ZERO; MAX_LANES];
     let mut dst_chunks = dst.chunks_exact_mut(L::LANES);
     let mut src_chunks = src.chunks_exact(L::LANES);
     for (d, s) in (&mut dst_chunks).zip(&mut src_chunks) {
         for lane in 0..L::LANES {
             let merged = d[lane].max(s[lane]);
+            changed[lane] = changed[lane] | (merged ^ d[lane]);
             d[lane] = merged;
             mins[lane] = mins[lane].min(merged);
         }
     }
     let mut min = fold_min(&mins);
+    let mut raised = changed[..L::LANES].iter().any(|&c| c != L::ZERO);
     for (d, &s) in dst_chunks
         .into_remainder()
         .iter_mut()
         .zip(src_chunks.remainder())
     {
+        raised |= s > *d;
         *d = (*d).max(s);
         min = min.min(*d);
     }
-    min.widen()
+    (min.widen(), raised)
 }
 
-/// Merges `src` into `dst` by element-wise maximum, without the fused
-/// minimum of [`max_merge_min`] — for consumers with no lower bound to
-/// maintain (HyperMinHash, GHLL without `K_low` tracking).
+/// Merges `src` into `dst` by element-wise maximum and returns whether
+/// any register rose — [`max_merge_min`] without the minimum, for
+/// consumers with no lower bound to maintain (HyperMinHash, GHLL
+/// without `K_low` tracking).
 ///
 /// # Panics
 /// Panics if the slices differ in length.
-pub fn max_merge<L: Lane>(dst: &mut [L], src: &[L]) {
-    assert_equal_length(dst, src);
-    let mut dst_chunks = dst.chunks_exact_mut(L::LANES);
-    let mut src_chunks = src.chunks_exact(L::LANES);
-    for (d, s) in (&mut dst_chunks).zip(&mut src_chunks) {
-        for lane in 0..L::LANES {
-            d[lane] = d[lane].max(s[lane]);
-        }
-    }
-    for (d, &s) in dst_chunks
-        .into_remainder()
-        .iter_mut()
-        .zip(src_chunks.remainder())
-    {
-        *d = (*d).max(s);
-    }
+pub fn max_merge<L: Lane>(dst: &mut [L], src: &[L]) -> bool {
+    max_merge_min(dst, src).1
 }
 
 /// Minimum register value of `values` (0 for an empty slice).

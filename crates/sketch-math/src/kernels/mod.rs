@@ -8,9 +8,10 @@
 //! * [`max_merge_min`] — element-wise maximum of two register arrays (the
 //!   union merge of every max-based sketch), fused with a minimum scan of
 //!   the result so the merged sketch's `K_low` lower bound comes out of
-//!   the same pass instead of a separate rescan;
-//! * [`max_merge`] — the same merge for consumers with no lower bound to
-//!   maintain;
+//!   the same pass instead of a separate rescan, and with whether any
+//!   register rose (if none did, the merge changed nothing);
+//! * [`max_merge`] — the same merge and answer for consumers with no
+//!   lower bound to maintain;
 //! * [`min_scan`] — minimum register value (the `K_low` rescan of paper
 //!   §2.2);
 //! * [`histogram_counts`] — the full register value histogram
@@ -41,7 +42,15 @@ mod sealed {
 /// An unsigned register integer the kernels run on: `u8`, `u16` or
 /// `u32`. Sealed — the lane widths are a closed set chosen by
 /// [`Registers`](crate::Registers) from a sketch's value range.
-pub trait Lane: Copy + Ord + std::fmt::Debug + sealed::Sealed + 'static {
+pub trait Lane:
+    Copy
+    + Ord
+    + std::fmt::Debug
+    + std::ops::BitOr<Output = Self>
+    + std::ops::BitXor<Output = Self>
+    + sealed::Sealed
+    + 'static
+{
     /// Registers per 32-byte chunk of the [`chunked`] kernels (one AVX2
     /// vector, two NEON/SSE vectors).
     const LANES: usize = 32 / std::mem::size_of::<Self>();
@@ -178,8 +187,12 @@ mod tests {
 
             let mut plain_scalar = u.clone();
             let mut plain_chunked = lanes_u.clone();
-            scalar::max_merge(&mut plain_scalar, &v);
-            chunked::max_merge(&mut plain_chunked, &lanes_v);
+            assert_eq!(scalar::max_merge(&mut plain_scalar, &v), min_scalar.1);
+            assert_eq!(min_scalar.1, u.iter().zip(&v).any(|(a, b)| b > a));
+            assert_eq!(
+                chunked::max_merge(&mut plain_chunked, &lanes_v),
+                min_scalar.1
+            );
             assert_eq!(plain_scalar, dst_scalar, "len {len}");
             assert_eq!(widened(&plain_chunked), dst_scalar, "len {len}");
 
@@ -208,14 +221,19 @@ mod tests {
     fn max_merge_min_merges_and_returns_minimum() {
         let mut dst = vec![3u32, 0, 7, 2];
         let src = vec![1u32, 5, 6, 2];
-        let min = max_merge_min(&mut dst, &src);
+        let (min, raised) = max_merge_min(&mut dst, &src);
         assert_eq!(dst, vec![3, 5, 7, 2]);
-        assert_eq!(min, 2);
+        assert_eq!((min, raised), (2, true));
+        assert_eq!(
+            max_merge_min(&mut dst, &src),
+            (2, false),
+            "a repeat raises nothing"
+        );
     }
 
     #[test]
     fn empty_slices_are_handled() {
-        assert_eq!(max_merge_min::<u8>(&mut [], &[]), 0);
+        assert_eq!(max_merge_min::<u8>(&mut [], &[]), (0, false));
         assert_eq!(min_scan::<u16>(&[]), 0);
         assert_eq!(compare_counts::<u32>(&[], &[]), (0, 0, 0));
         let mut counts = [7u32; 4];

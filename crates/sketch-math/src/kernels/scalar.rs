@@ -7,42 +7,29 @@
 //! vectorized forms relative to them.
 
 /// Element-wise maximum of `src` into `dst`; returns the minimum of the
-/// merged result (0 when empty). See [`super::max_merge_min`].
-pub fn max_merge_min(dst: &mut [u32], src: &[u32]) -> u32 {
-    assert_eq!(
-        dst.len(),
-        src.len(),
-        "register arrays must have equal length"
-    );
-    let mut min = u32::MAX;
-    for (d, &s) in dst.iter_mut().zip(src) {
-        if s > *d {
-            *d = s;
-        }
-        if *d < min {
-            min = *d;
-        }
-    }
-    if min == u32::MAX && dst.is_empty() {
-        0
-    } else {
-        min
-    }
+/// merged result (0 when empty) and whether any register rose. See
+/// [`super::max_merge_min`].
+pub fn max_merge_min(dst: &mut [u32], src: &[u32]) -> (u32, bool) {
+    let raised = max_merge(dst, src);
+    (dst.iter().copied().min().unwrap_or(0), raised)
 }
 
-/// Element-wise maximum of `src` into `dst` without the minimum scan.
-/// See [`super::max_merge`].
-pub fn max_merge(dst: &mut [u32], src: &[u32]) {
+/// Element-wise maximum of `src` into `dst` without the minimum scan;
+/// returns whether any register rose. See [`super::max_merge`].
+pub fn max_merge(dst: &mut [u32], src: &[u32]) -> bool {
     assert_eq!(
         dst.len(),
         src.len(),
         "register arrays must have equal length"
     );
+    let mut raised = false;
     for (d, &s) in dst.iter_mut().zip(src) {
         if s > *d {
             *d = s;
+            raised = true;
         }
     }
+    raised
 }
 
 /// Minimum register value (0 when empty). See [`super::min_scan`].

@@ -207,21 +207,23 @@ impl Registers {
     }
 
     /// Element-wise maximum with `other`, returning the minimum of the
-    /// merged result ([`kernels::max_merge_min`]).
+    /// merged result and whether any register rose
+    /// ([`kernels::max_merge_min`]).
     ///
     /// # Panics
     /// Panics if the arrays differ in length or lane width.
     #[inline]
-    pub fn max_merge_min(&mut self, other: &Self) -> u32 {
+    pub fn max_merge_min(&mut self, other: &Self) -> (u32, bool) {
         same_width!(&mut self.0, &other.0, (dst, src) => kernels::max_merge_min(dst, src))
     }
 
-    /// Element-wise maximum with `other` ([`kernels::max_merge`]).
+    /// Element-wise maximum with `other`, returning whether any
+    /// register rose ([`kernels::max_merge`]).
     ///
     /// # Panics
     /// Panics if the arrays differ in length or lane width.
     #[inline]
-    pub fn max_merge(&mut self, other: &Self) {
+    pub fn max_merge(&mut self, other: &Self) -> bool {
         same_width!(&mut self.0, &other.0, (dst, src) => kernels::max_merge(dst, src))
     }
 
@@ -385,7 +387,7 @@ mod tests {
             let mut expect = left.clone();
             let expect_min = kernels::scalar::max_merge_min(&mut expect, &right);
             let mut plain = registers.clone();
-            plain.max_merge(&other);
+            assert_eq!(plain.max_merge(&other), expect_min.1);
             assert_eq!(registers.max_merge_min(&other), expect_min);
             assert_eq!(registers.to_vec(), expect);
             assert_eq!(plain, registers);

@@ -53,17 +53,19 @@ fn merge_matches<L: Lane>(u: &[u32], v: &[u32]) -> Result<(), TestCaseError> {
     let lanes_v = narrowed::<L>(v);
     // The plain (no fused minimum) variants produce the same merge.
     let mut plain = narrowed::<L>(u);
-    kernels::max_merge(&mut plain, &lanes_v);
+    prop_assert_eq!(kernels::max_merge(&mut plain, &lanes_v), expect_min.1);
     prop_assert_eq!(&widened(&plain), &expect);
     let mut plain_scalar = u.to_vec();
-    scalar::max_merge(&mut plain_scalar, v);
+    prop_assert_eq!(scalar::max_merge(&mut plain_scalar, v), expect_min.1);
     prop_assert_eq!(&plain_scalar, &expect);
     let mut merged = narrowed::<L>(u);
     let got_min = kernels::max_merge_min(&mut merged, &lanes_v);
     prop_assert_eq!(&widened(&merged), &expect);
     prop_assert_eq!(got_min, expect_min);
-    // The fused minimum is the real minimum of the merged output.
-    prop_assert_eq!(got_min, expect.iter().copied().min().unwrap_or(0));
+    // The fused minimum is the real minimum of the merged output, and
+    // the merge raised a register iff `v` exceeded `u` somewhere.
+    prop_assert_eq!(got_min.0, expect.iter().copied().min().unwrap_or(0));
+    prop_assert_eq!(got_min.1, u.iter().zip(v).any(|(a, b)| b > a));
     Ok(())
 }
 
@@ -157,10 +159,10 @@ fn counts_survive_long_arrays<L: Lane>() {
         // their chunk/tail split far from the proptested range.
         assert_eq!(kernels::min_scan(&high), 9);
         let mut merged = low.clone();
-        assert_eq!(kernels::max_merge_min(&mut merged, &high), 9);
+        assert_eq!(kernels::max_merge_min(&mut merged, &high), (9, true));
         assert_eq!(merged, high);
         let mut merged = low.clone();
-        kernels::max_merge(&mut merged, &high);
+        assert!(kernels::max_merge(&mut merged, &high));
         assert_eq!(merged, high);
         let mut counts = [0u32; 16];
         kernels::histogram_counts(&high, &mut counts);

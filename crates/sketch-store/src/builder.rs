@@ -157,9 +157,12 @@ impl<S> StoreBuilder<S> {
         self
     }
 
-    /// Makes the store **durable**: every mutation appends a CRC-framed
-    /// record to a write-ahead log under `dir` before applying, and
-    /// building from the same directory later recovers the store —
+    /// Makes the store **durable**: every change appends a CRC-framed
+    /// record to a write-ahead log under `dir` before the call returns
+    /// (put, remove and clear log before applying; ingest and merge-in
+    /// apply first and log only when a register rose — a write that
+    /// raised none is a read and writes nothing), and building from the
+    /// same directory later recovers the store —
     /// loading the newest checkpoint, replaying the log tail, truncating
     /// a torn final record and quarantining bit-rotted ones (what was
     /// found is reported by [`SketchStore::recovery_report`] as a
@@ -172,12 +175,11 @@ impl<S> StoreBuilder<S> {
     /// replay time.
     ///
     /// The trait bounds are what replay needs: re-ingesting elements
-    /// ([`BatchInsert`]), re-applying replica merges ([`Mergeable`] +
-    /// `Clone` + `PartialEq`) and decoding put/checkpoint payloads
-    /// ([`CompactSketch`]).
+    /// ([`BatchInsert`]), re-applying replica merges ([`Mergeable`]) and
+    /// decoding put/checkpoint payloads ([`CompactSketch`]).
     pub fn durable_dir(mut self, dir: impl Into<PathBuf>) -> Self
     where
-        S: BatchInsert + Mergeable + Clone + PartialEq + CompactSketch,
+        S: BatchInsert + Mergeable + CompactSketch,
     {
         self.durable = Some(DurableConfig {
             dir: dir.into(),

@@ -20,14 +20,14 @@
 //! pages may be duplicated, reordered or re-sent wholesale without
 //! corrupting anything — which is also why a replica never needs an
 //! atomic image of a whole store. The version stamp only moves when the
-//! merge **changed** the local registers — an echo of state a replica
-//! already holds does not re-mark the key as dirty, which is what lets
-//! a mesh of replicas pulling deltas from each other quiesce instead of
-//! ping-ponging unchanged keys forever.
+//! merge **raised** a local register (the sketch reports it from the
+//! merge pass itself) — an echo of state a replica already holds does
+//! not re-mark the key as dirty, which is what lets a mesh of replicas
+//! pulling deltas from each other quiesce instead of ping-ponging
+//! unchanged keys forever.
 
 use crate::error::StoreError;
-use crate::store::{SketchStore, Slot};
-use crate::tier::TierSlot;
+use crate::store::SketchStore;
 use sketch_core::{CompactSketch, Mergeable};
 
 /// One key's state inside a [`StoreDelta`]: the key, the version that
@@ -186,88 +186,40 @@ impl<S: CompactSketch> SketchStore<S> {
     }
 }
 
-impl<S: Mergeable + Clone + PartialEq> SketchStore<S> {
+impl<S: Mergeable> SketchStore<S> {
     /// Applies a shipped state to `key` with union-merge semantics:
     /// creates the key when absent, merges otherwise. Returns `true`
     /// when the local state changed.
     ///
-    /// The version stamp moves **only on change** — re-applying a state
-    /// the store already covers (a duplicated delta, or an echo of
-    /// registers that originated here) leaves the version alone, so
-    /// replication meshes quiesce once everyone holds everything
-    /// instead of re-shipping unchanged keys forever.
+    /// The merge is applied first and the sketch reports whether a
+    /// register rose; the version stamp moves — and on a durable store
+    /// the merge is logged — **only on change**. Re-applying a state the
+    /// store already covers (a duplicated delta, or an echo of registers
+    /// that originated here) is a read, so replication meshes quiesce
+    /// once everyone holds everything instead of re-shipping unchanged
+    /// keys forever.
     ///
     /// A key created here is stamped like any other write, so it ships
     /// onward in this store's own deltas — that transitivity is what
-    /// lets gossip spread state beyond direct peer pairs.
+    /// lets gossip spread state beyond direct peer pairs. A refused
+    /// merge changes nothing and logs nothing.
     ///
     /// # Errors
     /// [`StoreError::Incompatible`] when `incoming`'s configuration or
     /// seed does not match the stored (or factory-built) sketch.
     pub fn merge_in(&self, key: &str, incoming: &S) -> Result<bool, StoreError> {
-        self.logged(
+        // A missing (or corrupt) key merges into a factory-built empty
+        // sketch rather than installing `incoming` verbatim: union with
+        // the empty set is identity, and the merge is where
+        // configuration mismatches surface.
+        self.apply_then_log(
+            key,
+            |sketch| {
+                sketch
+                    .merge_from(incoming)
+                    .map_err(StoreError::incompatible)
+            },
             |durability| crate::wal::encode_merge_in(key, &(durability.codec.compress)(incoming)),
-            |store| store.merge_in_unlogged(key, incoming),
         )
-    }
-
-    pub(crate) fn merge_in_unlogged(&self, key: &str, incoming: &S) -> Result<bool, StoreError> {
-        let changed = {
-            let index = self.shard_index(key);
-            let mut shard = self.shards()[index].write();
-            let changed = match shard.get_mut(key) {
-                None => {
-                    // Merge into a factory-built empty sketch rather
-                    // than installing `incoming` verbatim: union with
-                    // the empty set is identity, and the merge is where
-                    // configuration mismatches surface.
-                    let mut fresh = self.make_sketch();
-                    fresh
-                        .merge_from(incoming)
-                        .map_err(StoreError::incompatible)?;
-                    self.tier.account_insert_hot(&fresh);
-                    let version = self.next_version();
-                    shard.insert(key.to_owned(), Slot::hot(fresh, version));
-                    true
-                }
-                Some(slot) => {
-                    if self.ensure_hot_slot(key, slot).is_err() {
-                        // The local registers are corrupt and gone; the
-                        // incoming replica state *is* the best available
-                        // copy, so start the key over from it.
-                        let mut fresh = self.make_sketch();
-                        fresh
-                            .merge_from(incoming)
-                            .map_err(StoreError::incompatible)?;
-                        self.tier.account_insert_hot(&fresh);
-                        slot.state = TierSlot::Hot(fresh);
-                        slot.restamp(self.next_version());
-                        slot.touch();
-                        true
-                    } else {
-                        slot.touch();
-                        let merged = slot
-                            .hot_ref()
-                            .merged_with(incoming)
-                            .map_err(StoreError::incompatible)?;
-                        let changed = merged != *slot.hot_ref();
-                        if changed {
-                            self.tier
-                                .account_write(slot.hot_mut(), |current| *current = merged);
-                            slot.restamp(self.next_version());
-                        }
-                        changed
-                    }
-                }
-            };
-            // Every changing branch stamped a version; a no-op merge
-            // leaves the shard's mark where the index last saw it.
-            if changed {
-                self.mark_dirty(index);
-            }
-            changed
-        };
-        self.maintain();
-        Ok(changed)
     }
 }

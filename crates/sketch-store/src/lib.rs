@@ -13,10 +13,11 @@
 //! * **builder construction** — [`SketchStore::builder`] is the single
 //!   front door: shard count, pipeline queue depth and writer threads
 //!   (and future knobs) are configured fluently;
-//! * **batched ingest** — [`SketchStore::ingest`] /
-//!   [`SketchStore::ingest_bytes`] record a whole batch under one lock
-//!   acquisition, hitting the sketch's specialized [`BatchInsert`] path
-//!   (SetSketch's deduplicated value-order fill);
+//! * **batched ingest** — [`SketchStore::ingest`] records a whole batch
+//!   under one lock acquisition, hitting the sketch's specialized
+//!   [`BatchInsert`] path (SetSketch's deduplicated value-order fill); a
+//!   batch that raises no register — almost every batch once n ≫ m —
+//!   is a read: no version bump, no log record;
 //! * **pipelined ingest** — [`SketchStore::pipeline`] returns an
 //!   [`IngestPipeline`] routing batches into bounded per-writer
 //!   channels drained by dedicated threads that coalesce each burst
@@ -53,13 +54,15 @@
 //!   peek without promoting. [`SketchStore::tier_stats`] reports the
 //!   census;
 //! * **crash-safe durability** — with [`StoreBuilder::durable_dir`],
-//!   every mutation appends a CRC-framed record to a segment-rotated
-//!   write-ahead log *before* applying ([`FsyncPolicy`] picks the
-//!   latency/durability trade-off), periodic checkpoints bound replay
-//!   time, and rebuilding from the same directory replays the store
-//!   back bit-for-bit — truncating torn tails and quarantining
-//!   bit-rotted records into a typed [`RecoveryReport`] instead of
-//!   panicking;
+//!   every change appends a CRC-framed record to a segment-rotated
+//!   write-ahead log before the call returns — put, remove and clear
+//!   log before applying; ingest and merge-in apply first, under the
+//!   shard lock, and log only when a register rose, before that lock is
+//!   released ([`FsyncPolicy`] picks the latency/durability trade-off),
+//!   periodic checkpoints bound replay time, and rebuilding from the
+//!   same directory replays the store back bit-for-bit — truncating
+//!   torn tails and quarantining bit-rotted records into a typed
+//!   [`RecoveryReport`] instead of panicking;
 //! * **similarity queries at scale** — two entry points over one
 //!   engine: [`SketchStore::similar_keys_with`] (top-k) and
 //!   [`SketchStore::all_pairs_with`] (threshold sweep).

@@ -7,24 +7,25 @@ use crate::query::SimilarityIndex;
 use crate::tier::{TierCodec, TierPolicy, TierRuntime, TierSlot};
 use crate::wal::Durability;
 use parking_lot::RwLock;
-use sketch_core::{
-    BatchInsert, CardinalityEstimator, JointEstimator, JointQuantities, Mergeable, Sketch,
-};
+use sketch_core::{BatchInsert, CardinalityEstimator, JointEstimator, JointQuantities, Mergeable};
 use sketch_rand::hash_bytes;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// A stored sketch together with its write version and tier state.
 ///
-/// Every mutating access to the key (ingest, insert, put, merge-in)
+/// Every access that raises a register of the key — an ingest or
+/// merge-in that raised one, the write that created the key, a put —
 /// stamps the slot with a fresh value of the store's monotonic write
 /// counter and raises its shard's mutation mark
 /// ([`SketchStore::mark_dirty`]) — together all the bookkeeping ingest
 /// pays for similarity-index maintenance: the query engine sweeps only
 /// the shards whose mark moved since it last looked, and re-bands
-/// exactly the keys of those shards whose version moved. The counter is
-/// store-global, so a key removed and later re-created never repeats an
-/// old version (the index relies on inequality to detect staleness).
+/// exactly the keys of those shards whose version moved. A write that
+/// raised nothing left the registers as they were, so it stamps
+/// nothing: it costs what a read costs. The counter is store-global, so
+/// a key removed and later re-created never repeats an old version (the
+/// index relies on inequality to detect staleness).
 ///
 /// Tier moves (hot ↔ warm ↔ frozen) do **not** bump the version — the
 /// registers are unchanged, so index entries and the cached cardinality
@@ -172,7 +173,7 @@ pub struct SketchStore<S> {
     /// One mutation mark per shard, index-aligned with `shards`: raised
     /// under the shard's write lock by every insert, removal, clear and
     /// version re-stamp ([`mark_dirty`](Self::mark_dirty)), never by a
-    /// tier move or a no-op merge. A similarity index state that swept a
+    /// tier move or a write that raised no register. A similarity index state that swept a
     /// shard at mark `x` is current for it while the mark still reads
     /// `x`.
     marks: Box<[AtomicU64]>,
@@ -435,7 +436,7 @@ impl<S> SketchStore<S> {
             .durability
             .as_ref()
             .map(|durability| (durability.codec.compress)(&sketch));
-        self.logged(
+        self.log_then_apply(
             move |_| crate::wal::encode_put(key, &compact.expect("compressed when durable")),
             move |store| store.put_unlogged(key, sketch),
         )
@@ -463,7 +464,7 @@ impl<S> SketchStore<S> {
     /// slot, whose registers are unrecoverable — the entry is removed
     /// either way).
     pub fn remove(&self, key: &str) -> Option<S> {
-        self.logged(
+        self.log_then_apply(
             |_| crate::wal::encode_remove(key),
             |store| store.remove_unlogged(key),
         )
@@ -482,7 +483,7 @@ impl<S> SketchStore<S> {
 
     /// Removes every sketch (and drops any spill segments).
     pub fn clear(&self) {
-        self.logged(
+        self.log_then_apply(
             |_| crate::wal::encode_clear(),
             |store| store.clear_unlogged(),
         );
@@ -582,102 +583,99 @@ impl<S> SketchStore<S> {
 }
 
 impl<S> SketchStore<S> {
-    /// Write-locks the key's shard and runs `op` on its sketch, creating
-    /// it through the factory on first use and promoting it to hot if it
-    /// was compressed or spilled. The existing-key fast path avoids
-    /// allocating an owned key string. Every call restamps the slot's
-    /// version so the similarity index can re-band exactly the keys that
-    /// changed, and feeds the tier manager's byte accounting.
+    /// Write-locks the key's shard and applies `op` to its sketch,
+    /// creating it through the factory on first use and promoting it to
+    /// hot if it was compressed or spilled (a no-op write to a cold key
+    /// still promotes). The existing-key fast path avoids allocating an
+    /// owned key string; tier byte accounting covers every path.
     ///
-    /// This is the **unlogged** write path — the public mutators wrap it
-    /// in [`logged`](Self::logged), and WAL replay calls it directly.
-    pub(crate) fn with_entry(&self, key: &str, op: impl FnOnce(&mut S)) {
-        {
-            let index = self.shard_index(key);
-            let mut shard = self.shards[index].write();
-            if !shard.contains_key(key) {
-                let sketch = (self.factory)();
-                self.tier.account_insert_hot(&sketch);
-                shard.insert(key.to_owned(), Slot::hot(sketch, 0));
+    /// `op` answers whether it changed the sketch. Only a change — or
+    /// the key's creation, or a restart over a corrupt slot — counts as
+    /// a write: the slot is restamped, the shard marked dirty and
+    /// `on_change` run, all before the shard lock is released, so the
+    /// similarity index re-bands exactly the keys whose registers
+    /// moved. A write that changed nothing is a read. An `op` error
+    /// leaves the key as it was (a key it would have created is not).
+    ///
+    /// This is the **unlogged** write path: ingest and merge-in pass
+    /// the WAL append as `on_change`
+    /// ([`apply_then_log`](Self::apply_then_log)), and WAL replay,
+    /// which runs before the log is installed, passes nothing.
+    pub(crate) fn with_entry<E>(
+        &self,
+        key: &str,
+        op: impl FnOnce(&mut S) -> Result<bool, E>,
+        on_change: impl FnOnce(),
+    ) -> Result<bool, E> {
+        let index = self.shard_index(key);
+        let mut shard = self.shards[index].write();
+        let result = match shard.get_mut(key) {
+            Some(slot) => {
+                slot.touch();
+                let result = if self.ensure_hot_slot(key, slot).is_ok() {
+                    self.tier.account_write(slot.hot_mut(), op)
+                } else {
+                    // A corrupt slot's registers are gone; a write
+                    // starts the key over from a fresh factory sketch
+                    // (in a replicated deployment anti-entropy re-fills
+                    // the rest).
+                    let mut sketch = (self.factory)();
+                    op(&mut sketch).map(|_| {
+                        self.tier.account_insert_hot(&sketch);
+                        slot.state = TierSlot::Hot(sketch);
+                        true
+                    })
+                };
+                if let Ok(true) = result {
+                    slot.restamp(self.next_version());
+                }
+                result
             }
-            let slot = shard.get_mut(key).expect("present or just inserted");
-            if self.ensure_hot_slot(key, slot).is_err() {
-                // A corrupt slot's registers are gone; a write starts
-                // the key over from a fresh factory sketch (in a
-                // replicated deployment anti-entropy re-fills the rest).
-                let sketch = (self.factory)();
-                self.tier.account_insert_hot(&sketch);
-                slot.state = TierSlot::Hot(sketch);
+            None => {
+                let mut sketch = (self.factory)();
+                op(&mut sketch).map(|_| {
+                    self.tier.account_insert_hot(&sketch);
+                    shard.insert(key.to_owned(), Slot::hot(sketch, self.next_version()));
+                    true
+                })
             }
-            slot.restamp(self.next_version());
+        };
+        if let Ok(true) = result {
             self.mark_dirty(index);
-            slot.touch();
-            self.tier.account_write(slot.hot_mut(), op);
+            on_change();
         }
+        drop(shard);
         self.maintain();
-    }
-}
-
-impl<S: Sketch> SketchStore<S> {
-    /// Records one element under `key`, creating the sketch on first
-    /// use.
-    pub fn insert(&self, key: &str, element: u64) {
-        self.logged(
-            |_| crate::wal::encode_ingest(key, std::slice::from_ref(&element)),
-            |store| store.with_entry(key, |sketch| sketch.insert_u64(element)),
-        );
-    }
-
-    /// Records a byte-string element under `key`.
-    pub fn insert_bytes(&self, key: &str, element: &[u8]) {
-        self.logged(
-            |_| crate::wal::encode_ingest_bytes(key, &[element]),
-            |store| store.with_entry(key, |sketch| sketch.insert_bytes(element)),
-        );
-    }
-
-    /// Records a batch of byte-string elements under `key`, creating the
-    /// sketch on first use — the byte-side mirror of
-    /// [`ingest`](Self::ingest): one lock acquisition (and one version
-    /// stamp) per log record, which is the whole batch unless it
-    /// outgrows the 64 MiB record limit.
-    pub fn ingest_bytes(&self, key: &str, elements: &[&[u8]]) {
-        let mut rest = elements;
-        loop {
-            let (chunk, tail) = rest.split_at(crate::wal::ingest_bytes_per_record(key, rest));
-            self.logged(
-                |_| crate::wal::encode_ingest_bytes(key, chunk),
-                |store| {
-                    store.with_entry(key, |sketch| {
-                        for &element in chunk {
-                            sketch.insert_bytes(element);
-                        }
-                    });
-                },
-            );
-            rest = tail;
-            if rest.is_empty() {
-                break;
-            }
-        }
+        result
     }
 }
 
 impl<S: BatchInsert> SketchStore<S> {
+    /// Records one element under `key`, creating the sketch on first
+    /// use — [`ingest`](Self::ingest) of a one-element batch.
+    pub fn insert(&self, key: &str, element: u64) {
+        self.ingest(key, std::slice::from_ref(&element));
+    }
+
     /// Records a batch of elements under `key`, creating the sketch on
     /// first use. One lock acquisition per log record — the whole batch
-    /// unless it outgrows the 64 MiB record limit (≈ 8.4 M elements),
-    /// in which case each record is applied after it is logged;
+    /// unless it outgrows the 64 MiB record limit (≈ 8.4 M elements);
     /// sketches with a specialized [`BatchInsert`] (SetSketch's
     /// deduplicated value-order fill) get their fast path.
+    ///
+    /// The batch is applied first; only when it raised a register (or
+    /// created the key) is the key restamped and, on a durable store,
+    /// the batch logged. A batch of elements the key already holds —
+    /// almost every batch once n ≫ m — costs what a read costs.
     pub fn ingest(&self, key: &str, elements: &[u64]) {
         let per_record = crate::wal::ingest_elements_per_record(key);
         let mut rest = elements;
         loop {
             let (chunk, tail) = rest.split_at(rest.len().min(per_record));
-            self.logged(
+            let Ok(_) = self.apply_then_log(
+                key,
+                |sketch| Ok::<_, std::convert::Infallible>(sketch.insert_batch_changed(chunk)),
                 |_| crate::wal::encode_ingest(key, chunk),
-                |store| store.with_entry(key, |sketch| sketch.insert_batch(chunk)),
             );
             rest = tail;
             if rest.is_empty() {
@@ -803,5 +801,215 @@ impl<S> std::fmt::Debug for SketchStore<S> {
         f.debug_struct("SketchStore")
             .field("shards", &self.shards.len())
             .finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use setsketch::{SetSketch2, SetSketchConfig};
+    use std::path::{Path, PathBuf};
+
+    const KEYS: [&str; 3] = ["a", "b", "c"];
+
+    /// One step of a seeded write script on a durable store.
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        /// `seen` elements the key already holds (a window of them, from
+        /// `at`) followed by `fresh` never-seen ones.
+        Ingest {
+            key: usize,
+            at: usize,
+            seen: usize,
+            fresh: usize,
+        },
+        /// A sketch of a window of the key's elements (dominated), of
+        /// that window plus fresh elements (overlapping), or under a
+        /// foreign seed (refused).
+        MergeIn {
+            key: usize,
+            kind: u8,
+            at: usize,
+            len: usize,
+        },
+        Checkpoint,
+        /// Drop the store and rebuild it from its directory.
+        Restart,
+    }
+
+    fn decode((kind, key, at, len): (u8, usize, usize, usize)) -> Step {
+        let key = key % KEYS.len();
+        match kind {
+            0..=5 => Step::Ingest {
+                key,
+                at,
+                seen: len,
+                // Mostly re-observed batches, as at n ≫ m.
+                fresh: if kind == 0 { len % 4 } else { 0 },
+            },
+            6..=8 => Step::MergeIn {
+                key,
+                kind: kind - 6,
+                at,
+                len,
+            },
+            9 => Step::Checkpoint,
+            _ => Step::Restart,
+        }
+    }
+
+    fn config() -> SetSketchConfig {
+        SetSketchConfig::new(64, 2.0, 20.0, 62).unwrap()
+    }
+
+    fn durable(dir: &Path, checkpoint_after: u64) -> SketchStore<SetSketch2> {
+        let config = config();
+        SketchStore::builder(move || SetSketch2::new(config, 2))
+            .shards(2)
+            .durable_dir(dir)
+            .checkpoint_after_bytes(checkpoint_after)
+            .build()
+    }
+
+    /// The element-loop reference of everything recorded under a key.
+    fn reference(elements: &[u64]) -> SetSketch2 {
+        let mut sketch = SetSketch2::new(config(), 2);
+        for &element in elements {
+            sketch.insert_u64(element);
+        }
+        sketch
+    }
+
+    /// Up to `len` of the key's elements, cyclically from `at`.
+    fn window(held: &[u64], at: usize, len: usize) -> Vec<u64> {
+        if held.is_empty() {
+            return Vec::new();
+        }
+        (0..len.min(held.len()))
+            .map(|i| held[(at + i) % held.len()])
+            .collect()
+    }
+
+    /// What a test observes of a key: its registers, version and shard
+    /// mark, and the log bytes since the last checkpoint.
+    fn observe(
+        store: &SketchStore<SetSketch2>,
+        key: &str,
+    ) -> (Option<SetSketch2>, Option<u64>, u64, u64) {
+        (
+            store.get(key),
+            store.version_of(key),
+            store.shard_mark(store.shard_index(key)),
+            store.wal_bytes_since_checkpoint().unwrap(),
+        )
+    }
+
+    /// Runs a script and checks, after every write, that the version
+    /// and shard mark moved exactly when the registers did, that a
+    /// write which moved nothing appended nothing to the log, and that
+    /// the key equals the element-loop reference; after every restart,
+    /// that every recovered key does.
+    fn drive(steps: &[Step], checkpoint_after: u64) -> Result<(), TestCaseError> {
+        static CASE: AtomicU64 = AtomicU64::new(0);
+        let dir: PathBuf = std::env::temp_dir().join(format!(
+            "sketch-store-noop-{}-{}",
+            std::process::id(),
+            CASE.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let result = drive_in(&dir, steps, checkpoint_after);
+        let _ = std::fs::remove_dir_all(&dir);
+        result
+    }
+
+    fn drive_in(dir: &Path, steps: &[Step], checkpoint_after: u64) -> Result<(), TestCaseError> {
+        let mut store = durable(dir, checkpoint_after);
+        let mut held: [Vec<u64>; KEYS.len()] = Default::default();
+        let mut created = [false; KEYS.len()];
+        let mut next_fresh = 1_000_000u64;
+        let mut fresh = |count: usize| -> Vec<u64> {
+            let start = next_fresh;
+            next_fresh += count as u64;
+            (start..next_fresh).collect()
+        };
+        for &step in steps {
+            let key = match step {
+                Step::Ingest { key, .. } | Step::MergeIn { key, .. } => key,
+                Step::Checkpoint => {
+                    store.checkpoint().unwrap();
+                    continue;
+                }
+                Step::Restart => {
+                    drop(store);
+                    store = durable(dir, checkpoint_after);
+                    let report = store.recovery_report().unwrap();
+                    prop_assert!(report.is_clean(), "{report}");
+                    for (index, name) in KEYS.iter().enumerate() {
+                        let expected = created[index].then(|| reference(&held[index]));
+                        prop_assert_eq!(store.get(name), expected, "{} after restart", name);
+                    }
+                    continue;
+                }
+            };
+            let name = KEYS[key];
+            let before = observe(&store, name);
+            match step {
+                Step::Ingest {
+                    at, seen, fresh: n, ..
+                } => {
+                    let mut batch = window(&held[key], at, seen);
+                    batch.extend(fresh(n));
+                    store.ingest(name, &batch);
+                    held[key].extend(batch);
+                    created[key] = true;
+                }
+                Step::MergeIn { kind, at, len, .. } => {
+                    let mut elements = window(&held[key], at, len);
+                    if kind == 1 {
+                        elements.extend(fresh(1 + len % 3));
+                    }
+                    let seed = if kind == 2 { 99 } else { 2 };
+                    let mut incoming = SetSketch2::new(config(), seed);
+                    incoming.insert_batch(&elements);
+                    let answer = store.merge_in(name, &incoming);
+                    if kind == 2 {
+                        prop_assert!(answer.is_err(), "a foreign seed must be refused");
+                    } else {
+                        held[key].extend(elements);
+                        created[key] = true;
+                        let after = store.get(name);
+                        prop_assert_eq!(answer.unwrap(), after != before.0, "merge_in's answer");
+                    }
+                }
+                Step::Checkpoint | Step::Restart => unreachable!("handled above"),
+            }
+            let after = observe(&store, name);
+            let changed = after.0 != before.0;
+            prop_assert_eq!(after.1 != before.1, changed, "{:?}: version", step);
+            prop_assert_eq!(after.2 != before.2, changed, "{:?}: shard mark", step);
+            if !changed {
+                prop_assert_eq!(after.3, before.3, "{:?}: a no-op logged", step);
+            }
+            let expected = created[key].then(|| reference(&held[key]));
+            prop_assert_eq!(after.0, expected, "{:?}: registers", step);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// A slot's version and shard mark move if and only if its
+        /// registers do, no-op writes log nothing, and every recovery
+        /// rebuilds the element-loop reference bit for bit.
+        #[test]
+        fn version_moves_iff_a_register_does(
+            raw in prop::collection::vec((0u8..11, 0usize..3, 0usize..64, 0usize..24), 1..48),
+            tight in 0u8..2,
+        ) {
+            let steps: Vec<Step> = raw.into_iter().map(decode).collect();
+            drive(&steps, if tight == 1 { 512 } else { u64::MAX })?;
+        }
     }
 }

@@ -287,13 +287,14 @@ impl<S> TierRuntime<S> {
 
     /// Runs a write against a hot sketch in place, accounting how much
     /// it grew (or shrank) when a budget is set.
-    pub(crate) fn account_write(&self, sketch: &mut S, op: impl FnOnce(&mut S)) {
+    pub(crate) fn account_write<R>(&self, sketch: &mut S, op: impl FnOnce(&mut S) -> R) -> R {
         if !self.budgeted() {
             return op(sketch);
         }
         let before = self.resident_of(sketch);
-        op(sketch);
+        let result = op(sketch);
         self.add_hot(self.resident_of(sketch) as isize - before as isize);
+        result
     }
 
     /// A cold slot rehydrated to `hot`: its warm bytes are freed, or

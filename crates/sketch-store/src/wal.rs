@@ -3,15 +3,31 @@
 //! them after `kill -9`.
 //!
 //! With [`StoreBuilder::durable_dir`](crate::StoreBuilder::durable_dir)
-//! set, every mutating operation (ingest, insert, put, merge-in,
-//! remove, clear) appends one record to the current WAL segment
-//! *before* applying itself to the in-memory shards — write-ahead
-//! order, so under [`FsyncPolicy::Always`] an acknowledged write is on
-//! disk before the caller sees it. Each record is framed as
-//! `[u32 length][u32 CRC32][payload]` by [`crate::frame`], which
-//! refuses a payload the scanner would not read back — so an ingest
-//! batch is split into as many records as the frame limit needs, and
-//! an oversize put/merge-in payload is a counted append failure.
+//! set, every operation that changes the store appends one record to
+//! the current WAL segment before the caller sees it returned. Two
+//! orders are used:
+//!
+//! * **Apply, then log** — ingest (and insert) and merge-in learn their
+//!   effect only by applying. They apply under the shard write lock
+//!   and, only when a register rose (or the key was created), restamp
+//!   the slot and append their record *before that lock is released*,
+//!   so no reader and no later writer sees a register whose record is
+//!   not yet in the log. A write that raised nothing is a read: no
+//!   record, no version bump. Dropping it loses nothing — a sketch's
+//!   state is the register-wise maximum over its elements, so replay
+//!   without the no-op records rebuilds the same registers.
+//! * **Log, then apply** — put, remove and clear always change state;
+//!   they append first and apply afterwards.
+//!
+//! Under [`FsyncPolicy::Always`] an acknowledged change is therefore on
+//! disk before the caller sees it; for ingest and merge-in that fsync
+//! runs under the shard lock, so a no-op that relies on registers a
+//! concurrent write just raised waits until that write's record is
+//! durable. Each record is framed as `[u32 length][u32 CRC32][payload]`
+//! by [`crate::frame`], which refuses a payload the scanner would not
+//! read back — so an ingest batch is split into as many records as the
+//! frame limit needs, and an oversize put/merge-in payload is a counted
+//! append failure.
 //!
 //! Replay time is bounded by **checkpoints**: once the log grows past
 //! the configured threshold, the store sweeps every slot's compact
@@ -50,10 +66,16 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
     /// `fsync` after every record: an acknowledged write survives even
-    /// power loss. The slowest option by orders of magnitude.
+    /// power loss. The slowest option by orders of magnitude. An ingest
+    /// or merge-in that raised a register fsyncs while it still holds
+    /// its shard's write lock, so writers to that shard wait for the
+    /// disk too.
     Always,
     /// `fsync` after every `n` records: bounds the power-loss window to
-    /// `n` acknowledged writes while amortizing the sync cost.
+    /// `n` records while amortizing the sync cost. Writes that raised
+    /// no register write no record; such a write's acknowledgement
+    /// rides on the records that made it a no-op, and is lost to power
+    /// loss only together with them.
     EveryN(u64),
     /// Never `fsync` explicitly; the OS flushes on its own schedule.
     /// Survives process crashes, not power loss. The default.
@@ -173,22 +195,6 @@ pub(crate) fn ingest_elements_per_record(key: &str) -> usize {
     (frame::MAX_PAYLOAD_BYTES.saturating_sub(fixed) / 8).max(1)
 }
 
-/// How many leading `elements` one byte-ingest record under `key`
-/// carries within the frame limit (at least one unless `elements` is
-/// empty, as above).
-pub(crate) fn ingest_bytes_per_record(key: &str, elements: &[&[u8]]) -> usize {
-    let mut room = frame::MAX_PAYLOAD_BYTES.saturating_sub(1 + 4 + key.len() + 4);
-    let mut count = 0;
-    for element in elements {
-        let Some(left) = room.checked_sub(4 + element.len()) else {
-            break;
-        };
-        room = left;
-        count += 1;
-    }
-    count.max(elements.len().min(1))
-}
-
 /// Encodes an ingest record (covers single inserts too).
 pub(crate) fn encode_ingest(key: &str, elements: &[u64]) -> Vec<u8> {
     let mut out = Vec::with_capacity(1 + 8 + key.len() + 8 * elements.len());
@@ -201,7 +207,9 @@ pub(crate) fn encode_ingest(key: &str, elements: &[u64]) -> Vec<u8> {
     out
 }
 
-/// Encodes a byte-element ingest record.
+/// Encodes a byte-element ingest record. Stores no longer write them;
+/// replay still reads them.
+#[cfg(test)]
 pub(crate) fn encode_ingest_bytes(key: &str, elements: &[&[u8]]) -> Vec<u8> {
     let total: usize = elements.iter().map(|e| e.len() + 4).sum();
     let mut out = Vec::with_capacity(1 + 8 + key.len() + total);
@@ -499,7 +507,10 @@ type ApplyPayloadFn<S> = fn(&SketchStore<S>, &str, &[u8]) -> Result<(), String>;
 /// generic recovery scan needs no trait bounds — the bounds live on
 /// [`StoreBuilder::durable_dir`](crate::StoreBuilder::durable_dir),
 /// where the non-capturing closures coerce (the same pattern as
-/// [`TierCodec`]).
+/// [`TierCodec`]). Recovery runs before the store's log is installed,
+/// so the public write paths apply without logging; a replayed record
+/// that raises nothing (its registers are already in the checkpoint)
+/// stamps nothing.
 pub(crate) struct WalApplier<S> {
     pub(crate) ingest: fn(&SketchStore<S>, &str, &[u64]),
     pub(crate) ingest_bytes: fn(&SketchStore<S>, &str, &[Vec<u8>]),
@@ -514,19 +525,25 @@ impl<S> Clone for WalApplier<S> {
 }
 impl<S> Copy for WalApplier<S> {}
 
-impl<S: BatchInsert + Mergeable + Clone + PartialEq> WalApplier<S> {
+impl<S: BatchInsert + Mergeable> WalApplier<S> {
     /// The replay surface of sketch type `S`.
     pub(crate) fn of() -> Self {
         WalApplier {
-            ingest: |store, key, elements| {
-                store.with_entry(key, |sketch| sketch.insert_batch(elements));
-            },
+            ingest: |store, key, elements| store.ingest(key, elements),
+            // Byte-ingest records, which stores no longer write but
+            // older directories hold: `insert_bytes` gives no change
+            // signal, so the write always counts.
             ingest_bytes: |store, key, elements| {
-                store.with_entry(key, |sketch| {
-                    for element in elements {
-                        sketch.insert_bytes(element);
-                    }
-                });
+                let Ok(_) = store.with_entry(
+                    key,
+                    |sketch| {
+                        for element in elements {
+                            sketch.insert_bytes(element);
+                        }
+                        Ok::<_, std::convert::Infallible>(true)
+                    },
+                    || {},
+                );
             },
             put: |store, key, payload| {
                 let sketch = store.tier.try_decode(payload)?;
@@ -536,7 +553,7 @@ impl<S: BatchInsert + Mergeable + Clone + PartialEq> WalApplier<S> {
             merge_in: |store, key, payload| {
                 let incoming = store.tier.try_decode(payload)?;
                 store
-                    .merge_in_unlogged(key, &incoming)
+                    .merge_in(key, &incoming)
                     .map(|_| ())
                     .map_err(|error| error.to_string())
             },
@@ -547,12 +564,12 @@ impl<S: BatchInsert + Mergeable + Clone + PartialEq> WalApplier<S> {
 /// Per-store durability state, present when the builder set a durable
 /// directory.
 pub(crate) struct Durability<S> {
-    /// Logged operations hold this as readers across *log then apply*;
-    /// the checkpoint sweep holds it as a writer, so every record in
-    /// the segments it covers has also been applied to the shards it
-    /// sweeps — without this barrier a record could be logged below the
-    /// checkpoint but applied after the sweep, and replay would lose
-    /// it.
+    /// Logged operations hold this as readers across their log and
+    /// apply steps (either order); the checkpoint sweep holds it as a
+    /// writer, so every record in the segments it covers has also been
+    /// applied to the shards it sweeps — without this barrier a record
+    /// could be logged below the checkpoint but applied after the
+    /// sweep, and replay would lose it.
     pub(crate) gate: RwLock<()>,
     pub(crate) wal: Mutex<Wal>,
     /// Compact codec for checkpoint sweeps and put/merge-in records.
@@ -570,9 +587,13 @@ pub(crate) struct Durability<S> {
 }
 
 impl<S> Durability<S> {
-    fn note_wal_failure(&self, error: io::Error) {
-        self.wal_failures.fetch_add(1, Ordering::Relaxed);
-        *self.last_wal_error.lock() = Some(error.to_string());
+    /// Appends one record; a failure is counted and the write goes
+    /// ahead un-logged.
+    fn append(&self, record: &[u8]) {
+        if let Err(error) = self.wal.lock().append(record) {
+            self.wal_failures.fetch_add(1, Ordering::Relaxed);
+            *self.last_wal_error.lock() = Some(error.to_string());
+        }
     }
 }
 
@@ -608,12 +629,13 @@ impl<S> SketchStore<S> {
             .map(|d| d.wal.lock().bytes_since_checkpoint())
     }
 
-    /// Runs `apply` under the durability protocol: when the store is
+    /// Runs `apply` — a put, remove or clear, which always changes the
+    /// store — under the durability protocol: when the store is
     /// durable, `record`'s bytes are appended to the WAL first
     /// (write-ahead), both steps under the checkpoint gate; afterwards
     /// a checkpoint is cut if the log has grown past the threshold.
     /// Non-durable stores skip straight to `apply`.
-    pub(crate) fn logged<R>(
+    pub(crate) fn log_then_apply<R>(
         &self,
         record: impl FnOnce(&Durability<S>) -> Vec<u8>,
         apply: impl FnOnce(&Self) -> R,
@@ -623,17 +645,47 @@ impl<S> SketchStore<S> {
         };
         let result = {
             let _gate = durability.gate.read();
-            if let Err(error) = durability.wal.lock().append(&record(durability)) {
-                durability.note_wal_failure(error);
-            }
+            durability.append(&record(durability));
             apply(self)
         };
+        self.checkpoint_if_due(durability);
+        result
+    }
+
+    /// Runs an ingest or merge-in — `op` on `key`'s sketch, which
+    /// answers whether it changed anything — under the durability
+    /// protocol: applied first, under the checkpoint gate; only when
+    /// the write counts ([`with_entry`](Self::with_entry): a register
+    /// rose or the key was created) is `record`'s bytes appended,
+    /// while the shard write lock is still held. A no-op writes no
+    /// record and triggers no checkpoint. Non-durable stores only
+    /// apply.
+    pub(crate) fn apply_then_log<E>(
+        &self,
+        key: &str,
+        op: impl FnOnce(&mut S) -> Result<bool, E>,
+        record: impl FnOnce(&Durability<S>) -> Vec<u8>,
+    ) -> Result<bool, E> {
+        let Some(durability) = self.durability.as_ref() else {
+            return self.with_entry(key, op, || {});
+        };
+        let result = {
+            let _gate = durability.gate.read();
+            self.with_entry(key, op, || durability.append(&record(durability)))
+        };
+        if let Ok(true) = result {
+            self.checkpoint_if_due(durability);
+        }
+        result
+    }
+
+    /// Cuts a checkpoint once the log has grown past the threshold.
+    fn checkpoint_if_due(&self, durability: &Durability<S>) {
         if durability.wal.lock().bytes_since_checkpoint() >= durability.checkpoint_after_bytes {
             // Best-effort: a failed checkpoint only delays log
             // truncation; the next write retries.
             let _ = self.checkpoint();
         }
-        result
     }
 
     /// Cuts a checkpoint now: sweeps every slot's compact payload into
@@ -1037,6 +1089,37 @@ mod tests {
         );
         assert_eq!(decoded[4], WalRecord::Remove { key: "r".into() });
         assert_eq!(decoded[5], WalRecord::Clear);
+    }
+
+    /// Stores no longer write byte-ingest records, but a directory
+    /// written before still replays them.
+    #[test]
+    fn byte_ingest_records_still_replay() {
+        use setsketch::{SetSketch2, SetSketchConfig};
+        use sketch_core::Sketch;
+
+        let dir = std::env::temp_dir().join(format!("sketch-wal-bytes-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let mut log = Vec::new();
+        let record = encode_ingest_bytes("k", &[b"ab".as_slice(), b"cd".as_slice()]);
+        frame::push(&mut log, &record).unwrap();
+        fs::write(segment_path(&dir, 0), &log).unwrap();
+
+        let cfg = SetSketchConfig::new(64, 2.0, 20.0, 62).unwrap();
+        let factory = move || SetSketch2::new(cfg, 2);
+        let store = SketchStore::builder(factory).durable_dir(&dir).build();
+        let report = store.recovery_report().unwrap();
+        assert!(
+            report.is_clean() && report.records_replayed == 1,
+            "{report}"
+        );
+        let mut reference = factory();
+        reference.insert_bytes(b"ab");
+        reference.insert_bytes(b"cd");
+        assert_eq!(store.get("k"), Some(reference));
+        drop(store);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -508,6 +508,42 @@ fn remove_and_clear_replay_in_order() {
     assert_eq!(store.keys(), vec!["c".to_owned()], "clear must replay");
 }
 
+/// A merge refused as incompatible changes nothing, so it logs
+/// nothing: a restart must not bring it back. (A record of it would
+/// replay under the *local* seed, succeed, and resurrect the refused
+/// state.)
+#[test]
+fn refused_merge_in_stays_refused_after_restart() {
+    let scratch = Scratch::new("refused");
+    let cfg = SetSketchConfig::new(64, 2.0, 20.0, 62).unwrap();
+    let build = || {
+        SketchStore::builder(move || SetSketch2::new(cfg, 2))
+            .durable_dir(scratch.path())
+            .build()
+    };
+    let mut reference = SetSketch2::new(cfg, 2);
+    reference.insert_batch(&[1, 2, 3]);
+    {
+        let store = build();
+        store.ingest("a", &[1, 2, 3]);
+        let mut foreign = SetSketch2::new(cfg, 99);
+        foreign.insert_batch(&(100..200).collect::<Vec<u64>>());
+        assert!(store.merge_in("a", &foreign).is_err());
+        assert!(store.merge_in("b", &foreign).is_err());
+        assert!(!store.contains_key("b"));
+        assert_eq!(store.get("a"), Some(reference.clone()));
+    }
+    let store = build();
+    let report = store.recovery_report().expect("durable store");
+    assert!(report.is_clean(), "{report}");
+    assert_eq!(
+        report.records_replayed, 1,
+        "only the ingest was logged: {report}"
+    );
+    assert!(!store.contains_key("b"), "a refused merge created a key");
+    assert_eq!(store.get("a"), Some(reference), "a refused merge changed a");
+}
+
 /// Every fsync policy must produce an equally recoverable log (they
 /// differ only in when bytes reach the platter, which a plain process
 /// exit cannot observe).

@@ -549,13 +549,12 @@ fn index_freshness_after_every_mutator() {
             },
         },
         Mutation {
-            name: "ingest_bytes",
+            name: "ingest of an identical pair",
             durable: false,
             apply: |store, _| {
-                let items: Vec<Vec<u8>> = (0..2000u32).map(|i| i.to_le_bytes().to_vec()).collect();
-                let items: Vec<&[u8]> = items.iter().map(Vec::as_slice).collect();
-                store.ingest_bytes("bytes-a", &items);
-                store.ingest_bytes("bytes-b", &items);
+                let items = elements(900_000_000, 2000);
+                store.ingest("twin-a", &items);
+                store.ingest("twin-b", &items);
                 store
             },
         },

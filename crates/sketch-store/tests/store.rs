@@ -22,7 +22,7 @@ fn ingest_creates_and_fills_keys() {
     assert!(store.is_empty());
     store.ingest("a", &(0..1_000).collect::<Vec<_>>());
     store.insert("b", 1);
-    store.insert_bytes("c", b"hello");
+    store.ingest("c", &[2, 3]);
     assert_eq!(store.len(), 3);
     assert!(store.contains_key("a") && !store.contains_key("d"));
     assert_eq!(store.keys(), vec!["a", "b", "c"]);
@@ -184,19 +184,20 @@ fn concurrent_ingest_from_many_threads() {
 }
 
 #[test]
-fn ingest_bytes_mirrors_insert_bytes() {
+fn insert_mirrors_ingest() {
     let store = setsketch_store(4);
-    let elements: Vec<Vec<u8>> = (0..200u32).map(|i| i.to_be_bytes().to_vec()).collect();
-    let slices: Vec<&[u8]> = elements.iter().map(Vec::as_slice).collect();
-    store.ingest_bytes("batched", &slices);
+    let elements: Vec<u64> = (0..200).map(|i| i * 7_919).collect();
+    store.ingest("batched", &elements);
 
     let looped = setsketch_store(4);
-    for slice in &slices {
-        looped.insert_bytes("looped", slice);
+    for &element in &elements {
+        looped.insert("looped", element);
     }
     assert_eq!(store.get("batched"), looped.get("looped"));
 
-    // Empty batches still create the key (like `ingest`).
-    store.ingest_bytes("empty", &[]);
+    // Empty batches still create the key: creating it is a change.
+    let version = store.write_epoch();
+    store.ingest("empty", &[]);
     assert!(store.contains_key("empty"));
+    assert!(store.version_of("empty") > Some(version));
 }
