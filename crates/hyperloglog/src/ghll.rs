@@ -263,20 +263,6 @@ impl GhllSketch {
         std::mem::size_of::<Self>() + self.registers.heap_bytes()
     }
 
-    /// A sketch holding decoded `registers` — m values in `0..=q+1`,
-    /// which the decoders validate while narrowing — that shares this
-    /// sketch's configuration, seed, power table and tracking mode; the
-    /// tracked lower bound is the decoded minimum.
-    pub(crate) fn with_registers(&self, registers: Registers) -> Self {
-        Self::assemble(
-            self.config,
-            self.seed,
-            Arc::clone(&self.table),
-            self.lower_bound_tracking,
-            registers,
-        )
-    }
-
     /// Checks configuration and seed compatibility.
     pub fn is_compatible(&self, other: &Self) -> bool {
         self.config == other.config && self.seed == other.seed

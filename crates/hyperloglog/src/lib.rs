@@ -20,7 +20,6 @@
 //! ```
 
 pub mod ghll;
-pub mod interop;
 pub mod joint;
 pub mod pmf;
 

@@ -22,7 +22,6 @@
 //! assert!((joint.jaccard - 1.0 / 3.0).abs() < 0.1);
 //! ```
 
-pub mod interop;
 pub mod pmf;
 pub mod sketch;
 

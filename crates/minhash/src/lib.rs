@@ -29,7 +29,6 @@
 
 pub mod bbit;
 pub mod classic;
-pub mod interop;
 pub mod oph;
 pub mod superminhash;
 

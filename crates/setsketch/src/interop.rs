@@ -1,9 +1,9 @@
 //! [`sketch_core`] trait implementations for SetSketch.
 //!
-//! These adapters let SetSketch participate in code written against the
-//! workspace-wide abstraction layer (the sharded sketch store, generic
-//! benchmarks, cross-family experiments) without giving up any of the
-//! inherent API.
+//! These adapters let SetSketch serve from code written against the
+//! serving path's abstraction layer (the sharded sketch store, the
+//! cluster, the benchmarks) without giving up any of the inherent API.
+//! SetSketch1/2 are the only implementations of that trait set.
 
 use crate::locality::collision_probability_bounds;
 use crate::sequence::ValueSequence;
@@ -89,7 +89,7 @@ impl<S: ValueSequence> Signature for SetSketch<S> {
     }
 
     /// Registers are ordinal `⌊1 − log_b h⌋` values: ±1 is the nearest
-    /// miss, so multi-probe queries pay off.
+    /// miss, which is why the store's query engine always multi-probes.
     fn ordinal_registers(&self) -> bool {
         true
     }

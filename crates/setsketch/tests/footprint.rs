@@ -137,18 +137,33 @@ fn setsketch_resident_bytes_are_the_live_heap_bytes() {
     );
 }
 
+/// GHLL, a paper baseline outside the store, reports its footprint
+/// through the inherent `memory_footprint()`; the same contract holds
+/// minus the codec step.
 #[test]
 fn ghll_resident_bytes_are_the_live_heap_bytes() {
     let config = GhllConfig::new(4096, 2.0, 62).unwrap();
-    check_footprint(&GhllSketch::new(config, 5), 1, 4096, "GHLL q=62");
-    check_footprint(
-        &GhllSketch::with_lower_bound_tracking(config, 5),
-        1,
-        4096,
-        "GHLL q=62 tracked",
-    );
-    assert_eq!(
-        GhllSketch::new(config, 5).resident_bytes(),
-        4096 + std::mem::size_of::<GhllSketch>()
-    );
+    for (prototype, label) in [
+        (GhllSketch::new(config, 5), "GHLL q=62"),
+        (
+            GhllSketch::with_lower_bound_tracking(config, 5),
+            "GHLL q=62 tracked",
+        ),
+    ] {
+        let (mut sketch, live, _) = measure(|| {
+            let mut sketch = prototype.clone();
+            sketch.extend(0..50_000);
+            sketch
+        });
+        let heap = sketch.memory_footprint() - std::mem::size_of::<GhllSketch>();
+        assert_eq!(live as usize, heap, "{label}: live heap of a filled sketch");
+        assert_eq!(heap, 4096, "{label}: one byte per register");
+
+        let (clone, live, _) = measure(|| sketch.clone());
+        assert_eq!(live as usize, heap, "{label}: bytes a clone allocates");
+        drop(clone);
+
+        let ((), live, calls) = measure(|| sketch.extend(2_000_000..2_050_000));
+        assert_eq!((live, calls), (0, 0), "{label}: inserts allocated");
+    }
 }

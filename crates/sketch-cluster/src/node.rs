@@ -39,13 +39,11 @@ use sketch_store::{QueryOptions, SketchStore, StoreError};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// The trait bundle a sketch family needs to serve in a cluster:
-/// batched recording, union merging, joint + cardinality estimation,
-/// register signatures (similarity queries), a compact wire codec, and
-/// value semantics. Implemented automatically for every type with the
-/// parts — the families with a packed register codec (SetSketch1/2,
-/// GHLL) qualify; the MinHash variants and HyperMinHash have no
-/// [`CompactSketch`] form and serve from a plain store only.
+/// The trait bundle a sketch needs to serve in a cluster: batched
+/// recording, union merging, joint + cardinality estimation, register
+/// signatures (similarity queries), a compact wire codec, and value
+/// semantics. Implemented automatically for every type with the parts;
+/// SetSketch1 and SetSketch2 are the sketches that have them.
 pub trait ClusterSketch:
     BatchInsert
     + Mergeable

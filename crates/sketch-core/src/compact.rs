@@ -7,17 +7,13 @@
 //! byte form, plus an honest accounting of the resident footprint so
 //! memory budgets mean something.
 //!
-//! Families with structured register arrays implement the trait
-//! natively — SetSketch and GHLL pack registers as small offsets from
+//! SetSketch implements it by packing registers as small offsets from
 //! their shared `K_low` lower bound with a sparse exception list
 //! (`sketch_math::pack_offsets`): about 4 bits per register at the
 //! paper's b = 2, q = 62 configuration (4-bit offsets and at most one
 //! exception at m = 4096 after 10⁴ or 10⁶ elements), against one
-//! resident byte. Families without a packed register form (the MinHash
-//! variants, HyperMinHash) do not implement the trait: a JSON encoding
-//! of a MinHash is about twice its resident size, so "demoting" one
-//! would raise memory. They serve from plain, non-tiered, non-durable
-//! stores.
+//! resident byte. Every store needs it: tiers, checkpoints, the WAL's
+//! put and merge-in records and replication all carry this form.
 
 /// A sketch state with a lossless compressed byte representation.
 ///

@@ -1,13 +1,12 @@
 //! # sketch-core
 //!
-//! The unifying trait layer over the workspace's sketch families.
+//! The trait layer the serving path programs against.
 //!
 //! The SetSketch paper positions its data structure on a continuum with
-//! MinHash and HyperLogLog (and HyperMinHash in between), yet every
-//! sketch family historically grows its own ad-hoc insert/merge/estimate
-//! API. This crate defines the common vocabulary so that anything built
-//! on top — the sharded `sketch-store` registry, benchmarks, simulation
-//! drivers — can treat sketches interchangeably:
+//! MinHash and HyperLogLog (and HyperMinHash in between). This crate
+//! defines the vocabulary the sharded `sketch-store` registry, the
+//! cluster and the benchmarks use to drive a sketch without naming its
+//! type:
 //!
 //! * [`Sketch`] — element recording ([`insert_u64`](Sketch::insert_u64),
 //!   [`insert_bytes`](Sketch::insert_bytes)); object safe, so
@@ -28,10 +27,12 @@
 //!   distance between register signatures, per-register-mode
 //!   centroids), the substrate of the store's clustered ANN index.
 //!
-//! The traits are implemented by `SetSketch1`/`SetSketch2`, the GHLL
-//! sketch (HyperLogLog), the MinHash family (`MinHash`, `SuperMinHash`,
-//! `OnePermutationHashing`) and `HyperMinHash` in their respective
-//! crates.
+//! The traits are implemented by `SetSketch1`/`SetSketch2` — the one
+//! family the store serves, since one SetSketch answers both the
+//! cardinality questions of HyperLogLog and the similarity questions of
+//! MinHash. The other families (GHLL, the MinHash variants,
+//! HyperMinHash) stay paper baselines behind their own inherent APIs
+//! and do not depend on this crate.
 //!
 //! ## Example
 //!
@@ -77,7 +78,7 @@
 //!     }
 //! }
 //!
-//! /// Works for Exact above and for every real sketch in the workspace.
+//! /// Works for Exact above and for SetSketch alike.
 //! fn distributed_count<S: Mergeable + CardinalityEstimator + Clone>(
 //!     partials: &[S],
 //! ) -> Result<f64, S::MergeError> {
@@ -284,20 +285,15 @@ pub trait Signature {
     ///
     /// Banding auto-tuners use this to translate a Jaccard threshold
     /// into band/row counts; returning a *lower* bound keeps the tuned
-    /// recall conservative. The default is the exact MinHash collision
-    /// probability `P = J`; register-scale sketches override it with
-    /// their family's bound (SetSketch: paper §3.3, eq. (14)).
-    fn register_collision_probability(&self, jaccard: f64) -> f64 {
-        jaccard
-    }
+    /// recall conservative (SetSketch: the paper's §3.3 bound).
+    fn register_collision_probability(&self, jaccard: f64) -> f64;
 
     /// True when signature registers are small *ordinal* scale values —
-    /// SetSketch/GHLL-style `⌊1 − log_b h⌋` registers — where a ±1
-    /// perturbation names a plausible near-miss register state.
-    /// Multi-probe LSH queries are only worthwhile for such signatures;
-    /// for folded-hash registers (the MinHash family) a perturbed value
-    /// is just another random hash and probing it is wasted work, so
-    /// the default is `false`.
+    /// SetSketch-style `⌊1 − log_b h⌋` registers — where a ±1
+    /// perturbation names a plausible near-miss register state. The
+    /// store's query engine always multi-probes, so nothing in this
+    /// workspace reads the answer; the method stays because the `e2e`
+    /// harness calls it to mirror the store's probe in a bare LSH index.
     fn ordinal_registers(&self) -> bool {
         false
     }
@@ -308,8 +304,8 @@ pub trait CardinalityEstimator {
     /// Estimated number of distinct inserted elements.
     ///
     /// Implementations use their family's best calibration-free
-    /// estimator (e.g. the corrected estimator (18) for SetSketch and
-    /// GHLL); an empty sketch estimates 0.
+    /// estimator (e.g. the corrected estimator (18) for SetSketch); an
+    /// empty sketch estimates 0.
     fn cardinality(&self) -> f64;
 }
 
@@ -323,8 +319,7 @@ pub trait JointEstimator: Mergeable {
     ///
     /// Implementations use their family's best total estimator — e.g.
     /// the paper's order-based maximum-likelihood estimator for
-    /// SetSketch, falling back to inclusion–exclusion where the ML
-    /// applicability condition fails (GHLL, §4.2).
+    /// SetSketch.
     fn joint(&self, other: &Self) -> Result<JointQuantities, Self::JointError>;
 
     /// [`joint`](Self::joint) with the pair's cardinality estimates
@@ -336,7 +331,7 @@ pub trait JointEstimator: Mergeable {
     ///
     /// The default ignores the supplied values and calls `joint`;
     /// families whose joint estimator begins by estimating both
-    /// cardinalities (SetSketch, MinHash) override it.
+    /// cardinalities (SetSketch) override it.
     fn joint_with_cardinalities(
         &self,
         other: &Self,
@@ -421,6 +416,9 @@ mod tests {
                 out[(e % 4) as usize] ^= e as u32;
             }
         }
+        fn register_collision_probability(&self, jaccard: f64) -> f64 {
+            jaccard
+        }
     }
 
     #[test]
@@ -431,8 +429,6 @@ mod tests {
         toy.signature_into(&mut scratch);
         assert_eq!(scratch.len(), toy.signature_len());
         assert_eq!(toy.signature(), scratch);
-        // MinHash-style default collision probability: identity in J.
-        assert_eq!(toy.register_collision_probability(0.37), 0.37);
     }
 
     #[test]

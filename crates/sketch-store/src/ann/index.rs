@@ -20,7 +20,9 @@ use crate::query::BANDING_RECALL;
 use crate::store::SketchStore;
 use lsh::{plan_bandings, Banding, ClusterLoad, LshIndex};
 use sketch_core::centroid::signature_distance;
-use sketch_core::{invert_collision_probability, CardinalityEstimator, JointEstimator, Signature};
+use sketch_core::{
+    invert_collision_probability, CardinalityEstimator, CompactSketch, JointEstimator, Signature,
+};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -141,7 +143,7 @@ fn effective_threshold(threshold: f64, member_distances: &[f64]) -> f64 {
 
 impl<S> SketchStore<S>
 where
-    S: Signature + JointEstimator + CardinalityEstimator + Clone + Send + Sync,
+    S: CompactSketch + Signature + JointEstimator + CardinalityEstimator + Clone + Send + Sync,
 {
     /// Inverse of the family's register-collision-probability curve at
     /// every possible equal-register count `d0 ∈ 0..=m`, probed on an

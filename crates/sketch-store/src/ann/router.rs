@@ -19,7 +19,7 @@
 use super::index::ClusteredState;
 use crate::store::SketchStore;
 use sketch_core::centroid::signature_distance;
-use sketch_core::{CardinalityEstimator, JointEstimator, Signature};
+use sketch_core::{CardinalityEstimator, CompactSketch, JointEstimator, Signature};
 
 /// Estimation-noise slack added to every triangle-inequality
 /// eligibility bound: signature distances are D₀-based estimates, not
@@ -66,33 +66,26 @@ pub(crate) fn route_clusters(
     picked
 }
 
-/// Candidate keys of one routed top-k query: the union of banding
-/// lookups in every probed cluster (multi-probed on ordinal register
-/// scales, mirroring the flat engine's policy).
+/// Candidate keys of one routed top-k query: the union of multi-probed
+/// banding lookups in every probed cluster (the flat engine's policy).
 pub(crate) fn query_candidates(
     state: &mut ClusteredState,
     signature: &[u32],
     threshold: f64,
-    multiprobe: bool,
 ) -> Vec<String> {
     let routed = route_clusters(state, signature, threshold);
     state.probe_stats.topk_queries += 1;
     state.probe_stats.clusters_probed += routed.len() as u64;
     let mut candidates = Vec::new();
     for at in routed {
-        let lsh = &state.clusters[at].lsh;
-        if multiprobe {
-            candidates.extend(lsh.query_multiprobe(signature));
-        } else {
-            candidates.extend(lsh.query(signature));
-        }
+        candidates.extend(state.clusters[at].lsh.query_multiprobe(signature));
     }
     candidates
 }
 
 impl<S> SketchStore<S>
 where
-    S: Signature + JointEstimator + CardinalityEstimator + Clone + Send + Sync,
+    S: CompactSketch + Signature + JointEstimator + CardinalityEstimator + Clone + Send + Sync,
 {
     /// Candidate pairs of a clustered all-pairs sweep, sorted and
     /// deduplicated with `left < right` (the flat engine's

@@ -8,9 +8,8 @@
 //! arrive: they become builder methods instead of constructor variants.
 //!
 //! The memory budget ([`memory_budget_bytes`]) is the tier manager's
-//! only input: it requires the sketch type to implement
-//! [`CompactSketch`], installs the family's compression codec and turns
-//! demotion on ([`spill_dir`] says where frozen keys go). A store built
+//! only input: it turns demotion through the sketch's [`CompactSketch`]
+//! codec on ([`spill_dir`] says where frozen keys go). A store built
 //! without a budget keeps every sketch resident and pays nothing.
 //!
 //! [`memory_budget_bytes`]: StoreBuilder::memory_budget_bytes
@@ -19,8 +18,8 @@
 use crate::error::StoreError;
 use crate::pipeline::{PipelineDefaults, DEFAULT_QUEUE_DEPTH, DEFAULT_WRITER_THREADS};
 use crate::store::{SketchStore, DEFAULT_SHARDS};
-use crate::tier::{TierCodec, TierPolicy};
-use crate::wal::{self, FsyncPolicy, WalApplier, DEFAULT_CHECKPOINT_AFTER_BYTES};
+use crate::tier::TierPolicy;
+use crate::wal::{self, FsyncPolicy, DEFAULT_CHECKPOINT_AFTER_BYTES};
 use sketch_core::{BatchInsert, CompactSketch, Mergeable};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -66,22 +65,13 @@ pub struct StoreBuilder<S> {
     shards: usize,
     pipeline: PipelineDefaults,
     tier: TierPolicy,
-    codec: Option<TierCodec<S>>,
     factory: Box<dyn Fn() -> S + Send + Sync>,
-    durable: Option<DurableConfig<S>>,
+    durable_dir: Option<PathBuf>,
     fsync: FsyncPolicy,
     checkpoint_after_bytes: u64,
 }
 
-/// Captured when [`StoreBuilder::durable_dir`] is called — the knob's
-/// trait bounds are discharged there, so `build` needs none.
-struct DurableConfig<S> {
-    dir: PathBuf,
-    codec: TierCodec<S>,
-    applier: WalApplier<S>,
-}
-
-impl<S> StoreBuilder<S> {
+impl<S: CompactSketch + BatchInsert + Mergeable> StoreBuilder<S> {
     /// Starts a builder around the store's sketch factory.
     pub(crate) fn new(factory: impl Fn() -> S + Send + Sync + 'static) -> Self {
         StoreBuilder {
@@ -91,9 +81,8 @@ impl<S> StoreBuilder<S> {
                 writer_threads: DEFAULT_WRITER_THREADS,
             },
             tier: TierPolicy::default(),
-            codec: None,
             factory: Box::new(factory),
-            durable: None,
+            durable_dir: None,
             fsync: FsyncPolicy::Os,
             checkpoint_after_bytes: DEFAULT_CHECKPOINT_AFTER_BYTES,
         }
@@ -133,18 +122,11 @@ impl<S> StoreBuilder<S> {
     /// target, not a hard cap: a burst of writes can transiently
     /// overshoot until the next scan catches up.
     ///
-    /// Enables the memory-tier manager (hence the [`CompactSketch`]
-    /// bound — the family must provide a compression codec).
-    ///
     /// # Panics
     /// Panics if `bytes == 0`.
-    pub fn memory_budget_bytes(mut self, bytes: usize) -> Self
-    where
-        S: CompactSketch,
-    {
+    pub fn memory_budget_bytes(mut self, bytes: usize) -> Self {
         assert!(bytes > 0, "memory budget must be at least one byte");
         self.tier.memory_budget_bytes = Some(bytes);
-        self.codec = Some(TierCodec::of());
         self
     }
 
@@ -173,19 +155,8 @@ impl<S> StoreBuilder<S> {
     /// what survives power loss, and
     /// [`checkpoint_after_bytes`](Self::checkpoint_after_bytes) to bound
     /// replay time.
-    ///
-    /// The trait bounds are what replay needs: re-ingesting elements
-    /// ([`BatchInsert`]), re-applying replica merges ([`Mergeable`]) and
-    /// decoding put/checkpoint payloads ([`CompactSketch`]).
-    pub fn durable_dir(mut self, dir: impl Into<PathBuf>) -> Self
-    where
-        S: BatchInsert + Mergeable + CompactSketch,
-    {
-        self.durable = Some(DurableConfig {
-            dir: dir.into(),
-            codec: TierCodec::of(),
-            applier: WalApplier::of(),
-        });
+    pub fn durable_dir(mut self, dir: impl Into<PathBuf>) -> Self {
+        self.durable_dir = Some(dir.into());
         self
     }
 
@@ -252,19 +223,13 @@ impl<S> StoreBuilder<S> {
             self.pipeline.writer_threads > 0,
             "pipelines need at least one writer thread"
         );
-        let durable = self.durable;
-        // A durable store always carries the family codec: checkpoint
-        // entries restore warm, and put/merge-in records decode through
-        // the tier prototype.
-        let codec = self.codec.or_else(|| durable.as_ref().map(|d| d.codec));
         let mut store =
-            SketchStore::from_parts(self.shards, self.factory, self.pipeline, self.tier, codec);
-        if let Some(config) = durable {
-            let (wal, report) = wal::recover(&store, &config.dir, self.fsync, &config.applier)?;
+            SketchStore::from_parts(self.shards, self.factory, self.pipeline, self.tier);
+        if let Some(dir) = self.durable_dir {
+            let (wal, report) = wal::recover(&store, &dir, self.fsync)?;
             store.durability = Some(wal::durability_runtime(
                 wal,
                 report,
-                config.codec,
                 self.checkpoint_after_bytes,
             ));
         }

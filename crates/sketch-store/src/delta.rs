@@ -86,7 +86,7 @@ impl StoreDelta {
     }
 }
 
-impl<S> SketchStore<S> {
+impl<S: CompactSketch> SketchStore<S> {
     /// Current value of the store's monotonic write counter — the
     /// domain of every slot version. A replica that has applied a delta
     /// produced at counter value `v` holds everything stamped `≤ v`.
@@ -107,9 +107,7 @@ impl<S> SketchStore<S> {
     pub fn empty_sketch(&self) -> S {
         self.make_sketch()
     }
-}
 
-impl<S: CompactSketch> SketchStore<S> {
     /// Extracts one page of the keys whose version exceeds `after`,
     /// lowest versions first, each with its registers as a
     /// [`CompactSketch`] payload — the shipping side of delta sync.
@@ -158,7 +156,7 @@ impl<S: CompactSketch> SketchStore<S> {
             // Quarantined/corrupt slots ship nothing: their registers
             // are unrecoverable, and it is the *peers'* healthy copies
             // that will heal this store, not the other way round.
-            let Some(payload) = self.slot_payload(&slot.state, S::compress) else {
+            let Some(payload) = self.slot_payload(&slot.state) else {
                 continue;
             };
             let payload = payload.into_owned();
@@ -186,7 +184,7 @@ impl<S: CompactSketch> SketchStore<S> {
     }
 }
 
-impl<S: Mergeable> SketchStore<S> {
+impl<S: CompactSketch + Mergeable> SketchStore<S> {
     /// Applies a shipped state to `key` with union-merge semantics:
     /// creates the key when absent, merges otherwise. Returns `true`
     /// when the local state changed.
@@ -219,7 +217,7 @@ impl<S: Mergeable> SketchStore<S> {
                     .merge_from(incoming)
                     .map_err(StoreError::incompatible)
             },
-            |durability| crate::wal::encode_merge_in(key, &(durability.codec.compress)(incoming)),
+            || crate::wal::encode_merge_in(key, &incoming.compress()),
         )
     }
 }

@@ -5,10 +5,11 @@
 //!
 //! A [`SketchStore`] holds millions of keyed sketches (one per user
 //! segment, page, shard, …) behind an `N`-way shard map of
-//! `parking_lot::RwLock`-guarded hash tables. It is generic over any
-//! sketch implementing the [`sketch_core`] traits, so the same store
-//! serves SetSketch, HyperLogLog/GHLL, the MinHash family or
-//! HyperMinHash:
+//! `parking_lot::RwLock`-guarded hash tables. It is generic over the
+//! [`sketch_core`] traits, which SetSketch1 and SetSketch2 implement:
+//! one SetSketch answers both the cardinality questions of HyperLogLog
+//! and the similarity questions of MinHash, so the paper's other
+//! families stay baselines outside the store:
 //!
 //! * **builder construction** — [`SketchStore::builder`] is the single
 //!   front door: shard count, pipeline queue depth and writer threads
@@ -46,7 +47,7 @@
 //! * **memory tiers** — with [`StoreBuilder::memory_budget_bytes`],
 //!   whenever residency exceeds the budget a second-chance clock scan
 //!   demotes cold keys from **hot** (resident sketch) to **warm**
-//!   (registers compressed in memory through the family's
+//!   (registers compressed in memory through the sketch's
 //!   [`CompactSketch`](sketch_core::CompactSketch) codec) to **frozen**
 //!   (compressed bytes spilled to temp segment files, removed when the
 //!   store drops). Point reads and writes transparently rehydrate; bulk

@@ -50,7 +50,7 @@
 //! ```
 
 use crate::store::SketchStore;
-use sketch_core::BatchInsert;
+use sketch_core::{BatchInsert, CompactSketch};
 use std::any::Any;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -96,7 +96,7 @@ enum Op {
 /// would turn every later `ingest` and `flush` into an error. The first
 /// payload is returned as the thread's result and resurfaced by the
 /// pipeline's `Drop`.
-fn writer_loop<S: BatchInsert>(
+fn writer_loop<S: CompactSketch + BatchInsert>(
     store: &SketchStore<S>,
     queue: Receiver<Op>,
     depth: usize,
@@ -150,13 +150,13 @@ fn writer_loop<S: BatchInsert>(
 /// Dropping the pipeline drains every accepted batch into the store,
 /// joins the writer threads, and resurfaces the first panic a sketch
 /// update raised on a writer.
-pub struct IngestPipeline<S: BatchInsert + Send + Sync + 'static> {
+pub struct IngestPipeline<S: CompactSketch + BatchInsert + Send + Sync + 'static> {
     store: Arc<SketchStore<S>>,
     queues: Vec<SyncSender<Op>>,
     writers: Vec<JoinHandle<Option<Panic>>>,
 }
 
-impl<S: BatchInsert + Send + Sync + 'static> SketchStore<S> {
+impl<S: CompactSketch + BatchInsert + Send + Sync + 'static> SketchStore<S> {
     /// Opens a pipelined ingest front over this store, spawning the
     /// writer threads configured at build time
     /// ([`StoreBuilder::writer_threads`](crate::StoreBuilder::writer_threads),
@@ -198,7 +198,7 @@ impl<S: BatchInsert + Send + Sync + 'static> SketchStore<S> {
     }
 }
 
-impl<S: BatchInsert + Send + Sync + 'static> IngestPipeline<S> {
+impl<S: CompactSketch + BatchInsert + Send + Sync + 'static> IngestPipeline<S> {
     /// Queues a batch for `key` (applied through the store's batched
     /// [`ingest`](SketchStore::ingest), hitting the sketch's
     /// [`BatchInsert`] fast path), blocking while the key's channel is
@@ -227,7 +227,7 @@ impl<S: BatchInsert + Send + Sync + 'static> IngestPipeline<S> {
     }
 }
 
-impl<S: BatchInsert + Send + Sync + 'static> Drop for IngestPipeline<S> {
+impl<S: CompactSketch + BatchInsert + Send + Sync + 'static> Drop for IngestPipeline<S> {
     /// Hangs up the channels (each writer drains what it accepted and
     /// exits), joins the writers, and resurfaces the first panic a
     /// sketch update raised on one of them.

@@ -61,7 +61,9 @@ use crate::ann::{router, ClusteredIndexInfo, IndexStrategy};
 use crate::error::StoreError;
 use crate::store::SketchStore;
 use lsh::{Banding, LshIndex};
-use sketch_core::{CardinalityEstimator, JointEstimator, JointQuantities, Signature};
+use sketch_core::{
+    CardinalityEstimator, CompactSketch, JointEstimator, JointQuantities, Signature,
+};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
@@ -199,18 +201,14 @@ impl FlatIndex {
         self.shards.iter().map(|shard| shard.keys.len()).sum()
     }
 
-    /// Top-k candidates of a query signature by name — multi-probed on
-    /// ordinal registers — or `None` when the state has no banding (the
-    /// caller then verifies every key).
-    fn probe(&self, signature: &[u32], multiprobe: bool) -> Option<Vec<String>> {
+    /// Top-k candidates of a query signature by name — multi-probed
+    /// (±1 register perturbations) — or `None` when the state has no
+    /// banding (the caller then verifies every key).
+    fn probe(&self, signature: &[u32]) -> Option<Vec<String>> {
         let lsh = self.lsh.as_ref()?;
-        let ids = if multiprobe {
-            lsh.query_multiprobe(signature)
-        } else {
-            lsh.query(signature)
-        };
         Some(
-            ids.into_iter()
+            lsh.query_multiprobe(signature)
+                .into_iter()
                 .filter_map(|id| self.names[id as usize].clone())
                 .collect(),
         )
@@ -347,16 +345,15 @@ impl<S> SketchStore<S> {
 
 impl<S> SketchStore<S>
 where
-    S: Signature + JointEstimator + CardinalityEstimator + Clone + Send + Sync,
+    S: CompactSketch + Signature + JointEstimator + CardinalityEstimator + Clone + Send + Sync,
 {
     /// The `k` keys most similar to `key`, with joint estimates (query
     /// on the `U` side).
     ///
     /// Candidates come from the index `options.index` selects, tuned
     /// for `threshold` — a banding query, multi-probed (±1 register
-    /// perturbations) exactly when the family's registers are ordinal
-    /// ([`Signature::ordinal_registers`]); on folded-hash signatures a
-    /// perturbed register is just another random hash. Every candidate
+    /// perturbations: SetSketch registers are ordinal, so a near-miss
+    /// state differs by one in a register). Every candidate
     /// is then verified against extractions of just the query and
     /// candidate sketches (the whole store is never copied). If the
     /// index yields fewer than `k` candidates — always, under
@@ -391,20 +388,14 @@ where
         } else {
             // Extracted before either index lock, so no query waits on
             // another's shard lock while holding the index.
-            let (signature, multiprobe) = self
-                .with_sketch(key, |sketch| {
-                    (sketch.signature(), sketch.ordinal_registers())
-                })
+            let signature = self
+                .with_sketch(key, |sketch| sketch.signature())
                 .ok_or_else(not_found)?;
             self.with_index(
                 threshold,
                 options,
-                |flat| flat.probe(&signature, multiprobe),
-                |state| {
-                    Some(router::query_candidates(
-                        state, &signature, threshold, multiprobe,
-                    ))
-                },
+                |flat| flat.probe(&signature),
+                |state| Some(router::query_candidates(state, &signature, threshold)),
             )
         };
 

@@ -4,10 +4,12 @@ use crate::builder::StoreBuilder;
 use crate::error::StoreError;
 use crate::pipeline::PipelineDefaults;
 use crate::query::SimilarityIndex;
-use crate::tier::{TierCodec, TierPolicy, TierRuntime, TierSlot};
+use crate::tier::{TierPolicy, TierRuntime, TierSlot};
 use crate::wal::Durability;
 use parking_lot::RwLock;
-use sketch_core::{BatchInsert, CardinalityEstimator, JointEstimator, JointQuantities, Mergeable};
+use sketch_core::{
+    BatchInsert, CardinalityEstimator, CompactSketch, JointEstimator, JointQuantities, Mergeable,
+};
 use sketch_rand::hash_bytes;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -180,8 +182,8 @@ pub struct SketchStore<S> {
     factory: Box<dyn Fn() -> S + Send + Sync>,
     /// Monotonic write counter feeding the slots' version stamps.
     write_epoch: AtomicU64,
-    /// Tiering state: codec, policy, byte accounting, clock hand and
-    /// spill segments (see [`crate::tier`]).
+    /// Tiering state: decoding prototype, policy, byte accounting, clock
+    /// hand and spill segments (see [`crate::tier`]).
     pub(crate) tier: TierRuntime<S>,
     /// Pipeline knobs fixed at construction ([`StoreBuilder`]); applied
     /// by every [`pipeline`](Self::pipeline) handle the store hands out.
@@ -209,15 +211,20 @@ pub struct SketchStore<S> {
     /// set a [`durable_dir`](StoreBuilder::durable_dir) (see
     /// [`crate::wal`]). Installed by the builder before the store is
     /// shared.
-    pub(crate) durability: Option<Durability<S>>,
+    pub(crate) durability: Option<Durability>,
 }
 
-impl<S> SketchStore<S> {
+impl<S: CompactSketch> SketchStore<S> {
     /// Starts building a store around `factory`, the closure that builds
     /// the empty sketch for every new key (fixing configuration and hash
     /// seed). This is the one construction entry point; shard count,
     /// ingest-pipeline depth and writer threads, memory-tier knobs and
     /// future options hang off the returned [`StoreBuilder`].
+    ///
+    /// The bounds are what every store uses: the compact codec carries
+    /// cold tiers, checkpoints, put/merge-in log records and replication
+    /// pages; [`BatchInsert`] and [`Mergeable`] replay ingest and
+    /// merge-in records.
     ///
     /// ```
     /// use setsketch::{SetSketch2, SetSketchConfig};
@@ -231,7 +238,10 @@ impl<S> SketchStore<S> {
     ///     .build();
     /// assert_eq!(store.shard_count(), 32);
     /// ```
-    pub fn builder(factory: impl Fn() -> S + Send + Sync + 'static) -> StoreBuilder<S> {
+    pub fn builder(factory: impl Fn() -> S + Send + Sync + 'static) -> StoreBuilder<S>
+    where
+        S: BatchInsert + Mergeable,
+    {
         StoreBuilder::new(factory)
     }
 
@@ -241,7 +251,6 @@ impl<S> SketchStore<S> {
         factory: Box<dyn Fn() -> S + Send + Sync>,
         pipeline_defaults: PipelineDefaults,
         tier_policy: TierPolicy,
-        tier_codec: Option<TierCodec<S>>,
     ) -> Self {
         debug_assert!(shards > 0, "builder validates the shard count");
         let marks = (0..shards).map(|_| AtomicU64::new(0)).collect();
@@ -251,17 +260,13 @@ impl<S> SketchStore<S> {
             .into_boxed_slice();
         // The codec decompresses against an empty factory sketch; build
         // it once so promotions never call the factory.
-        let prototype = if tier_codec.is_some() {
-            Some(factory())
-        } else {
-            None
-        };
+        let prototype = factory();
         Self {
             shards,
             marks,
             factory,
             write_epoch: AtomicU64::new(0),
-            tier: TierRuntime::new(tier_policy, tier_codec, prototype),
+            tier: TierRuntime::new(tier_policy, prototype),
             pipeline_defaults,
             similarity: RwLock::new(Vec::new()),
             index_lookups: AtomicU64::new(0),
@@ -432,12 +437,9 @@ impl<S> SketchStore<S> {
     pub fn put(&self, key: &str, sketch: S) -> Option<S> {
         // Compress before entering the logged section so the record
         // closure does not contend with the apply closure for `sketch`.
-        let compact = self
-            .durability
-            .as_ref()
-            .map(|durability| (durability.codec.compress)(&sketch));
+        let compact = self.durability.is_some().then(|| sketch.compress());
         self.log_then_apply(
-            move |_| crate::wal::encode_put(key, &compact.expect("compressed when durable")),
+            move || crate::wal::encode_put(key, &compact.expect("compressed when durable")),
             move |store| store.put_unlogged(key, sketch),
         )
     }
@@ -465,7 +467,7 @@ impl<S> SketchStore<S> {
     /// either way).
     pub fn remove(&self, key: &str) -> Option<S> {
         self.log_then_apply(
-            |_| crate::wal::encode_remove(key),
+            || crate::wal::encode_remove(key),
             |store| store.remove_unlogged(key),
         )
     }
@@ -483,10 +485,7 @@ impl<S> SketchStore<S> {
 
     /// Removes every sketch (and drops any spill segments).
     pub fn clear(&self) {
-        self.log_then_apply(
-            |_| crate::wal::encode_clear(),
-            |store| store.clear_unlogged(),
-        );
+        self.log_then_apply(crate::wal::encode_clear, |store| store.clear_unlogged());
     }
 
     pub(crate) fn clear_unlogged(&self) {
@@ -580,9 +579,7 @@ impl<S> SketchStore<S> {
         self.maintain();
         Ok(result)
     }
-}
 
-impl<S> SketchStore<S> {
     /// Write-locks the key's shard and applies `op` to its sketch,
     /// creating it through the factory on first use and promoting it to
     /// hot if it was compressed or spilled (a no-op write to a cold key
@@ -650,7 +647,7 @@ impl<S> SketchStore<S> {
     }
 }
 
-impl<S: BatchInsert> SketchStore<S> {
+impl<S: CompactSketch + BatchInsert> SketchStore<S> {
     /// Records one element under `key`, creating the sketch on first
     /// use — [`ingest`](Self::ingest) of a one-element batch.
     pub fn insert(&self, key: &str, element: u64) {
@@ -675,7 +672,7 @@ impl<S: BatchInsert> SketchStore<S> {
             let Ok(_) = self.apply_then_log(
                 key,
                 |sketch| Ok::<_, std::convert::Infallible>(sketch.insert_batch_changed(chunk)),
-                |_| crate::wal::encode_ingest(key, chunk),
+                || crate::wal::encode_ingest(key, chunk),
             );
             rest = tail;
             if rest.is_empty() {
@@ -685,7 +682,7 @@ impl<S: BatchInsert> SketchStore<S> {
     }
 }
 
-impl<S: Clone> SketchStore<S> {
+impl<S: CompactSketch + Clone> SketchStore<S> {
     /// Clones the sketch under `key` out of the store (promoting it to
     /// hot if it was compressed or spilled — a point read).
     pub fn get(&self, key: &str) -> Option<S> {
@@ -693,7 +690,7 @@ impl<S: Clone> SketchStore<S> {
     }
 }
 
-impl<S: CardinalityEstimator> SketchStore<S> {
+impl<S: CompactSketch + CardinalityEstimator> SketchStore<S> {
     /// Estimated distinct count recorded under `key`.
     ///
     /// # Errors
@@ -706,7 +703,7 @@ impl<S: CardinalityEstimator> SketchStore<S> {
     }
 }
 
-impl<S: Mergeable + Clone> SketchStore<S> {
+impl<S: CompactSketch + Mergeable + Clone> SketchStore<S> {
     /// Union sketch of the listed keys (each shard locked one at a time;
     /// per-key point-in-time). Cold keys are promoted — merging a
     /// selection is a point read of each member.
@@ -770,14 +767,14 @@ impl<S: Mergeable + Clone> SketchStore<S> {
     }
 }
 
-impl<S: Mergeable + CardinalityEstimator + Clone> SketchStore<S> {
+impl<S: CompactSketch + Mergeable + CardinalityEstimator + Clone> SketchStore<S> {
     /// Estimated cardinality of the union of the listed keys.
     pub fn union_cardinality(&self, keys: &[&str]) -> Result<f64, StoreError> {
         Ok(self.merge_keys(keys)?.cardinality())
     }
 }
 
-impl<S: JointEstimator> SketchStore<S> {
+impl<S: CompactSketch + JointEstimator> SketchStore<S> {
     /// Joint estimation (Jaccard, intersection, union, differences, …)
     /// between the sketches under two keys, without cloning either.
     pub fn joint(&self, key_a: &str, key_b: &str) -> Result<JointQuantities, StoreError> {

@@ -7,10 +7,9 @@
 //! key's registers live*:
 //!
 //! * **Hot** — the sketch struct itself, the unchanged fast path;
-//! * **Warm** — the registers compressed through the family's
-//!   [`CompactSketch`] codec (SetSketch/GHLL pack offsets from a shared
-//!   base plus a sparse exception list; families without that codec do
-//!   not tier), held in memory;
+//! * **Warm** — the registers compressed through the sketch's
+//!   [`CompactSketch`] codec (SetSketch packs offsets from a shared base
+//!   plus a sparse exception list), held in memory;
 //! * **Frozen** — the same compressed bytes appended to a spill segment
 //!   file on disk, with only the `(segment, offset, len)` location kept
 //!   in the shard map.
@@ -80,7 +79,7 @@ impl<S> TierSlot<S> {
 /// [`SketchStore::tier_stats`].
 ///
 /// Byte figures are as the tier manager accounts them: `hot_bytes` is
-/// the families' own resident-footprint estimate
+/// the sketches' own resident-footprint estimate
 /// ([`CompactSketch::resident_bytes`]), `warm_bytes` the compressed
 /// in-memory payloads, `spilled_bytes` the live compressed records on
 /// disk (superseded records in the append-only segments are not
@@ -132,52 +131,13 @@ pub(crate) struct TierPolicy {
     pub(crate) spill_dir: Option<PathBuf>,
 }
 
-/// The [`CompactSketch`] surface captured as plain function pointers,
-/// so the store's generic paths need no `CompactSketch` bound — a
-/// store built without tiering knobs never names the trait.
-pub(crate) struct TierCodec<S> {
-    pub(crate) compress: fn(&S) -> Vec<u8>,
-    pub(crate) decompress: fn(&S, &[u8]) -> Result<S, String>,
-    pub(crate) resident: fn(&S) -> usize,
-}
-
-impl<S> Clone for TierCodec<S> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<S> Copy for TierCodec<S> {}
-
-impl<S> std::fmt::Debug for TierCodec<S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("TierCodec")
-    }
-}
-
-impl<S: CompactSketch> TierCodec<S> {
-    /// The codec of sketch type `S` (non-capturing closures coerce to
-    /// the function pointers).
-    pub(crate) fn of() -> Self {
-        TierCodec {
-            compress: |sketch| sketch.compress(),
-            decompress: |prototype, bytes| {
-                S::decompress(prototype, bytes).map_err(|error| error.to_string())
-            },
-            resident: |sketch| sketch.resident_bytes(),
-        }
-    }
-}
-
-/// Per-store tiering state: codec, policy, byte accounting, the clock
-/// hand and the lazily created spill segments.
+/// Per-store tiering state: decoding prototype, policy, byte
+/// accounting, the clock hand and the lazily created spill segments.
 pub(crate) struct TierRuntime<S> {
-    /// Present when a memory budget is set (demotion compresses through
-    /// it) or the store is durable (recovered warm slots and put/merge
-    /// records decode through it); `None` keeps every slot hot.
-    pub(crate) codec: Option<TierCodec<S>>,
-    /// Empty factory sketch the codec decompresses against (fixes
-    /// configuration and seed). Present iff `codec` is.
-    pub(crate) prototype: Option<S>,
+    /// Empty factory sketch every compact payload decompresses against
+    /// (fixes configuration and seed): cold slots, checkpoint entries
+    /// and put/merge-in records.
+    prototype: S,
     pub(crate) policy: TierPolicy,
     /// Budget accounting, kept only when a budget is set — nothing else
     /// reads it (signed: concurrent deltas may transiently cross zero).
@@ -197,15 +157,9 @@ pub(crate) struct TierRuntime<S> {
     last_spill_error: Mutex<Option<String>>,
 }
 
-impl<S> TierRuntime<S> {
-    pub(crate) fn new(
-        policy: TierPolicy,
-        codec: Option<TierCodec<S>>,
-        prototype: Option<S>,
-    ) -> Self {
-        debug_assert_eq!(codec.is_some(), prototype.is_some());
+impl<S: CompactSketch> TierRuntime<S> {
+    pub(crate) fn new(policy: TierPolicy, prototype: S) -> Self {
         TierRuntime {
-            codec,
             prototype,
             policy,
             hot_bytes: AtomicIsize::new(0),
@@ -223,15 +177,6 @@ impl<S> TierRuntime<S> {
     /// every `account_*` call is a no-op.
     fn budgeted(&self) -> bool {
         self.policy.memory_budget_bytes.is_some()
-    }
-
-    /// Resident-byte estimate of one sketch (codec-provided, or the
-    /// struct size without a codec).
-    pub(crate) fn resident_of(&self, sketch: &S) -> usize {
-        match self.codec {
-            Some(codec) => (codec.resident)(sketch),
-            None => std::mem::size_of::<S>(),
-        }
     }
 
     /// Bytes currently counted against the budget (hot + warm).
@@ -258,7 +203,7 @@ impl<S> TierRuntime<S> {
     /// A new hot slot entered the store.
     pub(crate) fn account_insert_hot(&self, sketch: &S) {
         if self.budgeted() {
-            self.add_hot(self.resident_of(sketch) as isize);
+            self.add_hot(sketch.resident_bytes() as isize);
         }
     }
 
@@ -278,7 +223,7 @@ impl<S> TierRuntime<S> {
             return;
         }
         match state {
-            TierSlot::Hot(sketch) => self.add_hot(-(self.resident_of(sketch) as isize)),
+            TierSlot::Hot(sketch) => self.add_hot(-(sketch.resident_bytes() as isize)),
             TierSlot::Warm(bytes) => self.add_warm(-(bytes.len() as isize)),
             TierSlot::Frozen { segment, .. } => self.release_frozen(*segment),
             TierSlot::Quarantined(_) => {}
@@ -291,9 +236,9 @@ impl<S> TierRuntime<S> {
         if !self.budgeted() {
             return op(sketch);
         }
-        let before = self.resident_of(sketch);
+        let before = sketch.resident_bytes();
         let result = op(sketch);
-        self.add_hot(self.resident_of(sketch) as isize - before as isize);
+        self.add_hot(sketch.resident_bytes() as isize - before as isize);
         result
     }
 
@@ -308,7 +253,7 @@ impl<S> TierRuntime<S> {
             TierSlot::Frozen { segment, .. } => self.release_frozen(*segment),
             TierSlot::Hot(_) | TierSlot::Quarantined(_) => {}
         }
-        self.add_hot(self.resident_of(hot) as isize);
+        self.add_hot(hot.resident_bytes() as isize);
     }
 
     /// One record of `segment` is no longer referenced by any slot.
@@ -339,20 +284,8 @@ impl<S> TierRuntime<S> {
     /// Rehydrates compressed bytes through the codec. A failure means
     /// the payload was corrupted underneath us (bit rot in memory or on
     /// disk) — the caller quarantines the slot.
-    ///
-    /// # Panics
-    /// Panics when the store holds cold slots without a codec — a
-    /// construction bug, not a data fault.
     pub(crate) fn try_decode(&self, bytes: &[u8]) -> Result<S, String> {
-        let codec = self
-            .codec
-            .as_ref()
-            .expect("cold slot in a store without a tier codec");
-        let prototype = self
-            .prototype
-            .as_ref()
-            .expect("cold slot in a store without a prototype");
-        (codec.decompress)(prototype, bytes)
+        S::decompress(&self.prototype, bytes).map_err(|error| error.to_string())
     }
 
     /// Appends compressed bytes to the spill segments, creating them on
@@ -582,7 +515,7 @@ impl Drop for SegmentStore {
     }
 }
 
-impl<S> SketchStore<S> {
+impl<S: CompactSketch> SketchStore<S> {
     /// Counts keys and bytes per memory tier (exact: scans every shard
     /// under its read lock).
     ///
@@ -611,7 +544,7 @@ impl<S> SketchStore<S> {
                 match &slot.state {
                     TierSlot::Hot(sketch) => {
                         stats.hot_keys += 1;
-                        stats.hot_bytes += self.tier.resident_of(sketch);
+                        stats.hot_bytes += sketch.resident_bytes();
                     }
                     TierSlot::Warm(bytes) => {
                         stats.warm_keys += 1;
@@ -713,17 +646,13 @@ impl<S> SketchStore<S> {
 
     /// Any slot's registers as a compact payload, read without
     /// promoting — what checkpoints and delta pages carry: a hot sketch
-    /// is compressed through `compress`, a warm payload is borrowed as
-    /// stored and a frozen one read back from its spill segment. `None`
-    /// for quarantined slots and unreadable spill records: their
-    /// registers are unrecoverable, so exports skip them.
-    pub(crate) fn slot_payload<'a>(
-        &self,
-        state: &'a TierSlot<S>,
-        compress: impl FnOnce(&S) -> Vec<u8>,
-    ) -> Option<Cow<'a, [u8]>> {
+    /// is compressed, a warm payload is borrowed as stored and a frozen
+    /// one read back from its spill segment. `None` for quarantined
+    /// slots and unreadable spill records: their registers are
+    /// unrecoverable, so exports skip them.
+    pub(crate) fn slot_payload<'a>(&self, state: &'a TierSlot<S>) -> Option<Cow<'a, [u8]>> {
         match state {
-            TierSlot::Hot(sketch) => Some(Cow::Owned(compress(sketch))),
+            TierSlot::Hot(sketch) => Some(Cow::Owned(sketch.compress())),
             cold => self.cold_bytes(cold).ok(),
         }
     }
@@ -755,9 +684,8 @@ impl<S> SketchStore<S> {
     /// residency is over the memory budget, runs a clock scan unless
     /// another thread already is. Call with no shard lock held.
     pub(crate) fn maintain(&self) {
-        let Some(codec) = self.tier.codec else { return };
         if self.tier.over_budget() && self.tier.begin_scan() {
-            self.clock_scan(codec);
+            self.clock_scan();
             self.tier.end_scan();
         }
     }
@@ -770,7 +698,7 @@ impl<S> SketchStore<S> {
     /// residency is back under budget. After the first failed spill
     /// append it stops spilling for the rest of the scan — a broken
     /// spill directory fails every append alike — but keeps compressing.
-    fn clock_scan(&self, codec: TierCodec<S>) {
+    fn clock_scan(&self) {
         let shard_count = self.shards().len();
         let mut spill = true;
         for _ in 0..shard_count * 2 {
@@ -791,8 +719,8 @@ impl<S> SketchStore<S> {
                 }
                 let next = match &slot.state {
                     TierSlot::Hot(sketch) => {
-                        let resident = (codec.resident)(sketch);
-                        let bytes = (codec.compress)(sketch).into_boxed_slice();
+                        let resident = sketch.resident_bytes();
+                        let bytes = sketch.compress().into_boxed_slice();
                         self.tier.account_demote_to_warm(resident, bytes.len());
                         Some(TierSlot::Warm(bytes))
                     }

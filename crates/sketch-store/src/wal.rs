@@ -49,9 +49,9 @@
 use crate::error::StoreError;
 use crate::frame::{self, Frame};
 use crate::store::{SketchStore, Slot};
-use crate::tier::{TierCodec, TierSlot};
+use crate::tier::TierSlot;
 use parking_lot::{Mutex, RwLock};
-use sketch_core::{BatchInsert, Mergeable};
+use sketch_core::{BatchInsert, CompactSketch, Mergeable};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -499,71 +499,9 @@ impl Wal {
 
 // --- Store-side runtime ----------------------------------------------
 
-/// A replay entry point taking a compact payload: install or merge the
-/// decoded sketch under the key, or explain why the bytes don't decode.
-type ApplyPayloadFn<S> = fn(&SketchStore<S>, &str, &[u8]) -> Result<(), String>;
-
-/// Replay entry points captured as plain function pointers, so the
-/// generic recovery scan needs no trait bounds — the bounds live on
-/// [`StoreBuilder::durable_dir`](crate::StoreBuilder::durable_dir),
-/// where the non-capturing closures coerce (the same pattern as
-/// [`TierCodec`]). Recovery runs before the store's log is installed,
-/// so the public write paths apply without logging; a replayed record
-/// that raises nothing (its registers are already in the checkpoint)
-/// stamps nothing.
-pub(crate) struct WalApplier<S> {
-    pub(crate) ingest: fn(&SketchStore<S>, &str, &[u64]),
-    pub(crate) ingest_bytes: fn(&SketchStore<S>, &str, &[Vec<u8>]),
-    pub(crate) put: ApplyPayloadFn<S>,
-    pub(crate) merge_in: ApplyPayloadFn<S>,
-}
-
-impl<S> Clone for WalApplier<S> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<S> Copy for WalApplier<S> {}
-
-impl<S: BatchInsert + Mergeable> WalApplier<S> {
-    /// The replay surface of sketch type `S`.
-    pub(crate) fn of() -> Self {
-        WalApplier {
-            ingest: |store, key, elements| store.ingest(key, elements),
-            // Byte-ingest records, which stores no longer write but
-            // older directories hold: `insert_bytes` gives no change
-            // signal, so the write always counts.
-            ingest_bytes: |store, key, elements| {
-                let Ok(_) = store.with_entry(
-                    key,
-                    |sketch| {
-                        for element in elements {
-                            sketch.insert_bytes(element);
-                        }
-                        Ok::<_, std::convert::Infallible>(true)
-                    },
-                    || {},
-                );
-            },
-            put: |store, key, payload| {
-                let sketch = store.tier.try_decode(payload)?;
-                store.put_unlogged(key, sketch);
-                Ok(())
-            },
-            merge_in: |store, key, payload| {
-                let incoming = store.tier.try_decode(payload)?;
-                store
-                    .merge_in(key, &incoming)
-                    .map(|_| ())
-                    .map_err(|error| error.to_string())
-            },
-        }
-    }
-}
-
 /// Per-store durability state, present when the builder set a durable
 /// directory.
-pub(crate) struct Durability<S> {
+pub(crate) struct Durability {
     /// Logged operations hold this as readers across their log and
     /// apply steps (either order); the checkpoint sweep holds it as a
     /// writer, so every record in the segments it covers has also been
@@ -572,8 +510,6 @@ pub(crate) struct Durability<S> {
     /// sweep, and replay would lose it.
     pub(crate) gate: RwLock<()>,
     pub(crate) wal: Mutex<Wal>,
-    /// Compact codec for checkpoint sweeps and put/merge-in records.
-    pub(crate) codec: TierCodec<S>,
     /// What recovery found when this store was built.
     pub(crate) report: RecoveryReport,
     /// Cut a checkpoint once this many log bytes accumulate.
@@ -586,7 +522,7 @@ pub(crate) struct Durability<S> {
     last_wal_error: Mutex<Option<String>>,
 }
 
-impl<S> Durability<S> {
+impl Durability {
     /// Appends one record; a failure is counted and the write goes
     /// ahead un-logged.
     fn append(&self, record: &[u8]) {
@@ -597,7 +533,7 @@ impl<S> Durability<S> {
     }
 }
 
-impl<S> SketchStore<S> {
+impl<S: CompactSketch> SketchStore<S> {
     /// What recovery found when this store was built from a durable
     /// directory; `None` for non-durable stores.
     pub fn recovery_report(&self) -> Option<&RecoveryReport> {
@@ -637,7 +573,7 @@ impl<S> SketchStore<S> {
     /// Non-durable stores skip straight to `apply`.
     pub(crate) fn log_then_apply<R>(
         &self,
-        record: impl FnOnce(&Durability<S>) -> Vec<u8>,
+        record: impl FnOnce() -> Vec<u8>,
         apply: impl FnOnce(&Self) -> R,
     ) -> R {
         let Some(durability) = self.durability.as_ref() else {
@@ -645,7 +581,7 @@ impl<S> SketchStore<S> {
         };
         let result = {
             let _gate = durability.gate.read();
-            durability.append(&record(durability));
+            durability.append(&record());
             apply(self)
         };
         self.checkpoint_if_due(durability);
@@ -664,14 +600,14 @@ impl<S> SketchStore<S> {
         &self,
         key: &str,
         op: impl FnOnce(&mut S) -> Result<bool, E>,
-        record: impl FnOnce(&Durability<S>) -> Vec<u8>,
+        record: impl FnOnce() -> Vec<u8>,
     ) -> Result<bool, E> {
         let Some(durability) = self.durability.as_ref() else {
             return self.with_entry(key, op, || {});
         };
         let result = {
             let _gate = durability.gate.read();
-            self.with_entry(key, op, || durability.append(&record(durability)))
+            self.with_entry(key, op, || durability.append(&record()))
         };
         if let Ok(true) = result {
             self.checkpoint_if_due(durability);
@@ -680,7 +616,7 @@ impl<S> SketchStore<S> {
     }
 
     /// Cuts a checkpoint once the log has grown past the threshold.
-    fn checkpoint_if_due(&self, durability: &Durability<S>) {
+    fn checkpoint_if_due(&self, durability: &Durability) {
         if durability.wal.lock().bytes_since_checkpoint() >= durability.checkpoint_after_bytes {
             // Best-effort: a failed checkpoint only delays log
             // truncation; the next write retries.
@@ -710,7 +646,7 @@ impl<S> SketchStore<S> {
         result.map_err(|error| StoreError::Durability(error.to_string()))
     }
 
-    fn checkpoint_inner(&self, durability: &Durability<S>) -> io::Result<()> {
+    fn checkpoint_inner(&self, durability: &Durability) -> io::Result<()> {
         // Writer side of the gate: every logged record below the
         // rotation point has finished applying once this is held.
         let _gate = durability.gate.write();
@@ -720,7 +656,7 @@ impl<S> SketchStore<S> {
         let epoch = self.write_epoch_load();
 
         let tmp_path = dir.join(format!("checkpoint-{seq:010}.tmp"));
-        let out = self.checkpoint_image(epoch, durability.codec.compress);
+        let out = self.checkpoint_image(epoch);
         let mut file = File::create(&tmp_path)?;
         file.write_all(&out)?;
         file.sync_all()?;
@@ -748,15 +684,13 @@ impl<S> SketchStore<S> {
         }
         Ok(())
     }
-}
 
-impl<S> SketchStore<S> {
     /// Sweeps the store into a checkpoint image — header, then one
     /// framed `(key, version, compact payload)` entry per key — one
     /// shard read lock at a time, never promoting. Quarantined slots,
     /// unreadable spill records and entries over the frame limit are
     /// skipped: the image carries the keys a loader can read.
-    fn checkpoint_image(&self, epoch: u64, compress: impl Fn(&S) -> Vec<u8>) -> Vec<u8> {
+    fn checkpoint_image(&self, epoch: u64) -> Vec<u8> {
         let mut out = Vec::new();
         put_u32(&mut out, CHECKPOINT_MAGIC);
         out.push(CHECKPOINT_FORMAT);
@@ -764,7 +698,7 @@ impl<S> SketchStore<S> {
         let mut entry = Vec::new();
         for shard in self.shards() {
             for (key, slot) in shard.read().iter() {
-                let Some(payload) = self.slot_payload(&slot.state, &compress) else {
+                let Some(payload) = self.slot_payload(&slot.state) else {
                     continue;
                 };
                 entry.clear();
@@ -839,11 +773,10 @@ fn list_dir(dir: &Path) -> Vec<(DirEntryKind, u64)> {
 /// Rebuilds `store` from the durable directory and opens a fresh WAL
 /// segment for new appends. Called by the builder before the store is
 /// shared, so direct shard access needs no coordination.
-pub(crate) fn recover<S>(
+pub(crate) fn recover<S: CompactSketch + BatchInsert + Mergeable>(
     store: &SketchStore<S>,
     dir: &Path,
     fsync: FsyncPolicy,
-    applier: &WalApplier<S>,
 ) -> Result<(Wal, RecoveryReport), StoreError> {
     let durability_error = |error: io::Error| StoreError::Durability(error.to_string());
     fs::create_dir_all(dir).map_err(durability_error)?;
@@ -919,7 +852,7 @@ pub(crate) fn recover<S>(
                     at = end;
                 }
                 Frame::Good(payload, end) => {
-                    match decode_record(payload).map(|record| apply(store, applier, record)) {
+                    match decode_record(payload).map(|record| apply(store, record)) {
                         Ok(Ok(())) => report.records_replayed += 1,
                         Ok(Err(detail)) | Err(detail) => {
                             report.records_quarantined += 1;
@@ -938,23 +871,46 @@ pub(crate) fn recover<S>(
     Ok((wal, report))
 }
 
-/// Applies one replayed record through the unlogged entry points.
-fn apply<S>(
+/// Applies one replayed record. Recovery runs before the store's log is
+/// installed, so the public write paths apply without logging; a
+/// replayed record that raises nothing (its registers are already in
+/// the checkpoint) stamps nothing.
+fn apply<S: CompactSketch + BatchInsert + Mergeable>(
     store: &SketchStore<S>,
-    applier: &WalApplier<S>,
     record: WalRecord,
 ) -> Result<(), String> {
     match record {
         WalRecord::Ingest { key, elements } => {
-            (applier.ingest)(store, &key, &elements);
+            store.ingest(&key, &elements);
             Ok(())
         }
+        // Byte-ingest records, which stores no longer write but older
+        // directories hold: `insert_bytes` gives no change signal, so
+        // the write always counts.
         WalRecord::IngestBytes { key, elements } => {
-            (applier.ingest_bytes)(store, &key, &elements);
+            let Ok(_) = store.with_entry(
+                &key,
+                |sketch| {
+                    for element in &elements {
+                        sketch.insert_bytes(element);
+                    }
+                    Ok::<_, std::convert::Infallible>(true)
+                },
+                || {},
+            );
             Ok(())
         }
-        WalRecord::Put { key, payload } => (applier.put)(store, &key, &payload),
-        WalRecord::MergeIn { key, payload } => (applier.merge_in)(store, &key, &payload),
+        WalRecord::Put { key, payload } => {
+            store.put_unlogged(&key, store.tier.try_decode(&payload)?);
+            Ok(())
+        }
+        WalRecord::MergeIn { key, payload } => {
+            let incoming = store.tier.try_decode(&payload)?;
+            store
+                .merge_in(&key, &incoming)
+                .map(|_| ())
+                .map_err(|error| error.to_string())
+        }
         WalRecord::Remove { key } => {
             store.remove_unlogged(&key);
             Ok(())
@@ -970,7 +926,7 @@ fn apply<S>(
 /// stay compressed until first touched). Entry-level corruption is
 /// quarantined; a bad header fails the whole file so the caller can
 /// fall back.
-fn load_checkpoint<S>(
+fn load_checkpoint<S: CompactSketch>(
     store: &SketchStore<S>,
     path: &Path,
     report: &mut RecoveryReport,
@@ -1021,7 +977,7 @@ fn load_checkpoint<S>(
     Ok(())
 }
 
-impl<S> SketchStore<S> {
+impl<S: CompactSketch> SketchStore<S> {
     /// Installs one checkpoint entry as a warm slot with its original
     /// version stamp (recovery only — the store is not shared yet).
     pub(crate) fn install_recovered_entry(&self, key: String, version: u64, payload: Vec<u8>) {
@@ -1037,16 +993,14 @@ impl<S> SketchStore<S> {
 }
 
 /// Assembles the durability runtime after recovery.
-pub(crate) fn durability_runtime<S>(
+pub(crate) fn durability_runtime(
     wal: Wal,
     report: RecoveryReport,
-    codec: TierCodec<S>,
     checkpoint_after_bytes: u64,
-) -> Durability<S> {
+) -> Durability {
     Durability {
         gate: RwLock::new(()),
         wal: Mutex::new(wal),
-        codec,
         report,
         checkpoint_after_bytes,
         checkpointing: AtomicBool::new(false),

@@ -2,8 +2,7 @@
 //!
 //! * A durable store rebuilt from its directory must be
 //!   indistinguishable from a reference store that saw the same ops —
-//!   for every sketch family with a compact codec, across random op
-//!   scripts, and with checkpoints cutting the log at aggressive
+//!   for both SetSketch variants, across random op scripts, and with checkpoints cutting the log at aggressive
 //!   thresholds (so recovery exercises checkpoint + tail replay, not
 //!   just pure replay).
 //! * Truncating the log at an arbitrary byte (a torn write) must
@@ -16,7 +15,6 @@
 //! * Remove and clear must replay — a deleted key stays deleted across
 //!   the restart.
 
-use hyperloglog::{GhllConfig, GhllSketch};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use setsketch::{SetSketch1, SetSketch2, SetSketchConfig};
@@ -67,7 +65,7 @@ fn segment_files(dir: &Path) -> Vec<PathBuf> {
     segments
 }
 
-// --- Scripted equivalence across all families ------------------------
+// --- Scripted equivalence across both SetSketch variants -------------
 
 /// One step of a durable workload over a small key space.
 #[derive(Debug, Clone)]
@@ -109,7 +107,7 @@ fn ops_strategy() -> impl Strategy<Value = Vec<Op>> {
 /// identical call sequence).
 fn apply<S>(store: &SketchStore<S>, sketch_of: &impl Fn(u64, u64) -> S, op: &Op)
 where
-    S: BatchInsert + Mergeable + Clone + PartialEq,
+    S: BatchInsert + Mergeable + CompactSketch + Clone + PartialEq,
 {
     match op {
         Op::Ingest { key, start, len } => {
@@ -218,16 +216,10 @@ proptest! {
         let cfg = SetSketchConfig::new(64, 2.0, 20.0, 62).unwrap();
         drive_durable(move || SetSketch2::new(cfg, 2), &ops, 256)?;
     }
-
-    #[test]
-    fn recovered_matches_reference_ghll(ops in ops_strategy()) {
-        let cfg = GhllConfig::hyperloglog(64).unwrap();
-        drive_durable(move || GhllSketch::new(cfg, 3), &ops, 512)?;
-    }
 }
 
 /// A fixed script touching every record type (ingest, merge-in, put,
-/// remove, clear) for the family matrix.
+/// remove, clear) for both SetSketch variants.
 fn fixed_script() -> Vec<Op> {
     use Op::*;
     vec![
@@ -282,9 +274,9 @@ fn fixed_script() -> Vec<Op> {
     ]
 }
 
-/// WAL replay must reproduce the reference bit-for-bit for every
-/// family a durable store takes (the ones with a compact codec) — both
-/// with pure replay and through a mid-script checkpoint.
+/// WAL replay must reproduce the reference bit-for-bit for both
+/// SetSketch variants — with pure replay and through a mid-script
+/// checkpoint.
 #[test]
 fn all_families_recover_bit_for_bit() {
     let ops = fixed_script();
@@ -292,8 +284,6 @@ fn all_families_recover_bit_for_bit() {
         let ss_cfg = SetSketchConfig::new(64, 2.0, 20.0, 62).unwrap();
         drive_durable(move || SetSketch1::new(ss_cfg, 1), &ops, checkpoint_after).unwrap();
         drive_durable(move || SetSketch2::new(ss_cfg, 2), &ops, checkpoint_after).unwrap();
-        let ghll_cfg = GhllConfig::hyperloglog(64).unwrap();
-        drive_durable(move || GhllSketch::new(ghll_cfg, 3), &ops, checkpoint_after).unwrap();
     }
 }
 
@@ -629,9 +619,9 @@ fn durable_tiered_store_recovers() {
 #[test]
 fn oversize_ingest_survives_restart() {
     let scratch = Scratch::new("oversize");
-    let cfg = GhllConfig::hyperloglog(64).unwrap();
+    let cfg = SetSketchConfig::new(64, 2.0, 20.0, 62).unwrap();
     let build = || {
-        SketchStore::builder(move || GhllSketch::new(cfg, 2))
+        SketchStore::builder(move || SetSketch2::new(cfg, 2))
             .shards(2)
             .durable_dir(scratch.path())
             .checkpoint_after_bytes(1 << 30) // recovery must come from the log
@@ -652,7 +642,7 @@ fn oversize_ingest_survives_restart() {
         report.records_replayed, 4,
         "the big batch spans two records"
     );
-    let mut reference = GhllSketch::new(cfg, 2);
+    let mut reference = SetSketch2::new(cfg, 2);
     reference.insert_batch(&elements);
     assert_eq!(store.get("big"), Some(reference));
     assert!(store.contains_key("before") && store.contains_key("after"));

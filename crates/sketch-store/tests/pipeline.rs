@@ -224,6 +224,25 @@ fn writer_panic_wakes_flush_and_resurfaces_on_drop() {
         fn insert_bytes(&mut self, _bytes: &[u8]) {}
     }
     impl sketch_core::BatchInsert for Panicky {}
+    // A stateless sketch: merging and the codec are trivial.
+    impl sketch_core::Mergeable for Panicky {
+        type MergeError = std::convert::Infallible;
+        fn is_compatible(&self, _other: &Self) -> bool {
+            true
+        }
+        fn merge_from(&mut self, _other: &Self) -> Result<bool, Self::MergeError> {
+            Ok(false)
+        }
+    }
+    impl sketch_core::CompactSketch for Panicky {
+        type CompactError = std::convert::Infallible;
+        fn compress(&self) -> Vec<u8> {
+            Vec::new()
+        }
+        fn decompress(_prototype: &Self, _bytes: &[u8]) -> Result<Self, Self::CompactError> {
+            Ok(Panicky)
+        }
+    }
 
     let store = SketchStore::builder(Panicky::default)
         .shards(1)

@@ -1,8 +1,6 @@
 //! Integration tests of the sharded sketch store against real sketches.
 
-use hyperloglog::{GhllConfig, GhllSketch};
-use minhash::MinHash;
-use setsketch::{SetSketch1, SetSketch2, SetSketchConfig};
+use setsketch::{SetSketch2, SetSketchConfig};
 use sketch_store::{SketchStore, StoreError};
 
 fn config() -> SetSketchConfig {
@@ -128,31 +126,6 @@ fn remove_and_clear() {
     assert_eq!(store.len(), 1);
     store.clear();
     assert!(store.is_empty());
-}
-
-#[test]
-fn works_with_other_sketch_families() {
-    // GHLL (HyperLogLog).
-    let ghll_cfg = GhllConfig::hyperloglog(256).unwrap();
-    let store = SketchStore::builder(move || GhllSketch::new(ghll_cfg, 5)).build();
-    store.ingest("big", &(0..50_000).collect::<Vec<_>>());
-    store.ingest("other", &(25_000..75_000).collect::<Vec<_>>());
-    let card = store.cardinality("big").unwrap();
-    assert!((card - 50_000.0).abs() / 50_000.0 < 0.33, "{card}");
-    assert!(store.jaccard("big", "other").is_ok());
-
-    // MinHash.
-    let store = SketchStore::builder(|| MinHash::new(512, 9)).build();
-    store.ingest("u", &(0..2_000).collect::<Vec<_>>());
-    store.ingest("v", &(1_000..3_000).collect::<Vec<_>>());
-    let j = store.jaccard("u", "v").unwrap();
-    assert!((j - 1.0 / 3.0).abs() < 0.1, "{j}");
-
-    // SetSketch1 too (the other register-value construction).
-    let cfg = config();
-    let store = SketchStore::builder(move || SetSketch1::new(cfg, 13)).build();
-    store.ingest("s", &(0..1_000).collect::<Vec<_>>());
-    assert!(store.cardinality("s").is_ok());
 }
 
 #[test]

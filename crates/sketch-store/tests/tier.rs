@@ -2,10 +2,9 @@
 //!
 //! * A tiered store under maximal demotion pressure must be
 //!   indistinguishable from a plain store across interleaved inserts,
-//!   merges, point queries and whole-store transfers — for every
-//!   sketch family with a compact codec (demote → promote is
-//!   bit-for-bit), and paging a transfer out of it must not move a
-//!   single key between tiers.
+//!   merges, point queries and whole-store transfers — for both
+//!   SetSketch variants (demote → promote is bit-for-bit), and paging a
+//!   transfer out of it must not move a single key between tiers.
 //! * A budget-capped store must ingest 10× more keys than its budget
 //!   holds without errors or data loss.
 //! * A warm SetSketch (m = 4096) must occupy under half of its resident
@@ -14,7 +13,6 @@
 //! * Frozen segment files must never leak: they vanish when the store
 //!   drops (or is cleared).
 
-use hyperloglog::{GhllConfig, GhllSketch};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use setsketch::{SetSketch1, SetSketch2, SetSketchConfig};
@@ -155,12 +153,6 @@ proptest! {
         let cfg = SetSketchConfig::new(64, 2.0, 20.0, 62).unwrap();
         drive(move || SetSketch2::new(cfg, 2), &ops)?;
     }
-
-    #[test]
-    fn tiered_matches_plain_ghll(ops in ops_strategy()) {
-        let cfg = GhllConfig::hyperloglog(64).unwrap();
-        drive(move || GhllSketch::new(cfg, 3), &ops)?;
-    }
 }
 
 /// A fixed op script exercising every transition at least once: insert,
@@ -212,18 +204,14 @@ fn fixed_script() -> Vec<Op> {
     ]
 }
 
-/// Demote → promote must be bit-for-bit for every family that tiers —
-/// the ones with a native compact codec (SetSketch1/2, GHLL). The
-/// MinHash variants and HyperMinHash have none: their only compact
-/// form would be larger than the resident one.
+/// Demote → promote must be bit-for-bit for both SetSketch variants,
+/// the two register-value constructions the store serves.
 #[test]
 fn all_families_roundtrip_through_tiers() {
     let ops = fixed_script();
     let ss_cfg = SetSketchConfig::new(64, 2.0, 20.0, 62).unwrap();
     drive(move || SetSketch1::new(ss_cfg, 1), &ops).unwrap();
     drive(move || SetSketch2::new(ss_cfg, 2), &ops).unwrap();
-    let ghll_cfg = GhllConfig::hyperloglog(64).unwrap();
-    drive(move || GhllSketch::new(ghll_cfg, 3), &ops).unwrap();
 }
 
 /// A store capped at 10 sketches' worth of memory must absorb 100 keys
@@ -330,6 +318,52 @@ fn warm_slot_is_under_half_of_resident() {
         actual == expected,
         "estimate drifted through the warm tier: {actual} != {expected}"
     );
+}
+
+/// `TierStats::hot_bytes` is the sketches' own resident footprint — heap
+/// registers included — on every kind of store: plain, budgeted (with
+/// room for every key, so all stay hot) and durable.
+#[test]
+fn hot_bytes_are_the_hot_sketches_resident_bytes() {
+    let config = SetSketchConfig::new(256, 2.0, 20.0, 62).unwrap();
+    let factory = move || SetSketch2::new(config, 5);
+    let dir = std::env::temp_dir().join(format!("tier-hot-bytes-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let stores = [
+        ("plain", SketchStore::builder(factory).build()),
+        (
+            "budgeted",
+            SketchStore::builder(factory)
+                .memory_budget_bytes(1 << 20)
+                .build(),
+        ),
+        (
+            "durable",
+            SketchStore::builder(factory).durable_dir(&dir).build(),
+        ),
+    ];
+    for (kind, store) in &stores {
+        for i in 0..12u64 {
+            store.ingest(
+                &format!("k{i}"),
+                &(i * 100..i * 100 + 50 * i).collect::<Vec<_>>(),
+            );
+        }
+        let stats = store.tier_stats();
+        assert_eq!(stats.hot_keys, store.len(), "{kind}: every key is hot");
+        let expected: usize = store
+            .keys()
+            .iter()
+            .map(|key| {
+                store
+                    .with_sketch(key, |sketch| sketch.resident_bytes())
+                    .unwrap()
+            })
+            .sum();
+        assert_eq!(stats.hot_bytes, expected, "{kind}: hot bytes");
+    }
+    drop(stores);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Frozen segment files live under a private spill directory that is

@@ -3,9 +3,8 @@
 
 use hyperloglog::{GhllConfig, GhllSketch};
 use hyperminhash::{HyperMinHash, HyperMinHashConfig};
-use minhash::{MinHash, SuperMinHash};
+use minhash::MinHash;
 use setsketch::{SetSketch1, SetSketch2, SetSketchConfig};
-use sketch_core::{CardinalityEstimator, JointEstimator, Sketch};
 use sketch_rand::mix64;
 
 fn elements(stream: u64, n: u64) -> impl Iterator<Item = u64> {
@@ -163,19 +162,24 @@ fn collision_rate_respects_bounds() {
     }
 }
 
-/// One family's `joint_with_cardinalities`, fed the sketches' own
-/// cardinality estimates, is `joint` bit for bit — the same quantities
-/// or the same error — on seeded fills, empty sketches, mismatched
-/// sizes and mismatched seeds. `make(size, seed)` builds an empty sketch.
-fn assert_supplied_cardinalities_are_joint<S>(family: &str, make: impl Fn(usize, u64) -> S)
-where
-    S: Sketch + JointEstimator + CardinalityEstimator,
-    S::JointError: std::fmt::Debug,
-{
+/// One family's joint estimator with supplied cardinalities, fed the
+/// sketches' own cardinality estimates, is its plain joint estimator bit
+/// for bit — the same quantities or the same error — on seeded fills,
+/// empty sketches, mismatched sizes and mismatched seeds.
+/// `make(size, seed)` builds an empty sketch; the other arguments are the
+/// family's inherent methods.
+fn assert_supplied_cardinalities_are_joint<S, R: std::fmt::Debug>(
+    family: &str,
+    make: impl Fn(usize, u64) -> S,
+    insert: impl Fn(&mut S, u64),
+    cardinality: impl Fn(&S) -> f64,
+    joint: impl Fn(&S, &S) -> R,
+    joint_with_cardinalities: impl Fn(&S, &S, f64, f64) -> R,
+) {
     let filled = |size: usize, seed: u64, streams: &[(u64, u64)]| {
         let mut sketch = make(size, seed);
         for &(stream, n) in streams {
-            elements(stream, n).for_each(|e| sketch.insert_u64(e));
+            elements(stream, n).for_each(|e| insert(&mut sketch, e));
         }
         sketch
     };
@@ -196,12 +200,12 @@ where
         ("mismatched seed", &u, &other_seed),
     ];
     for (case, a, b) in pairs {
-        let joint = a.joint(b);
-        let supplied = a.joint_with_cardinalities(b, a.cardinality(), b.cardinality());
+        let plain = joint(a, b);
+        let supplied = joint_with_cardinalities(a, b, cardinality(a), cardinality(b));
         // Debug renders every f64 in round-trip form and names the
         // error variant, so equal strings are equal results.
         assert_eq!(
-            format!("{joint:?}"),
+            format!("{plain:?}"),
             format!("{supplied:?}"),
             "{family}, {case}"
         );
@@ -210,21 +214,47 @@ where
 
 #[test]
 fn supplied_cardinalities_reproduce_joint_for_every_family() {
-    assert_supplied_cardinalities_are_joint("SetSketch1", |m, seed| {
-        SetSketch1::new(SetSketchConfig::new(m, 2.0, 20.0, 62).unwrap(), seed)
-    });
-    assert_supplied_cardinalities_are_joint("SetSketch2", |m, seed| {
-        SetSketch2::new(
-            SetSketchConfig::new(m, 1.001, 20.0, (1 << 16) - 2).unwrap(),
-            seed,
-        )
-    });
-    assert_supplied_cardinalities_are_joint("GHLL", |m, seed| {
-        GhllSketch::new(GhllConfig::hyperloglog(m).unwrap(), seed)
-    });
-    assert_supplied_cardinalities_are_joint("HyperMinHash", |m, seed| {
-        HyperMinHash::new(HyperMinHashConfig::new(m, 10).unwrap(), seed)
-    });
-    assert_supplied_cardinalities_are_joint("MinHash", MinHash::new);
-    assert_supplied_cardinalities_are_joint("SuperMinHash", SuperMinHash::new);
+    assert_supplied_cardinalities_are_joint(
+        "SetSketch1",
+        |m, seed| SetSketch1::new(SetSketchConfig::new(m, 2.0, 20.0, 62).unwrap(), seed),
+        SetSketch1::insert_u64,
+        SetSketch1::estimate_cardinality,
+        SetSketch1::estimate_joint,
+        SetSketch1::estimate_joint_with_cardinalities,
+    );
+    assert_supplied_cardinalities_are_joint(
+        "SetSketch2",
+        |m, seed| {
+            let config = SetSketchConfig::new(m, 1.001, 20.0, (1 << 16) - 2).unwrap();
+            SetSketch2::new(config, seed)
+        },
+        SetSketch2::insert_u64,
+        SetSketch2::estimate_cardinality,
+        SetSketch2::estimate_joint,
+        SetSketch2::estimate_joint_with_cardinalities,
+    );
+    assert_supplied_cardinalities_are_joint(
+        "GHLL",
+        |m, seed| GhllSketch::new(GhllConfig::hyperloglog(m).unwrap(), seed),
+        GhllSketch::insert_u64,
+        GhllSketch::estimate_cardinality,
+        GhllSketch::estimate_joint_ml_unchecked,
+        GhllSketch::estimate_joint_with_cardinalities,
+    );
+    assert_supplied_cardinalities_are_joint(
+        "HyperMinHash",
+        |m, seed| HyperMinHash::new(HyperMinHashConfig::new(m, 10).unwrap(), seed),
+        HyperMinHash::insert_u64,
+        HyperMinHash::estimate_cardinality,
+        HyperMinHash::estimate_joint,
+        HyperMinHash::estimate_joint_with_cardinalities,
+    );
+    assert_supplied_cardinalities_are_joint(
+        "MinHash",
+        MinHash::new,
+        MinHash::insert_u64,
+        MinHash::estimate_cardinality,
+        MinHash::estimate_joint,
+        MinHash::estimate_joint_with_cardinalities,
+    );
 }

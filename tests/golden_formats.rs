@@ -1,5 +1,5 @@
-//! Golden byte formats: `to_bytes()` and `compress()` of SetSketch1,
-//! SetSketch2 and GHLL are pinned by CRC-32 for
+//! Golden byte formats: `to_bytes()` and `compress()` of SetSketch1 and
+//! SetSketch2, and `to_bytes()` of GHLL, are pinned by CRC-32 for
 //! seeded fills at the three register widths (one-byte, two-byte and
 //! four-byte lanes). The constants were captured before registers moved
 //! to their natural width, so "every byte format and every register
@@ -30,15 +30,12 @@ fn elements(stream: u64, n: u64) -> impl Iterator<Item = u64> {
     (0..n).map(move |i| mix64((stream << 40) | i))
 }
 
-/// `[to_bytes, compress]` checksums of one filled sketch.
-type Golden = [u32; 2];
-
 fn setsketch_golden<S: ValueSequence + std::fmt::Debug>(
     m: usize,
     b: f64,
     q: u32,
     n: u64,
-) -> Golden {
+) -> [u32; 2] {
     let config = SetSketchConfig::new(m, b, 20.0, q).unwrap();
     let mut sketch = SetSketch::<S>::new(config, 42);
     sketch.extend(elements(7, n));
@@ -55,32 +52,31 @@ fn setsketch_golden<S: ValueSequence + std::fmt::Debug>(
     [crc32(&sketch.to_bytes()), crc32(&sketch.compress())]
 }
 
-fn ghll_golden(m: usize, b: f64, q: u32, n: u64) -> Golden {
+fn ghll_golden(m: usize, b: f64, q: u32, n: u64) -> [u32; 1] {
     let config = GhllConfig::new(m, b, q).unwrap();
     let mut sketch = GhllSketch::with_lower_bound_tracking(config, 42);
     sketch.extend(elements(7, n));
     assert_eq!(GhllSketch::from_bytes(&sketch.to_bytes()).unwrap(), sketch);
-    assert_eq!(
-        GhllSketch::decompress(&sketch, &sketch.compress()).unwrap(),
-        sketch
-    );
-    [crc32(&sketch.to_bytes()), crc32(&sketch.compress())]
+    [crc32(&sketch.to_bytes())]
 }
 
-/// Rows in `WIDTHS` × `FILLS` order.
-fn check(family: &str, golden: impl Fn(usize, f64, u32, u64) -> Golden, expected: [Golden; 6]) {
+/// Rows in `WIDTHS` × `FILLS` order; each row holds the checksums of
+/// `[to_bytes, compress]`, or `[to_bytes]` for a format without a
+/// compact codec.
+fn check<const N: usize>(
+    family: &str,
+    golden: impl Fn(usize, f64, u32, u64) -> [u32; N],
+    expected: [[u32; N]; 6],
+) {
     let mut rows = expected.iter();
     for (m, b, q) in WIDTHS {
         for n in FILLS {
             let got = golden(m, b, q, n);
-            println!(
-                "{family} m={m} b={b} q={q} n={n}: [{:#010x}, {:#010x}],",
-                got[0], got[1]
-            );
+            println!("{family} m={m} b={b} q={q} n={n}: {got:#010x?},");
             assert_eq!(
                 &got,
                 rows.next().unwrap(),
-                "{family} m={m} b={b} q={q} n={n}: [to_bytes, compress]"
+                "{family} m={m} b={b} q={q} n={n}"
             );
         }
     }
@@ -124,12 +120,12 @@ fn ghll_formats_are_unchanged() {
         "ghll",
         ghll_golden,
         [
-            [0x70a0317b, 0x1b2e409a],
-            [0x2e7e84fc, 0x80472e85],
-            [0x53fd54d0, 0xe7445d83],
-            [0x736e7632, 0x5b66ca62],
-            [0xb387bf82, 0xe8edf69a],
-            [0x37505e48, 0x90918610],
+            [0x70a0317b],
+            [0x2e7e84fc],
+            [0x53fd54d0],
+            [0x736e7632],
+            [0xb387bf82],
+            [0x37505e48],
         ],
     );
 }

@@ -1,5 +1,5 @@
 //! Integration tests of the serving stack: unified traits + sharded
-//! concurrent store, driven across every sketch family.
+//! concurrent store, driven with both SetSketch variants.
 //!
 //! The central acceptance check lives here: ≥ 4 threads ingesting into
 //! *overlapping* keys must produce exactly the state single-threaded
@@ -7,11 +7,10 @@
 //! estimates must match the single-threaded reference within estimator
 //! tolerance.
 
-use hyperloglog::{GhllConfig, GhllSketch};
-use hyperminhash::{HyperMinHash, HyperMinHashConfig};
-use minhash::{MinHash, OnePermutationHashing, SuperMinHash};
 use setsketch::{SetSketch1, SetSketch2, SetSketchConfig};
-use sketch_core::{BatchInsert, CardinalityEstimator, JointEstimator, Mergeable, Sketch};
+use sketch_core::{
+    BatchInsert, CardinalityEstimator, CompactSketch, JointEstimator, Mergeable, Sketch,
+};
 use sketch_store::{SketchStore, StoreError};
 
 const THREADS: u64 = 6;
@@ -34,12 +33,12 @@ fn reference<S: BatchInsert>(mut sketch: S, k: usize) -> S {
     sketch
 }
 
-/// Runs the concurrent-vs-sequential check for one sketch family: the
+/// Runs the concurrent-vs-sequential check for one sketch type: the
 /// store is fed by `THREADS` threads over overlapping keys, then every
 /// key's state must equal the single-threaded reference exactly.
 fn assert_concurrent_matches_sequential<S>(factory: impl Fn() -> S + Clone + Send + Sync + 'static)
 where
-    S: BatchInsert + Mergeable + Clone + PartialEq + std::fmt::Debug + Send + Sync,
+    S: CompactSketch + BatchInsert + Mergeable + Clone + PartialEq + std::fmt::Debug + Send + Sync,
 {
     let store = SketchStore::builder(factory.clone()).shards(4).build();
     std::thread::scope(|scope| {
@@ -78,33 +77,6 @@ fn concurrent_ingest_setsketch1() {
 fn concurrent_ingest_setsketch2() {
     let cfg = SetSketchConfig::new(256, 2.0, 20.0, 62).unwrap();
     assert_concurrent_matches_sequential(move || SetSketch2::new(cfg, 2));
-}
-
-#[test]
-fn concurrent_ingest_ghll() {
-    let cfg = GhllConfig::hyperloglog(256).unwrap();
-    assert_concurrent_matches_sequential(move || GhllSketch::new(cfg, 3));
-}
-
-#[test]
-fn concurrent_ingest_minhash() {
-    assert_concurrent_matches_sequential(|| MinHash::new(256, 4));
-}
-
-#[test]
-fn concurrent_ingest_superminhash() {
-    assert_concurrent_matches_sequential(|| SuperMinHash::new(256, 5));
-}
-
-#[test]
-fn concurrent_ingest_oph() {
-    assert_concurrent_matches_sequential(|| OnePermutationHashing::new(256, 6));
-}
-
-#[test]
-fn concurrent_ingest_hyperminhash() {
-    let cfg = HyperMinHashConfig::new(256, 10).unwrap();
-    assert_concurrent_matches_sequential(move || HyperMinHash::new(cfg, 7));
 }
 
 /// The acceptance-criteria scenario in one test: ≥ 4 threads, overlapping
@@ -165,11 +137,9 @@ fn concurrent_estimates_match_reference_within_tolerance() {
 #[test]
 fn dyn_sketch_recording() {
     let cfg = SetSketchConfig::new(64, 2.0, 20.0, 62).unwrap();
-    let ghll = GhllConfig::hyperloglog(64).unwrap();
     let mut sketches: Vec<Box<dyn Sketch>> = vec![
         Box::new(SetSketch1::new(cfg, 1)),
-        Box::new(GhllSketch::new(ghll, 1)),
-        Box::new(MinHash::new(64, 1)),
+        Box::new(SetSketch2::new(cfg, 1)),
     ];
     for sketch in &mut sketches {
         sketch.insert_u64(42);
@@ -178,8 +148,8 @@ fn dyn_sketch_recording() {
     }
 }
 
-/// A generic pipeline written once against the traits runs on every
-/// family and produces sane joint estimates.
+/// A generic pipeline written once against the traits runs on both
+/// SetSketch variants and produces sane joint estimates.
 #[test]
 fn generic_pipeline_over_families() {
     fn jaccard_of_ranges<S>(factory: impl Fn() -> S) -> f64
@@ -194,13 +164,10 @@ fn generic_pipeline_over_families() {
     }
 
     let cfg = SetSketchConfig::new(1024, 1.5, 20.0, 100).unwrap();
-    let hmh = HyperMinHashConfig::new(1024, 10).unwrap();
     // True Jaccard: 1500 / 4500 = 1/3.
     let truth = 1.0 / 3.0;
     assert!((jaccard_of_ranges(move || SetSketch1::new(cfg, 1)) - truth).abs() < 0.1);
-    assert!((jaccard_of_ranges(|| MinHash::new(1024, 2)) - truth).abs() < 0.1);
-    assert!((jaccard_of_ranges(|| SuperMinHash::new(1024, 3)) - truth).abs() < 0.1);
-    assert!((jaccard_of_ranges(move || HyperMinHash::new(hmh, 4)) - truth).abs() < 0.1);
+    assert!((jaccard_of_ranges(move || SetSketch2::new(cfg, 2)) - truth).abs() < 0.1);
 }
 
 /// The store surfaces the detailed SetSketch incompatibility through its

@@ -14,7 +14,6 @@
 //!   ties by ascending key), including tie-heavy stores with duplicated
 //!   states.
 
-use minhash::MinHash;
 use proptest::collection::vec;
 use proptest::prelude::*;
 use setsketch::{SetSketch1, SetSketchConfig};
@@ -87,21 +86,6 @@ proptest! {
                 pair.right
             );
         }
-    }
-
-    /// MinHash states through the same engine (the trait surface is
-    /// family-generic): exhaustive pinning at threshold 0.
-    #[test]
-    fn minhash_pruned_all_pairs_at_zero_equals_exhaustive(
-        batches in keyed_batches(),
-    ) {
-        let store = SketchStore::builder(|| MinHash::new(64, 5)).shards(3).build();
-        for (i, batch) in batches.iter().enumerate() {
-            store.ingest(&format!("key-{i:02}"), batch);
-        }
-        let pruned = store.all_pairs_with(0.0, &flat()).expect("compatible");
-        let exhaustive = store.all_pairs_with(0.0, &exhaustive()).expect("compatible");
-        prop_assert_eq!(pruned, exhaustive);
     }
 
     #[test]
