@@ -22,7 +22,7 @@
 use bench::bench_elements;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use setsketch::{SetSketch2, SetSketchConfig};
-use sketch_core::CompactSketch;
+use sketch_core::Sketch;
 use sketch_math::bitpack;
 use sketch_math::kernels::{self, scalar, Lane};
 use std::time::Instant;

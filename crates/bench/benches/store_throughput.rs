@@ -71,7 +71,7 @@ fn bench_ingest(c: &mut Criterion) {
     // is the difference to ingest_batched.
     group.bench_function("bare_sketch_batched", |bencher| {
         let mut sketch = SetSketch2::new(store_config(), 7);
-        bencher.iter(|| sketch_core::BatchInsert::insert_batch(&mut sketch, black_box(&elements)));
+        bencher.iter(|| sketch_core::Sketch::insert_batch(&mut sketch, black_box(&elements)));
     });
 
     group.finish();

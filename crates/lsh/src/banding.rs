@@ -7,7 +7,7 @@
 //! at that threshold, so the downstream verification stage sees as few
 //! false candidates as possible while true positives keep their recall
 //! guarantee. The `p` input comes from the sketch family's locality
-//! analysis (`sketch_core::Signature::register_collision_probability`,
+//! analysis (`sketch_core::Sketch::register_collision_probability`,
 //! e.g. SetSketch's §3.3 bounds).
 
 use crate::index::collision_curve;

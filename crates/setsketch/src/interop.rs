@@ -1,32 +1,21 @@
-//! [`sketch_core`] trait implementations for SetSketch.
+//! The [`sketch_core::Sketch`] implementation for SetSketch.
 //!
-//! These adapters let SetSketch serve from code written against the
-//! serving path's abstraction layer (the sharded sketch store, the
-//! cluster, the benchmarks) without giving up any of the inherent API.
-//! SetSketch1/2 are the only implementations of that trait set.
+//! It lets SetSketch serve from code written against the serving path's
+//! one trait (the sharded sketch store, the cluster, the benchmarks)
+//! without giving up any of the inherent API. SetSketch1/2 are its only
+//! implementations.
 
 use crate::locality::collision_probability_bounds;
 use crate::sequence::ValueSequence;
 use crate::sketch::{IncompatibleSketches, SetSketch};
-use sketch_core::{
-    BatchInsert, CardinalityEstimator, CompactSketch, JointEstimator, JointQuantities, Mergeable,
-    Signature, Sketch,
-};
+use sketch_core::{JointQuantities, Sketch};
 use sketch_math::{BitPackError, Registers};
 use sketch_rand::hash_bytes;
 
 impl<S: ValueSequence> Sketch for SetSketch<S> {
-    fn insert_u64(&mut self, element: u64) {
-        SetSketch::insert_u64(self, element);
-    }
+    type Incompatible = IncompatibleSketches;
+    type DecodeError = BitPackError;
 
-    fn insert_bytes(&mut self, bytes: &[u8]) {
-        let hash = hash_bytes(bytes, self.seed());
-        self.insert_hash(hash);
-    }
-}
-
-impl<S: ValueSequence> BatchInsert for SetSketch<S> {
     /// Batched Algorithm 1 (the inherent [`SetSketch::insert_batch`]):
     /// the batch is sorted and deduplicated, so repeated elements never
     /// touch the registers, and applied in value order — passes that
@@ -38,13 +27,10 @@ impl<S: ValueSequence> BatchInsert for SetSketch<S> {
     fn insert_batch_changed(&mut self, elements: &[u64]) -> bool {
         SetSketch::insert_batch(self, elements)
     }
-}
 
-impl<S: ValueSequence> Mergeable for SetSketch<S> {
-    type MergeError = IncompatibleSketches;
-
-    fn is_compatible(&self, other: &Self) -> bool {
-        SetSketch::is_compatible(self, other)
+    fn insert_bytes(&mut self, bytes: &[u8]) {
+        let hash = hash_bytes(bytes, self.seed());
+        self.insert_hash(hash);
     }
 
     fn merge_from(&mut self, other: &Self) -> Result<bool, IncompatibleSketches> {
@@ -57,19 +43,29 @@ impl<S: ValueSequence> Mergeable for SetSketch<S> {
     fn merge_many<'a, I>(&mut self, others: I) -> Result<(), IncompatibleSketches>
     where
         I: IntoIterator<Item = &'a Self>,
-        Self: 'a,
     {
         self.merge_all(others)
     }
-}
 
-impl<S: ValueSequence> CardinalityEstimator for SetSketch<S> {
     fn cardinality(&self) -> f64 {
         self.estimate_cardinality()
     }
-}
 
-impl<S: ValueSequence> Signature for SetSketch<S> {
+    fn joint(&self, other: &Self) -> Result<JointQuantities, IncompatibleSketches> {
+        Ok(self.estimate_joint(other)?.quantities)
+    }
+
+    fn joint_with_cardinalities(
+        &self,
+        other: &Self,
+        n_u: f64,
+        n_v: f64,
+    ) -> Result<JointQuantities, IncompatibleSketches> {
+        Ok(self
+            .estimate_joint_with_cardinalities(other, n_u, n_v)?
+            .quantities)
+    }
+
     fn signature_len(&self) -> usize {
         self.m()
     }
@@ -93,29 +89,6 @@ impl<S: ValueSequence> Signature for SetSketch<S> {
     fn ordinal_registers(&self) -> bool {
         true
     }
-}
-
-impl<S: ValueSequence> JointEstimator for SetSketch<S> {
-    type JointError = IncompatibleSketches;
-
-    fn joint(&self, other: &Self) -> Result<JointQuantities, IncompatibleSketches> {
-        Ok(self.estimate_joint(other)?.quantities)
-    }
-
-    fn joint_with_cardinalities(
-        &self,
-        other: &Self,
-        n_u: f64,
-        n_v: f64,
-    ) -> Result<JointQuantities, IncompatibleSketches> {
-        Ok(self
-            .estimate_joint_with_cardinalities(other, n_u, n_v)?
-            .quantities)
-    }
-}
-
-impl<S: ValueSequence> CompactSketch for SetSketch<S> {
-    type CompactError = BitPackError;
 
     /// Registers as offsets from the tight minimum (the `K_low` bound
     /// the sketch already maintains incrementally, §2.2) plus a sparse
@@ -152,7 +125,7 @@ impl<S: ValueSequence> CompactSketch for SetSketch<S> {
 mod tests {
     use crate::config::SetSketchConfig;
     use crate::sketch::{SetSketch1, SetSketch2};
-    use sketch_core::{BatchInsert, CardinalityEstimator, JointEstimator, Mergeable, Sketch};
+    use sketch_core::Sketch;
 
     fn config() -> SetSketchConfig {
         SetSketchConfig::new(256, 2.0, 20.0, 62).unwrap()
@@ -160,7 +133,6 @@ mod tests {
 
     #[test]
     fn compact_roundtrip_is_bit_identical() {
-        use sketch_core::CompactSketch;
         for config in [config(), SetSketchConfig::example_16bit()] {
             let prototype = SetSketch2::new(config, 11);
             let mut sketch = SetSketch2::new(config, 11);
@@ -193,7 +165,7 @@ mod tests {
         let mut batched = SetSketch1::new(config(), 3);
         let mut looped = SetSketch1::new(config(), 3);
         // Through the trait, which must route to the inherent fast path.
-        BatchInsert::insert_batch(&mut batched, &elements);
+        Sketch::insert_batch(&mut batched, &elements);
         for &e in &elements {
             looped.insert_u64(e);
         }
@@ -208,6 +180,17 @@ mod tests {
         }
         assert_eq!(batched2, looped2);
         assert_eq!(batched2.register_histogram(), looped2.register_histogram());
+    }
+
+    #[test]
+    fn signature_default_allocates_and_matches_into() {
+        let mut sketch = SetSketch1::new(config(), 3);
+        sketch.insert_batch(&[1, 2, 3, 9]);
+        let mut scratch = vec![99; 1024]; // stale contents must be cleared
+        sketch.signature_into(&mut scratch);
+        assert_eq!(scratch.len(), sketch.signature_len());
+        assert_eq!(sketch.signature(), scratch);
+        assert_eq!(scratch, sketch.registers().to_vec());
     }
 
     #[test]
@@ -231,9 +214,10 @@ mod tests {
         a.insert_batch(&(0..10_000).collect::<Vec<_>>());
         b.insert_batch(&(5_000..15_000).collect::<Vec<_>>());
         assert_eq!(a.cardinality(), a.estimate_cardinality());
-        let joint = JointEstimator::joint(&a, &b).unwrap();
+        let joint = Sketch::joint(&a, &b).unwrap();
         assert_eq!(joint, a.estimate_joint(&b).unwrap().quantities);
-        let merged = Mergeable::merged_with(&a, &b).unwrap();
+        let mut merged = a.clone();
+        assert!(Sketch::merge_from(&mut merged, &b).unwrap());
         assert_eq!(merged, a.merged(&b).unwrap());
     }
 

@@ -60,8 +60,8 @@
 //!   cosine, inclusion coefficients);
 //! * [`locality`] — collision probabilities and the LSH estimators (15);
 //! * [`state`] — the self-describing binary representation;
-//! * [`interop`] — implementations of the workspace-wide [`sketch_core`]
-//!   traits (`Sketch`, `BatchInsert`, `Mergeable`, estimators).
+//! * [`interop`] — the implementation of [`sketch_core::Sketch`], the one
+//!   trait the sketch store and cluster serve through.
 
 #![warn(missing_docs)]
 

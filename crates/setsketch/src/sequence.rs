@@ -19,8 +19,9 @@ use std::sync::Arc;
 ///
 /// [`start`](Self::start) resets per element; [`next`](Self::next) must be
 /// called at most `m` times per element and returns a strictly increasing
-/// sequence.
-pub trait ValueSequence: Clone {
+/// sequence. Strategies are plain data (`Send + Sync + 'static`), so a
+/// SetSketch of either variant can be shared by a concurrent store.
+pub trait ValueSequence: Clone + Send + Sync + 'static {
     /// Short tag identifying the variant in serialized states.
     const NAME: &'static str;
 

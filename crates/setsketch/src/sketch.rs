@@ -591,7 +591,7 @@ impl<S: ValueSequence> SetSketch<S> {
     /// Merges every sketch of the iterator into `self`, running the
     /// register kernel per operand but rebuilding the estimator
     /// histogram only once at the end, and only if a register rose (the
-    /// batched form behind `Mergeable::merge_many`).
+    /// batched form behind `Sketch::merge_many`).
     ///
     /// On an incompatibility error the registers already absorbed stay
     /// merged (union semantics make partial application harmless) and

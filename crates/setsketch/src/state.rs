@@ -6,7 +6,7 @@
 //! and hash seed, followed by the registers bit-packed to
 //! `config.register_bits()` bits each. The prototype-relative form for
 //! sketches that share a configuration is
-//! [`CompactSketch::compress`](sketch_core::CompactSketch::compress).
+//! [`Sketch::compress`](sketch_core::Sketch::compress).
 
 use crate::config::{ConfigError, SetSketchConfig};
 use crate::sequence::ValueSequence;

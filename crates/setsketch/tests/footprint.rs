@@ -14,8 +14,9 @@
 #![allow(unsafe_code)]
 
 use hyperloglog::{GhllConfig, GhllSketch};
-use setsketch::{SetSketch1, SetSketch2, SetSketchConfig};
-use sketch_core::{BatchInsert, CompactSketch};
+use setsketch::sequence::ValueSequence;
+use setsketch::{SetSketch, SetSketch1, SetSketch2, SetSketchConfig};
+use sketch_core::Sketch;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -61,10 +62,12 @@ fn measure<R>(f: impl FnOnce() -> R) -> (R, isize, usize) {
 /// The footprint contract for one sketch family and configuration.
 /// `prototype` owns the configuration-level shared state (power table,
 /// interval boundaries), so clones of it allocate per-key state only.
-fn check_footprint<S>(prototype: &S, lane_bytes: usize, m: usize, label: &str)
-where
-    S: BatchInsert + CompactSketch + Clone,
-{
+fn check_footprint<V: ValueSequence>(
+    prototype: &SetSketch<V>,
+    lane_bytes: usize,
+    m: usize,
+    label: &str,
+) {
     // Warm this thread's insert scratch (shuffle domain, hash buffer) on
     // a sketch and a batch of the sizes measured below.
     let elements: Vec<u64> = (0..50_000).collect();
@@ -75,7 +78,7 @@ where
         sketch.insert_batch(&elements);
         sketch
     });
-    let heap = sketch.resident_bytes() - std::mem::size_of::<S>();
+    let heap = sketch.resident_bytes() - std::mem::size_of::<SetSketch<V>>();
     assert_eq!(live as usize, heap, "{label}: live heap of a filled sketch");
     assert!(
         heap >= m * lane_bytes && heap < m * lane_bytes + 4 * 1024,
@@ -98,7 +101,8 @@ where
 
     // A decoded sketch holds exactly what the original does.
     let bytes = sketch.compress();
-    let (restored, live, _) = measure(|| S::decompress(prototype, &bytes).expect("round trip"));
+    let (restored, live, _) =
+        measure(|| SetSketch::decompress(prototype, &bytes).expect("round trip"));
     assert_eq!(live as usize, heap, "{label}: bytes a decoded sketch holds");
     assert_eq!(restored.resident_bytes(), sketch.resident_bytes());
 }

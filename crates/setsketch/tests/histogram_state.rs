@@ -13,7 +13,7 @@
 
 use proptest::prelude::*;
 use setsketch::{SetSketch1, SetSketch2, SetSketchConfig};
-use sketch_core::CompactSketch;
+use sketch_core::Sketch;
 use sketch_math::{kernels, sigma_b, tau_b};
 
 /// The corrected estimator (18) computed the pre-kernel way: a full

@@ -30,9 +30,10 @@
 
 use crate::error::ClusterError;
 use crate::health::Resilient;
-use crate::node::{ClusterNode, ClusterSketch};
+use crate::node::ClusterNode;
 use crate::transport::Transport;
 use crate::wire::{ErrorCode, Message, NodeId};
+use sketch_core::Sketch;
 
 /// What one completed bootstrap accomplished — the replacement-node
 /// counterpart of [`sketch_store::RecoveryReport`].
@@ -88,7 +89,7 @@ pub(crate) fn probe_write_epoch(
     }
 }
 
-impl<S: ClusterSketch> ClusterNode<S> {
+impl<S: Sketch> ClusterNode<S> {
     /// True when this node has no state and should bootstrap from a
     /// peer before pulling from all of them: a brand-new node, or one
     /// whose durable directory was lost entirely (recovery found

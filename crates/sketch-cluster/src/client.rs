@@ -13,7 +13,7 @@ use crate::error::ClusterError;
 use crate::ring::HashRing;
 use crate::transport::Transport;
 use crate::wire::{Message, NodeId, WireNeighbor};
-use sketch_core::{CardinalityEstimator, CompactSketch, Mergeable};
+use sketch_core::Sketch;
 
 /// A fan-out query's answer plus its coverage: which nodes could not
 /// be reached (suspect, partitioned, timed out) and had to be skipped.
@@ -46,7 +46,7 @@ pub struct ClusterClient<S, T> {
 
 impl<S, T> ClusterClient<S, T>
 where
-    S: Mergeable + CardinalityEstimator + CompactSketch + Clone,
+    S: Sketch,
     T: Transport,
 {
     /// Builds a client over `transport` routing across `ring`.
@@ -215,12 +215,13 @@ where
                 Ok(Message::Payload { bytes }) => {
                     let shipped = S::decompress(&self.prototype, &bytes)
                         .map_err(|error| ClusterError::BadPayload(error.to_string()))?;
-                    merged = Some(match merged.take() {
-                        None => shipped,
-                        Some(have) => have
-                            .merged_with(&shipped)
-                            .map_err(|error| ClusterError::Incompatible(error.to_string()))?,
-                    });
+                    match merged.as_mut() {
+                        None => merged = Some(shipped),
+                        Some(have) => {
+                            have.merge_from(&shipped)
+                                .map_err(|error| ClusterError::Incompatible(error.to_string()))?;
+                        }
+                    }
                 }
                 Ok(Message::Error { code, detail }) => {
                     let error = ClusterError::from_remote(code, detail);

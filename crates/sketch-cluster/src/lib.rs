@@ -11,8 +11,8 @@
 //! The moving parts, bottom up:
 //!
 //! * [`wire`] — a length-prefixed binary frame protocol over plain
-//!   byte streams. Compact register payloads
-//!   ([`sketch_core::CompactSketch`]) ride inside delta frames;
+//!   byte streams. Compressed register payloads
+//!   ([`ClusterSketch::compress`]) ride inside delta frames;
 //!   decoding is hostile-input safe (lengths validated before any
 //!   allocation, typed errors, no panics).
 //! * [`HashRing`] — consistent-hash routing: each key's writes go to
@@ -109,8 +109,11 @@ pub use client::{ClusterClient, FanOut};
 pub use error::ClusterError;
 pub use fault::{FaultPlan, FaultyTransport};
 pub use health::{HealthPolicy, Resilient, RetryPolicy};
-pub use node::{ClusterNode, ClusterSketch, SyncReport};
+pub use node::{ClusterNode, SyncReport};
 pub use ring::{HashRing, DEFAULT_VNODES};
+/// The sketch a cluster serves: the store's one trait under the name
+/// cluster code has always used.
+pub use sketch_core::Sketch as ClusterSketch;
 pub use tcp::{TcpServer, TcpTimeouts, TcpTransport};
 pub use transport::{MemNetwork, TrafficStats, Transport};
 pub use wire::{ErrorCode, FrameError, Message, NodeId, WireEntry, WireError, WireNeighbor};

@@ -32,47 +32,10 @@ use crate::error::ClusterError;
 use crate::transport::Transport;
 use crate::wire::{ErrorCode, Message, NodeId, WireEntry, WireNeighbor};
 use parking_lot::Mutex;
-use sketch_core::{
-    BatchInsert, CardinalityEstimator, CompactSketch, JointEstimator, Mergeable, Signature,
-};
+use sketch_core::Sketch;
 use sketch_store::{QueryOptions, SketchStore, StoreError};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// The trait bundle a sketch needs to serve in a cluster: batched
-/// recording, union merging, joint + cardinality estimation, register
-/// signatures (similarity queries), a compact wire codec, and value
-/// semantics. Implemented automatically for every type with the parts;
-/// SetSketch1 and SetSketch2 are the sketches that have them.
-pub trait ClusterSketch:
-    BatchInsert
-    + Mergeable
-    + JointEstimator
-    + CardinalityEstimator
-    + Signature
-    + CompactSketch
-    + Clone
-    + PartialEq
-    + Send
-    + Sync
-    + 'static
-{
-}
-
-impl<T> ClusterSketch for T where
-    T: BatchInsert
-        + Mergeable
-        + JointEstimator
-        + CardinalityEstimator
-        + Signature
-        + CompactSketch
-        + Clone
-        + PartialEq
-        + Send
-        + Sync
-        + 'static
-{
-}
 
 /// What one delta pull from a peer accomplished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,7 +89,7 @@ pub struct ClusterNode<S> {
     last_bootstrap: Mutex<Option<BootstrapReport>>,
 }
 
-impl<S: ClusterSketch> ClusterNode<S> {
+impl<S: Sketch> ClusterNode<S> {
     /// Wraps a store as cluster node `id` with the given peer set
     /// (`id` itself is filtered out defensively).
     ///

@@ -52,10 +52,11 @@
 //! [`ErrorCode::Overloaded`] frame and no thread.
 
 use crate::error::ClusterError;
-use crate::node::{ClusterNode, ClusterSketch};
+use crate::node::ClusterNode;
 use crate::transport::Transport;
 use crate::wire::{read_frame, write_frame, ErrorCode, FrameError, Message, NodeId};
 use parking_lot::Mutex;
+use sketch_core::Sketch;
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader};
 use std::net::{self, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -339,7 +340,7 @@ impl TcpServer {
     /// Binds `addr` (use port 0 for an ephemeral port — see
     /// [`local_addr`](Self::local_addr)) and serves `node` on a
     /// background accept thread.
-    pub fn serve<S: ClusterSketch>(
+    pub fn serve<S: Sketch>(
         node: Arc<ClusterNode<S>>,
         addr: impl ToSocketAddrs,
     ) -> io::Result<TcpServer> {
@@ -370,7 +371,7 @@ impl TcpServer {
     /// ([`ClusterNode::bootstrap_via`]) — peers may still be coming up
     /// when a replaced node starts, so "no donor yet" is waited out
     /// tick by tick, not an error.
-    pub fn start_gossip<S: ClusterSketch, T: Transport + Send + Sync + 'static>(
+    pub fn start_gossip<S: Sketch, T: Transport + Send + Sync + 'static>(
         &mut self,
         node: Arc<ClusterNode<S>>,
         transport: Arc<T>,
@@ -433,11 +434,7 @@ impl Drop for TcpServer {
     }
 }
 
-fn accept_loop<S: ClusterSketch>(
-    listener: TcpListener,
-    node: Arc<ClusterNode<S>>,
-    shared: Arc<Shared>,
-) {
+fn accept_loop<S: Sketch>(listener: TcpListener, node: Arc<ClusterNode<S>>, shared: Arc<Shared>) {
     let mut workers: Vec<JoinHandle<()>> = Vec::new();
     for (seq, stream) in listener.incoming().enumerate() {
         if shared.stop.load(Ordering::Acquire) {
@@ -487,7 +484,7 @@ fn refuse(mut stream: TcpStream) {
 /// Serves one connection until the client hangs up or stalls, a frame
 /// is unrecoverable, the server stops, or a [`Message::Shutdown`]
 /// arrives (which also stops the whole server).
-fn serve_connection<S: ClusterSketch>(stream: &TcpStream, node: &ClusterNode<S>, shared: &Shared) {
+fn serve_connection<S: Sketch>(stream: &TcpStream, node: &ClusterNode<S>, shared: &Shared) {
     stream.set_nodelay(true).ok();
     if stream.set_read_timeout(Some(SERVE_IO_DEADLINE)).is_err()
         || stream.set_write_timeout(Some(SERVE_IO_DEADLINE)).is_err()

@@ -13,9 +13,10 @@
 //!   drops, replays and partitions into either of the above.
 
 use crate::error::ClusterError;
-use crate::node::{ClusterNode, ClusterSketch};
+use crate::node::ClusterNode;
 use crate::wire::{read_frame, Message, NodeId};
 use parking_lot::{Mutex, RwLock};
+use sketch_core::Sketch;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -89,7 +90,7 @@ impl MemNetwork {
 
     /// Registers `node` as the handler for its id. A second
     /// registration under the same id replaces the first.
-    pub fn register<S: ClusterSketch>(&self, node: Arc<ClusterNode<S>>) {
+    pub fn register<S: Sketch>(&self, node: Arc<ClusterNode<S>>) {
         let id = node.id();
         let handler: Handler = Arc::new(move |message| node.handle(message));
         self.handlers.write().insert(id, handler);

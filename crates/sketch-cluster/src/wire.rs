@@ -23,8 +23,8 @@
 //! cap the declared length at it before reading the body — so a frame
 //! that was sent can always be read.
 //!
-//! Sketch registers travel as the family's
-//! [`CompactSketch`](sketch_core::CompactSketch) payloads inside
+//! Sketch registers travel as
+//! [`Sketch::compress`](sketch_core::Sketch::compress) payloads inside
 //! [`Message::Delta`] entries — warm and frozen store tiers ship their
 //! already-compressed bytes end to end, and hot sketches are
 //! compressed once at the sending edge. A delta is one bounded page

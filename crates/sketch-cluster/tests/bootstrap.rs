@@ -10,7 +10,6 @@ use sketch_cluster::{
     ClusterError, ClusterNode, ClusterSketch, FaultPlan, FaultyTransport, HealthPolicy, MemNetwork,
     Message, NodeId, Resilient, RetryPolicy, Transport,
 };
-use sketch_core::CompactSketch;
 use sketch_store::SketchStore;
 use std::sync::Arc;
 use std::time::Duration;

@@ -8,9 +8,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use setsketch::{SetSketch1, SetSketchConfig};
 use sketch_cluster::{ClusterClient, ClusterNode, HashRing, MemNetwork, NodeId};
-use sketch_core::{
-    BatchInsert, CardinalityEstimator, CompactSketch, JointEstimator, Mergeable, Signature,
-};
+use sketch_core::Sketch;
 use sketch_store::SketchStore;
 use std::sync::Arc;
 
@@ -27,17 +25,7 @@ fn setsketch_factory() -> impl Fn() -> SetSketch1 + Clone + Send + Sync + 'stati
 /// Builds `n` nodes over one in-memory network, all from one factory.
 fn cluster<S, F>(n: u32, factory: F) -> (Arc<MemNetwork>, Vec<Arc<ClusterNode<S>>>)
 where
-    S: BatchInsert
-        + Mergeable
-        + JointEstimator
-        + CardinalityEstimator
-        + Signature
-        + CompactSketch
-        + Clone
-        + PartialEq
-        + Send
-        + Sync
-        + 'static,
+    S: Sketch,
     F: Fn() -> S + Clone + Send + Sync + 'static,
 {
     let ids: Vec<NodeId> = (0..n).collect();

@@ -18,7 +18,7 @@
 
 use setsketch::{SetSketch2, SetSketchConfig};
 use sketch_cluster::{ClusterNode, Message, NodeId, Resilient, TcpServer, TcpTransport, Transport};
-use sketch_core::CompactSketch;
+use sketch_core::Sketch;
 use sketch_rand::mix64;
 use sketch_store::{FsyncPolicy, SketchStore};
 use std::collections::BTreeMap;

@@ -20,9 +20,7 @@ use crate::query::BANDING_RECALL;
 use crate::store::SketchStore;
 use lsh::{plan_bandings, Banding, ClusterLoad, LshIndex};
 use sketch_core::centroid::signature_distance;
-use sketch_core::{
-    invert_collision_probability, CardinalityEstimator, CompactSketch, JointEstimator, Signature,
-};
+use sketch_core::{invert_collision_probability, Sketch};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -141,10 +139,7 @@ fn effective_threshold(threshold: f64, member_distances: &[f64]) -> f64 {
     threshold.max(pair_floor.min(MAX_EFFECTIVE_THRESHOLD))
 }
 
-impl<S> SketchStore<S>
-where
-    S: CompactSketch + Signature + JointEstimator + CardinalityEstimator + Clone + Send + Sync,
-{
+impl<S: Sketch> SketchStore<S> {
     /// Inverse of the family's register-collision-probability curve at
     /// every possible equal-register count `d0 ∈ 0..=m`, probed on an
     /// empty factory sketch — the table centroid distances are looked

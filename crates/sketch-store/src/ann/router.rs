@@ -19,7 +19,7 @@
 use super::index::ClusteredState;
 use crate::store::SketchStore;
 use sketch_core::centroid::signature_distance;
-use sketch_core::{CardinalityEstimator, CompactSketch, JointEstimator, Signature};
+use sketch_core::Sketch;
 
 /// Estimation-noise slack added to every triangle-inequality
 /// eligibility bound: signature distances are D₀-based estimates, not
@@ -83,10 +83,7 @@ pub(crate) fn query_candidates(
     candidates
 }
 
-impl<S> SketchStore<S>
-where
-    S: CompactSketch + Signature + JointEstimator + CardinalityEstimator + Clone + Send + Sync,
-{
+impl<S: Sketch> SketchStore<S> {
     /// Candidate pairs of a clustered all-pairs sweep, sorted and
     /// deduplicated with `left < right` (the flat engine's
     /// `candidate_pairs` contract).

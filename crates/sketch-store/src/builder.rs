@@ -8,9 +8,10 @@
 //! arrive: they become builder methods instead of constructor variants.
 //!
 //! The memory budget ([`memory_budget_bytes`]) is the tier manager's
-//! only input: it turns demotion through the sketch's [`CompactSketch`]
-//! codec on ([`spill_dir`] says where frozen keys go). A store built
-//! without a budget keeps every sketch resident and pays nothing.
+//! only input: it turns demotion through the sketch's
+//! [`compress`](Sketch::compress) codec on ([`spill_dir`] says where
+//! frozen keys go). A store built without a budget keeps every sketch
+//! resident and pays nothing.
 //!
 //! [`memory_budget_bytes`]: StoreBuilder::memory_budget_bytes
 //! [`spill_dir`]: StoreBuilder::spill_dir
@@ -20,7 +21,7 @@ use crate::pipeline::{PipelineDefaults, DEFAULT_QUEUE_DEPTH, DEFAULT_WRITER_THRE
 use crate::store::{SketchStore, DEFAULT_SHARDS};
 use crate::tier::TierPolicy;
 use crate::wal::{self, FsyncPolicy, DEFAULT_CHECKPOINT_AFTER_BYTES};
-use sketch_core::{BatchInsert, CompactSketch, Mergeable};
+use sketch_core::Sketch;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -71,7 +72,7 @@ pub struct StoreBuilder<S> {
     checkpoint_after_bytes: u64,
 }
 
-impl<S: CompactSketch + BatchInsert + Mergeable> StoreBuilder<S> {
+impl<S: Sketch> StoreBuilder<S> {
     /// Starts a builder around the store's sketch factory.
     pub(crate) fn new(factory: impl Fn() -> S + Send + Sync + 'static) -> Self {
         StoreBuilder {

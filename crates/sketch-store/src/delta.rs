@@ -7,10 +7,10 @@
 //! everything up to counter value `v` can therefore ask for "the keys
 //! whose version exceeds `v`" and receive the keys that moved —
 //! [`SketchStore::delta_since`] — one bounded **page** at a time, in
-//! ascending version order, with each key's registers as the family's
-//! [`CompactSketch`] payload: cold (warm/frozen) entries ship their
-//! already-compressed bytes without rehydration and hot entries are
-//! compressed on the way out. A page says how far it reaches
+//! ascending version order, with each key's registers as the sketch's
+//! [`compress`](Sketch::compress) payload: cold (warm/frozen) entries
+//! ship their already-compressed bytes without rehydration and hot
+//! entries are compressed on the way out. A page says how far it reaches
 //! ([`StoreDelta::up_to`]), so the receiver's high-water mark is also
 //! its resume cursor: whatever was lost, it asks again from the mark.
 //!
@@ -28,11 +28,11 @@
 
 use crate::error::StoreError;
 use crate::store::SketchStore;
-use sketch_core::{CompactSketch, Mergeable};
+use sketch_core::Sketch;
 
 /// One key's state inside a [`StoreDelta`]: the key, the version that
-/// produced the payload, and the registers in the family's
-/// [`CompactSketch`] wire format.
+/// produced the payload, and the registers in the sketch's
+/// [`compress`](Sketch::compress) wire format.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeltaEntry {
     /// The key whose state this entry carries.
@@ -40,8 +40,8 @@ pub struct DeltaEntry {
     /// The slot version the payload was extracted at (in the *source*
     /// store's write-counter domain).
     pub version: u64,
-    /// The registers, compressed through the family's
-    /// [`CompactSketch`] codec.
+    /// The registers, compressed through the sketch's
+    /// [`compress`](Sketch::compress) codec.
     pub payload: Vec<u8>,
 }
 
@@ -86,7 +86,7 @@ impl StoreDelta {
     }
 }
 
-impl<S: CompactSketch> SketchStore<S> {
+impl<S: Sketch> SketchStore<S> {
     /// Current value of the store's monotonic write counter — the
     /// domain of every slot version. A replica that has applied a delta
     /// produced at counter value `v` holds everything stamped `≤ v`.
@@ -102,7 +102,7 @@ impl<S: CompactSketch> SketchStore<S> {
 
     /// Builds an empty sketch through the store's factory — the
     /// configuration and seed every stored sketch shares. Replication
-    /// peers use it as the [`CompactSketch`] decoding prototype for
+    /// peers use it as the [`decompress`](Sketch::decompress) prototype for
     /// payloads shipped from compatible stores.
     pub fn empty_sketch(&self) -> S {
         self.make_sketch()
@@ -110,7 +110,8 @@ impl<S: CompactSketch> SketchStore<S> {
 
     /// Extracts one page of the keys whose version exceeds `after`,
     /// lowest versions first, each with its registers as a
-    /// [`CompactSketch`] payload — the shipping side of delta sync.
+    /// [`compress`](Sketch::compress) payload — the shipping side of
+    /// delta sync.
     ///
     /// The page closes once its entries (key, payload and 16 bytes of
     /// fixed fields each) reach `page_bytes`, so it exceeds the budget
@@ -182,9 +183,7 @@ impl<S: CompactSketch> SketchStore<S> {
             entries,
         }
     }
-}
 
-impl<S: CompactSketch + Mergeable> SketchStore<S> {
     /// Applies a shipped state to `key` with union-merge semantics:
     /// creates the key when absent, merges otherwise. Returns `true`
     /// when the local state changed.

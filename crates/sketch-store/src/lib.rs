@@ -5,20 +5,20 @@
 //!
 //! A [`SketchStore`] holds millions of keyed sketches (one per user
 //! segment, page, shard, …) behind an `N`-way shard map of
-//! `parking_lot::RwLock`-guarded hash tables. It is generic over the
-//! [`sketch_core`] traits, which SetSketch1 and SetSketch2 implement:
-//! one SetSketch answers both the cardinality questions of HyperLogLog
-//! and the similarity questions of MinHash, so the paper's other
-//! families stay baselines outside the store:
+//! `parking_lot::RwLock`-guarded hash tables. It is generic over the one
+//! trait [`Sketch`], which SetSketch1 and SetSketch2 implement: one
+//! SetSketch answers both the cardinality questions of HyperLogLog and
+//! the similarity questions of MinHash, so the paper's other families
+//! stay baselines outside the store:
 //!
 //! * **builder construction** — [`SketchStore::builder`] is the single
 //!   front door: shard count, pipeline queue depth and writer threads
 //!   (and future knobs) are configured fluently;
 //! * **batched ingest** — [`SketchStore::ingest`] records a whole batch
-//!   under one lock acquisition, hitting the sketch's specialized
-//!   [`BatchInsert`] path (SetSketch's deduplicated value-order fill); a
-//!   batch that raises no register — almost every batch once n ≫ m —
-//!   is a read: no version bump, no log record;
+//!   under one lock acquisition through
+//!   [`Sketch::insert_batch_changed`] (SetSketch's deduplicated
+//!   value-order fill); a batch that raises no register — almost every
+//!   batch once n ≫ m — is a read: no version bump, no log record;
 //! * **pipelined ingest** — [`SketchStore::pipeline`] returns an
 //!   [`IngestPipeline`] routing batches into bounded per-writer
 //!   channels drained by dedicated threads that coalesce each burst
@@ -48,7 +48,7 @@
 //!   whenever residency exceeds the budget a second-chance clock scan
 //!   demotes cold keys from **hot** (resident sketch) to **warm**
 //!   (registers compressed in memory through the sketch's
-//!   [`CompactSketch`](sketch_core::CompactSketch) codec) to **frozen**
+//!   [`compress`](Sketch::compress) codec) to **frozen**
 //!   (compressed bytes spilled to temp segment files, removed when the
 //!   store drops). Point reads and writes transparently rehydrate; bulk
 //!   sweeps (similarity queries, merge-down, delta pages, checkpoints)
@@ -154,11 +154,8 @@ pub use store::{SketchStore, DEFAULT_SHARDS};
 pub use tier::TierStats;
 pub use wal::{FsyncPolicy, RecoveryReport};
 
-// Downstream convenience: the traits a store-bound sketch implements,
-// the joint-estimation result type, and the banding layout the
-// similarity index reports.
+// Downstream convenience: the trait a stored sketch implements, the
+// joint-estimation result type, and the banding layout the similarity
+// index reports.
 pub use lsh::Banding;
-pub use sketch_core::{
-    BatchInsert, CardinalityEstimator, JointEstimator, JointQuantities, Mergeable, Signature,
-    Sketch,
-};
+pub use sketch_core::{JointQuantities, Sketch};

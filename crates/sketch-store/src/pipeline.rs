@@ -50,7 +50,7 @@
 //! ```
 
 use crate::store::SketchStore;
-use sketch_core::{BatchInsert, CompactSketch};
+use sketch_core::Sketch;
 use std::any::Any;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -91,12 +91,12 @@ enum Op {
 /// burst's flush markers, repeat — until every sender has hung up and
 /// the channel is drained.
 ///
-/// The sketch update is user code (`S` is any [`BatchInsert`]), so it
+/// The sketch update is user code (`S` is any [`Sketch`]), so it
 /// runs under `catch_unwind`: a panic must not kill the writer, which
 /// would turn every later `ingest` and `flush` into an error. The first
 /// payload is returned as the thread's result and resurfaced by the
 /// pipeline's `Drop`.
-fn writer_loop<S: CompactSketch + BatchInsert>(
+fn writer_loop<S: Sketch>(
     store: &SketchStore<S>,
     queue: Receiver<Op>,
     depth: usize,
@@ -150,13 +150,13 @@ fn writer_loop<S: CompactSketch + BatchInsert>(
 /// Dropping the pipeline drains every accepted batch into the store,
 /// joins the writer threads, and resurfaces the first panic a sketch
 /// update raised on a writer.
-pub struct IngestPipeline<S: CompactSketch + BatchInsert + Send + Sync + 'static> {
+pub struct IngestPipeline<S: Sketch> {
     store: Arc<SketchStore<S>>,
     queues: Vec<SyncSender<Op>>,
     writers: Vec<JoinHandle<Option<Panic>>>,
 }
 
-impl<S: CompactSketch + BatchInsert + Send + Sync + 'static> SketchStore<S> {
+impl<S: Sketch> SketchStore<S> {
     /// Opens a pipelined ingest front over this store, spawning the
     /// writer threads configured at build time
     /// ([`StoreBuilder::writer_threads`](crate::StoreBuilder::writer_threads),
@@ -198,11 +198,10 @@ impl<S: CompactSketch + BatchInsert + Send + Sync + 'static> SketchStore<S> {
     }
 }
 
-impl<S: CompactSketch + BatchInsert + Send + Sync + 'static> IngestPipeline<S> {
+impl<S: Sketch> IngestPipeline<S> {
     /// Queues a batch for `key` (applied through the store's batched
-    /// [`ingest`](SketchStore::ingest), hitting the sketch's
-    /// [`BatchInsert`] fast path), blocking while the key's channel is
-    /// full.
+    /// [`ingest`](SketchStore::ingest)), blocking while the key's
+    /// channel is full.
     pub fn ingest(&self, key: &str, elements: &[u64]) {
         let queue = &self.queues[self.store.shard_index(key) % self.queues.len()];
         queue
@@ -227,7 +226,7 @@ impl<S: CompactSketch + BatchInsert + Send + Sync + 'static> IngestPipeline<S> {
     }
 }
 
-impl<S: CompactSketch + BatchInsert + Send + Sync + 'static> Drop for IngestPipeline<S> {
+impl<S: Sketch> Drop for IngestPipeline<S> {
     /// Hangs up the channels (each writer drains what it accepted and
     /// exits), joins the writers, and resurfaces the first panic a
     /// sketch update raised on one of them.

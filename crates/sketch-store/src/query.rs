@@ -14,7 +14,7 @@
 //! 1. **Candidate generation** — picked by [`QueryOptions::index`].
 //!    [`IndexStrategy::Flat`] (the default) keeps the stored sketches'
 //!    locality-sensitive register signatures
-//!    ([`sketch_core::Signature`], paper §3.3) in one banding
+//!    ([`Sketch::signature_into`], paper §3.3) in one banding
 //!    [`LshIndex`] whose band/row layout is auto-tuned from the
 //!    family's collision-probability bound at the query threshold
 //!    ([`Banding::tune`], at [`BANDING_RECALL`]); only keys sharing a
@@ -44,7 +44,7 @@
 //!    cached in its slot, not once per pair. The verifier is the
 //!    family's exact joint estimator (the `compare_counts` register
 //!    kernel feeding the paper's §3.2 likelihood maximization) through
-//!    [`JointEstimator::joint_with_cardinalities`], so a reported pair's
+//!    [`Sketch::joint_with_cardinalities`], so a reported pair's
 //!    quantities equal [`SketchStore::joint`] on the same keys whichever
 //!    strategy made it a candidate.
 //!
@@ -61,9 +61,7 @@ use crate::ann::{router, ClusteredIndexInfo, IndexStrategy};
 use crate::error::StoreError;
 use crate::store::SketchStore;
 use lsh::{Banding, LshIndex};
-use sketch_core::{
-    CardinalityEstimator, CompactSketch, JointEstimator, JointQuantities, Signature,
-};
+use sketch_core::{JointQuantities, Sketch};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
@@ -299,7 +297,7 @@ pub struct SimilarityIndexInfo {
     pub clustered: Option<ClusteredIndexInfo>,
 }
 
-impl<S> SketchStore<S> {
+impl<S: Sketch> SketchStore<S> {
     /// Reports the similarity index state with the **latest last-used
     /// stamp** — the one the most recent index-using query landed on —
     /// with its tuned banding and coverage, or `None` if no similarity
@@ -341,12 +339,7 @@ impl<S> SketchStore<S> {
             }
         })
     }
-}
 
-impl<S> SketchStore<S>
-where
-    S: CompactSketch + Signature + JointEstimator + CardinalityEstimator + Clone + Send + Sync,
-{
     /// The `k` keys most similar to `key`, with joint estimates (query
     /// on the `U` side).
     ///
@@ -932,7 +925,7 @@ struct VerifyEntries<S> {
     sketches: Vec<S>,
 }
 
-impl<S: JointEstimator> VerifyEntries<S> {
+impl<S: Sketch> VerifyEntries<S> {
     /// The joint estimate of entry pair `(a, b)`.
     fn verify(&self, a: u32, b: u32) -> Result<JointQuantities, StoreError> {
         let (a, b) = (a as usize, b as usize);
@@ -956,7 +949,7 @@ impl<S: JointEstimator> VerifyEntries<S> {
 /// the family's exact one — the same code path as
 /// [`SketchStore::joint`] — so a pair's reported quantities are
 /// independent of how it became a candidate.
-fn verify_candidates<S: JointEstimator + Sync>(
+fn verify_candidates<S: Sketch>(
     entries: &VerifyEntries<S>,
     candidates: Candidates<'_>,
     threshold: f64,

@@ -7,9 +7,7 @@ use crate::query::SimilarityIndex;
 use crate::tier::{TierPolicy, TierRuntime, TierSlot};
 use crate::wal::Durability;
 use parking_lot::RwLock;
-use sketch_core::{
-    BatchInsert, CardinalityEstimator, CompactSketch, JointEstimator, JointQuantities, Mergeable,
-};
+use sketch_core::{JointQuantities, Sketch};
 use sketch_rand::hash_bytes;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -214,17 +212,12 @@ pub struct SketchStore<S> {
     pub(crate) durability: Option<Durability>,
 }
 
-impl<S: CompactSketch> SketchStore<S> {
+impl<S: Sketch> SketchStore<S> {
     /// Starts building a store around `factory`, the closure that builds
     /// the empty sketch for every new key (fixing configuration and hash
     /// seed). This is the one construction entry point; shard count,
     /// ingest-pipeline depth and writer threads, memory-tier knobs and
     /// future options hang off the returned [`StoreBuilder`].
-    ///
-    /// The bounds are what every store uses: the compact codec carries
-    /// cold tiers, checkpoints, put/merge-in log records and replication
-    /// pages; [`BatchInsert`] and [`Mergeable`] replay ingest and
-    /// merge-in records.
     ///
     /// ```
     /// use setsketch::{SetSketch2, SetSketchConfig};
@@ -238,10 +231,7 @@ impl<S: CompactSketch> SketchStore<S> {
     ///     .build();
     /// assert_eq!(store.shard_count(), 32);
     /// ```
-    pub fn builder(factory: impl Fn() -> S + Send + Sync + 'static) -> StoreBuilder<S>
-    where
-        S: BatchInsert + Mergeable,
-    {
+    pub fn builder(factory: impl Fn() -> S + Send + Sync + 'static) -> StoreBuilder<S> {
         StoreBuilder::new(factory)
     }
 
@@ -645,9 +635,7 @@ impl<S: CompactSketch> SketchStore<S> {
         self.maintain();
         result
     }
-}
 
-impl<S: CompactSketch + BatchInsert> SketchStore<S> {
     /// Records one element under `key`, creating the sketch on first
     /// use — [`ingest`](Self::ingest) of a one-element batch.
     pub fn insert(&self, key: &str, element: u64) {
@@ -656,9 +644,9 @@ impl<S: CompactSketch + BatchInsert> SketchStore<S> {
 
     /// Records a batch of elements under `key`, creating the sketch on
     /// first use. One lock acquisition per log record — the whole batch
-    /// unless it outgrows the 64 MiB record limit (≈ 8.4 M elements);
-    /// sketches with a specialized [`BatchInsert`] (SetSketch's
-    /// deduplicated value-order fill) get their fast path.
+    /// unless it outgrows the 64 MiB record limit (≈ 8.4 M elements),
+    /// applied through [`Sketch::insert_batch_changed`] (SetSketch's
+    /// deduplicated value-order fill).
     ///
     /// The batch is applied first; only when it raised a register (or
     /// created the key) is the key restamped and, on a durable store,
@@ -680,17 +668,13 @@ impl<S: CompactSketch + BatchInsert> SketchStore<S> {
             }
         }
     }
-}
 
-impl<S: CompactSketch + Clone> SketchStore<S> {
     /// Clones the sketch under `key` out of the store (promoting it to
     /// hot if it was compressed or spilled — a point read).
     pub fn get(&self, key: &str) -> Option<S> {
         self.with_sketch(key, |sketch| sketch.clone())
     }
-}
 
-impl<S: CompactSketch + CardinalityEstimator> SketchStore<S> {
     /// Estimated distinct count recorded under `key`.
     ///
     /// # Errors
@@ -701,9 +685,7 @@ impl<S: CompactSketch + CardinalityEstimator> SketchStore<S> {
         self.try_with_sketch(key, |sketch| sketch.cardinality())?
             .ok_or_else(|| StoreError::KeyNotFound(key.to_owned()))
     }
-}
 
-impl<S: CompactSketch + Mergeable + Clone> SketchStore<S> {
     /// Union sketch of the listed keys (each shard locked one at a time;
     /// per-key point-in-time). Cold keys are promoted — merging a
     /// selection is a point read of each member.
@@ -730,7 +712,7 @@ impl<S: CompactSketch + Mergeable + Clone> SketchStore<S> {
     /// (`None` when the store is empty).
     ///
     /// Each shard is absorbed through one
-    /// [`merge_many`](Mergeable::merge_many) call under its read lock,
+    /// [`merge_many`](Sketch::merge_many) call under its read lock,
     /// so sketches with batched register kernels (SetSketch) amortize
     /// their per-merge bookkeeping across the whole shard. Cold entries
     /// are decompressed into temporaries and **not** promoted — a
@@ -765,16 +747,12 @@ impl<S: CompactSketch + Mergeable + Clone> SketchStore<S> {
         }
         Ok(merged)
     }
-}
 
-impl<S: CompactSketch + Mergeable + CardinalityEstimator + Clone> SketchStore<S> {
     /// Estimated cardinality of the union of the listed keys.
     pub fn union_cardinality(&self, keys: &[&str]) -> Result<f64, StoreError> {
         Ok(self.merge_keys(keys)?.cardinality())
     }
-}
 
-impl<S: CompactSketch + JointEstimator> SketchStore<S> {
     /// Joint estimation (Jaccard, intersection, union, differences, …)
     /// between the sketches under two keys, without cloning either.
     pub fn joint(&self, key_a: &str, key_b: &str) -> Result<JointQuantities, StoreError> {

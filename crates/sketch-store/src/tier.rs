@@ -8,8 +8,8 @@
 //!
 //! * **Hot** — the sketch struct itself, the unchanged fast path;
 //! * **Warm** — the registers compressed through the sketch's
-//!   [`CompactSketch`] codec (SetSketch packs offsets from a shared base
-//!   plus a sparse exception list), held in memory;
+//!   [`compress`](Sketch::compress) codec (SetSketch packs offsets from
+//!   a shared base plus a sparse exception list), held in memory;
 //! * **Frozen** — the same compressed bytes appended to a spill segment
 //!   file on disk, with only the `(segment, offset, len)` location kept
 //!   in the shard map.
@@ -34,7 +34,7 @@ use crate::error::StoreError;
 use crate::frame::{self, Frame};
 use crate::store::{SketchStore, Slot};
 use parking_lot::Mutex;
-use sketch_core::CompactSketch;
+use sketch_core::Sketch;
 use std::borrow::Cow;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -46,8 +46,8 @@ use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicU64, AtomicUsize, Orderin
 pub(crate) enum TierSlot<S> {
     /// Resident sketch — the unchanged fast path.
     Hot(S),
-    /// Registers compressed in memory through the family's
-    /// [`CompactSketch`] codec.
+    /// Registers compressed in memory through the sketch's
+    /// [`compress`](Sketch::compress) codec.
     Warm(Box<[u8]>),
     /// Compressed bytes spilled to an append-only segment file; only
     /// the location stays in memory.
@@ -80,7 +80,7 @@ impl<S> TierSlot<S> {
 ///
 /// Byte figures are as the tier manager accounts them: `hot_bytes` is
 /// the sketches' own resident-footprint estimate
-/// ([`CompactSketch::resident_bytes`]), `warm_bytes` the compressed
+/// ([`Sketch::resident_bytes`]), `warm_bytes` the compressed
 /// in-memory payloads, `spilled_bytes` the live compressed records on
 /// disk (superseded records in the append-only segments are not
 /// counted).
@@ -157,7 +157,7 @@ pub(crate) struct TierRuntime<S> {
     last_spill_error: Mutex<Option<String>>,
 }
 
-impl<S: CompactSketch> TierRuntime<S> {
+impl<S: Sketch> TierRuntime<S> {
     pub(crate) fn new(policy: TierPolicy, prototype: S) -> Self {
         TierRuntime {
             prototype,
@@ -515,7 +515,7 @@ impl Drop for SegmentStore {
     }
 }
 
-impl<S: CompactSketch> SketchStore<S> {
+impl<S: Sketch> SketchStore<S> {
     /// Counts keys and bytes per memory tier (exact: scans every shard
     /// under its read lock).
     ///

@@ -31,7 +31,7 @@
 //!
 //! Replay time is bounded by **checkpoints**: once the log grows past
 //! the configured threshold, the store sweeps every slot's compact
-//! payload (the same [`CompactSketch`] codecs the tiers and the wire
+//! payload (the same [`Sketch::compress`] codec the tiers and the wire
 //! use) into `checkpoint-N.ckpt` — written to a temp file, fsynced and
 //! atomically renamed — after which all WAL segments below `N` are
 //! deleted. Recovery loads the newest checkpoint and replays only the
@@ -51,7 +51,7 @@ use crate::frame::{self, Frame};
 use crate::store::{SketchStore, Slot};
 use crate::tier::TierSlot;
 use parking_lot::{Mutex, RwLock};
-use sketch_core::{BatchInsert, CompactSketch, Mergeable};
+use sketch_core::Sketch;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -533,7 +533,7 @@ impl Durability {
     }
 }
 
-impl<S: CompactSketch> SketchStore<S> {
+impl<S: Sketch> SketchStore<S> {
     /// What recovery found when this store was built from a durable
     /// directory; `None` for non-durable stores.
     pub fn recovery_report(&self) -> Option<&RecoveryReport> {
@@ -773,7 +773,7 @@ fn list_dir(dir: &Path) -> Vec<(DirEntryKind, u64)> {
 /// Rebuilds `store` from the durable directory and opens a fresh WAL
 /// segment for new appends. Called by the builder before the store is
 /// shared, so direct shard access needs no coordination.
-pub(crate) fn recover<S: CompactSketch + BatchInsert + Mergeable>(
+pub(crate) fn recover<S: Sketch>(
     store: &SketchStore<S>,
     dir: &Path,
     fsync: FsyncPolicy,
@@ -875,10 +875,7 @@ pub(crate) fn recover<S: CompactSketch + BatchInsert + Mergeable>(
 /// installed, so the public write paths apply without logging; a
 /// replayed record that raises nothing (its registers are already in
 /// the checkpoint) stamps nothing.
-fn apply<S: CompactSketch + BatchInsert + Mergeable>(
-    store: &SketchStore<S>,
-    record: WalRecord,
-) -> Result<(), String> {
+fn apply<S: Sketch>(store: &SketchStore<S>, record: WalRecord) -> Result<(), String> {
     match record {
         WalRecord::Ingest { key, elements } => {
             store.ingest(&key, &elements);
@@ -926,7 +923,7 @@ fn apply<S: CompactSketch + BatchInsert + Mergeable>(
 /// stay compressed until first touched). Entry-level corruption is
 /// quarantined; a bad header fails the whole file so the caller can
 /// fall back.
-fn load_checkpoint<S: CompactSketch>(
+fn load_checkpoint<S: Sketch>(
     store: &SketchStore<S>,
     path: &Path,
     report: &mut RecoveryReport,
@@ -977,7 +974,7 @@ fn load_checkpoint<S: CompactSketch>(
     Ok(())
 }
 
-impl<S: CompactSketch> SketchStore<S> {
+impl<S: Sketch> SketchStore<S> {
     /// Installs one checkpoint entry as a warm slot with its original
     /// version stamp (recovery only — the store is not shared yet).
     pub(crate) fn install_recovered_entry(&self, key: String, version: u64, payload: Vec<u8>) {
@@ -1050,7 +1047,6 @@ mod tests {
     #[test]
     fn byte_ingest_records_still_replay() {
         use setsketch::{SetSketch2, SetSketchConfig};
-        use sketch_core::Sketch;
 
         let dir = std::env::temp_dir().join(format!("sketch-wal-bytes-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);

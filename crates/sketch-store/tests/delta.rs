@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use setsketch::{SetSketch1, SetSketchConfig};
-use sketch_core::CompactSketch;
+use sketch_core::Sketch;
 use sketch_store::SketchStore;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -18,7 +18,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use setsketch::{SetSketch1, SetSketch2, SetSketchConfig};
-use sketch_core::{BatchInsert, CompactSketch, Mergeable};
+use sketch_core::Sketch;
 use sketch_store::{FsyncPolicy, SketchStore};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -107,7 +107,7 @@ fn ops_strategy() -> impl Strategy<Value = Vec<Op>> {
 /// identical call sequence).
 fn apply<S>(store: &SketchStore<S>, sketch_of: &impl Fn(u64, u64) -> S, op: &Op)
 where
-    S: BatchInsert + Mergeable + CompactSketch + Clone + PartialEq,
+    S: Sketch,
 {
     match op {
         Op::Ingest { key, start, len } => {
@@ -142,7 +142,7 @@ fn drive_durable<S>(
     checkpoint_after: u64,
 ) -> Result<(), TestCaseError>
 where
-    S: BatchInsert + Mergeable + CompactSketch + Clone + PartialEq + std::fmt::Debug,
+    S: Sketch + std::fmt::Debug,
 {
     let scratch = Scratch::new("script");
     let sketch_of = {

@@ -145,10 +145,7 @@ fn full_queue_blocks_instead_of_growing() {
 
     // Every accepted element (0..=depth+2) reached the store.
     let mut reference = SetSketch2::new(config(), 11);
-    sketch_core::BatchInsert::insert_batch(
-        &mut reference,
-        &(0..=depth as u64 + 2).collect::<Vec<_>>(),
-    );
+    sketch_core::Sketch::insert_batch(&mut reference, &(0..=depth as u64 + 2).collect::<Vec<_>>());
     assert_eq!(store.get("k").unwrap(), reference);
 }
 
@@ -165,7 +162,7 @@ fn drop_drains_accepted_operations() {
         pipeline.ingest("events", &(500..600).collect::<Vec<_>>());
     } // no flush: Drop must drain
     let mut reference = SetSketch2::new(config(), 11);
-    sketch_core::BatchInsert::insert_batch(&mut reference, &(0..600).collect::<Vec<_>>());
+    sketch_core::Sketch::insert_batch(&mut reference, &(0..600).collect::<Vec<_>>());
     assert_eq!(store.get("events").unwrap(), reference);
 }
 
@@ -215,32 +212,61 @@ fn flush_returns_while_producers_keep_ingesting() {
 /// resurfaces when the pipeline is dropped.
 #[test]
 fn writer_panic_wakes_flush_and_resurfaces_on_drop() {
-    #[derive(Clone, Default)]
+    #[derive(Clone, Default, PartialEq)]
     struct Panicky;
+    // A stateless sketch: merging and the codec are trivial, and no
+    // query reaches it.
     impl sketch_core::Sketch for Panicky {
-        fn insert_u64(&mut self, element: u64) {
-            assert_ne!(element, 42, "poison pill");
+        type Incompatible = std::convert::Infallible;
+        type DecodeError = std::convert::Infallible;
+        fn insert_batch_changed(&mut self, elements: &[u64]) -> bool {
+            assert!(!elements.contains(&42), "poison pill");
+            false
         }
         fn insert_bytes(&mut self, _bytes: &[u8]) {}
-    }
-    impl sketch_core::BatchInsert for Panicky {}
-    // A stateless sketch: merging and the codec are trivial.
-    impl sketch_core::Mergeable for Panicky {
-        type MergeError = std::convert::Infallible;
-        fn is_compatible(&self, _other: &Self) -> bool {
-            true
-        }
-        fn merge_from(&mut self, _other: &Self) -> Result<bool, Self::MergeError> {
+        fn merge_from(&mut self, _other: &Self) -> Result<bool, Self::Incompatible> {
             Ok(false)
         }
-    }
-    impl sketch_core::CompactSketch for Panicky {
-        type CompactError = std::convert::Infallible;
+        fn merge_many<'a, I>(&mut self, _others: I) -> Result<(), Self::Incompatible>
+        where
+            I: IntoIterator<Item = &'a Self>,
+        {
+            Ok(())
+        }
         fn compress(&self) -> Vec<u8> {
             Vec::new()
         }
-        fn decompress(_prototype: &Self, _bytes: &[u8]) -> Result<Self, Self::CompactError> {
+        fn decompress(_prototype: &Self, _bytes: &[u8]) -> Result<Self, Self::DecodeError> {
             Ok(Panicky)
+        }
+        fn resident_bytes(&self) -> usize {
+            0
+        }
+        fn cardinality(&self) -> f64 {
+            unreachable!()
+        }
+        fn joint(&self, _other: &Self) -> Result<sketch_core::JointQuantities, Self::Incompatible> {
+            unreachable!()
+        }
+        fn joint_with_cardinalities(
+            &self,
+            _other: &Self,
+            _n_u: f64,
+            _n_v: f64,
+        ) -> Result<sketch_core::JointQuantities, Self::Incompatible> {
+            unreachable!()
+        }
+        fn signature_len(&self) -> usize {
+            unreachable!()
+        }
+        fn signature_into(&self, _out: &mut Vec<u32>) {
+            unreachable!()
+        }
+        fn register_collision_probability(&self, _jaccard: f64) -> f64 {
+            unreachable!()
+        }
+        fn ordinal_registers(&self) -> bool {
+            unreachable!()
         }
     }
 

@@ -344,7 +344,7 @@ fn every_strategy_answers_from_the_exhaustive_pair_set() {
         let builder = SketchStore::builder(move || SetSketch1::new(cfg, 42)).shards(8);
         let store = if tiered {
             // Room for eight resident sketches out of 150 keys.
-            let resident = sketch_core::CompactSketch::resident_bytes(&SetSketch1::new(cfg, 42));
+            let resident = sketch_core::Sketch::resident_bytes(&SetSketch1::new(cfg, 42));
             builder.memory_budget_bytes(8 * resident).build()
         } else {
             builder.build()

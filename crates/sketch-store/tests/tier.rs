@@ -16,7 +16,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use setsketch::{SetSketch1, SetSketch2, SetSketchConfig};
-use sketch_core::{BatchInsert, CardinalityEstimator, CompactSketch, Mergeable};
+use sketch_core::Sketch;
 use sketch_store::SketchStore;
 
 /// One step of an interleaved tier workload over a small key space.
@@ -64,7 +64,7 @@ fn drive<S>(
     ops: &[Op],
 ) -> Result<(), TestCaseError>
 where
-    S: BatchInsert + Mergeable + CompactSketch + Clone + PartialEq + std::fmt::Debug,
+    S: Sketch + std::fmt::Debug,
 {
     let build_tiered = || {
         SketchStore::builder(factory.clone())

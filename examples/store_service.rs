@@ -35,7 +35,7 @@ use sketch_cluster::{
     ClusterClient, ClusterNode, HashRing, Message, NodeId, Resilient, TcpServer, TcpTransport,
     Transport,
 };
-use sketch_core::CompactSketch;
+use sketch_core::Sketch;
 use sketch_rand::mix64;
 use sketch_store::{IndexStrategy, QueryOptions, SketchStore};
 use std::collections::BTreeMap;

@@ -7,7 +7,8 @@
 //! * [`setsketch`] — the paper's contribution;
 //! * [`minhash`], [`hyperloglog`], [`hyperminhash`] — the baselines
 //!   the paper evaluates against;
-//! * [`sketch_core`] — the unifying trait layer over all sketch families;
+//! * [`sketch_core`] — the one sketch trait the store and cluster serve
+//!   through, implemented by SetSketch;
 //! * [`sketch_store`] — the concurrent sharded registry of named sketches;
 //! * [`lsh`] — similarity search on sketch signatures;
 //! * [`sketch_rand`], [`sketch_math`] — the substrates;

@@ -11,7 +11,7 @@
 use hyperloglog::{GhllConfig, GhllSketch};
 use setsketch::{ExponentialSpacings, IntervalSampling};
 use setsketch::{SetSketch, SetSketchConfig, ValueSequence};
-use sketch_core::CompactSketch;
+use sketch_core::Sketch;
 use sketch_math::crc32;
 use sketch_rand::mix64;
 

@@ -14,7 +14,7 @@ use setsketch::{
     ValueSequence,
 };
 use simulation::workload::SetPair;
-use sketch_core::CompactSketch;
+use sketch_core::Sketch;
 use sketch_math::bitpack::{pack_bits, unpack_bits};
 use sketch_math::{inclusion_exclusion_jaccard, ml_jaccard, ml_jaccard_b1, JointCounts};
 

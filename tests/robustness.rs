@@ -8,7 +8,7 @@ use hyperloglog::{GhllDecodeError, GhllSketch};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use setsketch::{SetSketch1, SetSketch2, SetSketchConfig, StateError};
-use sketch_core::CompactSketch;
+use sketch_core::Sketch;
 use sketch_math::bitpack::pack_offsets;
 
 /// A SetSketch1 with the given registers, loaded through the validated

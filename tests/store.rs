@@ -1,5 +1,5 @@
-//! Integration tests of the serving stack: unified traits + sharded
-//! concurrent store, driven with both SetSketch variants.
+//! Integration tests of the serving stack: the one sketch trait +
+//! sharded concurrent store, driven with both SetSketch variants.
 //!
 //! The central acceptance check lives here: ≥ 4 threads ingesting into
 //! *overlapping* keys must produce exactly the state single-threaded
@@ -8,9 +8,7 @@
 //! tolerance.
 
 use setsketch::{SetSketch1, SetSketch2, SetSketchConfig};
-use sketch_core::{
-    BatchInsert, CardinalityEstimator, CompactSketch, JointEstimator, Mergeable, Sketch,
-};
+use sketch_core::Sketch;
 use sketch_store::{SketchStore, StoreError};
 
 const THREADS: u64 = 6;
@@ -26,7 +24,7 @@ fn thread_elements(t: u64, k: usize) -> Vec<u64> {
 }
 
 /// Single-threaded reference state for key `k`.
-fn reference<S: BatchInsert>(mut sketch: S, k: usize) -> S {
+fn reference<S: Sketch>(mut sketch: S, k: usize) -> S {
     for t in 0..THREADS {
         sketch.insert_batch(&thread_elements(t, k));
     }
@@ -38,7 +36,7 @@ fn reference<S: BatchInsert>(mut sketch: S, k: usize) -> S {
 /// key's state must equal the single-threaded reference exactly.
 fn assert_concurrent_matches_sequential<S>(factory: impl Fn() -> S + Clone + Send + Sync + 'static)
 where
-    S: CompactSketch + BatchInsert + Mergeable + Clone + PartialEq + std::fmt::Debug + Send + Sync,
+    S: Sketch + std::fmt::Debug,
 {
     let store = SketchStore::builder(factory.clone()).shards(4).build();
     std::thread::scope(|scope| {
@@ -133,34 +131,16 @@ fn concurrent_estimates_match_reference_within_tolerance() {
     assert!(rel.abs() < 0.17, "union estimate {union}");
 }
 
-/// Boxed trait objects work for heterogeneous recording pipelines.
-#[test]
-fn dyn_sketch_recording() {
-    let cfg = SetSketchConfig::new(64, 2.0, 20.0, 62).unwrap();
-    let mut sketches: Vec<Box<dyn Sketch>> = vec![
-        Box::new(SetSketch1::new(cfg, 1)),
-        Box::new(SetSketch2::new(cfg, 1)),
-    ];
-    for sketch in &mut sketches {
-        sketch.insert_u64(42);
-        sketch.insert_str("forty-two");
-        sketch.insert_bytes(b"\x2a");
-    }
-}
-
-/// A generic pipeline written once against the traits runs on both
+/// A generic pipeline written once against the one trait runs on both
 /// SetSketch variants and produces sane joint estimates.
 #[test]
 fn generic_pipeline_over_families() {
-    fn jaccard_of_ranges<S>(factory: impl Fn() -> S) -> f64
-    where
-        S: BatchInsert + JointEstimator + CardinalityEstimator,
-    {
+    fn jaccard_of_ranges<S: Sketch>(factory: impl Fn() -> S) -> f64 {
         let mut a = factory();
         let mut b = factory();
         a.insert_batch(&(0..3_000).collect::<Vec<_>>());
         b.insert_batch(&(1_500..4_500).collect::<Vec<_>>());
-        a.jaccard(&b).expect("compatible")
+        a.joint(&b).expect("compatible").jaccard
     }
 
     let cfg = SetSketchConfig::new(1024, 1.5, 20.0, 100).unwrap();

@@ -7,7 +7,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use setsketch::{SetSketch1, SetSketch2, SetSketchConfig};
-use sketch_core::{BatchInsert, CompactSketch, Mergeable};
+use sketch_core::Sketch;
 use sketch_store::SketchStore;
 
 /// One generated workload: four "threads" worth of element batches.
@@ -25,7 +25,7 @@ fn parallel_matches_sequential<S>(
     batches: &Batches,
 ) -> Result<(), TestCaseError>
 where
-    S: CompactSketch + BatchInsert + Mergeable + Clone + PartialEq + std::fmt::Debug + Send + Sync,
+    S: Sketch + std::fmt::Debug,
 {
     // Thread t writes key "k{t % 2}": threads 0/2 and 1/3 collide.
     let store = SketchStore::builder(factory.clone()).shards(4).build();
