@@ -290,8 +290,8 @@ fn bench_lsh_index(c: &mut Criterion) {
                 let joint = sketches[17]
                     .estimate_joint(&sketches[id as usize])
                     .expect("compatible");
-                if joint.quantities.jaccard > best.1 {
-                    best = (id, joint.quantities.jaccard);
+                if joint.jaccard > best.1 {
+                    best = (id, joint.jaccard);
                 }
             }
             best

@@ -209,24 +209,14 @@ impl<K: Clone + Eq + Hash> LshIndex<K> {
     /// # Panics
     /// Panics if the signature is shorter than `bands * rows`.
     pub fn query(&self, signature: &[u32]) -> Vec<K> {
-        let mut result = Vec::new();
-        self.query_into(signature, &mut result);
-        result
-    }
-
-    /// [`query`](Self::query) into a caller-owned buffer (cleared
-    /// first), so batched query loops reuse one allocation.
-    ///
-    /// # Panics
-    /// Panics if the signature is shorter than `bands * rows`.
-    pub fn query_into(&self, signature: &[u32], out: &mut Vec<K>) {
         self.check_signature(signature);
-        out.clear();
+        let mut result = Vec::new();
         let mut seen = HashSet::new();
         for band in 0..self.bands {
             let bucket = self.band_hash(band, signature);
-            self.probe_bucket(band, bucket, &mut seen, out);
+            self.probe_bucket(band, bucket, &mut seen, &mut result);
         }
+        result
     }
 
     /// Distinct keys of the buckets named by precomputed band hashes

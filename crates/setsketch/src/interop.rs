@@ -52,7 +52,7 @@ impl<S: ValueSequence> Sketch for SetSketch<S> {
     }
 
     fn joint(&self, other: &Self) -> Result<JointQuantities, IncompatibleSketches> {
-        Ok(self.estimate_joint(other)?.quantities)
+        self.estimate_joint(other)
     }
 
     fn joint_with_cardinalities(
@@ -61,9 +61,7 @@ impl<S: ValueSequence> Sketch for SetSketch<S> {
         n_u: f64,
         n_v: f64,
     ) -> Result<JointQuantities, IncompatibleSketches> {
-        Ok(self
-            .estimate_joint_with_cardinalities(other, n_u, n_v)?
-            .quantities)
+        self.estimate_joint_with_cardinalities(other, n_u, n_v)
     }
 
     fn signature_len(&self) -> usize {
@@ -215,7 +213,7 @@ mod tests {
         b.insert_batch(&(5_000..15_000).collect::<Vec<_>>());
         assert_eq!(a.cardinality(), a.estimate_cardinality());
         let joint = Sketch::joint(&a, &b).unwrap();
-        assert_eq!(joint, a.estimate_joint(&b).unwrap().quantities);
+        assert_eq!(joint, a.estimate_joint(&b).unwrap());
         let mut merged = a.clone();
         assert!(Sketch::merge_from(&mut merged, &b).unwrap());
         assert_eq!(merged, a.merged(&b).unwrap());

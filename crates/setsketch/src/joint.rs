@@ -11,27 +11,6 @@ use crate::sequence::ValueSequence;
 use crate::sketch::{IncompatibleSketches, SetSketch};
 use sketch_math::{inclusion_exclusion_jaccard, ml_jaccard, JointCounts, JointQuantities};
 
-/// Which Jaccard estimation strategy produced a [`JointEstimate`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JointMethod {
-    /// New maximum-likelihood estimator over register order statistics.
-    MaximumLikelihood,
-    /// Inclusion–exclusion over three cardinality estimates (baseline).
-    InclusionExclusion,
-}
-
-/// Result of a joint estimation: all quantities of paper §3.2 plus the
-/// observed register comparison counts.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct JointEstimate {
-    /// The estimated joint quantities.
-    pub quantities: JointQuantities,
-    /// Observed register comparison counts.
-    pub counts: JointCounts,
-    /// Estimation strategy used.
-    pub method: JointMethod,
-}
-
 impl<S: ValueSequence> SetSketch<S> {
     /// Register comparison counts against a compatible sketch (one pass
     /// of the vectorized three-way comparison kernel).
@@ -43,7 +22,7 @@ impl<S: ValueSequence> SetSketch<S> {
 
     /// Joint estimation with cardinalities estimated from the sketches
     /// (the paper's "new" estimator).
-    pub fn estimate_joint(&self, other: &Self) -> Result<JointEstimate, IncompatibleSketches> {
+    pub fn estimate_joint(&self, other: &Self) -> Result<JointQuantities, IncompatibleSketches> {
         let n_u = self.estimate_cardinality();
         let n_v = other.estimate_cardinality();
         self.estimate_joint_with_cardinalities(other, n_u, n_v)
@@ -56,25 +35,17 @@ impl<S: ValueSequence> SetSketch<S> {
         other: &Self,
         n_u: f64,
         n_v: f64,
-    ) -> Result<JointEstimate, IncompatibleSketches> {
+    ) -> Result<JointQuantities, IncompatibleSketches> {
         let counts = self.joint_counts(other)?;
         if n_u <= 0.0 || n_v <= 0.0 {
             // One side is empty: the overlap is empty as well.
-            return Ok(JointEstimate {
-                quantities: JointQuantities::new(n_u.max(0.0), n_v.max(0.0), 0.0),
-                counts,
-                method: JointMethod::MaximumLikelihood,
-            });
+            return Ok(JointQuantities::new(n_u.max(0.0), n_v.max(0.0), 0.0));
         }
         let total = n_u + n_v;
         let u = n_u / total;
         let v = n_v / total;
         let jaccard = ml_jaccard(counts, self.config().b(), u, v);
-        Ok(JointEstimate {
-            quantities: JointQuantities::new(n_u, n_v, jaccard),
-            counts,
-            method: JointMethod::MaximumLikelihood,
-        })
+        Ok(JointQuantities::new(n_u, n_v, jaccard))
     }
 
     /// Joint estimation through the inclusion–exclusion principle (13):
@@ -82,18 +53,13 @@ impl<S: ValueSequence> SetSketch<S> {
     pub fn estimate_joint_inclusion_exclusion(
         &self,
         other: &Self,
-    ) -> Result<JointEstimate, IncompatibleSketches> {
-        let counts = self.joint_counts(other)?;
+    ) -> Result<JointQuantities, IncompatibleSketches> {
         let n_u = self.estimate_cardinality();
         let n_v = other.estimate_cardinality();
         let union = self.merged(other)?;
         let n_union = union.estimate_cardinality();
         let jaccard = inclusion_exclusion_jaccard(n_u, n_v, n_union);
-        Ok(JointEstimate {
-            quantities: JointQuantities::new(n_u, n_v, jaccard),
-            counts,
-            method: JointMethod::InclusionExclusion,
-        })
+        Ok(JointQuantities::new(n_u, n_v, jaccard))
     }
 }
 
@@ -127,11 +93,7 @@ mod tests {
         let cfg = SetSketchConfig::new(256, 2.0, 20.0, 62).unwrap();
         let (u, v) = sketch_pair(cfg, 1, 0, 0, 10_000);
         let est = u.estimate_joint(&v).unwrap();
-        assert!(
-            est.quantities.jaccard > 0.99,
-            "jaccard {}",
-            est.quantities.jaccard
-        );
+        assert!(est.jaccard > 0.99, "jaccard {}", est.jaccard);
     }
 
     #[test]
@@ -140,11 +102,7 @@ mod tests {
         let (u, v) = sketch_pair(cfg, 2, 10_000, 10_000, 0);
         let est = u.estimate_joint(&v).unwrap();
         // With m = 256 the estimator noise floor is a few percent.
-        assert!(
-            est.quantities.jaccard < 0.05,
-            "jaccard {}",
-            est.quantities.jaccard
-        );
+        assert!(est.jaccard < 0.05, "jaccard {}", est.jaccard);
     }
 
     #[test]
@@ -153,11 +111,11 @@ mod tests {
         let cfg = SetSketchConfig::new(4096, 1.001, 20.0, (1 << 16) - 2).unwrap();
         let (u, v) = sketch_pair(cfg, 3, 5000, 5000, 5000);
         let est = u.estimate_joint(&v).unwrap();
-        let j = est.quantities.jaccard;
+        let j = est.jaccard;
         assert!((j - 1.0 / 3.0).abs() < 0.05, "jaccard {j}");
         // Intersection ~ 5000, union ~ 15000.
-        assert!((est.quantities.intersection - 5000.0).abs() < 600.0);
-        assert!((est.quantities.union_size - 15_000.0).abs() < 1200.0);
+        assert!((est.intersection - 5000.0).abs() < 600.0);
+        assert!((est.union_size - 15_000.0).abs() < 1200.0);
     }
 
     #[test]
@@ -169,9 +127,9 @@ mod tests {
             .unwrap();
         let j_true = 2000.0 / 10_000.0;
         assert!(
-            (known.quantities.jaccard - j_true).abs() < 0.05,
+            (known.jaccard - j_true).abs() < 0.05,
             "jaccard {}",
-            known.quantities.jaccard
+            known.jaccard
         );
     }
 
@@ -182,11 +140,10 @@ mod tests {
         let inex = u.estimate_joint_inclusion_exclusion(&v).unwrap();
         let j_true = 0.4;
         assert!(
-            (inex.quantities.jaccard - j_true).abs() < 0.15,
+            (inex.jaccard - j_true).abs() < 0.15,
             "jaccard {}",
-            inex.quantities.jaccard
+            inex.jaccard
         );
-        assert_eq!(inex.method, super::JointMethod::InclusionExclusion);
     }
 
     #[test]
@@ -204,8 +161,8 @@ mod tests {
         let mut v = SetSketch1::new(cfg, 1);
         v.extend(0..100);
         let est = u.estimate_joint(&v).unwrap();
-        assert_eq!(est.quantities.jaccard, 0.0);
-        assert_eq!(est.quantities.intersection, 0.0);
+        assert_eq!(est.jaccard, 0.0);
+        assert_eq!(est.intersection, 0.0);
     }
 
     #[test]
@@ -222,9 +179,9 @@ mod tests {
         // V = 0..450, U = 0..300 -> J = 300/450 = 2/3.
         let est = u.estimate_joint(&v).unwrap();
         assert!(
-            (est.quantities.jaccard - 2.0 / 3.0).abs() < 0.08,
+            (est.jaccard - 2.0 / 3.0).abs() < 0.08,
             "jaccard {}",
-            est.quantities.jaccard
+            est.jaccard
         );
     }
 
@@ -234,15 +191,11 @@ mod tests {
         // U subset of V: U = intersection, inclusion_u = 1.
         let (u, v) = sketch_pair(cfg, 8, 0, 9000, 1000);
         let est = u.estimate_joint(&v).unwrap();
+        assert!(est.inclusion_u > 0.9, "inclusion_u {}", est.inclusion_u);
         assert!(
-            est.quantities.inclusion_u > 0.9,
-            "inclusion_u {}",
-            est.quantities.inclusion_u
-        );
-        assert!(
-            (est.quantities.inclusion_v - 0.1).abs() < 0.03,
+            (est.inclusion_v - 0.1).abs() < 0.03,
             "inclusion_v {}",
-            est.quantities.inclusion_v
+            est.inclusion_v
         );
     }
 }

@@ -34,7 +34,7 @@
 //!
 //! let joint = paris.estimate_joint(&london).unwrap();
 //! // True Jaccard similarity: 5000 / 15000 = 1/3.
-//! assert!((joint.quantities.jaccard - 1.0 / 3.0).abs() < 0.05);
+//! assert!((joint.jaccard - 1.0 / 3.0).abs() < 0.05);
 //!
 //! // Distributed union: merge the two sketches.
 //! let global = paris.merged(&london).unwrap();
@@ -75,7 +75,6 @@ pub mod sketch;
 pub mod state;
 
 pub use config::{ConfigError, SetSketchConfig};
-pub use joint::{JointEstimate, JointMethod};
 pub use locality::{
     collision_probability, collision_probability_bounds, jaccard_lower_estimate,
     jaccard_upper_estimate, jaccard_upper_rmse,

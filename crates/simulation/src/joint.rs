@@ -366,15 +366,13 @@ impl JointExperiment {
                 u.extend(pair.u_elements(stream_base));
                 v.extend(pair.v_elements(stream_base));
                 PairEstimates {
-                    new: u.estimate_joint(&v).expect("compatible").quantities,
+                    new: u.estimate_joint(&v).expect("compatible"),
                     new_known: u
                         .estimate_joint_with_cardinalities(&v, truth.n_u, truth.n_v)
-                        .expect("compatible")
-                        .quantities,
+                        .expect("compatible"),
                     inclusion_exclusion: u
                         .estimate_joint_inclusion_exclusion(&v)
-                        .expect("compatible")
-                        .quantities,
+                        .expect("compatible"),
                     original: None,
                     original_known: None,
                 }
@@ -387,15 +385,13 @@ impl JointExperiment {
                 u.extend(pair.u_elements(stream_base));
                 v.extend(pair.v_elements(stream_base));
                 PairEstimates {
-                    new: u.estimate_joint(&v).expect("compatible").quantities,
+                    new: u.estimate_joint(&v).expect("compatible"),
                     new_known: u
                         .estimate_joint_with_cardinalities(&v, truth.n_u, truth.n_v)
-                        .expect("compatible")
-                        .quantities,
+                        .expect("compatible"),
                     inclusion_exclusion: u
                         .estimate_joint_inclusion_exclusion(&v)
-                        .expect("compatible")
-                        .quantities,
+                        .expect("compatible"),
                     original: None,
                     original_known: None,
                 }

@@ -130,7 +130,7 @@ impl MemoryExperiment {
                 let mut v = SetSketch1::new(cfg, seed);
                 u.extend(pair.u_elements(stream));
                 v.extend(pair.v_elements(stream));
-                u.estimate_joint(&v).expect("compatible").quantities.jaccard
+                u.estimate_joint(&v).expect("compatible").jaccard
             }
             MemoryContender::SetSketchBase2 => {
                 let cfg = SetSketchConfig::new(m, 2.0, 20.0, 62).expect("valid");
@@ -138,7 +138,7 @@ impl MemoryExperiment {
                 let mut v = SetSketch1::new(cfg, seed);
                 u.extend(pair.u_elements(stream));
                 v.extend(pair.v_elements(stream));
-                u.estimate_joint(&v).expect("compatible").quantities.jaccard
+                u.estimate_joint(&v).expect("compatible").jaccard
             }
             MemoryContender::MinHash64 => {
                 let mut u = MinHash::new(m, seed);

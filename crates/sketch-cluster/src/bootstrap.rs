@@ -8,9 +8,10 @@
 //!
 //! 1. **detect** — [`ClusterNode::needs_bootstrap`] is true when the
 //!    local store is empty (cold start, or recovery found nothing);
-//! 2. **pick a donor** — [`ClusterNode::bootstrap`] orders peers by
-//!    [`Resilient`] health ([`Resilient::healthy_first`]) so a peer
-//!    that just timed out is tried last, not first;
+//! 2. **pick a donor** — [`ClusterNode::bootstrap`] tries the peers in
+//!    list order. Under [`Resilient`](crate::Resilient) a peer that just
+//!    timed out is suspect and fails locally, without a request, until
+//!    its half-open probe is due, so the next peer is asked at once;
 //! 3. **pull** — the donor's state arrives from version 0 in bounded,
 //!    checksummed pages, each merged as it lands and each advancing
 //!    the donor's high-water mark. Nothing is staged: a donor that
@@ -26,10 +27,10 @@
 //!
 //! Because sketch union merge is idempotent and commutative, none of
 //! this needs coordination: catching up from a stale donor and then
-//! delta-syncing converges to the same state as any other order.
+//! delta-syncing converges to the same state as any other order —
+//! which is also why donors need no ranking beyond the peer list.
 
 use crate::error::ClusterError;
-use crate::health::Resilient;
 use crate::node::ClusterNode;
 use crate::transport::Transport;
 use crate::wire::{ErrorCode, Message, NodeId};
@@ -72,10 +73,7 @@ impl std::fmt::Display for BootstrapReport {
 /// Asks `peer` for its current write epoch without transferring any
 /// state: a `DeltaRequest` past any possible version returns an empty
 /// delta stamped with the peer's write counter.
-pub(crate) fn probe_write_epoch(
-    transport: &impl Transport,
-    peer: NodeId,
-) -> Result<u64, ClusterError> {
+fn probe_write_epoch(transport: &impl Transport, peer: NodeId) -> Result<u64, ClusterError> {
     let request = Message::DeltaRequest {
         after: u64::MAX,
         page_bytes: 0,
@@ -98,41 +96,25 @@ impl<S: Sketch> ClusterNode<S> {
         self.store().is_empty()
     }
 
-    /// Bootstraps this node from the healthiest reachable peer, using
-    /// `resilient`'s suspicion state to order donors
-    /// ([`Resilient::healthy_first`]) and its retry budget for each
-    /// page exchange.
-    pub fn bootstrap<T: Transport>(
-        &self,
-        resilient: &Resilient<T>,
-    ) -> Result<BootstrapReport, ClusterError> {
-        let donors = resilient.healthy_first(self.peers());
-        self.bootstrap_via(resilient, &donors)
-    }
-
-    /// Bootstraps this node from the first donor in `donors` that
-    /// delivers its whole state; earlier failures are recorded in
-    /// [`BootstrapReport::failed_donors`] and the next donor is tried
-    /// — mid-transfer donor death is survived by moving on, not by
-    /// giving up. A donor with nothing to ship counts as failed: its
-    /// silence says nothing about what the other peers hold.
+    /// Bootstraps this node from the first of its
+    /// [`peers`](Self::peers), in list order, that delivers its whole
+    /// state; earlier failures are recorded in
+    /// [`BootstrapReport::failed_donors`] and the next peer is tried —
+    /// mid-transfer donor death is survived by moving on, not by giving
+    /// up. A donor with nothing to ship counts as failed: its silence
+    /// says nothing about what the other peers hold. Wrap the transport
+    /// in [`Resilient`](crate::Resilient) to retry each page exchange
+    /// and to pass over suspect peers without a request.
     ///
     /// On success the pull has left the donor's epoch as its
     /// high-water mark, every other peer's current epoch is adopted as
     /// its mark, and the report is retained
     /// ([`last_bootstrap`](Self::last_bootstrap)). A non-empty store
     /// is merged into, never replaced.
-    pub fn bootstrap_via(
-        &self,
-        transport: &impl Transport,
-        donors: &[NodeId],
-    ) -> Result<BootstrapReport, ClusterError> {
+    pub fn bootstrap(&self, transport: &impl Transport) -> Result<BootstrapReport, ClusterError> {
         let mut failed_donors: Vec<NodeId> = Vec::new();
         let mut last_error: Option<ClusterError> = None;
-        for &donor in donors {
-            if donor == self.id() {
-                continue;
-            }
+        for &donor in self.peers() {
             let pull = match self.full_sync_with(transport, donor) {
                 Ok(pull) if pull.keys_received > 0 => pull,
                 Ok(_) => {

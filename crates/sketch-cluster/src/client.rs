@@ -123,7 +123,10 @@ where
 
     /// [`similar_keys`](Self::similar_keys) with coverage reporting:
     /// the result is marked [`degraded`](FanOut::degraded) when any
-    /// node was unreachable and had to be skipped.
+    /// node was unreachable and had to be skipped. A node whose answer
+    /// holds a Jaccard outside [0, 1] has sent a bad answer
+    /// ([`ClusterError::Protocol`]): it contributes nothing, like a
+    /// node that answered with an error frame.
     pub fn similar_keys_detailed(
         &self,
         key: &str,
@@ -136,53 +139,38 @@ where
             threshold_bits: threshold.to_bits(),
         };
         let mut best: Vec<WireNeighbor> = Vec::new();
-        let mut answered = false;
-        let mut skipped = Vec::new();
-        let mut last_error = None;
-        for &node in self.ring.nodes() {
-            match self.transport.request(node, &request) {
-                Ok(Message::Neighbors { items }) => {
-                    answered = true;
-                    for item in items {
-                        match best.iter_mut().find(|have| have.key == item.key) {
-                            Some(have) => {
-                                if item.jaccard() > have.jaccard() {
-                                    have.jaccard_bits = item.jaccard_bits;
-                                }
-                            }
-                            None => best.push(item),
+        let skipped = self.fan_out(&request, |reply| {
+            let Message::Neighbors { items } = reply else {
+                return Err(unexpected("Neighbors", &reply));
+            };
+            if let Some(bad) = items
+                .iter()
+                .find(|item| !(0.0..=1.0).contains(&item.jaccard()))
+            {
+                return Err(ClusterError::Protocol(format!(
+                    "neighbor {:?} has Jaccard {} outside [0, 1]",
+                    bad.key,
+                    bad.jaccard()
+                )));
+            }
+            for item in items {
+                match best.iter_mut().find(|have| have.key == item.key) {
+                    Some(have) => {
+                        if item.jaccard() > have.jaccard() {
+                            have.jaccard_bits = item.jaccard_bits;
                         }
                     }
-                }
-                Ok(Message::Error { code, detail }) => {
-                    last_error = Some(ClusterError::from_remote(code, detail));
-                }
-                Ok(other) => {
-                    last_error = Some(ClusterError::Protocol(format!(
-                        "expected Neighbors, got {other:?}"
-                    )));
-                }
-                Err(error) => {
-                    if error.is_transient() {
-                        skipped.push(node);
-                    }
-                    last_error = Some(error);
+                    None => best.push(item),
                 }
             }
-        }
-        if !answered {
-            return Err(
-                last_error.unwrap_or_else(|| ClusterError::Protocol("empty cluster".to_owned()))
-            );
-        }
+            Ok(())
+        })?;
         best.sort_by(|a, b| {
             b.jaccard()
-                .partial_cmp(&a.jaccard())
-                .unwrap_or(std::cmp::Ordering::Equal)
+                .total_cmp(&a.jaccard())
                 .then_with(|| a.key.cmp(&b.key))
         });
         best.truncate(k);
-        skipped.sort_unstable();
         Ok(FanOut {
             value: best,
             degraded: !skipped.is_empty(),
@@ -207,53 +195,29 @@ where
         let request = Message::UnionSketch {
             keys: keys.iter().map(|&key| key.to_owned()).collect(),
         };
-        let mut merged: Option<S> = None;
-        let mut skipped = Vec::new();
-        let mut last_error = None;
-        for &node in self.ring.nodes() {
-            match self.transport.request(node, &request) {
-                Ok(Message::Payload { bytes }) => {
-                    let shipped = S::decompress(&self.prototype, &bytes)
-                        .map_err(|error| ClusterError::BadPayload(error.to_string()))?;
-                    match merged.as_mut() {
-                        None => merged = Some(shipped),
-                        Some(have) => {
-                            have.merge_from(&shipped)
-                                .map_err(|error| ClusterError::Incompatible(error.to_string()))?;
-                        }
-                    }
-                }
-                Ok(Message::Error { code, detail }) => {
-                    let error = ClusterError::from_remote(code, detail);
-                    // "I hold none of these keys" is a valid answer.
-                    if !error.is_key_not_found() {
-                        last_error = Some(error);
-                    }
-                }
-                Ok(other) => {
-                    last_error = Some(ClusterError::Protocol(format!(
-                        "expected Payload, got {other:?}"
-                    )));
-                }
-                Err(error) => {
-                    if error.is_transient() {
-                        skipped.push(node);
-                    }
-                    last_error = Some(error);
-                }
-            }
-        }
-        match merged {
-            Some(sketch) => {
-                skipped.sort_unstable();
-                Ok(FanOut {
-                    value: sketch.cardinality(),
-                    degraded: !skipped.is_empty(),
-                    skipped,
-                })
-            }
-            None => Err(last_error.unwrap_or_else(|| ClusterError::KeyNotFound(keys.join(", ")))),
-        }
+        let mut merged = self.prototype.clone();
+        let skipped = self
+            .fan_out(&request, |reply| {
+                let Message::Payload { bytes } = reply else {
+                    return Err(unexpected("Payload", &reply));
+                };
+                let shipped = S::decompress(&self.prototype, &bytes)
+                    .map_err(|error| ClusterError::BadPayload(error.to_string()))?;
+                merged
+                    .merge_from(&shipped)
+                    .map(drop)
+                    .map_err(|error| ClusterError::Incompatible(error.to_string()))
+            })
+            .map_err(|error| match error {
+                // Every node that answered holds none of the keys.
+                ClusterError::KeyNotFound(_) => ClusterError::KeyNotFound(keys.join(", ")),
+                other => other,
+            })?;
+        Ok(FanOut {
+            value: merged.cardinality(),
+            degraded: !skipped.is_empty(),
+            skipped,
+        })
     }
 
     /// Asks `node` to shut down (TCP servers stop serving; in-process
@@ -262,13 +226,47 @@ where
         expect_ack(self.transport.request(node, &Message::Shutdown)?)
     }
 
-    /// The current value of `node`'s store-global write counter,
-    /// fetched without transferring any state. Useful for operators
-    /// watching a bootstrapped node catch up: once the local
-    /// high-water mark reaches this, the node has everything the peer
-    /// has written.
-    pub fn node_write_epoch(&self, node: NodeId) -> Result<u64, ClusterError> {
-        crate::bootstrap::probe_write_epoch(&self.transport, node)
+    /// Sends `request` to every node and hands each reply to `absorb`,
+    /// which folds it into the caller's answer or refuses it with the
+    /// reason. A node that cannot be reached, answers with an error
+    /// frame, or whose reply is refused has not answered; one that
+    /// could not be reached for a transient reason is also skipped.
+    ///
+    /// Returns the skipped nodes, ascending, once any node has answered.
+    /// Otherwise fails with the last node's failure — except that a
+    /// node holding none of the keys never hides another node's failure.
+    fn fan_out(
+        &self,
+        request: &Message,
+        mut absorb: impl FnMut(Message) -> Result<(), ClusterError>,
+    ) -> Result<Vec<NodeId>, ClusterError> {
+        let mut answered = false;
+        let mut skipped = Vec::new();
+        let mut last_error: Option<ClusterError> = None;
+        for &node in self.ring.nodes() {
+            let outcome = match self.transport.request(node, request) {
+                Ok(Message::Error { code, detail }) => Err(ClusterError::from_remote(code, detail)),
+                Ok(reply) => absorb(reply),
+                Err(error) => {
+                    if error.is_transient() {
+                        skipped.push(node);
+                    }
+                    Err(error)
+                }
+            };
+            match outcome {
+                Ok(()) => answered = true,
+                Err(error) if error.is_key_not_found() && last_error.is_some() => {}
+                Err(error) => last_error = Some(error),
+            }
+        }
+        if !answered {
+            return Err(
+                last_error.unwrap_or_else(|| ClusterError::Protocol("empty cluster".to_owned()))
+            );
+        }
+        skipped.sort_unstable();
+        Ok(skipped)
     }
 
     /// All nodes, with `key`'s ring owner moved to the front.
@@ -289,11 +287,7 @@ where
                 Ok(Message::Error { code, detail }) => {
                     last_error = Some(ClusterError::from_remote(code, detail));
                 }
-                Ok(other) => {
-                    last_error = Some(ClusterError::Protocol(format!(
-                        "expected Value, got {other:?}"
-                    )));
-                }
+                Ok(other) => last_error = Some(unexpected("Value", &other)),
                 Err(error) => last_error = Some(error),
             }
         }
@@ -305,8 +299,11 @@ fn expect_ack(response: Message) -> Result<(), ClusterError> {
     match response {
         Message::Ack => Ok(()),
         Message::Error { code, detail } => Err(ClusterError::from_remote(code, detail)),
-        other => Err(ClusterError::Protocol(format!(
-            "expected Ack, got {other:?}"
-        ))),
+        other => Err(unexpected("Ack", &other)),
     }
+}
+
+/// A reply of the wrong kind for its request.
+fn unexpected(expected: &str, got: &Message) -> ClusterError {
+    ClusterError::Protocol(format!("expected {expected}, got {got:?}"))
 }

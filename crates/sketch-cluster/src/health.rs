@@ -183,17 +183,6 @@ impl<T: Transport> Resilient<T> {
             .unwrap_or(0)
     }
 
-    /// Orders `peers` healthiest first: non-suspect before suspect,
-    /// then by fewest consecutive failures, ties broken by id for
-    /// determinism. This is how bootstrap picks its donor — the peer
-    /// that has been answering gossip is tried before the one that
-    /// just timed out.
-    pub fn healthy_first(&self, peers: &[NodeId]) -> Vec<NodeId> {
-        let mut out = peers.to_vec();
-        out.sort_by_key(|&peer| (self.is_suspect(peer), self.consecutive_failures(peer), peer));
-        out
-    }
-
     /// Consults (and updates) the health gate for one exchange.
     fn admit(&self, peer: NodeId) -> Admission {
         let mut peers = self.peers.lock();

@@ -30,10 +30,10 @@
 //!   takes between nodes.
 //! * [`Transport`] — the seam that makes all of this testable: the
 //!   same node code runs over [`TcpTransport`] sockets (persistent and
-//!   pooled per peer, every one under connect/read/write deadlines —
-//!   [`TcpTimeouts`]; a kept-alive socket found dead is redialed once,
-//!   which idempotent insert and merge make safe), the deterministic
-//!   in-process [`MemNetwork`], or a seeded [`FaultyTransport`] that
+//!   pooled per peer, every one under one connect/read/write deadline —
+//!   [`TcpTransport::with_deadline`]; a kept-alive socket found dead is
+//!   redialed once, which idempotent insert and merge make safe), the
+//!   deterministic in-process [`MemNetwork`], or a seeded [`FaultyTransport`] that
 //!   drops, replays and partitions. [`TcpServer`] is the serving half:
 //!   a worker per live connection, capped, with stalled and idle peers
 //!   disconnected.
@@ -42,17 +42,20 @@
 //!   gossip skips a dead peer ([`ClusterError::Suspect`]) instead of
 //!   re-spending its deadline budget on it every tick.
 //! * **Bootstrap** — a node with *no* state (fresh machine, wiped
-//!   disk) runs that same full pull against **one** healthy peer
-//!   ([`ClusterNode::bootstrap`]; a gossiping node does it on its
-//!   first tick) and adopts the other peers' current marks, instead of
-//!   re-pulling full state from every peer. There is no separate
+//!   disk) runs that same full pull against **one** peer, the first of
+//!   its peer list that delivers ([`ClusterNode::bootstrap`]; a
+//!   gossiping node does it on its first tick; under [`Resilient`] a
+//!   suspect peer is passed over without a request), and adopts the
+//!   other peers' current marks, instead of re-pulling full state from
+//!   every peer. There is no separate
 //!   transfer protocol: pages already applied stay applied, a donor
 //!   that dies is abandoned for the next one, and delta sync carries
 //!   on from the marks — the [`BootstrapReport`] says what happened.
 //! * [`ClusterClient`] — routes writes by the ring and fans reads out
 //!   across replicas (top-k similarity and union cardinality merge
-//!   answers from every node); the `*_detailed` variants report
-//!   [`FanOut::degraded`] when unreachable nodes were skipped.
+//!   answers from every node, in one node loop); the `*_detailed`
+//!   variants report [`FanOut::degraded`] when unreachable nodes were
+//!   skipped.
 //!
 //! ```
 //! use sketch_cluster::{ClusterClient, ClusterNode, HashRing, MemNetwork};
@@ -110,10 +113,10 @@ pub use error::ClusterError;
 pub use fault::{FaultPlan, FaultyTransport};
 pub use health::{HealthPolicy, Resilient, RetryPolicy};
 pub use node::{ClusterNode, SyncReport};
-pub use ring::{HashRing, DEFAULT_VNODES};
+pub use ring::HashRing;
 /// The sketch a cluster serves: the store's one trait under the name
 /// cluster code has always used.
 pub use sketch_core::Sketch as ClusterSketch;
-pub use tcp::{TcpServer, TcpTimeouts, TcpTransport};
+pub use tcp::{TcpServer, TcpTransport};
 pub use transport::{MemNetwork, TrafficStats, Transport};
 pub use wire::{ErrorCode, FrameError, Message, NodeId, WireEntry, WireError, WireNeighbor};

@@ -17,9 +17,9 @@
 //!   state (from version 0), healing whatever individual delta
 //!   exchanges lost to drops, crashes or partitions;
 //! * a node with an empty store does the same full pull from **one**
-//!   peer and adopts the others' current marks
-//!   ([`ClusterNode::bootstrap`]) instead of pulling everything from
-//!   everyone.
+//!   peer — the first of its peer list that delivers — and adopts the
+//!   others' current marks ([`ClusterNode::bootstrap`]) instead of
+//!   pulling everything from everyone.
 //!
 //! The state machine performs no I/O of its own: every exchange goes
 //! through a caller-supplied [`Transport`], so the same node code runs
@@ -364,7 +364,7 @@ impl<S: Sketch> ClusterNode<S> {
     /// eighth tick — a full anti-entropy pull from one peer, rotating
     /// through the peer set.
     /// A node whose store is empty first catches up from one donor
-    /// ([`bootstrap_via`](Self::bootstrap_via), peers in order), so the
+    /// ([`bootstrap`](Self::bootstrap), peers in order), so the
     /// pulls that follow start from fresh marks instead of shipping
     /// every peer's whole state; if no donor delivers, they do that
     /// anyway.
@@ -375,8 +375,7 @@ impl<S: Sketch> ClusterNode<S> {
         transport: &impl Transport,
     ) -> Vec<(NodeId, Result<SyncReport, ClusterError>)> {
         let tick = self.ticks.fetch_add(1, Ordering::Relaxed);
-        let caught_up =
-            self.needs_bootstrap() && self.bootstrap_via(transport, &self.peers).is_ok();
+        let caught_up = self.needs_bootstrap() && self.bootstrap(transport).is_ok();
         let mut reports = self.sync_round(transport);
         // A node that just pulled one peer's whole state has nothing
         // for a second full pull to repair yet.

@@ -4,7 +4,7 @@
 //! spreads evenly, while replication (delta sync + anti-entropy)
 //! spreads every key's state to all replicas — reads can then fan out
 //! to any of them. The ring is the classic construction: each node
-//! projects `vnodes` points onto the `u64` hash circle, and a key is
+//! projects 64 points onto the `u64` hash circle, and a key is
 //! owned by the node whose point follows the key's hash clockwise.
 //! Adding or removing one node therefore only moves the keys adjacent
 //! to its points — ~1/N of the key space — instead of reshuffling
@@ -18,9 +18,9 @@ use sketch_rand::{hash_bytes, hash_u64};
 /// agree on the mapping).
 const RING_SEED: u64 = 0x5249_4e47_5345_4544; // "RINGSEED"
 
-/// Default virtual-node count per member — enough that the largest
-/// partition stays within a few percent of 1/N for small clusters.
-pub const DEFAULT_VNODES: usize = 64;
+/// Virtual nodes per member — enough that the largest partition stays
+/// within a few percent of 1/N for small clusters.
+const VNODES: usize = 64;
 
 /// A consistent-hash ring over the cluster's node ids.
 #[derive(Debug, Clone)]
@@ -31,25 +31,15 @@ pub struct HashRing {
 }
 
 impl HashRing {
-    /// Builds a ring with [`DEFAULT_VNODES`] virtual nodes per member.
+    /// Builds a ring with 64 virtual nodes per member.
     ///
     /// # Panics
     /// Panics when `nodes` is empty.
     pub fn new(nodes: &[NodeId]) -> Self {
-        Self::with_vnodes(nodes, DEFAULT_VNODES)
-    }
-
-    /// Builds a ring with an explicit virtual-node count (≥ 1) per
-    /// member.
-    ///
-    /// # Panics
-    /// Panics when `nodes` is empty or `vnodes` is zero.
-    pub fn with_vnodes(nodes: &[NodeId], vnodes: usize) -> Self {
         assert!(!nodes.is_empty(), "a ring needs at least one node");
-        assert!(vnodes > 0, "each node needs at least one ring point");
-        let mut points = Vec::with_capacity(nodes.len() * vnodes);
+        let mut points = Vec::with_capacity(nodes.len() * VNODES);
         for &node in nodes {
-            for vnode in 0..vnodes {
+            for vnode in 0..VNODES {
                 let point = hash_u64(((node as u64) << 32) | vnode as u64, RING_SEED);
                 points.push((point, node));
             }
@@ -113,7 +103,7 @@ mod tests {
 
     #[test]
     fn single_node_owns_everything() {
-        let ring = HashRing::with_vnodes(&[7], 1);
+        let ring = HashRing::new(&[7]);
         assert_eq!(ring.owner("anything"), 7);
         assert_eq!(ring.nodes(), &[7]);
     }

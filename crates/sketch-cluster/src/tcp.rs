@@ -29,15 +29,16 @@
 //! delta pulls change nothing. A timeout, and any failure on a
 //! fresh socket, surface to the caller unchanged.
 //!
-//! **Deadlines.** Every socket the transport opens carries
-//! [`TcpTimeouts`]: connect, read and write each time out instead of
-//! blocking forever. A redial happens only after a failure that is
-//! *not* a timeout, so the worst case against an unresponsive peer (a
-//! SIGSTOPped process, a blackholed route, a listener that accepts
-//! and then stalls) is still the sum of the three deadlines — it
-//! cannot wedge the gossip loop. (Only a peer that dies in the middle
-//! of an exchange, with a successor that then stalls, can add the
-//! part of one read deadline already spent on the dead socket.) Layer
+//! **Deadline.** Every socket the transport opens carries one deadline
+//! ([`TcpTransport::with_deadline`]): connect, each read and each write
+//! time out after it instead of blocking forever. A redial happens only
+//! after a failure that is *not* a timeout, so the worst case against
+//! an unresponsive peer (a SIGSTOPped process, a blackholed route, a
+//! listener that accepts and then stalls) is still three deadlines —
+//! connect, write, read — and it cannot wedge the gossip loop. (Only a
+//! peer that dies in the middle of an exchange, with a successor that
+//! then stalls, can add the part of one read deadline already spent on
+//! the dead socket.) Layer
 //! [`Resilient`](crate::Resilient) on top for retries and suspicion
 //! tracking; it sees only the final outcome of a request, never the
 //! internal redial.
@@ -92,44 +93,9 @@ fn is_timeout(error: &io::Error) -> bool {
     )
 }
 
-/// Per-socket deadlines for every exchange a [`TcpTransport`] makes.
-///
-/// Each phase of the exchange — dialing, writing the request frame,
-/// reading the response frame — is bounded independently, so the worst
-/// case against a fully unresponsive peer is the sum of the three, not
-/// forever.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TcpTimeouts {
-    /// Deadline for establishing the connection.
-    pub connect: Duration,
-    /// Deadline for each blocking read on the socket.
-    pub read: Duration,
-    /// Deadline for each blocking write on the socket.
-    pub write: Duration,
-}
-
-impl Default for TcpTimeouts {
-    /// Five seconds per phase — generous against loaded peers, still
-    /// bounded against dead ones.
-    fn default() -> Self {
-        TcpTimeouts {
-            connect: Duration::from_secs(5),
-            read: Duration::from_secs(5),
-            write: Duration::from_secs(5),
-        }
-    }
-}
-
-impl TcpTimeouts {
-    /// The same deadline for connect, read and write.
-    pub fn uniform(deadline: Duration) -> Self {
-        TcpTimeouts {
-            connect: deadline,
-            read: deadline,
-            write: deadline,
-        }
-    }
-}
+/// Default socket deadline of a [`TcpTransport`]: generous against
+/// loaded peers, still bounded against dead ones.
+const DEFAULT_DEADLINE: Duration = Duration::from_secs(5);
 
 /// One peer's address and the idle sockets connected to it.
 struct Peer {
@@ -139,7 +105,7 @@ struct Peer {
 }
 
 /// A [`Transport`] that reaches peers over persistent TCP connections,
-/// pooled per peer, every socket under [`TcpTimeouts`] deadlines.
+/// pooled per peer, every socket under one connect/read/write deadline.
 ///
 /// A request reuses the most recently returned idle socket of its peer
 /// or dials a new one, and returns the socket to the pool only after a
@@ -148,26 +114,33 @@ struct Peer {
 /// once more on a fresh socket; every request of the protocol is
 /// idempotent, so the re-send cannot change the outcome. Timeouts and
 /// failures on a fresh socket surface as they are, which keeps the
-/// worst-case delay against a dead peer at connect + write + read
-/// deadline.
-#[derive(Default)]
+/// worst-case delay against a dead peer at three deadlines: connect,
+/// write, read.
 pub struct TcpTransport {
     peers: Mutex<HashMap<NodeId, Peer>>,
-    timeouts: TcpTimeouts,
+    deadline: Duration,
     dials: AtomicU64,
 }
 
+impl Default for TcpTransport {
+    fn default() -> Self {
+        Self::with_deadline(DEFAULT_DEADLINE)
+    }
+}
+
 impl TcpTransport {
-    /// An empty address book with default deadlines.
+    /// An empty address book with a five-second socket deadline.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// An empty address book with the given deadlines.
-    pub fn with_timeouts(timeouts: TcpTimeouts) -> Self {
+    /// An empty address book whose sockets time out after `deadline`
+    /// when connecting, on each read and on each write.
+    pub fn with_deadline(deadline: Duration) -> Self {
         TcpTransport {
-            timeouts,
-            ..Self::default()
+            peers: Mutex::new(HashMap::new()),
+            deadline,
+            dials: AtomicU64::new(0),
         }
     }
 
@@ -236,9 +209,9 @@ impl TcpTransport {
     }
 
     fn dial(&self, addr: SocketAddr) -> io::Result<BufReader<TcpStream>> {
-        let stream = TcpStream::connect_timeout(&addr, self.timeouts.connect)?;
-        stream.set_read_timeout(Some(self.timeouts.read))?;
-        stream.set_write_timeout(Some(self.timeouts.write))?;
+        let stream = TcpStream::connect_timeout(&addr, self.deadline)?;
+        stream.set_read_timeout(Some(self.deadline))?;
+        stream.set_write_timeout(Some(self.deadline))?;
         stream.set_nodelay(true).ok();
         self.dials.fetch_add(1, Ordering::Relaxed);
         Ok(BufReader::new(stream))
@@ -368,7 +341,7 @@ impl TcpServer {
     /// tracking. Transient per-peer failures are expected and ignored
     /// — the next tick retries. A node that comes up empty (a cold
     /// replacement) spends its first ticks catching up from one donor
-    /// ([`ClusterNode::bootstrap_via`]) — peers may still be coming up
+    /// ([`ClusterNode::bootstrap`]) — peers may still be coming up
     /// when a replaced node starts, so "no donor yet" is waited out
     /// tick by tick, not an error.
     pub fn start_gossip<S: Sketch, T: Transport + Send + Sync + 'static>(

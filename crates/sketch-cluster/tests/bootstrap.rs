@@ -192,7 +192,8 @@ enum Fault {
     NonEmptyReceiver,
 }
 
-/// Node 2 catches up from donors `[0, 1]` under `fault`, once per page
+/// Node 2 catches up from its peers `[0, 1]`, in that order, under
+/// `fault`, once per page
 /// size, and the cluster must end identical.
 fn transfer(fault: Fault) {
     for page_bytes in [64, u32::MAX] {
@@ -224,7 +225,7 @@ fn transfer(fault: Fault) {
         let report = match fault {
             // The retry asks for the lost page again; without one the
             // same loss costs the donor (`DonorDies`).
-            Fault::PageDropped => joiner.bootstrap_via(&retrying(&faulty), &[0, 1]),
+            Fault::PageDropped => joiner.bootstrap(&retrying(&faulty)),
             Fault::PageBitFlipped => {
                 let damaged = BitFlip {
                     inner: &faulty,
@@ -237,9 +238,9 @@ fn transfer(fault: Fault) {
                 assert!(joiner.store().is_empty());
                 assert_eq!(marks(joiner), before);
                 assert!(joiner.last_bootstrap().is_none());
-                joiner.bootstrap_via(&damaged, &[0, 1])
+                joiner.bootstrap(&damaged)
             }
-            _ => joiner.bootstrap_via(&faulty, &[0, 1]),
+            _ => joiner.bootstrap(&faulty),
         };
         let report = report.unwrap_or_else(|error| panic!("{fault:?}/{page_bytes}: {error}"));
         if matches!(fault, Fault::PageDropped | Fault::DonorDies) {
@@ -340,6 +341,68 @@ fn donor_failover_midstream() {
 #[test]
 fn bootstrap_merges_into_nonempty_store() {
     transfer(Fault::NonEmptyReceiver);
+}
+
+/// Notes the peer of every request that reaches the network.
+struct Tally<T> {
+    inner: T,
+    requests: std::sync::Mutex<Vec<NodeId>>,
+}
+
+impl<T: Transport> Transport for Tally<T> {
+    fn request(&self, peer: NodeId, message: &Message) -> Result<Message, ClusterError> {
+        self.requests.lock().unwrap().push(peer);
+        self.inner.request(peer, message)
+    }
+}
+
+/// Bootstrap asks its peers in list order, and under `Resilient` a peer
+/// that just failed is suspect: until its half-open probe is due it
+/// fails locally, so the catch-up comes from the next peer and the
+/// suspect sees no request at all — the donor choice a health ranking
+/// would make, without one.
+#[test]
+fn suspect_donor_is_passed_over_without_a_request() {
+    let (net, nodes) = seeded_cluster(3);
+    let joiner = &nodes[2];
+    assert_eq!(joiner.peers(), &[0, 1]);
+    let tally = Tally {
+        inner: Arc::clone(&net),
+        requests: std::sync::Mutex::new(Vec::new()),
+    };
+    let faulty = FaultyTransport::new(&tally, FaultPlan::none(), 7);
+    let resilient = Resilient::with_policies(
+        &faulty,
+        RetryPolicy::none(),
+        HealthPolicy {
+            suspect_after: 1,
+            probe_after: Duration::from_secs(3600),
+        },
+    );
+
+    // Peer 0 times out once and is suspect; then it is reachable again,
+    // but its probe is an hour away.
+    faulty.partition(0);
+    let probe = Message::DeltaRequest {
+        after: u64::MAX,
+        page_bytes: 0,
+    };
+    assert!(resilient.request(0, &probe).is_err());
+    assert!(resilient.is_suspect(0));
+    faulty.heal_all();
+    tally.requests.lock().unwrap().clear();
+
+    let report = joiner.bootstrap(&resilient).unwrap();
+    assert_eq!(report.donor, 1, "{report}");
+    assert_eq!(report.failed_donors, vec![0]);
+    let requests = tally.requests.lock().unwrap().clone();
+    assert!(!requests.is_empty());
+    assert!(
+        requests.iter().all(|&peer| peer == 1),
+        "the suspect peer was asked: {requests:?}"
+    );
+    assert_eq!(joiner.last_bootstrap(), Some(report));
+    assert_same_state(&nodes[1], joiner);
 }
 
 fn wide_store() -> SketchStore<SetSketch2> {

@@ -592,9 +592,10 @@ fn donor_sigkill_mid_stream_fails_over() {
         std::thread::sleep(Duration::from_millis(20));
     }
 
-    // The replacement node bootstraps in-process, donors ordered so
-    // the doomed child ships first, in pages of about one key each.
-    let replacement = ClusterNode::new(1, IDS, plain_store());
+    // The replacement node bootstraps in-process from its peers in
+    // list order, so the doomed child ships first, in pages of about
+    // one key each.
+    let replacement = ClusterNode::new(1, [VICTIM, 0], plain_store());
     let kill_switch = KillSwitch {
         inner: Arc::clone(&transport),
         donor: VICTIM,
@@ -603,9 +604,7 @@ fn donor_sigkill_mid_stream_fails_over() {
         kill_after: 2,
         pages_seen: AtomicU32::new(0),
     };
-    let report = replacement
-        .bootstrap_via(&kill_switch, &[VICTIM, 0])
-        .unwrap();
+    let report = replacement.bootstrap(&kill_switch).unwrap();
     assert_eq!(report.donor, 0, "bootstrap must fail over to the survivor");
     assert_eq!(report.failed_donors, vec![VICTIM]);
     assert_eq!(

@@ -7,9 +7,10 @@ use setsketch::{SetSketch1, SetSketchConfig};
 use sketch_cluster::wire::{write_frame, PROTOCOL_MAGIC, PROTOCOL_VERSION};
 use sketch_cluster::{
     ClusterClient, ClusterError, ClusterNode, ErrorCode, FaultPlan, FaultyTransport, HashRing,
-    HealthPolicy, MemNetwork, Message, Resilient, RetryPolicy, TcpServer, TcpTimeouts,
-    TcpTransport, Transport,
+    HealthPolicy, MemNetwork, Message, NodeId, Resilient, RetryPolicy, TcpServer, TcpTransport,
+    Transport, WireNeighbor,
 };
+use sketch_rand::{Rng64, WyRand};
 use sketch_store::SketchStore;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -50,7 +51,7 @@ fn stalled_listener_delays_a_tick_by_at_most_the_deadline() {
     });
 
     let deadline = Duration::from_millis(300);
-    let transport = TcpTransport::with_timeouts(TcpTimeouts::uniform(deadline));
+    let transport = TcpTransport::with_deadline(deadline);
     transport.add_peer(9, stalled_addr);
 
     let gossiper = node(0, [0, 0, 9]);
@@ -304,6 +305,106 @@ fn degraded_fanout_reports_the_skipped_nodes() {
         .union_cardinality_detailed(&["events", "sessions"])
         .unwrap();
     assert!(!healed.degraded);
+}
+
+/// A transport whose nodes answer every request with one fixed reply.
+struct Canned(Vec<(NodeId, Message)>);
+
+impl Transport for Canned {
+    fn request(&self, peer: NodeId, _: &Message) -> Result<Message, ClusterError> {
+        self.0
+            .iter()
+            .find(|&&(node, _)| node == peer)
+            .map(|(_, reply)| reply.clone())
+            .ok_or(ClusterError::UnknownPeer(peer))
+    }
+}
+
+/// 32 neighbors with seeded Jaccards in [0, 1), about one in four NaN.
+/// Seed 0's list is one that a merge sorting by
+/// `partial_cmp(..).unwrap_or(Equal)` panics on ("does not implement a
+/// total order") rather than merely misorders.
+fn neighbors_with_nans(seed: u64) -> Vec<WireNeighbor> {
+    let mut rng = WyRand::new(seed);
+    (0..32)
+        .map(|i| {
+            let jaccard = if rng.next_u64() % 4 == 0 {
+                f64::NAN
+            } else {
+                rng.unit_exclusive()
+            };
+            WireNeighbor::new(format!("key-{i:02}"), jaccard)
+        })
+        .collect()
+}
+
+/// A peer's Jaccard is decoded from raw bits, so it can be anything. A
+/// neighbor outside [0, 1] makes that node's answer a protocol error:
+/// it contributes nothing to the top-k and, like an error frame, is not
+/// a skip.
+#[test]
+fn a_neighbor_outside_the_unit_interval_is_a_bad_answer() {
+    let prototype = || SetSketch1::new(SetSketchConfig::new(64, 2.0, 20.0, 62).unwrap(), 13);
+
+    // The only node answers NaNs: nobody answered, and the query fails
+    // typed instead of panicking in the merge.
+    let alone = ClusterClient::new(
+        Canned(vec![(
+            0,
+            Message::Neighbors {
+                items: neighbors_with_nans(0),
+            },
+        )]),
+        HashRing::new(&[0]),
+        prototype(),
+    );
+    match alone.similar_keys_detailed("query", 32, 0.0) {
+        Err(ClusterError::Protocol(detail)) => {
+            assert!(detail.contains("outside [0, 1]"), "{detail}")
+        }
+        other => panic!("a NaN answer surfaced as {other:?}"),
+    }
+
+    // Beside a sound node, the bad answer is dropped whole — including
+    // its better score for "a" — and the sound answer is ranked by
+    // Jaccard, ties by key.
+    let sound = vec![
+        WireNeighbor::new("b".into(), 0.5),
+        WireNeighbor::new("a".into(), 0.5),
+        WireNeighbor::new("c".into(), 0.9),
+    ];
+    for bad in [f64::NAN, 1.5, -0.25, f64::INFINITY] {
+        let client = ClusterClient::new(
+            Canned(vec![
+                (
+                    0,
+                    Message::Neighbors {
+                        items: vec![
+                            WireNeighbor::new("a".into(), 1.0),
+                            WireNeighbor::new("d".into(), bad),
+                        ],
+                    },
+                ),
+                (
+                    1,
+                    Message::Neighbors {
+                        items: sound.clone(),
+                    },
+                ),
+            ]),
+            HashRing::new(&[0, 1]),
+            prototype(),
+        );
+        let answer = client.similar_keys_detailed("query", 8, 0.0).unwrap();
+        assert!(!answer.degraded, "{bad}: a bad answer is not a skip");
+        assert!(answer.skipped.is_empty());
+        let ranked: Vec<(&str, f64)> = answer
+            .value
+            .iter()
+            .map(|n| (n.key.as_str(), n.jaccard()))
+            .collect();
+        assert_eq!(ranked, [("c", 0.9), ("a", 0.5), ("b", 0.5)], "{bad}");
+    }
 }
 
 /// Old-format and future-version frames get a typed `Unsupported`

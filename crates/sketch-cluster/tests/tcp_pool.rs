@@ -13,7 +13,7 @@ use setsketch::{SetSketch1, SetSketchConfig};
 use sketch_cluster::wire::{read_frame, write_frame, PROTOCOL_MAGIC, PROTOCOL_VERSION};
 use sketch_cluster::{
     ClusterError, ClusterNode, ErrorCode, HealthPolicy, Message, Resilient, RetryPolicy, TcpServer,
-    TcpTimeouts, TcpTransport, Transport,
+    TcpTransport, Transport,
 };
 use sketch_store::SketchStore;
 use std::io::{Read, Write};
@@ -256,7 +256,7 @@ fn undecodable_reply_poisons_the_socket() {
         held
     });
 
-    let transport = TcpTransport::with_timeouts(TcpTimeouts::uniform(Duration::from_secs(2)));
+    let transport = TcpTransport::with_deadline(Duration::from_secs(2));
     transport.add_peer(17, addr);
     match transport.request(17, &probe()) {
         Err(ClusterError::Wire(_)) => {}

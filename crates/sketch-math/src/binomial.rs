@@ -30,7 +30,7 @@ impl BinomialPmf {
     ///
     /// # Panics
     /// Panics if `k > n` or `n` exceeds the table size.
-    pub fn ln_choose(&self, n: usize, k: usize) -> f64 {
+    fn ln_choose(&self, n: usize, k: usize) -> f64 {
         assert!(k <= n, "k must not exceed n");
         self.ln_fact[n] - self.ln_fact[k] - self.ln_fact[n - k]
     }

@@ -57,11 +57,6 @@ impl RunningMoments {
         }
     }
 
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Non-excess kurtosis μ₄/σ⁴ (3 for a normal distribution); `NaN` when
     /// the variance is zero.
     pub fn kurtosis(&self) -> f64 {
@@ -69,16 +64,6 @@ impl RunningMoments {
             f64::NAN
         } else {
             self.n as f64 * self.m4 / (self.m2 * self.m2)
-        }
-    }
-
-    /// Skewness μ₃/σ³; `NaN` when the variance is zero.
-    pub fn skewness(&self) -> f64 {
-        if self.n == 0 || self.m2 == 0.0 {
-            f64::NAN
-        } else {
-            let n = self.n as f64;
-            (n.sqrt() * self.m3) / self.m2.powf(1.5)
         }
     }
 

@@ -48,19 +48,6 @@ impl<R: Rng64> BitStream<R> {
         self.available -= n;
         out
     }
-
-    /// Returns a single random bit as a boolean.
-    #[inline]
-    pub fn next_bool(&mut self) -> bool {
-        self.next_bits(1) == 1
-    }
-
-    /// Gives access to the wrapped generator (flushes buffered bits).
-    #[inline]
-    pub fn rng_mut(&mut self) -> &mut R {
-        self.available = 0;
-        &mut self.rng
-    }
 }
 
 impl<R: Rng64> Rng64 for BitStream<R> {
@@ -110,7 +97,7 @@ mod tests {
     fn single_bits_are_balanced() {
         let mut bs = BitStream::new(WyRand::new(11));
         let n = 100_000;
-        let ones = (0..n).filter(|_| bs.next_bool()).count();
+        let ones = (0..n).filter(|_| bs.next_bits(1) == 1).count();
         let fraction = ones as f64 / n as f64;
         assert!((fraction - 0.5).abs() < 0.01);
     }

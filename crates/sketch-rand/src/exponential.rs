@@ -143,11 +143,6 @@ impl ExpZiggurat {
         Self
     }
 
-    /// The tail edge `r` of the layer construction (≈ 7.697 for 256 layers).
-    pub fn tail_edge(&self) -> f64 {
-        tables().r
-    }
-
     /// Draws one standard exponential variate.
     #[inline]
     pub fn sample<R: Rng64>(&self, rng: &mut R) -> f64 {
@@ -171,12 +166,6 @@ impl ExpZiggurat {
             }
         }
     }
-
-    /// Draws one exponential variate with the given `rate`.
-    #[inline]
-    pub fn sample_with_rate<R: Rng64>(&self, rng: &mut R, rate: f64) -> f64 {
-        self.sample(rng) / rate
-    }
 }
 
 #[cfg(test)]
@@ -187,8 +176,7 @@ mod tests {
     #[test]
     fn tail_edge_matches_literature() {
         // Marsaglia & Tsang report r = 7.69711747013104972 for 256 layers.
-        let z = ExpZiggurat::new();
-        let r = z.tail_edge();
+        let r = tables().r;
         assert!((r - 7.697_117_470_131_05).abs() < 1e-9, "r = {r}");
     }
 
@@ -235,19 +223,6 @@ mod tests {
             let empirical = idx as f64 / n as f64;
             assert!((empirical - p).abs() < 0.01, "p={p} empirical={empirical}");
         }
-    }
-
-    #[test]
-    fn ziggurat_rate_scales() {
-        let z = ExpZiggurat::new();
-        let mut rng = WyRand::new(29);
-        let n = 200_000;
-        let rate = 20.0;
-        let mean: f64 = (0..n)
-            .map(|_| z.sample_with_rate(&mut rng, rate))
-            .sum::<f64>()
-            / n as f64;
-        assert!((mean - 1.0 / rate).abs() < 0.001);
     }
 
     #[test]

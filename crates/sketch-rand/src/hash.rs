@@ -81,25 +81,11 @@ pub fn hash_bytes(data: &[u8], seed: u64) -> u64 {
 }
 
 /// A [`std::hash::Hasher`] producing the same digests as [`hash_bytes`]
-/// for a single `write` call; multiple writes are chained.
-#[derive(Debug, Clone, Copy)]
+/// for a single `write` call; multiple writes are chained. The default
+/// hasher is keyed with seed 0.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct WyHasher {
     state: u64,
-}
-
-impl WyHasher {
-    /// Creates a hasher keyed with `seed`.
-    #[inline]
-    pub fn with_seed(seed: u64) -> Self {
-        Self { state: seed }
-    }
-}
-
-impl Default for WyHasher {
-    #[inline]
-    fn default() -> Self {
-        Self::with_seed(0)
-    }
 }
 
 impl std::hash::Hasher for WyHasher {
@@ -123,7 +109,7 @@ impl std::hash::Hasher for WyHasher {
 #[inline]
 pub fn hash_of<T: std::hash::Hash + ?Sized>(value: &T, seed: u64) -> u64 {
     use std::hash::Hasher;
-    let mut hasher = WyHasher::with_seed(seed);
+    let mut hasher = WyHasher { state: seed };
     value.hash(&mut hasher);
     hasher.finish()
 }

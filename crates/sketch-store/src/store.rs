@@ -377,8 +377,8 @@ impl<S: Sketch> SketchStore<S> {
     /// (warm) or spilled (frozen), they are rehydrated to a resident
     /// sketch under the shard's write lock first; hot keys take the
     /// original read-lock fast path. A corrupt payload behaves like a
-    /// missing key here — use [`try_with_sketch`](Self::try_with_sketch)
-    /// to tell the two apart.
+    /// missing key here; [`cardinality`](Self::cardinality) tells the
+    /// two apart ([`StoreError::CorruptSlot`]).
     pub fn with_sketch<R>(&self, key: &str, op: impl FnOnce(&S) -> R) -> Option<R> {
         self.try_with_sketch(key, op).ok().flatten()
     }
@@ -387,7 +387,7 @@ impl<S: Sketch> SketchStore<S> {
     /// payload that fails its checksum or codec round-trip surfaces as
     /// [`StoreError::CorruptSlot`] (and the slot is quarantined)
     /// instead of folding into `None`.
-    pub fn try_with_sketch<R>(
+    fn try_with_sketch<R>(
         &self,
         key: &str,
         op: impl FnOnce(&S) -> R,

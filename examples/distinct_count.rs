@@ -128,6 +128,6 @@ fn main() {
         .expect("same config");
     println!(
         "partition 0 vs 1: jaccard ~ {:.3}, shared keys ~ {:.0}",
-        joint.quantities.jaccard, joint.quantities.intersection
+        joint.jaccard, joint.intersection
     );
 }

@@ -44,12 +44,12 @@ fn main() {
     let joint = shard_a.estimate_joint(&shard_b).expect("same config");
     println!(
         "jaccard ~ {:.4} (true {:.4})",
-        joint.quantities.jaccard,
+        joint.jaccard,
         20_000.0 / 100_000.0
     );
     println!(
         "intersection ~ {:.0} (true 20000), union ~ {:.0} (true 100000)",
-        joint.quantities.intersection, joint.quantities.union_size
+        joint.intersection, joint.union_size
     );
 
     // Distributed union: merge the shards.

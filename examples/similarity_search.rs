@@ -76,7 +76,7 @@ fn main() {
             let joint = query
                 .estimate_joint(&sketches[id])
                 .expect("compatible sketches");
-            (*id, joint.quantities.jaccard)
+            (*id, joint.jaccard)
         })
         .collect();
     scored.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("no NaN"));

@@ -97,6 +97,6 @@ fn main() {
     let joint = a.estimate_joint(b).expect("compatible");
     println!(
         "shard 0 vs shard 1: ~{:.0} users in common (duplicated traffic), jaccard {:.3}",
-        joint.quantities.intersection, joint.quantities.jaccard
+        joint.intersection, joint.jaccard
     );
 }

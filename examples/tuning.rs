@@ -38,7 +38,7 @@ fn main() {
             v.extend(offset + N - OVERLAP..offset + 2 * N - OVERLAP);
             let joint = u.estimate_joint(&v).expect("compatible");
             card_se += ((u.estimate_cardinality() - N as f64) / N as f64).powi(2);
-            jac_se += ((joint.quantities.jaccard - true_jaccard) / true_jaccard).powi(2);
+            jac_se += ((joint.jaccard - true_jaccard) / true_jaccard).powi(2);
         }
         println!(
             "SetSketch b={b:<10} {:>12} {:>13.2}% {:>13.2}%",

@@ -147,7 +147,7 @@ fn setsketch_jaccard_error_matches_fisher_information() {
                 n3,
                 seed + 500,
             );
-            let est = u.estimate_joint(&v).unwrap().quantities.jaccard;
+            let est = u.estimate_joint(&v).unwrap().jaccard;
             (est - j_true) * (est - j_true)
         })
         .sum();

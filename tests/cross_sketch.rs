@@ -108,7 +108,7 @@ fn small_base_setsketch_matches_minhash_jaccard_accuracy() {
             mh_u.insert_u64(e);
             mh_v.insert_u64(e);
         }
-        let j_ss = ss_u.estimate_joint(&ss_v).unwrap().quantities.jaccard;
+        let j_ss = ss_u.estimate_joint(&ss_v).unwrap().jaccard;
         let j_mh = mh_u.jaccard_classic(&mh_v).unwrap();
         se_ss += (j_ss - j_true) * (j_ss - j_true);
         se_mh += (j_mh - j_true) * (j_mh - j_true);

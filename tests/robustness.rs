@@ -69,7 +69,7 @@ proptest! {
         prop_assert!(corrected >= 0.0);
         // Joint estimation against itself must report high similarity.
         let joint = sketch.estimate_joint(&sketch).unwrap();
-        prop_assert!(!joint.quantities.jaccard.is_nan());
+        prop_assert!(!joint.jaccard.is_nan());
     }
 }
 
