@@ -214,30 +214,11 @@ impl<K: Clone + Eq + Hash> LshIndex<K> {
         let mut seen = HashSet::new();
         for band in 0..self.bands {
             let bucket = self.band_hash(band, signature);
-            self.probe_bucket(band, bucket, &mut seen, &mut result);
+            if let Some(entries) = self.tables[band].read().get(&bucket) {
+                push_unseen(entries, &mut seen, &mut result);
+            }
         }
         result
-    }
-
-    /// Distinct keys of the buckets named by precomputed band hashes
-    /// (deduplicated at the source, like [`query`](Self::query)).
-    ///
-    /// # Panics
-    /// Panics if `band_hashes.len() != bands`.
-    pub fn query_hashed_into(&self, band_hashes: &[u64], out: &mut Vec<K>) {
-        self.check_band_hashes(band_hashes);
-        out.clear();
-        let mut seen = HashSet::new();
-        for (band, &bucket) in band_hashes.iter().enumerate() {
-            self.probe_bucket(band, bucket, &mut seen, out);
-        }
-    }
-
-    /// Appends the distinct unseen keys of one bucket to `out`.
-    fn probe_bucket(&self, band: usize, bucket: u64, seen: &mut HashSet<K>, out: &mut Vec<K>) {
-        if let Some(entries) = self.tables[band].read().get(&bucket) {
-            push_unseen(entries, seen, out);
-        }
     }
 
     /// Multi-probe query: besides each band's exact bucket, probes the
@@ -514,11 +495,6 @@ mod tests {
         assert_eq!(index.query(&s), vec![7]);
         assert_eq!(index.query_multiprobe(&s), vec![7]);
         assert_eq!(index.query_batch(&[&s]), vec![vec![7]]);
-        let mut hashes = Vec::new();
-        index.band_hashes_into(&s, &mut hashes);
-        let mut out = vec![99]; // stale contents must be cleared
-        index.query_hashed_into(&hashes, &mut out);
-        assert_eq!(out, vec![7]);
     }
 
     #[test]
@@ -531,9 +507,10 @@ mod tests {
         index.insert_hashed(1, &hashes);
         index.insert(2, &b);
         // A hashed insert is indistinguishable from a signature insert.
-        let mut hashed_result = Vec::new();
-        index.query_hashed_into(&hashes, &mut hashed_result);
-        assert_eq!(index.query(&a), hashed_result);
+        let signed: LshIndex<u32> = LshIndex::new(8, 8).unwrap();
+        signed.insert(1, &a);
+        signed.insert(2, &b);
+        assert_eq!(index.query(&a), signed.query(&a));
         assert!(index.query(&a).contains(&1));
         // Hashed removal under the same bucket ids.
         assert!(index.remove_hashed(&1, &hashes));

@@ -27,9 +27,7 @@
 //! ```
 
 pub mod banding;
-pub mod budget;
 pub mod index;
 
 pub use banding::Banding;
-pub use budget::{plan_bandings, BandingPlan, ClusterLoad, BAND_ENTRY_BYTES};
 pub use index::{collision_curve, LshConfigError, LshIndex};

@@ -12,10 +12,6 @@
 //! variants, HyperMinHash) stay baselines behind their own inherent
 //! APIs and do not depend on this crate.
 //!
-//! [`centroid`] holds the signature-space geometry (estimated Jaccard
-//! distance between register signatures, per-register-mode centroids)
-//! under the store's clustered ANN index.
-//!
 //! ```
 //! use setsketch::{SetSketch1, SetSketchConfig};
 //! use sketch_core::Sketch;
@@ -38,13 +34,10 @@
 
 #![warn(missing_docs)]
 
-pub mod centroid;
-
-pub use centroid::{collision_fraction, estimated_jaccard, signature_distance};
 // Re-exported so downstream code can name the joint-estimation result
 // and register-comparison types without depending on sketch-math
 // directly.
-pub use sketch_math::{invert_collision_probability, JointCounts, JointQuantities};
+pub use sketch_math::{JointCounts, JointQuantities};
 
 /// A mergeable set sketch: record, merge, estimate, sign and compress.
 ///

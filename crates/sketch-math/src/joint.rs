@@ -202,40 +202,6 @@ pub struct JointQuantities {
     pub overlap: f64,
 }
 
-/// Inverts a monotonically non-decreasing register-collision-probability
-/// curve `J ↦ P(K_Ui = K_Vi)` at an observed collision rate `p ∈ [0, 1]`
-/// (paper §3.3, eq. (15)).
-///
-/// This is the generic form of the paper's D₀-based Jaccard estimators:
-/// feeding the §3.3 *lower* bound `log_b(1 + J(b−1))` recovers Ĵ_up,
-/// feeding the upper bound recovers Ĵ_low, and feeding the exact MinHash
-/// probability `P = J` recovers the classic equal-component estimator
-/// `Ĵ = D₀/m`. The curve is probed by bisection (64 halvings, i.e. to
-/// f64 resolution), so only monotonicity is required — no closed-form
-/// inverse. Observed rates below `curve(0)` clamp to 0, rates above
-/// `curve(1)` clamp to 1.
-pub fn invert_collision_probability(p: f64, curve: impl Fn(f64) -> f64) -> f64 {
-    if !p.is_finite() {
-        return 0.0;
-    }
-    if p <= curve(0.0) {
-        return 0.0;
-    }
-    if p >= curve(1.0) {
-        return 1.0;
-    }
-    let (mut lo, mut hi) = (0.0f64, 1.0f64);
-    for _ in 0..64 {
-        let mid = 0.5 * (lo + hi);
-        if curve(mid) < p {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    0.5 * (lo + hi)
-}
-
 impl JointQuantities {
     /// Derives every joint quantity from cardinalities and Jaccard
     /// similarity. Negative derived sizes (possible with estimated inputs)
@@ -419,26 +385,6 @@ mod tests {
         let q = JointQuantities::new(10.0, 100.0, 0.5);
         assert_eq!(q.difference_uv, 0.0);
         assert!(q.difference_vu > 0.0);
-    }
-
-    #[test]
-    fn invert_collision_probability_inverts_monotone_curves() {
-        // Identity curve (MinHash): inverse is the identity.
-        for &p in &[0.0, 0.25, 0.6, 1.0] {
-            let j = invert_collision_probability(p, |j| j);
-            assert!((j - p).abs() < 1e-12, "p={p}: j={j}");
-        }
-        // §3.3 lower bound at b = 2: closed-form inverse is (2^p − 1).
-        let curve = |j: f64| (1.0 + j).ln() / 2.0f64.ln();
-        for &j_true in &[0.1, 0.5, 0.9] {
-            let p = curve(j_true);
-            let j = invert_collision_probability(p, curve);
-            assert!((j - j_true).abs() < 1e-9, "j_true={j_true}: j={j}");
-        }
-        // Out-of-range observations clamp.
-        assert_eq!(invert_collision_probability(-0.5, |j| j), 0.0);
-        assert_eq!(invert_collision_probability(1.5, |j| j), 1.0);
-        assert_eq!(invert_collision_probability(f64::NAN, |j| j), 0.0);
     }
 
     #[test]

@@ -69,10 +69,9 @@
 //!   [`SketchStore::all_pairs_with`] (threshold sweep).
 //!   [`QueryOptions::index`] picks where candidates come from —
 //!   [`IndexStrategy::Flat`], an incrementally maintained banding LSH
-//!   index over the sketches' own registers (paper §3.3),
-//!   [`IndexStrategy::Clustered`], per-cluster bandings with centroid
-//!   routing, or [`IndexStrategy::Exhaustive`], every key or pair, the
-//!   reference the other two are measured against — and survivors are
+//!   index over the sketches' own registers (paper §3.3), or
+//!   [`IndexStrategy::Exhaustive`], every key or pair, the reference
+//!   the flat index is measured against — and survivors are
 //!   verified in parallel by the family's exact joint estimator:
 //!   sub-quadratic where N·(N−1)/2 [`joint`](SketchStore::joint) calls
 //!   are not, with the same quantities. The other option,
@@ -131,7 +130,6 @@
 
 #![warn(missing_docs)]
 
-mod ann;
 mod builder;
 mod delta;
 mod error;
@@ -142,14 +140,14 @@ mod store;
 mod tier;
 mod wal;
 
-pub use ann::{
-    ClusteredIndexInfo, IndexStrategy, ProbeStats, DEFAULT_CLUSTERED_RECALL, DEFAULT_FLAT_CUTOVER,
-};
 pub use builder::StoreBuilder;
 pub use delta::{DeltaEntry, StoreDelta};
 pub use error::StoreError;
 pub use pipeline::{IngestPipeline, DEFAULT_QUEUE_DEPTH, DEFAULT_WRITER_THREADS};
-pub use query::{Neighbor, QueryOptions, SimilarPair, SimilarityIndexInfo};
+pub use query::{
+    ClusteredIndexInfo, IndexStrategy, Neighbor, ProbeStats, QueryOptions, SimilarPair,
+    SimilarityIndexInfo,
+};
 pub use store::{SketchStore, DEFAULT_SHARDS};
 pub use tier::TierStats;
 pub use wal::{FsyncPolicy, RecoveryReport};

@@ -18,11 +18,10 @@
 //!    [`LshIndex`] whose band/row layout is auto-tuned from the
 //!    family's collision-probability bound at the query threshold
 //!    ([`Banding::tune`], at [`BANDING_RECALL`]); only keys sharing a
-//!    bucket become candidates. [`IndexStrategy::Clustered`] swaps in
-//!    the clustered ANN index ([`crate::ann`]).
-//!    [`IndexStrategy::Exhaustive`] skips the index: every key (top-k)
-//!    or every pair (sweep) is a candidate — the ground-truth reference
-//!    the pruned strategies' recall is measured against.
+//!    bucket become candidates. [`IndexStrategy::Exhaustive`] skips the
+//!    index: every key (top-k) or every pair (sweep) is a candidate —
+//!    the ground-truth reference the flat index's recall is measured
+//!    against.
 //! 2. **Incremental maintenance** — every store write stamps the key's
 //!    slot with a fresh version and raises its shard's mutation mark;
 //!    each cached index state records the mark it last swept every
@@ -33,8 +32,7 @@
 //!    work, and the first query after a write trickle pays for the
 //!    shards it touched, not for the store. A flat state current for
 //!    every shard is probed under the shared read lock, so concurrent
-//!    top-k queries do not serialize; only a missing or stale state (and
-//!    the clustered strategy, whose probes update routing counters)
+//!    top-k queries do not serialize; only a missing or stale state
 //!    takes the write lock. Steady query traffic never pays a full index
 //!    rebuild.
 //! 3. **Exact verification** — every candidate pair is verified over a
@@ -49,15 +47,13 @@
 //!    strategy made it a candidate.
 //!
 //! The exhaustive strategy is not a second code path: it is the two
-//! fallbacks the indexed strategies already need. When the threshold
+//! fallbacks the flat index already needs. When the threshold
 //! carries no locality signal (e.g. `0.0`, where every pair must be
 //! reported), [`Banding::tune`] reports that no banding can reach the
 //! recall target and a sweep verifies the full pair triangle; when a
 //! top-k probe yields fewer than `k` candidates it verifies every key.
 //! `Exhaustive` takes those branches unconditionally.
 
-use crate::ann::index::{ClusteredParams, ClusteredState};
-use crate::ann::{router, ClusteredIndexInfo, IndexStrategy};
 use crate::error::StoreError;
 use crate::store::SketchStore;
 use lsh::{Banding, LshIndex};
@@ -65,20 +61,18 @@ use sketch_core::{JointQuantities, Sketch};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
-/// Banding recall: every banding (the flat index's, and each cluster's
-/// of the clustered index) is laid out so that a pair *at* the query
-/// threshold still becomes a candidate with this probability (more
-/// similar pairs exceed it).
-pub(crate) const BANDING_RECALL: f64 = 0.98;
+/// Banding recall: the flat index's banding is laid out so that a pair
+/// *at* the query threshold still becomes a candidate with this
+/// probability (more similar pairs exceed it).
+const BANDING_RECALL: f64 = 0.98;
 
 /// Candidate pairs handed to one worker at a time during verification.
 const VERIFY_CHUNK: usize = 256;
 
-/// Bound on cached index states, one per distinct (threshold, strategy)
-/// operating point (the least recently used is evicted first). Bounding
-/// the cache keeps a service that sweeps many thresholds from hoarding
-/// band tables; alternating between a few operating points never
-/// re-tunes or re-bands.
+/// Bound on cached index states, one per distinct threshold (the least
+/// recently used is evicted first). Bounding the cache keeps a service
+/// that sweeps many thresholds from hoarding band tables; alternating
+/// between a few thresholds never re-tunes or re-bands.
 const INDEX_CACHE_CAPACITY: usize = 4;
 
 /// Typed per-query options of the similarity engine, accepted by
@@ -102,8 +96,7 @@ pub struct QueryOptions {
     /// machine's available parallelism.
     pub threads: Option<usize>,
     /// Where candidates come from (default [`IndexStrategy::Flat`]):
-    /// the flat banding index, the clustered ANN index
-    /// ([`IndexStrategy::Clustered`]) or no index at all
+    /// the flat banding index or no index at all
     /// ([`IndexStrategy::Exhaustive`]).
     pub index: IndexStrategy,
 }
@@ -122,38 +115,58 @@ impl QueryOptions {
     }
 }
 
+/// Where a similarity query's candidates come from
+/// ([`QueryOptions::index`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum IndexStrategy {
+    /// One banding over the registers, auto-tuned at the query
+    /// threshold. The default.
+    #[default]
+    Flat,
+    /// No index: a top-k query verifies every key, a sweep every pair.
+    /// The complete reference the flat index's recall is measured
+    /// against, and the right tool when completeness matters more than
+    /// latency. It builds, refreshes and caches no index state.
+    Exhaustive,
+}
+
+impl IndexStrategy {
+    /// Returns [`IndexStrategy::Flat`]. Kept only for `e2e/src/sut.rs`;
+    /// ROADMAP item B1 deletes it.
+    pub fn clustered() -> Self {
+        IndexStrategy::Flat
+    }
+}
+
+/// Never built: [`SimilarityIndexInfo::clustered`] is always `None`.
+/// Kept only for `e2e/src/sut.rs`; ROADMAP item B1 deletes it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ClusteredIndexInfo {
+    /// Probe counters.
+    pub probe_stats: ProbeStats,
+}
+
+/// The counters of a [`ClusteredIndexInfo`], which is never built.
+/// Kept only for `e2e/src/sut.rs`; ROADMAP item B1 deletes it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ProbeStats {
+    /// Top-k queries answered.
+    pub topk_queries: u64,
+    /// Clusters probed across all top-k queries.
+    pub clusters_probed: u64,
+}
+
 /// One of the store's lazily built, incrementally maintained similarity
 /// index states.
 pub(crate) struct SimilarityIndex {
-    /// Jaccard threshold the banding was tuned for.
+    /// Jaccard threshold the banding was tuned for (the cache key).
     threshold: f64,
-    /// Strategy the state was requested under (part of the cache key;
-    /// the backend may lag it across the flat↔clustered cutover).
-    strategy: IndexStrategy,
     /// Index-cache lookup count of the state's latest use: the eviction
     /// order and the state [`SketchStore::similarity_index_info`]
     /// reports. Atomic so the shared read path can stamp it.
     last_used: AtomicU64,
-    /// The candidate-generation machinery behind this operating point.
-    backend: Backend,
-}
-
-impl SimilarityIndex {
-    /// True when this state answers the operating point
-    /// `(threshold, strategy)`.
-    fn serves(&self, threshold: f64, strategy: IndexStrategy) -> bool {
-        self.threshold == threshold && strategies_match(self.strategy, strategy)
-    }
-}
-
-/// The candidate-generation backend of one cached index state. Under
-/// [`IndexStrategy::Clustered`] the backend starts [`Backend::Flat`]
-/// and is promoted once the store clears the strategy's cutover (and
-/// demoted below half of it) — the strategy is a request, the backend
-/// is what currently answers it.
-enum Backend {
-    Flat(FlatIndex),
-    Clustered(Box<ClusteredState>),
+    /// The banding behind this threshold.
+    flat: FlatIndex,
 }
 
 /// The single-banding index over the whole store. Keys are banded under
@@ -231,25 +244,6 @@ struct SweepCandidates {
     pairs: Vec<(u32, u32)>,
 }
 
-impl SweepCandidates {
-    /// Interns named pairs (the clustered backend's output).
-    fn from_named(named: Vec<(String, String)>) -> Self {
-        let mut ids: HashMap<String, u32> = HashMap::new();
-        let mut names = Vec::new();
-        let mut id_of = |name: String| {
-            *ids.entry(name).or_insert_with_key(|name| {
-                names.push(Some(name.clone()));
-                u32::try_from(names.len() - 1).expect("sweeps beyond u32 keys are unsupported")
-            })
-        };
-        let pairs = named
-            .into_iter()
-            .map(|(a, b)| (id_of(a), id_of(b)))
-            .collect();
-        SweepCandidates { names, pairs }
-    }
-}
-
 /// A pair of store keys whose verified similarity cleared the sweep
 /// threshold, with its joint estimate.
 #[derive(Debug, Clone, PartialEq)]
@@ -278,10 +272,8 @@ pub struct Neighbor {
 pub struct SimilarityIndexInfo {
     /// Threshold the index is tuned for.
     pub threshold: f64,
-    /// Effective global banding, or `None` when queries at this
-    /// threshold run exhaustively — and also `None` for clustered
-    /// states, whose per-cluster layouts are summarized by `clustered`
-    /// instead.
+    /// Effective banding, or `None` when queries at this threshold run
+    /// exhaustively.
     pub banding: Option<Banding>,
     /// Number of keys currently banded into the index.
     pub indexed_keys: usize,
@@ -291,9 +283,8 @@ pub struct SimilarityIndexInfo {
     /// Operating points that had to tune a fresh index state since the
     /// store was built.
     pub cache_misses: u64,
-    /// Clustered-backend diagnostics: cluster count, per-cluster key
-    /// histogram and probe counters. `None` while the state answers
-    /// from a flat backend.
+    /// Always `None`. Kept only for `e2e/src/sut.rs`; ROADMAP item B1
+    /// deletes it.
     pub clustered: Option<ClusteredIndexInfo>,
 }
 
@@ -311,31 +302,17 @@ impl<S: Sketch> SketchStore<S> {
             .iter()
             .max_by_key(|index| index.last_used.load(Ordering::Relaxed));
         latest.map(|index| {
-            let (banding, indexed_keys, clustered) = match &index.backend {
-                Backend::Flat(flat) => (flat.banding, flat.indexed_keys(), None),
-                Backend::Clustered(state) => (
-                    None,
-                    state.keys.len(),
-                    Some(ClusteredIndexInfo {
-                        clusters: state.clusters.len(),
-                        key_histogram: state.clusters.iter().map(|c| c.members).collect(),
-                        bandings: state.clusters.iter().map(|c| c.banding).collect(),
-                        planned_recalls: state.clusters.iter().map(|c| c.planned_recall).collect(),
-                        probe_stats: state.probe_stats,
-                    }),
-                ),
-            };
             let cache_misses = self.index_cache_misses.load(Ordering::Relaxed);
             SimilarityIndexInfo {
                 threshold: index.threshold,
-                banding,
-                indexed_keys,
+                banding: index.flat.banding,
+                indexed_keys: index.flat.indexed_keys(),
                 cache_hits: self
                     .index_lookups
                     .load(Ordering::Relaxed)
                     .saturating_sub(cache_misses),
                 cache_misses,
-                clustered,
+                clustered: None,
             }
         })
     }
@@ -384,12 +361,7 @@ impl<S: Sketch> SketchStore<S> {
             let signature = self
                 .with_sketch(key, |sketch| sketch.signature())
                 .ok_or_else(not_found)?;
-            self.with_index(
-                threshold,
-                options,
-                |flat| flat.probe(&signature),
-                |state| Some(router::query_candidates(state, &signature, threshold)),
-            )
+            self.with_index(threshold, |flat| flat.probe(&signature))
         };
 
         let mut candidates = probed.unwrap_or_default();
@@ -461,11 +433,7 @@ impl<S: Sketch> SketchStore<S> {
         let candidates = if options.index == IndexStrategy::Exhaustive {
             None
         } else {
-            self.with_index(threshold, options, FlatIndex::candidate_pairs, |state| {
-                Some(SweepCandidates::from_named(
-                    self.clustered_candidate_pairs(state, threshold),
-                ))
-            })
+            self.with_index(threshold, FlatIndex::candidate_pairs)
         };
 
         let entries = self.verify_entries(self.keys());
@@ -549,43 +517,27 @@ impl<S: Sketch> SketchStore<S> {
         }
     }
 
-    /// Runs one probe against the up-to-date index state of the
-    /// operating point `(threshold, options.index)`: `flat` on a flat
-    /// backend, `clustered` on a clustered one.
+    /// Runs `probe` against the up-to-date index state of `threshold`.
     ///
-    /// A flat-strategy state that is current for every shard is probed
-    /// under the shared read lock, so concurrent queries on a quiet
-    /// store run in parallel and touch nothing but the state's last-used
-    /// stamp. A missing or stale state — and every clustered-strategy
-    /// state, whose probes update routing counters — is tuned or
-    /// refreshed and probed under the write lock.
-    fn with_index<R>(
-        &self,
-        threshold: f64,
-        options: &QueryOptions,
-        flat: impl FnOnce(&FlatIndex) -> R,
-        clustered: impl FnOnce(&mut ClusteredState) -> R,
-    ) -> R {
-        if options.index == IndexStrategy::Flat {
+    /// A state that is current for every shard is probed under the
+    /// shared read lock, so concurrent queries on a quiet store run in
+    /// parallel and touch nothing but the state's last-used stamp. A
+    /// missing or stale state is tuned or refreshed and probed under the
+    /// write lock.
+    fn with_index<R>(&self, threshold: f64, probe: impl FnOnce(&FlatIndex) -> R) -> R {
+        {
             let cache = self.similarity.read();
             let current = cache
                 .iter()
-                .find(|index| index.serves(threshold, options.index))
-                .and_then(|index| match &index.backend {
-                    Backend::Flat(state) if self.is_current(state) => Some((index, state)),
-                    _ => None,
-                });
-            if let Some((index, state)) = current {
+                .find(|index| index.threshold == threshold && self.is_current(&index.flat));
+            if let Some(index) = current {
                 let stamp = self.index_lookups.fetch_add(1, Ordering::Relaxed) + 1;
                 index.last_used.fetch_max(stamp, Ordering::Relaxed);
-                return flat(state);
+                return probe(&index.flat);
             }
         }
         let mut cache = self.similarity.write();
-        match &mut self.fresh_index(&mut cache, threshold, options).backend {
-            Backend::Flat(state) => flat(state),
-            Backend::Clustered(state) => clustered(state),
-        }
+        probe(&self.fresh_index(&mut cache, threshold).flat)
     }
 
     /// True when no shard moved since `flat` last swept it (always, for
@@ -595,9 +547,8 @@ impl<S: Sketch> SketchStore<S> {
             || (flat.shards.iter().enumerate()).all(|(at, shard)| shard.mark == self.shard_mark(at))
     }
 
-    /// Returns the cached index state for the operating point
-    /// `(threshold, options.index)` — created and tuned on first use, then
-    /// brought up to date with the store. At most
+    /// Returns the cached index state for `threshold` — created and
+    /// tuned on first use, then brought up to date with the store. At most
     /// [`INDEX_CACHE_CAPACITY`] states are kept, the least recently
     /// used evicted first, so callers alternating between a few
     /// operating points — e.g. a 0.7 sweep interleaved with 0.5 top-k
@@ -607,14 +558,9 @@ impl<S: Sketch> SketchStore<S> {
         &self,
         cache: &'a mut Vec<SimilarityIndex>,
         threshold: f64,
-        options: &QueryOptions,
     ) -> &'a mut SimilarityIndex {
-        check_strategy(&options.index);
         let stamp = self.index_lookups.fetch_add(1, Ordering::Relaxed) + 1;
-        let at = match cache
-            .iter()
-            .position(|index| index.serves(threshold, options.index))
-        {
+        let at = match cache.iter().position(|index| index.threshold == threshold) {
             Some(at) => at,
             None => {
                 self.index_cache_misses.fetch_add(1, Ordering::Relaxed);
@@ -624,30 +570,25 @@ impl<S: Sketch> SketchStore<S> {
                         .expect("the cache is full");
                     cache.swap_remove(oldest);
                 }
-                // Every state starts on the flat backend; the refresh
-                // step promotes clustered-strategy states once the store
-                // clears their cutover (so tiny stores never pay for
-                // centroids).
                 cache.push(SimilarityIndex {
                     threshold,
-                    strategy: options.index,
                     last_used: AtomicU64::new(stamp),
-                    backend: Backend::Flat(self.flat_backend(threshold)),
+                    flat: self.flat_index(threshold),
                 });
                 cache.len() - 1
             }
         };
         let index = &mut cache[at];
         *index.last_used.get_mut() = stamp;
-        self.refresh_index(index);
+        self.refresh_flat(&mut index.flat);
         index
     }
 
-    /// Tunes a fresh flat backend for an operating point: the banding
-    /// from the family's locality bound at the threshold, probed on an
-    /// empty factory sketch (the collision probability is a
-    /// configuration property, not a state one).
-    fn flat_backend(&self, threshold: f64) -> FlatIndex {
+    /// Tunes a fresh flat index for a threshold: the banding from the
+    /// family's locality bound at the threshold, probed on an empty
+    /// factory sketch (the collision probability is a configuration
+    /// property, not a state one).
+    fn flat_index(&self, threshold: f64) -> FlatIndex {
         let probe = self.make_sketch();
         let p = probe.register_collision_probability(threshold);
         let banding = Banding::tune(probe.signature_len(), p, BANDING_RECALL);
@@ -661,57 +602,6 @@ impl<S: Sketch> SketchStore<S> {
                 .collect(),
             names: Vec::new(),
             free: Vec::new(),
-        }
-    }
-
-    /// Brings a cached index state up to date with the store: applies
-    /// the clustered strategy's cutover hysteresis (promote at
-    /// `flat_cutover` live keys, demote below half of it), then
-    /// incrementally re-bands moved keys — rebuilding the clustered
-    /// state outright when its refresh reports drift.
-    fn refresh_index(&self, index: &mut SimilarityIndex) {
-        if let IndexStrategy::Clustered {
-            memory_budget_bytes,
-            recall_target,
-            clusters,
-            flat_cutover,
-        } = index.strategy
-        {
-            let params = ClusteredParams {
-                memory_budget_bytes,
-                routing_recall: recall_target,
-                clusters,
-                flat_cutover,
-            };
-            let live = self.len();
-            match &index.backend {
-                // Promotion additionally requires a tunable global
-                // banding: at thresholds where no layout reaches the
-                // recall target (e.g. 0.0) the flat backend's
-                // exhaustive fallback is already the right answer.
-                Backend::Flat(flat) if flat.banding.is_some() && live >= flat_cutover => {
-                    index.backend = Backend::Clustered(Box::new(
-                        self.build_clustered_state(index.threshold, params),
-                    ));
-                    return; // freshly built — nothing to refresh
-                }
-                Backend::Clustered(_) if live.saturating_mul(2) < flat_cutover => {
-                    index.backend = Backend::Flat(self.flat_backend(index.threshold));
-                    // Fall through: the flat refresh below fills it.
-                }
-                _ => {}
-            }
-        }
-        match &mut index.backend {
-            Backend::Flat(flat) => self.refresh_flat(flat),
-            Backend::Clustered(state) => {
-                if self.refresh_clustered(state) {
-                    let stats = state.probe_stats;
-                    let params = state.params;
-                    **state = self.build_clustered_state(index.threshold, params);
-                    state.probe_stats = stats;
-                }
-            }
         }
     }
 
@@ -813,62 +703,6 @@ fn check_threshold(threshold: f64) {
         (0.0..=1.0).contains(&threshold),
         "similarity threshold must be within [0, 1], got {threshold}"
     );
-}
-
-/// Validates the knobs of a clustered strategy request.
-fn check_strategy(strategy: &IndexStrategy) {
-    if let IndexStrategy::Clustered {
-        recall_target,
-        clusters,
-        ..
-    } = strategy
-    {
-        assert!(
-            *recall_target > 0.0 && *recall_target <= 1.0,
-            "clustered routing recall target must be within (0, 1], got {recall_target}"
-        );
-        assert!(
-            clusters.map_or(true, |k| k >= 1),
-            "clustered strategy needs at least one cluster"
-        );
-    }
-}
-
-/// Quantizes a recall target for cache-key matching (micro-recall
-/// units). Recall is a tuning knob, not a precise quantity: exact f64
-/// equality would let two values differing only past display precision
-/// (0.98 vs 0.9800001) alternate into distinct cache slots and re-band
-/// the store on every query.
-fn quantize_recall(target: f64) -> u64 {
-    (target * 1e6).round() as u64
-}
-
-/// Cache-key equality of two strategy requests, with recall targets
-/// compared in quantized form (see [`quantize_recall`]).
-fn strategies_match(a: IndexStrategy, b: IndexStrategy) -> bool {
-    match (a, b) {
-        (IndexStrategy::Flat, IndexStrategy::Flat) => true,
-        (
-            IndexStrategy::Clustered {
-                memory_budget_bytes: budget_a,
-                recall_target: recall_a,
-                clusters: clusters_a,
-                flat_cutover: cutover_a,
-            },
-            IndexStrategy::Clustered {
-                memory_budget_bytes: budget_b,
-                recall_target: recall_b,
-                clusters: clusters_b,
-                flat_cutover: cutover_b,
-            },
-        ) => {
-            budget_a == budget_b
-                && quantize_recall(recall_a) == quantize_recall(recall_b)
-                && clusters_a == clusters_b
-                && cutover_a == cutover_b
-        }
-        _ => false,
-    }
 }
 
 /// The candidate set of a verification run: an explicit pair list (the

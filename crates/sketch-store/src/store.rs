@@ -186,12 +186,12 @@ pub struct SketchStore<S> {
     /// Pipeline knobs fixed at construction ([`StoreBuilder`]); applied
     /// by every [`pipeline`](Self::pipeline) handle the store hands out.
     pub(crate) pipeline_defaults: PipelineDefaults,
-    /// Lazily built banding LSH indexes (one per queried operating
-    /// point, each with a last-used stamp) over the stored sketches'
+    /// Lazily built banding LSH indexes (one per queried threshold,
+    /// each with a last-used stamp) over the stored sketches'
     /// signatures, maintained incrementally by the similarity query
-    /// engine (see [`crate::query`]). Queries on a current flat state
-    /// share the read lock; only tuning, refreshing a state whose shards
-    /// moved, and the clustered strategy take the write lock.
+    /// engine (see [`crate::query`]). Queries on a current state share
+    /// the read lock; only tuning and refreshing a state whose shards
+    /// moved take the write lock.
     pub(crate) similarity: RwLock<Vec<SimilarityIndex>>,
     /// Index-cache lookups so far (diagnostics, reported by
     /// [`similarity_index_info`](Self::similarity_index_info)); each
@@ -199,12 +199,6 @@ pub struct SketchStore<S> {
     pub(crate) index_lookups: AtomicU64,
     /// Lookups that tuned a fresh index state (the rest were hits).
     pub(crate) index_cache_misses: AtomicU64,
-    /// Lazily computed inverse of the factory configuration's
-    /// register-collision-probability curve, tabulated over all
-    /// `m + 1` possible D₀ values — shared by every clustered index
-    /// state's distance lookups (the curve is a configuration property,
-    /// so the table never changes for the store's lifetime).
-    pub(crate) collision_inverse: std::sync::OnceLock<std::sync::Arc<[f64]>>,
     /// Write-ahead log and checkpoint runtime, present when the builder
     /// set a [`durable_dir`](StoreBuilder::durable_dir) (see
     /// [`crate::wal`]). Installed by the builder before the store is
@@ -261,7 +255,6 @@ impl<S: Sketch> SketchStore<S> {
             similarity: RwLock::new(Vec::new()),
             index_lookups: AtomicU64::new(0),
             index_cache_misses: AtomicU64::new(0),
-            collision_inverse: std::sync::OnceLock::new(),
             durability: None,
         }
     }

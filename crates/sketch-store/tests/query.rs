@@ -1,6 +1,8 @@
 //! Integration tests of the similarity query engine behind its two
 //! entry points.
 
+use proptest::collection::vec;
+use proptest::prelude::*;
 use setsketch::{SetSketch1, SetSketchConfig};
 use sketch_store::{IndexStrategy, QueryOptions, SketchStore, StoreError};
 use std::path::{Path, PathBuf};
@@ -198,6 +200,29 @@ fn alternating_thresholds_reuse_cached_indexes() {
 }
 
 #[test]
+fn index_cache_holds_four_operating_points() {
+    let store = store_with_shards(4);
+    store.ingest("a", &elements(0, 1000));
+    store.ingest("b", &elements(100, 1000));
+    // Two operating points coexist: alternating never re-tunes.
+    for _ in 0..2 {
+        let _ = store.all_pairs_with(0.5, &flat()).unwrap();
+        let _ = store.all_pairs_with(0.7, &flat()).unwrap();
+    }
+    let info = store.similarity_index_info().unwrap();
+    assert_eq!((info.cache_misses, info.cache_hits), (2, 2), "{info:?}");
+
+    // The cache is bounded: three more points push 0.5 (the least
+    // recently used) out, so coming back to it tunes afresh; 0.9 — the
+    // most recent — is still there.
+    for threshold in [0.6, 0.8, 0.9, 0.5, 0.9] {
+        let _ = store.all_pairs_with(threshold, &flat()).unwrap();
+    }
+    let info = store.similarity_index_info().unwrap();
+    assert_eq!((info.cache_misses, info.cache_hits), (6, 3), "{info:?}");
+}
+
+#[test]
 fn similar_keys_ranks_by_jaccard() {
     let store = clustered_store();
     let neighbors = store.similar_keys_with("alpha-1", 2, 0.5, &flat()).unwrap();
@@ -326,15 +351,7 @@ fn every_strategy_answers_from_the_exhaustive_pair_set() {
     const THRESHOLD: f64 = 0.5;
     let strategies = [
         ("flat", IndexStrategy::Flat),
-        (
-            "clustered",
-            IndexStrategy::Clustered {
-                memory_budget_bytes: None,
-                recall_target: 0.95,
-                clusters: None,
-                flat_cutover: 64, // below the 150 keys: really clustered
-            },
-        ),
+        ("clustered()", IndexStrategy::clustered()),
         ("exhaustive", IndexStrategy::Exhaustive),
     ];
     let worker_counts = [flat(), flat().threads(1)];
@@ -369,12 +386,19 @@ fn every_strategy_answers_from_the_exhaustive_pair_set() {
                 reference.len()
             );
 
+            let mut flat_pairs = Vec::new();
             for (name, strategy) in strategies {
                 let options = base.index(strategy);
                 let pairs = store.all_pairs_with(THRESHOLD, &options).unwrap();
-                if name == "clustered" {
-                    let info = store.similarity_index_info().unwrap();
-                    assert!(info.clustered.is_some(), "{}: {info:?}", label(name));
+                match name {
+                    "flat" => flat_pairs.clone_from(&pairs),
+                    // The alias is the flat index under another name.
+                    "clustered()" => {
+                        assert_eq!(pairs, flat_pairs, "{}", label(name));
+                        let info = store.similarity_index_info().unwrap();
+                        assert!(info.clustered.is_none(), "{}: {info:?}", label(name));
+                    }
+                    _ => {}
                 }
                 // Reported ⊆ exhaustive, with the same quantities.
                 for pair in &pairs {
@@ -697,4 +721,94 @@ fn index_freshness_after_concurrent_readers_and_writers() {
         }
     });
     assert_fresh("after the concurrent phase", &store);
+}
+
+// ---------------------------------------------------------------------
+// Proptest op-script driver: arbitrary interleavings of ingest, remove
+// and sweep must keep the flat index equivalent to the exhaustive
+// reference.
+// ---------------------------------------------------------------------
+
+/// One step of an interleaved index workload over an 8-key space.
+#[derive(Debug, Clone)]
+enum Op {
+    /// Ingest `len` consecutive elements starting at `start` into key
+    /// number `key` (keys re-use overlapping ranges, so similarity
+    /// structure emerges and shifts as the script runs).
+    Ingest { key: usize, start: u64, len: u64 },
+    /// Remove key number `key` (no-op when absent).
+    Remove { key: usize },
+    /// Sweep at threshold 0.0 and assert bitwise equality with the
+    /// exhaustive reference.
+    SweepZero,
+    /// Sweep at threshold 0.5 and assert every reported pair verifies
+    /// identically to the exhaustive reference.
+    SweepHalf,
+}
+
+fn decode_op((kind, key, start, len): (u8, usize, u64, u64)) -> Op {
+    match kind {
+        0..=3 => Op::Ingest {
+            key,
+            // Three overlapping neighborhoods, so some keys are similar.
+            start: (start % 3) * 2_000 + start,
+            len,
+        },
+        4 => Op::Remove { key },
+        5 => Op::SweepZero,
+        _ => Op::SweepHalf,
+    }
+}
+
+fn ops_strategy() -> impl Strategy<Value = Vec<Op>> {
+    vec((0u8..7, 0usize..8, 0u64..5_000, 100u64..1_500), 1..20)
+        .prop_map(|raw| raw.into_iter().map(decode_op).collect())
+}
+
+fn drive(ops: &[Op]) -> Result<(), TestCaseError> {
+    let store = store_with_shards(4);
+    for op in ops {
+        match op {
+            Op::Ingest { key, start, len } => {
+                store.ingest(&format!("k{key}"), &elements(*start, *len));
+            }
+            Op::Remove { key } => {
+                store.remove(&format!("k{key}"));
+            }
+            Op::SweepZero => {
+                let pruned = store.all_pairs_with(0.0, &flat()).expect("sweep");
+                let reference = store.all_pairs_with(0.0, &exhaustive()).expect("sweep");
+                prop_assert_eq!(pruned, reference);
+            }
+            Op::SweepHalf => {
+                let pruned = store.all_pairs_with(0.5, &flat()).expect("sweep");
+                let reference = store.all_pairs_with(0.5, &exhaustive()).expect("sweep");
+                for pair in &pruned {
+                    let same = reference
+                        .iter()
+                        .find(|p| p.left == pair.left && p.right == pair.right);
+                    prop_assert!(
+                        same.is_some_and(|p| p.quantities == pair.quantities),
+                        "({}, {}) missing or diverged in the exhaustive sweep",
+                        pair.left,
+                        pair.right
+                    );
+                }
+            }
+        }
+    }
+    // Final states agree regardless of what the script did.
+    let pruned = store.all_pairs_with(0.0, &flat()).expect("sweep");
+    let reference = store.all_pairs_with(0.0, &exhaustive()).expect("sweep");
+    prop_assert_eq!(pruned, reference);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn flat_matches_references_under_op_scripts(ops in ops_strategy()) {
+        drive(&ops)?;
+    }
 }
