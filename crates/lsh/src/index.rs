@@ -288,18 +288,6 @@ impl<K: Clone + Eq + Hash> LshIndex<K> {
         results
     }
 
-    /// Removes a key from every bucket matching the signature it was
-    /// inserted under. Returns true if anything was removed.
-    pub fn remove(&self, key: &K, signature: &[u32]) -> bool {
-        self.check_signature(signature);
-        let mut removed = false;
-        for band in 0..self.bands {
-            let bucket = self.band_hash(band, signature);
-            removed |= self.remove_bucket(band, bucket, key);
-        }
-        removed
-    }
-
     /// Removes a key from the buckets named by precomputed band hashes
     /// (the ids it was [`insert_hashed`](Self::insert_hashed) under).
     /// Returns true if anything was removed.
@@ -454,11 +442,13 @@ mod tests {
     fn remove_works() {
         let index: LshIndex<u32> = LshIndex::new(8, 4).unwrap();
         let s = signature_of(0..100);
+        let mut hashes = Vec::new();
+        index.band_hashes_into(&s, &mut hashes);
         index.insert(1, &s);
-        assert!(index.remove(&1, &s));
+        assert!(index.remove_hashed(&1, &hashes));
         assert!(index.query(&s).is_empty());
         assert!(index.is_empty());
-        assert!(!index.remove(&1, &s));
+        assert!(!index.remove_hashed(&1, &hashes));
     }
 
     #[test]

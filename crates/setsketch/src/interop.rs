@@ -157,6 +157,28 @@ mod tests {
         assert!(packed.len() < dense.config().packed_bytes());
     }
 
+    /// The store's memory budget accounts a hot sketch once, when it
+    /// becomes resident: no write may change `resident_bytes()`.
+    #[test]
+    fn writes_never_change_resident_bytes() {
+        fn check<S: Sketch + Clone>(empty: S, label: &str) {
+            let before = empty.resident_bytes();
+            let mut sketch = empty.clone();
+            let mut other = empty;
+            sketch.insert_batch_changed(&(0..20_000u64).collect::<Vec<_>>());
+            sketch.insert_bytes(b"one more");
+            assert_eq!(sketch.resident_bytes(), before, "{label}: ingest");
+            other.insert_batch(&(10_000..90_000u64).collect::<Vec<_>>());
+            assert!(sketch.merge_from(&other).unwrap(), "{label}: merge raised");
+            assert_eq!(sketch.resident_bytes(), before, "{label}: merge_from");
+        }
+        // Byte lanes (b = 2) and two-byte lanes (b = 1.001).
+        for config in [config(), SetSketchConfig::example_16bit()] {
+            check(SetSketch1::new(config, 9), "SetSketch1");
+            check(SetSketch2::new(config, 9), "SetSketch2");
+        }
+    }
+
     #[test]
     fn batch_insert_equals_loop() {
         let elements: Vec<u64> = (0..5_000).map(|i| i % 3_000).collect();

@@ -119,4 +119,4 @@ pub use ring::HashRing;
 pub use sketch_core::Sketch as ClusterSketch;
 pub use tcp::{TcpServer, TcpTransport};
 pub use transport::{MemNetwork, TrafficStats, Transport};
-pub use wire::{ErrorCode, FrameError, Message, NodeId, WireEntry, WireError, WireNeighbor};
+pub use wire::{DeltaEntry, ErrorCode, FrameError, Message, NodeId, WireError, WireNeighbor};

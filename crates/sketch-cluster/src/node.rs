@@ -30,7 +30,7 @@
 use crate::bootstrap::BootstrapReport;
 use crate::error::ClusterError;
 use crate::transport::Transport;
-use crate::wire::{ErrorCode, Message, NodeId, WireEntry, WireNeighbor};
+use crate::wire::{DeltaEntry, ErrorCode, Message, NodeId, WireNeighbor};
 use parking_lot::Mutex;
 use sketch_core::Sketch;
 use sketch_store::{QueryOptions, SketchStore, StoreError};
@@ -145,15 +145,7 @@ impl<S: Sketch> ClusterNode<S> {
                     after,
                     up_to: delta.up_to,
                     complete: delta.complete,
-                    entries: delta
-                        .entries
-                        .into_iter()
-                        .map(|entry| WireEntry {
-                            key: entry.key,
-                            version: entry.version,
-                            payload: entry.payload,
-                        })
-                        .collect(),
+                    entries: delta.entries,
                 }
             }
             // A pushed delta (duplicated or relayed frame): merging is
@@ -236,7 +228,7 @@ impl<S: Sketch> ClusterNode<S> {
 
     /// Merges a batch of shipped entries into the local store.
     /// Returns how many changed local registers.
-    fn apply_entries(&self, entries: &[WireEntry]) -> Result<usize, ClusterError> {
+    fn apply_entries(&self, entries: &[DeltaEntry]) -> Result<usize, ClusterError> {
         let mut changed = 0;
         for entry in entries {
             let sketch = S::decompress(&self.prototype, &entry.payload)

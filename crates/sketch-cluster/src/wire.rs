@@ -23,26 +23,39 @@
 //! cap the declared length at it before reading the body — so a frame
 //! that was sent can always be read.
 //!
+//! The fields are written and read by the store's one byte codec,
+//! [`sketch_store::frame`] — the same writers and bounded reader as the
+//! write-ahead log and checkpoints. Its [`FieldError`] maps onto
+//! [`WireError::Truncated`], [`WireError::LengthMismatch`],
+//! [`WireError::BadUtf8`] and [`WireError::TrailingBytes`].
+//!
 //! Sketch registers travel as
 //! [`Sketch::compress`](sketch_core::Sketch::compress) payloads inside
 //! [`Message::Delta`] entries — warm and frozen store tiers ship their
 //! already-compressed bytes end to end, and hot sketches are
-//! compressed once at the sending edge. A delta is one bounded page
-//! and carries a CRC-32 over its body, verified before any entry is
-//! handed to the caller.
+//! compressed once at the sending edge. A delta entry is a store
+//! [`DeltaEntry`], encoded exactly as a checkpoint entry is. A delta is
+//! one bounded page and carries a CRC-32 over its body, verified before
+//! any entry is handed to the caller.
 
 use sketch_math::crc32;
+use sketch_store::frame::{
+    self, put_bytes, put_entry, put_list, put_str, put_u16, put_u32, put_u64, FieldError, Reader,
+    ENTRY_FIXED_BYTES,
+};
 use std::io::{self, Read, Write};
+
+pub use sketch_store::DeltaEntry;
 
 /// Identifier of one cluster node (also the consistent-hash ring's
 /// member key).
 pub type NodeId = u32;
 
-/// Hard ceiling on a frame's payload length. A message that encodes
-/// to more is refused by [`Message::encode_frame`], and a header
-/// declaring more is rejected before the body is read or any buffer is
-/// allocated.
-pub const MAX_FRAME_BYTES: usize = 64 << 20;
+/// Hard ceiling on a frame's payload length — the store's frame limit
+/// ([`frame::MAX_PAYLOAD_BYTES`]). A message that encodes to more is
+/// refused by [`Message::encode_frame`], and a header declaring more is
+/// rejected before the body is read or any buffer is allocated.
+pub const MAX_FRAME_BYTES: usize = frame::MAX_PAYLOAD_BYTES;
 
 /// The two magic bytes opening every frame — `"SK"`. A connection that
 /// does not start with them is not speaking this protocol at all.
@@ -136,6 +149,17 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+impl From<FieldError> for WireError {
+    fn from(error: FieldError) -> Self {
+        match error {
+            FieldError::Truncated => WireError::Truncated,
+            FieldError::LengthMismatch => WireError::LengthMismatch,
+            FieldError::BadUtf8 => WireError::BadUtf8,
+            FieldError::TrailingBytes { extra } => WireError::TrailingBytes { extra },
+        }
+    }
+}
+
 impl WireError {
     /// True when the failure is a protocol-handshake mismatch (wrong
     /// magic or an unsupported version) rather than a malformed body —
@@ -183,18 +207,6 @@ impl ErrorCode {
             other => return Err(WireError::UnknownErrorCode(other)),
         })
     }
-}
-
-/// One key's state inside a [`Message::Delta`]: key, source-side
-/// version stamp, and the compact register payload.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireEntry {
-    /// The key whose registers the payload carries.
-    pub key: String,
-    /// The version the source store stamped the payload at.
-    pub version: u64,
-    /// The registers in the family's compact wire format.
-    pub payload: Vec<u8>,
 }
 
 /// One ranked neighbor inside a [`Message::Neighbors`] response.
@@ -254,7 +266,7 @@ pub enum Message {
         /// True when no key past `after` was left out of the page.
         complete: bool,
         /// The page's keys.
-        entries: Vec<WireEntry>,
+        entries: Vec<DeltaEntry>,
     },
     /// Record a batch of elements under a key.
     Ingest {
@@ -366,22 +378,16 @@ impl Message {
                 put_u64(buf, *after);
                 put_u64(buf, *up_to);
                 buf.push(u8::from(*complete));
-                put_u32(buf, entries.len() as u32);
-                for entry in entries {
-                    put_str(buf, &entry.key);
-                    put_u64(buf, entry.version);
-                    put_bytes(buf, &entry.payload);
-                }
+                put_list(buf, entries, |buf, entry| {
+                    put_entry(buf, &entry.key, entry.version, &entry.payload);
+                });
                 let crc = crc32(&buf[body..]);
                 put_u32(buf, crc);
             }
             Message::Ingest { key, elements } => {
                 buf.push(TAG_INGEST);
                 put_str(buf, key);
-                put_u32(buf, elements.len() as u32);
-                for &element in elements {
-                    put_u64(buf, element);
-                }
+                put_list(buf, elements, |buf, &element| put_u64(buf, element));
             }
             Message::Cardinality { key } => {
                 buf.push(TAG_CARDINALITY);
@@ -404,10 +410,7 @@ impl Message {
             }
             Message::UnionSketch { keys } => {
                 buf.push(TAG_UNION_SKETCH);
-                put_u32(buf, keys.len() as u32);
-                for key in keys {
-                    put_str(buf, key);
-                }
+                put_list(buf, keys, |buf, key| put_str(buf, key));
             }
             Message::Shutdown => buf.push(TAG_SHUTDOWN),
             Message::Ack => buf.push(TAG_ACK),
@@ -417,11 +420,10 @@ impl Message {
             }
             Message::Neighbors { items } => {
                 buf.push(TAG_NEIGHBORS);
-                put_u32(buf, items.len() as u32);
-                for item in items {
+                put_list(buf, items, |buf, item| {
                     put_str(buf, &item.key);
                     put_u64(buf, item.jaccard_bits);
-                }
+                });
             }
             Message::Payload { bytes } => {
                 buf.push(TAG_PAYLOAD);
@@ -438,7 +440,7 @@ impl Message {
     /// Decodes a message payload (the bytes after the frame length
     /// prefix). Rejects trailing bytes.
     pub fn decode(bytes: &[u8]) -> Result<Message, WireError> {
-        let mut cursor = Cursor::new(bytes);
+        let mut cursor = Reader::new(bytes);
         let tag = cursor.u8()?;
         let message = match tag {
             TAG_DELTA_REQUEST => Message::DeltaRequest {
@@ -456,38 +458,18 @@ impl Message {
                 if crc32(body) != u32::from_le_bytes(trailer.try_into().expect("4")) {
                     return Err(WireError::BadChecksum);
                 }
-                cursor = Cursor::new(&body[1..]);
-                let after = cursor.u64()?;
-                let up_to = cursor.u64()?;
-                let complete = cursor.u8()? != 0;
-                let count = cursor.count(MIN_ENTRY_BYTES)?;
-                let mut entries = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let key = cursor.string()?;
-                    let version = cursor.u64()?;
-                    let payload = cursor.bytes()?;
-                    entries.push(WireEntry {
-                        key,
-                        version,
-                        payload,
-                    });
-                }
+                cursor = Reader::new(&body[1..]);
                 Message::Delta {
-                    after,
-                    up_to,
-                    complete,
-                    entries,
+                    after: cursor.u64()?,
+                    up_to: cursor.u64()?,
+                    complete: cursor.u8()? != 0,
+                    entries: cursor.list(ENTRY_FIXED_BYTES, Reader::entry)?,
                 }
             }
-            TAG_INGEST => {
-                let key = cursor.string()?;
-                let count = cursor.count(8)?;
-                let mut elements = Vec::with_capacity(count);
-                for _ in 0..count {
-                    elements.push(cursor.u64()?);
-                }
-                Message::Ingest { key, elements }
-            }
+            TAG_INGEST => Message::Ingest {
+                key: cursor.string()?,
+                elements: cursor.list(8, Reader::u64)?,
+            },
             TAG_CARDINALITY => Message::Cardinality {
                 key: cursor.string()?,
             },
@@ -500,29 +482,22 @@ impl Message {
                 k: cursor.u32()?,
                 threshold_bits: cursor.u64()?,
             },
-            TAG_UNION_SKETCH => {
-                let count = cursor.count(4)?;
-                let mut keys = Vec::with_capacity(count);
-                for _ in 0..count {
-                    keys.push(cursor.string()?);
-                }
-                Message::UnionSketch { keys }
-            }
+            TAG_UNION_SKETCH => Message::UnionSketch {
+                keys: cursor.list(4, Reader::string)?,
+            },
             TAG_SHUTDOWN => Message::Shutdown,
             TAG_ACK => Message::Ack,
             TAG_VALUE => Message::Value {
                 bits: cursor.u64()?,
             },
-            TAG_NEIGHBORS => {
-                let count = cursor.count(12)?;
-                let mut items = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let key = cursor.string()?;
-                    let jaccard_bits = cursor.u64()?;
-                    items.push(WireNeighbor { key, jaccard_bits });
-                }
-                Message::Neighbors { items }
-            }
+            TAG_NEIGHBORS => Message::Neighbors {
+                items: cursor.list(12, |cursor| {
+                    Ok(WireNeighbor {
+                        key: cursor.string()?,
+                        jaccard_bits: cursor.u64()?,
+                    })
+                })?,
+            },
             TAG_PAYLOAD => Message::Payload {
                 bytes: cursor.bytes()?,
             },
@@ -564,10 +539,7 @@ impl Message {
     fn bulk_bytes(&self) -> usize {
         match self {
             Message::Ingest { key, elements } => key.len() + 8 * elements.len(),
-            Message::Delta { entries, .. } => entries
-                .iter()
-                .map(|entry| MIN_ENTRY_BYTES + entry.key.len() + entry.payload.len())
-                .sum(),
+            Message::Delta { entries, .. } => entries.iter().map(DeltaEntry::encoded_len).sum(),
             Message::Payload { bytes } => bytes.len(),
             _ => 0,
         }
@@ -603,10 +575,6 @@ impl Message {
         Ok(frame)
     }
 }
-
-/// Smallest possible encoded [`WireEntry`]: empty key (4), version
-/// (8), empty payload (4).
-const MIN_ENTRY_BYTES: usize = 16;
 
 /// Bytes before the payload: magic (2) + version (1) + length (4).
 const FRAME_HEADER_BYTES: usize = 7;
@@ -686,108 +654,6 @@ pub fn read_frame(reader: &mut impl Read) -> Result<Message, FrameError> {
     Ok(Message::decode(&payload)?)
 }
 
-fn put_u16(buf: &mut Vec<u8>, value: u16) {
-    buf.extend_from_slice(&value.to_le_bytes());
-}
-
-fn put_u32(buf: &mut Vec<u8>, value: u32) {
-    buf.extend_from_slice(&value.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, value: u64) {
-    buf.extend_from_slice(&value.to_le_bytes());
-}
-
-fn put_bytes(buf: &mut Vec<u8>, bytes: &[u8]) {
-    put_u32(buf, bytes.len() as u32);
-    buf.extend_from_slice(bytes);
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_bytes(buf, s.as_bytes());
-}
-
-/// Bounded-allocation reader over a payload slice. Every length and
-/// count is checked against the bytes actually remaining before any
-/// buffer is sized from it.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-}
-
-impl<'a> Cursor<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Cursor { bytes }
-    }
-
-    fn remaining(&self) -> usize {
-        self.bytes.len()
-    }
-
-    /// Takes `len` raw bytes; fails (without allocating) when fewer
-    /// remain.
-    fn take(&mut self, len: usize) -> Result<&'a [u8], WireError> {
-        if len > self.bytes.len() {
-            return Err(WireError::Truncated);
-        }
-        let (head, tail) = self.bytes.split_at(len);
-        self.bytes = tail;
-        Ok(head)
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2")))
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    /// Reads an element count and validates it against the remaining
-    /// bytes at `min_element_bytes` apiece, so
-    /// `Vec::with_capacity(count)` is bounded by the input's own size.
-    fn count(&mut self, min_element_bytes: usize) -> Result<usize, WireError> {
-        let count = self.u32()? as usize;
-        let need = count
-            .checked_mul(min_element_bytes)
-            .ok_or(WireError::LengthMismatch)?;
-        if need > self.remaining() {
-            return Err(WireError::LengthMismatch);
-        }
-        Ok(count)
-    }
-
-    /// Reads a `u32`-length-prefixed byte buffer. The length is
-    /// validated by [`take`](Self::take) before the copy allocates.
-    fn bytes(&mut self) -> Result<Vec<u8>, WireError> {
-        let len = self.u32()? as usize;
-        Ok(self.take(len)?.to_vec())
-    }
-
-    fn string(&mut self) -> Result<String, WireError> {
-        let bytes = self.bytes()?;
-        String::from_utf8(bytes).map_err(|_| WireError::BadUtf8)
-    }
-
-    /// Asserts the payload was consumed exactly.
-    fn finish(self) -> Result<(), WireError> {
-        if self.bytes.is_empty() {
-            Ok(())
-        } else {
-            Err(WireError::TrailingBytes {
-                extra: self.bytes.len(),
-            })
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -798,7 +664,7 @@ mod tests {
             after: 3,
             up_to: 42,
             complete: false,
-            entries: vec![WireEntry {
+            entries: vec![DeltaEntry {
                 key: "k1".into(),
                 version: 7,
                 payload: vec![1, 2, 3],
@@ -815,7 +681,7 @@ mod tests {
             after: 0,
             up_to: 9,
             complete: true,
-            entries: vec![WireEntry {
+            entries: vec![DeltaEntry {
                 key: "k".into(),
                 version: 9,
                 payload: vec![0xAB; 32],

@@ -6,7 +6,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 use sketch_cluster::wire::{
-    read_frame, Message, NodeId, WireEntry, WireNeighbor, MAX_FRAME_BYTES, PROTOCOL_MAGIC,
+    read_frame, DeltaEntry, Message, NodeId, WireNeighbor, MAX_FRAME_BYTES, PROTOCOL_MAGIC,
     PROTOCOL_VERSION,
 };
 use sketch_cluster::{ErrorCode, FrameError, WireError};
@@ -36,7 +36,7 @@ fn message_from((kind, words, bytes, extra): (u8, Vec<u64>, Vec<u8>, u64)) -> Me
             entries: words
                 .iter()
                 .enumerate()
-                .map(|(i, &version)| WireEntry {
+                .map(|(i, &version)| DeltaEntry {
                     key: format!("{key}-{i}"),
                     version,
                     payload: bytes.clone(),

@@ -160,6 +160,8 @@ pub trait Sketch: Clone + PartialEq + Send + Sync + 'static {
     fn decompress(prototype: &Self, bytes: &[u8]) -> Result<Self, Self::DecodeError>;
 
     /// Bytes this state keeps resident, heap allocations included — what
-    /// a memory budget counts.
+    /// a memory budget counts. Fixed by the configuration: inserts and
+    /// merges write in place and never change it, so a store accounts a
+    /// sketch once, when it becomes resident.
     fn resident_bytes(&self) -> usize;
 }

@@ -33,6 +33,9 @@ use sketch_core::Sketch;
 /// One key's state inside a [`StoreDelta`]: the key, the version that
 /// produced the payload, and the registers in the sketch's
 /// [`compress`](Sketch::compress) wire format.
+///
+/// The same triple is a checkpoint entry on disk and a delta-page
+/// entry on the wire, in one encoding ([`crate::frame::put_entry`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeltaEntry {
     /// The key whose state this entry carries.
@@ -44,10 +47,6 @@ pub struct DeltaEntry {
     /// [`compress`](Sketch::compress) codec.
     pub payload: Vec<u8>,
 }
-
-/// Bytes a [`DeltaEntry`] costs a page beyond its key and payload:
-/// the version and the two length prefixes of its wire form.
-const ENTRY_FIXED_BYTES: usize = 16;
 
 /// One page of the keys whose version moved past a floor, with their
 /// compact payloads — what one replica ships to another during delta
@@ -113,10 +112,10 @@ impl<S: Sketch> SketchStore<S> {
     /// [`compress`](Sketch::compress) payload — the shipping side of
     /// delta sync.
     ///
-    /// The page closes once its entries (key, payload and 16 bytes of
-    /// fixed fields each) reach `page_bytes`, so it exceeds the budget
-    /// by at most one entry and always carries at least one when any
-    /// key moved. [`StoreDelta::complete`] says whether that
+    /// The page closes once its entries' encoded sizes
+    /// ([`DeltaEntry::encoded_len`]) reach `page_bytes`, so it exceeds
+    /// the budget by at most one entry and always carries at least one
+    /// when any key moved. [`StoreDelta::complete`] says whether that
     /// was all of them; if not, ask again with `after` =
     /// [`StoreDelta::up_to`]. `delta_since(0, _)` starts a full-state
     /// transfer.
@@ -160,15 +159,14 @@ impl<S: Sketch> SketchStore<S> {
             let Some(payload) = self.slot_payload(&slot.state) else {
                 continue;
             };
-            let payload = payload.into_owned();
-            let version = slot.version;
-            drop(shard);
-            let cost = key.len() + payload.len() + ENTRY_FIXED_BYTES;
-            entries.push(DeltaEntry {
+            let entry = DeltaEntry {
                 key,
-                version,
-                payload,
-            });
+                version: slot.version,
+                payload: payload.into_owned(),
+            };
+            drop(shard);
+            let cost = entry.encoded_len();
+            entries.push(entry);
             if cost >= room {
                 break;
             }

@@ -64,6 +64,11 @@
 //!   same directory replays the store back bit-for-bit — truncating
 //!   torn tails and quarantining bit-rotted records into a typed
 //!   [`RecoveryReport`] instead of panicking;
+//! * **one byte codec** — [`frame`] owns the little-endian field
+//!   writers, the bounded [`frame::Reader`] and the [`DeltaEntry`]
+//!   encoding; WAL records, checkpoints and the `sketch-cluster` wire
+//!   all go through it, so a checkpoint entry and a delta-page entry
+//!   are the same bytes;
 //! * **similarity queries at scale** — two entry points over one
 //!   engine: [`SketchStore::similar_keys_with`] (top-k) and
 //!   [`SketchStore::all_pairs_with`] (threshold sweep).
@@ -133,7 +138,7 @@
 mod builder;
 mod delta;
 mod error;
-mod frame;
+pub mod frame;
 mod pipeline;
 mod query;
 mod store;

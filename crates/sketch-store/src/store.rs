@@ -423,25 +423,23 @@ impl<S: Sketch> SketchStore<S> {
         let compact = self.durability.is_some().then(|| sketch.compress());
         self.log_then_apply(
             move || crate::wal::encode_put(key, &compact.expect("compressed when durable")),
-            move |store| store.put_unlogged(key, sketch),
+            move |store| {
+                store.tier.account_insert_hot(&sketch);
+                let previous = {
+                    // Stamped under the shard lock, like every other
+                    // write: a delta sweep that read the counter past
+                    // this version must find the slot.
+                    let index = store.shard_index(key);
+                    let mut shard = store.shards[index].write();
+                    let version = store.next_version();
+                    store.mark_dirty(index);
+                    shard.insert(key.to_owned(), Slot::hot(sketch, version))
+                };
+                let previous = previous.and_then(|slot| store.take_sketch(slot));
+                store.maintain();
+                previous
+            },
         )
-    }
-
-    pub(crate) fn put_unlogged(&self, key: &str, sketch: S) -> Option<S> {
-        self.tier.account_insert_hot(&sketch);
-        let previous = {
-            // Stamped under the shard lock, like every other write: a
-            // delta sweep that read the counter past this version must
-            // find the slot.
-            let index = self.shard_index(key);
-            let mut shard = self.shards[index].write();
-            let version = self.next_version();
-            self.mark_dirty(index);
-            shard.insert(key.to_owned(), Slot::hot(sketch, version))
-        };
-        let previous = previous.and_then(|slot| self.take_sketch(slot));
-        self.maintain();
-        previous
     }
 
     /// Removes and returns the sketch under `key` (rehydrating it if it
@@ -451,33 +449,29 @@ impl<S: Sketch> SketchStore<S> {
     pub fn remove(&self, key: &str) -> Option<S> {
         self.log_then_apply(
             || crate::wal::encode_remove(key),
-            |store| store.remove_unlogged(key),
+            |store| {
+                let index = store.shard_index(key);
+                let slot = {
+                    let mut shard = store.shards[index].write();
+                    let slot = shard.remove(key)?;
+                    store.mark_dirty(index);
+                    slot
+                };
+                store.take_sketch(slot)
+            },
         )
-    }
-
-    pub(crate) fn remove_unlogged(&self, key: &str) -> Option<S> {
-        let index = self.shard_index(key);
-        let slot = {
-            let mut shard = self.shards[index].write();
-            let slot = shard.remove(key)?;
-            self.mark_dirty(index);
-            slot
-        };
-        self.take_sketch(slot)
     }
 
     /// Removes every sketch (and drops any spill segments).
     pub fn clear(&self) {
-        self.log_then_apply(crate::wal::encode_clear, |store| store.clear_unlogged());
-    }
-
-    pub(crate) fn clear_unlogged(&self) {
-        for (index, shard) in self.shards.iter().enumerate() {
-            let mut shard = shard.write();
-            shard.clear();
-            self.mark_dirty(index);
-        }
-        self.tier.reset();
+        self.log_then_apply(crate::wal::encode_clear, |store| {
+            for (index, shard) in store.shards.iter().enumerate() {
+                let mut shard = shard.write();
+                shard.clear();
+                store.mark_dirty(index);
+            }
+            store.tier.reset();
+        });
     }
 
     /// Acquires the shard(s) of two keys deadlock-free (ascending shard
@@ -593,7 +587,7 @@ impl<S: Sketch> SketchStore<S> {
             Some(slot) => {
                 slot.touch();
                 let result = if self.ensure_hot_slot(key, slot).is_ok() {
-                    self.tier.account_write(slot.hot_mut(), op)
+                    op(slot.hot_mut())
                 } else {
                     // A corrupt slot's registers are gone; a write
                     // starts the key over from a fresh factory sketch

@@ -230,18 +230,6 @@ impl<S: Sketch> TierRuntime<S> {
         }
     }
 
-    /// Runs a write against a hot sketch in place, accounting how much
-    /// it grew (or shrank) when a budget is set.
-    pub(crate) fn account_write<R>(&self, sketch: &mut S, op: impl FnOnce(&mut S) -> R) -> R {
-        if !self.budgeted() {
-            return op(sketch);
-        }
-        let before = sketch.resident_bytes();
-        let result = op(sketch);
-        self.add_hot(sketch.resident_bytes() as isize - before as isize);
-        result
-    }
-
     /// A cold slot rehydrated to `hot`: its warm bytes are freed, or
     /// its spill record released.
     pub(crate) fn account_promote(&self, cold: &TierSlot<S>, hot: &S) {

@@ -27,7 +27,10 @@
 //! by [`crate::frame`], which refuses a payload the scanner would not
 //! read back — so an ingest batch is split into as many records as the
 //! frame limit needs, and an oversize put/merge-in payload is a counted
-//! append failure.
+//! append failure. Record and checkpoint fields are written and read by
+//! the same module's field codec, the one the cluster's wire uses; a
+//! checkpoint entry is a [`DeltaEntry`](crate::DeltaEntry) in its
+//! delta-page encoding.
 //!
 //! Replay time is bounded by **checkpoints**: once the log grows past
 //! the configured threshold, the store sweeps every slot's compact
@@ -47,7 +50,9 @@
 //! [`SketchStore::recovery_report`].
 
 use crate::error::StoreError;
-use crate::frame::{self, Frame};
+use crate::frame::{
+    self, put_bytes, put_entry, put_list, put_str, put_u32, put_u64, Frame, Reader,
+};
 use crate::store::{SketchStore, Slot};
 use crate::tier::TierSlot;
 use parking_lot::{Mutex, RwLock};
@@ -169,24 +174,6 @@ const TAG_CLEAR: u8 = 6;
 
 // --- Record encoding -------------------------------------------------
 
-fn put_u32(out: &mut Vec<u8>, value: u32) {
-    out.extend_from_slice(&value.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, value: u64) {
-    out.extend_from_slice(&value.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, value: &str) {
-    put_u32(out, value.len() as u32);
-    out.extend_from_slice(value.as_bytes());
-}
-
-fn put_bytes(out: &mut Vec<u8>, value: &[u8]) {
-    put_u32(out, value.len() as u32);
-    out.extend_from_slice(value);
-}
-
 /// Most `u64` elements one ingest record under `key` carries within
 /// the frame limit (at least one: a key too long to log fails at the
 /// append, where it is counted).
@@ -200,10 +187,7 @@ pub(crate) fn encode_ingest(key: &str, elements: &[u64]) -> Vec<u8> {
     let mut out = Vec::with_capacity(1 + 8 + key.len() + 8 * elements.len());
     out.push(TAG_INGEST);
     put_str(&mut out, key);
-    put_u32(&mut out, elements.len() as u32);
-    for &element in elements {
-        put_u64(&mut out, element);
-    }
+    put_list(&mut out, elements, |out, &element| put_u64(out, element));
     out
 }
 
@@ -215,10 +199,7 @@ pub(crate) fn encode_ingest_bytes(key: &str, elements: &[&[u8]]) -> Vec<u8> {
     let mut out = Vec::with_capacity(1 + 8 + key.len() + total);
     out.push(TAG_INGEST_BYTES);
     put_str(&mut out, key);
-    put_u32(&mut out, elements.len() as u32);
-    for element in elements {
-        put_bytes(&mut out, element);
-    }
+    put_list(&mut out, elements, |out, element| put_bytes(out, element));
     out
 }
 
@@ -295,102 +276,33 @@ pub(crate) enum WalRecord {
     Clear,
 }
 
-/// Bounded little-endian reader over a record payload.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Reader { bytes, at: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self
-            .at
-            .checked_add(n)
-            .filter(|&end| end <= self.bytes.len())
-            .ok_or_else(|| "record truncated".to_owned())?;
-        let slice = &self.bytes[self.at..end];
-        self.at = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    fn str(&mut self) -> Result<String, String> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| "key is not UTF-8".to_owned())
-    }
-
-    fn bytes(&mut self) -> Result<Vec<u8>, String> {
-        let len = self.u32()? as usize;
-        Ok(self.take(len)?.to_vec())
-    }
-
-    fn done(&self) -> Result<(), String> {
-        if self.at == self.bytes.len() {
-            Ok(())
-        } else {
-            Err("trailing bytes after record".to_owned())
-        }
-    }
-}
-
 /// Decodes one record payload (the CRC has already been verified).
 pub(crate) fn decode_record(payload: &[u8]) -> Result<WalRecord, String> {
     let mut reader = Reader::new(payload);
     let record = match reader.u8()? {
-        TAG_INGEST => {
-            let key = reader.str()?;
-            let count = reader.u32()? as usize;
-            // Bounded: each element needs 8 bytes of payload.
-            if count > payload.len() / 8 + 1 {
-                return Err("element count exceeds record size".to_owned());
-            }
-            let mut elements = Vec::with_capacity(count);
-            for _ in 0..count {
-                elements.push(reader.u64()?);
-            }
-            WalRecord::Ingest { key, elements }
-        }
-        TAG_INGEST_BYTES => {
-            let key = reader.str()?;
-            let count = reader.u32()? as usize;
-            if count > payload.len() / 4 + 1 {
-                return Err("element count exceeds record size".to_owned());
-            }
-            let mut elements = Vec::with_capacity(count);
-            for _ in 0..count {
-                elements.push(reader.bytes()?);
-            }
-            WalRecord::IngestBytes { key, elements }
-        }
+        TAG_INGEST => WalRecord::Ingest {
+            key: reader.string()?,
+            elements: reader.list(8, Reader::u64)?,
+        },
+        TAG_INGEST_BYTES => WalRecord::IngestBytes {
+            key: reader.string()?,
+            elements: reader.list(4, Reader::bytes)?,
+        },
         TAG_PUT => WalRecord::Put {
-            key: reader.str()?,
+            key: reader.string()?,
             payload: reader.bytes()?,
         },
         TAG_MERGE_IN => WalRecord::MergeIn {
-            key: reader.str()?,
+            key: reader.string()?,
             payload: reader.bytes()?,
         },
-        TAG_REMOVE => WalRecord::Remove { key: reader.str()? },
+        TAG_REMOVE => WalRecord::Remove {
+            key: reader.string()?,
+        },
         TAG_CLEAR => WalRecord::Clear,
         tag => return Err(format!("unknown record tag {tag}")),
     };
-    reader.done()?;
+    reader.finish()?;
     Ok(record)
 }
 
@@ -702,9 +614,7 @@ impl<S: Sketch> SketchStore<S> {
                     continue;
                 };
                 entry.clear();
-                put_str(&mut entry, key);
-                put_u64(&mut entry, slot.version);
-                put_bytes(&mut entry, &payload);
+                put_entry(&mut entry, key, slot.version, &payload);
                 // An entry over the frame limit is left out.
                 let _ = frame::push(&mut out, &entry);
             }
@@ -717,23 +627,14 @@ impl<S: Sketch> SketchStore<S> {
 /// records; entries start at [`CHECKPOINT_HEADER_BYTES`].
 fn checkpoint_epoch(bytes: &[u8]) -> Result<u64, String> {
     let mut header = Reader::new(bytes);
-    if header.u32().map_err(|_| "missing magic".to_owned())? != CHECKPOINT_MAGIC {
+    if header.u32()? != CHECKPOINT_MAGIC {
         return Err("bad checkpoint magic".to_owned());
     }
-    let format = header.u8().map_err(|_| "missing format".to_owned())?;
+    let format = header.u8()?;
     if format != CHECKPOINT_FORMAT {
         return Err(format!("unsupported checkpoint format {format}"));
     }
-    header.u64().map_err(|_| "missing epoch".to_owned())
-}
-
-/// Parses one verified checkpoint entry frame into
-/// `(key, version, compact payload)`.
-fn checkpoint_entry(frame: &[u8]) -> Result<(String, u64, Vec<u8>), String> {
-    let mut entry = Reader::new(frame);
-    let parsed = (entry.str()?, entry.u64()?, entry.bytes()?);
-    entry.done()?;
-    Ok(parsed)
+    Ok(header.u64()?)
 }
 
 // --- Recovery --------------------------------------------------------
@@ -871,10 +772,10 @@ pub(crate) fn recover<S: Sketch>(
     Ok((wal, report))
 }
 
-/// Applies one replayed record. Recovery runs before the store's log is
-/// installed, so the public write paths apply without logging; a
-/// replayed record that raises nothing (its registers are already in
-/// the checkpoint) stamps nothing.
+/// Applies one replayed record through the public write paths.
+/// Recovery runs before the builder installs the store's log, so they
+/// apply without logging; a replayed record that raises nothing (its
+/// registers are already in the checkpoint) stamps nothing.
 fn apply<S: Sketch>(store: &SketchStore<S>, record: WalRecord) -> Result<(), String> {
     match record {
         WalRecord::Ingest { key, elements } => {
@@ -898,7 +799,7 @@ fn apply<S: Sketch>(store: &SketchStore<S>, record: WalRecord) -> Result<(), Str
             Ok(())
         }
         WalRecord::Put { key, payload } => {
-            store.put_unlogged(&key, store.tier.try_decode(&payload)?);
+            store.put(&key, store.tier.try_decode(&payload)?);
             Ok(())
         }
         WalRecord::MergeIn { key, payload } => {
@@ -909,11 +810,11 @@ fn apply<S: Sketch>(store: &SketchStore<S>, record: WalRecord) -> Result<(), Str
                 .map_err(|error| error.to_string())
         }
         WalRecord::Remove { key } => {
-            store.remove_unlogged(&key);
+            store.remove(&key);
             Ok(())
         }
         WalRecord::Clear => {
-            store.clear_unlogged();
+            store.clear();
             Ok(())
         }
     }
@@ -950,10 +851,15 @@ fn load_checkpoint<S: Sketch>(
                 at = end;
             }
             Frame::Good(frame, end) => {
-                match checkpoint_entry(frame) {
-                    Ok((key, version, payload)) => {
-                        max_version = max_version.max(version);
-                        store.install_recovered_entry(key, version, payload);
+                // Each entry frame holds exactly one entry.
+                let mut reader = Reader::new(frame);
+                match reader
+                    .entry()
+                    .and_then(|entry| reader.finish().map(|()| entry))
+                {
+                    Ok(entry) => {
+                        max_version = max_version.max(entry.version);
+                        store.install_recovered_entry(entry.key, entry.version, entry.payload);
                         report.checkpoint_entries += 1;
                     }
                     Err(detail) => {

@@ -17,7 +17,7 @@
 use hyperloglog::{GhllConfig, GhllSketch};
 use setsketch::{ExponentialSpacings, IntervalSampling};
 use setsketch::{SetSketch, SetSketchConfig, ValueSequence};
-use sketch_cluster::{ErrorCode, Message, WireEntry, WireNeighbor};
+use sketch_cluster::{DeltaEntry, ErrorCode, Message, WireNeighbor};
 use sketch_core::Sketch;
 use sketch_math::crc32;
 use sketch_rand::mix64;
@@ -142,7 +142,7 @@ fn ghll_formats_are_unchanged() {
 /// One message of every kind, with fixed field values; the `Delta`
 /// carries three entries (one with an empty key and payload).
 fn one_message_of_each_kind() -> Vec<Message> {
-    let entry = |key: &str, version, payload: &[u8]| WireEntry {
+    let entry = |key: &str, version, payload: &[u8]| DeltaEntry {
         key: key.to_owned(),
         version,
         payload: payload.to_vec(),
