@@ -274,10 +274,6 @@ fn bench_lsh_index(c: &mut Criterion) {
     group.bench_function("query_multiprobe", |bencher| {
         bencher.iter(|| index.query_multiprobe(&signatures[17]));
     });
-    let batch: Vec<&[u32]> = signatures.iter().take(32).map(Vec::as_slice).collect();
-    group.bench_function("query_batch_32", |bencher| {
-        bencher.iter(|| index.query_batch(&batch));
-    });
     group.bench_function("candidate_pairs", |bencher| {
         bencher.iter(|| index.candidate_pairs().len());
     });

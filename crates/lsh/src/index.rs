@@ -262,32 +262,6 @@ impl<K: Clone + Eq + Hash> LshIndex<K> {
         out
     }
 
-    /// Queries many signatures at once, locking each band's table **one
-    /// time for the whole batch** instead of once per signature — the
-    /// lock-amortized path for sweep-style workloads. Returns one
-    /// deduplicated candidate list per signature, identical to calling
-    /// [`query`](Self::query) on each.
-    ///
-    /// # Panics
-    /// Panics if any signature is shorter than `bands * rows`.
-    pub fn query_batch(&self, signatures: &[&[u32]]) -> Vec<Vec<K>> {
-        for signature in signatures {
-            self.check_signature(signature);
-        }
-        let mut results: Vec<Vec<K>> = signatures.iter().map(|_| Vec::new()).collect();
-        let mut seen: Vec<HashSet<K>> = signatures.iter().map(|_| HashSet::new()).collect();
-        for band in 0..self.bands {
-            let table = self.tables[band].read();
-            for ((signature, out), seen) in signatures.iter().zip(&mut results).zip(&mut seen) {
-                let bucket = self.band_hash(band, signature);
-                if let Some(entries) = table.get(&bucket) {
-                    push_unseen(entries, seen, out);
-                }
-            }
-        }
-        results
-    }
-
     /// Removes a key from the buckets named by precomputed band hashes
     /// (the ids it was [`insert_hashed`](Self::insert_hashed) under).
     /// Returns true if anything was removed.
@@ -484,7 +458,6 @@ mod tests {
         assert_eq!(index.len(), 16, "stored in all 16 bands");
         assert_eq!(index.query(&s), vec![7]);
         assert_eq!(index.query_multiprobe(&s), vec![7]);
-        assert_eq!(index.query_batch(&[&s]), vec![vec![7]]);
     }
 
     #[test]
@@ -506,22 +479,6 @@ mod tests {
         assert!(index.remove_hashed(&1, &hashes));
         assert!(!index.query(&a).contains(&1));
         assert!(!index.remove_hashed(&1, &hashes));
-    }
-
-    #[test]
-    fn query_batch_matches_individual_queries() {
-        let index: LshIndex<u64> = LshIndex::new(16, 8).unwrap();
-        let sketches: Vec<_> = (0..20u64)
-            .map(|i| signature_of(i * 400..i * 400 + 3000))
-            .collect();
-        for (i, s) in sketches.iter().enumerate() {
-            index.insert(i as u64, s);
-        }
-        let signatures: Vec<&[u32]> = sketches.iter().map(Vec::as_slice).collect();
-        let batched = index.query_batch(&signatures);
-        for (s, batch) in sketches.iter().zip(&batched) {
-            assert_eq!(&index.query(s), batch);
-        }
     }
 
     #[test]

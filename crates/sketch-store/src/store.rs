@@ -67,6 +67,12 @@ impl<S> Slot<S> {
         Self::new(TierSlot::Hot(sketch), version, true)
     }
 
+    /// A slot restored compressed from a checkpoint (untouched: it
+    /// stays warm until first used).
+    pub(crate) fn warm(payload: Vec<u8>, version: u64) -> Self {
+        Self::new(TierSlot::Warm(payload.into_boxed_slice()), version, false)
+    }
+
     /// Stamps a write of the slot's registers: the new version, and an
     /// empty cardinality cache. Every version bump of a live slot goes
     /// through here.
@@ -116,6 +122,32 @@ impl<S> Slot<S> {
 
 /// One shard: a lock-guarded map from key to its versioned slot.
 pub(crate) type Shard<S> = RwLock<HashMap<String, Slot<S>>>;
+
+/// The guards of two keys' shards, from
+/// [`SketchStore::lock_pair`]: `first` over the lower shard index
+/// `lo`, `second` over the higher one unless both keys share a shard.
+struct LockedPair<G> {
+    lo: usize,
+    first: G,
+    second: Option<G>,
+}
+
+impl<G> LockedPair<G> {
+    /// The guard over shard `index` (one of the pair's two).
+    fn shard(&self, index: usize) -> &G {
+        match &self.second {
+            Some(second) if index != self.lo => second,
+            _ => &self.first,
+        }
+    }
+
+    fn shard_mut(&mut self, index: usize) -> &mut G {
+        match &mut self.second {
+            Some(second) if index != self.lo => second,
+            _ => &mut self.first,
+        }
+    }
+}
 
 /// Seed of the key-routing hash (independent of any sketch's seed).
 const ROUTING_SEED: u64 = 0x5354_4f52_4b45_5953; // "STORKEYS"
@@ -180,8 +212,9 @@ pub struct SketchStore<S> {
     factory: Box<dyn Fn() -> S + Send + Sync>,
     /// Monotonic write counter feeding the slots' version stamps.
     write_epoch: AtomicU64,
-    /// Tiering state: decoding prototype, policy, byte accounting, clock
-    /// hand and spill segments (see [`crate::tier`]).
+    /// Tiering state: decoding prototype, policy, the budget counter,
+    /// clock hand and spill segments (see [`crate::tier`], which makes
+    /// every slot state change).
     pub(crate) tier: TierRuntime<S>,
     /// Pipeline knobs fixed at construction ([`StoreBuilder`]); applied
     /// by every [`pipeline`](Self::pipeline) handle the store hands out.
@@ -404,8 +437,7 @@ impl<S: Sketch> SketchStore<S> {
             let Some(slot) = shard.get_mut(key) else {
                 return Ok(None);
             };
-            self.ensure_hot_slot(key, slot)?;
-            slot.touch();
+            self.promote(key, slot)?;
             Some(op(slot.hot_ref()))
         };
         self.maintain();
@@ -424,7 +456,6 @@ impl<S: Sketch> SketchStore<S> {
         self.log_then_apply(
             move || crate::wal::encode_put(key, &compact.expect("compressed when durable")),
             move |store| {
-                store.tier.account_insert_hot(&sketch);
                 let previous = {
                     // Stamped under the shard lock, like every other
                     // write: a delta sweep that read the counter past
@@ -433,9 +464,8 @@ impl<S: Sketch> SketchStore<S> {
                     let mut shard = store.shards[index].write();
                     let version = store.next_version();
                     store.mark_dirty(index);
-                    shard.insert(key.to_owned(), Slot::hot(sketch, version))
+                    store.insert_slot(&mut shard, key.to_owned(), Slot::hot(sketch, version))
                 };
-                let previous = previous.and_then(|slot| store.take_sketch(slot));
                 store.maintain();
                 previous
             },
@@ -451,33 +481,42 @@ impl<S: Sketch> SketchStore<S> {
             || crate::wal::encode_remove(key),
             |store| {
                 let index = store.shard_index(key);
-                let slot = {
-                    let mut shard = store.shards[index].write();
-                    let slot = shard.remove(key)?;
-                    store.mark_dirty(index);
-                    slot
-                };
-                store.take_sketch(slot)
+                let mut shard = store.shards[index].write();
+                let removed = store.remove_slot(&mut shard, key)?;
+                store.mark_dirty(index);
+                removed
             },
         )
     }
 
     /// Removes every sketch (and drops any spill segments).
+    ///
+    /// Atomic against concurrent writers: every shard stays locked
+    /// until the whole store and its memory tiers are empty, so a write
+    /// racing the clear lands either wholly before it (and is cleared)
+    /// or wholly after it.
     pub fn clear(&self) {
-        self.log_then_apply(crate::wal::encode_clear, |store| {
-            for (index, shard) in store.shards.iter().enumerate() {
-                let mut shard = shard.write();
-                shard.clear();
-                store.mark_dirty(index);
-            }
-            store.tier.reset();
-        });
+        self.log_then_apply(crate::wal::encode_clear, |store| store.clear_slots());
     }
 
-    /// Acquires the shard(s) of two keys deadlock-free (ascending shard
-    /// order) and runs `op` on the two sketches. Both keys are promoted
-    /// to hot if needed; when both are already resident only read locks
-    /// are taken.
+    /// Locks the shards of two keys (by `lock`) in ascending shard
+    /// order, the store's only nesting order, so no two lockers
+    /// deadlock. Two keys of one shard share one guard.
+    fn lock_pair<'a, G>(
+        &'a self,
+        ia: usize,
+        ib: usize,
+        lock: impl Fn(&'a Shard<S>) -> G,
+    ) -> LockedPair<G> {
+        let lo = ia.min(ib);
+        let first = lock(&self.shards[lo]);
+        let second = (ia != ib).then(|| lock(&self.shards[ia.max(ib)]));
+        LockedPair { lo, first, second }
+    }
+
+    /// Runs `op` on the sketches of two keys, promoting either to hot
+    /// if needed; when both are already resident only read locks are
+    /// taken.
     fn with_pair<R>(
         &self,
         key_a: &str,
@@ -487,28 +526,10 @@ impl<S: Sketch> SketchStore<S> {
         let not_found = |key: &str| StoreError::KeyNotFound(key.to_owned());
         let (ia, ib) = (self.shard_index(key_a), self.shard_index(key_b));
         // Fast path: both resident — read locks only.
-        if ia == ib {
-            let shard = self.shards[ia].read();
-            let a = shard.get(key_a).ok_or_else(|| not_found(key_a))?;
-            let b = shard.get(key_b).ok_or_else(|| not_found(key_b))?;
-            if let (TierSlot::Hot(sa), TierSlot::Hot(sb)) = (&a.state, &b.state) {
-                a.touch();
-                b.touch();
-                return Ok(op(sa, sb));
-            }
-        } else {
-            // Lock in ascending shard order; shard locks are only ever
-            // nested in this order, so the nesting cannot deadlock.
-            let (lo, hi) = (ia.min(ib), ia.max(ib));
-            let shard_lo = self.shards[lo].read();
-            let shard_hi = self.shards[hi].read();
-            let (shard_a, shard_b) = if ia < ib {
-                (&shard_lo, &shard_hi)
-            } else {
-                (&shard_hi, &shard_lo)
-            };
-            let a = shard_a.get(key_a).ok_or_else(|| not_found(key_a))?;
-            let b = shard_b.get(key_b).ok_or_else(|| not_found(key_b))?;
+        {
+            let pair = self.lock_pair(ia, ib, |shard| shard.read());
+            let slot = |index, key| pair.shard(index).get(key).ok_or_else(|| not_found(key));
+            let (a, b) = (slot(ia, key_a)?, slot(ib, key_b)?);
             if let (TierSlot::Hot(sa), TierSlot::Hot(sb)) = (&a.state, &b.state) {
                 a.touch();
                 b.touch();
@@ -517,51 +538,29 @@ impl<S: Sketch> SketchStore<S> {
         }
         // Slow path: at least one side is cold — retake the locks as
         // write locks (same ascending order) and promote both.
-        let result = if ia == ib {
-            let mut shard = self.shards[ia].write();
-            if !shard.contains_key(key_a) {
-                return Err(not_found(key_a));
-            }
-            if !shard.contains_key(key_b) {
-                return Err(not_found(key_b));
-            }
-            for key in [key_a, key_b] {
-                let slot = shard.get_mut(key).expect("checked above");
-                self.ensure_hot_slot(key, slot)?;
-                slot.touch();
-            }
-            let a = shard.get(key_a).expect("checked above");
-            let b = shard.get(key_b).expect("checked above");
-            op(a.hot_ref(), b.hot_ref())
-        } else {
-            let (lo, hi) = (ia.min(ib), ia.max(ib));
-            let mut shard_lo = self.shards[lo].write();
-            let mut shard_hi = self.shards[hi].write();
-            let (shard_a, shard_b) = if ia < ib {
-                (&mut shard_lo, &mut shard_hi)
-            } else {
-                (&mut shard_hi, &mut shard_lo)
-            };
-            let slot_a = shard_a.get_mut(key_a).ok_or_else(|| not_found(key_a))?;
-            self.ensure_hot_slot(key_a, slot_a)?;
-            slot_a.touch();
-            let slot_b = shard_b.get_mut(key_b).ok_or_else(|| not_found(key_b))?;
-            self.ensure_hot_slot(key_b, slot_b)?;
-            slot_b.touch();
-            op(
-                shard_a.get(key_a).expect("just promoted").hot_ref(),
-                shard_b.get(key_b).expect("just promoted").hot_ref(),
-            )
+        let mut pair = self.lock_pair(ia, ib, |shard| shard.write());
+        let mut promote = |index, key| {
+            let slot = pair.shard_mut(index).get_mut(key);
+            self.promote(key, slot.ok_or_else(|| not_found(key))?)
         };
+        let result = promote(ia, key_a)
+            .and_then(|()| promote(ib, key_b))
+            .map(|()| {
+                op(
+                    pair.shard(ia)[key_a].hot_ref(),
+                    pair.shard(ib)[key_b].hot_ref(),
+                )
+            });
+        drop(pair);
         self.maintain();
-        Ok(result)
+        result
     }
 
     /// Write-locks the key's shard and applies `op` to its sketch,
     /// creating it through the factory on first use and promoting it to
     /// hot if it was compressed or spilled (a no-op write to a cold key
     /// still promotes). The existing-key fast path avoids allocating an
-    /// owned key string; tier byte accounting covers every path.
+    /// owned key string; every tier move goes through [`crate::tier`].
     ///
     /// `op` answers whether it changed the sketch. Only a change — or
     /// the key's creation, or a restart over a corrupt slot — counts as
@@ -585,8 +584,7 @@ impl<S: Sketch> SketchStore<S> {
         let mut shard = self.shards[index].write();
         let result = match shard.get_mut(key) {
             Some(slot) => {
-                slot.touch();
-                let result = if self.ensure_hot_slot(key, slot).is_ok() {
+                let result = if self.promote(key, slot).is_ok() {
                     op(slot.hot_mut())
                 } else {
                     // A corrupt slot's registers are gone; a write
@@ -595,8 +593,7 @@ impl<S: Sketch> SketchStore<S> {
                     // the rest).
                     let mut sketch = (self.factory)();
                     op(&mut sketch).map(|_| {
-                        self.tier.account_insert_hot(&sketch);
-                        slot.state = TierSlot::Hot(sketch);
+                        self.set_state(slot, TierSlot::Hot(sketch));
                         true
                     })
                 };
@@ -608,8 +605,8 @@ impl<S: Sketch> SketchStore<S> {
             None => {
                 let mut sketch = (self.factory)();
                 op(&mut sketch).map(|_| {
-                    self.tier.account_insert_hot(&sketch);
-                    shard.insert(key.to_owned(), Slot::hot(sketch, self.next_version()));
+                    let slot = Slot::hot(sketch, self.next_version());
+                    self.insert_slot(&mut shard, key.to_owned(), slot);
                     true
                 })
             }

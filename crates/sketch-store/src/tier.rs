@@ -29,6 +29,21 @@
 //! or promoting read that leaves residency over budget runs the scan,
 //! which piggybacks on the existing shard write locks (one shard per
 //! step, hand advancing round-robin) — there is no background thread.
+//!
+//! This module owns every change of a slot's tier state, and each
+//! change charges the memory budget in the same call, under the slot's
+//! shard write lock: creation and replacement
+//! ([`insert_slot`](SketchStore::insert_slot)), removal
+//! ([`remove_slot`](SketchStore::remove_slot)), promotion and
+//! quarantine ([`promote`](SketchStore::promote)), a write's restart
+//! over a corrupt slot ([`set_state`](SketchStore::set_state)), both
+//! demotions (the clock scan) and
+//! [`clear_slots`](SketchStore::clear_slots). The budget is one counter,
+//! [`TierRuntime`]'s `charged`: the resident footprint of every hot
+//! slot plus the payload length of every warm one (frozen and
+//! quarantined slots cost no memory). It is exact whenever no
+//! transition is in flight: it then equals
+//! [`TierStats::resident_bytes`].
 
 use crate::error::StoreError;
 use crate::frame::{self, Frame};
@@ -36,6 +51,7 @@ use crate::store::{SketchStore, Slot};
 use parking_lot::Mutex;
 use sketch_core::Sketch;
 use std::borrow::Cow;
+use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -131,19 +147,23 @@ pub(crate) struct TierPolicy {
     pub(crate) spill_dir: Option<PathBuf>,
 }
 
-/// Per-store tiering state: decoding prototype, policy, byte
-/// accounting, the clock hand and the lazily created spill segments.
+/// Per-store tiering state: decoding prototype, policy, the budget
+/// counter, the clock hand and the lazily created spill segments.
 pub(crate) struct TierRuntime<S> {
     /// Empty factory sketch every compact payload decompresses against
     /// (fixes configuration and seed): cold slots, checkpoint entries
     /// and put/merge-in records.
     prototype: S,
     pub(crate) policy: TierPolicy,
-    /// Budget accounting, kept only when a budget is set — nothing else
-    /// reads it (signed: concurrent deltas may transiently cross zero).
-    /// Exact figures come from [`SketchStore::tier_stats`].
-    hot_bytes: AtomicIsize,
-    warm_bytes: AtomicIsize,
+    /// Bytes charged against the memory budget: hot slots' resident
+    /// footprint plus warm slots' payload lengths. Kept only when a
+    /// budget is set (nothing but [`over_budget`](Self::over_budget)
+    /// reads it) and moved only by [`charge`](Self::charge) and
+    /// [`reset`](Self::reset), which every slot transition calls under
+    /// the slot's shard write lock, so it equals the exact
+    /// [`SketchStore::tier_stats`] figure between transitions. Signed so
+    /// that a charge is one `fetch_add` of the difference either way.
+    charged: AtomicIsize,
     /// Guards the clock scan: at most one maintainer runs (set by
     /// compare-exchange), everyone else skips.
     scanning: AtomicBool,
@@ -162,8 +182,7 @@ impl<S: Sketch> TierRuntime<S> {
         TierRuntime {
             prototype,
             policy,
-            hot_bytes: AtomicIsize::new(0),
-            warm_bytes: AtomicIsize::new(0),
+            charged: AtomicIsize::new(0),
             scanning: AtomicBool::new(false),
             hand: AtomicUsize::new(0),
             segments: Mutex::new(None),
@@ -172,100 +191,42 @@ impl<S: Sketch> TierRuntime<S> {
         }
     }
 
-    /// True when a memory budget is set: the byte accounting exists for
-    /// [`over_budget`](Self::over_budget) alone, so without a budget
-    /// every `account_*` call is a no-op.
-    fn budgeted(&self) -> bool {
-        self.policy.memory_budget_bytes.is_some()
-    }
-
-    /// Bytes currently counted against the budget (hot + warm).
-    pub(crate) fn resident_total(&self) -> usize {
-        let total =
-            self.hot_bytes.load(Ordering::Relaxed) + self.warm_bytes.load(Ordering::Relaxed);
-        total.max(0) as usize
-    }
-
-    pub(crate) fn over_budget(&self) -> bool {
+    fn over_budget(&self) -> bool {
         self.policy
             .memory_budget_bytes
-            .is_some_and(|budget| self.resident_total() > budget)
+            .is_some_and(|budget| self.charged.load(Ordering::Relaxed).max(0) as usize > budget)
     }
 
-    fn add_hot(&self, delta: isize) {
-        self.hot_bytes.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    fn add_warm(&self, delta: isize) {
-        self.warm_bytes.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// A new hot slot entered the store.
-    pub(crate) fn account_insert_hot(&self, sketch: &S) {
-        if self.budgeted() {
-            self.add_hot(sketch.resident_bytes() as isize);
-        }
-    }
-
-    /// A new warm slot entered the store (checkpoint recovery).
-    pub(crate) fn account_insert_warm(&self, len: usize) {
-        if self.budgeted() {
-            self.add_warm(len as isize);
-        }
-    }
-
-    /// A slot left the store (remove / replace) or was quarantined; a
-    /// frozen slot's spill record is released with it, so read the
-    /// record first if it is still wanted. (Only a budget's scan
-    /// freezes, so an unbudgeted store has no records to release.)
-    pub(crate) fn account_remove(&self, state: &TierSlot<S>) {
-        if !self.budgeted() {
+    /// The one budget charge: a slot moved from state `old` to state
+    /// `new` (`None`: no slot). The counter moves by the difference of
+    /// their costs in one step, and a frozen `old` releases its spill
+    /// record — read the record first if it is still wanted. Without a
+    /// budget nothing is counted, and nothing is frozen to release
+    /// (only a budget's scan freezes).
+    fn charge(&self, old: Option<&TierSlot<S>>, new: Option<&TierSlot<S>>) {
+        if self.policy.memory_budget_bytes.is_none() {
             return;
         }
-        match state {
-            TierSlot::Hot(sketch) => self.add_hot(-(sketch.resident_bytes() as isize)),
-            TierSlot::Warm(bytes) => self.add_warm(-(bytes.len() as isize)),
-            TierSlot::Frozen { segment, .. } => self.release_frozen(*segment),
-            TierSlot::Quarantined(_) => {}
+        let cost = |state: Option<&TierSlot<S>>| match state {
+            Some(TierSlot::Hot(sketch)) => sketch.resident_bytes() as isize,
+            Some(TierSlot::Warm(bytes)) => bytes.len() as isize,
+            _ => 0,
+        };
+        if let Some(TierSlot::Frozen { segment, .. }) = old {
+            if let Some(segments) = self.segments.lock().as_mut() {
+                segments.release(*segment);
+            }
+        }
+        let delta = cost(new) - cost(old);
+        if delta != 0 {
+            self.charged.fetch_add(delta, Ordering::Relaxed);
         }
     }
 
-    /// A cold slot rehydrated to `hot`: its warm bytes are freed, or
-    /// its spill record released.
-    pub(crate) fn account_promote(&self, cold: &TierSlot<S>, hot: &S) {
-        if !self.budgeted() {
-            return;
-        }
-        match cold {
-            TierSlot::Warm(bytes) => self.add_warm(-(bytes.len() as isize)),
-            TierSlot::Frozen { segment, .. } => self.release_frozen(*segment),
-            TierSlot::Hot(_) | TierSlot::Quarantined(_) => {}
-        }
-        self.add_hot(hot.resident_bytes() as isize);
-    }
-
-    /// One record of `segment` is no longer referenced by any slot.
-    fn release_frozen(&self, segment: u32) {
-        if let Some(segments) = self.segments.lock().as_mut() {
-            segments.release(segment);
-        }
-    }
-
-    /// A hot sketch compressed down to warm bytes.
-    pub(crate) fn account_demote_to_warm(&self, resident: usize, len: usize) {
-        self.add_hot(-(resident as isize));
-        self.add_warm(len as isize);
-    }
-
-    /// Warm bytes spilled to a segment file.
-    pub(crate) fn account_demote_to_frozen(&self, len: usize) {
-        self.add_warm(-(len as isize));
-    }
-
-    /// Drops all accounting and spill segments (store cleared).
-    pub(crate) fn reset(&self) {
-        self.hot_bytes.store(0, Ordering::Relaxed);
-        self.warm_bytes.store(0, Ordering::Relaxed);
+    /// Drops the whole charge and every spill segment (store cleared,
+    /// with every shard write-locked and emptied).
+    fn reset(&self) {
+        self.charged.store(0, Ordering::Relaxed);
         *self.segments.lock() = None;
     }
 
@@ -300,52 +261,6 @@ impl<S: Sketch> TierRuntime<S> {
                 None
             }
         }
-    }
-
-    /// Number of spill appends that have failed so far.
-    pub(crate) fn spill_failure_count(&self) -> usize {
-        self.spill_failures.load(Ordering::Relaxed)
-    }
-
-    /// The most recent spill-append failure.
-    pub(crate) fn last_spill_failure(&self) -> Option<String> {
-        self.last_spill_error.lock().clone()
-    }
-
-    /// Reads a frozen record back, verifying its checksum. An error
-    /// means the registers are lost (missing, truncated or bit-rotted
-    /// segment) — the caller quarantines the slot.
-    pub(crate) fn read_frozen(
-        &self,
-        segment: u32,
-        offset: u64,
-        len: u32,
-    ) -> Result<Vec<u8>, String> {
-        self.segments
-            .lock()
-            .as_mut()
-            .ok_or_else(|| "frozen slot without spill segments".to_owned())?
-            .read(segment, offset, len)
-            .map_err(|error| format!("spill segment unreadable: {error}"))
-    }
-
-    /// The spill directory, if segments have been created (tests assert
-    /// it disappears with the store).
-    pub(crate) fn spill_path(&self) -> Option<PathBuf> {
-        self.segments.lock().as_ref().map(|s| s.dir.clone())
-    }
-
-    /// Claims the single-maintainer scan slot; `false` means another
-    /// thread is already scanning and the caller should skip.
-    pub(crate) fn begin_scan(&self) -> bool {
-        self.scanning
-            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-            .is_ok()
-    }
-
-    /// Releases the scan slot.
-    pub(crate) fn end_scan(&self) {
-        self.scanning.store(false, Ordering::Release);
     }
 }
 
@@ -524,7 +439,7 @@ impl<S: Sketch> SketchStore<S> {
     /// ```
     pub fn tier_stats(&self) -> TierStats {
         let mut stats = TierStats {
-            spill_append_failures: self.tier.spill_failure_count(),
+            spill_append_failures: self.tier.spill_failures.load(Ordering::Relaxed),
             ..TierStats::default()
         };
         for shard in self.shards() {
@@ -553,7 +468,7 @@ impl<S: Sketch> SketchStore<S> {
     /// spill failed stayed warm (counted in
     /// [`TierStats::spill_append_failures`]).
     pub fn last_spill_error(&self) -> Option<String> {
-        self.tier.last_spill_failure()
+        self.tier.last_spill_error.lock().clone()
     }
 
     /// The directory holding this store's spill segments — `None`
@@ -561,38 +476,88 @@ impl<S: Sketch> SketchStore<S> {
     /// file in it are removed when the store drops (or on
     /// [`clear`](Self::clear)).
     pub fn spill_path(&self) -> Option<std::path::PathBuf> {
-        self.tier.spill_path()
+        self.tier.segments.lock().as_ref().map(|s| s.dir.clone())
     }
 
-    /// Rehydrates a slot to hot in place (no-op when already hot).
-    /// Caller holds the shard's write lock. Promotion does **not** bump
-    /// the slot's version: the registers are unchanged, so similarity
-    /// index entries stay valid.
+    /// The one in-place slot transition: moves `slot` to `next` and
+    /// charges the change (a frozen old state's spill record is
+    /// released). Promotion, quarantine, both demotions and a write's
+    /// restart over a corrupt slot all go through here. Caller holds the
+    /// slot's shard write lock.
+    pub(crate) fn set_state(&self, slot: &mut Slot<S>, next: TierSlot<S>) {
+        self.tier.charge(Some(&slot.state), Some(&next));
+        slot.state = next;
+    }
+
+    /// Touches `key`'s slot and rehydrates it to hot in place (no-op
+    /// when already hot) — the promote-on-touch step of every point
+    /// read and write. Caller holds the shard's write lock. Promotion
+    /// does **not** bump the slot's version: the registers are
+    /// unchanged, so similarity index entries stay valid.
     ///
     /// A payload that fails its checksum or codec round-trip
-    /// **quarantines** the slot (its byte accounting is unwound) and
-    /// returns [`StoreError::CorruptSlot`]; read paths surface the
-    /// error, write paths replace the quarantined slot with a fresh
-    /// factory sketch.
-    pub(crate) fn ensure_hot_slot(&self, key: &str, slot: &mut Slot<S>) -> Result<(), StoreError> {
+    /// **quarantines** the slot and returns
+    /// [`StoreError::CorruptSlot`]; read paths surface the error, write
+    /// paths restart the slot from a fresh factory sketch.
+    pub(crate) fn promote(&self, key: &str, slot: &mut Slot<S>) -> Result<(), StoreError> {
+        slot.touch();
         if slot.state.is_hot() {
             return Ok(());
         }
         match self.try_materialize_cold(&slot.state) {
             Ok(sketch) => {
-                self.tier.account_promote(&slot.state, &sketch);
-                slot.state = TierSlot::Hot(sketch);
+                self.set_state(slot, TierSlot::Hot(sketch));
                 Ok(())
             }
             Err(detail) => {
-                self.tier.account_remove(&slot.state);
-                slot.state = TierSlot::Quarantined(detail.clone().into_boxed_str());
+                self.set_state(slot, TierSlot::Quarantined(detail.clone().into_boxed_str()));
                 Err(StoreError::CorruptSlot {
                     key: key.to_owned(),
                     detail,
                 })
             }
         }
+    }
+
+    /// Creates `key`'s slot in `shard` (write-locked by the caller),
+    /// charging it, and returns the registers of the slot it replaced
+    /// (`None` when there was none, or its payload was corrupt).
+    pub(crate) fn insert_slot(
+        &self,
+        shard: &mut HashMap<String, Slot<S>>,
+        key: String,
+        slot: Slot<S>,
+    ) -> Option<S> {
+        self.tier.charge(None, Some(&slot.state));
+        let replaced = shard.insert(key, slot)?;
+        self.take_sketch(replaced)
+    }
+
+    /// Removes `key`'s slot from `shard` (write-locked by the caller),
+    /// uncharging it. `None` when the key held no slot; `Some(None)`
+    /// when its payload was corrupt — the registers are unrecoverable,
+    /// and the slot is gone all the same.
+    pub(crate) fn remove_slot(
+        &self,
+        shard: &mut HashMap<String, Slot<S>>,
+        key: &str,
+    ) -> Option<Option<S>> {
+        shard.remove(key).map(|slot| self.take_sketch(slot))
+    }
+
+    /// Removes every slot and the tier state with it, atomically
+    /// against concurrent writers: every shard's write lock is held, in
+    /// ascending order (the store's only nesting order), across the
+    /// sweep and the reset. Otherwise a key written into an already
+    /// cleared shard would lose its charge to the reset, or its spill
+    /// segment if the clock scan froze it in between.
+    pub(crate) fn clear_slots(&self) {
+        let mut shards: Vec<_> = self.shards().iter().map(|shard| shard.write()).collect();
+        for (index, shard) in shards.iter_mut().enumerate() {
+            shard.clear();
+            self.mark_dirty(index);
+        }
+        self.tier.reset();
     }
 
     /// Runs `op` against the slot's sketch **without promoting**: hot
@@ -627,8 +592,13 @@ impl<S: Sketch> SketchStore<S> {
                 len,
             } => self
                 .tier
-                .read_frozen(*segment, *offset, *len)
-                .map(Cow::Owned),
+                .segments
+                .lock()
+                .as_mut()
+                .ok_or_else(|| "frozen slot without spill segments".to_owned())?
+                .read(*segment, *offset, *len)
+                .map(Cow::Owned)
+                .map_err(|error| format!("spill segment unreadable: {error}")),
         }
     }
 
@@ -651,16 +621,15 @@ impl<S: Sketch> SketchStore<S> {
             .and_then(|bytes| self.tier.try_decode(&bytes))
     }
 
-    /// Converts a removed slot into its sketch, unwinding the byte
-    /// accounting. `None` when the payload was corrupt — the registers
-    /// are unrecoverable, and the slot has already left the map.
-    pub(crate) fn take_sketch(&self, slot: Slot<S>) -> Option<S> {
-        // Read a cold payload before the accounting releases it.
+    /// Converts a slot that left its shard map into its sketch,
+    /// uncharging it. `None` when the payload was corrupt.
+    fn take_sketch(&self, slot: Slot<S>) -> Option<S> {
+        // Read a cold payload before the charge releases it.
         let cold = match &slot.state {
             TierSlot::Hot(_) => None,
             state => self.try_materialize_cold(state).ok(),
         };
-        self.tier.account_remove(&slot.state);
+        self.tier.charge(Some(&slot.state), None);
         match slot.state {
             TierSlot::Hot(sketch) => Some(sketch),
             _ => cold,
@@ -672,9 +641,14 @@ impl<S: Sketch> SketchStore<S> {
     /// residency is over the memory budget, runs a clock scan unless
     /// another thread already is. Call with no shard lock held.
     pub(crate) fn maintain(&self) {
-        if self.tier.over_budget() && self.tier.begin_scan() {
+        let scanning = &self.tier.scanning;
+        if self.tier.over_budget()
+            && scanning
+                .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
+                .is_ok()
+        {
             self.clock_scan();
-            self.tier.end_scan();
+            scanning.store(false, Ordering::Release);
         }
     }
 
@@ -707,27 +681,21 @@ impl<S: Sketch> SketchStore<S> {
                 }
                 let next = match &slot.state {
                     TierSlot::Hot(sketch) => {
-                        let resident = sketch.resident_bytes();
-                        let bytes = sketch.compress().into_boxed_slice();
-                        self.tier.account_demote_to_warm(resident, bytes.len());
-                        Some(TierSlot::Warm(bytes))
+                        Some(TierSlot::Warm(sketch.compress().into_boxed_slice()))
                     }
                     TierSlot::Warm(bytes) if spill => {
                         let frozen = self.tier.append_frozen(bytes);
                         spill = frozen.is_some();
-                        frozen.map(|(segment, offset, len)| {
-                            self.tier.account_demote_to_frozen(bytes.len());
-                            TierSlot::Frozen {
-                                segment,
-                                offset,
-                                len,
-                            }
+                        frozen.map(|(segment, offset, len)| TierSlot::Frozen {
+                            segment,
+                            offset,
+                            len,
                         })
                     }
                     _ => None,
                 };
                 if let Some(state) = next {
-                    slot.state = state;
+                    self.set_state(slot, state);
                 }
             }
         }
@@ -737,6 +705,196 @@ impl<S: Sketch> SketchStore<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use setsketch::{SetSketch2, SetSketchConfig};
+    use std::time::{Duration, Instant};
+
+    fn config() -> SetSketchConfig {
+        SetSketchConfig::new(64, 2.0, 20.0, 62).unwrap()
+    }
+
+    /// A fresh directory under the temp dir, unique per test and process.
+    fn scratch_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("sketch-store-{name}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// Asserts that the budget counter equals the exact tier scan.
+    fn assert_charged_exactly(store: &SketchStore<SetSketch2>, after: &str) {
+        let charged = store.tier.charged.load(Ordering::Relaxed);
+        let exact = store.tier_stats().resident_bytes() as isize;
+        assert_eq!(charged, exact, "budget counter vs exact scan after {after}");
+    }
+
+    /// Overwrites the first payload byte of a frozen slot's spill
+    /// record and returns the slot's key; `None` when no slot is frozen.
+    fn rot_one_spill_record(store: &SketchStore<SetSketch2>) -> Option<String> {
+        let (key, segment, offset) = store.shards().iter().find_map(|shard| {
+            shard
+                .read()
+                .iter()
+                .find_map(|(key, slot)| match slot.state {
+                    TierSlot::Frozen {
+                        segment, offset, ..
+                    } => Some((key.clone(), segment, offset)),
+                    _ => None,
+                })
+        })?;
+        let path = store
+            .spill_path()
+            .unwrap()
+            .join(format!("seg-{segment}.bin"));
+        let mut file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(path)
+            .unwrap();
+        let at = offset + frame::HEADER_BYTES as u64;
+        let mut byte = [0u8];
+        file.seek(SeekFrom::Start(at)).unwrap();
+        file.read_exact(&mut byte).unwrap();
+        file.seek(SeekFrom::Start(at)).unwrap();
+        file.write_all(&[!byte[0]]).unwrap();
+        Some(key)
+    }
+
+    /// A seeded single-threaded script over every slot transition on a
+    /// budgeted, spilling, durable store: after each step the budget
+    /// counter must equal the exact scan of the tiers.
+    #[test]
+    fn budget_counter_matches_the_exact_scan_after_every_op() {
+        let dir = scratch_dir("charge-script");
+        let (durable, spill) = (dir.join("wal"), dir.join("spill"));
+        let one_sketch = SetSketch2::new(config(), 5).resident_bytes();
+        let open = || {
+            SketchStore::builder(|| SetSketch2::new(config(), 5))
+                .shards(4)
+                .memory_budget_bytes(3 * one_sketch)
+                .spill_dir(&spill)
+                .durable_dir(&durable)
+                .checkpoint_after_bytes(16 << 10)
+                .build()
+        };
+        let mut store = open();
+        let key = |n: u64| format!("k{}", n % 12);
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let (mut rotted, mut restored) = (0, 0);
+        for step in 0..600 {
+            let (kind, a, b) = (next() % 20, next(), next());
+            let op = match kind {
+                0..=5 => {
+                    let fresh: Vec<u64> = (0..1 + b % 40).map(|_| next() | 1 << 63).collect();
+                    store.ingest(&key(a), &fresh);
+                    "ingest of fresh elements"
+                }
+                6..=7 => {
+                    // Element ids below 64 recur across the script.
+                    store.ingest(&key(a), &[b % 64, (b + 1) % 64]);
+                    "ingest of seen elements"
+                }
+                8 => {
+                    let mut sketch = SetSketch2::new(config(), 5);
+                    sketch.insert_batch(&[a, b]);
+                    store.put(&key(a), sketch);
+                    "put"
+                }
+                9 => {
+                    store.remove(&key(a));
+                    "remove"
+                }
+                10..=11 => {
+                    let cold = store.keys().into_iter().find(|name| {
+                        let shard = store.shard(name).read();
+                        shard.get(name).is_some_and(|slot| !slot.state.is_hot())
+                    });
+                    let _ = store.cardinality(&cold.unwrap_or_else(|| key(a)));
+                    "read of a cold key"
+                }
+                12 => {
+                    let _ = store.jaccard(&key(a), &key(b));
+                    "jaccard"
+                }
+                13..=14 => {
+                    let mut incoming = SetSketch2::new(config(), 5);
+                    incoming.insert_batch(&[a % 97, b % 97]);
+                    store.merge_in(&key(a), &incoming).unwrap();
+                    "merge_in"
+                }
+                15 => {
+                    store.clear();
+                    "clear"
+                }
+                16..=17 => {
+                    store.checkpoint().unwrap();
+                    drop(store);
+                    store = open();
+                    restored += store.recovery_report().unwrap().checkpoint_entries;
+                    "restart from a checkpoint"
+                }
+                _ => {
+                    if let Some(name) = rot_one_spill_record(&store) {
+                        let read = store.cardinality(&name);
+                        assert!(matches!(read, Err(StoreError::CorruptSlot { .. })));
+                        rotted += 1;
+                    }
+                    "a rotted spill record"
+                }
+            };
+            assert_charged_exactly(&store, &format!("step {step}: {op}"));
+        }
+        assert!(rotted > 0, "the script rotted no spill record");
+        assert!(restored > 0, "no restart restored a checkpoint entry");
+        drop(store);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// `clear` against a concurrent writer on a store whose 1-byte
+    /// budget freezes almost every key. Each round clears once while a
+    /// second thread is midway through a burst of fresh-key ingests,
+    /// then checks that no surviving key lost its spill record (it
+    /// would be quarantined on its next read) and that the budget
+    /// counter is exact.
+    #[test]
+    fn clear_is_atomic_against_concurrent_writers() {
+        let store = SketchStore::builder(|| SetSketch2::new(config(), 3))
+            .shards(64)
+            .memory_budget_bytes(1)
+            .build();
+        let deadline = Instant::now() + Duration::from_millis(600);
+        let mut next_key = 0u64;
+        for round in 0.. {
+            if Instant::now() >= deadline {
+                break;
+            }
+            let written = AtomicUsize::new(0);
+            let keys = next_key..next_key + 32;
+            next_key = keys.end;
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    for key in keys {
+                        store.ingest(&format!("k{key}"), &[key, key + 1]);
+                        written.fetch_add(1, Ordering::Relaxed);
+                    }
+                });
+                while written.load(Ordering::Relaxed) < 8 {
+                    std::hint::spin_loop();
+                }
+                store.clear();
+            });
+            for key in store.keys() {
+                let _ = store.cardinality(&key);
+            }
+            assert_eq!(store.tier_stats().quarantined_keys, 0, "round {round}");
+            assert_charged_exactly(&store, &format!("round {round} of racing clears"));
+        }
+    }
 
     #[test]
     fn segments_roundtrip_and_rotate() {

@@ -54,7 +54,6 @@ use crate::frame::{
     self, put_bytes, put_entry, put_list, put_str, put_u32, put_u64, Frame, Reader,
 };
 use crate::store::{SketchStore, Slot};
-use crate::tier::TierSlot;
 use parking_lot::{Mutex, RwLock};
 use sketch_core::Sketch;
 use std::fs::{self, File, OpenOptions};
@@ -884,13 +883,9 @@ impl<S: Sketch> SketchStore<S> {
     /// Installs one checkpoint entry as a warm slot with its original
     /// version stamp (recovery only — the store is not shared yet).
     pub(crate) fn install_recovered_entry(&self, key: String, version: u64, payload: Vec<u8>) {
-        self.tier.account_insert_warm(payload.len());
         let index = self.shard_index(&key);
         let mut shard = self.shards()[index].write();
-        shard.insert(
-            key,
-            Slot::new(TierSlot::Warm(payload.into_boxed_slice()), version, false),
-        );
+        self.insert_slot(&mut shard, key, Slot::warm(payload, version));
         self.mark_dirty(index);
     }
 }
