@@ -8,7 +8,7 @@
 use crate::locality::collision_probability_bounds;
 use crate::sequence::ValueSequence;
 use crate::sketch::{IncompatibleSketches, SetSketch};
-use sketch_core::{JointQuantities, Sketch};
+use sketch_core::{JointCounts, JointQuantities, Sketch};
 use sketch_math::{BitPackError, Registers};
 use sketch_rand::hash_bytes;
 
@@ -55,13 +55,20 @@ impl<S: ValueSequence> Sketch for SetSketch<S> {
         self.estimate_joint(other)
     }
 
-    fn joint_with_cardinalities(
+    fn joint_counts(&self, other: &Self) -> Result<JointCounts, IncompatibleSketches> {
+        SetSketch::joint_counts(self, other)
+    }
+
+    /// Solves the §3.2 likelihood only when one slope test
+    /// ([`sketch_math::ml_jaccard_may_reach`]) cannot rule out `floor`.
+    fn joint_from_counts(
         &self,
-        other: &Self,
+        counts: JointCounts,
         n_u: f64,
         n_v: f64,
-    ) -> Result<JointQuantities, IncompatibleSketches> {
-        self.estimate_joint_with_cardinalities(other, n_u, n_v)
+        floor: f64,
+    ) -> Option<JointQuantities> {
+        self.estimate_joint_from_counts(counts, n_u, n_v, floor)
     }
 
     fn signature_len(&self) -> usize {
@@ -236,6 +243,17 @@ mod tests {
         assert_eq!(a.cardinality(), a.estimate_cardinality());
         let joint = Sketch::joint(&a, &b).unwrap();
         assert_eq!(joint, a.estimate_joint(&b).unwrap());
+        // Counts plus cardinalities give `joint` bit for bit at any floor
+        // the estimate reaches; a floor far above it is ruled out.
+        let counts = Sketch::joint_counts(&a, &b).unwrap();
+        let (n_a, n_b) = (a.cardinality(), b.cardinality());
+        for floor in [0.0, joint.jaccard] {
+            assert_eq!(a.joint_from_counts(counts, n_a, n_b, floor), Some(joint));
+        }
+        assert_eq!(
+            a.joint_from_counts(counts, n_a, n_b, joint.jaccard + 0.1),
+            None
+        );
         let mut merged = a.clone();
         assert!(Sketch::merge_from(&mut merged, &b).unwrap());
         assert_eq!(merged, a.merged(&b).unwrap());

@@ -9,7 +9,9 @@
 
 use crate::sequence::ValueSequence;
 use crate::sketch::{IncompatibleSketches, SetSketch};
-use sketch_math::{inclusion_exclusion_jaccard, ml_jaccard, JointCounts, JointQuantities};
+use sketch_math::{
+    inclusion_exclusion_jaccard, ml_jaccard, ml_jaccard_may_reach, JointCounts, JointQuantities,
+};
 
 impl<S: ValueSequence> SetSketch<S> {
     /// Register comparison counts against a compatible sketch (one pass
@@ -37,15 +39,35 @@ impl<S: ValueSequence> SetSketch<S> {
         n_v: f64,
     ) -> Result<JointQuantities, IncompatibleSketches> {
         let counts = self.joint_counts(other)?;
+        Ok(self
+            .estimate_joint_from_counts(counts, n_u, n_v, 0.0)
+            .expect("a zero floor rules nothing out"))
+    }
+
+    /// Joint estimation from the pair's comparison counts
+    /// ([`joint_counts`](Self::joint_counts)) and cardinalities, solving
+    /// the likelihood only if its maximiser may reach `floor`
+    /// ([`ml_jaccard_may_reach`]): `None` means the Jaccard is provably
+    /// below `floor`. `Some` is the exact estimate, equal bit for bit to
+    /// [`estimate_joint_with_cardinalities`](Self::estimate_joint_with_cardinalities)
+    /// on the same pair.
+    pub fn estimate_joint_from_counts(
+        &self,
+        counts: JointCounts,
+        n_u: f64,
+        n_v: f64,
+        floor: f64,
+    ) -> Option<JointQuantities> {
         if n_u <= 0.0 || n_v <= 0.0 {
             // One side is empty: the overlap is empty as well.
-            return Ok(JointQuantities::new(n_u.max(0.0), n_v.max(0.0), 0.0));
+            return Some(JointQuantities::new(n_u.max(0.0), n_v.max(0.0), 0.0));
         }
         let total = n_u + n_v;
         let u = n_u / total;
         let v = n_v / total;
-        let jaccard = ml_jaccard(counts, self.config().b(), u, v);
-        Ok(JointQuantities::new(n_u, n_v, jaccard))
+        let b = self.config().b();
+        ml_jaccard_may_reach(counts, b, u, v, floor)
+            .then(|| JointQuantities::new(n_u, n_v, ml_jaccard(counts, b, u, v)))
     }
 
     /// Joint estimation through the inclusion–exclusion principle (13):

@@ -135,7 +135,8 @@ where
     ) -> Result<FanOut<Vec<WireNeighbor>>, ClusterError> {
         let request = Message::SimilarKeys {
             key: key.to_owned(),
-            k: k as u32,
+            // Saturated, not truncated: `1 << 32` must not ask for 0.
+            k: u32::try_from(k).unwrap_or(u32::MAX),
             threshold_bits: threshold.to_bits(),
         };
         let mut best: Vec<WireNeighbor> = Vec::new();

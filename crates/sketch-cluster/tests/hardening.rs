@@ -307,6 +307,38 @@ fn degraded_fanout_reports_the_skipped_nodes() {
     assert!(!healed.degraded);
 }
 
+/// A `k` beyond `u32::MAX` saturates on the wire instead of wrapping:
+/// a truncating cast turned `1 << 32` into 0 and every node answered
+/// with no neighbours. Saturated, each node is asked for `u32::MAX`,
+/// which it must serve without sizing a buffer by it.
+#[cfg(target_pointer_width = "64")]
+#[test]
+fn a_k_beyond_u32_saturates_on_the_wire() {
+    let ids = [0u32, 1, 2];
+    let net = Arc::new(MemNetwork::new());
+    let nodes: Vec<_> = ids.iter().map(|&id| node(id, ids)).collect();
+    for n in &nodes {
+        net.register(Arc::clone(n));
+        for user in 0..300u64 {
+            n.store().ingest("events", &[user]);
+            n.store().ingest("sessions", &[user / 2]);
+            n.store().ingest("orders", &[user + 100]);
+        }
+    }
+    let client = ClusterClient::new(
+        Arc::clone(&net),
+        HashRing::new(&ids),
+        nodes[0].store().empty_sketch(),
+    );
+    let every = client
+        .similar_keys_detailed("events", 1 << 32, 0.0)
+        .unwrap();
+    assert!(!every.degraded);
+    let ranked = client.similar_keys("events", 2, 0.0).unwrap();
+    assert_eq!(ranked.len(), 2, "both other keys rank");
+    assert_eq!(every.value, ranked);
+}
+
 /// A transport whose nodes answer every request with one fixed reply.
 struct Canned(Vec<(NodeId, Message)>);
 

@@ -113,16 +113,29 @@ pub trait Sketch: Clone + PartialEq + Send + Sync + 'static {
     /// differences, …) of the pair `(self, other)`.
     fn joint(&self, other: &Self) -> Result<JointQuantities, Self::Incompatible>;
 
-    /// [`joint`](Self::joint) with the pair's cardinalities supplied:
-    /// given `n_u = self.cardinality()` and `n_v = other.cardinality()`
-    /// the result is `joint`'s bit for bit, so a caller verifying many
-    /// pairs over few sketches estimates each cardinality once.
-    fn joint_with_cardinalities(
+    /// The register comparison counts `D⁺`, `D⁻`, `D₀` of the pair
+    /// `(self, other)` (paper §3.2): the only input of the joint
+    /// estimate that reads both register arrays.
+    fn joint_counts(&self, other: &Self) -> Result<JointCounts, Self::Incompatible>;
+    /// The joint estimate from a pair's [`joint_counts`] and
+    /// cardinalities. Given `n_u = self.cardinality()` and
+    /// `n_v = other.cardinality()` it is [`joint`]'s result bit for bit,
+    /// so a caller verifying many pairs over few sketches compares each
+    /// pair once and estimates each cardinality once.
+    ///
+    /// `None` means the Jaccard is provably below `floor` and was not
+    /// solved for; `Some` carries the exact estimate, which may still be
+    /// below `floor`. A zero floor never answers `None`.
+    ///
+    /// [`joint_counts`]: Self::joint_counts
+    /// [`joint`]: Self::joint
+    fn joint_from_counts(
         &self,
-        other: &Self,
+        counts: JointCounts,
         n_u: f64,
         n_v: f64,
-    ) -> Result<JointQuantities, Self::Incompatible>;
+        floor: f64,
+    ) -> Option<JointQuantities>;
 
     /// Number of `u32` registers in the LSH signature (constant per
     /// configuration).

@@ -13,7 +13,7 @@
 //! that turns `(n_U, n_V, J)` into every other joint quantity (§3.2).
 
 use crate::brent::maximize;
-use crate::pb::p_b;
+use crate::pb::{p_b, p_b_derivative};
 
 /// Register comparison counts between two sketches of equal size.
 ///
@@ -105,18 +105,10 @@ fn jaccard_upper_limit(u: f64, v: f64) -> f64 {
 /// `b <= e` (Lemma 14), so Brent's method converges to the global maximum.
 pub fn ml_jaccard(counts: JointCounts, b: f64, u: f64, v: f64) -> f64 {
     assert!(b > 1.0, "ml_jaccard requires b > 1; see ml_jaccard_b1");
-    if counts.m() == 0 || u <= 0.0 || v <= 0.0 {
-        return 0.0;
+    if let Some(j) = ml_jaccard_closed_form(counts, u, v) {
+        return j;
     }
     let j_max = jaccard_upper_limit(u, v);
-    if counts.d_plus == 0 && counts.d_minus == 0 {
-        // All registers equal: the likelihood increases monotonically in J.
-        return j_max;
-    }
-    if counts.d0 == 0 && (counts.d_plus == 0 || counts.d_minus == 0) {
-        // One sketch dominates everywhere: no overlap evidence at all.
-        return 0.0;
-    }
     let d_plus = counts.d_plus as f64;
     let d_minus = counts.d_minus as f64;
     let d0 = counts.d0 as f64;
@@ -138,6 +130,83 @@ pub fn ml_jaccard(counts: JointCounts, b: f64, u: f64, v: f64) -> f64 {
     };
     let result = maximize(log_likelihood, 0.0, j_max, 1e-12);
     result.x.clamp(0.0, j_max)
+}
+
+/// [`ml_jaccard`]'s answer where it needs no solve, `None` elsewhere.
+#[inline]
+fn ml_jaccard_closed_form(counts: JointCounts, u: f64, v: f64) -> Option<f64> {
+    if counts.m() == 0 || u <= 0.0 || v <= 0.0 {
+        return Some(0.0);
+    }
+    if counts.d_plus == 0 && counts.d_minus == 0 {
+        // All registers equal: the likelihood increases monotonically in J.
+        return Some(jaccard_upper_limit(u, v));
+    }
+    if counts.d0 == 0 && (counts.d_plus == 0 || counts.d_minus == 0) {
+        // One sketch dominates everywhere: no overlap evidence at all.
+        return Some(0.0);
+    }
+    None
+}
+
+/// How far below its target [`ml_jaccard_may_reach`] tests the slope.
+///
+/// Brent's method is derivative-free: near the maximum the
+/// log-likelihood is flat to within rounding, so [`ml_jaccard`] may stop
+/// up to about √ε ≈ 1e-8 from the true maximiser, on either side. A
+/// slope test at the target itself, or above it, could then rule out a
+/// pair whose [`ml_jaccard`] lands exactly on the target; a test this
+/// far below it cannot.
+const MAY_REACH_MARGIN: f64 = 1e-6;
+
+/// Whether [`ml_jaccard`] on the same inputs may return at least
+/// `target`: `false` only when it provably returns less, so a caller
+/// that only wants estimates at or above a floor can skip the solve.
+///
+/// Where [`ml_jaccard`] needs no solve (m = 0 or an empty side gives 0,
+/// all registers equal give the upper limit `min(u/v, v/u)`, one side
+/// dominating everywhere gives 0) the answer is exact, as it is for a
+/// target above the upper limit. Otherwise the log-likelihood is
+/// strictly concave for `b ≤ e` (Lemma 14), so a negative slope at
+/// `target − margin` puts the maximiser below it: one evaluation of the
+/// analytic derivative instead of a Brent solve. For `b > e`, a NaN
+/// slope or `target − margin ≤ 0` the answer is `true`: nothing can be
+/// ruled out.
+#[inline]
+pub fn ml_jaccard_may_reach(counts: JointCounts, b: f64, u: f64, v: f64, target: f64) -> bool {
+    // False when either side is NaN: a NaN rules nothing out.
+    let below = |estimate: f64| estimate < target;
+    if let Some(j) = ml_jaccard_closed_form(counts, u, v) {
+        return !below(j);
+    }
+    let j_max = jaccard_upper_limit(u, v);
+    if below(j_max) {
+        return false;
+    }
+    let j = target - MAY_REACH_MARGIN;
+    if !(1.0 < b && b <= std::f64::consts::E) || j <= 0.0 || j.is_nan() {
+        return true;
+    }
+    // L(j) = D⁺ ln p⁺ + D⁻ ln p⁻ + D₀ ln(1 − p⁺ − p⁻), with
+    // p⁺ = p_b(u − vj) and p⁻ = p_b(v − uj); j < j_max keeps both
+    // arguments positive.
+    let (x_plus, x_minus) = (u - v * j, v - u * j);
+    let p_plus = p_b(b, x_plus);
+    let p_minus = p_b(b, x_minus);
+    let p_zero = 1.0 - p_plus - p_minus;
+    let dp_plus = -v * p_b_derivative(b, x_plus);
+    let dp_minus = -u * p_b_derivative(b, x_minus);
+    let mut slope = 0.0;
+    if counts.d_plus > 0 {
+        slope += counts.d_plus as f64 * dp_plus / p_plus;
+    }
+    if counts.d_minus > 0 {
+        slope += counts.d_minus as f64 * dp_minus / p_minus;
+    }
+    if counts.d0 > 0 {
+        slope -= counts.d0 as f64 * (dp_plus + dp_minus) / p_zero;
+    }
+    slope >= 0.0 || slope.is_nan()
 }
 
 /// Closed-form ML estimate for the b → 1 limit (paper eq. (17), Lemma 18).

@@ -45,7 +45,8 @@ pub use brent::{maximize, minimize, Extremum};
 pub use crc32::crc32;
 pub use fisher::{fisher_information, fisher_information_b1, jaccard_rmse_theory};
 pub use joint::{
-    inclusion_exclusion_jaccard, ml_jaccard, ml_jaccard_b1, JointCounts, JointQuantities,
+    inclusion_exclusion_jaccard, ml_jaccard, ml_jaccard_b1, ml_jaccard_may_reach, JointCounts,
+    JointQuantities,
 };
 pub use kernels::Lane;
 pub use pb::{log_b, p_b, p_b_derivative};

@@ -2,7 +2,7 @@
 //! grid-checking (the structural lemmas are enforced by the unit tests of
 //! the modules that rely on them).
 
-use sketch_math::{fisher, p_b, xi, zeta};
+use sketch_math::{fisher, ml_jaccard, ml_jaccard_may_reach, p_b, xi, zeta, JointCounts};
 
 /// Lemma 13: 1 − p_b(u−vJ) − p_b(v−uJ) > 0 on the feasible domain.
 #[test]
@@ -19,6 +19,100 @@ fn lemma13_equal_probability_is_positive() {
             }
         }
     }
+}
+
+/// The neighbouring `f64` above `x` (finite `x`).
+fn ulp_up(x: f64) -> f64 {
+    if x == 0.0 {
+        f64::from_bits(1)
+    } else if x > 0.0 {
+        f64::from_bits(x.to_bits() + 1)
+    } else {
+        f64::from_bits(x.to_bits() - 1)
+    }
+}
+
+/// The neighbouring `f64` below `x` (finite `x`).
+fn ulp_down(x: f64) -> f64 {
+    -ulp_up(-x)
+}
+
+/// Lemma 14 makes the slope test of `ml_jaccard_may_reach` sound: over a
+/// seeded grid of bases, balanced and skewed cardinalities, every zero
+/// pattern of (D⁺, D⁻, D₀) and m up to 4 096, it never rules out a
+/// target that `ml_jaccard` reaches — at the estimate itself, one ulp
+/// and 1e-9 either side of it. It must also rule out most targets
+/// clearly above the estimate, or it would prune nothing.
+#[test]
+fn lemma14_may_reach_never_rules_out_a_reached_target() {
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = move |bound: u32| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % u64::from(bound)) as u32
+    };
+    let (mut checked, mut far_targets, mut far_pruned) = (0u32, 0u32, 0u32);
+    for &b in &[1.001f64, 1.2, 2.0, std::f64::consts::E] {
+        for &u in &[0.5f64, 0.4, 0.6, 0.1, 0.9, 0.01, 0.99] {
+            let v = 1.0 - u;
+            for &m in &[1u32, 2, 3, 16, 64, 256, 1000, 4096] {
+                for pattern in 0u32..8 {
+                    let nonzero = [pattern & 1 != 0, pattern & 2 != 0, pattern & 4 != 0];
+                    let parts = nonzero.iter().filter(|&&on| on).count() as u32;
+                    // Pattern 0 is m = 0, whatever `m` says.
+                    if parts > m {
+                        continue;
+                    }
+                    for _ in 0..6 {
+                        // Split m over the nonzero components, each ≥ 1.
+                        let mut counts = [0u32; 3];
+                        if parts > 0 {
+                            let mut left = m - parts;
+                            let mut seen = 0;
+                            for (slot, &on) in counts.iter_mut().zip(&nonzero) {
+                                if !on {
+                                    continue;
+                                }
+                                seen += 1;
+                                let extra = if seen == parts { left } else { next(left + 1) };
+                                *slot = 1 + extra;
+                                left -= extra;
+                            }
+                        }
+                        let counts = JointCounts::new(counts[0], counts[1], counts[2]);
+                        let estimate = ml_jaccard(counts, b, u, v);
+                        let reached = [
+                            estimate,
+                            ulp_down(estimate),
+                            ulp_up(estimate),
+                            estimate - 1e-9,
+                            estimate + 1e-9,
+                        ];
+                        for target in reached {
+                            if estimate >= target {
+                                checked += 1;
+                                assert!(
+                                    ml_jaccard_may_reach(counts, b, u, v, target),
+                                    "b={b} u={u} {counts:?}: ml_jaccard {estimate} reaches {target}"
+                                );
+                            }
+                        }
+                        let far = estimate + 1e-3;
+                        if parts > 1 && far < (u / v).min(v / u) {
+                            far_targets += 1;
+                            far_pruned += u32::from(!ml_jaccard_may_reach(counts, b, u, v, far));
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(checked > 10_000, "{checked} reached targets checked");
+    assert!(
+        far_pruned * 10 >= far_targets * 9,
+        "only {far_pruned} of {far_targets} targets 1e-3 above the estimate ruled out"
+    );
 }
 
 /// Lemma 16: 0 <= (u−vJ)(v−uJ) <= (1−J)²/4, with equality at u=v=1/2.

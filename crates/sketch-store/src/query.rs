@@ -35,16 +35,27 @@
 //!    top-k queries do not serialize; only a missing or stale state
 //!    takes the write lock. Steady query traffic never pays a full index
 //!    rebuild.
-//! 3. **Exact verification** — every candidate pair is verified over a
-//!    point-in-time extraction (cold slots are peeked, never promoted),
-//!    fanned out across worker threads with per-worker result buffers.
+//! 3. **Exact verification** — candidates are verified over a
+//!    point-in-time extraction (cold slots are peeked, never promoted).
 //!    Each key's cardinality estimate is computed once per version and
-//!    cached in its slot, not once per pair. The verifier is the
-//!    family's exact joint estimator (the `compare_counts` register
-//!    kernel feeding the paper's §3.2 likelihood maximization) through
-//!    [`Sketch::joint_with_cardinalities`], so a reported pair's
+//!    cached in its slot, not once per pair. Every candidate pair gets
+//!    its register comparison counts ([`Sketch::joint_counts`], the
+//!    `compare_counts` kernel) and one slope test of the paper's §3.2
+//!    log-likelihood; only the survivors get the Brent solve that
+//!    maximizes it ([`Sketch::joint_from_counts`]). The log-likelihood
+//!    is strictly concave (Lemma 14), so a negative slope just below a
+//!    floor proves the estimate is under it. The test point sits a
+//!    margin *below* the floor because Brent is derivative-free and may
+//!    stop up to ~√ε from the true maximiser: a pair whose estimate
+//!    lands exactly on the floor must never be ruled out. A top-k visits
+//!    its candidates in descending `D₀` (most equal registers first) on
+//!    the caller's thread, and its floor is the running k-th best
+//!    Jaccard once `k` are held; a sweep's floor is its threshold, and
+//!    its pairs fan out across worker threads with per-worker result
+//!    buffers. Survivors are solved exactly, so a reported pair's
 //!    quantities equal [`SketchStore::joint`] on the same keys whichever
-//!    strategy made it a candidate.
+//!    strategy made it a candidate, and the pruned answer equals the
+//!    unpruned one.
 //!
 //! The exhaustive strategy is not a second code path: it is the two
 //! fallbacks the flat index already needs. When the threshold
@@ -57,8 +68,9 @@
 use crate::error::StoreError;
 use crate::store::SketchStore;
 use lsh::{Banding, LshIndex};
-use sketch_core::{JointQuantities, Sketch};
-use std::collections::HashMap;
+use sketch_core::{JointCounts, JointQuantities, Sketch};
+use std::cmp::Ordering as CmpOrdering;
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 /// Banding recall: the flat index's banding is laid out so that a pair
@@ -86,14 +98,15 @@ const INDEX_CACHE_CAPACITY: usize = 4;
 ///
 /// let options = QueryOptions::default()
 ///     .index(IndexStrategy::Exhaustive) // verify every pair
-///     .threads(2);                      // cap verification workers
+///     .threads(2);                      // cap sweep workers
 /// assert_eq!(options.index, IndexStrategy::Exhaustive);
 /// assert_eq!(options.threads, Some(2));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct QueryOptions {
-    /// Worker threads that verify candidates; `None` (default) uses the
-    /// machine's available parallelism.
+    /// Worker threads that verify a sweep's candidates; `None`
+    /// (default) uses the machine's available parallelism. A top-k
+    /// verifies on the caller's thread and ignores it.
     pub threads: Option<usize>,
     /// Where candidates come from (default [`IndexStrategy::Flat`]):
     /// the flat banding index or no index at all
@@ -102,7 +115,7 @@ pub struct QueryOptions {
 }
 
 impl QueryOptions {
-    /// Caps the verification worker count.
+    /// Caps a sweep's verification worker count.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
         self
@@ -325,7 +338,10 @@ impl<S: Sketch> SketchStore<S> {
     /// perturbations: SetSketch registers are ordinal, so a near-miss
     /// state differs by one in a register). Every candidate
     /// is then verified against extractions of just the query and
-    /// candidate sketches (the whole store is never copied). If the
+    /// candidate sketches (the whole store is never copied), on the
+    /// caller's thread, best-looking first: once `k` hits are held, a
+    /// candidate whose Jaccard provably falls short of the k-th best is
+    /// ruled out by one slope test instead of a solve. If the
     /// index yields fewer than `k` candidates — always, under
     /// [`IndexStrategy::Exhaustive`] — every key is verified, so a
     /// small store still produces a complete top-k.
@@ -351,6 +367,10 @@ impl<S: Sketch> SketchStore<S> {
     ) -> Result<Vec<Neighbor>, StoreError> {
         check_threshold(threshold);
         let not_found = || StoreError::KeyNotFound(key.to_owned());
+        if k == 0 {
+            // Still a point read: a missing or corrupt key is an error.
+            return self.with_sketch(key, |_| Vec::new()).ok_or_else(not_found);
+        }
         // `None` means no index answered: exhaustive strategy, or no
         // banding tunes at this threshold.
         let probed = if options.index == IndexStrategy::Exhaustive {
@@ -382,21 +402,52 @@ impl<S: Sketch> SketchStore<S> {
             return Err(not_found());
         }
 
-        let pairs: Vec<(u32, u32)> = (1..entries.keys.len() as u32).map(|i| (0, i)).collect();
-        // No threshold filter: top-k keeps its best-effort tail below
-        // the tuned threshold.
-        let mut hits = verify_candidates(&entries, Candidates::List(&pairs), 0.0, options)?;
-        hits.sort_unstable_by(|a, b| {
-            b.2.jaccard
-                .total_cmp(&a.2.jaccard)
-                .then_with(|| entries.keys[a.1 as usize].cmp(&entries.keys[b.1 as usize]))
-        });
-        hits.truncate(k);
-        Ok(hits
-            .into_iter()
-            .map(|(_, i, quantities)| Neighbor {
-                key: entries.keys[i as usize].clone(),
+        // Every candidate is compared first, so an incompatible one
+        // fails the query whether or not its solve would be skipped.
+        let mut order = (1..entries.keys.len())
+            .map(|i| Ok((entries.joint_counts(0, i)?, i)))
+            .collect::<Result<Vec<_>, StoreError>>()?;
+        // Most equal registers first: likely near neighbours raise the
+        // floor early, so later candidates are ruled out by one slope
+        // test instead of a solve.
+        order.sort_unstable_by(|(a, i), (b, j)| b.d0.cmp(&a.d0).then(i.cmp(j)));
+
+        // The best hits so far, worst on top. Sized by the candidates,
+        // never by `k`, which arrives off the wire unchecked.
+        let mut top: BinaryHeap<Hit> = BinaryHeap::with_capacity(k.min(order.len()));
+        let (query, n_query) = (&entries.sketches[0], entries.cardinalities[0]);
+        for (counts, i) in order {
+            // No threshold filter: top-k keeps its best-effort tail
+            // below the tuned threshold. The floor is the k-th best
+            // Jaccard once k hits are held; a candidate that may *equal*
+            // it still survives, because ties break by key.
+            let floor = match top.peek() {
+                Some(worst) if top.len() == k => worst.quantities.jaccard,
+                _ => 0.0,
+            };
+            let Some(quantities) =
+                query.joint_from_counts(counts, n_query, entries.cardinalities[i], floor)
+            else {
+                continue;
+            };
+            let hit = Hit {
+                key: &entries.keys[i],
                 quantities,
+            };
+            if top.len() < k {
+                top.push(hit);
+            } else if let Some(mut worst) = top.peek_mut() {
+                if hit < *worst {
+                    *worst = hit;
+                }
+            }
+        }
+        Ok(top
+            .into_sorted_vec()
+            .into_iter()
+            .map(|hit| Neighbor {
+                key: hit.key.to_owned(),
+                quantities: hit.quantities,
             })
             .collect())
     }
@@ -760,21 +811,48 @@ struct VerifyEntries<S> {
 }
 
 impl<S: Sketch> VerifyEntries<S> {
-    /// The joint estimate of entry pair `(a, b)`.
-    fn verify(&self, a: u32, b: u32) -> Result<JointQuantities, StoreError> {
-        let (a, b) = (a as usize, b as usize);
+    /// The register comparison counts of entry pair `(a, b)`.
+    fn joint_counts(&self, a: usize, b: usize) -> Result<JointCounts, StoreError> {
         self.sketches[a]
-            .joint_with_cardinalities(
-                &self.sketches[b],
-                self.cardinalities[a],
-                self.cardinalities[b],
-            )
+            .joint_counts(&self.sketches[b])
             .map_err(StoreError::incompatible)
     }
 }
 
-/// Verifies candidate pairs and keeps those at or above `threshold`,
-/// fanned out across worker threads.
+/// One verified top-k hit. It orders worst first, so the top of a
+/// max-heap of hits is the one a better candidate evicts: a lower
+/// Jaccard is worse, and among equal ones the larger key.
+struct Hit<'a> {
+    key: &'a str,
+    quantities: JointQuantities,
+}
+
+impl Ord for Hit<'_> {
+    fn cmp(&self, other: &Self) -> CmpOrdering {
+        (other.quantities.jaccard)
+            .total_cmp(&self.quantities.jaccard)
+            .then_with(|| self.key.cmp(other.key))
+    }
+}
+
+impl PartialOrd for Hit<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<CmpOrdering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Hit<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == CmpOrdering::Equal
+    }
+}
+
+impl Eq for Hit<'_> {}
+
+/// Verifies a sweep's candidate pairs and keeps those at or above
+/// `threshold`, fanned out across worker threads. The threshold is also
+/// each pair's floor ([`Sketch::joint_from_counts`]): a pair provably
+/// below it is never solved.
 ///
 /// Workers claim work units from an atomic cursor and collect hits into
 /// per-worker buffers, so there is no shared mutable state on the hot
@@ -789,14 +867,16 @@ fn verify_candidates<S: Sketch>(
     threshold: f64,
     options: &QueryOptions,
 ) -> Result<Vec<(u32, u32, JointQuantities)>, StoreError> {
-    let verify_into =
-        |a: u32, b: u32, hits: &mut Vec<(u32, u32, JointQuantities)>| -> Result<(), StoreError> {
-            let quantities = entries.verify(a, b)?;
-            if quantities.jaccard >= threshold {
-                hits.push((a, b, quantities));
-            }
-            Ok(())
-        };
+    let verify_into = |a: u32, b: u32, hits: &mut Vec<_>| -> Result<(), StoreError> {
+        let (i, j) = (a as usize, b as usize);
+        let counts = entries.joint_counts(i, j)?;
+        let (n_a, n_b) = (entries.cardinalities[i], entries.cardinalities[j]);
+        match entries.sketches[i].joint_from_counts(counts, n_a, n_b, threshold) {
+            Some(quantities) if quantities.jaccard >= threshold => hits.push((a, b, quantities)),
+            _ => {}
+        }
+        Ok(())
+    };
 
     let units = candidates.units();
     let workers = options

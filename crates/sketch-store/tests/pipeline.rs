@@ -248,12 +248,19 @@ fn writer_panic_wakes_flush_and_resurfaces_on_drop() {
         fn joint(&self, _other: &Self) -> Result<sketch_core::JointQuantities, Self::Incompatible> {
             unreachable!()
         }
-        fn joint_with_cardinalities(
+        fn joint_counts(
             &self,
             _other: &Self,
+        ) -> Result<sketch_core::JointCounts, Self::Incompatible> {
+            unreachable!()
+        }
+        fn joint_from_counts(
+            &self,
+            _counts: sketch_core::JointCounts,
             _n_u: f64,
             _n_v: f64,
-        ) -> Result<sketch_core::JointQuantities, Self::Incompatible> {
+            _floor: f64,
+        ) -> Option<sketch_core::JointQuantities> {
             unreachable!()
         }
         fn signature_len(&self) -> usize {

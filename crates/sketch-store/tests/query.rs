@@ -291,6 +291,22 @@ fn similar_keys_edge_cases() {
             .unwrap(),
         vec![]
     );
+    // k = usize::MAX (a node passes a wire `u32` on unchecked): every
+    // other key, ranked, under both strategies.
+    store.ingest("third", &elements(500, 1000));
+    for options in [flat(), exhaustive()] {
+        let every = store
+            .similar_keys_with("only", usize::MAX, 0.5, &options)
+            .unwrap();
+        let keys: Vec<&str> = every.iter().map(|n| n.key.as_str()).collect();
+        assert_eq!(keys, ["other", "third"], "{options:?}");
+        for neighbor in &every {
+            assert_eq!(
+                neighbor.quantities,
+                store.joint("only", &neighbor.key).unwrap()
+            );
+        }
+    }
 }
 
 #[test]

@@ -13,11 +13,17 @@
 //!   top-k computed from per-pair `joint` calls (descending Jaccard,
 //!   ties by ascending key), including tie-heavy stores with duplicated
 //!   states.
+//! * The exhaustive sweep must equal the brute-force pair set from
+//!   per-pair `joint` calls at a threshold equal to one of the store's
+//!   own Jaccard estimates, on one worker and on the default count.
+//!   Both strategies rule pairs out by a slope test before solving, so
+//!   no engine output is an unpruned reference; an exact threshold tie
+//!   is where a test point on the wrong side of the floor drops a pair.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use setsketch::{SetSketch1, SetSketchConfig};
-use sketch_store::{IndexStrategy, QueryOptions, SketchStore};
+use setsketch::{SetSketch1, SetSketch2, SetSketchConfig};
+use sketch_store::{IndexStrategy, QueryOptions, Sketch, SketchStore};
 
 /// The default operating point: flat index, exact verification.
 fn flat() -> QueryOptions {
@@ -43,8 +49,72 @@ fn setsketch_store(shards: usize) -> SketchStore<SetSketch1> {
         .build()
 }
 
+/// Fills `store` from `batches`, every third batch also under a
+/// duplicate key, and checks the exhaustive sweep against the
+/// brute-force pair set at the threshold `pick` selects among the
+/// store's own pair estimates.
+fn sweep_matches_brute_force<S: Sketch>(
+    store: &SketchStore<S>,
+    batches: &[Vec<u64>],
+    pick: usize,
+) -> Result<(), TestCaseError> {
+    for (i, batch) in batches.iter().enumerate() {
+        store.ingest(&format!("key-{i:02}"), batch);
+        if i % 3 == 0 {
+            store.ingest(&format!("dup-{i:02}"), batch);
+        }
+    }
+    let keys = store.keys();
+    let mut every_pair = Vec::new();
+    for (i, left) in keys.iter().enumerate() {
+        for right in &keys[i + 1..] {
+            let joint = store.joint(left, right).expect("compatible");
+            every_pair.push((left.clone(), right.clone(), joint));
+        }
+    }
+    let threshold = if every_pair.is_empty() {
+        0.5
+    } else {
+        every_pair[pick % every_pair.len()].2.jaccard
+    };
+    let expected: Vec<_> = every_pair
+        .into_iter()
+        .filter(|(_, _, joint)| joint.jaccard >= threshold)
+        .collect();
+    for options in [exhaustive().threads(1), exhaustive()] {
+        let got: Vec<_> = store
+            .all_pairs_with(threshold, &options)
+            .expect("compatible")
+            .into_iter()
+            .map(|pair| (pair.left, pair.right, pair.quantities))
+            .collect();
+        prop_assert_eq!(&got, &expected, "threshold {} {:?}", threshold, options);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
+
+    #[test]
+    fn exhaustive_sweep_matches_brute_force_at_an_own_estimate_setsketch1(
+        batches in keyed_batches(),
+        pick in any::<usize>(),
+    ) {
+        let cfg = SetSketchConfig::new(256, 1.001, 20.0, (1 << 16) - 2).unwrap();
+        let store = SketchStore::builder(move || SetSketch1::new(cfg, 11)).shards(4).build();
+        sweep_matches_brute_force(&store, &batches, pick)?;
+    }
+
+    #[test]
+    fn exhaustive_sweep_matches_brute_force_at_an_own_estimate_setsketch2(
+        batches in keyed_batches(),
+        pick in any::<usize>(),
+    ) {
+        let cfg = SetSketchConfig::new(4096, 2.0, 20.0, 62).unwrap();
+        let store = SketchStore::builder(move || SetSketch2::new(cfg, 11)).shards(4).build();
+        sweep_matches_brute_force(&store, &batches, pick)?;
+    }
 
     #[test]
     fn pruned_all_pairs_at_threshold_zero_equals_exhaustive(
