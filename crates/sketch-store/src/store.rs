@@ -64,7 +64,7 @@ impl<S> Slot<S> {
     /// A freshly resident slot (touched, so the next clock pass spares
     /// it).
     pub(crate) fn hot(sketch: S, version: u64) -> Self {
-        Self::new(TierSlot::Hot(sketch), version, true)
+        Self::new(TierSlot::Hot(sketch, None), version, true)
     }
 
     /// A slot restored compressed from a checkpoint (untouched: it
@@ -75,7 +75,8 @@ impl<S> Slot<S> {
 
     /// Stamps a write of the slot's registers: the new version, and an
     /// empty cardinality cache. Every version bump of a live slot goes
-    /// through here.
+    /// through here, by way of [`SketchStore::restamp`], which releases
+    /// a clean slot's spill record in the same step.
     pub(crate) fn restamp(&mut self, version: u64) {
         self.version = version;
         *self.cardinality.get_mut() = NO_CARDINALITY;
@@ -106,7 +107,7 @@ impl<S> Slot<S> {
     /// The resident sketch; callers must have promoted first.
     pub(crate) fn hot_ref(&self) -> &S {
         match &self.state {
-            TierSlot::Hot(sketch) => sketch,
+            TierSlot::Hot(sketch, _) => sketch,
             _ => unreachable!("slot not resident after promotion"),
         }
     }
@@ -114,7 +115,7 @@ impl<S> Slot<S> {
     /// Mutable resident sketch; callers must have promoted first.
     pub(crate) fn hot_mut(&mut self) -> &mut S {
         match &mut self.state {
-            TierSlot::Hot(sketch) => sketch,
+            TierSlot::Hot(sketch, _) => sketch,
             _ => unreachable!("slot not resident after promotion"),
         }
     }
@@ -423,7 +424,7 @@ impl<S: Sketch> SketchStore<S> {
             match shard.get(key) {
                 None => return Ok(None),
                 Some(slot) => {
-                    if let TierSlot::Hot(sketch) = &slot.state {
+                    if let TierSlot::Hot(sketch, _) = &slot.state {
                         slot.touch();
                         return Ok(Some(op(sketch)));
                     }
@@ -530,7 +531,7 @@ impl<S: Sketch> SketchStore<S> {
             let pair = self.lock_pair(ia, ib, |shard| shard.read());
             let slot = |index, key| pair.shard(index).get(key).ok_or_else(|| not_found(key));
             let (a, b) = (slot(ia, key_a)?, slot(ib, key_b)?);
-            if let (TierSlot::Hot(sa), TierSlot::Hot(sb)) = (&a.state, &b.state) {
+            if let (TierSlot::Hot(sa, _), TierSlot::Hot(sb, _)) = (&a.state, &b.state) {
                 a.touch();
                 b.touch();
                 return Ok(op(sa, sb));
@@ -593,12 +594,12 @@ impl<S: Sketch> SketchStore<S> {
                     // the rest).
                     let mut sketch = (self.factory)();
                     op(&mut sketch).map(|_| {
-                        self.set_state(slot, TierSlot::Hot(sketch));
+                        self.set_state(slot, TierSlot::Hot(sketch, None));
                         true
                     })
                 };
                 if let Ok(true) = result {
-                    slot.restamp(self.next_version());
+                    self.restamp(slot);
                 }
                 result
             }
@@ -713,7 +714,7 @@ impl<S: Sketch> SketchStore<S> {
                 .filter_map(|slot| self.try_materialize_cold(&slot.state).ok())
                 .collect();
             let hot = guard.values().filter_map(|slot| match &slot.state {
-                TierSlot::Hot(sketch) => Some(sketch),
+                TierSlot::Hot(sketch, _) => Some(sketch),
                 _ => None,
             });
             let mut sketches = hot.chain(temps.iter());

@@ -30,15 +30,28 @@
 //! which piggybacks on the existing shard write locks (one shard per
 //! step, hand advancing round-robin) — there is no background thread.
 //!
+//! Insert and merge are register-wise maxima, so a touch usually leaves
+//! the registers as they were. A frozen key promoted by such a touch is
+//! *clean*: its spill record still holds its registers bit for bit, so
+//! the hot state keeps the record, and demotion returns the slot to it —
+//! no encode, no checksum, no segment write. The write that raises a
+//! register releases the record in the same call that restamps the slot
+//! ([`restamp`](SketchStore::restamp)); a dirty slot goes hot → warm →
+//! frozen through the codec. A warm promotion keeps no bytes, since
+//! held bytes would count against the budget.
+//!
 //! This module owns every change of a slot's tier state, and each
 //! change charges the memory budget in the same call, under the slot's
 //! shard write lock: creation and replacement
 //! ([`insert_slot`](SketchStore::insert_slot)), removal
 //! ([`remove_slot`](SketchStore::remove_slot)), promotion and
 //! quarantine ([`promote`](SketchStore::promote)), a write's restart
-//! over a corrupt slot ([`set_state`](SketchStore::set_state)), both
-//! demotions (the clock scan) and
-//! [`clear_slots`](SketchStore::clear_slots). The budget is one counter,
+//! over a corrupt slot ([`set_state`](SketchStore::set_state)), a
+//! raising write's release of a clean record
+//! ([`restamp`](SketchStore::restamp)), the demotions (the clock scan)
+//! and [`clear_slots`](SketchStore::clear_slots). Each spill record is
+//! referenced by one slot and counted once in its segment until that
+//! slot lets go of it. The budget is one counter,
 //! [`TierRuntime`]'s `charged`: the resident footprint of every hot
 //! slot plus the payload length of every warm one (frozen and
 //! quarantined slots cost no memory). It is exact whenever no
@@ -60,21 +73,17 @@ use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicU64, AtomicUsize, Orderin
 /// Where a key's registers currently live.
 #[derive(Debug)]
 pub(crate) enum TierSlot<S> {
-    /// Resident sketch — the unchanged fast path.
-    Hot(S),
+    /// Resident sketch — the unchanged fast path. A key promoted from
+    /// frozen whose registers have not risen since is *clean*: it keeps
+    /// the spill record that still holds its registers, and demotion
+    /// returns it there with no encode and no write.
+    Hot(S, Option<SpillRecord>),
     /// Registers compressed in memory through the sketch's
     /// [`compress`](Sketch::compress) codec.
     Warm(Box<[u8]>),
     /// Compressed bytes spilled to an append-only segment file; only
     /// the location stays in memory.
-    Frozen {
-        /// Index of the segment file holding the bytes.
-        segment: u32,
-        /// Byte offset of the compressed record within the segment.
-        offset: u64,
-        /// Length of the compressed record.
-        len: u32,
-    },
+    Frozen(SpillRecord),
     /// A slot whose payload failed its checksum or codec round-trip.
     /// The registers are unrecoverable; the reason is kept for
     /// diagnostics. Reads fail with [`StoreError::CorruptSlot`]; the
@@ -87,8 +96,31 @@ pub(crate) enum TierSlot<S> {
 impl<S> TierSlot<S> {
     /// True for resident slots.
     pub(crate) fn is_hot(&self) -> bool {
-        matches!(self, TierSlot::Hot(_))
+        matches!(self, TierSlot::Hot(..))
     }
+
+    /// The spill record the state holds a reference to: a frozen
+    /// slot's, or a clean hot slot's.
+    fn record(&self) -> Option<SpillRecord> {
+        match self {
+            TierSlot::Hot(_, record) => *record,
+            TierSlot::Frozen(record) => Some(*record),
+            _ => None,
+        }
+    }
+}
+
+/// The location of one compressed record in the spill segments. Each
+/// record is referenced by exactly one slot — frozen, or clean hot — and
+/// counted once in its segment's `live` count until that slot lets go.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SpillRecord {
+    /// Index of the segment file holding the bytes.
+    segment: u32,
+    /// Byte offset of the framed record within the segment.
+    offset: u64,
+    /// Length of the compressed payload.
+    len: u32,
 }
 
 /// Point-in-time census of the store's memory tiers, from
@@ -98,8 +130,10 @@ impl<S> TierSlot<S> {
 /// the sketches' own resident-footprint estimate
 /// ([`Sketch::resident_bytes`]), `warm_bytes` the compressed
 /// in-memory payloads, `spilled_bytes` the live compressed records on
-/// disk (superseded records in the append-only segments are not
-/// counted).
+/// disk: every frozen key's, and the record a clean hot key (promoted
+/// from frozen, registers unchanged since) still holds and will be
+/// demoted back to. Superseded records in the append-only segments are
+/// not counted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TierStats {
     /// Keys whose sketch is resident.
@@ -116,7 +150,8 @@ pub struct TierStats {
     pub hot_bytes: usize,
     /// Compressed in-memory bytes of the warm entries.
     pub warm_bytes: usize,
-    /// Live compressed bytes in the spill segments.
+    /// Live compressed bytes in the spill segments (frozen keys' and
+    /// clean hot keys' records).
     pub spilled_bytes: usize,
     /// Cumulative count of failed spill appends (the affected entries
     /// stayed warm); see [`SketchStore::last_spill_error`] for the most
@@ -199,27 +234,37 @@ impl<S: Sketch> TierRuntime<S> {
 
     /// The one budget charge: a slot moved from state `old` to state
     /// `new` (`None`: no slot). The counter moves by the difference of
-    /// their costs in one step, and a frozen `old` releases its spill
-    /// record — read the record first if it is still wanted. Without a
-    /// budget nothing is counted, and nothing is frozen to release
-    /// (only a budget's scan freezes).
+    /// their costs in one step, and a spill record `old` held (frozen,
+    /// or clean hot) is released unless `new` carries it on — read the
+    /// record first if it is still wanted. Without a budget nothing is
+    /// counted, and no record exists to release (only a budget's scan
+    /// freezes).
     fn charge(&self, old: Option<&TierSlot<S>>, new: Option<&TierSlot<S>>) {
         if self.policy.memory_budget_bytes.is_none() {
             return;
         }
         let cost = |state: Option<&TierSlot<S>>| match state {
-            Some(TierSlot::Hot(sketch)) => sketch.resident_bytes() as isize,
+            Some(TierSlot::Hot(sketch, _)) => sketch.resident_bytes() as isize,
             Some(TierSlot::Warm(bytes)) => bytes.len() as isize,
             _ => 0,
         };
-        if let Some(TierSlot::Frozen { segment, .. }) = old {
-            if let Some(segments) = self.segments.lock().as_mut() {
-                segments.release(*segment);
+        let held = old.and_then(TierSlot::record);
+        if held != new.and_then(TierSlot::record) {
+            if let Some(record) = held {
+                self.release(record);
             }
         }
         let delta = cost(new) - cost(old);
         if delta != 0 {
             self.charged.fetch_add(delta, Ordering::Relaxed);
+        }
+    }
+
+    /// Drops one slot's reference to `record`; the last reference out of
+    /// a sealed segment deletes its file.
+    fn release(&self, record: SpillRecord) {
+        if let Some(segments) = self.segments.lock().as_mut() {
+            segments.release(record.segment);
         }
     }
 
@@ -242,7 +287,7 @@ impl<S: Sketch> TierRuntime<S> {
     /// created or written — the caller leaves the entry warm, and the
     /// failure is counted in [`TierStats::spill_append_failures`] with
     /// the cause kept for [`SketchStore::last_spill_error`].
-    pub(crate) fn append_frozen(&self, bytes: &[u8]) -> Option<(u32, u64, u32)> {
+    fn append_frozen(&self, bytes: &[u8]) -> Option<SpillRecord> {
         let result = {
             let mut guard = self.segments.lock();
             match guard.as_mut() {
@@ -254,7 +299,11 @@ impl<S: Sketch> TierRuntime<S> {
             }
         };
         match result {
-            Ok(location) => Some(location),
+            Ok((segment, offset, len)) => Some(SpillRecord {
+                segment,
+                offset,
+                len,
+            }),
             Err(error) => {
                 self.spill_failures.fetch_add(1, Ordering::Relaxed);
                 *self.last_spill_error.lock() = Some(error.to_string());
@@ -294,7 +343,7 @@ struct SegmentStore {
 
 struct Segment {
     file: File,
-    /// Records some frozen slot still points at.
+    /// Records some slot (frozen, or clean hot) still points at.
     live: usize,
 }
 
@@ -445,17 +494,18 @@ impl<S: Sketch> SketchStore<S> {
         for shard in self.shards() {
             for slot in shard.read().values() {
                 match &slot.state {
-                    TierSlot::Hot(sketch) => {
+                    TierSlot::Hot(sketch, record) => {
                         stats.hot_keys += 1;
                         stats.hot_bytes += sketch.resident_bytes();
+                        stats.spilled_bytes += record.map_or(0, |record| record.len as usize);
                     }
                     TierSlot::Warm(bytes) => {
                         stats.warm_keys += 1;
                         stats.warm_bytes += bytes.len();
                     }
-                    TierSlot::Frozen { len, .. } => {
+                    TierSlot::Frozen(record) => {
                         stats.frozen_keys += 1;
-                        stats.spilled_bytes += *len as usize;
+                        stats.spilled_bytes += record.len as usize;
                     }
                     TierSlot::Quarantined(_) => stats.quarantined_keys += 1,
                 }
@@ -480,10 +530,10 @@ impl<S: Sketch> SketchStore<S> {
     }
 
     /// The one in-place slot transition: moves `slot` to `next` and
-    /// charges the change (a frozen old state's spill record is
-    /// released). Promotion, quarantine, both demotions and a write's
-    /// restart over a corrupt slot all go through here. Caller holds the
-    /// slot's shard write lock.
+    /// charges the change (a spill record the old state held is
+    /// released unless `next` keeps it). Promotion, quarantine, the
+    /// demotions and a write's restart over a corrupt slot all go
+    /// through here. Caller holds the slot's shard write lock.
     pub(crate) fn set_state(&self, slot: &mut Slot<S>, next: TierSlot<S>) {
         self.tier.charge(Some(&slot.state), Some(&next));
         slot.state = next;
@@ -494,6 +544,14 @@ impl<S: Sketch> SketchStore<S> {
     /// read and write. Caller holds the shard's write lock. Promotion
     /// does **not** bump the slot's version: the registers are
     /// unchanged, so similarity index entries stay valid.
+    ///
+    /// A frozen slot comes back **clean**: it keeps its spill record,
+    /// which still holds its registers bit for bit, and the clock scan
+    /// demotes it straight back there (no encode, no checksum, no
+    /// write). The first write that raises a register releases the
+    /// record ([`restamp`](Self::restamp)); so do removal, replacement
+    /// and clear. A warm slot comes back with no record: holding its
+    /// bytes would count against the budget.
     ///
     /// A payload that fails its checksum or codec round-trip
     /// **quarantines** the slot and returns
@@ -506,7 +564,8 @@ impl<S: Sketch> SketchStore<S> {
         }
         match self.try_materialize_cold(&slot.state) {
             Ok(sketch) => {
-                self.set_state(slot, TierSlot::Hot(sketch));
+                let record = slot.state.record();
+                self.set_state(slot, TierSlot::Hot(sketch, record));
                 Ok(())
             }
             Err(detail) => {
@@ -517,6 +576,19 @@ impl<S: Sketch> SketchStore<S> {
                 })
             }
         }
+    }
+
+    /// Stamps a write that raised a register of `slot` (hot, its shard
+    /// write-locked by the caller) with a fresh version. A clean slot's
+    /// spill record no longer holds its registers, so it is released in
+    /// the same step: the next demotion re-encodes the slot.
+    pub(crate) fn restamp(&self, slot: &mut Slot<S>) {
+        if let TierSlot::Hot(_, record) = &mut slot.state {
+            if let Some(stale) = record.take() {
+                self.tier.release(stale);
+            }
+        }
+        slot.restamp(self.next_version());
     }
 
     /// Creates `key`'s slot in `shard` (write-locked by the caller),
@@ -570,7 +642,7 @@ impl<S: Sketch> SketchStore<S> {
     /// touches it — a peek holds only the shard's read lock).
     pub(crate) fn peek_slot<R>(&self, slot: &Slot<S>, op: impl FnOnce(&S) -> R) -> Option<R> {
         match &slot.state {
-            TierSlot::Hot(sketch) => Some(op(sketch)),
+            TierSlot::Hot(sketch, _) => Some(op(sketch)),
             state => self.try_materialize_cold(state).ok().map(|s| op(&s)),
         }
     }
@@ -583,20 +655,16 @@ impl<S: Sketch> SketchStore<S> {
     /// Panics on hot states (callers dispatch those separately).
     fn cold_bytes<'a>(&self, state: &'a TierSlot<S>) -> Result<Cow<'a, [u8]>, String> {
         match state {
-            TierSlot::Hot(_) => unreachable!("cold_bytes on a resident slot"),
+            TierSlot::Hot(..) => unreachable!("cold_bytes on a resident slot"),
             TierSlot::Quarantined(reason) => Err(reason.to_string()),
             TierSlot::Warm(bytes) => Ok(Cow::Borrowed(bytes)),
-            TierSlot::Frozen {
-                segment,
-                offset,
-                len,
-            } => self
+            TierSlot::Frozen(record) => self
                 .tier
                 .segments
                 .lock()
                 .as_mut()
                 .ok_or_else(|| "frozen slot without spill segments".to_owned())?
-                .read(*segment, *offset, *len)
+                .read(record.segment, record.offset, record.len)
                 .map(Cow::Owned)
                 .map_err(|error| format!("spill segment unreadable: {error}")),
         }
@@ -610,7 +678,7 @@ impl<S: Sketch> SketchStore<S> {
     /// unrecoverable, so exports skip them.
     pub(crate) fn slot_payload<'a>(&self, state: &'a TierSlot<S>) -> Option<Cow<'a, [u8]>> {
         match state {
-            TierSlot::Hot(sketch) => Some(Cow::Owned(sketch.compress())),
+            TierSlot::Hot(sketch, _) => Some(Cow::Owned(sketch.compress())),
             cold => self.cold_bytes(cold).ok(),
         }
     }
@@ -626,12 +694,12 @@ impl<S: Sketch> SketchStore<S> {
     fn take_sketch(&self, slot: Slot<S>) -> Option<S> {
         // Read a cold payload before the charge releases it.
         let cold = match &slot.state {
-            TierSlot::Hot(_) => None,
+            TierSlot::Hot(..) => None,
             state => self.try_materialize_cold(state).ok(),
         };
         self.tier.charge(Some(&slot.state), None);
         match slot.state {
-            TierSlot::Hot(sketch) => Some(sketch),
+            TierSlot::Hot(sketch, _) => Some(sketch),
             _ => cold,
         }
     }
@@ -654,8 +722,10 @@ impl<S: Sketch> SketchStore<S> {
 
     /// The second-chance clock scan. One shard per step, hand advancing
     /// round-robin; slots touched since the last encounter get their
-    /// bit cleared and survive, untouched hot slots compress to warm and
-    /// untouched warm slots spill to frozen. It runs up to two
+    /// bit cleared and survive, untouched clean hot slots return to
+    /// frozen at the spill record they kept, other untouched hot slots
+    /// compress to warm and untouched warm slots spill to frozen. It
+    /// runs up to two
     /// revolutions (the first may only clear bits) and stops as soon as
     /// residency is back under budget. After the first failed spill
     /// append it stops spilling for the rest of the scan — a broken
@@ -680,17 +750,14 @@ impl<S: Sketch> SketchStore<S> {
                     continue; // second chance
                 }
                 let next = match &slot.state {
-                    TierSlot::Hot(sketch) => {
+                    TierSlot::Hot(_, Some(record)) => Some(TierSlot::Frozen(*record)),
+                    TierSlot::Hot(sketch, None) => {
                         Some(TierSlot::Warm(sketch.compress().into_boxed_slice()))
                     }
                     TierSlot::Warm(bytes) if spill => {
                         let frozen = self.tier.append_frozen(bytes);
                         spill = frozen.is_some();
-                        frozen.map(|(segment, offset, len)| TierSlot::Frozen {
-                            segment,
-                            offset,
-                            len,
-                        })
+                        frozen.map(TierSlot::Frozen)
                     }
                     _ => None,
                 };
@@ -727,6 +794,46 @@ mod tests {
         assert_eq!(charged, exact, "budget counter vs exact scan after {after}");
     }
 
+    /// Asserts that every spill segment's `live` count equals the number
+    /// of slots — frozen, or clean hot — whose record points into it,
+    /// and that no slot points into a deleted segment: a leaked or
+    /// double-released record fails at the step that caused it.
+    fn assert_records_counted(store: &SketchStore<SetSketch2>, after: &str) {
+        let mut pointing: HashMap<u32, usize> = HashMap::new();
+        for shard in store.shards() {
+            for slot in shard.read().values() {
+                if let Some(record) = slot.state.record() {
+                    *pointing.entry(record.segment).or_default() += 1;
+                }
+            }
+        }
+        let live: HashMap<u32, usize> = store
+            .tier
+            .segments
+            .lock()
+            .iter()
+            .flat_map(|segments| segments.segments.iter().enumerate())
+            .filter_map(|(index, segment)| Some((index as u32, segment.as_ref()?.live)))
+            .filter(|&(_, live)| live > 0)
+            .collect();
+        assert_eq!(
+            live, pointing,
+            "segment live counts vs slot records after {after}"
+        );
+    }
+
+    /// A clean hot slot's key (promoted from frozen, registers unchanged
+    /// since), if any.
+    fn clean_hot_key(store: &SketchStore<SetSketch2>) -> Option<String> {
+        store.shards().iter().find_map(|shard| {
+            shard
+                .read()
+                .iter()
+                .find(|(_, slot)| matches!(slot.state, TierSlot::Hot(_, Some(_))))
+                .map(|(key, _)| key.clone())
+        })
+    }
+
     /// Overwrites the first payload byte of a frozen slot's spill
     /// record and returns the slot's key; `None` when no slot is frozen.
     fn rot_one_spill_record(store: &SketchStore<SetSketch2>) -> Option<String> {
@@ -735,9 +842,7 @@ mod tests {
                 .read()
                 .iter()
                 .find_map(|(key, slot)| match slot.state {
-                    TierSlot::Frozen {
-                        segment, offset, ..
-                    } => Some((key.clone(), segment, offset)),
+                    TierSlot::Frozen(record) => Some((key.clone(), record.segment, record.offset)),
                     _ => None,
                 })
         })?;
@@ -761,7 +866,10 @@ mod tests {
 
     /// A seeded single-threaded script over every slot transition on a
     /// budgeted, spilling, durable store: after each step the budget
-    /// counter must equal the exact scan of the tiers.
+    /// counter must equal the exact scan of the tiers, and every spill
+    /// segment must count exactly the records slots point at. Puts and
+    /// removals land on a clean hot slot whenever one exists and `b` is
+    /// even.
     #[test]
     fn budget_counter_matches_the_exact_scan_after_every_op() {
         let dir = scratch_dir("charge-script");
@@ -785,7 +893,7 @@ mod tests {
             rng ^= rng << 17;
             rng
         };
-        let (mut rotted, mut restored) = (0, 0);
+        let (mut rotted, mut restored, mut over_clean) = (0, 0, 0);
         for step in 0..600 {
             let (kind, a, b) = (next() % 20, next(), next());
             let op = match kind {
@@ -799,15 +907,19 @@ mod tests {
                     store.ingest(&key(a), &[b % 64, (b + 1) % 64]);
                     "ingest of seen elements"
                 }
-                8 => {
-                    let mut sketch = SetSketch2::new(config(), 5);
-                    sketch.insert_batch(&[a, b]);
-                    store.put(&key(a), sketch);
-                    "put"
-                }
-                9 => {
-                    store.remove(&key(a));
-                    "remove"
+                8 | 9 => {
+                    let clean = clean_hot_key(&store).filter(|_| b % 2 == 0);
+                    over_clean += usize::from(clean.is_some());
+                    let name = clean.unwrap_or_else(|| key(a));
+                    if kind == 8 {
+                        let mut sketch = SetSketch2::new(config(), 5);
+                        sketch.insert_batch(&[a, b]);
+                        store.put(&name, sketch);
+                        "put"
+                    } else {
+                        store.remove(&name);
+                        "remove"
+                    }
                 }
                 10..=11 => {
                     let cold = store.keys().into_iter().find(|name| {
@@ -847,11 +959,104 @@ mod tests {
                     "a rotted spill record"
                 }
             };
-            assert_charged_exactly(&store, &format!("step {step}: {op}"));
+            let after = format!("step {step}: {op}");
+            assert_charged_exactly(&store, &after);
+            assert_records_counted(&store, &after);
         }
         assert!(rotted > 0, "the script rotted no spill record");
+        assert!(over_clean > 0, "no put or remove hit a clean hot slot");
         assert!(restored > 0, "no restart restored a checkpoint entry");
         drop(store);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The record a slot of `store` holds, and whether the slot is
+    /// frozen.
+    fn record_of(store: &SketchStore<SetSketch2>, key: &str) -> (Option<SpillRecord>, bool) {
+        let shard = store.shard(key).read();
+        let state = &shard[key].state;
+        (state.record(), matches!(state, TierSlot::Frozen(_)))
+    }
+
+    /// Runs the clock scan until no slot is hot or warm (the store's
+    /// 1-byte budget keeps it over budget until then).
+    fn freeze_all(store: &SketchStore<SetSketch2>) {
+        for _ in 0..4 {
+            let stats = store.tier_stats();
+            if stats.hot_keys + stats.warm_keys == 0 {
+                return;
+            }
+            store.maintain();
+        }
+        panic!("keys still resident: {:?}", store.tier_stats());
+    }
+
+    /// A clean eviction returns a promoted frozen key to its own spill
+    /// record, and only while its registers are unchanged: a no-op
+    /// ingest re-freezes it at the same `(segment, offset)` without
+    /// growing the segment, and an ingest that raises a register
+    /// re-freezes it at a fresh record that reads back the raised
+    /// registers, bit for bit against a plain store.
+    #[test]
+    fn a_clean_slot_refreezes_at_its_record_and_a_raised_one_does_not() {
+        let dir = scratch_dir("clean-eviction");
+        let build = |budget: Option<usize>| {
+            let builder = SketchStore::builder(|| SetSketch2::new(config(), 7)).shards(1);
+            match budget {
+                Some(bytes) => builder.memory_budget_bytes(bytes).spill_dir(&dir),
+                None => builder,
+            }
+            .build()
+        };
+        let (tiered, plain) = (build(Some(1)), build(None));
+        let ingest = |key: &str, elements: &[u64]| {
+            tiered.ingest(key, elements);
+            plain.ingest(key, elements);
+        };
+        let keys = ["a", "b", "c"];
+        for (n, key) in (0u64..).zip(keys) {
+            ingest(key, &(n * 100..n * 100 + 40).collect::<Vec<_>>());
+        }
+        freeze_all(&tiered);
+        let segment_len = |record: SpillRecord| {
+            let path = tiered.spill_path().unwrap();
+            fs::metadata(path.join(format!("seg-{}.bin", record.segment)))
+                .unwrap()
+                .len()
+        };
+
+        // No-op ingest: elements "a" already holds.
+        let (Some(before), true) = record_of(&tiered, "a") else {
+            panic!("a is not frozen");
+        };
+        let grown_to = segment_len(before);
+        ingest("a", &[0, 1, 2]);
+        freeze_all(&tiered);
+        assert_eq!(
+            record_of(&tiered, "a"),
+            (Some(before), true),
+            "re-frozen in place"
+        );
+        assert_eq!(
+            segment_len(before),
+            grown_to,
+            "a clean eviction writes nothing"
+        );
+        assert_records_counted(&tiered, "a clean eviction");
+
+        // Raising ingest: the old record no longer holds "a".
+        ingest("a", &(1_000..1_040).collect::<Vec<_>>());
+        freeze_all(&tiered);
+        let (Some(after), true) = record_of(&tiered, "a") else {
+            panic!("a is not frozen");
+        };
+        assert_ne!(after, before, "a raised slot is written to a fresh record");
+        assert_records_counted(&tiered, "a dirty eviction");
+        for key in keys {
+            assert_eq!(tiered.get(key), plain.get(key), "{key} read cold");
+        }
+        assert_charged_exactly(&tiered, "the script");
+        drop(tiered);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -12,6 +12,9 @@
 //!   packing, and rehydrate with a bit-identical estimate.
 //! * Frozen segment files must never leak: they vanish when the store
 //!   drops (or is cleared).
+//! * A frozen key promoted by a read keeps its spill record, which
+//!   `spilled_bytes` still counts and demotion returns it to without a
+//!   write; the first write that raises a register releases it.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -415,6 +418,66 @@ fn frozen_segments_never_leak() {
         "no segment files may leak into the parent directory"
     );
     std::fs::remove_dir_all(&parent).unwrap();
+}
+
+/// `TierStats::spilled_bytes` counts every live spill record, a clean
+/// hot key's included: a read that promotes a frozen key leaves the
+/// census, the figure and the segment files as they were (the key is
+/// demoted straight back to its record), and a write that raises a
+/// register drops the figure by exactly that record's length.
+#[test]
+fn spilled_bytes_follow_a_clean_record() {
+    let config = SetSketchConfig::new(256, 2.0, 20.0, 62).unwrap();
+    let store = SketchStore::builder(move || SetSketch2::new(config, 13))
+        .shards(1)
+        .memory_budget_bytes(1)
+        .build();
+    for i in 0..8u64 {
+        store.ingest(
+            &format!("k{i}"),
+            &(i * 100..i * 100 + 60).collect::<Vec<_>>(),
+        );
+    }
+    // Reading a frozen key runs a scan that freezes the warm rest.
+    for _ in 0..4 {
+        let _ = store.cardinality("k0");
+    }
+    let frozen = store.tier_stats();
+    assert_eq!(frozen.frozen_keys, 8, "every key frozen: {frozen:?}");
+    let record_len = store
+        .delta_since(0, usize::MAX)
+        .entries
+        .iter()
+        .find(|entry| entry.key == "k0")
+        .expect("key present")
+        .payload
+        .len();
+    let segment_lens = || {
+        let mut lens: Vec<u64> = std::fs::read_dir(store.spill_path().unwrap())
+            .unwrap()
+            .map(|entry| entry.unwrap().metadata().unwrap().len())
+            .collect();
+        lens.sort_unstable();
+        lens
+    };
+    let on_disk = segment_lens();
+
+    let reference = store.get("k0").expect("key present");
+    assert_eq!(store.tier_stats(), frozen, "a read keeps the record");
+    assert_eq!(segment_lens(), on_disk, "a clean demotion writes nothing");
+
+    store.ingest("k0", &[1_000_000, 1_000_001, 1_000_002]);
+    let raised = store.tier_stats();
+    assert_eq!(
+        raised.spilled_bytes,
+        frozen.spilled_bytes - record_len,
+        "a raising write releases the record: {raised:?}"
+    );
+    assert_ne!(
+        store.get("k0"),
+        Some(reference),
+        "the write raised a register"
+    );
 }
 
 /// Bit rot in a spill segment must surface as a typed
