@@ -14,8 +14,8 @@
 //! the current minimum register value, which speeds up recording of large
 //! sets without changing the state.
 
-use sketch_math::{brent, kernels, sigma_b, tau_b, PowerTable, Registers, MAX_DECODED_Q};
-use sketch_rand::{hash_of, hash_u64, mix64};
+use sketch_math::{brent, kernels, sigma_b, tau_b, PowerTable, Registers};
+use sketch_rand::{hash_u64, mix64};
 use std::sync::Arc;
 
 /// Errors raised by invalid GHLL configurations.
@@ -72,26 +72,20 @@ impl GhllConfig {
 
     /// Number of registers.
     #[inline]
-    pub fn m(&self) -> usize {
+    pub(crate) fn m(&self) -> usize {
         self.m
     }
 
     /// The base b.
     #[inline]
-    pub fn b(&self) -> f64 {
+    pub(crate) fn b(&self) -> f64 {
         self.b
     }
 
     /// Register limit parameter (registers hold `0..=q+1`).
     #[inline]
-    pub fn q(&self) -> u32 {
+    pub(crate) fn q(&self) -> u32 {
         self.q
-    }
-
-    /// Bits per register without special encoding.
-    pub fn register_bits(&self) -> u32 {
-        let states = self.q as u64 + 2;
-        64 - (states - 1).leading_zeros()
     }
 }
 
@@ -128,43 +122,13 @@ pub struct GhllSketch {
 impl GhllSketch {
     /// Creates an empty sketch (lower-bound tracking disabled).
     pub fn new(config: GhllConfig, seed: u64) -> Self {
-        let registers = Registers::zeroed(config.m(), config.q() + 1);
-        Self::from_registers(config, seed, false, registers)
-    }
-
-    /// A sketch holding `registers` (m values in `0..=q+1`) under a
-    /// fresh power table for `config`.
-    fn from_registers(
-        config: GhllConfig,
-        seed: u64,
-        lower_bound_tracking: bool,
-        registers: Registers,
-    ) -> Self {
-        let table = Arc::new(PowerTable::new(config.b(), config.q()));
-        Self::assemble(config, seed, table, lower_bound_tracking, registers)
-    }
-
-    /// Builds the sketch around its register array, the one allocation;
-    /// with tracking on, the lower bound is the array's minimum.
-    fn assemble(
-        config: GhllConfig,
-        seed: u64,
-        table: Arc<PowerTable>,
-        lower_bound_tracking: bool,
-        registers: Registers,
-    ) -> Self {
-        debug_assert_eq!(registers.len(), config.m());
         Self {
-            k_low: if lower_bound_tracking {
-                registers.min()
-            } else {
-                0
-            },
-            registers,
-            table,
+            registers: Registers::zeroed(config.m(), config.q() + 1),
+            table: Arc::new(PowerTable::new(config.b(), config.q())),
             config,
             seed,
-            lower_bound_tracking,
+            lower_bound_tracking: false,
+            k_low: 0,
             modifications: 0,
         }
     }
@@ -179,14 +143,8 @@ impl GhllSketch {
 
     /// The configuration.
     #[inline]
-    pub fn config(&self) -> &GhllConfig {
+    pub(crate) fn config(&self) -> &GhllConfig {
         &self.config
-    }
-
-    /// The hash seed.
-    #[inline]
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Read-only, width-erased view of the registers: `len`, `get`,
@@ -195,16 +153,6 @@ impl GhllSketch {
     #[inline]
     pub fn registers(&self) -> &Registers {
         &self.registers
-    }
-
-    /// True if no register was ever updated.
-    pub fn is_unused(&self) -> bool {
-        self.registers.iter().all(|k| k == 0)
-    }
-
-    /// Inserts any hashable element.
-    pub fn insert<T: std::hash::Hash + ?Sized>(&mut self, element: &T) {
-        self.insert_hash(hash_of(element, self.seed));
     }
 
     /// Inserts a 64-bit element.
@@ -249,12 +197,6 @@ impl GhllSketch {
         self.modifications = 0;
     }
 
-    /// Current tracked lower bound (0 when tracking is disabled).
-    #[inline]
-    pub fn k_low(&self) -> u32 {
-        self.k_low
-    }
-
     /// Bytes this sketch keeps resident in memory: the inline struct
     /// plus the register array at its lane width (m, 2 m or 4 m bytes).
     /// The `Arc`'d power table is excluded (shared across every sketch
@@ -264,33 +206,24 @@ impl GhllSketch {
     }
 
     /// Checks configuration and seed compatibility.
-    pub fn is_compatible(&self, other: &Self) -> bool {
+    pub(crate) fn is_compatible(&self, other: &Self) -> bool {
         self.config == other.config && self.seed == other.seed
     }
 
-    /// Merges `other` into `self` (element-wise maximum through the
-    /// fused [`kernels::max_merge_min`] register kernel; the merged
-    /// lower bound falls out of the same pass) and returns whether any
-    /// register rose.
-    pub fn merge(&mut self, other: &Self) -> Result<bool, IncompatibleGhll> {
+    /// Returns the union sketch: the element-wise register maximum,
+    /// through the fused [`kernels::max_merge_min`] register kernel when
+    /// tracking (the merged lower bound falls out of the same pass).
+    pub fn merged(&self, other: &Self) -> Result<Self, IncompatibleGhll> {
         if !self.is_compatible(other) {
             return Err(IncompatibleGhll);
         }
-        let raised = if self.lower_bound_tracking {
-            let (k_low, raised) = self.registers.max_merge_min(&other.registers);
-            self.k_low = k_low;
-            self.modifications = 0;
-            raised
-        } else {
-            self.registers.max_merge(&other.registers)
-        };
-        Ok(raised)
-    }
-
-    /// Returns the union sketch.
-    pub fn merged(&self, other: &Self) -> Result<Self, IncompatibleGhll> {
         let mut out = self.clone();
-        out.merge(other)?;
+        if out.lower_bound_tracking {
+            out.k_low = out.registers.max_merge_min(&other.registers).0;
+            out.modifications = 0;
+        } else {
+            out.registers.max_merge(&other.registers);
+        }
         Ok(out)
     }
 
@@ -353,15 +286,6 @@ impl GhllSketch {
         m * m * (1.0 - 1.0 / b) / (b.ln() * denom)
     }
 
-    /// Uncorrected estimator (12) with `a = 1/m`; biased for small and huge
-    /// cardinalities, listed for completeness and ablations.
-    pub fn estimate_cardinality_simple(&self) -> f64 {
-        let m = self.config.m() as f64;
-        let b = self.config.b();
-        let sum: f64 = self.registers.iter().map(|k| self.table.pow_neg(k)).sum();
-        m * m * (1.0 - 1.0 / b) / (b.ln() * sum)
-    }
-
     /// Maximum-likelihood estimate under the Poisson model (paper Fig. 12),
     /// solved by Brent's method over log-cardinality.
     pub fn estimate_cardinality_ml(&self) -> f64 {
@@ -394,82 +318,6 @@ impl GhllSketch {
         brent::maximize(log_likelihood, center - 3.0, center + 3.0, 1e-10)
             .x
             .exp()
-    }
-}
-
-/// Errors raised when decoding a binary GHLL state.
-#[derive(Debug, Clone, PartialEq)]
-pub enum GhllDecodeError {
-    /// Bad magic bytes or short header.
-    MalformedHeader,
-    /// The embedded configuration is invalid.
-    Config(GhllConfigError),
-    /// The header's q exceeds [`MAX_DECODED_Q`].
-    UnsupportedLimit(u32),
-    /// The packed register payload is invalid.
-    Registers(sketch_math::BitPackError),
-}
-
-impl std::fmt::Display for GhllDecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            GhllDecodeError::MalformedHeader => write!(f, "malformed binary header"),
-            GhllDecodeError::Config(e) => write!(f, "invalid configuration: {e}"),
-            GhllDecodeError::UnsupportedLimit(q) => {
-                write!(f, "q = {q} exceeds the decoder limit {MAX_DECODED_Q}")
-            }
-            GhllDecodeError::Registers(e) => write!(f, "invalid register payload: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for GhllDecodeError {}
-
-/// Magic bytes of the GHLL binary representation ("GHL1").
-const GHLL_MAGIC: u32 = 0x4748_4c31;
-
-impl GhllSketch {
-    /// Compact binary representation: fixed header plus registers packed
-    /// to `config.register_bits()` bits each (e.g. 6 bits for HLL).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let cfg = &self.config;
-        let packed = self.registers.pack_bits(cfg.register_bits());
-        let mut out = Vec::with_capacity(33 + packed.len());
-        out.extend_from_slice(&GHLL_MAGIC.to_be_bytes());
-        out.extend_from_slice(&(cfg.m() as u64).to_be_bytes());
-        out.extend_from_slice(&cfg.b().to_be_bytes());
-        out.extend_from_slice(&cfg.q().to_be_bytes());
-        out.extend_from_slice(&self.seed.to_be_bytes());
-        out.push(self.lower_bound_tracking as u8);
-        out.extend_from_slice(&packed);
-        out
-    }
-
-    /// Restores a sketch from the binary representation.
-    ///
-    /// A header whose q exceeds [`MAX_DECODED_Q`] is rejected with
-    /// [`GhllDecodeError::UnsupportedLimit`] before anything is built:
-    /// the sketch's power table grows with q, not with the input length.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, GhllDecodeError> {
-        if bytes.len() < 33 {
-            return Err(GhllDecodeError::MalformedHeader);
-        }
-        let magic = u32::from_be_bytes(bytes[0..4].try_into().expect("length checked"));
-        if magic != GHLL_MAGIC {
-            return Err(GhllDecodeError::MalformedHeader);
-        }
-        let m = u64::from_be_bytes(bytes[4..12].try_into().expect("length checked")) as usize;
-        let b = f64::from_be_bytes(bytes[12..20].try_into().expect("length checked"));
-        let q = u32::from_be_bytes(bytes[20..24].try_into().expect("length checked"));
-        let seed = u64::from_be_bytes(bytes[24..32].try_into().expect("length checked"));
-        let tracking = bytes[32] != 0;
-        if q > MAX_DECODED_Q {
-            return Err(GhllDecodeError::UnsupportedLimit(q));
-        }
-        let config = GhllConfig::new(m, b, q).map_err(GhllDecodeError::Config)?;
-        let registers = Registers::unpack_bits(&bytes[33..], m, config.register_bits(), q + 1)
-            .map_err(GhllDecodeError::Registers)?;
-        Ok(Self::from_registers(config, seed, tracking, registers))
     }
 }
 
@@ -573,7 +421,7 @@ mod tests {
             tracked.insert_u64(e);
         }
         assert_eq!(plain.registers(), tracked.registers());
-        assert!(tracked.k_low() > 0, "tracking should have engaged");
+        assert!(tracked.k_low > 0, "tracking should have engaged");
     }
 
     #[test]
@@ -605,49 +453,6 @@ mod tests {
         assert!(GhllConfig::new(0, 2.0, 62).is_err());
         assert!(GhllConfig::new(16, 1.0, 62).is_err());
         assert!(GhllConfig::new(16, 2.0, u32::MAX).is_err());
-        assert_eq!(GhllConfig::hyperloglog(64).unwrap().register_bits(), 6);
-    }
-
-    #[test]
-    fn binary_roundtrip() {
-        let cfg = GhllConfig::hyperloglog(256).unwrap();
-        let mut s = GhllSketch::with_lower_bound_tracking(cfg, 8);
-        s.extend(0..200_000);
-        let bytes = s.to_bytes();
-        // 33-byte header + 256 registers * 6 bits = 192 bytes.
-        assert_eq!(bytes.len(), 33 + 192);
-        let restored = GhllSketch::from_bytes(&bytes).unwrap();
-        assert_eq!(s, restored);
-        assert!(restored.k_low() > 0, "tracking bound restored");
-        // The restored bound is the exact minimum, which may exceed the
-        // original's amortized (stale) bound — both are valid lower bounds.
-        assert!(restored.k_low() >= s.k_low());
-        assert!(restored.k_low() <= restored.registers().iter().min().unwrap());
-    }
-
-    #[test]
-    fn binary_rejects_corruption() {
-        let cfg = GhllConfig::hyperloglog(64).unwrap();
-        let mut s = GhllSketch::new(cfg, 9);
-        s.extend(0..1000);
-        let bytes = s.to_bytes();
-        assert!(GhllSketch::from_bytes(&bytes[..10]).is_err());
-        let mut bad_magic = bytes.clone();
-        bad_magic[0] ^= 0xff;
-        assert!(GhllSketch::from_bytes(&bad_magic).is_err());
-        let truncated = &bytes[..bytes.len() - 1];
-        assert!(matches!(
-            GhllSketch::from_bytes(truncated),
-            Err(super::GhllDecodeError::Registers(_))
-        ));
-        // q = 60 packs into 6 bits, so a packed 63 exceeds q + 1 = 61.
-        let mut out_of_range = GhllSketch::new(GhllConfig::new(4, 2.0, 60).unwrap(), 1).to_bytes();
-        out_of_range[33] |= 0x3f;
-        assert_eq!(
-            GhllSketch::from_bytes(&out_of_range),
-            Err(super::GhllDecodeError::Registers(
-                sketch_math::BitPackError::ValueOutOfRange
-            ))
-        );
+        assert!(GhllConfig::hyperloglog(64).is_ok());
     }
 }

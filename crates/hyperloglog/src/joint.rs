@@ -48,7 +48,7 @@ impl From<IncompatibleGhll> for GhllJointError {
 impl GhllSketch {
     /// Register comparison counts against a compatible sketch (one pass
     /// of the vectorized three-way comparison kernel).
-    pub fn joint_counts(&self, other: &Self) -> Result<JointCounts, IncompatibleGhll> {
+    fn joint_counts(&self, other: &Self) -> Result<JointCounts, IncompatibleGhll> {
         if !self.is_compatible(other) {
             return Err(IncompatibleGhll);
         }

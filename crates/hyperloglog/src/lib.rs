@@ -19,10 +19,10 @@
 //! assert!((estimate - 50_000.0).abs() / 50_000.0 < 0.2);
 //! ```
 
-pub mod ghll;
-pub mod joint;
-pub mod pmf;
+mod ghll;
+mod joint;
+mod pmf;
 
-pub use ghll::{GhllConfig, GhllConfigError, GhllDecodeError, GhllSketch, IncompatibleGhll};
+pub use ghll::{GhllConfig, GhllConfigError, GhllSketch, IncompatibleGhll};
 pub use joint::GhllJointError;
 pub use pmf::update_value_pmf;

@@ -22,8 +22,8 @@
 //! assert!((joint.jaccard - 1.0 / 3.0).abs() < 0.1);
 //! ```
 
-pub mod pmf;
-pub mod sketch;
+mod pmf;
+mod sketch;
 
 pub use pmf::update_value_pmf;
 pub use sketch::{

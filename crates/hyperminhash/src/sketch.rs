@@ -16,7 +16,7 @@
 use sketch_math::{
     inclusion_exclusion_jaccard, ml_jaccard, sigma_b, tau_b, JointCounts, JointQuantities,
 };
-use sketch_rand::{hash_of, hash_u64, mix64};
+use sketch_rand::{hash_u64, mix64};
 
 /// Errors raised by invalid HyperMinHash configurations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,14 +65,8 @@ impl HyperMinHashConfig {
 
     /// Number of registers.
     #[inline]
-    pub fn m(&self) -> usize {
+    fn m(&self) -> usize {
         self.m
-    }
-
-    /// Mantissa bits per register.
-    #[inline]
-    pub fn r(&self) -> u32 {
-        self.r
     }
 
     /// The equivalent GHLL base `b = 2^(2^{-r})` (paper §1.4).
@@ -81,13 +75,8 @@ impl HyperMinHashConfig {
     }
 
     /// Largest storable combined register value.
-    pub fn max_register(&self) -> u32 {
+    fn max_register(&self) -> u32 {
         P_MAX * (1 << self.r)
-    }
-
-    /// Bits per register (6-bit exponent part plus r mantissa bits).
-    pub fn register_bits(&self) -> u32 {
-        6 + self.r
     }
 }
 
@@ -122,34 +111,6 @@ impl HyperMinHash {
         }
     }
 
-    /// The configuration.
-    #[inline]
-    pub fn config(&self) -> &HyperMinHashConfig {
-        &self.config
-    }
-
-    /// The hash seed.
-    #[inline]
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Read-only view of the combined register values.
-    #[inline]
-    pub fn registers(&self) -> &[u32] {
-        &self.registers
-    }
-
-    /// True if no register was ever updated.
-    pub fn is_unused(&self) -> bool {
-        self.registers.iter().all(|&v| v == 0)
-    }
-
-    /// Inserts any hashable element.
-    pub fn insert<T: std::hash::Hash + ?Sized>(&mut self, element: &T) {
-        self.insert_hash(hash_of(element, self.seed));
-    }
-
     /// Inserts a 64-bit element.
     #[inline]
     pub fn insert_u64(&mut self, element: u64) {
@@ -179,7 +140,7 @@ impl HyperMinHash {
     }
 
     /// Inserts an already hashed element.
-    pub fn insert_hash(&mut self, hash: u64) {
+    fn insert_hash(&mut self, hash: u64) {
         let index = (((hash as u128) * (self.config.m() as u128)) >> 64) as usize;
         let u = ((mix64(hash) >> 11) + 1) as f64 * 1.110_223_024_625_156_5e-16;
         let v = self.combined_value(u);
@@ -189,28 +150,19 @@ impl HyperMinHash {
     }
 
     /// Checks configuration and seed compatibility.
-    pub fn is_compatible(&self, other: &Self) -> bool {
+    fn is_compatible(&self, other: &Self) -> bool {
         self.config == other.config && self.seed == other.seed
     }
 
-    /// Merges `other` into `self` (element-wise maximum of the combined
-    /// values through the vectorized merge kernel, equivalent to
-    /// HyperMinHash's minwise merge) and returns whether any register
-    /// rose.
-    pub fn merge(&mut self, other: &Self) -> Result<bool, IncompatibleHyperMinHash> {
+    /// Returns the union sketch: the element-wise maximum of the
+    /// combined values through the vectorized merge kernel, equivalent to
+    /// HyperMinHash's minwise merge.
+    pub fn merged(&self, other: &Self) -> Result<Self, IncompatibleHyperMinHash> {
         if !self.is_compatible(other) {
             return Err(IncompatibleHyperMinHash);
         }
-        Ok(sketch_math::kernels::max_merge(
-            &mut self.registers,
-            &other.registers,
-        ))
-    }
-
-    /// Returns the union sketch.
-    pub fn merged(&self, other: &Self) -> Result<Self, IncompatibleHyperMinHash> {
         let mut out = self.clone();
-        out.merge(other)?;
+        sketch_math::kernels::max_merge(&mut out.registers, &other.registers);
         Ok(out)
     }
 
@@ -257,11 +209,11 @@ impl HyperMinHash {
     /// of the vectorized three-way comparison kernel; HyperMinHash's
     /// packed exponent-plus-fingerprint registers compare with the same
     /// order as the underlying hash values).
-    pub fn joint_counts(&self, other: &Self) -> Result<JointCounts, IncompatibleHyperMinHash> {
+    fn joint_counts(&self, other: &Self) -> Result<JointCounts, IncompatibleHyperMinHash> {
         if !self.is_compatible(other) {
             return Err(IncompatibleHyperMinHash);
         }
-        Ok(JointCounts::from_u32(self.registers(), other.registers()))
+        Ok(JointCounts::from_u32(&self.registers, &other.registers))
     }
 
     /// The SetSketch paper's order-based joint estimator (§4.3) with the
@@ -342,7 +294,7 @@ impl HyperMinHash {
     /// Expected fraction of registers that collide by chance between two
     /// *independent* sets of the given cardinalities (Poisson model over
     /// the dyadic pmf; evaluated numerically).
-    pub fn expected_random_collision_fraction(&self, n_u: f64, n_v: f64) -> f64 {
+    fn expected_random_collision_fraction(&self, n_u: f64, n_v: f64) -> f64 {
         let m = self.config.m() as f64;
         let r = self.config.r;
         let lambda_u = n_u / m;
@@ -519,7 +471,6 @@ mod tests {
     fn config_validation() {
         assert!(HyperMinHashConfig::new(0, 4).is_err());
         assert!(HyperMinHashConfig::new(16, 17).is_err());
-        let cfg = HyperMinHashConfig::new(16, 10).unwrap();
-        assert_eq!(cfg.register_bits(), 16);
+        assert!(HyperMinHashConfig::new(16, 10).is_ok());
     }
 }

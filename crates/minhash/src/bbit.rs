@@ -8,6 +8,7 @@
 //! at the price of losing mergeability, exactly as the paper describes.
 
 use crate::classic::MinHash;
+use sketch_math::{pack_bits, unpack_bits};
 
 /// A finalized b-bit signature. It can be compared but no longer updated
 /// or merged.
@@ -15,8 +16,9 @@ use crate::classic::MinHash;
 pub struct BBitSignature {
     bits: u32,
     seed: u64,
-    /// Packed component remainders, `bits` bits each, little-endian order.
-    packed: Vec<u64>,
+    /// Component remainders packed `bits` bits each by
+    /// [`sketch_math::pack_bits`].
+    packed: Vec<u8>,
     m: usize,
 }
 
@@ -27,69 +29,51 @@ impl BBitSignature {
     /// Panics if `bits` is not in `1..=16`.
     pub fn from_minhash(minhash: &MinHash, bits: u32) -> Self {
         assert!((1..=16).contains(&bits), "bits must be in 1..=16");
-        let m = minhash.m();
         let mask = (1u64 << bits) - 1;
-        let mut packed = vec![0u64; (m * bits as usize).div_ceil(64)];
-        for (i, &v) in minhash.values().iter().enumerate() {
-            let value = v & mask;
-            let bit_pos = i * bits as usize;
-            let word = bit_pos / 64;
-            let offset = (bit_pos % 64) as u32;
-            packed[word] |= value << offset;
-            let spill = 64 - offset;
-            if (spill as u64) < bits as u64 {
-                packed[word + 1] |= value >> spill;
-            }
-        }
+        let remainders: Vec<u16> = minhash
+            .values()
+            .iter()
+            .map(|&v| (v & mask) as u16)
+            .collect();
         Self {
             bits,
             seed: minhash.seed(),
-            packed,
-            m,
+            packed: pack_bits(&remainders, bits),
+            m: minhash.m(),
         }
-    }
-
-    /// Number of components.
-    #[inline]
-    pub fn m(&self) -> usize {
-        self.m
-    }
-
-    /// Bits per component.
-    #[inline]
-    pub fn bits(&self) -> u32 {
-        self.bits
     }
 
     /// Size of the packed signature in bytes.
-    pub fn packed_bytes(&self) -> usize {
-        self.packed.len() * 8
+    #[cfg(test)]
+    fn packed_bytes(&self) -> usize {
+        self.packed.len()
+    }
+
+    /// The `bits`-bit components.
+    fn components(&self) -> Vec<u16> {
+        unpack_bits(&self.packed, self.m, self.bits, (1 << self.bits) - 1)
+            .expect("packed by from_minhash")
     }
 
     /// Reads component `i`.
+    #[cfg(test)]
     fn component(&self, i: usize) -> u64 {
-        let mask = (1u64 << self.bits) - 1;
-        let bit_pos = i * self.bits as usize;
-        let word = bit_pos / 64;
-        let offset = (bit_pos % 64) as u32;
-        let mut value = self.packed[word] >> offset;
-        let spill = 64 - offset;
-        if (spill as u64) < self.bits as u64 {
-            value |= self.packed[word + 1] << spill;
-        }
-        value & mask
+        u64::from(self.components()[i])
     }
 
     /// Fraction of equal components.
     ///
     /// # Panics
     /// Panics if the signatures differ in length, width or seed.
-    pub fn collision_fraction(&self, other: &Self) -> f64 {
+    fn collision_fraction(&self, other: &Self) -> f64 {
         assert_eq!(self.m, other.m, "signature length mismatch");
         assert_eq!(self.bits, other.bits, "signature width mismatch");
         assert_eq!(self.seed, other.seed, "signature seed mismatch");
-        let equal = (0..self.m)
-            .filter(|&i| self.component(i) == other.component(i))
+        let equal = self
+            .components()
+            .iter()
+            .zip(other.components())
+            .filter(|&(&a, b)| a == b)
             .count();
         equal as f64 / self.m as f64
     }

@@ -10,7 +10,7 @@
 //! cardinality estimator (eq. (16)).
 
 use sketch_math::{inclusion_exclusion_jaccard, ml_jaccard_b1, JointCounts, JointQuantities};
-use sketch_rand::{hash_of, hash_u64, Rng64, WyRand};
+use sketch_rand::{hash_u64, Rng64, WyRand};
 
 /// Error raised when two sketches with different size or seed are combined.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,13 +47,13 @@ impl MinHash {
 
     /// Number of components m.
     #[inline]
-    pub fn m(&self) -> usize {
+    pub(crate) fn m(&self) -> usize {
         self.values.len()
     }
 
     /// The hash seed.
     #[inline]
-    pub fn seed(&self) -> u64 {
+    pub(crate) fn seed(&self) -> u64 {
         self.seed
     }
 
@@ -61,16 +61,6 @@ impl MinHash {
     #[inline]
     pub fn values(&self) -> &[u64] {
         &self.values
-    }
-
-    /// True if no element has been inserted.
-    pub fn is_empty(&self) -> bool {
-        self.values.iter().all(|&v| v == u64::MAX)
-    }
-
-    /// Inserts any hashable element.
-    pub fn insert<T: std::hash::Hash + ?Sized>(&mut self, element: &T) {
-        self.insert_hash(hash_of(element, self.seed));
     }
 
     /// Inserts a 64-bit element.
@@ -99,31 +89,20 @@ impl MinHash {
     }
 
     /// Checks mergeability with another sketch.
-    pub fn is_compatible(&self, other: &Self) -> bool {
+    fn is_compatible(&self, other: &Self) -> bool {
         self.seed == other.seed && self.values.len() == other.values.len()
     }
 
-    /// Merges `other` into `self` (component-wise minimum = set union)
-    /// and returns whether any component fell.
-    pub fn merge(&mut self, other: &Self) -> Result<bool, IncompatibleMinHash> {
+    /// Returns the union sketch (component-wise minimum).
+    pub fn merged(&self, other: &Self) -> Result<Self, IncompatibleMinHash> {
         if !self.is_compatible(other) {
             return Err(IncompatibleMinHash);
         }
-        let mut changed = false;
-        for (a, &b) in self.values.iter_mut().zip(&other.values) {
-            if b < *a {
-                *a = b;
-                changed = true;
-            }
-        }
-        Ok(changed)
-    }
-
-    /// Returns the union sketch.
-    pub fn merged(&self, other: &Self) -> Result<Self, IncompatibleMinHash> {
-        let mut out = self.clone();
-        out.merge(other)?;
-        Ok(out)
+        let values = self.values.iter().zip(&other.values);
+        Ok(Self {
+            seed: self.seed,
+            values: values.map(|(&a, &b)| a.min(b)).collect(),
+        })
     }
 
     /// Component value mapped to the open unit interval.
@@ -158,7 +137,7 @@ impl MinHash {
     /// Comparison counts in the max-sketch convention of
     /// [`JointCounts`]: MinHash uses the minimum, so dominance flips
     /// (paper §4.1: `D⁺ = |{i : K'_Ui < K'_Vi}|`).
-    pub fn joint_counts(&self, other: &Self) -> Result<JointCounts, IncompatibleMinHash> {
+    fn joint_counts(&self, other: &Self) -> Result<JointCounts, IncompatibleMinHash> {
         if !self.is_compatible(other) {
             return Err(IncompatibleMinHash);
         }
@@ -328,7 +307,7 @@ mod tests {
     #[test]
     fn empty_sketch_estimates_zero() {
         let s = MinHash::new(64, 1);
-        assert!(s.is_empty());
+        assert!(s.values().iter().all(|&v| v == u64::MAX));
         assert_eq!(s.estimate_cardinality(), 0.0);
     }
 

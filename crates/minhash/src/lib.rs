@@ -8,12 +8,8 @@
 //! * [`MinHash`] — the classic m-hash-function signature (O(m) insert)
 //!   with the cardinality estimator (16), the classic and the new joint
 //!   estimators, and inclusion–exclusion;
-//! * [`SuperMinHash`] — the correlated variant that SetSketch2 converges
-//!   to as b → 1;
 //! * [`BBitSignature`] — b-bit minwise hashing, the space-reduction
-//!   finalization the paper positions SetSketch against (§3.3);
-//! * [`OnePermutationHashing`] — the O(1)-insert MinHash variant whose
-//!   small-set weakness and densification trade-offs §1.2 recounts.
+//!   finalization the paper positions SetSketch against (§3.3).
 //!
 //! ```
 //! use minhash::MinHash;
@@ -27,12 +23,8 @@
 //! assert!((joint.jaccard - 1.0 / 3.0).abs() < 0.06);
 //! ```
 
-pub mod bbit;
-pub mod classic;
-pub mod oph;
-pub mod superminhash;
+mod bbit;
+mod classic;
 
 pub use bbit::BBitSignature;
 pub use classic::{IncompatibleMinHash, MinHash};
-pub use oph::{DensifiedOph, IncompatibleOph, OnePermutationHashing};
-pub use superminhash::{IncompatibleSuperMinHash, SuperMinHash};

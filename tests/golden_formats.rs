@@ -1,12 +1,12 @@
 //! Golden byte formats: `to_bytes()` and `compress()` of SetSketch1 and
-//! SetSketch2, and `to_bytes()` of GHLL, are pinned by CRC-32 for
-//! seeded fills at the three register widths (one-byte, two-byte and
-//! four-byte lanes). The constants were captured before registers moved
-//! to their natural width, so "every byte format and every register
-//! value at a fixed seed is unchanged" is checked rather than asserted —
-//! and since WAL merge records, checkpoints, spill segments and delta
-//! pages carry exactly `compress()` payloads, a directory written by an
-//! older binary decodes to the same registers.
+//! SetSketch2 are pinned by CRC-32 for seeded fills at the three register
+//! widths (one-byte, two-byte and four-byte lanes). The constants were
+//! captured before registers moved to their natural width, so "every
+//! byte format and every register value at a fixed seed is unchanged" is
+//! checked rather than asserted — and since WAL merge records,
+//! checkpoints, spill segments and delta pages carry exactly
+//! `compress()` payloads, a directory written by an older binary decodes
+//! to the same registers.
 //!
 //! The containers around those payloads are pinned the same way: one
 //! wire frame of each of the 13 message kinds, the WAL segment a durable
@@ -14,7 +14,6 @@
 //! checkpoint file of a one-key store (a checkpoint of more keys is not
 //! byte-stable: shards iterate in hash-map order).
 
-use hyperloglog::{GhllConfig, GhllSketch};
 use setsketch::{ExponentialSpacings, IntervalSampling};
 use setsketch::{SetSketch, SetSketchConfig, ValueSequence};
 use sketch_cluster::{DeltaEntry, ErrorCode, Message, WireNeighbor};
@@ -61,22 +60,9 @@ fn setsketch_golden<S: ValueSequence + std::fmt::Debug>(
     [crc32(&sketch.to_bytes()), crc32(&sketch.compress())]
 }
 
-fn ghll_golden(m: usize, b: f64, q: u32, n: u64) -> [u32; 1] {
-    let config = GhllConfig::new(m, b, q).unwrap();
-    let mut sketch = GhllSketch::with_lower_bound_tracking(config, 42);
-    sketch.extend(elements(7, n));
-    assert_eq!(GhllSketch::from_bytes(&sketch.to_bytes()).unwrap(), sketch);
-    [crc32(&sketch.to_bytes())]
-}
-
 /// Rows in `WIDTHS` × `FILLS` order; each row holds the checksums of
-/// `[to_bytes, compress]`, or `[to_bytes]` for a format without a
-/// compact codec.
-fn check<const N: usize>(
-    family: &str,
-    golden: impl Fn(usize, f64, u32, u64) -> [u32; N],
-    expected: [[u32; N]; 6],
-) {
+/// `[to_bytes, compress]`.
+fn check(family: &str, golden: impl Fn(usize, f64, u32, u64) -> [u32; 2], expected: [[u32; 2]; 6]) {
     let mut rows = expected.iter();
     for (m, b, q) in WIDTHS {
         for n in FILLS {
@@ -119,22 +105,6 @@ fn setsketch2_formats_are_unchanged() {
             [0x4d18fe6d, 0x9461a07e],
             [0x38c02c4b, 0x73051fce],
             [0x0c677b48, 0x1e95624d],
-        ],
-    );
-}
-
-#[test]
-fn ghll_formats_are_unchanged() {
-    check(
-        "ghll",
-        ghll_golden,
-        [
-            [0x70a0317b],
-            [0x2e7e84fc],
-            [0x53fd54d0],
-            [0x736e7632],
-            [0xb387bf82],
-            [0x37505e48],
         ],
     );
 }

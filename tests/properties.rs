@@ -288,9 +288,9 @@ proptest! {
     }
 
     /// GHLL merge equals recording the union, for arbitrary overlapping
-    /// element sets, and the binary codec roundtrips the result.
+    /// element sets.
     #[test]
-    fn ghll_merge_is_union_and_codec_roundtrips(
+    fn ghll_merge_is_union(
         a in vec(0u64..400, 0..40),
         b in vec(0u64..400, 0..40),
     ) {
@@ -307,9 +307,7 @@ proptest! {
             sab.insert_u64(e);
         }
         let merged = sa.merged(&sb).unwrap();
-        prop_assert_eq!(&merged, &sab);
-        let restored = GhllSketch::from_bytes(&merged.to_bytes()).unwrap();
-        prop_assert_eq!(restored, merged);
+        prop_assert_eq!(merged, sab);
     }
 
     /// HyperMinHash merge equals recording the union.
