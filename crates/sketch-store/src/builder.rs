@@ -142,13 +142,14 @@ impl<S: Sketch> StoreBuilder<S> {
 
     /// Makes the store **durable**: every change appends a CRC-framed
     /// record to a write-ahead log under `dir` before the call returns
-    /// (put, remove and clear log before applying; ingest and merge-in
-    /// apply first and log only when a register rose — a write that
-    /// raised none is a read and writes nothing), and building from the
-    /// same directory later recovers the store —
-    /// loading the newest checkpoint, replaying the log tail, truncating
-    /// a torn final record and quarantining bit-rotted ones (what was
-    /// found is reported by [`SketchStore::recovery_report`] as a
+    /// (every write applies under its shard lock and appends its record
+    /// before releasing it; a write that changed nothing — an ingest or
+    /// merge-in that raised no register, removing a missing key — is a
+    /// read and writes nothing), and building from the same directory
+    /// later recovers the store — loading the newest checkpoint,
+    /// replaying the log tail, truncating a torn final record and
+    /// quarantining bit-rotted ones (what was found is reported by
+    /// [`SketchStore::recovery_report`] as a
     /// [`RecoveryReport`](crate::RecoveryReport)).
     ///
     /// The directory is created if absent and must be private to this

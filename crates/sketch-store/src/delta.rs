@@ -207,7 +207,7 @@ impl<S: Sketch> SketchStore<S> {
         // sketch rather than installing `incoming` verbatim: union with
         // the empty set is identity, and the merge is where
         // configuration mismatches surface.
-        self.apply_then_log(
+        self.with_entry(
             key,
             |sketch| {
                 sketch

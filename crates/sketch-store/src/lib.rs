@@ -56,11 +56,13 @@
 //!   census;
 //! * **crash-safe durability** — with [`StoreBuilder::durable_dir`],
 //!   every change appends a CRC-framed record to a segment-rotated
-//!   write-ahead log before the call returns — put, remove and clear
-//!   log before applying; ingest and merge-in apply first, under the
-//!   shard lock, and log only when a register rose, before that lock is
-//!   released ([`FsyncPolicy`] picks the latency/durability trade-off),
-//!   periodic checkpoints bound replay time, and rebuilding from the
+//!   write-ahead log before the call returns ([`FsyncPolicy`] picks the
+//!   latency/durability trade-off). One rule serves every write: it
+//!   applies under its shard lock and appends its record before
+//!   releasing it, so each key's log order is its apply order; a write
+//!   that changed nothing logs nothing. Periodic checkpoints, which
+//!   hold each shard only while sweeping it, bound replay time, and
+//!   rebuilding from the
 //!   same directory replays the store back bit-for-bit — truncating
 //!   torn tails and quarantining bit-rotted records into a typed
 //!   [`RecoveryReport`] instead of panicking;

@@ -451,53 +451,55 @@ impl<S: Sketch> SketchStore<S> {
     /// entry starts hot; a replaced warm/frozen entry is rehydrated on
     /// the way out.
     pub fn put(&self, key: &str, sketch: S) -> Option<S> {
-        // Compress before entering the logged section so the record
-        // closure does not contend with the apply closure for `sketch`.
-        let compact = self.durability.is_some().then(|| sketch.compress());
-        self.log_then_apply(
-            move || crate::wal::encode_put(key, &compact.expect("compressed when durable")),
-            move |store| {
-                let previous = {
-                    // Stamped under the shard lock, like every other
-                    // write: a delta sweep that read the counter past
-                    // this version must find the slot.
-                    let index = store.shard_index(key);
-                    let mut shard = store.shards[index].write();
-                    let version = store.next_version();
-                    store.mark_dirty(index);
-                    store.insert_slot(&mut shard, key.to_owned(), Slot::hot(sketch, version))
-                };
-                store.maintain();
-                previous
-            },
-        )
+        // Encoded before the shard lock is taken, to keep the hold short.
+        let record = self
+            .durability
+            .is_some()
+            .then(|| crate::wal::encode_put(key, &sketch.compress()));
+        let previous = {
+            // Stamped under the shard lock, like every other write: a
+            // delta sweep that read the counter past this version must
+            // find the slot.
+            let index = self.shard_index(key);
+            let mut shard = self.shards[index].write();
+            let version = self.next_version();
+            self.mark_dirty(index);
+            let previous = self.insert_slot(&mut shard, key.to_owned(), Slot::hot(sketch, version));
+            self.log(move || record.expect("encoded when durable"));
+            previous
+        };
+        self.maintain();
+        self.checkpoint_if_due();
+        previous
     }
 
     /// Removes and returns the sketch under `key` (rehydrating it if it
     /// was warm or frozen; `None` is also returned for a quarantined
     /// slot, whose registers are unrecoverable — the entry is removed
-    /// either way).
+    /// either way). Removing a missing key changes nothing, so it is a
+    /// read: no record, no mark.
     pub fn remove(&self, key: &str) -> Option<S> {
-        self.log_then_apply(
-            || crate::wal::encode_remove(key),
-            |store| {
-                let index = store.shard_index(key);
-                let mut shard = store.shards[index].write();
-                let removed = store.remove_slot(&mut shard, key)?;
-                store.mark_dirty(index);
-                removed
-            },
-        )
+        let removed = {
+            let index = self.shard_index(key);
+            let mut shard = self.shards[index].write();
+            let removed = self.remove_slot(&mut shard, key)?;
+            self.mark_dirty(index);
+            self.log(|| crate::wal::encode_remove(key));
+            removed
+        };
+        self.checkpoint_if_due();
+        removed
     }
 
     /// Removes every sketch (and drops any spill segments).
     ///
     /// Atomic against concurrent writers: every shard stays locked
-    /// until the whole store and its memory tiers are empty, so a write
-    /// racing the clear lands either wholly before it (and is cleared)
-    /// or wholly after it.
+    /// until the whole store and its memory tiers are empty and the
+    /// clear is logged, so a write racing the clear lands either wholly
+    /// before it (and is cleared) or wholly after it.
     pub fn clear(&self) {
-        self.log_then_apply(crate::wal::encode_clear, |store| store.clear_slots());
+        self.clear_slots();
+        self.checkpoint_if_due();
     }
 
     /// Locks the shards of two keys (by `lock`) in ascending shard
@@ -566,20 +568,18 @@ impl<S: Sketch> SketchStore<S> {
     /// `op` answers whether it changed the sketch. Only a change — or
     /// the key's creation, or a restart over a corrupt slot — counts as
     /// a write: the slot is restamped, the shard marked dirty and
-    /// `on_change` run, all before the shard lock is released, so the
-    /// similarity index re-bands exactly the keys whose registers
-    /// moved. A write that changed nothing is a read. An `op` error
-    /// leaves the key as it was (a key it would have created is not).
-    ///
-    /// This is the **unlogged** write path: ingest and merge-in pass
-    /// the WAL append as `on_change`
-    /// ([`apply_then_log`](Self::apply_then_log)), and WAL replay,
-    /// which runs before the log is installed, passes nothing.
+    /// `record`'s bytes appended to the log ([`log`](Self::log)), all
+    /// before the shard lock is released, so the similarity index
+    /// re-bands exactly the keys whose registers moved and the log
+    /// holds them in apply order; a checkpoint is cut afterwards if one
+    /// is due. A write that changed nothing is a read: no record. An
+    /// `op` error leaves the key as it was (a key it would have created
+    /// is not).
     pub(crate) fn with_entry<E>(
         &self,
         key: &str,
         op: impl FnOnce(&mut S) -> Result<bool, E>,
-        on_change: impl FnOnce(),
+        record: impl FnOnce() -> Vec<u8>,
     ) -> Result<bool, E> {
         let index = self.shard_index(key);
         let mut shard = self.shards[index].write();
@@ -612,12 +612,16 @@ impl<S: Sketch> SketchStore<S> {
                 })
             }
         };
-        if let Ok(true) = result {
+        let changed = matches!(result, Ok(true));
+        if changed {
             self.mark_dirty(index);
-            on_change();
+            self.log(record);
         }
         drop(shard);
         self.maintain();
+        if changed {
+            self.checkpoint_if_due();
+        }
         result
     }
 
@@ -642,7 +646,7 @@ impl<S: Sketch> SketchStore<S> {
         let mut rest = elements;
         loop {
             let (chunk, tail) = rest.split_at(rest.len().min(per_record));
-            let Ok(_) = self.apply_then_log(
+            let Ok(_) = self.with_entry(
                 key,
                 |sketch| Ok::<_, std::convert::Infallible>(sketch.insert_batch_changed(chunk)),
                 || crate::wal::encode_ingest(key, chunk),
@@ -793,6 +797,10 @@ mod tests {
             at: usize,
             len: usize,
         },
+        /// Remove the key, present or missing.
+        Remove {
+            key: usize,
+        },
         Checkpoint,
         /// Drop the store and rebuild it from its directory.
         Restart,
@@ -815,7 +823,8 @@ mod tests {
                 len,
             },
             9 => Step::Checkpoint,
-            _ => Step::Restart,
+            10 => Step::Restart,
+            _ => Step::Remove { key },
         }
     }
 
@@ -867,9 +876,10 @@ mod tests {
 
     /// Runs a script and checks, after every write, that the version
     /// and shard mark moved exactly when the registers did, that a
-    /// write which moved nothing appended nothing to the log, and that
-    /// the key equals the element-loop reference; after every restart,
-    /// that every recovered key does.
+    /// write which moved nothing (removing a missing key among them)
+    /// appended nothing to the log, and that the key equals the
+    /// element-loop reference; after every restart, that every
+    /// recovered key does.
     fn drive(steps: &[Step], checkpoint_after: u64) -> Result<(), TestCaseError> {
         static CASE: AtomicU64 = AtomicU64::new(0);
         let dir: PathBuf = std::env::temp_dir().join(format!(
@@ -895,7 +905,7 @@ mod tests {
         };
         for &step in steps {
             let key = match step {
-                Step::Ingest { key, .. } | Step::MergeIn { key, .. } => key,
+                Step::Ingest { key, .. } | Step::MergeIn { key, .. } | Step::Remove { key } => key,
                 Step::Checkpoint => {
                     store.checkpoint().unwrap();
                     continue;
@@ -942,6 +952,11 @@ mod tests {
                         prop_assert_eq!(answer.unwrap(), after != before.0, "merge_in's answer");
                     }
                 }
+                Step::Remove { .. } => {
+                    store.remove(name);
+                    held[key].clear();
+                    created[key] = false;
+                }
                 Step::Checkpoint | Step::Restart => unreachable!("handled above"),
             }
             let after = observe(&store, name);
@@ -961,11 +976,12 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         /// A slot's version and shard mark move if and only if its
-        /// registers do, no-op writes log nothing, and every recovery
-        /// rebuilds the element-loop reference bit for bit.
+        /// registers do, no-op writes (removing a missing key too) log
+        /// nothing, and every recovery rebuilds the element-loop
+        /// reference bit for bit.
         #[test]
         fn version_moves_iff_a_register_does(
-            raw in prop::collection::vec((0u8..11, 0usize..3, 0usize..64, 0usize..24), 1..48),
+            raw in prop::collection::vec((0u8..12, 0usize..3, 0usize..64, 0usize..24), 1..48),
             tight in 0u8..2,
         ) {
             let steps: Vec<Step> = raw.into_iter().map(decode).collect();

@@ -617,12 +617,13 @@ impl<S: Sketch> SketchStore<S> {
         shard.remove(key).map(|slot| self.take_sketch(slot))
     }
 
-    /// Removes every slot and the tier state with it, atomically
-    /// against concurrent writers: every shard's write lock is held, in
-    /// ascending order (the store's only nesting order), across the
-    /// sweep and the reset. Otherwise a key written into an already
-    /// cleared shard would lose its charge to the reset, or its spill
-    /// segment if the clock scan froze it in between.
+    /// Removes every slot and the tier state with it, and logs the
+    /// clear, atomically against concurrent writers: every shard's
+    /// write lock is held, in ascending order (the store's only nesting
+    /// order), across the sweep, the reset and the append. Otherwise a
+    /// key written into an already cleared shard would lose its charge
+    /// to the reset, or its spill segment if the clock scan froze it in
+    /// between, or be logged before a clear that erased it.
     pub(crate) fn clear_slots(&self) {
         let mut shards: Vec<_> = self.shards().iter().map(|shard| shard.write()).collect();
         for (index, shard) in shards.iter_mut().enumerate() {
@@ -630,6 +631,7 @@ impl<S: Sketch> SketchStore<S> {
             self.mark_dirty(index);
         }
         self.tier.reset();
+        self.log(crate::wal::encode_clear);
     }
 
     /// Runs `op` against the slot's sketch **without promoting**: hot

@@ -4,33 +4,29 @@
 //!
 //! With [`StoreBuilder::durable_dir`](crate::StoreBuilder::durable_dir)
 //! set, every operation that changes the store appends one record to
-//! the current WAL segment before the caller sees it returned. Two
-//! orders are used:
-//!
-//! * **Apply, then log** — ingest (and insert) and merge-in learn their
-//!   effect only by applying. They apply under the shard write lock
-//!   and, only when a register rose (or the key was created), restamp
-//!   the slot and append their record *before that lock is released*,
-//!   so no reader and no later writer sees a register whose record is
-//!   not yet in the log. A write that raised nothing is a read: no
-//!   record, no version bump. Dropping it loses nothing — a sketch's
-//!   state is the register-wise maximum over its elements, so replay
-//!   without the no-op records rebuilds the same registers.
-//! * **Log, then apply** — put, remove and clear always change state;
-//!   they append first and apply afterwards.
+//! the current WAL segment before the caller sees it returned. One
+//! order serves every write: it applies under its shard write lock (or,
+//! for clear, every shard's), and appends its record *before that lock
+//! is released*. So each key's log order is its apply order, and no
+//! reader and no later writer sees a register whose record is not yet
+//! in the log. A write that changed nothing — an ingest or merge-in
+//! that raised no register, the removal of a missing key — is a read:
+//! no record, no version bump. Dropping it loses nothing — a sketch's
+//! state is the register-wise maximum over its elements, so replay
+//! without the no-op records rebuilds the same registers.
 //!
 //! Under [`FsyncPolicy::Always`] an acknowledged change is therefore on
-//! disk before the caller sees it; for ingest and merge-in that fsync
-//! runs under the shard lock, so a no-op that relies on registers a
-//! concurrent write just raised waits until that write's record is
-//! durable. Each record is framed as `[u32 length][u32 CRC32][payload]`
-//! by [`crate::frame`], which refuses a payload the scanner would not
-//! read back — so an ingest batch is split into as many records as the
-//! frame limit needs, and an oversize put/merge-in payload is a counted
-//! append failure. Record and checkpoint fields are written and read by
-//! the same module's field codec, the one the cluster's wire uses; a
-//! checkpoint entry is a [`DeltaEntry`](crate::DeltaEntry) in its
-//! delta-page encoding.
+//! disk before the caller sees it; that fsync runs under the shard
+//! lock, so a no-op that relies on registers a concurrent write just
+//! raised waits until that write's record is durable. Each record is
+//! framed as `[u32 length][u32 CRC32][payload]` by [`crate::frame`],
+//! which refuses a payload the scanner would not read back — so an
+//! ingest batch is split into as many records as the frame limit needs,
+//! and an oversize put/merge-in payload is a counted append failure.
+//! Record and checkpoint fields are written and read by the same
+//! module's field codec, the one the cluster's wire uses; a checkpoint
+//! entry is a [`DeltaEntry`](crate::DeltaEntry) in its delta-page
+//! encoding.
 //!
 //! Replay time is bounded by **checkpoints**: once the log grows past
 //! the configured threshold, the store sweeps every slot's compact
@@ -38,7 +34,10 @@
 //! use) into `checkpoint-N.ckpt` — written to a temp file, fsynced and
 //! atomically renamed — after which all WAL segments below `N` are
 //! deleted. Recovery loads the newest checkpoint and replays only the
-//! remaining tail.
+//! remaining tail. The sweep is fuzzy: it holds the log only to rotate
+//! it, then one shard read lock at a time, so writers keep going while
+//! a checkpoint runs (why that is sound is written at
+//! `checkpoint_inner`).
 //!
 //! Recovery never panics on bad bytes. A record whose frame runs past
 //! the end of its segment is a **torn tail** (the crash interrupted the
@@ -54,7 +53,7 @@ use crate::frame::{
     self, put_bytes, put_entry, put_list, put_str, put_u32, put_u64, Frame, Reader,
 };
 use crate::store::{SketchStore, Slot};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use sketch_core::Sketch;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
@@ -324,9 +323,10 @@ fn sync_dir(dir: &Path) {
 }
 
 /// The open write-ahead log: the current segment file plus rotation and
-/// fsync bookkeeping. Lives behind a mutex in [`Durability`]; appends
-/// are serialized (the write-ahead ordering guarantee needs them to
-/// be).
+/// fsync bookkeeping. Lives behind a mutex in [`Durability`]. Writers
+/// append while holding the shard lock that applied the record, so the
+/// lock order is shard → log: whoever holds the log mutex takes no
+/// shard lock.
 pub(crate) struct Wal {
     dir: PathBuf,
     fsync: FsyncPolicy,
@@ -391,20 +391,10 @@ impl Wal {
         Ok(())
     }
 
-    /// Rotates for a checkpoint and returns the new segment's sequence
-    /// number: the checkpoint will cover every segment *below* it.
-    fn rotate_for_checkpoint(&mut self) -> io::Result<u64> {
-        self.rotate()?;
-        Ok(self.seq)
-    }
-
-    /// Log bytes appended since the last checkpoint (or open).
+    /// Log bytes no checkpoint covers yet: appended since the last
+    /// checkpoint's rotation (or since open).
     pub(crate) fn bytes_since_checkpoint(&self) -> u64 {
         self.bytes_since_checkpoint
-    }
-
-    fn note_checkpointed(&mut self) {
-        self.bytes_since_checkpoint = 0;
     }
 }
 
@@ -413,13 +403,6 @@ impl Wal {
 /// Per-store durability state, present when the builder set a durable
 /// directory.
 pub(crate) struct Durability {
-    /// Logged operations hold this as readers across their log and
-    /// apply steps (either order); the checkpoint sweep holds it as a
-    /// writer, so every record in the segments it covers has also been
-    /// applied to the shards it sweeps — without this barrier a record
-    /// could be logged below the checkpoint but applied after the
-    /// sweep, and replay would lose it.
-    pub(crate) gate: RwLock<()>,
     pub(crate) wal: Mutex<Wal>,
     /// What recovery found when this store was built.
     pub(crate) report: RecoveryReport,
@@ -431,17 +414,6 @@ pub(crate) struct Durability {
     /// [`SketchStore::wal_failures`]).
     wal_failures: AtomicUsize,
     last_wal_error: Mutex<Option<String>>,
-}
-
-impl Durability {
-    /// Appends one record; a failure is counted and the write goes
-    /// ahead un-logged.
-    fn append(&self, record: &[u8]) {
-        if let Err(error) = self.wal.lock().append(record) {
-            self.wal_failures.fetch_add(1, Ordering::Relaxed);
-            *self.last_wal_error.lock() = Some(error.to_string());
-        }
-    }
 }
 
 impl<S: Sketch> SketchStore<S> {
@@ -468,66 +440,40 @@ impl<S: Sketch> SketchStore<S> {
             .and_then(|d| d.last_wal_error.lock().clone())
     }
 
-    /// Log bytes appended since the last checkpoint; `None` for
-    /// non-durable stores.
+    /// Log bytes appended since the last checkpoint rotated the log
+    /// (records appended while it ran count); `None` for non-durable
+    /// stores.
     pub fn wal_bytes_since_checkpoint(&self) -> Option<u64> {
         self.durability
             .as_ref()
             .map(|d| d.wal.lock().bytes_since_checkpoint())
     }
 
-    /// Runs `apply` — a put, remove or clear, which always changes the
-    /// store — under the durability protocol: when the store is
-    /// durable, `record`'s bytes are appended to the WAL first
-    /// (write-ahead), both steps under the checkpoint gate; afterwards
-    /// a checkpoint is cut if the log has grown past the threshold.
-    /// Non-durable stores skip straight to `apply`.
-    pub(crate) fn log_then_apply<R>(
-        &self,
-        record: impl FnOnce() -> Vec<u8>,
-        apply: impl FnOnce(&Self) -> R,
-    ) -> R {
+    /// Appends a write's record to the log — the one append site. Every
+    /// write that changed the store calls it while still holding the
+    /// shard write lock (or locks) that applied the change, so each
+    /// key's log order is its apply order. A failure is counted and the
+    /// write stands un-logged. Non-durable stores, and a store being
+    /// recovered (its log is installed only afterwards), never build the
+    /// record. Call [`checkpoint_if_due`](Self::checkpoint_if_due) once
+    /// the locks are released.
+    pub(crate) fn log(&self, record: impl FnOnce() -> Vec<u8>) {
         let Some(durability) = self.durability.as_ref() else {
-            return apply(self);
+            return;
         };
-        let result = {
-            let _gate = durability.gate.read();
-            durability.append(&record());
-            apply(self)
-        };
-        self.checkpoint_if_due(durability);
-        result
-    }
-
-    /// Runs an ingest or merge-in — `op` on `key`'s sketch, which
-    /// answers whether it changed anything — under the durability
-    /// protocol: applied first, under the checkpoint gate; only when
-    /// the write counts ([`with_entry`](Self::with_entry): a register
-    /// rose or the key was created) is `record`'s bytes appended,
-    /// while the shard write lock is still held. A no-op writes no
-    /// record and triggers no checkpoint. Non-durable stores only
-    /// apply.
-    pub(crate) fn apply_then_log<E>(
-        &self,
-        key: &str,
-        op: impl FnOnce(&mut S) -> Result<bool, E>,
-        record: impl FnOnce() -> Vec<u8>,
-    ) -> Result<bool, E> {
-        let Some(durability) = self.durability.as_ref() else {
-            return self.with_entry(key, op, || {});
-        };
-        let result = {
-            let _gate = durability.gate.read();
-            self.with_entry(key, op, || durability.append(&record()))
-        };
-        if let Ok(true) = result {
-            self.checkpoint_if_due(durability);
+        if let Err(error) = durability.wal.lock().append(&record()) {
+            durability.wal_failures.fetch_add(1, Ordering::Relaxed);
+            *durability.last_wal_error.lock() = Some(error.to_string());
         }
-        result
     }
 
     /// Cuts a checkpoint once the log has grown past the threshold.
-    fn checkpoint_if_due(&self, durability: &Durability) {
+    /// Writers call it after a logged write, with no shard lock held:
+    /// the sweep takes them.
+    pub(crate) fn checkpoint_if_due(&self) {
+        let Some(durability) = self.durability.as_ref() else {
+            return;
+        };
         if durability.wal.lock().bytes_since_checkpoint() >= durability.checkpoint_after_bytes {
             // Best-effort: a failed checkpoint only delays log
             // truncation; the next write retries.
@@ -537,8 +483,9 @@ impl<S: Sketch> SketchStore<S> {
 
     /// Cuts a checkpoint now: sweeps every slot's compact payload into
     /// a new checkpoint file and deletes the WAL segments it covers.
-    /// No-op on non-durable stores and when another thread is already
-    /// checkpointing.
+    /// Writers keep going while it runs, except on the one shard being
+    /// swept. No-op on non-durable stores
+    /// and when another thread is already checkpointing.
     ///
     /// Durable stores checkpoint automatically once the log outgrows
     /// the builder's
@@ -558,14 +505,30 @@ impl<S: Sketch> SketchStore<S> {
     }
 
     fn checkpoint_inner(&self, durability: &Durability) -> io::Result<()> {
-        // Writer side of the gate: every logged record below the
-        // rotation point has finished applying once this is held.
-        let _gate = durability.gate.write();
-        let mut wal = durability.wal.lock();
-        let seq = wal.rotate_for_checkpoint()?;
-        let dir = wal.dir.clone();
-        let epoch = self.write_epoch_load();
+        // The log mutex is held across the rotation and the epoch read
+        // only. Writers take it under their shard lock, so holding it
+        // into the sweep would invert the shard → log order.
+        let (seq, covered, dir, epoch) = {
+            let mut wal = durability.wal.lock();
+            wal.rotate()?;
+            let epoch = self.write_epoch_load();
+            (wal.seq, wal.bytes_since_checkpoint, wal.dir.clone(), epoch)
+        };
 
+        // The sweep is fuzzy — writers run while it does — and still
+        // loses nothing:
+        // * every record in a segment below `seq` was appended under
+        //   its key's shard lock after the write applied, so the sweep,
+        //   which takes that lock after the rotation, sees it applied;
+        // * every later record replays onto whatever state the sweep
+        //   caught. Each write either joins (ingest and merge-in: a
+        //   register-wise max, idempotent and commutative) or resets
+        //   (put, remove, clear), so replaying the suffix from any
+        //   state between a key's pre- and post-image ends in the same
+        //   state;
+        // * a swept version may exceed `epoch`; recovery restores the
+        //   counter as max(header epoch, largest entry version).
+        // Every new kind of write must join or reset to stay sound here.
         let tmp_path = dir.join(format!("checkpoint-{seq:010}.tmp"));
         let out = self.checkpoint_image(epoch);
         let mut file = File::create(&tmp_path)?;
@@ -574,23 +537,18 @@ impl<S: Sketch> SketchStore<S> {
         drop(file);
         fs::rename(&tmp_path, checkpoint_path(&dir, seq))?;
         sync_dir(&dir);
-        wal.note_checkpointed();
-        drop(wal);
+        // Records appended while the checkpoint ran are not covered.
+        durability.wal.lock().bytes_since_checkpoint -= covered;
 
         // The checkpoint covers every segment below `seq`; delete them
         // and any superseded checkpoints (best-effort — stale files are
         // also cleaned during the next recovery).
         for (kind, old) in list_dir(&dir) {
-            let stale = match kind {
-                DirEntryKind::Segment => old < seq,
-                DirEntryKind::Checkpoint => old < seq,
-            };
-            if stale {
-                let path = match kind {
+            if old < seq {
+                let _ = fs::remove_file(match kind {
                     DirEntryKind::Segment => segment_path(&dir, old),
                     DirEntryKind::Checkpoint => checkpoint_path(&dir, old),
-                };
-                let _ = fs::remove_file(path);
+                });
             }
         }
         Ok(())
@@ -601,13 +559,14 @@ impl<S: Sketch> SketchStore<S> {
     /// shard read lock at a time, never promoting. Quarantined slots,
     /// unreadable spill records and entries over the frame limit are
     /// skipped: the image carries the keys a loader can read.
+    #[cfg_attr(not(test), allow(clippy::unused_enumerate_index))]
     fn checkpoint_image(&self, epoch: u64) -> Vec<u8> {
         let mut out = Vec::new();
         put_u32(&mut out, CHECKPOINT_MAGIC);
         out.push(CHECKPOINT_FORMAT);
         put_u64(&mut out, epoch);
         let mut entry = Vec::new();
-        for shard in self.shards() {
+        for (_index, shard) in self.shards().iter().enumerate() {
             for (key, slot) in shard.read().iter() {
                 let Some(payload) = self.slot_payload(&slot.state) else {
                     continue;
@@ -617,6 +576,8 @@ impl<S: Sketch> SketchStore<S> {
                 // An entry over the frame limit is left out.
                 let _ = frame::push(&mut out, &entry);
             }
+            #[cfg(test)]
+            tests::after_swept_shard(_index);
         }
         out
     }
@@ -793,7 +754,7 @@ fn apply<S: Sketch>(store: &SketchStore<S>, record: WalRecord) -> Result<(), Str
                     }
                     Ok::<_, std::convert::Infallible>(true)
                 },
-                || {},
+                Vec::new,
             );
             Ok(())
         }
@@ -897,7 +858,6 @@ pub(crate) fn durability_runtime(
     checkpoint_after_bytes: u64,
 ) -> Durability {
     Durability {
-        gate: RwLock::new(()),
         wal: Mutex::new(wal),
         report,
         checkpoint_after_bytes,
@@ -910,6 +870,168 @@ pub(crate) fn durability_runtime(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
+
+    /// Called with the index of the shard the sweep just finished.
+    type SweepHook = Box<dyn FnMut(usize)>;
+
+    thread_local! {
+        /// Runs on the checkpointing thread after the sweep finished a
+        /// shard, with no lock held: the pause point of
+        /// [`writes_during_a_paused_sweep_recover_bit_for_bit`].
+        static AFTER_SWEPT_SHARD: RefCell<Option<SweepHook>> = const { RefCell::new(None) };
+    }
+
+    /// Called by the checkpoint sweep once shard `index` is swept.
+    pub(super) fn after_swept_shard(index: usize) {
+        AFTER_SWEPT_SHARD.with(|hook| {
+            if let Some(hook) = hook.borrow_mut().as_mut() {
+                hook(index);
+            }
+        });
+    }
+
+    /// The checkpoint sweep stops no writer, and loses nothing to one:
+    /// while the sweep is paused after shard `i`, a writer thread runs
+    /// ingest, put, remove, merge-in and (in half the runs) clear on
+    /// keys of shards already swept and not yet swept. For every `i`
+    /// the store, dropped without another checkpoint, recovers every
+    /// key's registers bit for bit, and the log still counts the
+    /// records appended during the pause.
+    #[test]
+    fn writes_during_a_paused_sweep_recover_bit_for_bit() {
+        use setsketch::{SetSketch1, SetSketch2, SetSketchConfig};
+
+        let cfg = SetSketchConfig::new(64, 2.0, 20.0, 62).unwrap();
+        paused_sweep_loses_nothing("ss1", move || SetSketch1::new(cfg, 3));
+        paused_sweep_loses_nothing("ss2", move || SetSketch2::new(cfg, 3));
+    }
+
+    fn paused_sweep_loses_nothing<S>(
+        tag: &str,
+        factory: impl Fn() -> S + Clone + Send + Sync + 'static,
+    ) where
+        S: Sketch + PartialEq + std::fmt::Debug + Send + Sync,
+    {
+        use std::sync::mpsc;
+
+        const SHARDS: usize = 4;
+        let sketch_of = |elements: std::ops::Range<u64>| {
+            let mut sketch = factory();
+            sketch.insert_batch(&elements.collect::<Vec<_>>());
+            sketch
+        };
+        for pause in 0..SHARDS {
+            for clear in [false, true] {
+                let dir = std::env::temp_dir().join(format!(
+                    "sketch-wal-pause-{tag}-{}-{pause}-{clear}",
+                    std::process::id()
+                ));
+                let _ = fs::remove_dir_all(&dir);
+                let build = |dir: Option<&Path>| {
+                    let builder = SketchStore::builder(factory.clone()).shards(SHARDS);
+                    match dir {
+                        Some(dir) => builder.durable_dir(dir).build(),
+                        None => builder.build(),
+                    }
+                };
+                let (store, model) = (build(Some(&dir)), build(None));
+                // Four keys per shard: ingest, put, remove and merge-in
+                // targets.
+                let mut targets: Vec<Vec<String>> = vec![Vec::new(); SHARDS];
+                for i in 0.. {
+                    let key = format!("k{i}");
+                    let shard = &mut targets[store.shard_index(&key)];
+                    if shard.len() < 4 {
+                        shard.push(key);
+                    }
+                    if targets.iter().all(|keys| keys.len() == 4) {
+                        break;
+                    }
+                }
+                for (i, key) in targets.iter().flatten().enumerate() {
+                    let start = 1_000 * i as u64;
+                    for target in [&store, &model] {
+                        target.ingest(key, &(start..start + 40).collect::<Vec<_>>());
+                    }
+                }
+
+                let (go, wait_go) = mpsc::channel::<()>();
+                let (done, wait_done) = mpsc::channel::<()>();
+                AFTER_SWEPT_SHARD.with(|hook| {
+                    *hook.borrow_mut() = Some(Box::new(move |index| {
+                        if index == pause {
+                            go.send(()).unwrap();
+                            wait_done.recv().unwrap();
+                        }
+                    }))
+                });
+                let (store_ref, model_ref, targets_ref) = (&store, &model, &targets);
+                let appended = std::thread::scope(|scope| {
+                    let writer = scope.spawn(move || {
+                        wait_go.recv().unwrap();
+                        let before = store_ref.wal_bytes_since_checkpoint().unwrap();
+                        for target in [store_ref, model_ref] {
+                            for (s, keys) in targets_ref.iter().enumerate() {
+                                let fresh = 1_000_000 + 100 * s as u64;
+                                let elements: Vec<u64> = (fresh..fresh + 20).collect();
+                                target.ingest(&keys[0], &elements);
+                                target.put(&keys[1], sketch_of(fresh + 20..fresh + 50));
+                                target.remove(&keys[2]);
+                                target
+                                    .merge_in(&keys[3], &sketch_of(fresh + 50..fresh + 70))
+                                    .unwrap();
+                            }
+                            if clear {
+                                target.clear();
+                                for (s, keys) in targets_ref.iter().enumerate() {
+                                    let fresh = 2_000_000 + 100 * s as u64;
+                                    target.ingest(&keys[0], &[fresh, fresh + 1]);
+                                    target.put(&keys[1], sketch_of(fresh + 2..fresh + 9));
+                                }
+                            }
+                        }
+                        done.send(()).unwrap();
+                        store_ref.wal_bytes_since_checkpoint().unwrap() - before
+                    });
+                    store_ref.checkpoint().unwrap();
+                    // Drops the hook's channel ends, so a sweep that
+                    // never reached the pause fails the writer instead
+                    // of hanging it.
+                    AFTER_SWEPT_SHARD.with(|hook| hook.borrow_mut().take());
+                    writer.join().expect("writer ran during the pause")
+                });
+                assert!(appended > 0, "pause {pause}: the writer logged nothing");
+                assert_eq!(
+                    store.wal_bytes_since_checkpoint(),
+                    Some(appended),
+                    "pause {pause}, clear {clear}: the pause's records count toward the next checkpoint"
+                );
+
+                drop(store);
+                let recovered = build(Some(&dir));
+                let report = recovered.recovery_report().unwrap();
+                assert!(
+                    report.is_clean() && report.checkpoint_loaded && report.records_replayed > 0,
+                    "pause {pause}, clear {clear}: {report}"
+                );
+                assert_eq!(
+                    recovered.keys(),
+                    model.keys(),
+                    "pause {pause}, clear {clear}"
+                );
+                for key in model.keys() {
+                    assert_eq!(
+                        recovered.get(&key),
+                        model.get(&key),
+                        "pause {pause}, clear {clear}: {key}"
+                    );
+                }
+                drop(recovered);
+                let _ = fs::remove_dir_all(&dir);
+            }
+        }
+    }
 
     #[test]
     fn record_roundtrip() {

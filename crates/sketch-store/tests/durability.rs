@@ -13,7 +13,8 @@
 //!   hold is bit-for-bit correct, and everything before the damage
 //!   survives.
 //! * Remove and clear must replay — a deleted key stays deleted across
-//!   the restart.
+//!   the restart — and in the order they were applied, also when they
+//!   race an ingest of the same key.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -532,6 +533,80 @@ fn refused_merge_in_stays_refused_after_restart() {
     );
     assert!(!store.contains_key("b"), "a refused merge created a key");
     assert_eq!(store.get("a"), Some(reference), "a refused merge changed a");
+}
+
+/// A reset racing an ingest of the same key is logged in the order the
+/// two were applied, so the store rebuilt from its directory equals the
+/// live one. That needs the reset's record appended under the shard
+/// lock that applies it: an ingest landing between an early append and
+/// the apply is logged after the reset but applied before it, and
+/// replay keeps elements the live store dropped.
+#[test]
+fn racing_writes_on_one_key_replay_in_apply_order() {
+    let cfg = SetSketchConfig::new(64, 2.0, 20.0, 62).unwrap();
+    race_on_one_key(move || SetSketch1::new(cfg, 1));
+    race_on_one_key(move || SetSketch2::new(cfg, 2));
+}
+
+/// The writes raced against an ingest in
+/// [`racing_writes_on_one_key_replay_in_apply_order`].
+#[derive(Debug, Clone, Copy)]
+enum Reset {
+    Remove,
+    Put,
+    Clear,
+}
+
+fn race_on_one_key<S>(factory: impl Fn() -> S + Clone + Send + Sync + 'static)
+where
+    S: Sketch + PartialEq + std::fmt::Debug + Send + Sync,
+{
+    const TRIALS: usize = 200;
+    for reset in [Reset::Remove, Reset::Put, Reset::Clear] {
+        let mut diverged = 0;
+        for _ in 0..TRIALS {
+            let scratch = Scratch::new("race");
+            let build = || {
+                SketchStore::builder(factory.clone())
+                    .shards(1)
+                    .durable_dir(scratch.path())
+                    .build()
+            };
+            let store = build();
+            store.ingest("k", &[0]);
+            let mut replacement = factory();
+            replacement.insert_batch(&[u64::MAX]);
+            let start = std::sync::Barrier::new(2);
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    start.wait();
+                    // Single fresh elements: nearly every one raises a
+                    // register, so nearly every one is logged.
+                    for element in 1..=32u64 {
+                        store.ingest("k", &[element]);
+                    }
+                });
+                start.wait();
+                match reset {
+                    Reset::Remove => drop(store.remove("k")),
+                    Reset::Put => drop(store.put("k", replacement)),
+                    Reset::Clear => store.clear(),
+                }
+            });
+            let live = store.get("k");
+            drop(store);
+            let rebuilt = build();
+            let report = rebuilt.recovery_report().expect("durable store");
+            assert!(report.is_clean(), "{reset:?}: {report}");
+            if rebuilt.get("k") != live {
+                diverged += 1;
+            }
+        }
+        assert_eq!(
+            diverged, 0,
+            "{reset:?}: the rebuilt key differed from the live one in {diverged} of {TRIALS} trials"
+        );
+    }
 }
 
 /// Every fsync policy must produce an equally recoverable log (they
